@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-run bench-store bench-codec bench-serve bench-fabric fleet-bench pipeline-bench speculation-bench
+.PHONY: ci build vet test race benchmark bench bench-run bench-store bench-codec bench-serve bench-fabric fleet-bench pipeline-bench speculation-bench
 
 ci: vet test race
 
@@ -20,6 +20,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repository's one trusted benchmark (BENCHMARK.json): six workloads,
+# end-to-end and per-layer metrics, every pass output-checked. See
+# benchmark/README.md; cite these metrics, not the BENCH_*.json rows below.
+benchmark:
+	$(GO) run ./benchmark
 
 # Record the perf trajectory: full benchmark suite → BENCH_engine.json.
 bench:

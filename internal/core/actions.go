@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+
 	"sbcrawl/internal/hnsw"
 	"sbcrawl/internal/textvec"
 )
@@ -64,25 +66,21 @@ func NewActionIndex(cfg ActionIndexConfig) *ActionIndex {
 }
 
 // ActionFor assigns the tag path to an action (Algorithm 1), creating a new
-// one when no centroid is similar enough, and returns the action ID.
+// one when no centroid is similar enough, and returns the action ID. The
+// path travels as its sparse vector — the vectorizer's scratch, consumed
+// before the next call — so joining an action allocates nothing.
 func (ai *ActionIndex) ActionFor(tokens []string) int {
-	pD := ai.vec.Vectorize(tokens)
-	if nearest, ok := ai.index.Nearest(pD); ok && nearest.Similarity >= ai.theta {
+	idx, val := ai.vec.VectorizeSparse(tokens)
+	if nearest, ok := ai.index.NearestSparse(idx, val); ok && nearest.Similarity >= ai.theta {
 		a := nearest.ID
 		// Incremental centroid update: c ← c + (p − c)/(n+1).
-		c := ai.index.Vector(a)
-		n := float64(ai.paths[a])
-		updated := make([]float64, len(c))
-		for i := range c {
-			updated[i] = c[i] + (pD[i]-c[i])/(n+1)
-		}
-		ai.index.Update(a, updated)
+		ai.index.Merge(a, idx, val, ai.paths[a])
 		ai.paths[a]++
 		return a
 	}
-	id := ai.index.Add(pD)
+	id := ai.index.AddSparse(ai.vec.Dim(), idx, val)
 	ai.paths = append(ai.paths, 1)
-	ai.example = append(ai.example, joinTokens(tokens))
+	ai.example = append(ai.example, strings.Join(tokens, " "))
 	return id
 }
 
@@ -90,8 +88,8 @@ func (ai *ActionIndex) ActionFor(tokens []string) int {
 // creating actions or moving centroids — the frozen-group query of the
 // TP-OFF baseline's second phase.
 func (ai *ActionIndex) Match(tokens []string) (int, bool) {
-	pD := ai.vec.Vectorize(tokens)
-	if nearest, ok := ai.index.Nearest(pD); ok && nearest.Similarity >= ai.theta {
+	idx, val := ai.vec.VectorizeSparse(tokens)
+	if nearest, ok := ai.index.NearestSparse(idx, val); ok && nearest.Similarity >= ai.theta {
 		return nearest.ID, true
 	}
 	return 0, false
@@ -106,14 +104,3 @@ func (ai *ActionIndex) PathCount(a int) int { return ai.paths[a] }
 // Example returns the founding tag path of the action (human inspection of
 // top groups, Sec. 4.7).
 func (ai *ActionIndex) Example(a int) string { return ai.example[a] }
-
-func joinTokens(tokens []string) string {
-	out := ""
-	for i, t := range tokens {
-		if i > 0 {
-			out += " "
-		}
-		out += t
-	}
-	return out
-}

@@ -5,8 +5,34 @@
 // cheap in-place updates of stored vectors (action centroids drift as tag
 // paths join their cluster).
 //
+// # Sparse contract
+//
+// The vectors the crawler stores are hash-projected tag paths: a handful of
+// non-zeros in D = 4096 slots. The index therefore takes a vector as its
+// non-zero entries — parallel slices (idx, val) with idx strictly ascending
+// (hence unique), each idx[k] in [0, dim) and val[k] finite — and that is
+// the only arithmetic in the package: AddSparse, NearestSparse and Merge
+// are the implementation; the dense Add, Search, Nearest and Update are
+// adapters that collect the non-zeros of their argument and call them. The
+// index never retains idx or val (they may be the caller's scratch, e.g. a
+// textvec.TagPathVectorizer's, reused on its next call), and a slice the
+// index returns from Vector is read-only.
+//
+// A node keeps a dense backing array plus its support, the ascending list
+// of indices that may hold a non-zero. query·centroid loops over the
+// query's entries, norms are sums over a support, and Merge walks the union
+// of two supports. Ascending order is what makes this exact rather than
+// approximately equal: each loop performs, in the same order, the additions
+// the dense loop over all D slots would perform, except for terms that are
+// exactly ±0 — and adding ±0 never changes a float64 sum (the sums here
+// start at +0 and cannot reach −0). Similarities, norms and centroids are
+// therefore bit-identical to the dense computation, and so is every graph
+// decision derived from them. Zeros of either sign are not stored: they
+// read back from Vector as +0.
+//
 // The index is deterministic for a given seed and is not safe for concurrent
-// use; the crawler drives it from a single goroutine.
+// use; the crawler drives it from a single goroutine. Searches reuse
+// index-owned scratch, so even read-only calls must not overlap.
 package hnsw
 
 import (
@@ -34,8 +60,9 @@ func DefaultConfig() Config {
 }
 
 type node struct {
-	vec     []float64
-	norm    float64 // cached Euclidean norm of vec
+	vec     []float64 // dense backing array; zero outside sup
+	sup     []int     // ascending indices covering every non-zero of vec
+	norm    float64   // cached Euclidean norm of vec
 	level   int
 	friends [][]int // friends[l] = neighbour IDs at layer l
 }
@@ -49,6 +76,18 @@ type Index struct {
 	entry    int // entry point node ID, -1 when empty
 	maxLevel int
 	rng      *rand.Rand
+
+	// Scratch, reused across calls so a search allocates nothing once warm.
+	// visited[id] == epoch marks id as seen by the current searchLayer.
+	visited []uint64
+	epoch   uint64
+	cands   []scored // searchLayer's candidate queue
+	results []scored // searchLayer's result list, returned to the caller
+	ranked  []scored // pruneNeighbors' scored friends
+	qidx    []int    // non-zeros of a dense argument (the dense adapters)
+	qval    []float64
+	nval    []float64 // a node's values gathered over its support
+	union   []int     // Merge's union of two supports
 }
 
 // New creates an empty index with the given configuration.
@@ -73,26 +112,58 @@ func New(cfg Config) *Index {
 // Len returns the number of stored vectors.
 func (ix *Index) Len() int { return len(ix.nodes) }
 
-// Vector returns (a reference to) the stored vector for id.
+// Vector returns the stored vector for id: the node's own backing array,
+// not a copy. It is read-only — the index caches the vector's support and
+// norm, which a write through this slice would leave stale; change a stored
+// vector with Merge or Update.
 func (ix *Index) Vector(id int) []float64 { return ix.nodes[id].vec }
 
-func vectorNorm(v []float64) float64 {
+// norm returns the Euclidean norm of a vector given by its non-zero values
+// in ascending index order.
+func norm(val []float64) float64 {
 	var n float64
-	for _, x := range v {
+	for _, x := range val {
 		n += x * x
 	}
 	return math.Sqrt(n)
 }
 
-// similarity returns the cosine similarity between the query (with
+// nonZeros collects the non-zero entries of a dense vector into the
+// index's scratch; the result is valid until the next dense-adapter call.
+func (ix *Index) nonZeros(vec []float64) (idx []int, val []float64) {
+	idx, val = ix.qidx[:0], ix.qval[:0]
+	for i, x := range vec {
+		if x != 0 {
+			idx = append(idx, i)
+			val = append(val, x)
+		}
+	}
+	ix.qidx, ix.qval = idx, val
+	return idx, val
+}
+
+// set makes (idx, val) the vector stored at n, whose backing array is zero
+// outside its current support.
+func (n *node) set(idx []int, val []float64) {
+	for _, i := range n.sup {
+		n.vec[i] = 0
+	}
+	for k, i := range idx {
+		n.vec[i] = val[k]
+	}
+	n.sup = append(n.sup[:0], idx...)
+	n.norm = norm(val)
+}
+
+// similarity returns the cosine similarity between the sparse query (with
 // precomputed norm) and node n.
-func (ix *Index) similarity(q []float64, qnorm float64, n *node) float64 {
+func similarity(idx []int, val []float64, qnorm float64, n *node) float64 {
 	if qnorm == 0 || n.norm == 0 {
 		return 0
 	}
 	var dot float64
-	for i := range q {
-		dot += q[i] * n.vec[i]
+	for k, i := range idx {
+		dot += val[k] * n.vec[i]
 	}
 	return dot / (qnorm * n.norm)
 }
@@ -102,14 +173,23 @@ func (ix *Index) randomLevel() int {
 	return int(-math.Log(ix.rng.Float64()+1e-12) * ix.ml)
 }
 
-// Add inserts vec and returns its ID.
+// Add inserts the dense vector vec and returns its ID: the adapter over
+// AddSparse.
 func (ix *Index) Add(vec []float64) int {
-	cp := make([]float64, len(vec))
-	copy(cp, vec)
-	n := &node{vec: cp, norm: vectorNorm(cp), level: ix.randomLevel()}
+	idx, val := ix.nonZeros(vec)
+	return ix.AddSparse(len(vec), idx, val)
+}
+
+// AddSparse inserts the dim-dimensional vector whose non-zero entries are
+// (idx, val) and returns its ID. Every vector of one index must have the
+// same dim.
+func (ix *Index) AddSparse(dim int, idx []int, val []float64) int {
+	n := &node{vec: make([]float64, dim), level: ix.randomLevel()}
+	n.set(idx, val)
 	n.friends = make([][]int, n.level+1)
 	id := len(ix.nodes)
 	ix.nodes = append(ix.nodes, n)
+	ix.visited = append(ix.visited, 0)
 
 	if ix.entry < 0 {
 		ix.entry = id
@@ -121,18 +201,20 @@ func (ix *Index) Add(vec []float64) int {
 	ep := ix.entry
 	// Greedy descent through layers above the new node's level.
 	for l := ix.maxLevel; l > n.level; l-- {
-		ep = ix.greedyStep(cp, qnorm, ep, l)
+		ep = ix.greedyStep(idx, val, qnorm, ep, l)
 	}
 	// Beam insert on the shared layers.
 	for l := min(n.level, ix.maxLevel); l >= 0; l-- {
-		cands := ix.searchLayer(cp, qnorm, []int{ep}, ix.cfg.EfConstruction, l)
+		cands := ix.searchLayer(idx, val, qnorm, ep, ix.cfg.EfConstruction, l)
 		maxConn := ix.cfg.M
 		if l == 0 {
 			maxConn = 2 * ix.cfg.M
 		}
-		selected := ix.selectNeighbors(cands, ix.cfg.M)
-		n.friends[l] = append(n.friends[l], selected...)
-		for _, nb := range selected {
+		// Link to the M most similar candidates (simple heuristic).
+		for _, c := range cands[:min(len(cands), ix.cfg.M)] {
+			n.friends[l] = append(n.friends[l], c.id)
+		}
+		for _, nb := range n.friends[l] {
 			fr := &ix.nodes[nb].friends[l]
 			*fr = append(*fr, id)
 			if len(*fr) > maxConn {
@@ -150,14 +232,53 @@ func (ix *Index) Add(vec []float64) int {
 	return id
 }
 
-// Update replaces the vector stored at id in place. Graph links are kept:
-// for the small drifts of evolving centroids this preserves recall while
-// costing O(1), which is why the paper picks HNSW for "highly efficient
-// updates of centroids".
+// Update replaces the vector stored at id with the dense vector vec,
+// recomputing the node's support and norm: the adapter for callers that
+// build the new vector themselves. Graph links are kept, as in Merge.
 func (ix *Index) Update(id int, vec []float64) {
-	n := ix.nodes[id]
-	copy(n.vec, vec)
-	n.norm = vectorNorm(n.vec)
+	idx, val := ix.nonZeros(vec)
+	ix.nodes[id].set(idx, val)
+}
+
+// Merge folds the sparse vector p = (idx, val) into the centroid c stored
+// at id, which so far averages n vectors: c[i] ← c[i] + (p[i] − c[i])/(n+1)
+// over the union of the two supports (everywhere else both are zero and the
+// update is the identity), in place. Graph links are kept: for the small
+// drifts of evolving centroids this preserves recall while costing
+// O(support), which is why the paper picks HNSW for "highly efficient
+// updates of centroids".
+func (ix *Index) Merge(id int, idx []int, val []float64, n int) {
+	nd := ix.nodes[id]
+	d := float64(n) + 1
+	old := nd.sup
+	union := ix.union[:0]
+	var sq float64
+	for i, k := 0, 0; i < len(old) || k < len(idx); {
+		var at int
+		var p float64
+		switch {
+		case k == len(idx) || (i < len(old) && old[i] < idx[k]):
+			at = old[i]
+			i++
+		case i == len(old) || idx[k] < old[i]:
+			at, p = idx[k], val[k]
+			k++
+		default:
+			at, p = idx[k], val[k]
+			i++
+			k++
+		}
+		c := nd.vec[at]
+		c += (p - c) / d
+		nd.vec[at] = c
+		sq += c * c
+		union = append(union, at)
+	}
+	ix.union = union
+	if len(union) != len(old) { // p brought new indices
+		nd.sup = append(old[:0], union...)
+	}
+	nd.norm = math.Sqrt(sq)
 }
 
 // Result is one search hit.
@@ -166,24 +287,13 @@ type Result struct {
 	Similarity float64
 }
 
-// Search returns up to k approximate nearest neighbours of q by cosine
-// similarity, most similar first.
+// Search returns up to k approximate nearest neighbours of the dense
+// vector q by cosine similarity, most similar first.
 func (ix *Index) Search(q []float64, k int) []Result {
-	if ix.entry < 0 || k <= 0 {
+	idx, val := ix.nonZeros(q)
+	cands := ix.search(idx, val, k)
+	if len(cands) == 0 {
 		return nil
-	}
-	qnorm := vectorNorm(q)
-	ep := ix.entry
-	for l := ix.maxLevel; l > 0; l-- {
-		ep = ix.greedyStep(q, qnorm, ep, l)
-	}
-	ef := ix.cfg.EfSearch
-	if ef < k {
-		ef = k
-	}
-	cands := ix.searchLayer(q, qnorm, []int{ep}, ef, 0)
-	if len(cands) > k {
-		cands = cands[:k]
 	}
 	out := make([]Result, len(cands))
 	for i, c := range cands {
@@ -192,13 +302,37 @@ func (ix *Index) Search(q []float64, k int) []Result {
 	return out
 }
 
-// Nearest returns the single best match, or ok=false on an empty index.
+// Nearest returns the single best match for the dense vector q, or
+// ok=false on an empty index.
 func (ix *Index) Nearest(q []float64) (Result, bool) {
-	res := ix.Search(q, 1)
-	if len(res) == 0 {
+	idx, val := ix.nonZeros(q)
+	return ix.NearestSparse(idx, val)
+}
+
+// NearestSparse returns the single best match for the sparse vector
+// (idx, val), or ok=false on an empty index. It allocates nothing once the
+// index's scratch is warm.
+func (ix *Index) NearestSparse(idx []int, val []float64) (Result, bool) {
+	cands := ix.search(idx, val, 1)
+	if len(cands) == 0 {
 		return Result{}, false
 	}
-	return res[0], true
+	return Result{ID: cands[0].id, Similarity: cands[0].sim}, true
+}
+
+// search returns up to k approximate nearest neighbours, most similar
+// first, in scratch valid until the next search or insertion.
+func (ix *Index) search(idx []int, val []float64, k int) []scored {
+	if ix.entry < 0 || k <= 0 {
+		return nil
+	}
+	qnorm := norm(val)
+	ep := ix.entry
+	for l := ix.maxLevel; l > 0; l-- {
+		ep = ix.greedyStep(idx, val, qnorm, ep, l)
+	}
+	cands := ix.searchLayer(idx, val, qnorm, ep, max(ix.cfg.EfSearch, k), 0)
+	return cands[:min(len(cands), k)]
 }
 
 type scored struct {
@@ -207,14 +341,14 @@ type scored struct {
 }
 
 // greedyStep walks greedily at layer l from ep to the locally most similar
-// node to q and returns it.
-func (ix *Index) greedyStep(q []float64, qnorm float64, ep, l int) int {
+// node to the query and returns it.
+func (ix *Index) greedyStep(idx []int, val []float64, qnorm float64, ep, l int) int {
 	cur := ep
-	curSim := ix.similarity(q, qnorm, ix.nodes[cur])
+	curSim := similarity(idx, val, qnorm, ix.nodes[cur])
 	for {
 		improved := false
 		for _, nb := range ix.friendsAt(cur, l) {
-			if s := ix.similarity(q, qnorm, ix.nodes[nb]); s > curSim {
+			if s := similarity(idx, val, qnorm, ix.nodes[nb]); s > curSim {
 				cur, curSim = nb, s
 				improved = true
 			}
@@ -233,101 +367,93 @@ func (ix *Index) friendsAt(id, l int) []int {
 	return n.friends[l]
 }
 
-// searchLayer performs the beam search of the HNSW paper at one layer and
-// returns up to ef results sorted by decreasing similarity.
-func (ix *Index) searchLayer(q []float64, qnorm float64, eps []int, ef, l int) []scored {
-	visited := map[int]bool{}
-	// candidates: max-sim first (explored best-first);
+// pushCandidate inserts s into the candidate queue, whose live part
+// cands[head:] is sorted by decreasing similarity; s goes behind its equals.
+func pushCandidate(cands []scored, head int, s scored) []scored {
+	cands = append(cands, s)
+	for i := len(cands) - 1; i > head && cands[i].sim > cands[i-1].sim; i-- {
+		cands[i], cands[i-1] = cands[i-1], cands[i]
+	}
+	return cands
+}
+
+// pushResult inserts s into the result list, sorted by increasing
+// similarity (worst at index 0) with s behind its equals, and drops the
+// worst once the list exceeds ef.
+func pushResult(results []scored, s scored, ef int) []scored {
+	results = append(results, s)
+	for i := len(results) - 1; i > 0 && results[i].sim < results[i-1].sim; i-- {
+		results[i], results[i-1] = results[i-1], results[i]
+	}
+	if len(results) > ef {
+		results = results[:copy(results, results[1:])]
+	}
+	return results
+}
+
+// searchLayer performs the beam search of the HNSW paper at one layer from
+// entry point ep and returns up to ef results sorted by decreasing
+// similarity, in scratch valid until the next searchLayer call.
+func (ix *Index) searchLayer(idx []int, val []float64, qnorm float64, ep, ef, l int) []scored {
+	ix.epoch++
+	visited, epoch := ix.visited, ix.epoch
+	// cands[head:]: max-sim first (explored best-first);
 	// results: kept sorted ascending by sim, worst at index 0.
-	var candidates, results []scored
-	push := func(s scored) {
-		candidates = append(candidates, s)
-		for i := len(candidates) - 1; i > 0 && candidates[i].sim > candidates[i-1].sim; i-- {
-			candidates[i], candidates[i-1] = candidates[i-1], candidates[i]
-		}
-	}
-	addResult := func(s scored) {
-		results = append(results, s)
-		for i := len(results) - 1; i > 0 && results[i].sim < results[i-1].sim; i-- {
-			results[i], results[i-1] = results[i-1], results[i]
-		}
-		if len(results) > ef {
-			results = results[1:]
-		}
-	}
-	for _, ep := range eps {
-		if visited[ep] {
-			continue
-		}
-		visited[ep] = true
-		s := scored{ep, ix.similarity(q, qnorm, ix.nodes[ep])}
-		push(s)
-		addResult(s)
-	}
-	for len(candidates) > 0 {
-		c := candidates[0]
-		candidates = candidates[1:]
+	cands, head, results := ix.cands[:0], 0, ix.results[:0]
+
+	visited[ep] = epoch
+	s := scored{ep, similarity(idx, val, qnorm, ix.nodes[ep])}
+	cands = pushCandidate(cands, head, s)
+	results = pushResult(results, s, ef)
+	for head < len(cands) {
+		c := cands[head]
+		head++
 		if len(results) >= ef && c.sim < results[0].sim {
 			break
 		}
 		for _, nb := range ix.friendsAt(c.id, l) {
-			if visited[nb] {
+			if visited[nb] == epoch {
 				continue
 			}
-			visited[nb] = true
-			s := scored{nb, ix.similarity(q, qnorm, ix.nodes[nb])}
+			visited[nb] = epoch
+			s := scored{nb, similarity(idx, val, qnorm, ix.nodes[nb])}
 			if len(results) < ef || s.sim > results[0].sim {
-				push(s)
-				addResult(s)
+				cands = pushCandidate(cands, head, s)
+				results = pushResult(results, s, ef)
 			}
 		}
 	}
 	// Reverse to most-similar-first.
-	out := make([]scored, len(results))
-	for i := range results {
-		out[i] = results[len(results)-1-i]
+	for i, j := 0, len(results)-1; i < j; i, j = i+1, j-1 {
+		results[i], results[j] = results[j], results[i]
 	}
-	return out
+	ix.cands, ix.results = cands, results
+	return results
 }
 
-// selectNeighbors keeps the m most similar candidates (simple heuristic).
-func (ix *Index) selectNeighbors(cands []scored, m int) []int {
-	if len(cands) > m {
-		cands = cands[:m]
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.id
-	}
-	return out
-}
-
-// pruneNeighbors trims id's neighbour list to the maxConn most similar.
+// pruneNeighbors trims id's neighbour list, in place, to the maxConn most
+// similar.
 func (ix *Index) pruneNeighbors(id int, friends []int, maxConn int) []int {
 	n := ix.nodes[id]
-	scoredFriends := make([]scored, len(friends))
-	for i, f := range friends {
-		scoredFriends[i] = scored{f, ix.similarity(n.vec, n.norm, ix.nodes[f])}
+	val := ix.nval[:0]
+	for _, i := range n.sup {
+		val = append(val, n.vec[i])
 	}
+	ix.nval = val
+	ranked := ix.ranked[:0]
+	for _, f := range friends {
+		ranked = append(ranked, scored{f, similarity(n.sup, val, n.norm, ix.nodes[f])})
+	}
+	ix.ranked = ranked
 	// Insertion sort by decreasing similarity (lists are tiny).
-	for i := 1; i < len(scoredFriends); i++ {
-		for j := i; j > 0 && scoredFriends[j].sim > scoredFriends[j-1].sim; j-- {
-			scoredFriends[j], scoredFriends[j-1] = scoredFriends[j-1], scoredFriends[j]
+	for i := 1; i < len(ranked); i++ {
+		for j := i; j > 0 && ranked[j].sim > ranked[j-1].sim; j-- {
+			ranked[j], ranked[j-1] = ranked[j-1], ranked[j]
 		}
 	}
-	if len(scoredFriends) > maxConn {
-		scoredFriends = scoredFriends[:maxConn]
+	friends = friends[:min(len(friends), maxConn)]
+	for i := range friends {
+		friends[i] = ranked[i].id
 	}
-	out := make([]int, len(scoredFriends))
-	for i, s := range scoredFriends {
-		out[i] = s.id
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return friends
 }

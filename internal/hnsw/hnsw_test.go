@@ -3,6 +3,7 @@ package hnsw
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -218,34 +219,217 @@ func BenchmarkAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkHNSWVsBruteForce(b *testing.B) {
-	// The ablation bench of DESIGN.md §4: nearest-centroid lookup cost via
-	// HNSW vs linear scan at the action-count scale the crawler sees.
-	const n, dim = 500, 64
-	rng := rand.New(rand.NewSource(1))
-	vecs := make([][]float64, n)
-	ix := New(DefaultConfig())
-	for i := range vecs {
-		vecs[i] = randomUnitVec(rng, dim)
-		ix.Add(vecs[i])
+// tagPathLike returns n sparse vectors shaped like hash-projected tag
+// paths at D = 4096: families sharing a 7-bucket trunk (html, body, the
+// page skeleton) and differing in one or two leaf buckets, values 1 or 1/2
+// (a collision mean) — the only shape the crawler ever stores or queries.
+func tagPathLike(rng *rand.Rand, n int) (idx [][]int, val [][]float64) {
+	const dim, families = 4096, 24
+	trunks := make([][]int, families)
+	for f := range trunks {
+		trunks[f] = rng.Perm(dim)[:7]
 	}
-	q := randomUnitVec(rng, dim)
+	for len(idx) < n {
+		set := map[int]float64{}
+		for _, i := range trunks[rng.Intn(families)] {
+			set[i] = 1
+		}
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			set[rng.Intn(dim)] = 1 / float64(1+rng.Intn(2))
+		}
+		is := make([]int, 0, len(set))
+		for i := range set {
+			is = append(is, i)
+		}
+		sort.Ints(is)
+		vs := make([]float64, len(is))
+		for k, i := range is {
+			vs[k] = set[i]
+		}
+		idx, val = append(idx, is), append(val, vs)
+	}
+	return idx, val
+}
+
+// BenchmarkHNSWVsBruteForce: nearest-centroid lookup through the graph
+// against a linear scan with the same sparse similarity, on tag-path-shaped
+// vectors at the index size sb-cpu reaches (hnsw.index_size 188). The
+// trusted end-to-end comparison is hnsw.vs_bruteforce_ratio in ./benchmark
+// (whose linear scan is dense); this is the quick local look.
+func BenchmarkHNSWVsBruteForce(b *testing.B) {
+	const n = 188
+	rng := rand.New(rand.NewSource(1))
+	idx, val := tagPathLike(rng, n+1)
+	ix := New(DefaultConfig())
+	for i := 0; i < n; i++ {
+		ix.AddSparse(4096, idx[i], val[i])
+	}
+	qi, qv := idx[n], val[n]
 	b.Run("hnsw", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix.Nearest(q)
+			ix.NearestSparse(qi, qv)
 		}
 	})
 	b.Run("brute", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			best := -2.0
-			for _, v := range vecs {
-				if s := cosine(q, v); s > best {
+			best, qnorm := -2.0, norm(qv)
+			for _, nd := range ix.nodes {
+				if s := similarity(qi, qv, qnorm, nd); s > best {
 					best = s
 				}
 			}
 			_ = best
 		}
 	})
+}
+
+// denseOf scatters a sparse vector into a fresh dense one.
+func denseOf(dim int, idx []int, val []float64) []float64 {
+	v := make([]float64, dim)
+	for k, i := range idx {
+		v[i] = val[k]
+	}
+	return v
+}
+
+// checkNode holds node id to its dense shadow: same bits slot for slot, the
+// cached norm equal to the dense norm loop, the support ascending and
+// covering every non-zero.
+func checkNode(t *testing.T, ix *Index, id int, shadow []float64) {
+	t.Helper()
+	n := ix.nodes[id]
+	for i, want := range shadow {
+		if math.Float64bits(n.vec[i]) != math.Float64bits(want) {
+			t.Fatalf("node %d slot %d = %v, dense shadow %v", id, i, n.vec[i], want)
+		}
+	}
+	var sq float64
+	for _, x := range shadow {
+		sq += x * x
+	}
+	if want := math.Sqrt(sq); math.Float64bits(n.norm) != math.Float64bits(want) {
+		t.Fatalf("node %d cached norm %v, dense norm %v", id, n.norm, want)
+	}
+	in := map[int]bool{}
+	for k, i := range n.sup {
+		if k > 0 && i <= n.sup[k-1] {
+			t.Fatalf("node %d support not strictly ascending: %v", id, n.sup)
+		}
+		in[i] = true
+	}
+	for i, x := range shadow {
+		if x != 0 && !in[i] {
+			t.Fatalf("node %d slot %d = %v is outside the support %v", id, i, x, n.sup)
+		}
+	}
+}
+
+// TestSparseOpsMatchDense drives AddSparse, Merge and the dense Update
+// with random sparse vectors and holds every stored vector, cached norm
+// and similarity to the dense formulas of the pre-sparse index, bit for bit.
+func TestSparseOpsMatchDense(t *testing.T) {
+	const dim = 64
+	rng := rand.New(rand.NewSource(21))
+	randSparse := func() ([]int, []float64) {
+		idx := rng.Perm(dim)[:1+rng.Intn(9)]
+		sort.Ints(idx)
+		val := make([]float64, len(idx))
+		for k := range val {
+			val[k] = float64(1+rng.Intn(3)) / float64(1+rng.Intn(3))
+		}
+		return idx, val
+	}
+	ix := New(Config{M: 4, EfConstruction: 16, EfSearch: 8, Seed: 4})
+	var shadows [][]float64
+	var counts []int
+	for step := 0; step < 600; step++ {
+		idx, val := randSparse()
+		p := denseOf(dim, idx, val)
+		switch {
+		case len(shadows) < 8 || step%5 == 0:
+			id := ix.AddSparse(dim, idx, val)
+			if id != len(shadows) {
+				t.Fatalf("AddSparse returned %d, want %d", id, len(shadows))
+			}
+			shadows, counts = append(shadows, p), append(counts, 1)
+			checkNode(t, ix, id, shadows[id])
+		case step%5 == 1:
+			id := rng.Intn(len(shadows))
+			ix.Update(id, p)
+			shadows[id], counts[id] = p, 1
+			checkNode(t, ix, id, shadows[id])
+		default:
+			id := rng.Intn(len(shadows))
+			ix.Merge(id, idx, val, counts[id])
+			c, n := shadows[id], float64(counts[id])
+			for i := range c {
+				c[i] = c[i] + (p[i]-c[i])/(n+1)
+			}
+			counts[id]++
+			checkNode(t, ix, id, c)
+		}
+		// The sparse similarity against every node equals the dense cosine
+		// loop the index used to run.
+		qi, qv := randSparse()
+		q := denseOf(dim, qi, qv)
+		qnorm := norm(qv)
+		for id, c := range shadows {
+			var dot, cn float64
+			for i := range q {
+				dot += q[i] * c[i]
+				cn += c[i] * c[i]
+			}
+			want := dot / (qnorm * math.Sqrt(cn))
+			if got := similarity(qi, qv, qnorm, ix.nodes[id]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d: similarity to node %d = %v, dense %v", step, id, got, want)
+			}
+		}
+		// Dense and sparse entry points are one implementation.
+		dr, dok := ix.Nearest(q)
+		sr, sok := ix.NearestSparse(qi, qv)
+		if dr != sr || dok != sok {
+			t.Fatalf("step %d: Nearest = %+v, NearestSparse = %+v", step, dr, sr)
+		}
+	}
+}
+
+// A dense Update must move the support along with the vector: a later
+// Merge walks the support, and a stale one would skip the new non-zeros.
+// (Regression test for the adapter benchmark/replay.go still calls.)
+func TestUpdateRecomputesSupport(t *testing.T) {
+	ix := New(DefaultConfig())
+	id := ix.AddSparse(8, []int{1}, []float64{1})
+	ix.Update(id, []float64{0, 0, 0, 0, 0, 4, 0, 0})
+	checkNode(t, ix, id, []float64{0, 0, 0, 0, 0, 4, 0, 0})
+	ix.Merge(id, []int{2}, []float64{2}, 1)
+	checkNode(t, ix, id, []float64{0, 0, 1, 0, 0, 2, 0, 0})
+	if got, _ := ix.NearestSparse([]int{5}, []float64{1}); got.ID != id || got.Similarity <= 0 {
+		t.Errorf("query on the updated slot = %+v, want a hit on node %d", got, id)
+	}
+}
+
+// TestNearestAllocs: once the index's scratch is warm a lookup allocates
+// nothing, through the sparse entry point and through the dense adapter.
+func TestNearestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	rng := rand.New(rand.NewSource(5))
+	idx, val := tagPathLike(rng, 201)
+	ix := New(DefaultConfig())
+	for i := 0; i < 200; i++ {
+		ix.AddSparse(4096, idx[i], val[i])
+	}
+	qi, qv := idx[200], val[200]
+	q := denseOf(4096, qi, qv)
+	ix.NearestSparse(qi, qv) // warm
+	ix.Nearest(q)
+	if got := testing.AllocsPerRun(100, func() { ix.NearestSparse(qi, qv) }); got != 0 {
+		t.Errorf("NearestSparse allocates %v per call after warm-up, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { ix.Nearest(q) }); got != 0 {
+		t.Errorf("Nearest (dense adapter) allocates %v per call after warm-up, want 0", got)
+	}
 }

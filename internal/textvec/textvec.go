@@ -3,22 +3,36 @@
 // vectors, the fixed-dimension hash projection of Figure 3, and character
 // bigram features for URLs (Sec. 3.3).
 //
-// # Hot-path contract (reusable hasher, byte views)
+// # Hot-path contract (reusable hasher, byte views, sparse output)
 //
-// TagPathVectorizer.Vectorize is the per-link hot path. It builds each
+// TagPathVectorizer.VectorizeSparse is the per-link hot path. It builds each
 // n-gram into an internal reusable byte buffer and resolves it against the
 // vocabulary by byte view — a gram string is materialized only the first
 // time it is ever seen — and the projection's per-bucket collision counts
 // are maintained incrementally as the vocabulary grows instead of being
-// recomputed over the whole vocabulary per call. The scratch buffers are
-// owned by the vectorizer (one call at a time per vectorizer); the returned
-// vector is freshly allocated and safe to retain. The results are
-// bit-identical to the compositional NGrams → BoW → Project pipeline, which
-// remains available for tests and offline tooling.
+// recomputed over the whole vocabulary per call.
+//
+// A tag path touches a handful of the D = 2^m buckets (~8 of 4096 on the
+// simulated sites), so the vector leaves the package as its non-zero
+// entries only: two parallel slices (idx, val) with idx strictly ascending
+// (hence unique) and every val > 0. Both slices are scratch owned by the
+// vectorizer — valid until its next VectorizeSparse or Vectorize call, one
+// call at a time per vectorizer — and nothing is allocated in steady state.
+// Ascending order is part of the contract, not a convenience: a consumer
+// that sums over the entries in index order performs exactly the additions
+// a dense loop over all D slots performs, minus terms that are exact ±0
+// (which leave a float64 sum unchanged), so sparse dot products, norms and
+// centroid updates are bit-identical to their dense counterparts.
+//
+// Vectorize is the dense adapter over the same code: it scatters the sparse
+// entries into a freshly allocated D-vector that is safe to retain. Both
+// are bit-identical to the compositional NGrams → BoW → Project pipeline,
+// which remains available for tests and offline tooling.
 package textvec
 
 import (
 	"math"
+	"slices"
 )
 
 // BOS and EOS are the special tokens denoting beginning and end of a tag
@@ -199,11 +213,12 @@ type TagPathVectorizer struct {
 	// bucket j, maintained incrementally as the vocabulary grows — the
 	// count[] column of Project without the per-call O(vocab) rescan.
 	bucketCount []int
-	// gram is the reusable n-gram build buffer; ids the per-call gram IDs;
-	// touched the per-call list of buckets hit (for the mean division).
+	// gram is the reusable n-gram build buffer; buckets the per-call bucket
+	// of every gram (sorted, repeats included); idx/val the sparse output.
 	gram    []byte
-	ids     []int
-	touched []int
+	buckets []int
+	idx     []int
+	val     []float64
 }
 
 // NewTagPathVectorizer builds a vectorizer with the given n-gram order and
@@ -250,20 +265,35 @@ func appendFramedToken(dst []byte, tokens []string, i int) []byte {
 	}
 }
 
-// Vectorize maps tag-path tokens to a D-dimensional vector, growing the
-// vocabulary as new grams appear. The returned vector is freshly allocated;
-// everything else reuses the vectorizer's scratch. The output is
-// bit-identical to proj.Project(vocab.BoW(NGrams(tokens, N))): bucket sums
-// are integer-valued (exact in float64, so accumulation order is
-// irrelevant) and the collision counts come from the incrementally
-// maintained bucket table.
+// Vectorize maps tag-path tokens to a freshly allocated D-dimensional
+// vector, growing the vocabulary as new grams appear: the dense adapter over
+// VectorizeSparse, for callers that want a vector to keep. It allocates
+// exactly the returned vector.
 func (tv *TagPathVectorizer) Vectorize(tokens []string) []float64 {
-	tv.ids = tv.ids[:0]
+	idx, val := tv.VectorizeSparse(tokens)
+	out := make([]float64, tv.proj.Dim())
+	for k, j := range idx {
+		out[j] = val[k]
+	}
+	return out
+}
+
+// VectorizeSparse maps tag-path tokens to the non-zero entries of their
+// D-dimensional vector, growing the vocabulary as new grams appear: idx
+// holds the touched buckets in strictly ascending order, val[k] the value
+// of bucket idx[k]. Both slices are the vectorizer's scratch, valid until
+// its next call (see the package comment). The entries are bit-identical to
+// the non-zeros of proj.Project(vocab.BoW(NGrams(tokens, N))): a bucket's
+// sum is the number of grams hashing to it (an integer, exact in float64
+// however it is accumulated) and the collision counts come from the
+// incrementally maintained bucket table.
+func (tv *TagPathVectorizer) VectorizeSparse(tokens []string) (idx []int, val []float64) {
+	tv.buckets = tv.buckets[:0]
 	n := tv.N
 	if n <= 1 {
 		for _, t := range tokens {
 			tv.gram = append(tv.gram[:0], t...)
-			tv.ids = append(tv.ids, tv.gramID(tv.gram))
+			tv.addGram()
 		}
 	} else {
 		framedLen := len(tokens) + 2
@@ -277,7 +307,7 @@ func (tv *TagPathVectorizer) Vectorize(tokens []string) []float64 {
 				}
 				tv.gram = appendFramedToken(tv.gram, tokens, i)
 			}
-			tv.ids = append(tv.ids, tv.gramID(tv.gram))
+			tv.addGram()
 		} else {
 			for i := 0; i+n <= framedLen; i++ {
 				tv.gram = tv.gram[:0]
@@ -287,22 +317,28 @@ func (tv *TagPathVectorizer) Vectorize(tokens []string) []float64 {
 					}
 					tv.gram = appendFramedToken(tv.gram, tokens, j)
 				}
-				tv.ids = append(tv.ids, tv.gramID(tv.gram))
+				tv.addGram()
 			}
 		}
 	}
 
-	out := make([]float64, tv.proj.Dim())
-	tv.touched = tv.touched[:0]
-	for _, id := range tv.ids {
-		j := tv.proj.Hash(id)
-		if out[j] == 0 {
-			tv.touched = append(tv.touched, j)
+	// One entry per run of equal buckets: run length / collision count.
+	slices.Sort(tv.buckets)
+	tv.idx, tv.val = tv.idx[:0], tv.val[:0]
+	for i := 0; i < len(tv.buckets); {
+		j := tv.buckets[i]
+		run := i + 1
+		for run < len(tv.buckets) && tv.buckets[run] == j {
+			run++
 		}
-		out[j]++
+		tv.idx = append(tv.idx, j)
+		tv.val = append(tv.val, float64(run-i)/float64(tv.bucketCount[j]))
+		i = run
 	}
-	for _, j := range tv.touched {
-		out[j] /= float64(tv.bucketCount[j])
-	}
-	return out
+	return tv.idx, tv.val
+}
+
+// addGram resolves the gram in the build buffer and records its bucket.
+func (tv *TagPathVectorizer) addGram() {
+	tv.buckets = append(tv.buckets, tv.proj.Hash(tv.gramID(tv.gram)))
 }

@@ -281,6 +281,15 @@ func BenchmarkVectorizeTagPath(b *testing.B) {
 	}
 }
 
+func BenchmarkVectorizeSparseTagPath(b *testing.B) {
+	tv := NewTagPathVectorizer(2, 12, 15)
+	path := []string{"html", "body", "div#container", "div", "div", "div", "ul", "li.datasets", "a.dataset"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, _ = tv.VectorizeSparse(path)
+	}
+}
+
 func BenchmarkCharBigrams(b *testing.B) {
 	url := "https://www.justice.gouv.fr/documentation/bulletin-officiel/file-2024-03.csv"
 	b.ReportAllocs()
@@ -344,9 +353,65 @@ func TestVectorizeMatchesCompositionalPipeline(t *testing.T) {
 	}
 }
 
-// Steady-state Vectorize allocates only the returned vector: grams resolve
-// against the vocabulary by byte view, and the collision counts are
-// maintained incrementally (no per-call O(vocab) scratch).
+// VectorizeSparse emits exactly the non-zeros of the compositional
+// pipeline's vector, bit for bit, in strictly ascending index order — the
+// order the consumers' bit-identity argument rests on — for every n-gram
+// order, including repeated grams (several grams in one bucket) and the
+// empty path.
+func TestVectorizeSparseMatchesCompositionalPipeline(t *testing.T) {
+	paths := [][]string{
+		{"html", "body", "div#main", "ul.datasets", "li", "a"},
+		{"html", "body", "div", "div", "div", "div", "ul", "li", "a"}, // repeated grams
+		{"html", "body", "nav", "ul.menu", "li", "a"},
+		{"a"},
+		{},
+		{"html", "body", "div#main", "ul.datasets", "li", "a"}, // repeat
+	}
+	for _, n := range []int{1, 2, 3, 9} {
+		// m=4: 16 buckets, so distinct grams collide and values are means.
+		tv := NewTagPathVectorizer(n, 4, 8)
+		vocab := NewVocab()
+		proj := NewProjector(4, 8, DefaultPi)
+		for _, path := range paths {
+			idx, val := tv.VectorizeSparse(path)
+			want := proj.Project(vocab.BoW(NGrams(path, n)))
+			if len(idx) != len(val) {
+				t.Fatalf("n=%d path %v: %d indices, %d values", n, path, len(idx), len(val))
+			}
+			k := 0
+			for i, w := range want {
+				if w == 0 {
+					continue
+				}
+				if k == len(idx) || idx[k] != i || math.Float64bits(val[k]) != math.Float64bits(w) {
+					t.Fatalf("n=%d path %v: sparse %v %v, want entry %d to be bucket %d = %v", n, path, idx, val, k, i, w)
+				}
+				k++
+			}
+			if k != len(idx) {
+				t.Fatalf("n=%d path %v: sparse %v %v has %d entries beyond the %d non-zeros", n, path, idx, val, len(idx)-k, k)
+			}
+		}
+	}
+}
+
+// Steady-state VectorizeSparse allocates nothing: the output slices are the
+// vectorizer's scratch.
+func TestVectorizeSparseAllocs(t *testing.T) {
+	tv := NewTagPathVectorizer(2, 12, 15)
+	path := []string{"html", "body", "div#container", "ul", "li.datasets", "a.dataset"}
+	tv.VectorizeSparse(path) // warm: vocabulary and scratch grow here
+	if allocs := testing.AllocsPerRun(200, func() {
+		_, _ = tv.VectorizeSparse(path)
+	}); allocs != 0 {
+		t.Errorf("steady-state VectorizeSparse allocates %v per call, want 0", allocs)
+	}
+}
+
+// Steady-state Vectorize — the dense adapter — allocates only the returned
+// vector: grams resolve against the vocabulary by byte view, and the
+// collision counts are maintained incrementally (no per-call O(vocab)
+// scratch).
 func TestVectorizeAllocsSteadyState(t *testing.T) {
 	tv := NewTagPathVectorizer(2, 12, 15)
 	path := []string{"html", "body", "div#container", "ul", "li.datasets", "a.dataset"}

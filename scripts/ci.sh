@@ -31,6 +31,11 @@ go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|Bench
 # budgets (O(links) per page, never O(bytes); one output vector per
 # Vectorize), and the raw-text scan must stay copy-free.
 go test -run 'Alloc' -count=1 ./internal/dom ./internal/textvec
+# Sparse action-index gate: Algorithm 1 carries a tag path as its ~8
+# non-zero (index, value) pairs, so a lookup allocates nothing once the
+# index's scratch is warm, a path joining an action merges in place, and
+# founding an action allocates only the stored node.
+go test -run 'Alloc' -count=1 ./internal/hnsw ./internal/core
 # Codec allocation gate: the replay-record round trip — AppendResponse into
 # a reused buffer, DecodeResponseInto filling a reused struct with views —
 # and the checkpoint re-encode must allocate nothing in steady state.
@@ -53,6 +58,10 @@ go test -run '^$' -fuzz '^FuzzCodec$' -fuzztime 30s ./internal/codec
 go test -run '^$' -fuzz '^FuzzDelta$' -fuzztime 10s ./internal/codec
 go test -run '^$' -fuzz '^FuzzScanSegment$' -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz '^FuzzSessionRecord$' -fuzztime 10s ./internal/serve
+# Same treatment for the sparse action index: random token streams through
+# core.ActionIndex and through the test-local dense Algorithm 1 it replaced
+# must agree on every action ID, similarity and centroid, bit for bit.
+go test -run '^$' -fuzz '^FuzzActionIndexSparseVsDense$' -fuzztime 10s ./internal/core
 # Storage-layer smoke: the segment-log benchmarks behind BENCH_store.json
 # (round trip, snapshot compaction, resume/index-rebuild overhead) still
 # build and run.

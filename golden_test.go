@@ -17,6 +17,7 @@ import (
 	"math"
 	"testing"
 
+	"sbcrawl/internal/classify"
 	"sbcrawl/internal/core"
 )
 
@@ -76,16 +77,18 @@ var goldenActionIndexCrawls = map[string]string{
 	"be/tpoff/seed7":     "req=834 targets=395 actions=0 2bb7baad8ea9220883a3bd5a",
 }
 
+// goldenSites are the three sites every pin in this file crawls.
+var goldenSites = []struct {
+	code  string
+	scale float64
+}{
+	{"ed", 0.012}, // UniqueIDs: the wide-support centroid case
+	{"il", 0.001},
+	{"be", 0.025},
+}
+
 func TestGoldenActionIndexCrawls(t *testing.T) {
-	sites := []struct {
-		code  string
-		scale float64
-	}{
-		{"ed", 0.012}, // UniqueIDs: the wide-support centroid case
-		{"il", 0.001},
-		{"be", 0.025},
-	}
-	for _, sp := range sites {
+	for _, sp := range goldenSites {
 		site, err := GenerateSite(sp.code, sp.scale, 1001)
 		if err != nil {
 			t.Fatal(err)
@@ -101,6 +104,111 @@ func TestGoldenActionIndexCrawls(t *testing.T) {
 				got := fmt.Sprintf("req=%d targets=%d actions=%d %s",
 					res.Requests, len(res.Targets), len(res.Actions), resultFingerprint(res))
 				if want := goldenActionIndexCrawls[name]; got != want {
+					t.Errorf("%s diverged from the parent commit's crawl:\n got %s\nwant %s", name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// goldenClassifierCrawls pins the Algorithm 2 paths the table above does not
+// reach: FOCUSED (its own feature layout and a directly held LR) and
+// SB-CLASSIFIER under each non-default model family. Recorded at commit
+// 8673a8e (PR 12: map-keyed feature vectors, map-keyed weights, sortedIDs)
+// before the sorted-slice representation replaced them, and verified in a
+// pristine checkout of that commit — never regenerate.
+var goldenClassifierCrawls = map[string]string{
+	"ed/focused":      "req=1329 targets=125 actions=0 3dc5b09871895979a6014230",
+	"ed/sb-SVM/seed1": "req=1338 targets=125 actions=40 5908d2015e09f27be8f0b176",
+	"ed/sb-SVM/seed7": "req=1338 targets=125 actions=37 e0d3e9bac3586ed838c2c033",
+	"ed/sb-NB/seed1":  "req=1347 targets=125 actions=32 6ef68e77c4a7b7496e644c17",
+	"ed/sb-NB/seed7":  "req=1347 targets=125 actions=33 77e498e2510484fe292e8ada",
+	"ed/sb-PA/seed1":  "req=1338 targets=125 actions=38 5b5dd544ca95277b2138e578",
+	"ed/sb-PA/seed7":  "req=1338 targets=125 actions=32 cf8d8c3b2482fd91f0f9266a",
+	"il/focused":      "req=1078 targets=80 actions=0 5b1cfea12a9bacd7bd361ae9",
+	"il/sb-SVM/seed1": "req=1087 targets=80 actions=14 7900122d3870de2715fda793",
+	"il/sb-SVM/seed7": "req=1087 targets=80 actions=12 28a2fc3e6a445961b98e3f92",
+	"il/sb-NB/seed1":  "req=1088 targets=80 actions=15 40c004053d7eb118453b05f9",
+	"il/sb-NB/seed7":  "req=1088 targets=80 actions=15 10c35eabfe98faf20e54d2e9",
+	"il/sb-PA/seed1":  "req=1087 targets=80 actions=15 f8295fe6fe3343e00df6e724",
+	"il/sb-PA/seed7":  "req=1088 targets=80 actions=13 62eead0c2877055b83589228",
+	"be/focused":      "req=834 targets=395 actions=0 c24de78de997ad29bdf80e6c",
+	"be/sb-SVM/seed1": "req=843 targets=395 actions=46 b39244b0e35b9609b600f477",
+	"be/sb-SVM/seed7": "req=843 targets=395 actions=45 e574155e71a75943608db9b1",
+	"be/sb-NB/seed1":  "req=843 targets=395 actions=44 d554f3ae17cc72beec893730",
+	"be/sb-NB/seed7":  "req=843 targets=395 actions=42 bc8a56b3fedc2f80a1374f73",
+	"be/sb-PA/seed1":  "req=843 targets=395 actions=47 2d892e87019c70632418fb55",
+	"be/sb-PA/seed7":  "req=843 targets=395 actions=46 2eebf83c44f627995ce1ba7f",
+}
+
+func TestGoldenClassifierCrawls(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"focused", Config{Strategy: StrategyFocused}},
+		{"sb-SVM/seed1", Config{Strategy: StrategySB, ClassifierModel: "SVM", Seed: 1}},
+		{"sb-SVM/seed7", Config{Strategy: StrategySB, ClassifierModel: "SVM", Seed: 7}},
+		{"sb-NB/seed1", Config{Strategy: StrategySB, ClassifierModel: "NB", Seed: 1}},
+		{"sb-NB/seed7", Config{Strategy: StrategySB, ClassifierModel: "NB", Seed: 7}},
+		{"sb-PA/seed1", Config{Strategy: StrategySB, ClassifierModel: "PA", Seed: 1}},
+		{"sb-PA/seed7", Config{Strategy: StrategySB, ClassifierModel: "PA", Seed: 7}},
+	}
+	for _, sp := range goldenSites {
+		site, err := GenerateSite(sp.code, sp.scale, 1001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range configs {
+			name := sp.code + "/" + c.name
+			res, _, err := execCrawl(c.cfg, siteCrawlEnv(site, c.cfg, nil), site.PageCount())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := fmt.Sprintf("req=%d targets=%d actions=%d %s",
+				res.Requests, len(res.Targets), len(res.Actions), resultFingerprint(res))
+			if want := goldenClassifierCrawls[name]; got != want {
+				t.Errorf("%s diverged from the parent commit's crawl:\n got %s\nwant %s", name, got, want)
+			}
+		}
+	}
+}
+
+// goldenURLContentCrawls pins SB-CLASSIFIER over URL_CONT features, which
+// has no public Config field and is reached through core.SBConfig here.
+// Recorded at commit 8673a8e like the table above — never regenerate.
+var goldenURLContentCrawls = map[string]string{
+	"ed/LR/seed1": "req=1338 targets=125 actions=34 7095931a5ac932405a85c8dc",
+	"ed/LR/seed7": "req=1338 targets=125 actions=32 47be99b4a4b02196bcc0585c",
+	"ed/NB/seed1": "req=1338 targets=125 actions=27 bb39d5d4b4270bc49426a3aa",
+	"ed/NB/seed7": "req=1338 targets=125 actions=29 a60622e666c185317f493951",
+	"il/LR/seed1": "req=1087 targets=80 actions=12 c3ca4d2a21473ac58733daa3",
+	"il/LR/seed7": "req=1087 targets=80 actions=12 7e5457c6e0e89b5de1fa7137",
+	"il/NB/seed1": "req=1087 targets=80 actions=6 5ccfb61fe79c292e93c13e12",
+	"il/NB/seed7": "req=1087 targets=80 actions=8 6848ab6b43acee580f15cddb",
+	"be/LR/seed1": "req=843 targets=395 actions=46 d90514cc8b97227121ec45f1",
+	"be/LR/seed7": "req=843 targets=395 actions=45 4947f544ec2d88e40c6f52ae",
+	"be/NB/seed1": "req=844 targets=395 actions=41 d53d0e4b7db2fc0607dad54d",
+	"be/NB/seed7": "req=844 targets=395 actions=41 66f6312b5088ce7d901d514d",
+}
+
+func TestGoldenURLContentCrawls(t *testing.T) {
+	for _, sp := range goldenSites {
+		site, err := GenerateSite(sp.code, sp.scale, 1001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []string{"LR", "NB"} {
+			for _, seed := range []int64{1, 7} {
+				name := fmt.Sprintf("%s/%s/seed%d", sp.code, model, seed)
+				crawler := core.NewSB(core.SBConfig{Features: classify.URLContent, Model: model, Seed: seed})
+				res, err := crawler.Run(siteCrawlEnv(site, Config{}, nil))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got := fmt.Sprintf("req=%d targets=%d actions=%d %s",
+					res.Requests, len(res.Targets), len(res.Actions), resultFingerprint(res))
+				if want := goldenURLContentCrawls[name]; got != want {
 					t.Errorf("%s diverged from the parent commit's crawl:\n got %s\nwant %s", name, got, want)
 				}
 			}

@@ -4,6 +4,15 @@
 // of HTTP HEAD requests and then online, for free, from every GET response.
 // It also provides the perfect oracle used by SB-ORACLE and the confusion
 // matrices of Tables 8–16.
+//
+// Features are sorted sparse vectors (textvec.Sparse, IDs strictly
+// ascending): Features concatenates the URL, anchor, tag-path and context
+// blocks in ascending offset order, which keeps the whole vector sorted and
+// therefore every model score bit-identical from run to run (see the learn
+// package comment). Every discovered link passes through here twice — once
+// predicted, once learned from — so between the two Online retains just the
+// link's two feature slices, and the model is only ever reached through the
+// learn.Model interface (callers may wrap it).
 package classify
 
 import (
@@ -64,12 +73,14 @@ func (f FeatureSet) String() string {
 // Features vectorizes a link for the given feature set. Feature blocks are
 // offset so URL, anchor, path, and context bigrams do not collide.
 func Features(set FeatureSet, link LinkContext) textvec.Sparse {
-	x := textvec.CharBigrams(link.URL)
-	if set == URLContent {
-		x.Add(textvec.CharBigrams(link.AnchorText), 1*textvec.CharBigramDim)
-		x.Add(textvec.CharBigrams(link.TagPath), 2*textvec.CharBigramDim)
-		x.Add(textvec.CharBigrams(link.SurroundingText), 3*textvec.CharBigramDim)
+	if set != URLContent {
+		return textvec.CharBigrams(link.URL)
 	}
+	x := textvec.MakeSparse(len(link.URL) + len(link.AnchorText) + len(link.TagPath) + len(link.SurroundingText))
+	x = x.AppendCharBigrams(link.URL, 0)
+	x = x.AppendCharBigrams(link.AnchorText, 1*textvec.CharBigramDim)
+	x = x.AppendCharBigrams(link.TagPath, 2*textvec.CharBigramDim)
+	x = x.AppendCharBigrams(link.SurroundingText, 3*textvec.CharBigramDim)
 	return x
 }
 

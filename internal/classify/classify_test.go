@@ -3,10 +3,12 @@ package classify
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"sbcrawl/internal/learn"
+	"sbcrawl/internal/textvec"
 )
 
 // fakeSite maps URL shapes to true classes: /page/... is HTML, /data/...csv
@@ -154,8 +156,17 @@ func TestURLContentFeaturesIncludeContext(t *testing.T) {
 	}
 	urlOnly := Features(URLOnly, link)
 	urlCont := Features(URLContent, link)
-	if len(urlCont) <= len(urlOnly) {
+	if len(urlCont.IDs) <= len(urlOnly.IDs) {
 		t.Error("URL_CONT must add features beyond URL_ONLY")
+	}
+	// The URL block comes first and unshifted; the context blocks follow in
+	// ascending offset order, so the whole vector stays strictly ascending.
+	n := len(urlOnly.IDs)
+	if !slices.Equal(urlCont.IDs[:n], urlOnly.IDs) || !slices.Equal(urlCont.Vals[:n], urlOnly.Vals) {
+		t.Error("URL_CONT must start with the URL_ONLY block")
+	}
+	if !slices.IsSorted(urlCont.IDs) || int(urlCont.IDs[len(urlCont.IDs)-1]) < 3*textvec.CharBigramDim {
+		t.Errorf("URL_CONT blocks out of order: %v", urlCont.IDs)
 	}
 	if URLOnly.String() != "URL_ONLY" || URLContent.String() != "URL_CONT" {
 		t.Error("feature set names must match the paper")
@@ -244,5 +255,26 @@ func TestCustomModelIsUsed(t *testing.T) {
 		if o.InInitialPhase() {
 			t.Errorf("%s: initial phase should end after batch", name)
 		}
+	}
+}
+
+// TestClassifyObserveAllocs: past the initial phase a link costs its two
+// retained feature slices and nothing else — no per-link map, and the batch
+// buffer and weight vector are reused.
+func TestClassifyObserveAllocs(t *testing.T) {
+	o := NewOnline(Config{BatchSize: 4, Head: fakeTruth})
+	for i := 0; i < 4; i++ {
+		o.Classify(LinkContext{URL: htmlURL(i)})
+		o.Classify(LinkContext{URL: dataURL(i)})
+	}
+	if o.InInitialPhase() {
+		t.Fatal("initial phase should be over")
+	}
+	link := LinkContext{URL: dataURL(99)}
+	if got := testing.AllocsPerRun(100, func() {
+		o.Classify(link)
+		o.Observe(link.URL, ClassTarget)
+	}); got > 2 {
+		t.Errorf("Classify+Observe allocates %v times per link, want <= 2", got)
 	}
 }

@@ -278,7 +278,7 @@ type engine struct {
 	retrier        *fetch.Retrier // deterministic retry layer; nil unless Env.Retry
 	breaker        *fetch.Breaker // per-host circuit breaker; nil unless Env.Breaker
 	faultStats     fetch.FaultStats
-	failedCharges  int // charged requests whose final outcome was a failure
+	failedCharges  int        // charged requests whose final outcome was a failure
 	rawLinks       []dom.Link // reusable raw-extraction buffer
 	specStats      *fetch.PrefetchStats
 	scope          *urlutil.Scope

@@ -35,10 +35,10 @@ func (f *focused) Name() string { return "FOCUSED" }
 const depthFeatureID = 4 * textvec.CharBigramDim
 
 func focusedFeatures(linkURL, anchor string, sourceDepth int) textvec.Sparse {
-	x := textvec.CharBigrams(linkURL)
-	x.Add(textvec.CharBigrams(anchor), textvec.CharBigramDim)
-	x[depthFeatureID] = float64(sourceDepth)
-	return x
+	x := textvec.MakeSparse(len(linkURL) + len(anchor) + 1)
+	x = x.AppendCharBigrams(linkURL, 0)
+	x = x.AppendCharBigrams(anchor, textvec.CharBigramDim)
+	return x.Append(depthFeatureID, float64(sourceDepth))
 }
 
 // focusedRun is one FOCUSED crawl expressed as a staged policy.
@@ -68,7 +68,7 @@ func (r *focusedRun) SelectNext() (string, bool) {
 		return "", false
 	}
 	r.steps++
-	r.pending = r.feats[u]
+	r.pending = r.feats[u] // every pushed URL has an entry
 	delete(r.feats, u)
 	return u, true
 }
@@ -80,9 +80,7 @@ func (r *focusedRun) Ingest(_ string, pg page) {
 	if pg.IsTarget {
 		label = learn.ClassTarget
 	}
-	if r.pending != nil {
-		r.batch = append(r.batch, learn.Example{X: r.pending, Y: label})
-	}
+	r.batch = append(r.batch, learn.Example{X: r.pending, Y: label})
 	if len(r.batch) >= r.f.retrainEvery {
 		r.model.PartialFit(r.batch)
 		r.batch = r.batch[:0]

@@ -329,7 +329,6 @@ func TestLedgerBoundsSpeculation(t *testing.T) {
 	}
 }
 
-
 // TestExchangeNonBlocking pins the no-deadlock property: a full inbox makes
 // send report false (a stall) instead of blocking.
 func TestExchangeNonBlocking(t *testing.T) {

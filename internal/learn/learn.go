@@ -4,6 +4,19 @@
 // Bayes, and a passive–aggressive classifier. All models consume sparse
 // feature vectors, train incrementally in mini-batches, and are deterministic.
 //
+// # Sorted-sparse contract
+//
+// A feature vector is a textvec.Sparse: parallel IDs and Vals with IDs
+// strictly ascending. Every sum over a vector — a dot product, an NB
+// log-likelihood — runs front to back, and that ascending-ID order is what
+// makes training and prediction bit-for-bit deterministic, a property the
+// paper requires of the whole crawler. Weights and NB count tables are flat
+// slices indexed by feature ID, grown on demand to the highest ID trained on
+// (URL features span at most a few textvec.CharBigramDim blocks); an ID past
+// the end reads as 0, exactly like a key missing from a map, so a score is
+// the same float64 whether or not the table has grown to cover it. Score
+// allocates nothing, and PartialFit allocates only when a table grows.
+//
 // Labels are binary: 0 ("HTML") and 1 ("Target"). The deliberate two-class
 // design — despite some URLs being "Neither" — follows the paper's analysis
 // of asymmetric misclassification costs.
@@ -11,23 +24,9 @@ package learn
 
 import (
 	"math"
-	"sort"
 
 	"sbcrawl/internal/textvec"
 )
-
-// sortedIDs returns the feature IDs of x in increasing order. Iterating
-// sparse vectors in a canonical order makes every floating-point sum — and
-// therefore training and prediction — bit-for-bit deterministic, a property
-// the paper requires of the whole crawler.
-func sortedIDs(x textvec.Sparse) []int {
-	ids := make([]int, 0, len(x))
-	for id := range x {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
 
 // Class labels.
 const (
@@ -55,25 +54,51 @@ type Model interface {
 	Name() string
 }
 
-// weights is a sparse weight vector plus bias shared by the linear models.
+// weights is a flat weight vector plus bias shared by the linear models,
+// indexed by feature ID and grown on demand to the highest ID trained on
+// (at most a few CharBigramDim blocks). IDs past its end have weight 0.
 type weights struct {
-	w map[int]float64
+	w []float64
 	b float64
 }
 
-func newWeights() weights { return weights{w: make(map[int]float64)} }
+// at returns the weight of a feature, 0 for one never trained on.
+func at(w []float64, id int32) float64 {
+	if int(id) < len(w) {
+		return w[id]
+	}
+	return 0
+}
+
+// grow extends a table indexed by feature ID with zero values so that every
+// ID of x — the last is the highest — indexes it.
+func grow[T any](w []T, x textvec.Sparse) []T {
+	if n := len(x.IDs); n > 0 && int(x.IDs[n-1]) >= len(w) {
+		w = append(w, make([]T, int(x.IDs[n-1])+1-len(w))...)
+	}
+	return w
+}
 
 func (ws *weights) dot(x textvec.Sparse) float64 {
 	s := ws.b
-	for _, id := range sortedIDs(x) {
-		s += ws.w[id] * x[id]
+	for k, id := range x.IDs {
+		s += at(ws.w, id) * x.Vals[k]
 	}
 	return s
 }
 
+// decay shrinks the weights of x's features by factor (the L2 step).
+func (ws *weights) decay(factor float64, x textvec.Sparse) {
+	ws.w = grow(ws.w, x)
+	for _, id := range x.IDs {
+		ws.w[id] *= factor
+	}
+}
+
 func (ws *weights) axpy(scale float64, x textvec.Sparse) {
-	for id, v := range x {
-		ws.w[id] += scale * v
+	ws.w = grow(ws.w, x)
+	for k, id := range x.IDs {
+		ws.w[id] += scale * x.Vals[k]
 	}
 	ws.b += scale
 }
@@ -92,7 +117,7 @@ type LogisticRegression struct {
 
 // NewLogisticRegression returns a model with sensible online defaults.
 func NewLogisticRegression() *LogisticRegression {
-	return &LogisticRegression{weights: newWeights(), LR: 0.5, L2: 1e-6, Epochs: 3}
+	return &LogisticRegression{LR: 0.5, L2: 1e-6, Epochs: 3}
 }
 
 // Name implements Model.
@@ -118,9 +143,7 @@ func (m *LogisticRegression) PartialFit(batch []Example) {
 			p := sigmoid(m.dot(ex.X))
 			grad := p - y
 			if m.L2 > 0 {
-				for id := range ex.X {
-					m.w[id] *= 1 - m.LR*m.L2
-				}
+				m.decay(1-m.LR*m.L2, ex.X)
 			}
 			m.axpy(-m.LR*grad, ex.X)
 		}
@@ -147,7 +170,7 @@ type LinearSVM struct {
 
 // NewLinearSVM returns a model with online defaults.
 func NewLinearSVM() *LinearSVM {
-	return &LinearSVM{weights: newWeights(), LR: 0.5, L2: 1e-6, Epochs: 3}
+	return &LinearSVM{LR: 0.5, L2: 1e-6, Epochs: 3}
 }
 
 // Name implements Model.
@@ -171,9 +194,7 @@ func (m *LinearSVM) PartialFit(batch []Example) {
 			y := signed(ex.Y)
 			margin := y * m.dot(ex.X)
 			if m.L2 > 0 {
-				for id := range ex.X {
-					m.w[id] *= 1 - m.LR*m.L2
-				}
+				m.decay(1-m.LR*m.L2, ex.X)
 			}
 			if margin < 1 {
 				m.axpy(m.LR*y, ex.X)
@@ -196,19 +217,14 @@ type NaiveBayes struct {
 	Alpha float64
 
 	classCount [2]float64
-	featCount  [2]map[int]float64
+	featCount  [2][]float64 // per class, indexed by feature ID like weights.w
 	featTotal  [2]float64
-	vocab      map[int]struct{}
+	inVocab    []bool // feature IDs seen in training
+	vocab      int    // how many
 }
 
 // NewNaiveBayes returns a model with add-one smoothing.
-func NewNaiveBayes() *NaiveBayes {
-	return &NaiveBayes{
-		Alpha:     1,
-		featCount: [2]map[int]float64{make(map[int]float64), make(map[int]float64)},
-		vocab:     make(map[int]struct{}),
-	}
-}
+func NewNaiveBayes() *NaiveBayes { return &NaiveBayes{Alpha: 1} }
 
 // Name implements Model.
 func (m *NaiveBayes) Name() string { return "NB" }
@@ -218,14 +234,19 @@ func (m *NaiveBayes) PartialFit(batch []Example) {
 	for _, ex := range batch {
 		c := ex.Y
 		m.classCount[c]++
-		for _, id := range sortedIDs(ex.X) {
-			v := ex.X[id]
+		m.featCount[c] = grow(m.featCount[c], ex.X)
+		m.inVocab = grow(m.inVocab, ex.X)
+		for k, id := range ex.X.IDs {
+			v := ex.X.Vals[k]
 			if v < 0 {
 				v = 0
 			}
 			m.featCount[c][id] += v
 			m.featTotal[c] += v
-			m.vocab[id] = struct{}{}
+			if !m.inVocab[id] {
+				m.inVocab[id] = true
+				m.vocab++
+			}
 		}
 	}
 }
@@ -236,18 +257,17 @@ func (m *NaiveBayes) Score(x textvec.Sparse) float64 {
 	if total == 0 {
 		return 0
 	}
-	v := float64(len(m.vocab))
+	v := float64(m.vocab)
 	score := [2]float64{}
-	ids := sortedIDs(x)
 	for c := 0; c < 2; c++ {
 		score[c] = math.Log((m.classCount[c] + m.Alpha) / (total + 2*m.Alpha))
 		denom := m.featTotal[c] + m.Alpha*v
-		for _, id := range ids {
-			cnt := x[id]
+		for k, id := range x.IDs {
+			cnt := x.Vals[k]
 			if cnt <= 0 {
 				continue
 			}
-			score[c] += cnt * math.Log((m.featCount[c][id]+m.Alpha)/denom)
+			score[c] += cnt * math.Log((at(m.featCount[c], id)+m.Alpha)/denom)
 		}
 	}
 	return score[1] - score[0]
@@ -272,7 +292,7 @@ type PassiveAggressive struct {
 
 // NewPassiveAggressive returns a PA-I model with C=1.
 func NewPassiveAggressive() *PassiveAggressive {
-	return &PassiveAggressive{weights: newWeights(), C: 1}
+	return &PassiveAggressive{C: 1}
 }
 
 // Name implements Model.
@@ -298,7 +318,7 @@ func (m *PassiveAggressive) PartialFit(batch []Example) {
 			continue
 		}
 		var norm2 float64
-		for _, v := range ex.X {
+		for _, v := range ex.X.Vals {
 			norm2 += v * v
 		}
 		norm2++ // bias term

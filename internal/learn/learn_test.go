@@ -119,7 +119,6 @@ func TestOnlineAdaptationToDistributionShift(t *testing.T) {
 		m.PartialFit(newHTML)
 	}
 	probe := textvec.CharBigrams("https://x.org/dl/99999")
-	probe.L2Normalize()
 	if m.Predict(probe) != ClassTarget {
 		t.Error("model failed to adapt to the new extension-less target style")
 	}
@@ -127,8 +126,8 @@ func TestOnlineAdaptationToDistributionShift(t *testing.T) {
 
 func TestNaiveBayesCountsAccumulate(t *testing.T) {
 	m := NewNaiveBayes()
-	m.PartialFit([]Example{{X: textvec.Sparse{1: 2}, Y: ClassTarget}})
-	m.PartialFit([]Example{{X: textvec.Sparse{1: 3}, Y: ClassTarget}})
+	m.PartialFit([]Example{{X: textvec.Sparse{}.Append(1, 2), Y: ClassTarget}})
+	m.PartialFit([]Example{{X: textvec.Sparse{}.Append(1, 3), Y: ClassTarget}})
 	if m.featCount[ClassTarget][1] != 5 {
 		t.Errorf("feature count = %v, want 5", m.featCount[ClassTarget][1])
 	}
@@ -139,7 +138,7 @@ func TestNaiveBayesCountsAccumulate(t *testing.T) {
 
 func TestNaiveBayesIgnoresNegativeCounts(t *testing.T) {
 	m := NewNaiveBayes()
-	m.PartialFit([]Example{{X: textvec.Sparse{1: -5, 2: 1}, Y: ClassTarget}})
+	m.PartialFit([]Example{{X: textvec.Sparse{}.Append(1, -5).Append(2, 1), Y: ClassTarget}})
 	if m.featCount[ClassTarget][1] != 0 {
 		t.Error("negative counts must be clamped for multinomial NB")
 	}
@@ -147,7 +146,7 @@ func TestNaiveBayesIgnoresNegativeCounts(t *testing.T) {
 
 func TestPassiveAggressiveIsPassiveOnMargin(t *testing.T) {
 	m := NewPassiveAggressive()
-	x := textvec.Sparse{0: 1}
+	x := textvec.Sparse{}.Append(0, 1)
 	m.PartialFit([]Example{{X: x, Y: ClassTarget}})
 	w0 := m.w[0]
 	// Score is now comfortably above 1? If so, a repeat example changes
@@ -161,7 +160,7 @@ func TestPassiveAggressiveIsPassiveOnMargin(t *testing.T) {
 func TestPassiveAggressiveStepCap(t *testing.T) {
 	m := NewPassiveAggressive()
 	m.C = 0.01
-	x := textvec.Sparse{0: 1}
+	x := textvec.Sparse{}.Append(0, 1)
 	m.PartialFit([]Example{{X: x, Y: ClassTarget}})
 	// tau capped at C: weight update is at most C*1.
 	if m.w[0] > 0.01+1e-12 {
@@ -249,5 +248,32 @@ func BenchmarkPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(x)
+	}
+}
+
+// TestScoreAllocs: scoring is an index loop over the two slices — no map, no
+// key copy, no sort.
+func TestScoreAllocs(t *testing.T) {
+	train, _ := trainTestSplit()
+	x := textvec.CharBigrams("https://www.example.org/data/file.csv")
+	for _, name := range ModelNames {
+		m := NewModel(name)
+		m.PartialFit(train)
+		if got := testing.AllocsPerRun(100, func() { m.Score(x) }); got != 0 {
+			t.Errorf("%s: Score allocates %v times per call, want 0", name, got)
+		}
+	}
+}
+
+// TestPartialFitAllocsSteadyState: once the flat tables have grown to the
+// highest feature ID in the stream, training allocates nothing.
+func TestPartialFitAllocsSteadyState(t *testing.T) {
+	train, _ := trainTestSplit()
+	for _, name := range ModelNames {
+		m := NewModel(name)
+		m.PartialFit(train) // grows the weight vector / count tables
+		if got := testing.AllocsPerRun(100, func() { m.PartialFit(train) }); got != 0 {
+			t.Errorf("%s: steady-state PartialFit allocates %v times per batch, want 0", name, got)
+		}
 	}
 }

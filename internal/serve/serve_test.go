@@ -9,8 +9,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -390,13 +392,25 @@ func TestServeNoStarvation(t *testing.T) {
 
 // TestLiveSessionSharedHost runs two tenants' live sessions against one
 // HTTP host and checks the daemon registry enforced cross-tenant politeness
-// accounting on it.
+// accounting on it: every request that reached the host was granted a
+// window in the one shared registry entry. Both tenants submit the same live
+// Config, so they share a replay namespace and whichever session runs second
+// may be served some pages from the store; how many is a matter of timing,
+// which is why the grants are held to the backend's own hit count rather
+// than to 2 × MaxRequests.
 func TestLiveSessionSharedHost(t *testing.T) {
 	site, err := sbcrawl.GenerateSite("cl", 0.01, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	web := httptest.NewServer(site.Handler())
+	var hits atomic.Int64 // robots.txt is fetched outside politeness bookkeeping
+	pages := site.Handler()
+	web := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/robots.txt" {
+			hits.Add(1)
+		}
+		pages.ServeHTTP(w, r)
+	}))
 	defer web.Close()
 
 	srv, client, stop := daemon(t, Config{StorePath: t.TempDir(), Workers: 2})
@@ -428,8 +442,9 @@ func TestLiveSessionSharedHost(t *testing.T) {
 	if len(hosts) != 1 {
 		t.Fatalf("registry hosts = %+v, want exactly the shared host", hosts)
 	}
-	if hosts[0].Grants < 16 {
-		t.Fatalf("shared host grants = %d, want >= 16 (both tenants' requests accounted)", hosts[0].Grants)
+	if got := int64(hosts[0].Grants); got != hits.Load() || got < 8 {
+		t.Fatalf("shared host grants = %d, backend saw %d requests; want equal (both tenants' requests accounted) and >= 8",
+			got, hits.Load())
 	}
 	if srv.hosts.HostCount() != 1 {
 		t.Fatalf("HostCount = %d", srv.hosts.HostCount())

@@ -52,7 +52,7 @@ func FuzzScanSegment(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})            // truncated header
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})                                   // truncated header
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 0, 0, 0, 0, 'k', 'v'}) // implausible keyLen
 
 	f.Fuzz(func(t *testing.T, data []byte) {

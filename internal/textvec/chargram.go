@@ -1,44 +1,27 @@
 package textvec
 
-// Sparse is a sparse feature vector keyed by feature ID, the representation
-// consumed by the online learners of internal/learn.
-type Sparse map[int]float64
+import "slices"
 
-// Add accumulates another sparse vector, with the other vector's IDs shifted
-// by offset (used to concatenate feature blocks for URL_CONT features).
-func (s Sparse) Add(other Sparse, offset int) {
-	for id, v := range other {
-		s[id+offset] += v
-	}
+// Sparse is a sparse feature vector, the representation consumed by the
+// online learners of internal/learn: Vals[k] is the value of feature IDs[k],
+// and IDs is strictly ascending (hence unique). Ascending order is part of
+// the contract — see the package comment — so a consumer may sum over the
+// entries front to back and rely on the result bit for bit.
+type Sparse struct {
+	IDs  []int32
+	Vals []float64
 }
 
-// L2Normalize scales the vector to unit Euclidean norm (no-op on zero
-// vectors). Normalization keeps SGD step sizes comparable across URLs of
-// very different lengths.
-func (s Sparse) L2Normalize() {
-	var n float64
-	for _, v := range s {
-		n += v * v
-	}
-	if n == 0 {
-		return
-	}
-	inv := 1 / sqrt(n)
-	for id, v := range s {
-		s[id] = v * inv
-	}
+// MakeSparse returns an empty vector with room for n entries.
+func MakeSparse(n int) Sparse {
+	return Sparse{IDs: make([]int32, 0, n), Vals: make([]float64, 0, n)}
 }
 
-func sqrt(x float64) float64 {
-	// Newton iterations; avoids importing math just for this hot path.
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 20; i++ {
-		z -= (z*z - x) / (2 * z)
-	}
-	return z
+// Append adds one entry; id must exceed every ID already in x.
+func (x Sparse) Append(id int, v float64) Sparse {
+	x.IDs = append(x.IDs, int32(id))
+	x.Vals = append(x.Vals, v)
+	return x
 }
 
 // charClassCount is the size of the "usual ASCII" alphabet of Section 3.3:
@@ -61,12 +44,34 @@ const CharBigramDim = charClassCount * charClassCount
 
 // CharBigrams encodes a string as a bag of character 2-grams over the fixed
 // ASCII-pair vocabulary, the URL feature representation of Algorithm 2 (the
-// URL https://www.A.com/... becomes [ht, tt, tp, ...]).
+// URL https://www.A.com/... becomes [ht, tt, tp, ...]). It allocates only the
+// two slices it returns.
 func CharBigrams(s string) Sparse {
-	out := make(Sparse, len(s))
+	return MakeSparse(len(s)).AppendCharBigrams(s, 0)
+}
+
+// AppendCharBigrams appends the character-bigram counts of s, feature IDs
+// shifted by offset, and returns the extended vector. Feature blocks are
+// concatenated in ascending offset order (offset must exceed every ID
+// already in x, and blocks are CharBigramDim apart), so the result stays
+// strictly ascending without a merge.
+func (x Sparse) AppendCharBigrams(s string, offset int) Sparse {
+	start := len(x.IDs)
 	for i := 0; i+1 < len(s); i++ {
-		id := charClass(s[i])*charClassCount + charClass(s[i+1])
-		out[id]++
+		x.IDs = append(x.IDs, int32(offset+charClass(s[i])*charClassCount+charClass(s[i+1])))
 	}
-	return out
+	// One entry per run of equal IDs, compacted in place: the write index
+	// never passes the read index.
+	grams := x.IDs[start:]
+	slices.Sort(grams)
+	x.IDs = x.IDs[:start]
+	for i := 0; i < len(grams); {
+		run := i + 1
+		for run < len(grams) && grams[run] == grams[i] {
+			run++
+		}
+		x = x.Append(int(grams[i]), float64(run-i))
+		i = run
+	}
+	return x
 }

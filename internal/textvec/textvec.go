@@ -1,7 +1,7 @@
 // Package textvec implements the feature-vector machinery of Section 3 of
 // the paper: dynamic n-gram vocabularies over tag-path tokens, bag-of-words
 // vectors, the fixed-dimension hash projection of Figure 3, and character
-// bigram features for URLs (Sec. 3.3).
+// bigram features for URLs (Sec. 3.3, chargram.go).
 //
 // # Hot-path contract (reusable hasher, byte views, sparse output)
 //
@@ -28,6 +28,20 @@
 // entries into a freshly allocated D-vector that is safe to retain. Both
 // are bit-identical to the compositional NGrams → BoW → Project pipeline,
 // which remains available for tests and offline tooling.
+//
+// # URL features (sorted sparse, caller-owned)
+//
+// CharBigrams and AppendCharBigrams build the character-bigram vectors of
+// Algorithm 2 under the same ordering contract, as a Sparse: parallel IDs
+// and Vals with IDs strictly ascending, produced by sorting the string's
+// bigram IDs and run-length counting them. Feature blocks (URL, anchor, tag
+// path, context, FOCUSED's depth slot) are concatenated in ascending offset
+// order, so a multi-block vector is sorted without a merge. Unlike the
+// tag-path scratch these slices belong to the caller — a classifier keeps
+// one per link until the link's true class is known — and they are the only
+// allocations. The learners of internal/learn sum over the entries front to
+// back; ascending IDs are the canonical order that makes those sums, and so
+// every score and weight, repeat bit for bit.
 package textvec
 
 import (

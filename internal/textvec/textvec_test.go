@@ -2,6 +2,7 @@ package textvec
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -207,18 +208,45 @@ func TestVectorizerVocabGrows(t *testing.T) {
 	}
 }
 
+// valueOf returns the value stored for a feature ID, 0 when absent.
+func valueOf(v Sparse, id int) float64 {
+	if k, ok := slices.BinarySearch(v.IDs, int32(id)); ok {
+		return v.Vals[k]
+	}
+	return 0
+}
+
+// checkSorted fails unless v honours the Sparse contract: parallel slices,
+// IDs strictly ascending.
+func checkSorted(t *testing.T, v Sparse) {
+	t.Helper()
+	if len(v.IDs) != len(v.Vals) {
+		t.Fatalf("%d IDs for %d values", len(v.IDs), len(v.Vals))
+	}
+	for k := 1; k < len(v.IDs); k++ {
+		if v.IDs[k-1] >= v.IDs[k] {
+			t.Fatalf("IDs not strictly ascending at %d: %v", k, v.IDs)
+		}
+	}
+}
+
 func TestCharBigrams(t *testing.T) {
 	v := CharBigrams("https://www.A.com/data/file.csv")
-	if len(v) == 0 {
+	if len(v.IDs) == 0 {
 		t.Fatal("no bigrams extracted")
 	}
+	checkSorted(t, v)
 	ht := charClass('h')*charClassCount + charClass('t')
-	if v[ht] < 1 {
-		t.Errorf("bigram 'ht' should be present, got %v", v[ht])
+	if valueOf(v, ht) != 1 {
+		t.Errorf("bigram 'ht' should be present once, got %v", valueOf(v, ht))
 	}
 	tt := charClass('t')*charClassCount + charClass('t')
-	if v[tt] < 1 {
-		t.Errorf("bigram 'tt' should be present, got %v", v[tt])
+	if valueOf(v, tt) != 1 {
+		t.Errorf("bigram 'tt' should be present once, got %v", valueOf(v, tt))
+	}
+	ww := charClass('w')*charClassCount + charClass('w')
+	if valueOf(v, ww) != 2 {
+		t.Errorf("bigram 'ww' occurs twice in www, got %v", valueOf(v, ww))
 	}
 }
 
@@ -226,31 +254,46 @@ func TestCharBigramsNonASCII(t *testing.T) {
 	// Multilingual URL (e.g. soumu.go.jp pages with encoded Japanese) must
 	// still yield features, via the catch-all bucket.
 	v := CharBigrams("https://例え.jp/データ")
-	if len(v) == 0 {
+	if len(v.IDs) == 0 {
 		t.Error("non-ASCII input must still produce features")
 	}
+	checkSorted(t, v)
 }
 
-func TestSparseAddWithOffset(t *testing.T) {
-	a := Sparse{1: 1, 2: 2}
-	b := Sparse{1: 5}
-	a.Add(b, 100)
-	if a[101] != 5 {
-		t.Errorf("offset add failed: %v", a)
-	}
-	if a[1] != 1 {
-		t.Errorf("original entries must be preserved: %v", a)
+func TestCharBigramsShortStrings(t *testing.T) {
+	for _, s := range []string{"", "a"} {
+		if v := CharBigrams(s); len(v.IDs) != 0 || len(v.Vals) != 0 {
+			t.Errorf("CharBigrams(%q) = %v, want no entries", s, v)
+		}
 	}
 }
 
-func TestSparseL2Normalize(t *testing.T) {
-	s := Sparse{0: 3, 1: 4}
-	s.L2Normalize()
-	if math.Abs(s[0]-0.6) > 1e-9 || math.Abs(s[1]-0.8) > 1e-9 {
-		t.Errorf("normalize = %v", s)
+func TestAppendCharBigramsWithOffset(t *testing.T) {
+	x := CharBigrams("abab")
+	x = x.AppendCharBigrams("ab", 1*CharBigramDim)
+	x = x.AppendCharBigrams("", 2*CharBigramDim)
+	x = x.AppendCharBigrams("abb", 3*CharBigramDim)
+	x = x.Append(4*CharBigramDim, 7)
+	checkSorted(t, x)
+	ab := charClass('a')*charClassCount + charClass('b')
+	ba := charClass('b')*charClassCount + charClass('a')
+	bb := charClass('b')*charClassCount + charClass('b')
+	want := Sparse{
+		IDs:  []int32{int32(ab), int32(ba), int32(CharBigramDim + ab), int32(3*CharBigramDim + ab), int32(3*CharBigramDim + bb), int32(4 * CharBigramDim)},
+		Vals: []float64{2, 1, 1, 1, 1, 7},
 	}
-	z := Sparse{}
-	z.L2Normalize() // must not panic
+	if !slices.Equal(x.IDs, want.IDs) || !slices.Equal(x.Vals, want.Vals) {
+		t.Errorf("concatenated blocks = %v, want %v", x, want)
+	}
+}
+
+// TestCharBigramsAllocs: the vector is exactly its two retained slices — no
+// scratch, no map, no sort buffer.
+func TestCharBigramsAllocs(t *testing.T) {
+	url := "https://www.justice.gouv.fr/documentation/bulletin-officiel/file-2024-03.csv"
+	if got := testing.AllocsPerRun(100, func() { _ = CharBigrams(url) }); got > 2 {
+		t.Errorf("CharBigrams allocates %v times per call, want <= 2", got)
+	}
 }
 
 // Property: CharBigrams of s has exactly max(len(s)-1, 0) total counts.
@@ -258,7 +301,7 @@ func TestCharBigramCountProperty(t *testing.T) {
 	f := func(s string) bool {
 		v := CharBigrams(s)
 		var total float64
-		for _, c := range v {
+		for _, c := range v.Vals {
 			total += c
 		}
 		want := len(s) - 1

@@ -9,6 +9,7 @@ set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 # Gob-free hot path: encoding/gob survives only as the legacy-decode
 # fallback (one legacy_gob.go per package) and as the benchmark baseline in
 # test files. Any other import is a regression to the reflection codec.
@@ -36,6 +37,10 @@ go test -run 'Alloc' -count=1 ./internal/dom ./internal/textvec
 # index's scratch is warm, a path joining an action merges in place, and
 # founding an action allocates only the stored node.
 go test -run 'Alloc' -count=1 ./internal/hnsw ./internal/core
+# Map-free Algorithm 2 gate: a link's character-bigram vector is exactly its
+# two retained slices, scoring it allocates nothing, and training allocates
+# nothing once the flat weight vector has grown to the highest feature ID.
+go test -run 'Alloc' -count=1 ./internal/learn ./internal/classify
 # Codec allocation gate: the replay-record round trip — AppendResponse into
 # a reused buffer, DecodeResponseInto filling a reused struct with views —
 # and the checkpoint re-encode must allocate nothing in steady state.
@@ -62,6 +67,9 @@ go test -run '^$' -fuzz '^FuzzSessionRecord$' -fuzztime 10s ./internal/serve
 # core.ActionIndex and through the test-local dense Algorithm 1 it replaced
 # must agree on every action ID, similarity and centroid, bit for bit.
 go test -run '^$' -fuzz '^FuzzActionIndexSparseVsDense$' -fuzztime 10s ./internal/core
+# And for the sorted-slice URL features: arbitrary bytes and block offsets
+# must give exactly the map-keyed vector they replaced, in ascending ID order.
+go test -run '^$' -fuzz '^FuzzCharBigramsSortedVsMap$' -fuzztime 10s ./internal/learn
 # Storage-layer smoke: the segment-log benchmarks behind BENCH_store.json
 # (round trip, snapshot compaction, resume/index-rebuild overhead) still
 # build and run.

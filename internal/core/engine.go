@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"net/url"
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/dom"
@@ -545,7 +544,7 @@ func (e *engine) fetchPage(u string) page {
 		}
 		switch {
 		case resp.Status >= 300 && resp.Status < 400:
-			loc := urlutil.Normalize(mustParse(cur), resp.Location)
+			loc := urlutil.Normalize(urlutil.ParseBase(cur), resp.Location)
 			if loc == "" || e.seen[loc] || !e.scope.Contains(loc) {
 				return page{FinalURL: cur, Status: resp.Status}
 			}
@@ -587,7 +586,7 @@ func (e *engine) processSuccess(u string, resp fetch.Response) page {
 // not blocklisted. URLs are normalized to absolute form and deduplicated in
 // document order.
 func (e *engine) extractNewLinks(pageURL string, body []byte) []dom.Link {
-	base := mustParse(pageURL)
+	base := urlutil.ParseBase(pageURL)
 	var raw []dom.Link
 	hit := false
 	if e.parse != nil {
@@ -598,16 +597,13 @@ func (e *engine) extractNewLinks(pageURL string, body []byte) []dom.Link {
 		raw = e.rawLinks
 	}
 	out := make([]dom.Link, 0, len(raw))
+	// A fresh set per page, not a cleared engine-owned one: clear() costs the
+	// map's capacity, which one hub page would leave large for every page
+	// after it.
 	inPage := make(map[string]bool, len(raw))
 	for _, l := range raw {
 		abs := urlutil.Normalize(base, l.URL)
-		if abs == "" || inPage[abs] || e.seen[abs] {
-			continue
-		}
-		if !e.scope.Contains(abs) {
-			continue
-		}
-		if urlutil.HasBlockedExtension(abs) {
+		if abs == "" || inPage[abs] || e.seen[abs] || !e.scope.Admit(abs) {
 			continue
 		}
 		inPage[abs] = true
@@ -615,14 +611,6 @@ func (e *engine) extractNewLinks(pageURL string, body []byte) []dom.Link {
 		out = append(out, l)
 	}
 	return out
-}
-
-func mustParse(raw string) *url.URL {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return &url.URL{}
-	}
-	return u
 }
 
 // result assembles the shared part of a Result, winding down the prefetch

@@ -49,11 +49,27 @@ func TestExtractLinksAllocsBoundedByLinks(t *testing.T) {
 	if big > small+4 {
 		t.Errorf("allocations scale with page bytes: %v allocs at filler=4 vs %v at filler=64", small, big)
 	}
-	// Per-link budget: TagPath copy + a few escaping strings. The old parser
-	// spent ~190 allocs on this page shape; the pooled one must stay within
-	// 4 per link plus a small constant.
-	if limit := 4*nLinks + 8; big > float64(limit) {
+	// Per-link budget: the TagPath copy. URL, anchor and surrounding text come
+	// out of the warm intern table, and text nodes are views of the source.
+	if limit := nLinks + 4; big > float64(limit) {
 		t.Errorf("steady-state extraction allocates %v per page, want ≤ %d for %d links", big, limit, nLinks)
+	}
+}
+
+// TestExtractLinksAllocsIndependentOfText pins the text-node views: prose too
+// long for the intern table (plain, and entity-decoded into the parser's
+// arena) must not cost a string per text node per page.
+func TestExtractLinksAllocsIndependentOfText(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under the race detector; allocation budgets only hold in normal builds")
+	}
+	const nLinks = 16
+	prose := "<p>" + strings.Repeat("a sentence of running prose, ", 4) + "</p>" +
+		"<p>" + strings.Repeat("caf&eacute; &amp; cr&egrave;me, ", 4) + "</p>"
+	page := append(buildPage(nLinks, 0), strings.Repeat(prose, 32)...)
+	bare := allocsPerExtract(buildPage(nLinks, 0))
+	if got := allocsPerExtract(page); got > bare {
+		t.Errorf("link-free text costs allocations: %v with 64 long text nodes vs %v without", got, bare)
 	}
 }
 
@@ -71,5 +87,30 @@ func TestParseAllocsIndependentOfRawText(t *testing.T) {
 	a2 := allocsPerExtract(heavy)
 	if a2 > a1+4 {
 		t.Errorf("raw-text bytes leak into allocations: %v (light) vs %v (heavy)", a1, a2)
+	}
+}
+
+// TestRecycleDropsSourceViews: text nodes of a pooled run are views of the
+// page body; a recycled parser waiting in the pool must not keep them.
+func TestRecycleDropsSourceViews(t *testing.T) {
+	p := newParser(true)
+	root := p.parse(buildPage(300, 8)) // spills into a second arena block
+	views := 0
+	Walk(root, func(n *Node) bool {
+		if n.text != nil {
+			views++
+		}
+		return true
+	})
+	if views == 0 {
+		t.Fatal("a pooled parse produced no text views")
+	}
+	p.recycle()
+	for _, c := range p.chunks {
+		for i := range c {
+			if c[i].text != nil {
+				t.Fatalf("recycled parser still holds a %d-byte view of the last page", len(c[i].text))
+			}
+		}
 	}
 }

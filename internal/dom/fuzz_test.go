@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode"
 	"unicode/utf8"
 
 	"sbcrawl/internal/sitegen"
@@ -28,6 +29,17 @@ func seedCorpus(f *testing.F) {
 		"<div#bogus><a href=/y>é</a>",
 		strings.Repeat("é", 200) + `<a href="/x">t</a>`,
 		"<a href='&#55296;'>surrogate</a>",
+		// Text nodes as views: entity-bearing text (decoded into scratch, so
+		// copied), an entity in <title>, adjacent text nodes, a lone '<',
+		// non-ASCII whitespace, invalid UTF-8, and a parent over the
+		// 256-byte SurroundingText cap.
+		"<p>fish &amp; chips <a href=/x>caf&#xE9; &lt;3</a> &amp; more</p>",
+		"<title>a &amp; b</title><p><a href=/x>t</a></p>",
+		"<p>one<b></b>two<a href=/x>three</a>four</p>",
+		"<p>a < b <a href=/x>c <</a> d",
+		"<p>x\u0085y\u00a0z\u2028w<a href=/x>\u00a0t\u2028</a></p>",
+		"<p>\xff\xfe bad \xc3<a href=/x>\xe2\x82 t \x80</a></p>",
+		"<div>" + strings.Repeat("long parent text é ", 30) + "<a href=/x>t</a></div>",
 	} {
 		f.Add([]byte(s))
 	}
@@ -98,8 +110,10 @@ func FuzzTokenizer(f *testing.F) {
 
 // FuzzExtractLinks drives the full pooled parse→extract path: it must
 // terminate, two runs over one input must agree exactly (no state leaking
-// through the parser pool), and every extracted link must satisfy the
-// documented invariants.
+// through the parser pool), the result must equal the materializing tree
+// path's (Parse + ExtractLinksFromTree builds every text node as a string;
+// it is the oracle for the pooled run's source views), and every extracted
+// link must satisfy the documented invariants.
 func FuzzExtractLinks(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src []byte) {
@@ -108,6 +122,9 @@ func FuzzExtractLinks(f *testing.F) {
 		again := ExtractLinks(src)
 		if !reflect.DeepEqual(links, again) {
 			t.Error("two extractions of one page differ: parser pool leaks state")
+		}
+		if tree := ExtractLinksFromTree(Parse(src)); !reflect.DeepEqual(links, tree) {
+			t.Errorf("pooled extraction differs from the tree path:\npooled: %+v\ntree:   %+v", links, tree)
 		}
 		for _, l := range links {
 			if strings.TrimSpace(l.URL) == "" {
@@ -131,6 +148,92 @@ func FuzzExtractLinks(f *testing.F) {
 				if !utf8.ValidString(l.AnchorText) {
 					t.Errorf("AnchorText invalid UTF-8 from valid input: %q", l.AnchorText)
 				}
+			}
+		}
+	})
+}
+
+// appendCollapsedRef and nextFieldRef are verbatim copies of the
+// rune-at-a-time functions the ASCII-branch versions replaced (commit
+// 8e5abc9), kept as the reference FuzzCollapseVsReference compares against.
+func appendCollapsedRef(dst []byte, s string, brk *bool) []byte {
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			if *brk && len(dst) > 0 {
+				dst = append(dst, ' ')
+			}
+			*brk = false
+			dst = append(dst, s[i])
+			i++
+			continue
+		}
+		if unicode.IsSpace(r) {
+			*brk = true
+			i += size
+			continue
+		}
+		if *brk && len(dst) > 0 {
+			dst = append(dst, ' ')
+		}
+		*brk = false
+		dst = append(dst, s[i:i+size]...)
+		i += size
+	}
+	return dst
+}
+
+func nextFieldRef(s string, i int) (start, end int) {
+	for i < len(s) {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if (r == utf8.RuneError && size == 1) || !unicode.IsSpace(r) {
+			break
+		}
+		i += size
+	}
+	if i >= len(s) {
+		return -1, -1
+	}
+	start = i
+	for i < len(s) {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r != utf8.RuneError || size != 1 {
+			if unicode.IsSpace(r) {
+				break
+			}
+		}
+		i += size
+	}
+	return start, i
+}
+
+// FuzzCollapseVsReference holds the whitespace scanners to their
+// rune-at-a-time originals on arbitrary bytes, in both representations a
+// text node can have and from both word-break states.
+func FuzzCollapseVsReference(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "a", "  a  b\t\n\v\f\rc  ", "x\u0085y\u00a0z\u1680w\u2028v\u2029u\u3000t",
+		"\xff\xfe a \xc3", "\xe2\x82", "\xc2", "é\xa0", "\x1c\x1f\x00 b", strings.Repeat("word ", 40),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, brk0 := range []bool{false, true} {
+			for _, prefix := range []string{"", "x"} {
+				b1, b2, b3 := brk0, brk0, brk0
+				want := appendCollapsedRef([]byte(prefix), s, &b1)
+				if got := appendCollapsed([]byte(prefix), s, &b2); string(got) != string(want) || b1 != b2 {
+					t.Errorf("appendCollapsed(%q, %q, brk=%v) = %q brk %v, reference %q brk %v", prefix, s, brk0, got, b2, want, b1)
+				}
+				if got := appendCollapsed([]byte(prefix), []byte(s), &b3); string(got) != string(want) || b1 != b3 {
+					t.Errorf("appendCollapsed(%q, []byte(%q), brk=%v) = %q brk %v, reference %q brk %v", prefix, s, brk0, got, b3, want, b1)
+				}
+			}
+		}
+		for i := 0; i <= len(s); i++ {
+			ws, we := nextFieldRef(s, i)
+			if gs, ge := nextField(s, i); gs != ws || ge != we {
+				t.Errorf("nextField(%q, %d) = %d,%d, reference %d,%d", s, i, gs, ge, ws, we)
 			}
 		}
 	})

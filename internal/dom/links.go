@@ -2,7 +2,6 @@ package dom
 
 import (
 	"strings"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -52,8 +51,8 @@ func appendPathToken(dst []byte, n *Node) []byte {
 // with strings.Fields semantics. start is -1 when no field remains.
 func nextField(s string, i int) (start, end int) {
 	for i < len(s) {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if (r == utf8.RuneError && size == 1) || !unicode.IsSpace(r) {
+		space, size := spaceAt(s, i)
+		if !space {
 			break
 		}
 		i += size
@@ -63,11 +62,9 @@ func nextField(s string, i int) (start, end int) {
 	}
 	start = i
 	for i < len(s) {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r != utf8.RuneError || size != 1 {
-			if unicode.IsSpace(r) {
-				break
-			}
+		space, size := spaceAt(s, i)
+		if space {
+			break
 		}
 		i += size
 	}
@@ -159,31 +156,38 @@ func ExtractLinksFromTree(root *Node) []Link {
 // extract walks the tree once, maintaining the root-to-node tag-path token
 // stack incrementally (no per-link Parent-chain rebuild) and memoizing the
 // last parent's collapsed text (links sharing a parent share the
-// computation).
+// computation). Links collect in the parser's own buffer and reach dst in
+// one append, so a nil dst costs one exactly-sized allocation, not a
+// doubling series.
 func (p *parser) extract(root *Node, dst []Link) []Link {
-	p.links = dst
 	p.lastParent = nil
 	p.lastParentText = ""
 	for _, c := range root.Children {
 		p.walkExtract(c)
 	}
-	links := p.links
-	p.links = nil
-	return links
+	dst = append(dst, p.links...)
+	clear(p.links)
+	p.links = p.links[:0]
+	return dst
 }
 
 func (p *parser) walkExtract(n *Node) {
 	if n.Type != ElementNode {
 		return
 	}
-	p.tokBuf = appendPathToken(p.tokBuf[:0], n)
-	p.pathStack = append(p.pathStack, p.intern(p.tokBuf))
+	tok := n.Data // the whole token of an element without id or class
+	if len(n.Attrs) > 0 {
+		p.tokBuf = appendPathToken(p.tokBuf[:0], n)
+		tok = p.intern(p.tokBuf)
+	}
+	p.pathStack = append(p.pathStack, tok)
 	if attr, ok := linkAttr[n.Data]; ok {
-		if href, ok := n.Attr(attr); ok && strings.TrimSpace(href) != "" {
+		href, _ := n.Attr(attr)
+		if href = strings.TrimSpace(href); href != "" {
 			tp := make(TagPath, len(p.pathStack))
 			copy(tp, p.pathStack)
 			l := Link{
-				URL:     strings.TrimSpace(href),
+				URL:     href,
 				TagPath: tp,
 				Tag:     n.Data,
 			}

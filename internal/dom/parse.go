@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"maps"
 	"strings"
 	"sync"
 	"unicode"
@@ -23,6 +24,11 @@ type Node struct {
 	Attrs    []Attr
 	Parent   *Node
 	Children []*Node
+
+	// text is a text node's content in a pooled ExtractLinks run, whose tree
+	// never escapes: a view of the page source (or of the parser's arena, for
+	// entity-decoded text) standing in for Data, which stays "".
+	text []byte
 }
 
 // Attr returns the value of the named attribute and whether it is present.
@@ -64,7 +70,11 @@ func (n *Node) Text() string {
 // one ' ' (the exact output of joining strings.Fields with single spaces).
 func appendNodeText(dst []byte, n *Node, brk *bool) []byte {
 	if n.Type == TextNode {
-		dst = appendCollapsed(dst, n.Data, brk)
+		if n.text != nil {
+			dst = appendCollapsed(dst, n.text, brk)
+		} else {
+			dst = appendCollapsed(dst, n.Data, brk)
+		}
 		*brk = true // adjacent text nodes never fuse into one word
 		return dst
 	}
@@ -76,33 +86,42 @@ func appendNodeText(dst []byte, n *Node, brk *bool) []byte {
 
 // appendCollapsed appends s to dst with whitespace runs collapsed to single
 // spaces and edges trimmed, continuing the word-break state in brk.
-func appendCollapsed(dst []byte, s string, brk *bool) []byte {
+func appendCollapsed[S string | []byte](dst []byte, s S, brk *bool) []byte {
 	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			// Invalid byte: not whitespace, copied verbatim (strings.Fields
-			// preserves it the same way).
-			if *brk && len(dst) > 0 {
-				dst = append(dst, ' ')
-			}
-			*brk = false
-			dst = append(dst, s[i])
-			i++
-			continue
-		}
-		if unicode.IsSpace(r) {
+		space, size := spaceAt(s, i)
+		if space {
 			*brk = true
 			i += size
 			continue
+		}
+		// One non-space rune (an invalid byte is copied verbatim, as
+		// strings.Fields preserves it), then the ASCII rest of its word.
+		end := i + size
+		for end < len(s) && s[end] < utf8.RuneSelf && !isSpaceASCII(s[end]) {
+			end++
 		}
 		if *brk && len(dst) > 0 {
 			dst = append(dst, ' ')
 		}
 		*brk = false
-		dst = append(dst, s[i:i+size]...)
-		i += size
+		dst = append(dst, s[i:end]...)
+		i = end
 	}
 	return dst
+}
+
+// isSpaceASCII is unicode.IsSpace for c < utf8.RuneSelf.
+func isSpaceASCII(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
+
+// spaceAt reports whether the rune at s[i] is Unicode whitespace, and its
+// size in bytes. An invalid byte decodes to U+FFFD with size 1: not a space.
+func spaceAt[S string | []byte](s S, i int) (space bool, size int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return isSpaceASCII(c), 1
+	}
+	var b [utf8.UTFMax]byte
+	r, size := utf8.DecodeRune(b[:copy(b[:], s[i:])])
+	return unicode.IsSpace(r), size
 }
 
 // voidElements never have children in HTML; a start tag is a complete element.
@@ -185,6 +204,10 @@ const (
 // built by a pooled run must not escape — only materialized strings may).
 type parser struct {
 	z Tokenizer
+	// views marks a pooled parser: its tree dies with the run, so text nodes
+	// hold views (Node.text) instead of materialized strings.
+	views     bool
+	textArena []byte // entity-decoded text the views point into
 
 	chunks [][]Node // stable node arena blocks
 	ci     int      // current block
@@ -202,24 +225,34 @@ type parser struct {
 	pathStack      []string
 	tokBuf         []byte
 	textBuf        []byte
-	links          []Link
+	links          []Link // links of the page being walked (see extract)
 	lastParent     *Node
 	lastParentText string
 }
 
-func newParser() *parser {
-	return &parser{interned: make(map[string]string)}
+func newParser(views bool) *parser {
+	return &parser{views: views, interned: maps.Clone(commonStrings)}
 }
 
-var parserPool = sync.Pool{New: func() any { return newParser() }}
+var parserPool = sync.Pool{New: func() any { return newParser(true) }}
 
 // recycle resets the parser for reuse, keeping arenas and the intern table.
 func (p *parser) recycle() {
+	// Drop the text views so an idle parser does not pin a page body.
+	for ci := 0; ci <= p.ci && ci < len(p.chunks); ci++ {
+		c := p.chunks[ci]
+		if ci == p.ci {
+			c = c[:p.used]
+		}
+		for i := range c {
+			c[i].text = nil
+		}
+	}
+	p.textArena = p.textArena[:0]
 	p.ci, p.used = 0, 0
 	p.attrUsed = 0
 	p.stack = p.stack[:0]
 	p.pathStack = p.pathStack[:0]
-	p.links = nil
 	p.lastParent = nil
 	p.lastParentText = ""
 	p.z.Reset(nil)
@@ -269,17 +302,26 @@ func (p *parser) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if s, ok := commonStrings[string(b)]; ok {
-		return s
-	}
 	if s, ok := p.interned[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	if len(p.interned) < maxIntern && len(s) <= maxInternLen {
+	if len(p.interned) < maxIntern+len(commonStrings) && len(s) <= maxInternLen {
 		p.interned[s] = s
 	}
 	return s
+}
+
+// textView returns text-token data in a form that outlives the token: the
+// data itself when it is a view of the source, a copy in the parser's arena
+// when the tokenizer decoded it into its scratch.
+func (p *parser) textView(b []byte) []byte {
+	if !p.z.decoded(b) {
+		return b
+	}
+	off := len(p.textArena)
+	p.textArena = append(p.textArena, b...)
+	return p.textArena[off:]
 }
 
 // internLower interns the ASCII-lowercased form of b, lowercasing lazily:
@@ -315,7 +357,7 @@ func foldEqualStr(name []byte, s string) bool {
 // "#document" whose children are the top-level nodes. The tree owns its
 // memory (it is not drawn from the shared pool) and may be retained freely.
 func Parse(src []byte) *Node {
-	return newParser().parse(src)
+	return newParser(false).parse(src)
 }
 
 func (p *parser) parse(src []byte) *Node {
@@ -336,7 +378,11 @@ func (p *parser) parse(src []byte) *Node {
 			parent := p.stack[len(p.stack)-1]
 			child := p.newNode()
 			child.Type = TextNode
-			child.Data = p.intern(tok.Data)
+			if p.views {
+				child.text = p.textView(tok.Data)
+			} else {
+				child.Data = p.intern(tok.Data)
+			}
 			child.Parent = parent
 			parent.Children = append(parent.Children, child)
 		case StartTagToken, SelfClosingTagToken:

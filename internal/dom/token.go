@@ -17,6 +17,17 @@
 // Link fields) are materialized, interned copies that are always safe to
 // retain. ExtractLinks additionally draws its parser state from an internal
 // pool, so it allocates O(links), not O(bytes), in the steady state.
+//
+// The tree of a pooled run never escapes, so its text nodes are not
+// materialized at all: each holds a view of the page source (Node.text; a
+// copy in the parser's arena only when the tokenizer decoded entities into
+// its scratch), and the whitespace-collapsing scan that builds AnchorText and
+// SurroundingText reads the views directly, whole ASCII words at a time.
+// Only the collapsed result becomes a string. The views are dropped when the
+// parser is recycled, so an idle parser pins no page body. Parse builds the
+// same tree with every text node materialized in Node.Data;
+// ExtractLinksFromTree over it is the oracle the fuzz target holds
+// ExtractLinks to.
 package dom
 
 import (
@@ -205,6 +216,12 @@ func (z *Tokenizer) decodeText(b []byte) []byte {
 	}
 	z.scratch = appendDecodedEntities(z.scratch[:0], b)
 	return z.scratch
+}
+
+// decoded reports whether b, the Data of the text token just returned, is the
+// tokenizer's decode scratch rather than a view of the source.
+func (z *Tokenizer) decoded(b []byte) bool {
+	return len(b) > 0 && len(z.scratch) > 0 && &b[0] == &z.scratch[0]
 }
 
 // nextRawText consumes text up to the closing tag of the pending raw-text

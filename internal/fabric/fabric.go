@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"net/url"
 	"runtime"
 	"sort"
 	"strconv"
@@ -203,15 +202,7 @@ func (f *Fabric) seed(raw string) {
 // lowercased, www-stripped hostname — the same host identity the crawl
 // scope uses, so every URL of one host lands on one partition.
 func (f *Fabric) owner(raw string) int {
-	return hostPartition(hostKey(raw), len(f.parts))
-}
-
-func hostKey(raw string) string {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return ""
-	}
-	return urlutil.StripWWW(strings.ToLower(u.Hostname()))
+	return hostPartition(urlutil.SiteHost(raw), len(f.parts))
 }
 
 func hostPartition(host string, n int) int {
@@ -339,7 +330,7 @@ func (f *Fabric) skipHost(raw string) bool {
 	if len(q) == 0 {
 		return false
 	}
-	return q[hostKey(raw)]
+	return q[urlutil.SiteHost(raw)]
 }
 
 // quarantinedHosts snapshots the avoid set for checkpoints.

@@ -1,8 +1,6 @@
 package fabric
 
 import (
-	"net/url"
-
 	"sync"
 
 	"sbcrawl/internal/dom"
@@ -218,7 +216,7 @@ func (p *partition) flushPending() {
 func (p *partition) ingest(pageURL string, resp fetch.Response) {
 	switch {
 	case resp.Status >= 300 && resp.Status < 400:
-		loc := urlutil.Normalize(parseURL(pageURL), resp.Location)
+		loc := urlutil.Normalize(urlutil.ParseBase(pageURL), resp.Location)
 		if loc != "" && p.scope.Contains(loc) {
 			p.route([]string{loc})
 		}
@@ -232,15 +230,14 @@ func (p *partition) ingest(pageURL string, resp fetch.Response) {
 // same normalize/scope/extension filters as the engine, minus the global
 // seen set (each partition dedupes what it owns or forwards).
 func (p *partition) routeLinks(pageURL string, body []byte) {
-	base := parseURL(pageURL)
+	base := urlutil.ParseBase(pageURL)
 	p.rawLinks = dom.ExtractLinksAppend(p.rawLinks[:0], body)
 	urls := make([]string, 0, len(p.rawLinks))
 	for _, l := range p.rawLinks {
 		abs := urlutil.Normalize(base, l.URL)
-		if abs == "" || !p.scope.Contains(abs) || urlutil.HasBlockedExtension(abs) {
-			continue
+		if abs != "" && p.scope.Admit(abs) {
+			urls = append(urls, abs)
 		}
-		urls = append(urls, abs)
 	}
 	p.route(urls)
 }
@@ -272,12 +269,4 @@ func (p *partition) route(urls []string) {
 			p.pendingOut = append(p.pendingOut, env)
 		}
 	}
-}
-
-func parseURL(raw string) *url.URL {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return &url.URL{}
-	}
-	return u
 }

@@ -16,12 +16,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net/url"
 	"os"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
+
+	"sbcrawl/internal/urlutil"
 )
 
 // Kind is one injectable fault shape.
@@ -184,7 +185,7 @@ func (p *Plan) Next(verb, url string) (Fault, bool) {
 	if !p.Active() {
 		return Fault{}, false
 	}
-	if p.dead[hostOf(url)] {
+	if p.dead[urlutil.SiteHost(url)] {
 		// Dead hosts fail every attempt, with a kind fixed per URL —
 		// attempt-independent, so the failure the crawl finally records
 		// does not depend on how many retries probed it.
@@ -256,16 +257,6 @@ func (p *Plan) hash(ns, url string) uint64 {
 	io.WriteString(h, ns)
 	io.WriteString(h, url)
 	return h.Sum64()
-}
-
-// hostOf extracts the schedule's host identity from a URL: lowercased,
-// www-stripped hostname (the same identity the crawl scope uses).
-func hostOf(raw string) string {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return ""
-	}
-	return normalizeHost(u.Hostname())
 }
 
 func normalizeHost(h string) string {

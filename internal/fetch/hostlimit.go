@@ -2,9 +2,10 @@ package fetch
 
 import (
 	"context"
-	"net/url"
 	"sync"
 	"time"
+
+	"sbcrawl/internal/urlutil"
 )
 
 // HostLimiter enforces per-host politeness across concurrently running
@@ -162,8 +163,8 @@ func sleepContext(ctx context.Context, d time.Duration) error {
 // an http→https redirect of one site shares a single politeness window.
 // Falls back to the raw URL when it does not parse.
 func hostKey(rawURL string) string {
-	if u, err := url.Parse(rawURL); err == nil && u.Host != "" {
-		return u.Host
+	if host := urlutil.Authority(rawURL); host != "" {
+		return host
 	}
 	return rawURL
 }

@@ -132,6 +132,11 @@ var BlockedExtensions = map[string]struct{}{
 // HasBlockedExtension reports whether the URL's extension is on the
 // multimedia blocklist.
 func HasBlockedExtension(raw string) bool {
-	_, ok := BlockedExtensions[Extension(raw)]
+	p, _ := split(raw)
+	return blockedPath(p.path)
+}
+
+func blockedPath(p string) bool {
+	_, ok := BlockedExtensions[pathExtension(p)]
 	return ok
 }

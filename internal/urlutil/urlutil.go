@@ -3,6 +3,31 @@
 // when its hostname (ignoring a leading "www.") is a subdomain of r's
 // hostname; targets are identified by a user-defined MIME-type list, and
 // multimedia content is excluded by MIME and extension blocklists.
+//
+// # The link path: net/url is the definition, the plain form is the fast path
+//
+// Algorithm 4 resolves, scopes and blocklist-checks every hyperlink of every
+// page, so these functions run once per discovered URL. Their definitions are
+// written in net/url's terms and stay that way: normalizeURL (url.Parse +
+// ResolveReference + String) is what Normalize returns, and url.Parse's Host,
+// Hostname and Path are what Scope.Contains, Extension, Depth, SiteHost and
+// Authority read. In front of each sits a check for the plain form, which
+// either produces the identical answer without parsing or declines and
+// leaves the input to net/url untouched; the fuzz targets hold both to that.
+//
+// The plain form is what nearly every link is: a lowercase "http://" or
+// "https://", a host of [a-z0-9.-] (so no port, userinfo, IPv6 literal or
+// uppercase to fold), a path of unreserved bytes and '/' (bytes net/url
+// neither escapes nor unescapes), and an optional non-empty query of
+// printable ASCII (RawQuery is carried verbatim). A reference in that form,
+// or a path-absolute one ("/p?q") against a base whose origin is in that
+// form, normalizes by concatenation; a fragment of printable ASCII without
+// '%' is cut (a bad escape there fails the parse, so '%' declines). A path
+// segment starting with '.' declines as well: "." and ".." segments are the
+// one thing reference resolution rewrites inside such a path, and "/." is
+// the cheapest test that rules both out. splitPlain reads host and path off
+// an already-normalized URL under the same classes; a '#' declines there
+// outright.
 package urlutil
 
 import (
@@ -44,21 +69,34 @@ func (s *Scope) RootHost() string { return s.rootHost }
 // Contains reports whether raw is part of the same website as the root.
 // Invalid URLs and non-http(s) schemes are out of scope.
 func (s *Scope) Contains(raw string) bool {
-	u, err := url.Parse(raw)
-	if err != nil {
+	p, ok := split(raw)
+	return ok && s.containsParts(p)
+}
+
+func (s *Scope) containsParts(p parts) bool {
+	if p.scheme != "" && p.scheme != "http" && p.scheme != "https" {
 		return false
 	}
-	if u.Scheme != "" && u.Scheme != "http" && u.Scheme != "https" {
-		return false
-	}
-	host := StripWWW(strings.ToLower(u.Hostname()))
+	host := StripWWW(strings.ToLower(p.hostname))
 	if host == "" {
 		return false
 	}
 	if host == s.rootHost {
 		return true
 	}
-	return strings.HasSuffix(host, "."+s.rootHost)
+	// A subdomain ends in "." + rootHost; tested without building that string.
+	return len(host) > len(s.rootHost) && strings.HasSuffix(host, s.rootHost) &&
+		host[len(host)-len(s.rootHost)-1] == '.'
+}
+
+// Admit applies the two URL filters of Algorithm 4 to a normalized absolute
+// URL from one split of it: same-website scope (Sec. 2.2) and the extension
+// blocklist (Sec. 3.4). It is Contains(abs) && !HasBlockedExtension(abs), and
+// is what the engine and the fabric's partitions both call so the two sides
+// cannot drift.
+func (s *Scope) Admit(abs string) bool {
+	p, ok := split(abs)
+	return ok && s.containsParts(p) && !blockedPath(p.path)
 }
 
 // StripWWW removes a single leading "www." label from a hostname, the
@@ -68,11 +106,45 @@ func StripWWW(host string) string {
 	return strings.TrimPrefix(host, "www.")
 }
 
+// SiteHost returns the host identity the crawl scope uses for raw: the
+// lowercased hostname without a leading "www.", or "" when raw does not
+// parse. The fabric's host partitioning and the fault schedules key on it.
+func SiteHost(raw string) string {
+	p, _ := split(raw)
+	return StripWWW(strings.ToLower(p.hostname))
+}
+
+// Authority returns raw's host as url.URL.Host reports it (port included,
+// case preserved), or "" when raw does not parse or has none.
+func Authority(raw string) string {
+	p, _ := split(raw)
+	return p.host
+}
+
+// ParseBase parses a page URL for use as Normalize's base. An unparsable
+// page URL yields the empty URL, against which only absolute references
+// resolve.
+func ParseBase(raw string) *url.URL {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return &url.URL{}
+	}
+	return u
+}
+
 // Normalize canonicalizes a possibly relative URL against base: resolves the
 // reference, lowercases scheme and host, strips fragments, and removes
 // default ports. It returns the empty string for unusable URLs (javascript:,
 // mailto:, data:, malformed).
 func Normalize(base *url.URL, ref string) string {
+	if abs, ok := normalizePlain(base, ref); ok {
+		return abs
+	}
+	return normalizeURL(base, ref)
+}
+
+// normalizeURL is the definition of Normalize, in net/url's terms.
+func normalizeURL(base *url.URL, ref string) string {
 	ref = strings.TrimSpace(ref)
 	if ref == "" {
 		return ""
@@ -107,11 +179,12 @@ func Normalize(base *url.URL, ref string) string {
 // the leading dot, or "" when the path has none. Query strings and fragments
 // are ignored, matching how the extension blocklist of Section 3.4 is applied.
 func Extension(raw string) string {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return ""
-	}
-	ext := path.Ext(u.Path)
+	p, _ := split(raw)
+	return pathExtension(p.path)
+}
+
+func pathExtension(p string) string {
+	ext := path.Ext(p)
 	if ext == "." {
 		return ""
 	}
@@ -121,13 +194,10 @@ func Extension(raw string) string {
 // Depth returns the number of non-empty path segments of the URL, a cheap
 // approximation of page depth used as a feature by the FOCUSED baseline.
 func Depth(raw string) int {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return 0
-	}
+	p, _ := split(raw)
 	n := 0
-	for _, seg := range strings.Split(u.Path, "/") {
-		if seg != "" {
+	for i := 0; i < len(p.path); i++ {
+		if p.path[i] != '/' && (i == 0 || p.path[i-1] == '/') {
 			n++
 		}
 	}

@@ -19,9 +19,11 @@ if grep -rn --include='*.go' '"encoding/gob"' . \
 	exit 1
 fi
 go test ./...
-# The race pass doubles as the pipeline determinism gate: it runs the
-# TestPrefetch* equivalence suite (byte-identical results at every prefetch
-# width) with the race detector watching the speculative fetch layer.
+# The race pass is the one determinism gate: every equivalence suite —
+# prefetch widths, fabric partitions, kill-and-resume, cross-version stores,
+# retry convergence and the breaker, the crawld session lifecycle — runs here
+# with the race detector watching the speculative layers. Nothing below
+# re-runs a subset of it.
 go test -race ./...
 # Bench smoke: the perf-trajectory benchmarks still build and run — the
 # pipeline widths, the fleet speedup, the adaptive speculation window, the
@@ -29,9 +31,11 @@ go test -race ./...
 go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|BenchmarkAdaptivePrefetch|BenchmarkFleetSharedCache|BenchmarkParseStagePipeline' -benchtime 1x .
 # Zero-allocation hot-path gate: the pooled parse/extract scanners and the
 # reusable vectorizer hasher must keep their steady-state allocation
-# budgets (O(links) per page, never O(bytes); one output vector per
-# Vectorize), and the raw-text scan must stay copy-free.
-go test -run 'Alloc' -count=1 ./internal/dom ./internal/textvec
+# budgets (O(links) per page, never O(bytes) nor O(text nodes); one output
+# vector per Vectorize), the raw-text scan must stay copy-free, and the link
+# filters must cost a plain link exactly its one result string (Normalize)
+# and nothing more (Scope.Contains/Admit, HasBlockedExtension).
+go test -run 'Alloc' -count=1 ./internal/dom ./internal/textvec ./internal/urlutil
 # Sparse action-index gate: Algorithm 1 carries a tag path as its ~8
 # non-zero (index, value) pairs, so a lookup allocates nothing once the
 # index's scratch is warm, a path joining an action merges in place, and
@@ -70,6 +74,13 @@ go test -run '^$' -fuzz '^FuzzActionIndexSparseVsDense$' -fuzztime 10s ./interna
 # And for the sorted-slice URL features: arbitrary bytes and block offsets
 # must give exactly the map-keyed vector they replaced, in ascending ID order.
 go test -run '^$' -fuzz '^FuzzCharBigramsSortedVsMap$' -fuzztime 10s ./internal/learn
+# And for the link path's fast forms: Normalize must equal its retained
+# net/url body for arbitrary references and bases, and whatever the plain
+# host/path split accepts url.Parse must parse to the same host and path (a
+# first cut of the split accepted "http://0/#%", a fragment with a bad escape,
+# and only a live run found it).
+go test -run '^$' -fuzz '^FuzzNormalizeFastVsURL$' -fuzztime 10s ./internal/urlutil
+go test -run '^$' -fuzz '^FuzzSplitVsURL$' -fuzztime 10s ./internal/urlutil
 # Storage-layer smoke: the segment-log benchmarks behind BENCH_store.json
 # (round trip, snapshot compaction, resume/index-rebuild overhead) still
 # build and run.
@@ -80,36 +91,6 @@ go test -run '^$' -bench 'BenchmarkCodecRoundTrip' -benchtime 1x ./internal/code
 # Fabric smoke: the partitioned-crawl benchmark behind BENCH_fabric.json
 # still builds and runs.
 go test -run '^$' -bench 'BenchmarkFabricPartitions' -benchtime 1x .
-# Fabric determinism gate, explicitly under -race: partitioned crawls must
-# stay byte-identical to unpartitioned ones — including across a hard kill
-# and resume — while the detector watches the exchange and the shared
-# response cache.
-go test -race -run 'TestFabricEquivalence|TestFabricResumeEquivalence' -count=1 .
-# Resume determinism gate, explicitly under -race: kill-at-step-k then
-# resume over the persistent store must stay byte-identical to an
-# uninterrupted run for every strategy and prefetch width.
-go test -race -run 'TestResumeEquivalence' -count=1 .
-# Cross-version gate, under -race: the checked-in gob-era golden stores
-# resume byte-identically through the legacy-decode fallback, records from
-# a future format version are refused with the typed error, and the
-# delta-encoded checkpoint chain resolves to the newest checkpoint.
-go test -race -run 'TestGobStore|TestCodecStoreRefuses|TestDeltaCheckpoints' -count=1 .
-# Daemon smoke, explicitly under -race: the crawld session lifecycle, the
-# kill-the-daemon resume equivalence, and multi-tenant fairness — the serve
-# layer multiplexes sessions over shared state, so race-clean is a hard
-# requirement there too.
-go test -race -run 'TestSessionLifecycle|TestServeResumeEquivalence|TestServeNoStarvation|TestSchedulerFairness' -count=1 ./internal/serve
-# Robustness gates, explicitly under -race: crawls under seeded injected
-# faults with the retry/backoff/breaker layer on must converge to the
-# byte-identical fault-free Result (all strategies, sequential and
-# partitioned), kill+resume under faults must stay deterministic, and a
-# dead host must degrade gracefully (quarantined at bounded cost while the
-# rest of the federation completes).
-go test -race -run 'TestRetryConvergence|TestFaultResumeEquivalence|TestFaultedStoreNeverSatisfiesFaultFreeResume|TestBreakerDegradesGracefully' -count=1 .
-# Fault-layer unit suite, also under -race: the error taxonomy, the
-# deterministic retrier, the circuit breaker, the replay-never-records-
-# transients invariant, and the Registry/HostLimiter fault storm.
-go test -race -run 'TestClassify|TestSynthetic|TestStatusPredicates|TestRetrier|TestReplayNeverRecordsTransient|TestBreaker|TestRegistryHostLimiterFaultStorm' -count=1 ./internal/fetch
 # Resilience-bench smoke: the workload behind BENCH_resilience.json still
 # builds and runs.
 go test -run '^$' -bench 'BenchmarkResilience' -benchtime 1x .

@@ -149,9 +149,28 @@ func NewOnline(cfg Config) *Online {
 // spends a HEAD request per URL and returns the measured class; afterwards
 // it predicts from features alone at zero HTTP cost.
 func (o *Online) Classify(link LinkContext) (int, bool) {
-	x := Features(o.cfg.Features, link)
+	return o.ClassifyFeatures(link.URL, o.Features(link))
+}
+
+// Features vectorizes a link under the classifier's feature set. A caller
+// that wants a look at a link before classifying it (Guess) extracts the
+// features once here and hands the same slices to ClassifyFeatures.
+func (o *Online) Features(link LinkContext) textvec.Sparse {
+	return Features(o.cfg.Features, link)
+}
+
+// Guess is the class the current weights give x and nothing else: no HEAD,
+// no pending prediction, no confusion entry. The crawl's speculation layer
+// uses it to see which of a page's links Classify will probably call
+// targets; the answer can differ from the later Classify when the model is
+// refit in between, which costs a wasted hint, never a changed crawl.
+func (o *Online) Guess(x textvec.Sparse) int { return o.model.Predict(x) }
+
+// ClassifyFeatures is Classify over the link's already-extracted features
+// (x must be Features of the link; Online retains its slices).
+func (o *Online) ClassifyFeatures(url string, x textvec.Sparse) (int, bool) {
 	if o.initial && o.cfg.Head != nil {
-		true3 := o.cfg.Head(link.URL)
+		true3 := o.cfg.Head(url)
 		if true3 == ClassHTML || true3 == ClassTarget {
 			o.addExample(learn.Example{X: x, Y: true3})
 		}
@@ -164,7 +183,7 @@ func (o *Online) Classify(link LinkContext) (int, bool) {
 		return pred, true
 	}
 	pred := o.model.Predict(x)
-	o.pending[link.URL] = pendingPrediction{x: x, pred: pred}
+	o.pending[url] = pendingPrediction{x: x, pred: pred}
 	return pred, false
 }
 

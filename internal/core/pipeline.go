@@ -78,8 +78,37 @@ func (e *engine) speculate(p crawlPolicy) {
 		width = e.tuner.Observe(e.prefetcher.Stats())
 		e.prefetcher.SetWindow(width)
 	}
-	if hints := p.Hints(width); len(hints) > 0 {
-		e.prefetcher.Hint(hints...)
+	if n := e.specRoom(width); n > 0 {
+		e.prefetcher.Hint(p.Hints(n)...)
+	}
+}
+
+// specRoom caps a speculative batch of n fetches at what the request budget
+// can still pay for. Every batch is submitted right before a demand request
+// that will be charged; a response that could only be consumed after the
+// budget's last request never is, so with r requests left at most r−1 are
+// worth launching.
+func (e *engine) specRoom(n int) int {
+	if e.env.MaxRequests > 0 {
+		n = min(n, e.env.MaxRequests-e.meter.Requests-1)
+	}
+	return n
+}
+
+// specBatch trims a list of upcoming demands to what one speculative batch
+// may hold: a window's worth, within the budget.
+func (e *engine) specBatch(urls []string) []string {
+	return urls[:max(0, e.specRoom(min(len(urls), e.prefetcher.Window())))]
+}
+
+// speculateGets hints the GETs a policy is about to demand one after
+// another — SB's predicted targets of the page being ingested, in page
+// order, from the one the loop is at. At most one window's worth is
+// submitted; the caller re-submits as its cursor advances, and the prefetch
+// layer skips what it already tracks.
+func (e *engine) speculateGets(urls []string) {
+	if e.prefetcher != nil {
+		e.prefetcher.Hint(e.specBatch(urls)...)
 	}
 }
 
@@ -91,11 +120,7 @@ func (e *engine) speculate(p crawlPolicy) {
 // latency. At most one window's worth is hinted so a warm-up that ends
 // mid-page does not leave a page of stale HEAD speculation behind.
 func (e *engine) speculateHeads(urls []string) {
-	if e.prefetcher == nil || len(urls) == 0 {
-		return
+	if e.prefetcher != nil {
+		e.prefetcher.HintHeads(e.specBatch(urls)...)
 	}
-	if w := e.prefetcher.Window(); len(urls) > w {
-		urls = urls[:w]
-	}
-	e.prefetcher.HintHeads(urls...)
 }

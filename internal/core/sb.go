@@ -1,11 +1,14 @@
 package core
 
 import (
+	"slices"
+
 	"sbcrawl/internal/bandit"
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/dom"
 	"sbcrawl/internal/frontier"
 	"sbcrawl/internal/learn"
+	"sbcrawl/internal/textvec"
 	"sbcrawl/internal/urlutil"
 )
 
@@ -69,6 +72,15 @@ type sbRun struct {
 	// pendingAction is the bandit arm behind the URL SelectNext returned,
 	// consumed by the following Ingest.
 	pendingAction int
+	// awake is the arm set SelectNext last handed the bandit (increasing),
+	// kept so Hints asks the bandit again without a second Awake() per step.
+	awake []int
+	// feats and ahead are the speculation scratch of ingestPage, used as
+	// stacks because a misclassified "target" that turns out to be HTML is
+	// ingested inside its parent's loop: the pages being ingested each own
+	// the tail they appended (see predictTargets).
+	feats []textvec.Sparse
+	ahead []string
 }
 
 // Run implements Crawler (Algorithm 3).
@@ -146,8 +158,8 @@ func (s *SB) buildClassifier(env *Env, r *sbRun) classify.Classifier {
 // retries, as in Algorithm 3.
 func (r *sbRun) SelectNext() (string, bool) {
 	for r.front.Len() > 0 && !r.stopped {
-		awake := r.front.Awake()
-		a, ok := r.policy.Select(awake, r.steps)
+		r.awake = r.front.Awake()
+		a, ok := r.policy.Select(r.awake, r.steps)
 		if !ok {
 			return "", false
 		}
@@ -172,8 +184,40 @@ func (r *sbRun) Ingest(_ string, pg page) {
 	}
 }
 
-// Hints implements crawlPolicy.
-func (r *sbRun) Hints(n int) []string { return r.front.Peek(n) }
+// Hints implements crawlPolicy: the exact link the next SelectNext will
+// draw, when the bandit's next arm can be told in advance. It runs between
+// this step's SelectNext and its fetch, so the next step's inputs are all
+// known but the reward still pending on the arm just played; AUER is asked
+// for its choice as if that reward will equal the arm's current mean (no
+// score moves), and that arm's next draw is the hint. The guess is wrong
+// when the pending page's reward reorders the scores, when the page feeds
+// the chosen arm new links or wakes a better one, or when its
+// predicted-target fetches advance t far enough to matter — a wasted fetch,
+// never a changed crawl: Select on awake arms and PeekFrom only read.
+// Assuming a zero reward instead, or hinting both guesses, hit within two
+// requests in 250 of this on four sites. Ablation policies (SBConfig.Policy)
+// get no next-draw hint: ε-greedy and Thompson spend randomness in Select,
+// UCB1 records wasted picks there.
+func (r *sbRun) Hints(int) []string {
+	auer, ok := r.policy.(*bandit.Sleeping)
+	if !ok {
+		return nil
+	}
+	awake := r.awake
+	if r.front.ActionLen(r.pendingAction) == 0 { // its last link was just drawn
+		if i, ok := slices.BinarySearch(awake, r.pendingAction); ok {
+			awake = slices.Delete(awake, i, i+1)
+		}
+	}
+	a, ok := auer.Select(awake, r.steps)
+	if !ok {
+		return nil
+	}
+	if u, ok := r.front.PeekFrom(a); ok {
+		return []string{u}
+	}
+	return nil
+}
 
 // FrontierSnapshot serializes the action-grouped frontier (links per
 // action plus the draw RNG position) for the engine's checkpoints.
@@ -201,9 +245,22 @@ func (r *sbRun) ingestPage(pg page, action int, depth int) {
 	case pg.IsHTML:
 		r.cls.Observe(pg.FinalURL, classify.ClassHTML)
 		r.speculateWarmup(pg.Links)
-		for _, link := range pg.Links {
-			class, _ := r.cls.Classify(linkContext(link))
+		online, _ := r.cls.(*classify.Online)
+		fbase, abase := len(r.feats), len(r.ahead)
+		r.predictTargets(pg.Links)
+		prepared, next, end := len(r.feats) > fbase, abase, len(r.ahead)
+		for i, link := range pg.Links {
+			var class int
+			if prepared {
+				class, _ = online.ClassifyFeatures(link.URL, r.feats[fbase+i])
+			} else {
+				class, _ = r.cls.Classify(r.linkContext(link))
+			}
 			if class == classify.ClassTarget && depth < maxPredictedTargetDepth {
+				// r.ahead[next:end] are this page's predicted targets from
+				// this link on (nested ingests append past end and truncate
+				// back, so the range survives the step below).
+				r.eng.speculateGets(r.ahead[next:end])
 				before := r.eng.tcount
 				r.step(link.URL, action, depth+1)
 				if r.cfg.RawReward {
@@ -211,13 +268,20 @@ func (r *sbRun) ingestPage(pg page, action int, depth int) {
 				} else if r.eng.tcount > before {
 					reward++ // novelty: only links that yielded a new target
 				}
-				continue
+			} else {
+				a := r.actions.ActionFor(link.TagPath)
+				r.policy.EnsureArm(a)
+				r.eng.seen[link.URL] = true // joins F (T ∪ F membership)
+				r.front.Push(a, link.URL)
 			}
-			a := r.actions.ActionFor(link.TagPath)
-			r.policy.EnsureArm(a)
-			r.eng.seen[link.URL] = true // joins F (T ∪ F membership)
-			r.front.Push(a, link.URL)
+			if next < end && r.ahead[next] == link.URL {
+				next++
+			}
 		}
+		clear(r.feats[fbase:])
+		r.feats = r.feats[:fbase]
+		clear(r.ahead[abase:])
+		r.ahead = r.ahead[:abase]
 	case pg.IsTarget:
 		r.cls.Observe(pg.FinalURL, classify.ClassTarget)
 	default:
@@ -250,13 +314,55 @@ func (r *sbRun) speculateWarmup(links []dom.Link) {
 	r.eng.speculateHeads(urls)
 }
 
-func linkContext(l dom.Link) classify.LinkContext {
-	return classify.LinkContext{
+// predictTargets is the in-page half of SB speculation. A trained
+// classifier sends every link it calls a target straight to a blocking GET
+// inside ingestPage's loop, one round trip after another; here each link's
+// class is guessed once up front, with the weights as they stand, and the
+// URLs guessed to be targets are appended to r.ahead in page order so the
+// loop can keep a window of them in flight ahead of its cursor. For the
+// online classifier the features extracted for the guess are appended to
+// r.feats, one per link, and the loop classifies from those same slices —
+// features are still extracted once per link. Nothing is appended for a
+// sequential crawl, nor during the HEAD phase (speculateWarmup hints the
+// probes instead). Guessing reads the model only, so the crawl is the same
+// whether or not it runs.
+func (r *sbRun) predictTargets(links []dom.Link) {
+	if r.eng.prefetcher == nil {
+		return
+	}
+	switch cls := r.cls.(type) {
+	case *classify.Oracle:
+		for _, l := range links {
+			if class, _ := cls.Classify(classify.LinkContext{URL: l.URL}); class == classify.ClassTarget {
+				r.ahead = append(r.ahead, l.URL)
+			}
+		}
+	case *classify.Online:
+		if cls.InInitialPhase() {
+			return
+		}
+		for _, l := range links {
+			x := cls.Features(r.linkContext(l))
+			r.feats = append(r.feats, x)
+			if cls.Guess(x) == classify.ClassTarget {
+				r.ahead = append(r.ahead, l.URL)
+			}
+		}
+	}
+}
+
+// linkContext is what the classifier sees of a link. The tag path is only
+// rendered for URL_CONT; URL_ONLY features never read it.
+func (r *sbRun) linkContext(l dom.Link) classify.LinkContext {
+	lc := classify.LinkContext{
 		URL:             l.URL,
 		AnchorText:      l.AnchorText,
-		TagPath:         l.TagPath.String(),
 		SurroundingText: l.SurroundingText,
 	}
+	if r.cfg.Features == classify.URLContent {
+		lc.TagPath = l.TagPath.String()
+	}
+	return lc
 }
 
 // actionStats snapshots the per-action statistics for Figure 5 / Table 6.

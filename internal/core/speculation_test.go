@@ -1,0 +1,136 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"sbcrawl/internal/classify"
+	"sbcrawl/internal/fetch"
+)
+
+// TestSBHintsArePure is the gate on SB's predictive speculation: a crawl
+// whose next-draw hint (sbRun.Hints: AUER scoring, Grouped.PeekFrom) and
+// in-page target prediction (predictTargets: feature extraction, Guess) run
+// at every step must return the Result of the sequential crawl, where
+// neither ever runs — for the oracle, for every online model, and for both
+// feature sets (URL_CONT is where linkContext still renders the tag path).
+func TestSBHintsArePure(t *testing.T) {
+	cfgs := []SBConfig{{Oracle: true}, {Features: classify.URLContent}, {RawReward: true}}
+	for _, model := range []string{"LR", "SVM", "NB", "PA"} {
+		cfgs = append(cfgs, SBConfig{Model: model})
+	}
+	for _, cfg := range cfgs {
+		cfg.Seed = 5
+		name := fmt.Sprintf("oracle=%v/model=%s/%v/raw=%v", cfg.Oracle, cfg.Model, cfg.Features, cfg.RawReward)
+		t.Run(name, func(t *testing.T) {
+			run := func(prefetch int) *Result {
+				env, _ := newTestEnv(t, "cn", 0.02, 4)
+				env.MaxRequests = 150
+				env.Prefetch = prefetch
+				res, err := NewSB(cfg).Run(env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			ref := run(0)
+			for _, prefetch := range []int{1, 8, PrefetchAuto} {
+				got := run(prefetch)
+				if got.Spec == nil || got.Spec.Launched == 0 {
+					t.Fatalf("Prefetch=%d: no speculation ran (%+v), the test proves nothing", prefetch, got.Spec)
+				}
+				if !reflect.DeepEqual(stripDiagnostics(ref), stripDiagnostics(got)) {
+					t.Errorf("Prefetch=%d diverged from the sequential crawl", prefetch)
+				}
+			}
+		})
+	}
+}
+
+// TestSBSpeculationHits pins that SB's hints are what the loop then asks
+// for. The bounds are loose on purpose (a 2 ms crawl of this site hits about
+// five times in six): most GETs must find their response hinted, and few
+// hinted fetches may go unconsumed.
+func TestSBSpeculationHits(t *testing.T) {
+	env, _ := newTestEnv(t, "cn", 0.1, 4)
+	env.MaxRequests = 250
+	env.Prefetch = 8
+	res, err := NewSB(SBConfig{Seed: 5}).Run(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := res.Spec
+	if res.Requests != 250 {
+		t.Fatalf("crawl spent %d requests, want the full budget of 250", res.Requests)
+	}
+	if sp.Hits < sp.Misses {
+		t.Errorf("Hits %d < Misses %d: %+v", sp.Hits, sp.Misses, *sp)
+	}
+	if wasted, limit := sp.Launched-sp.Hits-sp.HeadHits, res.Requests*15/100; wasted > limit {
+		t.Errorf("%d speculative fetches went unconsumed, want ≤ %d: %+v", wasted, limit, *sp)
+	}
+}
+
+// countingFetcher counts the exchanges that reach the backend.
+type countingFetcher struct {
+	next  fetch.Fetcher
+	calls atomic.Int64
+}
+
+func (c *countingFetcher) Get(u string) (fetch.Response, error) {
+	c.calls.Add(1)
+	return c.next.Get(u)
+}
+
+func (c *countingFetcher) Head(u string) (fetch.Response, error) {
+	c.calls.Add(1)
+	return c.next.Head(u)
+}
+
+// TestSpeculationRespectsBudget pins the wind-down clamp on every strategy.
+// What a strategy wastes mid-crawl depends on how good its hints are, so the
+// budgets here are smaller than the window: nothing but the clamp keeps such
+// a crawl from launching a full window per step. With r requests left a
+// batch is at most r−1 fetches, so a crawl of B requests launches at most
+// B(B−1)/2 and the backend sees at most B plus that — under B + window, where
+// the unclamped engine rendered a window of pages nobody was charged for.
+func TestSpeculationRespectsBudget(t *testing.T) {
+	const window = 16
+	for _, budget := range []int{1, 2, 3, 4, 6} {
+		for _, c := range allCrawlers(3) {
+			t.Run(fmt.Sprintf("%s/B=%d", c.Name(), budget), func(t *testing.T) {
+				calls, res := countedCrawl(t, c, budget, window)
+				if limit := res.Requests + budget*(budget-1)/2; calls > limit {
+					t.Errorf("%d backend exchanges for %d charged requests, want ≤ %d (%+v)", calls, res.Requests, limit, *res.Spec)
+				}
+			})
+		}
+	}
+	// Exact hints are all consumed, so on a long crawl what BFS and
+	// OMNISCIENT waste is wind-down waste alone (a redirect hop in the last
+	// steps can strand a hinted page, hence not zero).
+	for _, c := range []Crawler{NewBFS(), NewOmniscient()} {
+		t.Run(c.Name()+"/B=120", func(t *testing.T) {
+			if calls, res := countedCrawl(t, c, 120, 8); calls > res.Requests+2 {
+				t.Errorf("%d backend exchanges for %d charged requests: exact hints should waste next to nothing (%+v)", calls, res.Requests, *res.Spec)
+			}
+		})
+	}
+}
+
+// countedCrawl runs the crawler over a budgeted, pipelined Env and returns
+// how many exchanges reached the backend.
+func countedCrawl(t *testing.T, c Crawler, budget, window int) (int, *Result) {
+	env, _ := newTestEnv(t, "cn", 0.05, 4)
+	counter := &countingFetcher{next: env.Fetcher}
+	env.Fetcher = counter
+	env.MaxRequests = budget
+	env.Prefetch = window
+	res, err := c.Run(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(counter.calls.Load()), res
+}

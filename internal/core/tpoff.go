@@ -131,8 +131,20 @@ func (p tpoffMain) Ingest(_ string, pg page) {
 	}
 }
 
-// Hints implements crawlPolicy.
-func (p tpoffMain) Hints(n int) []string { return p.r.grouped.Peek(n) }
+// Hints implements crawlPolicy: the exact next draw. Benefits are frozen in
+// this phase, so the best awake group is the group the next SelectNext
+// serves unless the page now being fetched wakes a better one or pushes
+// into this one.
+func (p tpoffMain) Hints(int) []string {
+	r := p.r
+	if r.grouped.Len() == 0 {
+		return nil
+	}
+	if u, ok := r.grouped.PeekFrom(bestGroup(r.grouped.Awake(), r.avg)); ok {
+		return []string{u}
+	}
+	return nil
+}
 
 // FrontierSnapshot serializes the phase-2 grouped frontier for checkpoints.
 func (p tpoffMain) FrontierSnapshot() ([]byte, error) {

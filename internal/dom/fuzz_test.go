@@ -61,49 +61,44 @@ func seedCorpus(f *testing.F) {
 }
 
 // FuzzTokenizer drives the zero-copy tokenizer over arbitrary bytes: it must
-// terminate, the compat Next wrapper must agree with the raw stream it
-// materializes, and valid UTF-8 in must never produce invalid UTF-8 out
-// (the numeric-reference surrogate class of bug).
+// terminate, valid UTF-8 in must never produce invalid UTF-8 out (the
+// numeric-reference surrogate class of bug), and a second pass over the same
+// bytes through the Reset tokenizer — attribute storage and decode scratch
+// now reused — must hand out the same stream (a view that outlived its
+// NextRaw would show up as a changed copy).
 func FuzzTokenizer(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src []byte) {
 		validIn := utf8.Valid(src)
 		z := NewTokenizer(src)
-		var raw []Token
-		for steps := 0; ; steps++ {
-			if steps > 2*len(src)+64 {
-				t.Fatalf("tokenizer did not terminate on %d bytes", len(src))
-			}
-			tok, ok := z.NextRaw()
-			if !ok {
-				break
-			}
-			mat := Token{Type: tok.Type, Data: string(tok.Data)}
-			if tok.Type == StartTagToken || tok.Type == EndTagToken || tok.Type == SelfClosingTagToken {
-				mat.Data = string(toLowerAppend(nil, tok.Data))
-			}
-			for _, a := range tok.Attrs {
-				mat.Attrs = append(mat.Attrs, Attr{Name: string(toLowerAppend(nil, a.Name)), Value: string(a.Value)})
-				if validIn && !utf8.Valid(a.Value) {
-					t.Errorf("attr %q: valid UTF-8 in, invalid out: %q", a.Name, a.Value)
+		drain := func(check bool) []token {
+			var out []token
+			for steps := 0; ; steps++ {
+				if steps > 2*len(src)+64 {
+					t.Fatalf("tokenizer did not terminate on %d bytes", len(src))
 				}
+				raw, ok := z.NextRaw()
+				if !ok {
+					return out
+				}
+				tok := materialize(raw)
+				if check && validIn {
+					if !utf8.ValidString(tok.Data) {
+						t.Errorf("token data: valid UTF-8 in, invalid out: %q", tok.Data)
+					}
+					for _, a := range tok.Attrs {
+						if !utf8.ValidString(a.Value) {
+							t.Errorf("attr %q: valid UTF-8 in, invalid out: %q", a.Name, a.Value)
+						}
+					}
+				}
+				out = append(out, tok)
 			}
-			if validIn && !utf8.ValidString(mat.Data) {
-				t.Errorf("token data: valid UTF-8 in, invalid out: %q", mat.Data)
-			}
-			raw = append(raw, mat)
 		}
-		z2 := NewTokenizer(src)
-		var compat []Token
-		for {
-			tok, ok := z2.Next()
-			if !ok {
-				break
-			}
-			compat = append(compat, tok)
-		}
-		if !reflect.DeepEqual(raw, compat) {
-			t.Errorf("Next and NextRaw disagree:\nraw:    %+v\ncompat: %+v", raw, compat)
+		first := drain(true)
+		z.Reset(src)
+		if again := drain(false); !reflect.DeepEqual(first, again) {
+			t.Errorf("Reset tokenizer disagrees with its first pass:\nfirst: %+v\nagain: %+v", first, again)
 		}
 	})
 }

@@ -11,7 +11,7 @@
 // attribute Name/Value fields are views into the source buffer (or into the
 // Tokenizer's internal scratch, for entity-decoded content) and its Attrs
 // slice is backed by storage the Tokenizer reuses. Every view is valid only
-// until the next call to NextRaw/Next on the same Tokenizer; callers that
+// until the next call to NextRaw on the same Tokenizer; callers that
 // retain token content across calls must copy it. Parse and ExtractLinks
 // honor this contract internally — the strings they hand out (Node fields,
 // Link fields) are materialized, interned copies that are always safe to
@@ -54,26 +54,6 @@ type Attr struct {
 	Value string
 }
 
-// Token is one lexical unit of an HTML document in materialized (string)
-// form, produced by Tokenizer.Next. Tag and attribute names are lowercased.
-// Prefer NextRaw on hot paths: Next copies every field out of the underlying
-// RawToken.
-type Token struct {
-	Type  TokenType
-	Data  string // tag name (lowercased) or text/comment content
-	Attrs []Attr
-}
-
-// Attr returns the value of the named attribute and whether it is present.
-func (t *Token) Attr(name string) (string, bool) {
-	for _, a := range t.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
 // RawAttr is a single attribute as byte views. The Name preserves source
 // case (compare with EqualFold-style helpers or lowercase on materialize);
 // Value is entity-decoded only when the raw value contains '&'.
@@ -84,7 +64,7 @@ type RawAttr struct {
 
 // RawToken is one lexical unit as byte views into the tokenizer's source (or
 // scratch, for decoded content). All views — Data, Attrs, and the Attrs
-// backing array — are invalidated by the next NextRaw/Next call; copy before
+// backing array — are invalidated by the next NextRaw call; copy before
 // retaining. For Start/End/SelfClosing tags Data is the name with source
 // case preserved.
 type RawToken struct {
@@ -147,36 +127,8 @@ func (z *Tokenizer) Reset(src []byte) {
 	z.rawTag = nil
 }
 
-// Next returns the next token in materialized string form and true, or a
-// zero Token and false at EOF. It is the compatibility wrapper over NextRaw;
-// every call copies the token's content into fresh strings.
-func (z *Tokenizer) Next() (Token, bool) {
-	raw, ok := z.NextRaw()
-	if !ok {
-		return Token{}, false
-	}
-	tok := Token{Type: raw.Type}
-	switch raw.Type {
-	case StartTagToken, SelfClosingTagToken, EndTagToken:
-		tok.Data = string(toLowerAppend(nil, raw.Data))
-	default:
-		tok.Data = string(raw.Data)
-	}
-	if len(raw.Attrs) > 0 {
-		tok.Attrs = make([]Attr, len(raw.Attrs))
-		for i, a := range raw.Attrs {
-			tok.Attrs[i] = Attr{
-				Name:  string(toLowerAppend(nil, a.Name)),
-				Value: string(a.Value),
-			}
-		}
-	}
-	return tok, true
-}
-
 // NextRaw returns the next token as byte views and true, or a zero RawToken
-// and false at EOF. The views are invalidated by the following NextRaw/Next
-// call.
+// and false at EOF. The views are invalidated by the following NextRaw call.
 func (z *Tokenizer) NextRaw() (RawToken, bool) {
 	if z.pos >= len(z.src) {
 		return RawToken{}, false

@@ -6,21 +6,37 @@ import (
 	"unicode/utf8"
 )
 
+// token is a RawToken copied out of the tokenizer's views, so a whole stream
+// can be held at once. Names keep their source case, as the views do.
+type token struct {
+	Type  TokenType
+	Data  string
+	Attrs []Attr
+}
+
+func materialize(raw RawToken) token {
+	tok := token{Type: raw.Type, Data: string(raw.Data)}
+	for _, a := range raw.Attrs {
+		tok.Attrs = append(tok.Attrs, Attr{Name: string(a.Name), Value: string(a.Value)})
+	}
+	return tok
+}
+
 // collectRaw drains the tokenizer, materializing each raw token, and guards
 // against non-termination.
-func collectRaw(t *testing.T, src string) []Token {
+func collectRaw(t *testing.T, src string) []token {
 	t.Helper()
 	z := NewTokenizer([]byte(src))
-	var out []Token
+	var out []token
 	for i := 0; ; i++ {
 		if i > 10*len(src)+100 {
 			t.Fatalf("tokenizer did not terminate on %q", src)
 		}
-		tok, ok := z.Next()
+		raw, ok := z.NextRaw()
 		if !ok {
 			return out
 		}
-		out = append(out, tok)
+		out = append(out, materialize(raw))
 	}
 }
 
@@ -152,32 +168,25 @@ func TestTruncateRuneBoundary(t *testing.T) {
 	}
 }
 
-// Tokens materialized by Next must match the raw stream (lowercased names,
-// copied content) — the compat wrapper and the zero-copy core must agree.
-func TestNextMatchesNextRaw(t *testing.T) {
-	src := []byte(`<DIV Class="Main">Text &amp; more<BR/></DIV>`)
-	z := NewTokenizer(src)
-	var toks []Token
-	for {
-		tok, ok := z.Next()
-		if !ok {
-			break
-		}
-		toks = append(toks, tok)
-	}
+// The raw stream hands out views: tag and attribute names in source case
+// (consumers fold them), text and attribute values entity-decoded, and a
+// trailing slash reported as a self-closing tag.
+func TestRawTokenStream(t *testing.T) {
+	toks := collectRaw(t, `<DIV Class="Main" data-x='a&amp;b'>Text &amp; more<BR/></DIV>`)
 	if len(toks) != 4 {
 		t.Fatalf("token count = %d, want 4: %+v", len(toks), toks)
 	}
-	if toks[0].Data != "div" || toks[0].Attrs[0].Name != "class" || toks[0].Attrs[0].Value != "Main" {
+	if toks[0].Type != StartTagToken || toks[0].Data != "DIV" || len(toks[0].Attrs) != 2 ||
+		toks[0].Attrs[0] != (Attr{"Class", "Main"}) || toks[0].Attrs[1] != (Attr{"data-x", "a&b"}) {
 		t.Errorf("start tag = %+v", toks[0])
 	}
-	if toks[1].Data != "Text & more" {
-		t.Errorf("text = %q", toks[1].Data)
+	if toks[1].Type != TextToken || toks[1].Data != "Text & more" {
+		t.Errorf("text = %+v", toks[1])
 	}
-	if toks[2].Type != SelfClosingTagToken || toks[2].Data != "br" {
+	if toks[2].Type != SelfClosingTagToken || toks[2].Data != "BR" {
 		t.Errorf("self-closing = %+v", toks[2])
 	}
-	if toks[3].Type != EndTagToken || toks[3].Data != "div" {
+	if toks[3].Type != EndTagToken || toks[3].Data != "DIV" {
 		t.Errorf("end tag = %+v", toks[3])
 	}
 }

@@ -1,12 +1,16 @@
 package fetch
 
 // The adaptive speculation controller: a Prefetcher's in-flight window is a
-// bet on how predictable the strategy's next selections are, and the right
-// width differs per site and per strategy (BFS hints are exact, bandit
-// hints are diffuse). Rather than asking the caller to tune Prefetch per
-// crawl, AutoTuner observes the speculation outcomes online and adjusts the
-// window the way TCP adjusts its congestion window: a slow-start ramp while
-// every hint lands, then additive increase / multiplicative decrease (AIMD)
+// bet on how much of what the strategy hints the crawl then asks for, and
+// the right width differs per site and per strategy. BFS, DFS and the
+// priority frontiers hint their exact pop order; SB hints the targets it
+// predicts on the page it is ingesting, in the order its loop fetches them,
+// plus the one link the bandit's next draw will take, so its window fills
+// only as wide as a page has predicted targets; RANDOM's hints are 1/Len
+// guesses. Rather than asking the caller to tune Prefetch per crawl,
+// AutoTuner observes the speculation outcomes online and adjusts the window
+// the way TCP adjusts its congestion window: a slow-start ramp while every
+// hint lands, then additive increase / multiplicative decrease (AIMD)
 // around the first congestion signal — a sinking hit rate or eviction-heavy
 // speculation, both meaning the window outruns the hints' accuracy.
 //

@@ -14,9 +14,10 @@ import (
 // Peeker is the speculative-selection capability of a frontier: Peek
 // returns up to n URLs the frontier is likely to pop soon, without removing
 // them and — crucially — without consuming any randomness, so peeking can
-// never change what a crawl does. The returned order is best-effort
-// (exact for FIFO/LIFO/priority frontiers, a uniform guess for randomized
-// ones); the pipelined engine feeds it to the prefetch layer as hints.
+// never change what a crawl does. The returned order is best-effort (exact
+// for FIFO/LIFO/priority frontiers, a 1/Len guess for Random, the exact
+// next draw of each action for Grouped); the pipelined engine feeds it to
+// the prefetch layer as hints.
 type Peeker interface {
 	Peek(n int) []string
 }
@@ -344,35 +345,37 @@ func (g *Grouped) ActionLen(action int) int { return len(g.byAction[action]) }
 // Len returns the total number of frontier links.
 func (g *Grouped) Len() int { return g.total }
 
-// Peek implements Peeker: up to n links drawn round-robin across the awake
-// actions (one per action, then a second per action, …), in increasing
-// action order. Which action the bandit selects — and which member the
-// uniform draw picks — cannot be known without consuming randomness, so
-// this spreads the speculation budget evenly across the actions instead.
-func (g *Grouped) Peek(n int) []string {
-	if n > g.total {
-		n = g.total
+// PeekFrom returns exactly the URL the next PopFrom(action) will draw, as
+// long as the action's link set is unchanged until then (a Push to the
+// action changes the draw's modulus, and any other draw in between consumes
+// the value this one was read from). It reads the generator's next value
+// through the countedSource lookahead, so no randomness is consumed: Draws,
+// snapshots and every later Pop are what they would have been without the
+// call. ok=false when the action is asleep, or in the ~n/2³¹ case where
+// Intn would reject the buffered value and draw again.
+func (g *Grouped) PeekFrom(action int) (string, bool) {
+	links := g.byAction[action]
+	i, ok := g.src.peekIntn(len(links))
+	if !ok {
+		return "", false
 	}
-	if n <= 0 {
+	return links[i], true
+}
+
+// Peek implements Peeker: the exact next draw (PeekFrom) of each awake
+// action, in increasing action order, up to n URLs — whichever action is
+// served next, its draw is in the list while fewer than n are awake.
+func (g *Grouped) Peek(n int) []string {
+	if n <= 0 || g.total == 0 {
 		return nil
 	}
-	out := make([]string, 0, n)
-	awake := g.Awake() // Peek mutates nothing, so one snapshot serves all rounds
-	for round := 0; len(out) < n; round++ {
-		took := false
-		for _, a := range awake {
-			links := g.byAction[a]
-			if round >= len(links) {
-				continue
-			}
-			out = append(out, links[round])
-			took = true
-			if len(out) == n {
-				return out
-			}
-		}
-		if !took {
+	out := make([]string, 0, min(n, len(g.byAction)))
+	for _, a := range g.Awake() {
+		if len(out) == n {
 			break
+		}
+		if u, ok := g.PeekFrom(a); ok {
+			out = append(out, u)
 		}
 	}
 	return out

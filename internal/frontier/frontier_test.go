@@ -424,20 +424,27 @@ func TestGroupedPeekDoesNotConsumeRandomness(t *testing.T) {
 	}
 }
 
-// TestGroupedPeekRoundRobin pins Peek's deterministic spread across awake
-// actions, in increasing action order.
-func TestGroupedPeekRoundRobin(t *testing.T) {
+// TestGroupedPeekIsNextDrawPerAction pins Peek for the grouped frontier:
+// one URL per awake action, in increasing action order, each the link the
+// action's next PopFrom would draw; n caps the list.
+func TestGroupedPeekIsNextDrawPerAction(t *testing.T) {
 	g := NewGrouped(1)
 	g.Push(2, "b0")
 	g.Push(0, "a0")
 	g.Push(0, "a1")
+	g.Push(0, "a2")
 	g.Push(5, "c0")
 	got := g.Peek(4)
-	want := []string{"a0", "b0", "c0", "a1"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("Peek = %v, want %v", got, want)
+	if len(got) != 3 || got[1] != "b0" || got[2] != "c0" {
+		t.Fatalf("Peek = %v, want one link of action 0, then b0, c0", got)
 	}
-	if g.Len() != 4 {
+	if two := g.Peek(2); len(two) != 2 || two[0] != got[0] || two[1] != "b0" {
+		t.Errorf("Peek(2) = %v, want the first two of %v", two, got)
+	}
+	if g.Len() != 5 {
 		t.Errorf("Peek consumed items: Len = %d", g.Len())
+	}
+	if u, _ := g.PopFrom(0); u != got[0] {
+		t.Errorf("PopFrom(0) = %q, Peek said %q", u, got[0])
 	}
 }

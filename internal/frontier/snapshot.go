@@ -20,19 +20,58 @@ import "math/rand"
 // implement rand.Source64: rand.Rand then routes every draw through Int63,
 // keeping one counted path (and the exact value sequence rand.NewSource
 // has always produced here).
+//
+// It also carries a one-value lookahead (peek63): the next Int63 can be read
+// ahead of the draw that will consume it. The buffered value is not counted
+// until it is drawn, so draws — and with it every snapshot — is the same
+// whether or not anyone peeked, and a restore (re-seed, burn draws values)
+// lands exactly on the value that was buffered.
 type countedSource struct {
 	src   rand.Source
 	draws int64
+	next  int64 // the buffered lookahead value, valid while ahead
+	ahead bool
 }
 
 func (c *countedSource) Int63() int64 {
 	c.draws++
+	if c.ahead {
+		c.ahead = false
+		return c.next
+	}
 	return c.src.Int63()
 }
 
 func (c *countedSource) Seed(s int64) {
 	c.src.Seed(s)
 	c.draws = 0
+	c.ahead = false
+}
+
+// peek63 returns the value the next Int63 will return, without counting it.
+func (c *countedSource) peek63() int64 {
+	if !c.ahead {
+		c.next, c.ahead = c.src.Int63(), true
+	}
+	return c.next
+}
+
+// peekIntn returns what the next rand.Rand.Intn(n) over this source will
+// return, mirroring math/rand's Intn → Int31n on the lookahead value.
+// ok=false when n is outside (0, 2³¹) or when Int31n would reject the value
+// and draw again (only the first value is buffered).
+func (c *countedSource) peekIntn(n int) (int, bool) {
+	if n <= 0 || n > 1<<31-1 {
+		return 0, false
+	}
+	v := int32(c.peek63() >> 32) // rand.Rand.Int31
+	if n&(n-1) == 0 {
+		return int(v & int32(n-1)), true
+	}
+	if max := int32((1 << 31) - 1 - (1<<31)%uint32(n)); v > max {
+		return 0, false
+	}
+	return int(v % int32(n)), true
 }
 
 // newCountedRand builds a deterministic generator at position draws.

@@ -129,8 +129,11 @@ type Config struct {
 	// instead of a fixed width: the speculation window starts narrow and
 	// is widened or narrowed online — AIMD over the observed hint hit
 	// rate — so latency hiding tracks the strategy's predictability (BFS
-	// hints are exact, bandit hints are diffuse) without per-strategy
-	// tuning. Results are byte-identical whatever the value, adaptive
+	// hints its exact pop order; SB hints the targets it predicts on the
+	// page it is ingesting and the bandit's next draw; RANDOM can only
+	// guess) without per-strategy tuning. With a budget, no speculative
+	// batch is larger than the requests the budget has left after the one
+	// being issued. Results are byte-identical whatever the value, adaptive
 	// included — prefetching is purely a cache warm-up — and per-host
 	// politeness still holds: speculative requests go through the same
 	// shared rate limiter as every other request. Composes with fleet

@@ -50,8 +50,8 @@ go test -run 'Alloc' -count=1 ./internal/learn ./internal/classify
 # and the checkpoint re-encode must allocate nothing in steady state.
 go test -run 'Alloc' -count=1 ./internal/codec
 # Fuzz seed-corpus gate: the tokenizer/extractor fuzz targets run their
-# checked-in seeds as ordinary tests (termination, Next/NextRaw agreement,
-# UTF-8 preservation, pool hygiene).
+# checked-in seeds as ordinary tests (termination, a Reset tokenizer's
+# second pass agreeing with its first, UTF-8 preservation, pool hygiene).
 go test -run 'Fuzz' -count=1 ./internal/dom
 # Codec/store fuzz seeds: every persistence-plane decoder survives
 # arbitrary bytes (accepted blobs must re-encode to identity), the segment
@@ -81,6 +81,10 @@ go test -run '^$' -fuzz '^FuzzCharBigramsSortedVsMap$' -fuzztime 10s ./internal/
 # and only a live run found it).
 go test -run '^$' -fuzz '^FuzzNormalizeFastVsURL$' -fuzztime 10s ./internal/urlutil
 go test -run '^$' -fuzz '^FuzzSplitVsURL$' -fuzztime 10s ./internal/urlutil
+# And for the frontier's RNG lookahead: a grouped frontier that peeks its
+# next draw at every turn must pop, count draws and snapshot exactly like a
+# twin that never peeks.
+go test -run '^$' -fuzz '^FuzzGroupedPeekPop$' -fuzztime 10s ./internal/frontier
 # Storage-layer smoke: the segment-log benchmarks behind BENCH_store.json
 # (round trip, snapshot compaction, resume/index-rebuild overhead) still
 # build and run.

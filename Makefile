@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race benchmark bench bench-run bench-store bench-codec bench-serve bench-fabric fleet-bench pipeline-bench speculation-bench
+.PHONY: ci build vet test race benchmark bench bench-run bench-store bench-codec bench-serve fleet-bench pipeline-bench speculation-bench
 
 ci: vet test race
 
@@ -62,8 +62,3 @@ bench-codec:
 # attach/step latency percentiles → BENCH_serve.json.
 bench-serve:
 	sh scripts/bench.sh serve
-
-# The partitioned intra-crawl fabric: one latency-bound multi-host crawl at
-# partitions 1/2/4/8, with exchange counters → BENCH_fabric.json.
-bench-fabric:
-	sh scripts/bench.sh fabric

@@ -17,7 +17,7 @@ func stripFabric(res *Result) *Result {
 	return res
 }
 
-// federationSite builds the multi-host workload the fabric shards: four
+// federationSite builds the multi-host workload of the partition tests: four
 // member sites behind one portal, with cross-host links between them.
 func federationSite(t *testing.T) *Site {
 	t.Helper()
@@ -67,16 +67,14 @@ func TestFabricEquivalence(t *testing.T) {
 }
 
 // TestFabricEquivalenceExhaustive drops the budget cap: a full crawl to
-// frontier exhaustion must also match, with the exchange actually carrying
-// cross-host URLs.
+// frontier exhaustion must also match.
 func TestFabricEquivalenceExhaustive(t *testing.T) {
 	site, err := GenerateFederation([]string{"cl", "cn"}, 0.005, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The latency keeps the test meaningful: with instant fetches the engine
-	// can demand-miss its way through the site before the partitions wake,
-	// and the Forwarded > 0 assertion below would race.
+	// The latency keeps the test meaningful: with instant fetches the loop
+	// consumes every speculative fetch the moment it launches.
 	cfg := Config{Strategy: StrategyBFS, SimLatency: 2 * time.Millisecond}
 	baseline, err := CrawlSite(site, cfg)
 	if err != nil {
@@ -91,9 +89,6 @@ func TestFabricEquivalenceExhaustive(t *testing.T) {
 	if got.Fabric == nil {
 		t.Fatal("partitioned crawl reported no fabric stats")
 	}
-	if got.Fabric.Forwarded == 0 {
-		t.Error("multi-host crawl forwarded no URLs across partitions")
-	}
 	if !reflect.DeepEqual(stripFabric(got), baseline) {
 		t.Errorf("exhaustive partitioned crawl diverged: base req=%d targets=%d, got req=%d targets=%d",
 			baseline.Requests, len(baseline.Targets), got.Requests, len(got.Targets))
@@ -101,9 +96,9 @@ func TestFabricEquivalenceExhaustive(t *testing.T) {
 }
 
 // TestFabricResumeEquivalence kills a partitioned crawl mid-flight (hard
-// budget into a fresh store, checkpointing often enough to capture
-// per-partition frontier snapshots) and resumes with the full budget: the
-// result must be byte-identical to a never-interrupted unpartitioned run.
+// budget into a fresh store, checkpointing every few requests) and resumes
+// with the full budget: the result must be byte-identical to a
+// never-interrupted unpartitioned run.
 func TestFabricResumeEquivalence(t *testing.T) {
 	site := federationSite(t)
 	for _, s := range []Strategy{StrategyBFS, StrategySB, StrategyRandom} {
@@ -121,7 +116,7 @@ func TestFabricResumeEquivalence(t *testing.T) {
 			killCfg := cfg
 			killCfg.MaxRequests = 13
 			killCfg.StorePath = dir
-			killCfg.CheckpointEvery = 5 // capture fabric frontier snapshots pre-kill
+			killCfg.CheckpointEvery = 5
 			if _, err := CrawlSite(site, killCfg); err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +153,7 @@ func TestFabricResumeEquivalence(t *testing.T) {
 // byte-identical to unpartitioned fleet runs.
 func TestFabricFleetStats(t *testing.T) {
 	site := federationSite(t)
-	// Latency so the partitions outpace the engine and the fetch counters
+	// Latency so speculation runs ahead of the loop and the launch counters
 	// below are reliably non-zero (see TestFabricEquivalenceExhaustive).
 	cfg := Config{Strategy: StrategyBFS, MaxRequests: 100, SimLatency: 2 * time.Millisecond, Partitions: 2}
 	fr, err := CrawlSites([]*Site{site, site}, cfg, FleetOptions{Workers: 2})
@@ -191,10 +186,10 @@ func TestFabricFleetStats(t *testing.T) {
 	}
 }
 
-// TestFabricSpeedup is the conservative wall-clock gate behind the
-// BENCH_fabric.json numbers: on a latency-bound multi-host crawl,
-// partitions=4 must beat partitions=1 by at least 1.5x (the checked-in
-// bench shows >=2.5x; the test bar is lower to absorb scheduler noise).
+// TestFabricSpeedup is the conservative wall-clock gate on Partitions: on
+// a latency-bound multi-host crawl, partitions=4 (32 fetches in flight)
+// must beat partitions=1 (8) by at least 1.5x; the bar is far below the
+// window ratio to absorb scheduler noise.
 // Skipped under -race: the detector's synchronization overhead lands
 // almost entirely on the concurrent side and inverts the ratio.
 func TestFabricSpeedup(t *testing.T) {

@@ -87,11 +87,10 @@ type FleetResult struct {
 	// warm, Completed true when every site was served from its
 	// done-record. Nil when Config.StorePath was empty.
 	Store *StoreStats
-	// Fabric aggregates the partitioned-fabric activity of the fleet's
-	// sharded crawls (all zero when Config.Partitions was 0): counters and
-	// per-partition fetch counts summed across sites, Partitions and
-	// MaxQueueDepth the maxima seen. Wall-clock diagnostic, like
-	// Speculation.
+	// Fabric aggregates Result.Fabric over the fleet's partitioned crawls
+	// (all zero when Config.Partitions was 0): counters and per-partition
+	// launch counts summed across sites, Partitions the maximum seen.
+	// Wall-clock diagnostic, like Speculation.
 	Fabric FabricStats
 	// Faults sums the fault-handling activity (retries, breaker trips,
 	// final failures) of every crawl that produced a result, with the
@@ -105,14 +104,7 @@ type FleetResult struct {
 // which SharedHits came from the fleet-shared cache) or the backend
 // (Misses), speculation dropped unconsumed (Evicted), and HEAD probes
 // served speculatively (HeadHits).
-type SpeculationStats struct {
-	Launched   int
-	Hits       int
-	Misses     int
-	Evicted    int
-	HeadHits   int
-	SharedHits int
-}
+type SpeculationStats = fetch.PrefetchStats
 
 // CrawlMany runs one live crawl per Config concurrently, one site per
 // worker slot (see Crawl for single-site semantics). A bad entry — missing
@@ -375,27 +367,11 @@ func runFleet(jobs []fleet.Job, opts FleetOptions, storeStats []*StoreStats, ord
 		Requests:       sum.Requests,
 		TargetBytes:    sum.TargetBytes,
 		NonTargetBytes: sum.NonTargetBytes,
-		Speculation: SpeculationStats{
-			Launched:   sum.Spec.Launched,
-			Hits:       sum.Spec.Hits,
-			Misses:     sum.Spec.Misses,
-			Evicted:    sum.Spec.Evicted,
-			HeadHits:   sum.Spec.HeadHits,
-			SharedHits: sum.Spec.SharedHits,
-		},
-		Fabric: FabricStats{
-			Partitions:       sum.Fabric.Partitions,
-			Forwarded:        sum.Fabric.Forwarded,
-			Stalls:           sum.Fabric.Stalls,
-			MaxQueueDepth:    sum.Fabric.MaxQueueDepth,
-			DemandHits:       sum.Fabric.DemandHits,
-			DemandMisses:     sum.Fabric.DemandMisses,
-			PartitionFetches: sum.Fabric.PartitionFetches,
-		},
+		Speculation:    sum.Spec,
+		Fabric:         sum.Fabric,
 	}
 	if !sum.Faults.Zero() {
-		fs := convertFaultStats(sum.Faults)
-		out.Faults = &fs
+		out.Faults = &sum.Faults
 	}
 	for i, s := range sum.Sites {
 		out.Sites[i] = SiteOutcome{Index: s.Index, Label: s.Label, Err: s.Err}

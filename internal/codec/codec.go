@@ -10,10 +10,8 @@
 //
 //	byte 0: format tag 0x00 — a gob stream's first byte is its leading
 //	        message length (1..127) or a multi-byte length marker
-//	        (0xF8..0xFF), never 0x00, so the tag cleanly separates
-//	        codec-format blobs from gob-era records and lets every decoder
-//	        keep a legacy fallback: stores written by earlier builds still
-//	        resume.
+//	        (0xF8..0xFF), never 0x00, so a record from a pre-codec build
+//	        is recognised and refused with ErrLegacyFormat.
 //	byte 1: format version (Version1). An unrecognized version fails with
 //	        a typed *UnknownVersionError rather than misparsing.
 //	byte 2: payload kind (Kind*), so a blob can never decode as the wrong
@@ -28,11 +26,11 @@
 //
 // The per-type marshal/unmarshal functions live next to their types —
 // fetch.AppendResponse, core.AppendCheckpoint/AppendResult,
-// fabric.AppendEnvelope and the partition snapshots, serve's session
-// records — because those packages must encode (a marshal here would close
-// an import cycle); this package owns the primitives they are all built
-// from, plus the frontier-state payloads (all five frontier kinds,
-// counted-RNG state included) and the checkpoint byte-range delta.
+// fabric.AppendEnvelope, serve's session records — because those packages
+// must encode (a marshal here would close an import cycle); this package
+// owns the primitives they are all built from, plus the frontier-state
+// payloads (all five frontier kinds, counted-RNG state included) and the
+// checkpoint byte-range delta.
 package codec
 
 import (
@@ -46,7 +44,7 @@ import (
 
 // Tag is the first byte of every codec-format blob. Gob streams never
 // start with 0x00 (their first byte is a message length), so a leading Tag
-// byte is what separates new records from gob-era ones.
+// byte is what separates codec records from gob-era ones.
 const Tag = 0x00
 
 // Version1 is the current format version.
@@ -59,7 +57,7 @@ const (
 	KindCheckpoint
 	KindResult
 	KindFrontier
-	KindPartitionSnapshot
+	KindPartitionSnapshot // retired; old checkpoints still embed these blobs
 	KindEnvelope
 	KindSessionRecord
 	KindCheckpointDelta
@@ -102,32 +100,33 @@ func AppendHeader(dst []byte, kind byte) []byte {
 	return append(dst, Tag, Version1, kind)
 }
 
-// Header validates a blob's framing. legacy reports a gob-era blob (no
-// codec header; the caller routes it to its gob fallback decoder); for a
-// codec blob it returns the payload after the header, failing with a typed
-// error on an unknown version or wrong kind.
-func Header(raw []byte, kind byte) (payload []byte, legacy bool, err error) {
+// ErrLegacyFormat matches (via errors.Is) a record without the codec
+// format tag: a gob stream from a build that predates this package. Those
+// builds' stores are no longer readable; a decoder reports the record as
+// undecodable rather than misparsing it.
+var ErrLegacyFormat = errors.New("codec: unsupported legacy (pre-codec gob) record")
+
+// Header validates a blob's framing and returns the payload after the
+// header, failing with a typed error on a tag-less (gob-era) blob, an
+// unknown version or the wrong kind.
+func Header(raw []byte, kind byte) (payload []byte, err error) {
 	if len(raw) == 0 {
-		return nil, false, fmt.Errorf("%w: empty blob", ErrCorrupt)
+		return nil, fmt.Errorf("%w: empty blob", ErrCorrupt)
 	}
 	if raw[0] != Tag {
-		return nil, true, nil
+		return nil, ErrLegacyFormat
 	}
 	if len(raw) < 3 {
-		return nil, false, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	if raw[1] != Version1 {
-		return nil, false, &UnknownVersionError{Version: raw[1]}
+		return nil, &UnknownVersionError{Version: raw[1]}
 	}
 	if raw[2] != kind {
-		return nil, false, &WrongKindError{Want: kind, Got: raw[2]}
+		return nil, &WrongKindError{Want: kind, Got: raw[2]}
 	}
-	return raw[3:], false, nil
+	return raw[3:], nil
 }
-
-// IsCodec reports whether raw carries the codec format tag (as opposed to
-// a gob-era record).
-func IsCodec(raw []byte) bool { return len(raw) > 0 && raw[0] == Tag }
 
 // bufPool recycles encode buffers so steady-state encoding allocates
 // nothing. Buffers that grew past poolCap are dropped rather than pinned.

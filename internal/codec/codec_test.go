@@ -139,27 +139,21 @@ func TestHeaderFraming(t *testing.T) {
 	blob := AppendHeader(nil, KindResponse)
 	blob = append(blob, 0xAB)
 
-	payload, legacy, err := Header(blob, KindResponse)
-	if err != nil || legacy {
-		t.Fatalf("valid header rejected: legacy=%v err=%v", legacy, err)
+	payload, err := Header(blob, KindResponse)
+	if err != nil {
+		t.Fatalf("valid header rejected: %v", err)
 	}
 	if !bytes.Equal(payload, []byte{0xAB}) {
 		t.Fatalf("payload: %v", payload)
 	}
 
 	// A gob stream's first byte is a message length, never 0x00.
-	if _, legacy, err := Header([]byte{0x21, 0xFF, 0x81}, KindResponse); err != nil || !legacy {
-		t.Fatalf("gob-era blob not routed to legacy: legacy=%v err=%v", legacy, err)
-	}
-	if IsCodec([]byte{0x21}) {
-		t.Fatal("IsCodec true for gob byte")
-	}
-	if !IsCodec(blob) {
-		t.Fatal("IsCodec false for codec blob")
+	if _, err := Header([]byte{0x21, 0xFF, 0x81}, KindResponse); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("gob-era blob: err = %v, want ErrLegacyFormat", err)
 	}
 
 	// Unknown version: typed error, errors.Is and errors.As both work.
-	_, _, err = Header([]byte{Tag, 0x7F, KindResponse}, KindResponse)
+	_, err = Header([]byte{Tag, 0x7F, KindResponse}, KindResponse)
 	if !errors.Is(err, ErrUnknownVersion) {
 		t.Fatalf("unknown version: %v", err)
 	}
@@ -169,17 +163,17 @@ func TestHeaderFraming(t *testing.T) {
 	}
 
 	// Wrong kind: typed error carrying both bytes.
-	_, _, err = Header(AppendHeader(nil, KindEnvelope), KindResponse)
+	_, err = Header(AppendHeader(nil, KindEnvelope), KindResponse)
 	var wk *WrongKindError
 	if !errors.As(err, &wk) || wk.Want != KindResponse || wk.Got != KindEnvelope {
 		t.Fatalf("wrong kind not typed: %v", err)
 	}
 
 	// Truncation.
-	if _, _, err := Header(nil, KindResponse); !errors.Is(err, ErrCorrupt) {
+	if _, err := Header(nil, KindResponse); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty blob: %v", err)
 	}
-	if _, _, err := Header([]byte{Tag, Version1}, KindResponse); !errors.Is(err, ErrCorrupt) {
+	if _, err := Header([]byte{Tag, Version1}, KindResponse); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated header: %v", err)
 	}
 }

@@ -65,8 +65,8 @@ func TestApplyDeltaOverflowingPrefixSuffix(t *testing.T) {
 func TestCheckpointHugeElementCount(t *testing.T) {
 	cp := core.Checkpoint{Requests: 7}
 	blob := core.EncodeCheckpoint(&cp)
-	// A nil FabricFrontiers encodes as a trailing 0 byte; replace it with a
-	// count far beyond the remaining payload.
+	// The retired partition-snapshot list encodes as a trailing 0 byte;
+	// replace it with a count far beyond the remaining payload.
 	if blob[len(blob)-1] != 0 {
 		t.Fatalf("expected trailing nil-count byte, got 0x%02x", blob[len(blob)-1])
 	}

@@ -52,10 +52,6 @@ func sampleCheckpoint() core.Checkpoint {
 		Visited:        1403,
 		TunerWindow:    8,
 		Frontier:       sampleFrontierBlob(),
-		FabricFrontiers: [][]byte{
-			[]byte("partition-0-snapshot"),
-			[]byte("partition-1-snapshot"),
-		},
 	}
 }
 

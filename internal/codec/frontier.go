@@ -80,12 +80,9 @@ func AppendFrontierState(dst []byte, state interface{}) ([]byte, error) {
 // snapshot state value (frontier.QueueState, StackState, RandomState,
 // PriorityState, or GroupedState).
 func DecodeFrontierState(raw []byte) (interface{}, error) {
-	payload, legacy, err := Header(raw, KindFrontier)
+	payload, err := Header(raw, KindFrontier)
 	if err != nil {
 		return nil, err
-	}
-	if legacy {
-		return nil, fmt.Errorf("%w: not a codec frontier blob", ErrCorrupt)
 	}
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("%w: missing frontier kind", ErrCorrupt)

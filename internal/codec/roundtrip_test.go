@@ -3,8 +3,8 @@ package codec_test
 // Cross-package round trips: every persistence-plane type encodes and
 // decodes with reflect.DeepEqual fidelity (the resume equivalence gates
 // compare decoded values that way), nil-vs-empty and nil-vs-present
-// distinctions included, and every decoder still reads gob-era records
-// through its legacy fallback.
+// distinctions included, and every decoder refuses a gob-era record with
+// the typed codec.ErrLegacyFormat.
 
 import (
 	"bytes"
@@ -17,6 +17,7 @@ import (
 	"sbcrawl/internal/core"
 	"sbcrawl/internal/fabric"
 	"sbcrawl/internal/fetch"
+	"sbcrawl/internal/frontier"
 )
 
 func TestResponseRoundTrip(t *testing.T) {
@@ -42,27 +43,27 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResponseLegacyGob(t *testing.T) {
-	want := sampleResponse()
+// gobOf is v as a pre-codec build stored it.
+func gobOf(t *testing.T, v any) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(want); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fetch.DecodeResponse(buf.Bytes())
-	if err != nil {
-		t.Fatalf("gob-era response rejected: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("gob fallback:\n got %#v\nwant %#v", got, want)
+	return buf.Bytes()
+}
+
+func TestResponseLegacyGob(t *testing.T) {
+	if _, err := fetch.DecodeResponse(gobOf(t, sampleResponse())); !errors.Is(err, codec.ErrLegacyFormat) {
+		t.Fatalf("gob-era response: err = %v, want ErrLegacyFormat", err)
 	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	cases := []core.Checkpoint{
 		sampleCheckpoint(),
-		{}, // zero value: nil frontier, nil fabric frontiers
-		{Requests: 4, Frontier: []byte{}, FabricFrontiers: [][]byte{}},
-		{Requests: 8, FabricFrontiers: [][]byte{nil, {}, {1}}},
+		{}, // zero value: nil frontier
+		{Requests: 4, Frontier: []byte{}},
 	}
 	for i, want := range cases {
 		got, err := core.DecodeCheckpoint(core.EncodeCheckpoint(&want))
@@ -76,17 +77,40 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointLegacyGob(t *testing.T) {
-	want := sampleCheckpoint()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(want); err != nil {
+	if _, err := core.DecodeCheckpoint(gobOf(t, sampleCheckpoint())); !errors.Is(err, codec.ErrLegacyFormat) {
+		t.Fatalf("gob-era checkpoint: err = %v, want ErrLegacyFormat", err)
+	}
+}
+
+// TestCheckpointWithPartitionSnapshots decodes a checkpoint exactly as the
+// last build with a partition fabric wrote it: two KindPartitionSnapshot
+// blobs (frontier items plus a quarantine list each) follow the frontier.
+// They only ever warmed speculation, so the decoder reads past them, and
+// re-encoding drops them without moving any other field.
+func TestCheckpointWithPartitionSnapshots(t *testing.T) {
+	const blob = "\x00\x01\x02P\x06\x0a\xd0\x8c\x01\xe0\xc5\x08z &" +
+		"\x00\x01\x04\x01\x03\x0fhttp://a.test/x\x0fhttp://b.test/y" +
+		"\x03" +
+		"!\x00\x01\x05\x00\x02\x0fhttp://a.test/x\x02\x09dead.test" +
+		"1\x00\x01\x05\x02\x03\x0fhttp://b.test/y\x0fhttp://b.test/z\x02\x09dead.test"
+	frontierBlob, err := codec.AppendFrontierState(nil, frontier.QueueState{Items: []string{"http://a.test/x", "http://b.test/y"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.DecodeCheckpoint(buf.Bytes())
+	want := core.Checkpoint{
+		Requests: 40, HeadRequests: 3, Targets: 5, TargetBytes: 9000, NonTargetBytes: 70000,
+		Visited: 61, TunerWindow: 16, Frontier: frontierBlob,
+	}
+	got, err := core.DecodeCheckpoint([]byte(blob))
 	if err != nil {
-		t.Fatalf("gob-era checkpoint rejected: %v", err)
+		t.Fatalf("parent-format checkpoint rejected: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("gob fallback:\n got %#v\nwant %#v", got, want)
+		t.Fatalf("parent-format checkpoint:\n got %#v\nwant %#v", got, want)
+	}
+	// Truncated inside the second snapshot: corrupt, not silently accepted.
+	if _, err := core.DecodeCheckpoint([]byte(blob[:len(blob)-4])); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("truncated partition snapshot: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -114,23 +138,14 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestResultLegacyGob(t *testing.T) {
-	want := sampleResult()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.DecodeResult(buf.Bytes())
-	if err != nil {
-		t.Fatalf("gob-era result rejected: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("gob fallback:\n got %#v\nwant %#v", got, want)
+	if _, err := core.DecodeResult(gobOf(t, sampleResult())); !errors.Is(err, codec.ErrLegacyFormat) {
+		t.Fatalf("gob-era result: err = %v, want ErrLegacyFormat", err)
 	}
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	for _, want := range []fabric.Envelope{sampleEnvelope(), {From: 1, To: 2}} {
-		got, err := fabric.DecodeEnvelope(fabric.EncodeEnvelope(want))
+		got, err := fabric.DecodeEnvelope(fabric.AppendEnvelope(nil, &want))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,9 @@ package core
 // Binary codec for the engine's durable types (internal/codec framing):
 // Checkpoint (KindCheckpoint, written every CheckpointEvery charged
 // requests through the store sink) and Result (KindResult, the
-// done-record a completed crawl leaves behind). Decoders fall back to the
-// reflection-based gob decoder for records written before the codec
-// landed (see legacy_gob.go), and preserve nil-vs-empty slices and
-// nil-vs-present pointers exactly — resume equivalence gates compare
-// decoded values with reflect.DeepEqual.
+// done-record a completed crawl leaves behind). Decoders preserve
+// nil-vs-empty slices and nil-vs-present pointers exactly — resume
+// equivalence gates compare decoded values with reflect.DeepEqual.
 
 import (
 	"time"
@@ -29,14 +27,9 @@ func AppendCheckpoint(dst []byte, cp *Checkpoint) []byte {
 	dst = codec.AppendInt(dst, cp.Visited)
 	dst = codec.AppendInt(dst, cp.TunerWindow)
 	dst = codec.AppendBytes(dst, cp.Frontier)
-	if cp.FabricFrontiers == nil {
-		dst = codec.AppendUvarint(dst, 0)
-	} else {
-		dst = codec.AppendUvarint(dst, uint64(len(cp.FabricFrontiers))+1)
-		for _, blob := range cp.FabricFrontiers {
-			dst = codec.AppendBytes(dst, blob)
-		}
-	}
+	// The slot of the per-partition frontier snapshots earlier builds
+	// checkpointed: written as the nil list so the layout is unchanged.
+	dst = codec.AppendUvarint(dst, 0)
 	return dst
 }
 
@@ -45,15 +38,11 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 	return AppendCheckpoint(make([]byte, 0, 128+len(cp.Frontier)), cp)
 }
 
-// DecodeCheckpoint decodes a durable checkpoint, gob-era records included.
+// DecodeCheckpoint decodes a durable checkpoint.
 func DecodeCheckpoint(raw []byte) (Checkpoint, error) {
 	var cp Checkpoint
-	payload, legacy, err := codec.Header(raw, codec.KindCheckpoint)
+	payload, err := codec.Header(raw, codec.KindCheckpoint)
 	if err != nil {
-		return cp, err
-	}
-	if legacy {
-		err := decodeCheckpointGob(raw, &cp)
 		return cp, err
 	}
 	r := codec.NewReader(payload)
@@ -65,10 +54,11 @@ func DecodeCheckpoint(raw []byte) (Checkpoint, error) {
 	cp.Visited = r.Int()
 	cp.TunerWindow = r.Int()
 	cp.Frontier = r.Bytes()
+	// Checkpoints of earlier builds carry partition snapshots here; they
+	// only ever warmed speculation, so they are read past.
 	if n, ok := r.SliceLen(); ok {
-		cp.FabricFrontiers = make([][]byte, 0, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			cp.FabricFrontiers = append(cp.FabricFrontiers, r.Bytes())
+			r.View()
 		}
 	}
 	return cp, r.Close()
@@ -149,14 +139,11 @@ func EncodeResult(res *Result) []byte {
 	return AppendResult(make([]byte, 0, 1024), res)
 }
 
-// DecodeResult decodes a durable crawl result, gob-era records included.
+// DecodeResult decodes a durable crawl result.
 func DecodeResult(raw []byte) (*Result, error) {
-	payload, legacy, err := codec.Header(raw, codec.KindResult)
+	payload, err := codec.Header(raw, codec.KindResult)
 	if err != nil {
 		return nil, err
-	}
-	if legacy {
-		return decodeResultGob(raw)
 	}
 	res := &Result{}
 	r := codec.NewReader(payload)

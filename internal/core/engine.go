@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/dom"
@@ -59,29 +60,21 @@ type Env struct {
 	// extractNewLinks usually finds the parse already done. 0 (the default)
 	// selects the automatic pool width min(GOMAXPROCS−1, 4); n > 0 fixes
 	// the width; any negative value disables the stage. Ignored for
-	// sequential crawls (Prefetch == 0). Like the Prefetcher, the stage is
-	// a pure cache warm-up — dom.ExtractLinks is a pure function of the
-	// body — so results stay byte-identical at every pool size.
+	// sequential crawls (Prefetch and Partitions both 0). Like the
+	// Prefetcher, the stage is a pure cache warm-up — dom.ExtractLinks is a
+	// pure function of the body — so results stay byte-identical at every
+	// pool size.
 	ParseWorkers int
-	// Partitions, when non-zero, shards the crawl's speculative side across
-	// a host-hash partitioned fabric (internal/fabric): each partition owns
-	// the hosts hashing to it, runs its own frontier and speculative fetch
-	// window, and forwards foreign-host links over a bounded in-process
-	// exchange. The engine's sequential loop is unchanged — it charges every
-	// request in global order and consumes the partitions' shared response
-	// cache — so results are byte-identical to Partitions == 0 for every
-	// strategy, and a virtual-time charge ledger keeps speculative spend a
-	// bounded lead over the real budget. n >= 1 runs n partitions;
-	// PartitionsAuto (any negative value) selects min(GOMAXPROCS, 8).
-	// Composes with Prefetch: the engine's own window then speculates over
-	// the fabric's cache. Meaningful for multi-host crawls (a federation);
-	// a single-host crawl hashes onto one partition.
+	// Partitions, when non-zero, widens the crawl's one speculation window
+	// by that factor: P × Prefetch fetches may be in flight (P × the tuned
+	// width under PrefetchAuto, P × 8 when Prefetch is 0) and the strategy
+	// is asked for as many hints per step. Nothing else changes — the same
+	// Prefetcher, the same budget clamp, the same sequential loop — so
+	// results are byte-identical to Partitions == 0 for every strategy.
+	// n >= 1 scales by n; PartitionsAuto (any negative value) by
+	// min(GOMAXPROCS, 8). Result.Fabric reports the window's hits and its
+	// launches tallied by host hash.
 	Partitions int
-	// FabricWarm holds per-partition frontier snapshots from a prior run's
-	// checkpoint (Checkpoint.FabricFrontiers); a resumed partitioned crawl
-	// re-seeds its partitions from them. Pure warm-up — stale or missing
-	// snapshots cost cache misses, never correctness.
-	FabricWarm [][]byte
 	// Retry, when non-nil, interposes the deterministic retry layer below
 	// every speculation stage: transient failures (timeouts, connection
 	// resets, 429/503 answers) are re-attempted up to the policy's budget
@@ -97,7 +90,7 @@ type Env struct {
 	// network traffic) and probed half-open after a request-counted
 	// cooldown. Driven only by the sequential demand loop, so quarantine
 	// decisions are deterministic. Quarantined hosts surface in
-	// Result.Faults and are skipped by fabric speculation.
+	// Result.Faults.
 	Breaker *fetch.BreakerPolicy
 	// SharedSpec, when non-nil and the crawl is pipelined, is the
 	// fleet-level shared speculation cache: speculative and demand GETs are
@@ -137,6 +130,10 @@ const PrefetchAuto = -1
 // partition count, min(GOMAXPROCS, 8).
 const PartitionsAuto = fabric.Auto
 
+// partitionWidth is the per-partition window of a partitioned crawl whose
+// Env.Prefetch is 0.
+const partitionWidth = 8
+
 // DefaultCheckpointEvery is the checkpoint cadence when Env.CheckpointEvery
 // is zero.
 const DefaultCheckpointEvery = 256
@@ -163,10 +160,6 @@ type Checkpoint struct {
 	// GroupedState) when the running policy supports snapshotting; nil
 	// otherwise.
 	Frontier []byte
-	// FabricFrontiers holds one codec-serialized fabric.PartitionSnapshot per
-	// partition when the crawl is partitioned (Env.Partitions != 0); nil
-	// otherwise. Resume feeds them back through Env.FabricWarm.
-	FabricFrontiers [][]byte
 }
 
 // Checkpointer receives periodic crawl checkpoints (see Env.Checkpoint).
@@ -214,18 +207,18 @@ type Result struct {
 	// SB-CLASSIFIER; nil otherwise.
 	Confusion *classify.Confusion
 	// Spec snapshots the speculation outcomes of a pipelined crawl
-	// (Env.Prefetch != 0); nil for sequential crawls. Wall-clock diagnostic
-	// only: the counters depend on fetch timing and are deliberately kept
-	// out of the public Result, so the byte-identical determinism guarantee
-	// is unaffected.
+	// (Env.Prefetch or Env.Partitions non-zero); nil for sequential crawls.
+	// Wall-clock diagnostic only: the counters depend on fetch timing and
+	// are deliberately kept out of the public Result, so the byte-identical
+	// determinism guarantee is unaffected.
 	Spec *fetch.PrefetchStats
 	// ParseHits counts link extractions served by the parallel parse stage
 	// (Env.ParseWorkers). Wall-clock diagnostic only, like Spec.
 	ParseHits int
-	// Fabric snapshots the partitioned fabric of a sharded crawl
-	// (Env.Partitions != 0); nil otherwise. Wall-clock diagnostic only,
-	// like Spec — the counters depend on scheduling and are outside the
-	// byte-identical determinism guarantee.
+	// Fabric is the speculation window of a partitioned crawl
+	// (Env.Partitions != 0) as seen per partition; nil otherwise.
+	// Wall-clock diagnostic only, like Spec — the counters depend on
+	// scheduling and are outside the byte-identical determinism guarantee.
 	Fabric *fabric.Stats
 	// Faults reports the robustness layer's activity — retries issued and
 	// recovered, breaker trips, quarantined hosts, budget spent on
@@ -268,11 +261,13 @@ func (tr *Trace) Len() int { return len(tr.Targets) }
 type engine struct {
 	env            *Env
 	fetcher        fetch.Fetcher     // Env.Fetcher, prefetch-wrapped when pipelining
-	prefetcher     *fetch.Prefetcher // nil when Env.Prefetch == 0
+	prefetcher     *fetch.Prefetcher // nil for a sequential crawl
 	tuner          *fetch.AutoTuner  // adaptive window controller; nil unless PrefetchAuto
+	scale          int               // window multiplier: max(1, resolved Env.Partitions)
+	window         int               // in-flight cap, scale × the fixed or tuned width
+	partFetches    []atomic.Int64    // speculative launches by owning partition; nil when unpartitioned
 	parse          *parseAhead       // parallel parse stage; nil unless pipelined
 	parseHits      int
-	fabric         *fabric.Fabric // host-partitioned shards; nil unless Env.Partitions != 0
 	fabricStats    *fabric.Stats
 	retrier        *fetch.Retrier // deterministic retry layer; nil unless Env.Retry
 	breaker        *fetch.Breaker // per-host circuit breaker; nil unless Env.Breaker
@@ -310,9 +305,8 @@ func newEngine(env *Env) (*engine, error) {
 	}
 	// The retry layer sits at the bottom of the stack, directly over
 	// Env.Fetcher (and thus over the replay database when persistence
-	// attached one): every layer above — fabric partitions, the
-	// prefetcher, the demand loop — fetches through it, so speculative
-	// caches only ever hold post-retry outcomes.
+	// attached one): the prefetcher and the demand loop fetch through it,
+	// so the speculation window only ever holds post-retry outcomes.
 	if env.Retry != nil && env.Fetcher != nil {
 		e.retrier = fetch.NewRetrier(env.Fetcher, *env.Retry)
 		e.fetcher = e.retrier
@@ -320,29 +314,25 @@ func newEngine(env *Env) (*engine, error) {
 	if env.Breaker != nil {
 		e.breaker = fetch.NewBreaker(*env.Breaker)
 	}
-	if env.Partitions != 0 && env.Fetcher != nil {
-		fb, err := fabric.New(e.fetcher, fabric.Config{
-			Partitions: fabric.Resolve(env.Partitions),
-			Root:       env.Root,
-			Budget:     env.MaxRequests,
-			Warm:       env.FabricWarm,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		fb.Start()
-		e.fabric = fb
-		e.fetcher = fb
-	}
-	if env.Prefetch != 0 && env.Fetcher != nil {
+	if (env.Prefetch != 0 || env.Partitions != 0) && env.Fetcher != nil {
+		parts := fabric.Resolve(env.Partitions)
 		width := env.Prefetch
-		if width < 0 { // PrefetchAuto: the tuner owns the width
+		switch {
+		case width < 0: // PrefetchAuto: the tuner owns the width
 			e.tuner = fetch.NewAutoTuner()
 			width = e.tuner.Window()
+		case width == 0:
+			width = partitionWidth
 		}
-		// The engine's window speculates over the fabric's cache when both
-		// are on (e.fetcher is then the fabric, not Env.Fetcher).
-		e.prefetcher = fetch.NewPrefetcher(e.fetcher, width)
+		e.scale = max(1, parts)
+		e.window = e.scale * width
+		e.prefetcher = fetch.NewPrefetcher(e.fetcher, e.window)
+		if parts > 0 {
+			e.partFetches = make([]atomic.Int64, parts)
+			e.prefetcher.SetOnLaunch(func(u string) {
+				e.partFetches[fabric.Owner(urlutil.SiteHost(u), parts)].Add(1)
+			})
+		}
 		if env.SharedSpec != nil {
 			e.prefetcher.SetShared(env.SharedSpec)
 		}
@@ -364,17 +354,19 @@ func (e *engine) close() {
 		e.prefetcher.Close()
 		st := e.prefetcher.Stats()
 		e.specStats = &st
+		if parts := len(e.partFetches); parts > 0 {
+			e.fabricStats = &fabric.Stats{
+				Partitions:       parts,
+				DemandHits:       st.Hits,
+				DemandMisses:     st.Misses,
+				PartitionFetches: make([]int, parts),
+			}
+			for i := range e.partFetches {
+				e.fabricStats.PartitionFetches[i] = int(e.partFetches[i].Load())
+			}
+		}
 		e.prefetcher = nil
 		e.tuner = nil
-		e.fetcher = e.env.Fetcher
-	}
-	// The engine prefetcher quiesces first (its speculation runs through the
-	// fabric), then the fabric winds its partitions down.
-	if e.fabric != nil {
-		e.fabric.Close()
-		st := e.fabric.Stats()
-		e.fabricStats = &st
-		e.fabric = nil
 		e.fetcher = e.env.Fetcher
 	}
 	if e.parse != nil {
@@ -466,9 +458,7 @@ func (e *engine) demand(u string, head bool) (resp fetch.Response, failed bool) 
 	// Host health: transient-class outcomes are failures; real answers
 	// (404s and 500s included) and policy refusals are not.
 	if e.breaker != nil {
-		if changed := e.breaker.Observe(u, fetch.TransientResult(resp, err)); changed && e.fabric != nil {
-			e.fabric.SetQuarantined(e.breaker.Quarantined())
-		}
+		e.breaker.Observe(u, fetch.TransientResult(resp, err))
 	}
 	failed = err != nil || fetch.RetryableStatus(resp.Status)
 	if err != nil {
@@ -507,9 +497,6 @@ func (e *engine) maybeCheckpoint() {
 		if blob, err := snap.FrontierSnapshot(); err == nil {
 			cp.Frontier = blob
 		}
-	}
-	if e.fabric != nil {
-		cp.FabricFrontiers = e.fabric.SnapshotFrontiers()
 	}
 	sink.Checkpoint(cp)
 }

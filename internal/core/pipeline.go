@@ -63,22 +63,22 @@ func (e *engine) runStaged(p crawlPolicy) {
 }
 
 // speculate forwards the policy's likely-next URLs to the prefetch layer.
-// Under PrefetchAuto the adaptive tuner first re-evaluates the window from
+// Under PrefetchAuto the adaptive tuner first re-evaluates the width from
 // the speculation outcomes so far (AIMD over the hit rate, see
-// fetch.AutoTuner), then the policy is asked for that many hints; with a
-// fixed Env.Prefetch the width never moves. Tuning reads only speculation
+// fetch.AutoTuner) and the window follows it, Env.Partitions times as wide;
+// then the policy is asked for a window's worth of hints. With a fixed
+// Env.Prefetch the window never moves. Tuning reads only speculation
 // counters and writes only the window, so it can never change what the
 // crawl returns.
 func (e *engine) speculate(p crawlPolicy) {
 	if e.prefetcher == nil {
 		return
 	}
-	width := e.env.Prefetch
 	if e.tuner != nil {
-		width = e.tuner.Observe(e.prefetcher.Stats())
-		e.prefetcher.SetWindow(width)
+		e.window = e.scale * e.tuner.Observe(e.prefetcher.Stats())
+		e.prefetcher.SetWindow(e.window)
 	}
-	if n := e.specRoom(width); n > 0 {
+	if n := e.specRoom(e.window); n > 0 {
 		e.prefetcher.Hint(p.Hints(n)...)
 	}
 }
@@ -98,7 +98,7 @@ func (e *engine) specRoom(n int) int {
 // specBatch trims a list of upcoming demands to what one speculative batch
 // may hold: a window's worth, within the budget.
 func (e *engine) specBatch(urls []string) []string {
-	return urls[:max(0, e.specRoom(min(len(urls), e.prefetcher.Window())))]
+	return urls[:max(0, e.specRoom(min(len(urls), e.window)))]
 }
 
 // speculateGets hints the GETs a policy is about to demand one after

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/fetch"
@@ -133,4 +134,57 @@ func countedCrawl(t *testing.T, c Crawler, budget, window int) (int, *Result) {
 		t.Fatal(err)
 	}
 	return int(counter.calls.Load()), res
+}
+
+// TestPartitionsOnlyWidenTheWindow pins what Env.Partitions is: a multiplier
+// on the one speculation window, under the one budget clamp. Over a
+// latency-bound backend (so speculation really runs ahead of the loop) a
+// budgeted crawl at Partitions = 4 may leave at most one window — 4 × the
+// per-partition width — of backend exchanges uncharged, nothing at all once
+// the budget has no request left to consume a speculative response, and
+// every launch is tallied to the partition owning its host. A second crawler
+// sweeping the site beside the loop, which is what Partitions used to start,
+// fails the first bound on SB and the second on every strategy.
+func TestPartitionsOnlyWidenTheWindow(t *testing.T) {
+	const parts = 4
+	for _, tc := range []struct {
+		budget, prefetch, window int
+	}{
+		{budget: 120, prefetch: 0, window: parts * partitionWidth},
+		{budget: 120, prefetch: 2, window: parts * 2},
+		{budget: 2, prefetch: PrefetchAuto, window: 1}, // specRoom: 1 at the first step, 0 at the second
+		{budget: 1, prefetch: 0, window: 0},            // specRoom is 0 from the start
+	} {
+		for _, c := range []Crawler{NewSB(SBConfig{Seed: 5}), NewBFS()} {
+			t.Run(fmt.Sprintf("%s/B=%d/prefetch=%d", c.Name(), tc.budget, tc.prefetch), func(t *testing.T) {
+				env, _ := newTestEnv(t, "cn", 0.05, 4)
+				counter := &countingFetcher{next: &fetch.Latency{Backend: env.Fetcher, Delay: time.Millisecond}}
+				env.Fetcher = counter
+				env.MaxRequests = tc.budget
+				env.Prefetch = tc.prefetch
+				env.Partitions = parts
+				res, err := c.Run(env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Requests != tc.budget {
+					t.Fatalf("crawl spent %d requests, want the full budget of %d", res.Requests, tc.budget)
+				}
+				if extra := int(counter.calls.Load()) - res.Requests; extra > tc.window {
+					t.Errorf("%d backend exchanges beyond the %d charged, want ≤ %d (%+v)", extra, res.Requests, tc.window, *res.Spec)
+				}
+				fb := res.Fabric
+				if fb == nil || fb.Partitions != parts || len(fb.PartitionFetches) != parts {
+					t.Fatalf("Fabric = %+v, want %d partitions", fb, parts)
+				}
+				launched := 0
+				for _, n := range fb.PartitionFetches {
+					launched += n
+				}
+				if launched != res.Spec.Launched || fb.DemandHits != res.Spec.Hits || fb.DemandMisses != res.Spec.Misses {
+					t.Errorf("Fabric %+v does not restate the window's counters %+v", *fb, *res.Spec)
+				}
+			})
+		}
+	}
 }

@@ -54,10 +54,10 @@ type Config struct {
 	// (0 = auto when Prefetch is on, negative = off); see
 	// core.Env.ParseWorkers. Reports are identical whatever the value.
 	ParseWorkers int
-	// Partitions shards every crawl across a host-hash partitioned fabric
-	// (0 = off; negative = core.PartitionsAuto); see core.Env.Partitions.
-	// Reports are identical whatever the value — partitioning, like
-	// Prefetch, only warms the crawl loop's cache.
+	// Partitions multiplies every crawl's speculation window (0 = off;
+	// negative = core.PartitionsAuto); see core.Env.Partitions. Reports are
+	// identical whatever the value — like Prefetch, it only warms the crawl
+	// loop's cache.
 	Partitions int
 	// Out receives the report (default os.Stdout).
 	Out io.Writer

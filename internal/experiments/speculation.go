@@ -83,6 +83,9 @@ func RunSpeculation(cfg Config) error {
 	if cfg.Prefetch < 0 {
 		mode = "auto (adaptive)"
 	}
+	if cfg.Partitions != 0 {
+		mode += fmt.Sprintf(" × %d partitions", fabric.Resolve(cfg.Partitions))
+	}
 	fmt.Fprintf(cfg.Out, "Speculation outcomes (window: %s; diagnostic, timing-dependent)\n", mode)
 	fmt.Fprintf(cfg.Out, "%-5s %-14s %9s %9s %6s %6s %7s %9s %6s\n",
 		"site", "crawler", "requests", "launched", "hits", "miss", "evict", "headhits", "hit%")
@@ -119,18 +122,17 @@ func RunSpeculation(cfg Config) error {
 		}
 	}
 	if cfg.Partitions != 0 {
-		fmt.Fprintf(cfg.Out, "\nPartitioned fabric (partitions: %d; diagnostic, timing-dependent)\n", cfg.Partitions)
-		fmt.Fprintf(cfg.Out, "%-5s %-14s %9s %7s %8s %7s %7s  %s\n",
-			"site", "crawler", "forwarded", "stalls", "maxqueue", "dmhits", "dmmiss", "per-partition fetches")
+		fmt.Fprintf(cfg.Out, "\nPartitioned window (diagnostic, timing-dependent)\n")
+		fmt.Fprintf(cfg.Out, "%-5s %-14s %7s %7s  %s\n",
+			"site", "crawler", "dmhits", "dmmiss", "launches by owning partition")
 		for _, sr := range results {
 			for _, r := range sr.rows {
 				if r.fab == nil {
 					continue
 				}
 				fb := r.fab
-				fmt.Fprintf(cfg.Out, "%-5s %-14s %9d %7d %8d %7d %7d  %v\n",
-					sr.code, r.crawler, fb.Forwarded, fb.Stalls, fb.MaxQueueDepth,
-					fb.DemandHits, fb.DemandMisses, fb.PartitionFetches)
+				fmt.Fprintf(cfg.Out, "%-5s %-14s %7d %7d  %v\n",
+					sr.code, r.crawler, fb.DemandHits, fb.DemandMisses, fb.PartitionFetches)
 			}
 		}
 	}

@@ -114,12 +114,10 @@ func (b *Breaker) Allow(rawURL string) bool {
 }
 
 // Observe records the final outcome (retries already spent) of a demand
-// request that Allow let through. It reports whether the quarantine set
-// changed — a trip open or a recovery closed — so the caller can propagate
-// the new set to speculation layers.
-func (b *Breaker) Observe(rawURL string, failed bool) (changed bool) {
+// request that Allow let through.
+func (b *Breaker) Observe(rawURL string, failed bool) {
 	if b == nil {
-		return false
+		return
 	}
 	host := hostKey(rawURL)
 	b.mu.Lock()
@@ -127,7 +125,7 @@ func (b *Breaker) Observe(rawURL string, failed bool) (changed bool) {
 	h := b.hosts[host]
 	if h == nil {
 		if !failed {
-			return false
+			return
 		}
 		h = &breakerHost{}
 		b.hosts[host] = h
@@ -136,7 +134,7 @@ func (b *Breaker) Observe(rawURL string, failed bool) (changed bool) {
 	case breakerClosed:
 		if !failed {
 			h.failures = 0
-			return false
+			return
 		}
 		h.failures++
 		if h.failures >= b.pol.FailureThreshold {
@@ -144,7 +142,6 @@ func (b *Breaker) Observe(rawURL string, failed bool) (changed bool) {
 			h.cooldown = b.pol.Cooldown
 			h.waited = 0
 			b.trips++
-			return true
 		}
 	case breakerHalfOpen:
 		if failed {
@@ -156,14 +153,12 @@ func (b *Breaker) Observe(rawURL string, failed bool) (changed bool) {
 			}
 			h.waited = 0
 			b.trips++
-			return false // still quarantined: the set did not change
+			return
 		}
 		// Recovered: close and forget the failure history.
 		h.state = breakerClosed
 		h.failures = 0
-		return true
 	}
-	return false
 }
 
 // Quarantined lists the hosts currently open or probing, sorted for

@@ -14,12 +14,9 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 		if !b.Allow(u) {
 			t.Fatalf("request %d blocked before the threshold", i)
 		}
-		changed := b.Observe(u, true)
-		if i < 2 && changed {
-			t.Fatalf("quarantine changed before the threshold (failure %d)", i)
-		}
-		if i == 2 && !changed {
-			t.Fatal("third consecutive failure must trip the breaker and report the change")
+		b.Observe(u, true)
+		if q := b.Quarantined(); i < 2 && len(q) != 0 {
+			t.Fatalf("host quarantined before the threshold (failure %d): %v", i, q)
 		}
 	}
 	if b.Allow(u) {
@@ -67,10 +64,8 @@ func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
 	if !b.Allow(u) {
 		t.Fatal("cooldown elapsed but no half-open probe was admitted")
 	}
-	// The probe succeeds: host recovers, quarantine set changes.
-	if changed := b.Observe(u, false); !changed {
-		t.Fatal("recovery must report a quarantine change")
-	}
+	// The probe succeeds: the host recovers and leaves the quarantine set.
+	b.Observe(u, false)
 	if q := b.Quarantined(); len(q) != 0 {
 		t.Errorf("recovered host still quarantined: %v", q)
 	}
@@ -90,8 +85,9 @@ func TestBreakerFailedProbeDoublesCooldown(t *testing.T) {
 	if !b.Allow(u) { // probe
 		t.Fatal("no probe after cooldown")
 	}
-	if changed := b.Observe(u, true); changed {
-		t.Fatal("failed probe reported a quarantine change; the host never left")
+	b.Observe(u, true)
+	if q := b.Quarantined(); !reflect.DeepEqual(q, []string{"dying.org"}) {
+		t.Fatalf("failed probe left the quarantine set %v; the host never recovered", q)
 	}
 	// Cooldown doubled to 4: three fast-fails before the next probe.
 	for i := 0; i < 3; i++ {

@@ -26,15 +26,11 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 // DecodeResponseInto decodes raw into resp without allocating: the
 // decoded URL/MIME/Location strings and Body are views aliasing raw, so
 // raw must stay alive and unmodified for as long as resp is used (store
-// reads hand out freshly owned buffers, which satisfies this). Gob-era
-// records fall back to the reflection decoder.
+// reads hand out freshly owned buffers, which satisfies this).
 func DecodeResponseInto(raw []byte, resp *Response) error {
-	payload, legacy, err := codec.Header(raw, codec.KindResponse)
+	payload, err := codec.Header(raw, codec.KindResponse)
 	if err != nil {
 		return err
-	}
-	if legacy {
-		return decodeResponseGob(raw, resp)
 	}
 	r := codec.NewReader(payload)
 	resp.URL = r.ViewString()

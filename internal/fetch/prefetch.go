@@ -53,6 +53,9 @@ type Prefetcher struct {
 	wg      sync.WaitGroup
 	stats   PrefetchStats
 
+	// onLaunch, when set, observes every speculative launch (see
+	// SetOnLaunch).
+	onLaunch func(url string)
 	// onComplete, when set, observes every successfully completed
 	// speculative GET (see SetOnComplete).
 	onComplete func(url string, resp Response)
@@ -143,6 +146,17 @@ func NewPrefetcher(backend Fetcher, window int) *Prefetcher {
 func (p *Prefetcher) SetShared(s SharedStore) {
 	p.mu.Lock()
 	p.shared = s
+	p.mu.Unlock()
+}
+
+// SetOnLaunch installs an observer for speculative launches (GET and HEAD):
+// it is called with the URL once per fetch the window starts, on that
+// fetch's own goroutine before the backend call, so it must be safe for
+// concurrent calls; Close returns after the last call. Set it before the
+// first Hint.
+func (p *Prefetcher) SetOnLaunch(fn func(url string)) {
+	p.mu.Lock()
+	p.onLaunch = fn
 	p.mu.Unlock()
 }
 
@@ -239,7 +253,7 @@ func (p *Prefetcher) hint(urls []string, head bool) {
 		p.pending++
 		p.stats.Launched++
 		p.wg.Add(1)
-		go p.fetch(u, head, s)
+		go p.fetch(u, head, s, p.onLaunch)
 	}
 }
 
@@ -286,8 +300,11 @@ func (p *Prefetcher) evictOldestLocked() bool {
 	return evicted
 }
 
-func (p *Prefetcher) fetch(u string, head bool, s *speculative) {
+func (p *Prefetcher) fetch(u string, head bool, s *speculative, onLaunch func(string)) {
 	defer p.wg.Done()
+	if onLaunch != nil {
+		onLaunch(u)
+	}
 	if head {
 		s.resp, s.err = p.backend.Head(u)
 	} else {

@@ -191,6 +191,70 @@ func TestRegistryCrossTenantSharing(t *testing.T) {
 	}
 }
 
+// politeBackend is a live fetcher in miniature: every GET waits its turn on
+// the shared registry before it is answered, and stamps the grant.
+type politeBackend struct {
+	reg   *Registry
+	delay time.Duration
+
+	mu     sync.Mutex
+	grants []time.Time
+}
+
+func (b *politeBackend) Get(u string) (Response, error) {
+	if err := b.reg.WaitContext(nil, hostKey(u), b.delay); err != nil {
+		return Response{}, err
+	}
+	b.mu.Lock()
+	b.grants = append(b.grants, time.Now())
+	b.mu.Unlock()
+	return Response{URL: u, Status: 200, MIME: "text/html"}, nil
+}
+
+func (b *politeBackend) Head(u string) (Response, error) { return b.Get(u) }
+
+// TestHostLimiterSpeculativeSpacing extends the CrossTenant family to the
+// speculation window: two crawls' Prefetchers, each launching a window of
+// concurrent speculative GETs at one host through a shared Registry, still
+// contact the host MinDelay apart — a wide window (Config.Partitions) gets
+// no politeness exemption.
+func TestHostLimiterSpeculativeSpacing(t *testing.T) {
+	const (
+		delay  = 10 * time.Millisecond
+		window = 4
+	)
+	reg := NewRegistry()
+	backend := &politeBackend{reg: reg, delay: delay}
+	var crawls []*Prefetcher
+	for c := 0; c < 2; c++ {
+		pf := NewPrefetcher(backend, window)
+		crawls = append(crawls, pf)
+		var urls []string
+		for i := 0; i < window; i++ {
+			urls = append(urls, fmt.Sprintf("https://shared.example.org/c%d/p%d", c, i))
+		}
+		pf.Hint(urls...) // a full window launches at once
+	}
+	for _, pf := range crawls {
+		pf.Close() // waits for the window to drain
+	}
+	grants := backend.grants
+	if len(grants) != 2*window {
+		t.Fatalf("%d polite grants, want %d", len(grants), 2*window)
+	}
+	// Grant stamps are taken just after the registry wait returns, so allow
+	// a small scheduling epsilon.
+	const epsilon = 2 * time.Millisecond
+	for i := 1; i < len(grants); i++ {
+		if gap := grants[i].Sub(grants[i-1]); gap < delay-epsilon {
+			t.Errorf("speculative grants %d→%d spaced %v apart, want >= %v", i-1, i, gap, delay)
+		}
+	}
+	if usage := reg.Usage(); len(usage) != 1 || usage[0].Grants != 2*window {
+		t.Errorf("registry usage = %+v, want %d grants on one host", usage, 2*window)
+	}
+}
+
 // TestRegistryFloor pins the politeness floor: a fetcher asking for less
 // politeness than the registry's floor is slowed to the floor, one asking
 // for more keeps its own delay.

@@ -95,11 +95,10 @@ type Summary struct {
 	// produced a result (zero when none speculated). Wall-clock diagnostic
 	// only — the counters depend on fetch timing, never on results.
 	Spec fetch.PrefetchStats
-	// Fabric aggregates the partitioned-fabric counters of every sharded
-	// crawl that produced a result (zero when none partitioned): summed
-	// forward/stall/demand counters, element-wise summed per-partition
-	// fetch counts, and the maximum partition count and queue depth seen.
-	// Wall-clock diagnostic only, like Spec.
+	// Fabric aggregates Result.Fabric over every partitioned crawl that
+	// produced a result (zero when none partitioned): summed demand
+	// counters, element-wise summed per-partition launch counts, and the
+	// maximum partition count seen. Wall-clock diagnostic only, like Spec.
 	Fabric fabric.Stats
 	// Faults sums the fault-handling counters (retries, breaker activity,
 	// final failures) of every crawl that produced a result; quarantined
@@ -176,11 +175,6 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 			if fb := s.Result.Fabric; fb != nil {
 				if fb.Partitions > sum.Fabric.Partitions {
 					sum.Fabric.Partitions = fb.Partitions
-				}
-				sum.Fabric.Forwarded += fb.Forwarded
-				sum.Fabric.Stalls += fb.Stalls
-				if fb.MaxQueueDepth > sum.Fabric.MaxQueueDepth {
-					sum.Fabric.MaxQueueDepth = fb.MaxQueueDepth
 				}
 				sum.Fabric.DemandHits += fb.DemandHits
 				sum.Fabric.DemandMisses += fb.DemandMisses

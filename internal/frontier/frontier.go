@@ -17,7 +17,9 @@ import (
 // never change what a crawl does. The returned order is best-effort (exact
 // for FIFO/LIFO/priority frontiers, a 1/Len guess for Random, the exact
 // next draw of each action for Grouped); the pipelined engine feeds it to
-// the prefetch layer as hints.
+// the prefetch layer as hints. The returned slice may be a view of the
+// frontier's own storage: it is valid until the next Push or Pop and must
+// never be modified.
 type Peeker interface {
 	Peek(n int) []string
 }
@@ -51,7 +53,9 @@ func (q *Queue) Pop() (string, bool) {
 // Len returns the number of queued URLs.
 func (q *Queue) Len() int { return len(q.items) - q.head }
 
-// Peek implements Peeker: the next n URLs in pop order.
+// Peek implements Peeker: the next n URLs in pop order, as a read-only view
+// of the queue (capacity-clipped, so an append by the caller cannot write
+// into it).
 func (q *Queue) Peek(n int) []string {
 	if n > q.Len() {
 		n = q.Len()
@@ -59,7 +63,7 @@ func (q *Queue) Peek(n int) []string {
 	if n <= 0 {
 		return nil
 	}
-	return append([]string(nil), q.items[q.head:q.head+n]...)
+	return q.items[q.head : q.head+n : q.head+n]
 }
 
 // Stack is a LIFO frontier (depth-first crawling). The zero value is ready

@@ -353,9 +353,36 @@ func TestPeekMatchesPopOrder(t *testing.T) {
 			}
 		}
 	}
-	check("Queue", q.Peek(4), q.Pop)
+	// Queue.Peek is a view, valid only until the next Pop: copy it first.
+	check("Queue", append([]string(nil), q.Peek(4)...), q.Pop)
 	check("Stack", s.Peek(4), s.Pop)
 	check("Priority", p.Peek(4), func() (string, bool) { u, _, ok := p.Pop(); return u, ok })
+}
+
+// TestQueuePeekIsAView pins the Peeker storage contract for the FIFO
+// frontier: peeking allocates nothing however wide (the pipelined BFS loop
+// peeks a full window every step), and the view is capacity-clipped so a
+// caller's append cannot write into the queue.
+func TestQueuePeekIsAView(t *testing.T) {
+	var q Queue
+	for i := 0; i < 600; i++ {
+		q.Push(fmt.Sprintf("u%d", i))
+	}
+	q.Pop()
+	if allocs := testing.AllocsPerRun(100, func() { q.Peek(256) }); allocs != 0 {
+		t.Errorf("Queue.Peek(256) allocated %v times per call, want 0", allocs)
+	}
+	view := q.Peek(3)
+	if len(view) != 3 || cap(view) != 3 || view[0] != "u1" {
+		t.Fatalf("Peek(3) = %v (cap %d), want [u1 u2 u3] with cap 3", view, cap(view))
+	}
+	_ = append(view, "intruder")
+	q.Pop()
+	q.Pop()
+	q.Pop()
+	if got, _ := q.Pop(); got != "u4" {
+		t.Errorf("append to a peeked view overwrote the queue: next pop = %q, want u4", got)
+	}
 }
 
 // TestPeekOverAsk pins that Peek clamps to Len and never errors.

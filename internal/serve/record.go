@@ -3,9 +3,7 @@ package serve
 // Binary codec for durable session records (internal/codec framing,
 // KindSessionRecord). Created travels as a Unix seconds + nanosecond
 // pair — not UnixNano, which is undefined outside years 1678–2262 and
-// silently mangles the zero time a sparse gob-era record decodes to.
-// Reload falls back to the gob decoder for records written before the
-// codec (legacy_gob.go).
+// silently mangles the zero time.
 
 import (
 	"time"
@@ -62,16 +60,11 @@ func appendCrawlSpec(dst []byte, c *CrawlSpec) []byte {
 	return dst
 }
 
-// decodeSessionRecord decodes a durable session record, gob-era records
-// included.
+// decodeSessionRecord decodes a durable session record.
 func decodeSessionRecord(raw []byte) (sessionRecord, error) {
 	var rec sessionRecord
-	payload, legacy, err := codec.Header(raw, codec.KindSessionRecord)
+	payload, err := codec.Header(raw, codec.KindSessionRecord)
 	if err != nil {
-		return rec, err
-	}
-	if legacy {
-		err := decodeSessionRecordGob(raw, &rec)
 		return rec, err
 	}
 	r := codec.NewReader(payload)

@@ -1,14 +1,16 @@
 package serve
 
-// Round trips for durable session records: the codec encoding, the gob-era
-// fallback (a daemon restarted over an older store must keep reloading its
-// sessions), and a fuzz target over the decoder.
+// Round trips for durable session records: the codec encoding, the typed
+// refusal of a gob-era record, and a fuzz target over the decoder.
 
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"testing"
 	"time"
+
+	"sbcrawl/internal/codec"
 )
 
 func sampleRecord() sessionRecord {
@@ -83,12 +85,8 @@ func TestSessionRecordLegacyGob(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeSessionRecord(buf.Bytes())
-	if err != nil {
-		t.Fatalf("gob-era record rejected: %v", err)
-	}
-	if !recordsEqual(got, want) {
-		t.Fatalf("gob fallback:\n got %#v\nwant %#v", got, want)
+	if _, err := decodeSessionRecord(buf.Bytes()); !errors.Is(err, codec.ErrLegacyFormat) {
+		t.Fatalf("gob-era record: err = %v, want ErrLegacyFormat", err)
 	}
 }
 

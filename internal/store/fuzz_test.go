@@ -3,9 +3,9 @@ package store
 // FuzzScanSegment: Open must survive any segment bytes — it either indexes
 // a record or reports damage through Recovery(), and it never panics,
 // over-allocates from a forged length, or fails the Open. The seed corpus
-// is built from real store dumps: a segment written by this test (plain
-// records plus a group-commit batch) and the checked-in gob-era fixture
-// segment at testdata/gobstore_partial.
+// is built from a real store dump — a segment written by this test (plain
+// records plus a group-commit batch), whole and torn inside its last
+// record — plus hand-made framing edge cases.
 
 import (
 	"fmt"
@@ -47,10 +47,9 @@ func buildSampleSegment(t testing.TB) []byte {
 }
 
 func FuzzScanSegment(f *testing.F) {
-	f.Add(buildSampleSegment(f))
-	if data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "gobstore_partial", "00000001.seg")); err == nil {
-		f.Add(data)
-	}
+	sample := buildSampleSegment(f)
+	f.Add(sample)
+	f.Add(sample[:len(sample)-7]) // a crash mid-append: the batch record torn
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})                                   // truncated header
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 0, 0, 0, 0, 'k', 'v'}) // implausible keyLen

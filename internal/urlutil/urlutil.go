@@ -91,9 +91,7 @@ func (s *Scope) containsParts(p parts) bool {
 
 // Admit applies the two URL filters of Algorithm 4 to a normalized absolute
 // URL from one split of it: same-website scope (Sec. 2.2) and the extension
-// blocklist (Sec. 3.4). It is Contains(abs) && !HasBlockedExtension(abs), and
-// is what the engine and the fabric's partitions both call so the two sides
-// cannot drift.
+// blocklist (Sec. 3.4). It is Contains(abs) && !HasBlockedExtension(abs).
 func (s *Scope) Admit(abs string) bool {
 	p, ok := split(abs)
 	return ok && s.containsParts(p) && !blockedPath(p.path)
@@ -108,7 +106,7 @@ func StripWWW(host string) string {
 
 // SiteHost returns the host identity the crawl scope uses for raw: the
 // lowercased hostname without a leading "www.", or "" when raw does not
-// parse. The fabric's host partitioning and the fault schedules key on it.
+// parse. Partition ownership (fabric.Owner) and the fault schedules key on it.
 func SiteHost(raw string) string {
 	p, _ := split(raw)
 	return StripWWW(strings.ToLower(p.hostname))

@@ -14,7 +14,7 @@ import (
 // Every member HTML page additionally carries a deterministic footer with
 // cross-host links (the portal, the next member's root, and the same path
 // on the next member), so a crawl of the federation continuously discovers
-// URLs on foreign hosts — the workload the host-partitioned fabric shards.
+// URLs on foreign hosts.
 //
 // Member content is translated, not copied: a request for a subdomain URL
 // is mapped onto the member's canonical URL by prefix substitution, the

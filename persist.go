@@ -153,8 +153,8 @@ func readCheckpoint(records store.Backend, fp string) (core.Checkpoint, bool) {
 	if !ok {
 		return cp, true
 	}
-	payload, legacy, err := codec.Header(draw, codec.KindCheckpointDelta)
-	if err != nil || legacy {
+	payload, err := codec.Header(draw, codec.KindCheckpointDelta)
+	if err != nil {
 		return cp, true
 	}
 	r := codec.NewReader(payload)
@@ -327,13 +327,6 @@ func (cs *crawlStore) attach(env *core.Env, cfg Config, ns string) *persistedCra
 	}
 	fp := cfgFingerprint(cfg, env.Root)
 	env.Checkpoint = &storeSink{b: pc.records, key: "ckpt|" + fp, deltaKey: "ckptd|" + fp}
-	// A prior run's last checkpoint re-seeds the partition frontiers of a
-	// resumed partitioned crawl (Config.Partitions). Pure warm-up: the
-	// snapshot only primes speculation, so a stale, missing, or
-	// differently-partitioned snapshot never changes the result.
-	if cp, ok := readCheckpoint(pc.records, fp); ok {
-		env.FabricWarm = cp.FabricFrontiers
-	}
 	return pc
 }
 

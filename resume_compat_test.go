@@ -1,136 +1,20 @@
 package sbcrawl
 
-// Cross-version compatibility gate for the binary codec: the checked-in
-// golden stores under testdata/ were written by the gob-era build (see
-// testdata/generate_gobstore.go, run once at the pre-codec commit). The
-// new codec must resume them byte-identically through its legacy-decode
-// fallback — a partial store replays its prefix and converges on the
-// uninterrupted result, a completed store short-circuits through its gob
-// done-record — and refuse cleanly, with the typed error, on records
-// stamped with a future format version. The delta-checkpoint test pins
-// the other side of the persistence change: between full checkpoints the
-// sink writes byte-range deltas, and progress reads resolve them.
+// Cross-version gate for the binary codec: records stamped with a future
+// format version are refused cleanly, with the typed error. The
+// delta-checkpoint test pins the other side of the persistence format:
+// between full checkpoints the sink writes byte-range deltas, and progress
+// reads resolve them.
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"sbcrawl/internal/codec"
 	"sbcrawl/internal/core"
 	"sbcrawl/internal/store"
 )
-
-// copyFixture clones a golden store into a temp dir (Open mutates the
-// store — lock file, fresh active segment — so tests never touch the
-// checked-in fixture).
-func copyFixture(t *testing.T, name string) string {
-	t.Helper()
-	src := filepath.Join("testdata", name)
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatalf("fixture %s missing (regenerate with testdata/generate_gobstore.go at a gob-era commit): %v", name, err)
-	}
-	dst := t.TempDir()
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".seg") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
-}
-
-// TestGobStoreResumePartial: a crawl killed at request 13 by the gob-era
-// build resumes under the new codec and converges byte-identically on the
-// uninterrupted run — every replayed response decodes through the legacy
-// gob fallback.
-func TestGobStoreResumePartial(t *testing.T) {
-	site, err := GenerateSite("ab", 0.01, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Strategy: StrategyBFS, Seed: 1}
-	baseline, err := CrawlSite(site, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resCfg := cfg
-	resCfg.StorePath = copyFixture(t, "gobstore_partial")
-	resCfg.Resume = true
-	resumed, err := CrawlSite(site, resCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Store == nil || !resumed.Store.Resumed {
-		t.Fatalf("gob-era store did not warm-start: %+v", resumed.Store)
-	}
-	if resumed.Store.ReplayHits == 0 {
-		t.Fatal("no replay hits: the gob-era records were not read back")
-	}
-	if resumed.Store.Completed {
-		t.Fatal("the killed run's done-record leaked into a different budget")
-	}
-	if !reflect.DeepEqual(stripStore(resumed), baseline) {
-		t.Errorf("resume from gob-era store diverged:\nbase:   req=%d targets=%d\nresume: req=%d targets=%d",
-			baseline.Requests, len(baseline.Targets), resumed.Requests, len(resumed.Targets))
-	}
-	// The gob-era done-record reads back through the fallback too: under
-	// the killed run's own config (budget exhaustion is completion), the
-	// store reports Done at 13 requests.
-	st, err := OpenStore(copyFixture(t, "gobstore_partial"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	killCfg := Config{Strategy: StrategyBFS, Seed: 1, MaxRequests: 13, CheckpointEvery: 4}
-	prog := st.SiteProgress(site, killCfg)
-	if !prog.Done || prog.Requests != 13 {
-		t.Fatalf("SiteProgress over gob-era done-record = %+v, want Done at 13 requests", prog)
-	}
-}
-
-// TestGobStoreResumeDone: a fleet completed by the gob-era build (budget
-// 48, done-record and speculation spill on disk) short-circuits through
-// its gob done-record and reproduces the fresh fleet byte-identically.
-func TestGobStoreResumeDone(t *testing.T) {
-	site, err := GenerateSite("ab", 0.01, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MaxRequests joins the done-record fingerprint: must match the
-	// generator's budget exactly.
-	cfg := Config{Strategy: StrategyBFS, Seed: 1, MaxRequests: 48, CheckpointEvery: 4}
-	baseline, err := CrawlSites([]*Site{site}, cfg, FleetOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resCfg := cfg
-	resCfg.StorePath = copyFixture(t, "gobstore_done")
-	resCfg.Resume = true
-	resumed, err := CrawlSites([]*Site{site}, resCfg, FleetOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := resumed.Sites[0].Result
-	if got.Store == nil || !got.Store.Completed {
-		t.Fatalf("gob-era done-record not honored: %+v", got.Store)
-	}
-	if !reflect.DeepEqual(stripStore(got), stripStore(baseline.Sites[0].Result)) {
-		t.Errorf("done-record short-circuit diverged from fresh fleet:\nbase:   req=%d targets=%d\nresume: req=%d targets=%d",
-			baseline.Sites[0].Result.Requests, len(baseline.Sites[0].Result.Targets),
-			got.Requests, len(got.Targets))
-	}
-}
 
 // TestCodecStoreRefusesUnknownVersion: records written by a future format
 // version fail with the typed *codec.UnknownVersionError — never a

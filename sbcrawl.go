@@ -46,11 +46,12 @@
 // per-host rate limiter, so a host is never contacted faster than MinDelay
 // no matter how wide the window. Config.Prefetch = PrefetchAuto makes the
 // window self-tuning — an AIMD controller widens it while hints keep
-// landing and narrows it when speculation is wasted — and
-// FleetOptions.SharedSpeculation lets a fleet's crawls of one site serve
-// each other from a shared speculation cache. The two concurrency axes
-// compose — a fleet overlaps crawls across sites while Prefetch overlaps
-// requests within each site. Cancellation (FleetOptions.Ctx) interrupts
+// landing and narrows it when speculation is wasted — Config.Partitions
+// multiplies whichever width is in force (there is one window per crawl,
+// nothing beside it), and FleetOptions.SharedSpeculation lets a fleet's
+// crawls of one site serve each other from a shared speculation cache. The
+// two concurrency axes compose — a fleet overlaps crawls across sites while
+// Prefetch overlaps requests within each site. Cancellation (FleetOptions.Ctx) interrupts
 // politeness and simulated-latency sleeps promptly rather than finishing
 // them.
 //
@@ -75,6 +76,7 @@ import (
 	"time"
 
 	"sbcrawl/internal/core"
+	"sbcrawl/internal/fabric"
 	"sbcrawl/internal/faultsim"
 	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/metrics"
@@ -154,26 +156,17 @@ type Config struct {
 	// crawls should keep Prefetch small or zero; PrefetchAuto narrows
 	// quickly when speculation is not paying off.
 	Prefetch int
-	// Partitions shards one crawl's speculative side across a host-hash
-	// partitioned fabric: each partition owns the hosts hashing to it, runs
-	// its own frontier and speculative fetch window, and forwards links it
-	// discovers for foreign hosts to their owners over a bounded in-process
-	// exchange. The crawl loop itself stays sequential and charges every
-	// request in global order, consuming the partitions' shared response
-	// cache, so results are byte-identical to Partitions == 0 for every
-	// strategy — partitioning, like Prefetch, is a pure cache warm-up — and
-	// a virtual-time charge ledger keeps speculative spend a bounded lead
-	// over the charged budget. 0 (default) disables partitioning; n >= 1
-	// runs n partitions; PartitionsAuto picks min(GOMAXPROCS, 8).
-	//
-	// Partitions pays off on multi-host crawls (a GenerateFederation site,
-	// or a live crawl spanning subdomains): hosts spread across partitions
-	// that fetch concurrently. A single-host crawl hashes every URL onto
-	// one partition — prefer Prefetch there. Composes with Prefetch (the
-	// engine's window runs over the fabric's cache) and with fleet workers
-	// (workers overlap across sites, Partitions overlaps hosts within one
-	// site). Politeness still holds: partition fetches go through the same
-	// per-host rate limiting as every other request.
+	// Partitions widens the crawl's speculation window: with Partitions = P
+	// up to P × Prefetch speculative fetches are in flight (P × the tuned
+	// width under PrefetchAuto, P × 8 when Prefetch is 0) and the strategy
+	// is asked for as many hints per step. It is the same window Prefetch
+	// sizes — one set of hints from the strategy, one budget clamp, the
+	// sequential crawl loop in front — so results are byte-identical to
+	// Partitions == 0 for every strategy and everything said under Prefetch
+	// about politeness and uncharged speculative traffic holds unchanged.
+	// 0 (default) leaves the window alone; n >= 1 multiplies it by n;
+	// PartitionsAuto by min(GOMAXPROCS, 8). Result.Fabric reports the
+	// window's hits and its launches tallied by host hash.
 	Partitions int
 	// Retries is the transient-failure retry budget per request: after a
 	// timeout, connection reset, truncated body, or a 429/503 answer, the
@@ -213,8 +206,8 @@ type Config struct {
 	// with the ingest of page k the way Prefetch overlaps network with
 	// CPU. 0 (default) auto-sizes the pool to min(GOMAXPROCS−1, 4);
 	// n > 0 fixes the width; negative disables the stage. Ignored when
-	// Prefetch == 0. Parsing is a pure function of the page bytes, so
-	// results are byte-identical at every setting.
+	// Prefetch and Partitions are both 0. Parsing is a pure function of the
+	// page bytes, so results are byte-identical at every setting.
 	ParseWorkers int
 
 	// StorePath, when non-empty, opens the persistent crawl store at that
@@ -328,10 +321,10 @@ type Result struct {
 	// Diagnostic only: two runs of one Config differ at most here, never
 	// in the crawl outcome above.
 	Store *StoreStats
-	// Fabric reports the partitioned fabric's activity (forwarded URLs,
-	// exchange stalls, per-partition fetch counts); nil when
-	// Config.Partitions was 0. Diagnostic only, like Store: the counters
-	// depend on scheduling, never the crawl outcome above.
+	// Fabric reports a partitioned crawl's speculation window (hits,
+	// misses, launches per partition); nil when Config.Partitions was 0.
+	// Diagnostic only, like Store: the counters depend on scheduling,
+	// never the crawl outcome above.
 	Fabric *FabricStats
 	// Faults reports the robustness layer's activity — retries issued and
 	// recovered, circuit-breaker trips, quarantined hosts, budget spent on
@@ -342,50 +335,20 @@ type Result struct {
 }
 
 // FaultStats reports one crawl's fault-handling activity (see
-// Config.Retries). All counters are diagnostics.
-type FaultStats struct {
-	// Retries counts re-attempts issued after transient failures.
-	Retries int
-	// RetrySuccesses counts requests that failed at least once and then
-	// succeeded within the retry budget.
-	RetrySuccesses int
-	// Exhausted counts requests still failing after every attempt.
-	Exhausted int
-	// BackoffWait is the total backoff charged between attempts (virtual
-	// on simulated crawls: accounted, not slept).
-	BackoffWait time.Duration
-	// BreakerTrips counts circuit-breaker openings (re-openings after a
-	// failed half-open probe included).
-	BreakerTrips int
-	// BreakerFastFails counts requests answered by an open breaker
-	// without touching the network.
-	BreakerFastFails int
-	// FailedRequests counts charged requests whose final outcome was a
-	// failure — the budget the crawl spent on faults.
-	FailedRequests int
-	// QuarantinedHosts lists hosts whose breaker was still open when the
-	// crawl ended: the crawl completed degraded, without them.
-	QuarantinedHosts []string
-}
+// Config.Retries): retries issued and recovered, requests still failing
+// after every attempt, the backoff charged between attempts (virtual on
+// simulated crawls), circuit-breaker trips and fast-fails, the budget spent
+// on final failures, and the hosts still quarantined when the crawl ended.
+// All counters are diagnostics.
+type FaultStats = fetch.FaultStats
 
-// FabricStats reports one partitioned crawl's fabric activity (see
-// Config.Partitions). All counters are wall-clock diagnostics.
-type FabricStats struct {
-	// Partitions is the resolved partition count.
-	Partitions int
-	// Forwarded counts URLs exchanged across partitions.
-	Forwarded int
-	// Stalls counts exchange sends that found a full inbox and retried.
-	Stalls int
-	// MaxQueueDepth is the deepest any exchange inbox got.
-	MaxQueueDepth int
-	// DemandHits / DemandMisses count crawl-loop requests served from the
-	// partitions' cache vs fallen through to the backend.
-	DemandHits   int
-	DemandMisses int
-	// PartitionFetches counts speculative fetches issued per partition.
-	PartitionFetches []int
-}
+// FabricStats reports the speculation window of a partitioned crawl (see
+// Config.Partitions): the resolved partition count, the crawl loop's GETs
+// answered from the window (DemandHits) or the backend (DemandMisses), and
+// the speculative launches tallied by the partition owning each URL's host
+// (PartitionFetches). Forwarded, Stalls and MaxQueueDepth always read 0 and
+// go away at the benchmark re-base. All counters are wall-clock diagnostics.
+type FabricStats = fabric.Stats
 
 // Crawl runs the configured strategy against a live website over HTTP,
 // respecting crawling ethics (politeness delay, multimedia interruption).
@@ -506,9 +469,6 @@ func execCrawl(cfg Config, env *core.Env, sitePages int) (*core.Result, bool, er
 	if cfg.CheckpointEvery > 0 {
 		env.CheckpointEvery = cfg.CheckpointEvery
 	}
-	// Partitioning is wired here — after persistence attached (the fabric
-	// must speculate through the replay wrapper, not around it) and for
-	// live and simulated crawls alike.
 	env.Partitions = cfg.Partitions
 	// The progress observer rides the engine's checkpoint hook, wrapping
 	// whatever sink persistence installed (attach runs first), so durable
@@ -558,40 +518,13 @@ func convertResult(res *core.Result) *Result {
 		TargetBytes:    res.TargetBytes,
 		NonTargetBytes: res.NonTargetBytes,
 		EarlyStopped:   res.EarlyStopped,
+		Fabric:         res.Fabric,
+		Faults:         res.Faults,
 	}
 	for _, pt := range metrics.Curve(res.Trace, 500) {
 		out.Curve = append(out.Curve, CurvePoint(pt))
 	}
-	if res.Fabric != nil {
-		out.Fabric = &FabricStats{
-			Partitions:       res.Fabric.Partitions,
-			Forwarded:        res.Fabric.Forwarded,
-			Stalls:           res.Fabric.Stalls,
-			MaxQueueDepth:    res.Fabric.MaxQueueDepth,
-			DemandHits:       res.Fabric.DemandHits,
-			DemandMisses:     res.Fabric.DemandMisses,
-			PartitionFetches: res.Fabric.PartitionFetches,
-		}
-	}
-	if res.Faults != nil {
-		fs := convertFaultStats(*res.Faults)
-		out.Faults = &fs
-	}
 	return out
-}
-
-// convertFaultStats maps the internal fault counters onto the public type.
-func convertFaultStats(fs fetch.FaultStats) FaultStats {
-	return FaultStats{
-		Retries:          fs.Retries,
-		RetrySuccesses:   fs.RetrySuccesses,
-		Exhausted:        fs.Exhausted,
-		BackoffWait:      fs.BackoffWait,
-		BreakerTrips:     fs.BreakerTrips,
-		BreakerFastFails: fs.BreakerFastFails,
-		FailedRequests:   fs.FailedRequests,
-		QuarantinedHosts: fs.QuarantinedHosts,
-	}
 }
 
 // retryPolicies maps Config.Retries onto the engine's retry and breaker

@@ -7,7 +7,6 @@
 #   BENCH_engine.json     (default mode)    engine/parse/vectorize hot paths
 #   BENCH_store.json      (store mode)      segment-log replay database
 #   BENCH_serve.json      (serve mode)      crawld session multiplexing
-#   BENCH_fabric.json     (fabric mode)     partitioned intra-crawl fabric
 #   BENCH_resilience.json (resilience mode) retry layer under injected faults
 #
 # `scripts/bench.sh extract <any BENCH_*.json>` recovers the plain benchmark
@@ -15,11 +14,11 @@
 # `scripts/bench.sh compare <old.json> <new.json>` diffs two streams in one
 # command (benchstat when installed, plain diff otherwise):
 #
-#   scripts/bench.sh extract old/BENCH_fabric.json > old.txt
-#   scripts/bench.sh extract BENCH_fabric.json     > new.txt
+#   scripts/bench.sh extract old/BENCH_store.json > old.txt
+#   scripts/bench.sh extract BENCH_store.json     > new.txt
 #   benchstat old.txt new.txt
 #   # or, in one step:
-#   scripts/bench.sh compare old/BENCH_fabric.json BENCH_fabric.json
+#   scripts/bench.sh compare old/BENCH_store.json BENCH_store.json
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -55,17 +54,6 @@ if [ "${1:-}" = "compare" ]; then
 		echo "benchstat not installed; falling back to diff" >&2
 		diff "$TMP/old.txt" "$TMP/new.txt" || true
 	fi
-	exit 0
-fi
-
-if [ "${1:-}" = "fabric" ]; then
-	# Partitioned-crawl trajectory: BenchmarkFabricPartitions crawls one
-	# latency-bound 8-host federation at partitions 1/2/4/8, recording req/s
-	# plus the exchange counters (forwarded URLs, stalls, max inbox depth)
-	# and the demand hit/miss split in BENCH_fabric.json.
-	OUT=${2:-BENCH_fabric.json}
-	go test -run '^$' -bench BenchmarkFabricPartitions -benchtime 3x -json . > "$OUT"
-	echo "wrote $OUT ($(grep -c '"Action"' "$OUT") events)" >&2
 	exit 0
 fi
 

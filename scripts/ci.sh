@@ -10,17 +10,16 @@ set -eux
 go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
-# Gob-free hot path: encoding/gob survives only as the legacy-decode
-# fallback (one legacy_gob.go per package) and as the benchmark baseline in
-# test files. Any other import is a regression to the reflection codec.
-if grep -rn --include='*.go' '"encoding/gob"' . \
-	| grep -v '_test.go' | grep -v 'legacy_gob.go' | grep -v '^./testdata/'; then
-	echo "encoding/gob imported outside legacy_gob.go fallbacks" >&2
+# Gob-free: nothing outside test files imports encoding/gob (tests keep it
+# as the benchmark baseline and to forge the pre-codec records decoders must
+# refuse with codec.ErrLegacyFormat).
+if grep -rn --include='*.go' '"encoding/gob"' . | grep -v '_test.go'; then
+	echo "encoding/gob imported outside _test.go" >&2
 	exit 1
 fi
 go test ./...
 # The race pass is the one determinism gate: every equivalence suite —
-# prefetch widths, fabric partitions, kill-and-resume, cross-version stores,
+# prefetch widths, partitions, kill-and-resume, cross-version stores,
 # retry convergence and the breaker, the crawld session lifecycle — runs here
 # with the race detector watching the speculative layers. Nothing below
 # re-runs a subset of it.
@@ -92,9 +91,6 @@ go test -run '^$' -bench 'BenchmarkStoreRoundTrip|BenchmarkStoreSnapshot|Benchma
 # Codec-vs-gob smoke: the round-trip benchmark behind the ≥3x/≥10x
 # acceptance numbers still builds and runs.
 go test -run '^$' -bench 'BenchmarkCodecRoundTrip' -benchtime 1x ./internal/codec
-# Fabric smoke: the partitioned-crawl benchmark behind BENCH_fabric.json
-# still builds and runs.
-go test -run '^$' -bench 'BenchmarkFabricPartitions' -benchtime 1x .
 # Resilience-bench smoke: the workload behind BENCH_resilience.json still
 # builds and runs.
 go test -run '^$' -bench 'BenchmarkResilience' -benchtime 1x .

@@ -58,10 +58,9 @@ func GenerateSite(code string, scale float64, seed int64) (*Site, error) {
 // GenerateFederation builds a multi-host website: one member site per code
 // (each at scale, with per-member seeds derived from seed) mounted as
 // subdomains of federation.test behind a portal page, with deterministic
-// cross-host links between members. A federation is the natural workload
-// for Config.Partitions — every host can be owned by a different fabric
-// partition — and crawls exactly like a single Site (same determinism,
-// store, and resume guarantees).
+// cross-host links between members. A federation crawls exactly like a
+// single Site (same determinism, store, and resume guarantees); its hosts
+// spread over Result.Fabric.PartitionFetches under Config.Partitions.
 func GenerateFederation(codes []string, scale float64, seed int64) (*Site, error) {
 	if len(codes) == 0 {
 		return nil, fmt.Errorf("sbcrawl: federation needs at least one site code")

@@ -63,7 +63,6 @@ func main() {
 		parallel = flag.Int("parallel", 1, "sites crawled concurrently (0 = one per CPU core)")
 		prefetch = flag.String("prefetch", "0", "speculative fetch window per crawl: a width, 0 (sequential engine), or 'auto' (adaptive)")
 		parts    = flag.String("partitions", "0", "speculation-window multiplier per crawl (Config.Partitions): a count, 0 (off), or 'auto' (min(cores, 8))")
-		parseW   = flag.Int("parse-workers", 0, "parallel parse workers per pipelined crawl: 0 = auto (min(cores-1, 4)), n fixes the pool, negative disables; ignored without -prefetch or -partitions")
 		stats    = flag.Bool("stats", false, "append the speculation hit-rate report after the experiment (see -exp speculation)")
 		storeDir = flag.String("store", "", "persistent crawl store directory: responses spill to an append-only segment log and replay on later runs (see -exp resume)")
 		resume   = flag.Bool("resume", false, "mark the run as a continuation over -store: previously fetched responses replay from disk instead of re-fetching")
@@ -98,21 +97,20 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Scale:        *scale,
-		Seed:         *seed,
-		Runs:         *runs,
-		MaxPages:     *maxPages,
-		Workers:      *parallel,
-		Prefetch:     prefetchWidth,
-		Partitions:   partitionN,
-		ParseWorkers: *parseW,
-		CSVDir:       *csvDir,
-		StorePath:    *storeDir,
-		Resume:       *resume,
-		FaultRate:    *faults,
-		FaultSeed:    *faultSd,
-		Retries:      *retries,
-		Out:          os.Stdout,
+		Scale:      *scale,
+		Seed:       *seed,
+		Runs:       *runs,
+		MaxPages:   *maxPages,
+		Workers:    *parallel,
+		Prefetch:   prefetchWidth,
+		Partitions: partitionN,
+		CSVDir:     *csvDir,
+		StorePath:  *storeDir,
+		Resume:     *resume,
+		FaultRate:  *faults,
+		FaultSeed:  *faultSd,
+		Retries:    *retries,
+		Out:        os.Stdout,
 	}
 	if *sites != "" {
 		cfg.Sites = strings.Split(*sites, ",")

@@ -8,9 +8,7 @@
 //
 // The same Config.StorePath works for fleets: CrawlSites / CrawlMany write
 // every site through one store (namespaced inside), restart warm, and with
-// Resume skip the sites whose final results are already recorded. With
-// FleetOptions.SharedSpeculation the fleet's speculation cache is spilled
-// and warmed through the same store.
+// Resume skip the sites whose final results are already recorded.
 package main
 
 import (

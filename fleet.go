@@ -9,7 +9,6 @@ package sbcrawl
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"sbcrawl/internal/core"
 	"sbcrawl/internal/fetch"
@@ -41,10 +40,9 @@ type FleetOptions struct {
 	// still never depend on Workers.
 	SharedSpeculation bool
 	// SpecCacheCap bounds each shared speculation cache in responses
-	// (0 → fleet.DefaultSpecCacheCap, 8192). With Config.StorePath set it
-	// also bounds how much speculation state is spilled to — and warmed
-	// from — the persistent store: overflow traffic falls through to the
-	// durable replay database instead.
+	// (0 → fleet.DefaultSpecCacheCap, 8192). The cache lives for one fleet
+	// call; with Config.StorePath set, what it evicts — and what a later
+	// fleet asks for — is served by the durable replay database.
 	SpecCacheCap int
 }
 
@@ -110,14 +108,14 @@ type SpeculationStats = fetch.PrefetchStats
 // worker slot (see Crawl for single-site semantics). A bad entry — missing
 // Root, oracle strategy, unreachable site — fails only its own slot; the
 // rest of the batch completes and the error is reported in its
-// SiteOutcome. The only error CrawlMany itself returns is an empty batch
-// or the context's error after cancellation (alongside the partial
-// result).
+// SiteOutcome. The only errors CrawlMany itself returns are an empty batch,
+// a store that cannot be opened, and — alongside the result — the context's
+// error after cancellation or a failed close of Config.StorePath.
 //
 // All live crawls share the process-wide per-host rate limiter, so two
 // entries pointing at the same host stay MinDelay apart even while
 // crawling in parallel.
-func CrawlMany(cfgs []Config, opts FleetOptions) (*FleetResult, error) {
+func CrawlMany(cfgs []Config, opts FleetOptions) (_ *FleetResult, err error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sbcrawl: CrawlMany needs at least one Config")
 	}
@@ -125,31 +123,18 @@ func CrawlMany(cfgs []Config, opts FleetOptions) (*FleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer closeInto(release, &err)
 	// One speculation cache per distinct UserAgent: a host may serve (and
 	// robots.txt may admit) different agents differently, so crawls only
 	// reuse fetches made with their own identity — a cache hit is then
-	// always a response this Config could have fetched itself. With a
-	// store, each cache is preloaded from (and spilled back to) its
-	// per-agent namespace, so successive fleets start warm.
+	// always a response this Config could have fetched itself.
 	var caches map[string]*fleet.SpecCache
 	if opts.SharedSpeculation {
 		caches = make(map[string]*fleet.SpecCache)
 		for _, cfg := range cfgs {
 			if caches[cfg.UserAgent] == nil {
-				c := fleet.NewSpecCache(opts.SpecCacheCap)
-				if cs != nil {
-					preloadSpecCache(cs, uaNamespace(cfg.UserAgent), c)
-				}
-				caches[cfg.UserAgent] = c
+				caches[cfg.UserAgent] = fleet.NewSpecCache(opts.SpecCacheCap)
 			}
-		}
-		if cs != nil {
-			defer func() {
-				for ua, c := range caches {
-					persistSpecCache(cs, uaNamespace(ua), c)
-				}
-			}()
 		}
 	}
 	jobs := make([]fleet.Job, len(cfgs))
@@ -172,12 +157,13 @@ func CrawlMany(cfgs []Config, opts FleetOptions) (*FleetResult, error) {
 	// soonest. Entries without Resume (or persistence) rank as cold.
 	var order []int
 	if cs != nil {
-		order = resumeOrder(len(cfgs), func(i int) CrawlProgress {
+		order = fleet.ResumeOrder(len(cfgs), func(i int) (bool, int) {
 			cfg := cfgs[i]
 			if !cfg.Resume || (cfg.StorePath == "" && cfg.Store == nil) {
-				return CrawlProgress{}
+				return false, 0
 			}
-			return progressFor(cs, liveNamespace(cfg), cfg.Root, cfg)
+			p := progressFor(cs, liveNamespace(cfg), cfg.Root, cfg)
+			return p.Done, p.Requests
 		})
 	}
 	return runFleet(jobs, opts, stats, order)
@@ -220,38 +206,6 @@ func fleetStore(cfgs []Config) (cs *crawlStore, release func() error, err error)
 	return cs, cs.Close, nil
 }
 
-// resumeOrder ranks a fleet's crawls most-complete-first from their durable
-// progress: done-record crawls first (they short-circuit instantly, freeing
-// worker slots), then by checkpointed request count descending, ties in
-// input order. Returns nil — input order — when the store is cold for every
-// crawl. Purely a scheduling hint: results, and their input-order
-// reporting, are byte-identical whatever the order.
-func resumeOrder(n int, progress func(i int) CrawlProgress) []int {
-	ps := make([]CrawlProgress, n)
-	warm := false
-	for i := 0; i < n; i++ {
-		ps[i] = progress(i)
-		if ps[i].Done || ps[i].Requests > 0 {
-			warm = true
-		}
-	}
-	if !warm {
-		return nil
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := ps[order[a]], ps[order[b]]
-		if pa.Done != pb.Done {
-			return pa.Done
-		}
-		return pa.Requests > pb.Requests
-	})
-	return order
-}
-
 // liveJob builds the per-site closure running one live crawl, through the
 // same validation and wiring as Crawl (see liveEnv).
 func liveJob(cfg Config, shared fetch.SharedStore, cs *crawlStore, slot **StoreStats) func(ctx context.Context) (*core.Result, error) {
@@ -270,7 +224,7 @@ func liveJob(cfg Config, shared fetch.SharedStore, cs *crawlStore, slot **StoreS
 // and byte-identical whatever the worker count; run sites with individual
 // Configs through sequential CrawlSite calls if per-site settings are
 // needed.
-func CrawlSites(sites []*Site, cfg Config, opts FleetOptions) (*FleetResult, error) {
+func CrawlSites(sites []*Site, cfg Config, opts FleetOptions) (_ *FleetResult, err error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("sbcrawl: CrawlSites needs at least one Site")
 	}
@@ -278,30 +232,18 @@ func CrawlSites(sites []*Site, cfg Config, opts FleetOptions) (*FleetResult, err
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer closeInto(release, &err)
 	// One speculation cache per distinct Site: sharing is only sound when
 	// every member sees identical content per URL, which a Site guarantees
 	// and two different Sites (even of one profile, at another seed) do
-	// not. With a store, each cache is preloaded from (and spilled back
-	// to) its site's namespace, so successive fleets start warm.
+	// not.
 	var caches map[*Site]*fleet.SpecCache
 	if opts.SharedSpeculation {
 		caches = make(map[*Site]*fleet.SpecCache)
 		for _, site := range sites {
 			if caches[site] == nil {
-				c := fleet.NewSpecCache(opts.SpecCacheCap)
-				if cs != nil {
-					preloadSpecCache(cs, simNamespace(site), c)
-				}
-				caches[site] = c
+				caches[site] = fleet.NewSpecCache(opts.SpecCacheCap)
 			}
-		}
-		if cs != nil {
-			defer func() {
-				for site, c := range caches {
-					persistSpecCache(cs, simNamespace(site), c)
-				}
-			}()
 		}
 	}
 	jobs := make([]fleet.Job, len(sites))
@@ -319,8 +261,9 @@ func CrawlSites(sites []*Site, cfg Config, opts FleetOptions) (*FleetResult, err
 	// same Config its crawl will fingerprint.
 	var order []int
 	if cfg.Resume && cs != nil {
-		order = resumeOrder(len(sites), func(i int) CrawlProgress {
-			return progressFor(cs, simNamespace(sites[i]), sites[i].Root(), siteCfgs[i])
+		order = fleet.ResumeOrder(len(sites), func(i int) (bool, int) {
+			p := progressFor(cs, simNamespace(sites[i]), sites[i].Root(), siteCfgs[i])
+			return p.Done, p.Requests
 		})
 	}
 	return runFleet(jobs, opts, stats, order)

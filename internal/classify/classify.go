@@ -30,19 +30,6 @@ const (
 	ClassNeither = 2
 )
 
-// ClassName returns the display name of a class.
-func ClassName(c int) string {
-	switch c {
-	case ClassHTML:
-		return "HTML"
-	case ClassTarget:
-		return "Target"
-	case ClassNeither:
-		return "Neither"
-	}
-	return "?"
-}
-
 // LinkContext carries everything known about a hyperlink at discovery time.
 // URL_ONLY features use just the URL; URL_CONT adds anchor text, DOM path,
 // and surrounding text (Table 5).

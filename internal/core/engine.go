@@ -53,17 +53,10 @@ type Env struct {
 	// never charged to the budget. The Fetcher must be safe for concurrent
 	// Gets (all provided ones are).
 	Prefetch int
-	// ParseWorkers controls the parallel parse stage of a pipelined crawl:
-	// completed speculative GETs with HTML bodies are tokenized and
-	// link-extracted by a bounded worker pool while the engine loop is
-	// still fetching and ingesting earlier pages, so the demand-side
-	// extractNewLinks usually finds the parse already done. 0 (the default)
-	// selects the automatic pool width min(GOMAXPROCS−1, 4); n > 0 fixes
-	// the width; any negative value disables the stage. Ignored for
-	// sequential crawls (Prefetch and Partitions both 0). Like the
-	// Prefetcher, the stage is a pure cache warm-up — dom.ExtractLinks is a
-	// pure function of the body — so results stay byte-identical at every
-	// pool size.
+	// ParseWorkers sized the deleted parse-ahead stage.
+	//
+	// Deprecated: ignored; removed at the benchmark re-base (the frozen
+	// benchmark/ names it).
 	ParseWorkers int
 	// Partitions, when non-zero, widens the crawl's one speculation window
 	// by that factor: P × Prefetch fetches may be in flight (P × the tuned
@@ -212,8 +205,11 @@ type Result struct {
 	// are deliberately kept out of the public Result, so the byte-identical
 	// determinism guarantee is unaffected.
 	Spec *fetch.PrefetchStats
-	// ParseHits counts link extractions served by the parallel parse stage
-	// (Env.ParseWorkers). Wall-clock diagnostic only, like Spec.
+	// ParseHits counted link extractions served by the deleted parse-ahead
+	// stage; it has its slot in the stored Result encoding.
+	//
+	// Deprecated: always 0; removed at the benchmark re-base (the frozen
+	// benchmark/ names it).
 	ParseHits int
 	// Fabric is the speculation window of a partitioned crawl
 	// (Env.Partitions != 0) as seen per partition; nil otherwise.
@@ -266,8 +262,6 @@ type engine struct {
 	scale          int               // window multiplier: max(1, resolved Env.Partitions)
 	window         int               // in-flight cap, scale × the fixed or tuned width
 	partFetches    []atomic.Int64    // speculative launches by owning partition; nil when unpartitioned
-	parse          *parseAhead       // parallel parse stage; nil unless pipelined
-	parseHits      int
 	fabricStats    *fabric.Stats
 	retrier        *fetch.Retrier // deterministic retry layer; nil unless Env.Retry
 	breaker        *fetch.Breaker // per-host circuit breaker; nil unless Env.Breaker
@@ -336,10 +330,6 @@ func newEngine(env *Env) (*engine, error) {
 		if env.SharedSpec != nil {
 			e.prefetcher.SetShared(env.SharedSpec)
 		}
-		if env.ParseWorkers >= 0 {
-			e.parse = newParseAhead(parseWorkerCount(env.ParseWorkers))
-			e.prefetcher.SetOnComplete(e.parse.observe)
-		}
 		e.fetcher = e.prefetcher
 	}
 	return e, nil
@@ -368,11 +358,6 @@ func (e *engine) close() {
 		e.prefetcher = nil
 		e.tuner = nil
 		e.fetcher = e.env.Fetcher
-	}
-	if e.parse != nil {
-		e.parse.close()
-		e.parseHits = e.parse.hitCount()
-		e.parse = nil
 	}
 	if e.retrier != nil {
 		e.faultStats.Add(e.retrier.Stats())
@@ -574,15 +559,8 @@ func (e *engine) processSuccess(u string, resp fetch.Response) page {
 // document order.
 func (e *engine) extractNewLinks(pageURL string, body []byte) []dom.Link {
 	base := urlutil.ParseBase(pageURL)
-	var raw []dom.Link
-	hit := false
-	if e.parse != nil {
-		raw, hit = e.parse.take(pageURL, body)
-	}
-	if !hit {
-		e.rawLinks = dom.ExtractLinksAppend(e.rawLinks[:0], body)
-		raw = e.rawLinks
-	}
+	raw := dom.ExtractLinksAppend(e.rawLinks[:0], body)
+	e.rawLinks = raw
 	out := make([]dom.Link, 0, len(raw))
 	// A fresh set per page, not a cleared engine-owned one: clear() costs the
 	// map's capacity, which one hub page would leave large for every page
@@ -614,7 +592,6 @@ func (e *engine) result(name string, steps int) *Result {
 		NonTargetBytes: e.nonTargetBytes,
 		Steps:          steps,
 		Spec:           e.specStats,
-		ParseHits:      e.parseHits,
 		Fabric:         e.fabricStats,
 	}
 	// Attach fault stats only when something actually failed: a gob

@@ -11,15 +11,6 @@ package core
 // behind the fetch.Prefetcher. Results are byte-identical to the purely
 // sequential loop at every prefetch width because no stage ever *reads*
 // speculative state; the prefetcher is only a cache the fetch stage warms.
-//
-// A pipelined crawl adds a second speculative stage between fetch and
-// select: the parallel parse stage (see parse.go). Speculative GETs that
-// complete with HTML bodies are tokenized and link-extracted by a bounded
-// worker pool while the engine is fetching and ingesting earlier pages, so
-// extractNewLinks usually consumes a finished parse instead of computing
-// one. Like prefetching it is a pure cache warm-up — dom.ExtractLinks is a
-// pure function of the body bytes — so the byte-identical guarantee holds
-// at every pool size too.
 
 // crawlPolicy is the strategy-specific half of the staged loop: the select
 // stage (SelectNext) and the ingest stage (Ingest). The engine owns the

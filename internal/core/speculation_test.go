@@ -11,6 +11,14 @@ import (
 	"sbcrawl/internal/fetch"
 )
 
+// stripDiagnostics drops the wall-clock-dependent speculation counters so
+// Results can be compared for the determinism that matters.
+func stripDiagnostics(r *Result) *Result {
+	c := *r
+	c.Spec = nil
+	return &c
+}
+
 // TestSBHintsArePure is the gate on SB's predictive speculation: a crawl
 // whose next-draw hint (sbRun.Hints: AUER scoring, Grouped.PeekFrom) and
 // in-page target prediction (predictTargets: feature extraction, Guess) run

@@ -2,7 +2,6 @@ package dom
 
 import (
 	"maps"
-	"strings"
 	"sync"
 	"unicode"
 	"unicode/utf8"
@@ -45,15 +44,6 @@ func (n *Node) Attr(name string) (string, bool) {
 func (n *Node) ID() string {
 	v, _ := n.Attr("id")
 	return v
-}
-
-// Classes returns the element's class list, split on whitespace.
-func (n *Node) Classes() []string {
-	v, ok := n.Attr("class")
-	if !ok || v == "" {
-		return nil
-	}
-	return strings.Fields(v)
 }
 
 // Text returns the concatenated text content of the subtree rooted at n,

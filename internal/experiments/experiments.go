@@ -50,10 +50,6 @@ type Config struct {
 	// crawl loop — so it composes with Workers: sites in parallel,
 	// requests pipelined within each site.
 	Prefetch int
-	// ParseWorkers sizes the pipelined crawls' parallel parse stage
-	// (0 = auto when Prefetch is on, negative = off); see
-	// core.Env.ParseWorkers. Reports are identical whatever the value.
-	ParseWorkers int
 	// Partitions multiplies every crawl's speculation window (0 = off;
 	// negative = core.PartitionsAuto); see core.Env.Partitions. Reports are
 	// identical whatever the value — like Prefetch, it only warms the crawl
@@ -237,11 +233,10 @@ func buildSite(cfg Config, code string) (*siteEnv, error) {
 		replay.SetBackend(store.Prefixed(cfg.st, ns))
 	}
 	env := &core.Env{
-		Root:         site.Root(),
-		Fetcher:      replay,
-		Prefetch:     cfg.Prefetch,
-		ParseWorkers: cfg.ParseWorkers,
-		Partitions:   cfg.Partitions,
+		Root:       site.Root(),
+		Fetcher:    replay,
+		Prefetch:   cfg.Prefetch,
+		Partitions: cfg.Partitions,
 		OracleClass: func(u string) int {
 			pg, ok := site.Lookup(u)
 			if !ok {

@@ -70,11 +70,10 @@ func resumeEnv(cfg Config, site *sitegen.Site, backend store.Backend, budget int
 		replay.SetBackend(backend)
 	}
 	return &core.Env{
-		Root:         site.Root(),
-		Fetcher:      replay,
-		MaxRequests:  budget,
-		Prefetch:     cfg.Prefetch,
-		ParseWorkers: cfg.ParseWorkers,
+		Root:        site.Root(),
+		Fetcher:     replay,
+		MaxRequests: budget,
+		Prefetch:    cfg.Prefetch,
 	}, replay
 }
 

@@ -12,7 +12,6 @@ package faultsim
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -149,7 +148,6 @@ type Plan struct {
 
 	mu       sync.Mutex
 	attempts map[string]int
-	injected int
 }
 
 // NewPlan compiles a Schedule. A nil-equivalent Schedule (Rate 0, no dead
@@ -208,7 +206,6 @@ func (p *Plan) count(verb, url string) int {
 	defer p.mu.Unlock()
 	key := verb + "|" + url
 	p.attempts[key]++
-	p.injected++
 	return p.attempts[key]
 }
 
@@ -217,19 +214,11 @@ func (p *Plan) SlowDelay() time.Duration {
 	return time.Duration(p.sched.SlowDelay)
 }
 
-// Injected reports how many faults the plan has handed out.
-func (p *Plan) Injected() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.injected
-}
-
 // Reset clears the attempt counters (a fresh crawl over the same plan).
 func (p *Plan) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.attempts = make(map[string]int)
-	p.injected = 0
 }
 
 // faulty decides — purely from seed and URL — whether the URL fails at all.
@@ -261,11 +250,4 @@ func (p *Plan) hash(ns, url string) uint64 {
 
 func normalizeHost(h string) string {
 	return strings.TrimPrefix(strings.ToLower(h), "www.")
-}
-
-// IsInjected reports whether an error originated from a fault plan (any
-// kind's sentinel), for tests and diagnostics.
-func IsInjected(err error) bool {
-	return errors.Is(err, ErrConnReset) || errors.Is(err, ErrTimeout) ||
-		errors.Is(err, ErrTruncated)
 }

@@ -55,21 +55,17 @@ type SimBackend interface {
 // path (no sockets, no waits, fully deterministic).
 type Sim struct {
 	server SimBackend
-	// BlockMIME enables banned-MIME interruption (on by default).
-	BlockMIME bool
 }
 
 // NewSim wraps a simulated server.
 func NewSim(server SimBackend) *Sim {
-	return &Sim{server: server, BlockMIME: true}
+	return &Sim{server: server}
 }
 
 // Get implements Fetcher.
 func (f *Sim) Get(url string) (Response, error) {
 	resp := fromServer(f.server.Get(url))
-	if f.BlockMIME {
-		ApplyMIMEBlock(&resp)
-	}
+	ApplyMIMEBlock(&resp)
 	return resp, nil
 }
 

@@ -97,28 +97,6 @@ func TestReplayHeadFromStoredGet(t *testing.T) {
 	}
 }
 
-func TestReplayFrozenMode(t *testing.T) {
-	f, site := newSimFetcher(t)
-	r := NewReplay(f)
-	if _, err := r.Get(site.Root()); err != nil {
-		t.Fatal(err)
-	}
-	r.Frozen = true
-	// Unknown URL in frozen mode: 404, no backend call.
-	resp, err := r.Get(site.TargetURLs()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != 404 {
-		t.Errorf("frozen miss status = %d, want 404", resp.Status)
-	}
-	// Stored URL still replays fine.
-	resp2, err := r.Get(site.Root())
-	if err != nil || resp2.Status != 200 {
-		t.Errorf("frozen hit failed: %v %+v", err, resp2)
-	}
-}
-
 func TestHTTPFetcherAgainstLiveServer(t *testing.T) {
 	p, _ := sitegen.ProfileByCode("cl")
 	site := sitegen.Generate(sitegen.Config{Profile: p, Scale: 0.02, Seed: 13})

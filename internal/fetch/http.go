@@ -24,8 +24,6 @@ type HTTP struct {
 	MaxBodyBytes int64
 	// UserAgent identifies the crawler.
 	UserAgent string
-	// BlockMIME enables banned-MIME interruption.
-	BlockMIME bool
 	// RespectRobots gates every request on the host's robots.txt
 	// (RFC 9309); disallowed URLs return ErrRobotsDisallowed without any
 	// network traffic. On by default.
@@ -63,7 +61,6 @@ func NewHTTP() *HTTP {
 		MinDelay:      time.Second,
 		MaxBodyBytes:  256 << 20,
 		UserAgent:     "sbcrawl/1.0 (focused statistics-dataset crawler)",
-		BlockMIME:     true,
 		RespectRobots: true,
 	}
 }
@@ -126,7 +123,7 @@ func (f *HTTP) Get(url string) (Response, error) {
 	if httpResp.ContentLength > 0 {
 		resp.ContentLength = int(httpResp.ContentLength)
 	}
-	if f.BlockMIME && urlutil.IsBlockedMIME(resp.MIME) {
+	if urlutil.IsBlockedMIME(resp.MIME) {
 		// Headers told us enough: abandon the body (Sec. 3.4).
 		resp.Interrupted = true
 		return resp, nil

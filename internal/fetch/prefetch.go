@@ -56,9 +56,6 @@ type Prefetcher struct {
 	// onLaunch, when set, observes every speculative launch (see
 	// SetOnLaunch).
 	onLaunch func(url string)
-	// onComplete, when set, observes every successfully completed
-	// speculative GET (see SetOnComplete).
-	onComplete func(url string, resp Response)
 }
 
 // speculative is one in-flight or completed speculative fetch.
@@ -157,20 +154,6 @@ func (p *Prefetcher) SetShared(s SharedStore) {
 func (p *Prefetcher) SetOnLaunch(fn func(url string)) {
 	p.mu.Lock()
 	p.onLaunch = fn
-	p.mu.Unlock()
-}
-
-// SetOnComplete installs an observer for successfully completed speculative
-// GETs (HEAD probes and failed fetches are not reported). The hook runs on
-// the speculative fetch's own goroutine, after the response is resident —
-// consumers use it to start downstream speculative work (e.g. parse-ahead)
-// while the engine is still busy elsewhere. The hook must be safe for
-// concurrent calls and must treat the response as read-only; it observes
-// timing, never crawl state, so it cannot affect what a crawl returns. Set
-// it before the first Hint.
-func (p *Prefetcher) SetOnComplete(fn func(url string, resp Response)) {
-	p.mu.Lock()
-	p.onComplete = fn
 	p.mu.Unlock()
 }
 
@@ -314,15 +297,11 @@ func (p *Prefetcher) fetch(u string, head bool, s *speculative, onLaunch func(st
 	p.mu.Lock()
 	p.pending--
 	shared := p.shared
-	onComplete := p.onComplete
 	p.mu.Unlock()
 	// Failures never enter the fleet-shared cache: a momentary 503 must
 	// not be replayed to other crawls as the page's truth.
 	if shared != nil && !head && s.err == nil && !TransientResult(s.resp, s.err) {
 		shared.Publish(u, s.resp)
-	}
-	if onComplete != nil && !head && s.err == nil {
-		onComplete(u, s.resp)
 	}
 }
 

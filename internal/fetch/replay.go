@@ -49,11 +49,6 @@ type Replay struct {
 	enc []byte
 	// hits and misses count database lookups, for cache diagnostics.
 	hits, misses int
-
-	// Frozen refuses backend fetches (semi-online → local-only mode); a
-	// frozen miss returns a 404 so crawlers degrade the way dead links do.
-	// Toggle only while no crawl is running.
-	Frozen bool
 }
 
 // NewReplay wraps a backend fetcher with an empty database.
@@ -144,11 +139,7 @@ func (r *Replay) Get(url string) (Response, error) {
 		r.mu.Unlock()
 		return resp, nil
 	}
-	frozen := r.Frozen
 	r.mu.Unlock()
-	if frozen {
-		return Response{URL: url, Status: 404}, nil
-	}
 	resp, err := r.backend.Get(url)
 	if err != nil {
 		return resp, err
@@ -191,11 +182,7 @@ func (r *Replay) Head(url string) (Response, error) {
 		}
 		delete(r.diskGets, url)
 	}
-	frozen := r.Frozen
 	r.mu.Unlock()
-	if frozen {
-		return Response{URL: url, Status: 404}, nil
-	}
 	resp, err := r.backend.Head(url)
 	if err != nil {
 		return resp, err

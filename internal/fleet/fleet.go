@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sort"
 	"sync"
 
 	"sbcrawl/internal/core"
@@ -52,6 +53,42 @@ func dispatchOrder(order []int, n int) []int {
 		}
 		seen[i] = true
 	}
+	return order
+}
+
+// ResumeOrder builds an Options.Order ranking n crawls most-complete-first
+// from their durable progress: finished crawls first (they short-circuit
+// instantly, freeing worker slots), then by checkpointed request count
+// descending, ties in input order. Returns nil — input order — when every
+// crawl is cold. Purely a scheduling hint: results, and their input-order
+// reporting, are byte-identical whatever the order.
+func ResumeOrder(n int, progress func(i int) (done bool, requests int)) []int {
+	type prog struct {
+		done     bool
+		requests int
+	}
+	ps := make([]prog, n)
+	warm := false
+	for i := range ps {
+		ps[i].done, ps[i].requests = progress(i)
+		if ps[i].done || ps[i].requests > 0 {
+			warm = true
+		}
+	}
+	if !warm {
+		return nil
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		pa, pb := ps[order[a]], ps[order[b]]
+		if pa.done != pb.done {
+			return pa.done
+		}
+		return pa.requests > pb.requests
+	})
 	return order
 }
 

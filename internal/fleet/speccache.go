@@ -37,9 +37,6 @@ type SpecCacheStats struct {
 	Hits, Misses int
 	// Published counts accepted Publish calls (duplicates excluded).
 	Published int
-	// Warmed counts entries preloaded from a persistent store (warm
-	// start), kept apart from Published so reuse diagnostics stay honest.
-	Warmed int
 	// Evicted counts responses dropped to respect the cap.
 	Evicted int
 }
@@ -109,39 +106,6 @@ func (c *SpecCache) evictOldestLocked() {
 	c.order[0] = ""
 	c.order = c.order[1:]
 	c.stats.Evicted++
-}
-
-// Preload seeds the cache with a response persisted by an earlier run,
-// without counting it as live Publish traffic: warm-start entries are
-// tallied separately (Stats.Warmed) so hit-rate diagnostics still reflect
-// this run's sharing. First write wins and the cap is respected, exactly
-// like Publish.
-func (c *SpecCache) Preload(url string, resp fetch.Response) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[url]; ok {
-		return
-	}
-	if len(c.entries) >= c.cap {
-		return // never evict live state to make room for warm-up
-	}
-	c.entries[url] = resp
-	c.order = append(c.order, url)
-	c.stats.Warmed++
-}
-
-// Range visits every resident entry in publish order (warm-start entries
-// first, then this run's publishes) — the deterministic iteration the
-// persistence layer spills through. The callback must not call back into
-// the cache.
-func (c *SpecCache) Range(fn func(url string, resp fetch.Response)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, url := range c.order {
-		if resp, ok := c.entries[url]; ok {
-			fn(url, resp)
-		}
-	}
 }
 
 // Stats snapshots the cache counters.

@@ -84,36 +84,3 @@ func TestSpecCacheConcurrentAccess(t *testing.T) {
 		t.Errorf("stored %d entries over the cap", st.Stored)
 	}
 }
-
-// TestSpecCachePreloadAndRange covers the warm-start path: preloaded
-// entries serve Lookups, are counted apart from live publishes, never
-// evict, and Range spills them back out in order.
-func TestSpecCachePreloadAndRange(t *testing.T) {
-	c := NewSpecCache(3)
-	c.Preload("a", fetch.Response{URL: "a", Status: 200})
-	c.Preload("b", fetch.Response{URL: "b", Status: 200})
-	c.Preload("a", fetch.Response{URL: "a", Status: 500}) // first write wins
-	if resp, ok := c.Lookup("a"); !ok || resp.Status != 200 {
-		t.Fatalf("Lookup(a) = %+v, %v", resp, ok)
-	}
-	st := c.Stats()
-	if st.Warmed != 2 || st.Published != 0 || st.Stored != 2 {
-		t.Fatalf("stats after preload: %+v", st)
-	}
-	// The cap holds: a third preload fits, a fourth is dropped (never
-	// evicting live state), while Publish still evicts oldest-first.
-	c.Preload("c", fetch.Response{URL: "c", Status: 200})
-	c.Preload("d", fetch.Response{URL: "d", Status: 200})
-	if c.Contains("d") {
-		t.Fatal("over-cap preload should be dropped")
-	}
-	c.Publish("e", fetch.Response{URL: "e", Status: 200})
-	if c.Contains("a") {
-		t.Fatal("publish at cap should evict the oldest entry")
-	}
-	var order []string
-	c.Range(func(url string, resp fetch.Response) { order = append(order, url) })
-	if len(order) != 3 || order[0] != "b" || order[1] != "c" || order[2] != "e" {
-		t.Fatalf("Range order = %v, want [b c e]", order)
-	}
-}

@@ -66,7 +66,6 @@ type CrawlSpec struct {
 	SimLatency      time.Duration `json:"sim_latency,omitempty"`
 	Prefetch        int           `json:"prefetch,omitempty"`
 	Partitions      int           `json:"partitions,omitempty"`
-	ParseWorkers    int           `json:"parse_workers,omitempty"`
 	Politeness      time.Duration `json:"politeness,omitempty"`
 	TargetMIMEs     []string      `json:"target_mimes,omitempty"`
 	Theta           float64       `json:"theta,omitempty"`
@@ -98,7 +97,6 @@ func (c CrawlSpec) config() sbcrawl.Config {
 		SimLatency:      c.SimLatency,
 		Prefetch:        c.Prefetch,
 		Partitions:      c.Partitions,
-		ParseWorkers:    c.ParseWorkers,
 		Politeness:      c.Politeness,
 		TargetMIMEs:     c.TargetMIMEs,
 		Theta:           c.Theta,

@@ -43,7 +43,7 @@ func appendCrawlSpec(dst []byte, c *CrawlSpec) []byte {
 	dst = codec.AppendVarint(dst, int64(c.SimLatency))
 	dst = codec.AppendInt(dst, c.Prefetch)
 	dst = codec.AppendInt(dst, c.Partitions)
-	dst = codec.AppendInt(dst, c.ParseWorkers)
+	dst = codec.AppendInt(dst, 0) // retired ParseWorkers slot
 	dst = codec.AppendVarint(dst, int64(c.Politeness))
 	dst = codec.AppendStrings(dst, c.TargetMIMEs)
 	dst = codec.AppendFloat64(dst, c.Theta)
@@ -97,7 +97,7 @@ func readCrawlSpec(r *codec.Reader, c *CrawlSpec) {
 	c.SimLatency = time.Duration(r.Varint())
 	c.Prefetch = r.Int()
 	c.Partitions = r.Int()
-	c.ParseWorkers = r.Int()
+	r.Int() // retired ParseWorkers slot; records written before its removal carry a value
 	c.Politeness = time.Duration(r.Varint())
 	c.TargetMIMEs = r.Strings()
 	c.Theta = r.Float64()

@@ -5,11 +5,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"sbcrawl"
 	"sbcrawl/internal/codec"
 )
 
@@ -27,7 +34,6 @@ func sampleRecord() sessionRecord {
 				SimLatency:      2 * time.Millisecond,
 				Prefetch:        8,
 				Partitions:      4,
-				ParseWorkers:    2,
 				Politeness:      time.Second,
 				TargetMIMEs:     []string{"text/csv", "application/json"},
 				Theta:           0.5,
@@ -87,6 +93,74 @@ func TestSessionRecordLegacyGob(t *testing.T) {
 	}
 	if _, err := decodeSessionRecord(buf.Bytes()); !errors.Is(err, codec.ErrLegacyFormat) {
 		t.Fatalf("gob-era record: err = %v, want ErrLegacyFormat", err)
+	}
+}
+
+// parentRecordHex is a session record exactly as the last commit with a
+// ParseWorkers knob encoded it, and parentSpecJSON the spec its client
+// posted: BFS on cl, 30 requests, prefetch 4, parse_workers 2.
+const (
+	parentRecordHex = "0001070461636d650a6f6c642d636c69656e7400036266733c060000080004" +
+		"000000000000000000000000000000000000000000000000000000000000000000000202636c" +
+		"7b14ae47e17a843f060000c0ada3eb0c00"
+	parentSpecJSON = `{"tenant":"acme","name":"old-client",` +
+		`"crawl":{"strategy":"bfs","max_requests":30,"seed":3,"prefetch":4,"parse_workers":2},` +
+		`"sites":[{"code":"cl","scale":0.01,"seed":3}]}`
+)
+
+// TestRetiredParseWorkersSlot is the wire-compatibility gate of the retired
+// knob: a stored record that carries a parse_workers value still decodes (the
+// slot is read and discarded), and after a restart over that store the old
+// client re-attaches with its old JSON — the ignored field must not turn the
+// spec comparison into a 409.
+func TestRetiredParseWorkersSlot(t *testing.T) {
+	raw, err := hex.DecodeString(parentRecordHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := decodeSessionRecord(raw)
+	if err != nil {
+		t.Fatalf("parent-format record: %v", err)
+	}
+	want := SessionSpec{
+		Tenant: "acme",
+		Name:   "old-client",
+		Crawl:  CrawlSpec{Strategy: "bfs", MaxRequests: 30, Seed: 3, Prefetch: 4},
+		Sites:  []SiteSpec{{Code: "cl", Scale: 0.01, Seed: 3}},
+	}
+	if !reflect.DeepEqual(rec.Spec, want) {
+		t.Fatalf("decoded spec = %+v, want %+v", rec.Spec, want)
+	}
+
+	dir := t.TempDir()
+	st, err := sbcrawl.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := SessionID("acme", "old-client")
+	if err := st.Records("crawld").Put("sess|"+id, raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, client, stop := daemon(t, Config{StorePath: dir, Workers: 1})
+	defer stop()
+	resp, err := http.Post(client.BaseURL+"/v1/sessions", "application/json", strings.NewReader(parentSpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var attached SessionStatus
+	if err := json.NewDecoder(resp.Body).Decode(&attached); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || attached.ID != id {
+		t.Fatalf("re-attach with the old spec: HTTP %d, id %q, want 200 and %q", resp.StatusCode, attached.ID, id)
+	}
+	done, err := client.WaitDone(context.Background(), id)
+	if err != nil || done.State != StateDone || done.Requests != 30 {
+		t.Fatalf("reloaded session: %+v, %v", done, err)
 	}
 }
 

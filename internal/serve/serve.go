@@ -165,7 +165,7 @@ func (s *session) status(withResults bool) SessionStatus {
 		if st.Faults == nil {
 			st.Faults = &sbcrawl.FaultStats{}
 		}
-		addFaults(st.Faults, ur.Result.Faults)
+		st.Faults.Add(*ur.Result.Faults)
 	}
 	if withResults {
 		st.Results = make([]UnitResult, len(s.results))
@@ -178,18 +178,6 @@ func (s *session) status(withResults bool) SessionStatus {
 		}
 	}
 	return st
-}
-
-// addFaults accumulates one unit's fault counters into the session total.
-func addFaults(dst, src *sbcrawl.FaultStats) {
-	dst.Retries += src.Retries
-	dst.RetrySuccesses += src.RetrySuccesses
-	dst.Exhausted += src.Exhausted
-	dst.BackoffWait += src.BackoffWait
-	dst.BreakerTrips += src.BreakerTrips
-	dst.BreakerFastFails += src.BreakerFastFails
-	dst.FailedRequests += src.FailedRequests
-	dst.QuarantinedHosts = append(dst.QuarantinedHosts, src.QuarantinedHosts...)
 }
 
 // wait blocks until the session's seq exceeds after, the timeout elapses,
@@ -585,10 +573,11 @@ func (s *Server) reload() {
 		if rec.Cancelled {
 			continue
 		}
-		// Store-aware resume scheduling, the serve-layer twin of the fleet
-		// ordering: rank this session's units by their durable progress.
-		order := resumeOrder(len(sess.labels), func(i int) sbcrawl.CrawlProgress {
-			return s.unitProgress(sess, i)
+		// Store-aware resume scheduling: rank this session's units by their
+		// durable progress, as a resumed fleet does.
+		order := fleet.ResumeOrder(len(sess.labels), func(i int) (bool, int) {
+			p := s.unitProgress(sess, i)
+			return p.Done, p.Requests
 		})
 		s.enqueue(sess, order)
 	}
@@ -605,33 +594,4 @@ func (s *Server) unitProgress(sess *session, i int) sbcrawl.CrawlProgress {
 		return s.store.SiteProgress(site, cfg)
 	}
 	return s.store.LiveProgress(cfg)
-}
-
-// resumeOrder ranks unit indices most-complete-first: done units first,
-// then by checkpointed requests descending, ties in unit order. Nil when
-// everything is cold.
-func resumeOrder(n int, progress func(i int) sbcrawl.CrawlProgress) []int {
-	ps := make([]sbcrawl.CrawlProgress, n)
-	warm := false
-	for i := 0; i < n; i++ {
-		ps[i] = progress(i)
-		if ps[i].Done || ps[i].Requests > 0 {
-			warm = true
-		}
-	}
-	if !warm {
-		return nil
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := ps[order[a]], ps[order[b]]
-		if pa.Done != pb.Done {
-			return pa.Done
-		}
-		return pa.Requests > pb.Requests
-	})
-	return order
 }

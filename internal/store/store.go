@@ -505,14 +505,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return val, true
 }
 
-// Has reports whether the key is live.
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // Keys implements Backend.
 func (s *Store) Keys(prefix string) []string {
 	s.mu.Lock()
@@ -584,6 +576,13 @@ func (s *Store) Snapshot() error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
+	return s.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot for a caller that holds s.mu on an open store.
+// A failure part-way leaves the old segments and the index in force; the
+// records already copied are duplicates a later Open replays harmlessly.
+func (s *Store) snapshotLocked() error {
 	if err := s.flushLocked(); err != nil {
 		return err
 	}
@@ -644,22 +643,22 @@ func (s *Store) Snapshot() error {
 }
 
 // Close flushes, compacts when more than half the stored bytes are garbage,
-// and releases the file handles.
+// and releases the file handles and the writer lock. It releases them
+// whatever fails on the way — a directory must never stay locked behind a
+// failed compaction — and returns the first error.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	compact := s.totalBytes > 0 && float64(s.totalBytes-s.liveBytes) > 0.5*float64(s.totalBytes)
-	s.mu.Unlock()
-	if compact {
-		if err := s.Snapshot(); err != nil {
-			return err
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	err := s.flushLocked()
+	var err error
+	if s.totalBytes > 0 && float64(s.totalBytes-s.liveBytes) > 0.5*float64(s.totalBytes) {
+		err = s.snapshotLocked()
+	}
+	if ferr := s.flushLocked(); err == nil {
+		err = ferr
+	}
 	s.closeFiles()
 	s.closed = true
 	return err
@@ -682,7 +681,7 @@ var _ Backend = (*Store)(nil)
 
 // Prefixed scopes a Backend into a namespace: every key is transparently
 // prefixed, so independent layers (per-site replay databases, checkpoints,
-// the speculation spill) share one physical store without colliding.
+// session records) share one physical store without colliding.
 func Prefixed(b Backend, prefix string) Backend {
 	return &prefixed{b: b, p: prefix}
 }

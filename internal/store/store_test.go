@@ -335,6 +335,38 @@ func TestOpenRefusesSecondWriter(t *testing.T) {
 	s2.Close()
 }
 
+// TestCloseReleasesLockWhenCompactionFails: a Close whose compaction cannot
+// read a segment back still reports the failure, and still leaves the
+// directory open to the next writer instead of ErrLocked for the life of the
+// process.
+func TestCloseReleasesLockWhenCompactionFails(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		s.Put("k", []byte(fmt.Sprintf("gen-%d", i)))
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the segment under the open store: compaction's read of the live
+	// record now fails.
+	corruptTail(t, dir, func(data []byte) []byte { return data[:10] })
+	if err := s.Close(); err == nil {
+		t.Fatal("Close over an unreadable segment reported success")
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after a failed close-time compaction: %v", err)
+	}
+	s2.Close()
+}
+
 func TestRecoveryMidLogSkipsWithoutTruncating(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)

@@ -63,9 +63,6 @@ type ScopeError struct{ Root string }
 
 func (e *ScopeError) Error() string { return "urlutil: root URL has no hostname: " + e.Root }
 
-// RootHost returns the normalized root hostname of the scope.
-func (s *Scope) RootHost() string { return s.rootHost }
-
 // Contains reports whether raw is part of the same website as the root.
 // Invalid URLs and non-http(s) schemes are out of scope.
 func (s *Scope) Contains(raw string) bool {

@@ -2,15 +2,13 @@ package sbcrawl
 
 // This file is the persistence layer of the public API: it wires
 // Config.StorePath / Config.Resume into the internal/store segment log.
-// Three kinds of state go through one store directory, each in its own key
+// Two kinds of state go through one store directory, each in its own key
 // namespace:
 //
 //   - the replay database (every GET/HEAD response, via fetch.Replay's
 //     disk backend) — the durable substrate resume is built on;
 //   - crawl records: periodic engine checkpoints and, when a crawl
-//     finishes, its complete serialized result (the done-record);
-//   - the fleet speculation cache (fleet.SpecCache), spilled after a fleet
-//     and preloaded into the next, so successive fleets start warm.
+//     finishes, its complete serialized result (the done-record).
 //
 // Resume is deterministic re-execution: a killed crawl left every response
 // it ever saw in the store, so running the same Config again replays the
@@ -32,7 +30,6 @@ import (
 	"sbcrawl/internal/codec"
 	"sbcrawl/internal/core"
 	"sbcrawl/internal/fetch"
-	"sbcrawl/internal/fleet"
 	"sbcrawl/internal/store"
 )
 
@@ -88,7 +85,7 @@ type RecordStore interface {
 
 // Records scopes a private key namespace inside the store. Namespaces are
 // independent of each other and of the crawl state (replay databases,
-// checkpoints, done-records, speculation spill) kept in the same directory.
+// checkpoints, done-records) kept in the same directory.
 func (s *Store) Records(namespace string) RecordStore {
 	return store.Prefixed(s.cs.st, "x|"+namespace+"|")
 }
@@ -194,6 +191,16 @@ func storeFor(cfg Config) (cs *crawlStore, release func() error, err error) {
 	return cs, cs.Close, nil
 }
 
+// closeInto releases a per-call store when the crawl returns. A failed close
+// (the final flush or compaction) means the run's writes may not be durable,
+// so it becomes the call's error — beside the result — unless the crawl
+// itself already failed.
+func closeInto(release func() error, err *error) {
+	if cerr := release(); *err == nil {
+		*err = cerr
+	}
+}
+
 // StoreStats reports what the persistent crawl store (Config.StorePath)
 // contributed to one crawl.
 type StoreStats struct {
@@ -244,7 +251,12 @@ func openCrawlStore(path string) (*crawlStore, error) {
 
 // Close flushes and compacts the store (snapshot compaction kicks in when
 // more than half the log is superseded records).
-func (cs *crawlStore) Close() error { return cs.st.Close() }
+func (cs *crawlStore) Close() error {
+	if err := cs.st.Close(); err != nil {
+		return fmt.Errorf("sbcrawl: closing store: %w", err)
+	}
+	return nil
+}
 
 // fingerprint hashes the parts that select distinct durable state.
 func fingerprint(parts ...string) string {
@@ -412,47 +424,4 @@ func (s *storeSink) Checkpoint(cp core.Checkpoint) {
 		s.n++
 	}
 	s.b.Sync()
-}
-
-// specPrefix is the key namespace one speculation cache spills into.
-// CrawlSites scopes it per simulated site; CrawlMany per UserAgent (URL
-// keys embed the host, so one per-agent namespace spans hosts safely).
-func specPrefix(ns string) string { return ns + "|spec|" }
-
-func uaNamespace(userAgent string) string { return "u" + fingerprint(userAgent) }
-
-// preloadSpecCache warms a fleet speculation cache from the store.
-func preloadSpecCache(cs *crawlStore, ns string, cache *fleet.SpecCache) {
-	b := store.Prefixed(cs.st, specPrefix(ns))
-	for _, url := range b.Keys("") {
-		raw, ok := b.Get(url)
-		if !ok {
-			continue
-		}
-		resp, err := fetch.DecodeResponse(raw)
-		if err != nil {
-			continue
-		}
-		cache.Preload(url, resp)
-	}
-}
-
-// persistSpecCache spills a fleet speculation cache into the store, so the
-// next fleet (or a resumed one) starts warm.
-func persistSpecCache(cs *crawlStore, ns string, cache *fleet.SpecCache) {
-	b := store.Prefixed(cs.st, specPrefix(ns))
-	var kvs []store.KV
-	cache.Range(func(url string, resp fetch.Response) {
-		raw, err := fetch.EncodeResponse(resp)
-		if err != nil {
-			return
-		}
-		kvs = append(kvs, store.KV{Key: url, Val: raw})
-	})
-	// One group commit: a single batch record, one buffered write, one
-	// flush — instead of a record header and CRC per cached response.
-	if err := b.PutBatch(kvs); err != nil {
-		return
-	}
-	b.Sync()
 }

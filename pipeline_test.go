@@ -8,7 +8,6 @@ package sbcrawl
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -371,49 +370,6 @@ func BenchmarkFleetSharedCache(b *testing.B) {
 					b.Fatalf("%d crawls failed", res.Failed)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkParseStagePipeline is the parallel parse stage's benchmark: a
-// pipelined crawl under realistic round-trip latency, with the stage off vs
-// on. Latency gives the parse workers their headroom — speculative bodies
-// land and are tokenized while the engine's demand fetch is still in flight,
-// so with the stage on the demand side consumes finished parses instead of
-// computing them. The custom metric is throughput normalized by core count —
-// pages/s/core — the number recorded in BENCH_engine.json for the engine's
-// hot-path trajectory.
-func BenchmarkParseStagePipeline(b *testing.B) {
-	site, err := GenerateSite("cn", 0.05, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{
-		{"parse=off", -1},
-		{"parse=auto", 0},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := Config{
-				Strategy:     StrategyBFS,
-				MaxRequests:  200,
-				SimLatency:   time.Millisecond,
-				Prefetch:     32,
-				ParseWorkers: c.workers,
-			}
-			b.ReportAllocs()
-			pages := 0
-			for i := 0; i < b.N; i++ {
-				res, err := CrawlSite(site, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages += res.Requests
-			}
-			perCore := float64(pages) / b.Elapsed().Seconds() / float64(runtime.GOMAXPROCS(0))
-			b.ReportMetric(perCore, "pages/s/core")
 		})
 	}
 }

@@ -5,8 +5,8 @@ package sbcrawl
 // to a run that was never interrupted — for all 9 strategies and for
 // Prefetch ∈ {0, 8, auto} — because resume is deterministic re-execution
 // over the durable replay database. The fleet variants additionally pin
-// warm starts (replay + speculation-cache hits from request one) and
-// done-record short-circuits.
+// warm starts (every page served by the replay database) and done-record
+// short-circuits.
 
 import (
 	"context"
@@ -131,8 +131,8 @@ func TestResumeEquivalenceAfterCancel(t *testing.T) {
 }
 
 // TestFleetWarmStart is the ISSUE 5 acceptance: a second fleet over the
-// same sites with StorePath set starts warm — replay and speculation-cache
-// hit rates are non-zero from the first step — and still returns
+// same sites with StorePath set starts warm — the durable replay database
+// serves every page, so the fleet touches no backend — and still returns
 // byte-identical results.
 func TestFleetWarmStart(t *testing.T) {
 	site, err := GenerateSite("ju", 0.01, 9)
@@ -142,9 +142,8 @@ func TestFleetWarmStart(t *testing.T) {
 	sites := []*Site{site, site}
 	dir := t.TempDir()
 	cfg := Config{Strategy: StrategySB, Seed: 4, Prefetch: 8, StorePath: dir}
-	// The small cap keeps the warm speculation cache from covering the
-	// whole site, so the second fleet exercises both warm layers: spec
-	// hits for the cached prefix, durable replay hits for the rest.
+	// The small cap keeps the speculation cache from covering the whole
+	// site, so its overflow falls through to the replay database too.
 	opts := FleetOptions{Workers: 2, SharedSpeculation: true, SpecCacheCap: 12}
 
 	first, err := CrawlSites(sites, cfg, opts)
@@ -167,14 +166,54 @@ func TestFleetWarmStart(t *testing.T) {
 	if second.Store.ReplayHits == 0 {
 		t.Error("second fleet never hit the durable replay database")
 	}
-	if second.Speculation.SharedHits == 0 {
-		t.Error("second fleet never hit the persisted speculation cache")
+	if second.Store.ReplayMisses != 0 {
+		t.Errorf("warm fleet went to the backend %d times", second.Store.ReplayMisses)
 	}
 	for i := range first.Sites {
 		want, got := first.Sites[i].Result, second.Sites[i].Result
 		if !reflect.DeepEqual(stripStore(got), stripStore(want)) {
 			t.Errorf("site %d: warm fleet result diverged from cold fleet", i)
 		}
+	}
+}
+
+// TestSharedSpeculationStoresEachResponseOnce pins what the store holds
+// after fleets that share speculation: the cache lives in memory for one
+// fleet and the replay database is the only durable copy of a response, so
+// two such fleets over one store leave about the bytes the same two fleets
+// leave without sharing (1.15x measured; a cache spilled beside the replay
+// database and re-written after every fleet left 2.7x).
+func TestSharedSpeculationStoresEachResponseOnce(t *testing.T) {
+	site, err := GenerateSite("ju", 0.05, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := []*Site{site, site}
+	storeBytes := func(shared bool) int64 {
+		dir := t.TempDir()
+		cfg := Config{Strategy: StrategySB, Seed: 4, Prefetch: PrefetchAuto, StorePath: dir}
+		for fleet := 0; fleet < 2; fleet++ {
+			if _, err := CrawlSites(sites, cfg, FleetOptions{Workers: 2, SharedSpeculation: shared}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total int64
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += info.Size()
+		}
+		return total
+	}
+	plain, shared := storeBytes(false), storeBytes(true)
+	if float64(shared) > 1.5*float64(plain) {
+		t.Errorf("store holds %d bytes after two sharing fleets, %d without sharing: responses are stored more than once", shared, plain)
 	}
 }
 

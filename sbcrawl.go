@@ -65,9 +65,10 @@
 // by simply running the same Config again: the completed prefix replays
 // from disk and the Result is byte-identical to a never-interrupted run.
 // Config.Resume additionally skips crawls whose recorded results are
-// already stored, so a restarted fleet only re-executes unfinished sites,
-// and FleetOptions.SharedSpeculation caches persist across fleets (warm
-// start). See examples/stop_resume and internal/store.
+// already stored, so a restarted fleet only re-executes unfinished sites.
+// A later fleet over the same store starts warm from that one response
+// database; FleetOptions.SharedSpeculation caches live in memory for one
+// fleet call. See examples/stop_resume and internal/store.
 package sbcrawl
 
 import (
@@ -199,15 +200,10 @@ type Config struct {
 	// answer — every request fails, forever — exercising the circuit
 	// breaker's graceful degradation. Ignored by live crawls.
 	FaultDeadHosts []string
-	// ParseWorkers sizes the parallel parse stage of a pipelined crawl:
-	// completed speculative fetches with HTML bodies are tokenized and
-	// link-extracted by a bounded worker pool while the crawl loop is
-	// still busy with earlier pages, overlapping the parse of page k+1
-	// with the ingest of page k the way Prefetch overlaps network with
-	// CPU. 0 (default) auto-sizes the pool to min(GOMAXPROCS−1, 4);
-	// n > 0 fixes the width; negative disables the stage. Ignored when
-	// Prefetch and Partitions are both 0. Parsing is a pure function of the
-	// page bytes, so results are byte-identical at every setting.
+	// ParseWorkers sized the deleted parse-ahead stage.
+	//
+	// Deprecated: ignored; removed at the benchmark re-base (the frozen
+	// benchmark/ names it).
 	ParseWorkers int
 
 	// StorePath, when non-empty, opens the persistent crawl store at that
@@ -222,7 +218,10 @@ type Config struct {
 	// speed and continues from the exact request the kill interrupted,
 	// producing a Result byte-identical to a never-interrupted run, at any
 	// Prefetch setting. One store directory serves a whole fleet (sites
-	// are namespaced inside it) but has a single writer at a time.
+	// are namespaced inside it) but has a single writer at a time. The
+	// store is closed when the call returns; a close that fails (the final
+	// flush or compaction) is returned as the call's error beside the
+	// Result, since the run's writes may then not be durable.
 	StorePath string
 	// Resume, with StorePath set, short-circuits crawls that already
 	// completed: when the store holds a done-record for this exact Config
@@ -400,27 +399,26 @@ func liveEnv(cfg Config, ctx context.Context, shared fetch.SharedStore) (*core.E
 	}
 	retry, breaker := retryPolicies(cfg, true)
 	return &core.Env{
-		Root:         cfg.Root,
-		Fetcher:      f,
-		MaxRequests:  cfg.MaxRequests,
-		Ctx:          ctx,
-		Prefetch:     cfg.Prefetch,
-		ParseWorkers: cfg.ParseWorkers,
-		SharedSpec:   shared,
-		Retry:        retry,
-		Breaker:      breaker,
+		Root:        cfg.Root,
+		Fetcher:     f,
+		MaxRequests: cfg.MaxRequests,
+		Ctx:         ctx,
+		Prefetch:    cfg.Prefetch,
+		SharedSpec:  shared,
+		Retry:       retry,
+		Breaker:     breaker,
 	}, nil
 }
 
 // runCrawl builds the crawler, runs it (with durable persistence when
 // Config.StorePath is set), and converts the result. ns scopes the crawl's
 // keys inside the store (one namespace per site identity).
-func runCrawl(cfg Config, env *core.Env, sitePages int, ns string) (*Result, error) {
+func runCrawl(cfg Config, env *core.Env, sitePages int, ns string) (_ *Result, err error) {
 	cs, release, err := storeFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer closeInto(release, &err)
 	if cs == nil {
 		res, _, err := execCrawl(cfg, env, sitePages)
 		if err != nil {

@@ -17,6 +17,14 @@ if grep -rn --include='*.go' '"encoding/gob"' . | grep -v '_test.go'; then
 	echo "encoding/gob imported outside _test.go" >&2
 	exit 1
 fi
+# Sequential engine: the crawl loop owns all crawl state from one goroutine,
+# so no non-test file of internal/core starts a goroutine or imports "sync"
+# (sync/atomic, the speculative-launch tally, is another import line). The
+# library's goroutines come from fetch/prefetch.go, fleet.Do and the daemon.
+if ls internal/core/*.go | grep -v '_test.go' | xargs grep -nE '^[[:space:]]*go |"sync"$'; then
+	echo "internal/core starts a goroutine or imports sync outside _test.go" >&2
+	exit 1
+fi
 go test ./...
 # The race pass is the one determinism gate: every equivalence suite —
 # prefetch widths, partitions, kill-and-resume, cross-version stores,
@@ -25,9 +33,9 @@ go test ./...
 # re-runs a subset of it.
 go test -race ./...
 # Bench smoke: the perf-trajectory benchmarks still build and run — the
-# pipeline widths, the fleet speedup, the adaptive speculation window, the
-# fleet-shared speculation cache, and the parallel parse stage.
-go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|BenchmarkAdaptivePrefetch|BenchmarkFleetSharedCache|BenchmarkParseStagePipeline' -benchtime 1x .
+# pipeline widths, the fleet speedup, the adaptive speculation window, and
+# the fleet-shared speculation cache.
+go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|BenchmarkAdaptivePrefetch|BenchmarkFleetSharedCache' -benchtime 1x .
 # Zero-allocation hot-path gate: the pooled parse/extract scanners and the
 # reusable vectorizer hasher must keep their steady-state allocation
 # budgets (O(links) per page, never O(bytes) nor O(text nodes); one output

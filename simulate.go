@@ -192,14 +192,13 @@ func siteCrawlEnv(site *Site, cfg Config, ctx context.Context) *core.Env {
 	}
 	retry, breaker := retryPolicies(cfg, false)
 	return &core.Env{
-		Root:         site.Root(),
-		Fetcher:      fetcher,
-		MaxRequests:  cfg.MaxRequests,
-		Ctx:          ctx,
-		Prefetch:     cfg.Prefetch,
-		ParseWorkers: cfg.ParseWorkers,
-		Retry:        retry,
-		Breaker:      breaker,
+		Root:        site.Root(),
+		Fetcher:     fetcher,
+		MaxRequests: cfg.MaxRequests,
+		Ctx:         ctx,
+		Prefetch:    cfg.Prefetch,
+		Retry:       retry,
+		Breaker:     breaker,
 		OracleClass: func(u string) int {
 			pg, ok := site.lookup(u)
 			if !ok {

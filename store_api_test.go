@@ -8,10 +8,17 @@ package sbcrawl
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"sbcrawl/internal/fleet"
 )
 
 // TestSharedStoreHandle runs concurrent durable crawls through one open
@@ -181,6 +188,82 @@ func TestSiteProgressObserved(t *testing.T) {
 	}
 }
 
+// TestFailedStoreCloseIsReturned: when the per-call store cannot be closed
+// cleanly — here the close-time compaction meets a segment cut short under
+// it — every entry point that opened Config.StorePath reports the failure
+// beside its result, and the directory is left unlocked for the next run.
+func TestFailedStoreCloseIsReturned(t *testing.T) {
+	site, err := GenerateSite("cl", 0.01, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(site.Handler())
+	defer ts.Close()
+	// A checkpoint per request supersedes enough records that Close compacts.
+	sim := Config{Strategy: StrategyBFS, MaxRequests: 60, CheckpointEvery: 1}
+	live := sim
+	live.Root, live.Politeness = ts.URL+"/", time.Millisecond
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		run  func(cfg Config) (gotResult bool, err error)
+	}{
+		{"CrawlSite", sim, func(cfg Config) (bool, error) {
+			res, err := CrawlSite(site, cfg)
+			return res != nil, err
+		}},
+		{"CrawlSites", sim, func(cfg Config) (bool, error) {
+			res, err := CrawlSites([]*Site{site}, cfg, FleetOptions{})
+			return res != nil && res.Completed == 1, err
+		}},
+		{"Crawl", live, func(cfg Config) (bool, error) {
+			res, err := Crawl(cfg)
+			return res != nil, err
+		}},
+		{"CrawlMany", live, func(cfg Config) (bool, error) {
+			res, err := CrawlMany([]Config{cfg}, FleetOptions{})
+			return res != nil && res.Completed == 1, err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.StorePath = t.TempDir()
+			if _, err := c.run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			// Second run over the warm store: at its first checkpoint, cut
+			// the first run's segments short. Pages it has replayed by then
+			// stay live in them, so compaction cannot read them back.
+			segs, err := filepath.Glob(filepath.Join(cfg.StorePath, "*.seg"))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("no segments to damage: %v, %v", segs, err)
+			}
+			var once sync.Once
+			cfg.Progress = func(CrawlProgress) {
+				once.Do(func() {
+					for _, seg := range segs {
+						if err := os.Truncate(seg, 10); err != nil {
+							t.Error(err)
+						}
+					}
+				})
+			}
+			gotResult, err := c.run(cfg)
+			if err == nil || !strings.Contains(err.Error(), "closing store") {
+				t.Fatalf("err = %v, want the failed close", err)
+			}
+			if !gotResult {
+				t.Error("the finished crawl's result was dropped with the close error")
+			}
+			st, err := OpenStore(cfg.StorePath)
+			if err != nil {
+				t.Fatalf("store still locked after the failed close: %v", err)
+			}
+			st.Close()
+		})
+	}
+}
+
 // TestResumeOrderRanking pins the store-aware scheduling rank: done crawls
 // first, then checkpointed progress descending, cold crawls last, ties in
 // input order — and a fully cold store keeps input order (nil).
@@ -193,12 +276,12 @@ func TestResumeOrderRanking(t *testing.T) {
 		{Requests: 40},              // 4: ties with 1 → input order
 		{Requests: 7, Done: true},   // 5: done (ties with 3 on Done → input order)
 	}
-	got := resumeOrder(len(ps), func(i int) CrawlProgress { return ps[i] })
+	got := fleet.ResumeOrder(len(ps), func(i int) (bool, int) { return ps[i].Done, ps[i].Requests })
 	want := []int{3, 5, 2, 1, 4, 0}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumeOrder = %v, want %v", got, want)
+		t.Fatalf("ResumeOrder = %v, want %v", got, want)
 	}
-	if got := resumeOrder(3, func(int) CrawlProgress { return CrawlProgress{} }); got != nil {
+	if got := fleet.ResumeOrder(3, func(int) (bool, int) { return false, 0 }); got != nil {
 		t.Fatalf("cold store order = %v, want nil (input order)", got)
 	}
 }

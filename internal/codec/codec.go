@@ -60,7 +60,7 @@ const (
 	KindPartitionSnapshot // retired; old checkpoints still embed these blobs
 	KindEnvelope
 	KindSessionRecord
-	KindCheckpointDelta
+	KindCheckpointDelta // no longer written; stores of earlier builds hold them
 )
 
 // ErrUnknownVersion matches (via errors.Is) a codec blob whose version

@@ -1,14 +1,12 @@
 package codec
 
-// Byte-range deltas for checkpoint writes. Successive checkpoints of the
-// same crawl encode to blobs that mostly share bytes (a queue frontier
-// advancing its head keeps a long common suffix; counters near the front
-// change by a few varint bytes), so instead of re-writing the full
-// snapshot every interval the store sink writes a full blob every K
-// checkpoints and, between them, just the byte range that changed:
-// (common prefix length, common suffix length, replacement middle).
-// Applying the delta to the retained base reproduces the current blob
-// byte-for-byte.
+// Byte-range deltas between checkpoint encodings: (common prefix length,
+// common suffix length, replacement middle); applying one to its base
+// reproduces the newer blob byte-for-byte. Earlier builds checkpointed a
+// serialized frontier and wrote a full blob every eighth checkpoint with
+// these deltas between; a checkpoint is now ~25 bytes of counters and is
+// always written whole, so ApplyDelta survives to read the stores those
+// builds left and AppendDelta only because the frozen benchmark/ calls it.
 
 import "fmt"
 

@@ -5,8 +5,9 @@ package codec
 // frontiers (Random, Grouped) carry their (Seed, Draws) generator position
 // so a restored frontier draws the exact sequence the original would
 // have. GroupedState's action map is encoded in ascending action order so
-// identical states always produce identical bytes (snapshots are embedded
-// in checkpoints, and checkpoint bytes feed the byte-range delta).
+// identical states always produce identical bytes. Checkpoints of earlier
+// builds embed these blobs; nothing in the library writes or restores one
+// any more (the frozen benchmark/ and the lookahead tests still do).
 
 import (
 	"fmt"

@@ -68,20 +68,6 @@ func (r *simpleRun) Ingest(_ string, pg page) {
 // Hints implements crawlPolicy.
 func (r *simpleRun) Hints(n int) []string { return r.f.Peek(n) }
 
-// FrontierSnapshot serializes the frontier for the engine's periodic
-// checkpoints (frontier state, RNG position included for RANDOM).
-func (r *simpleRun) FrontierSnapshot() ([]byte, error) {
-	switch f := r.f.(type) {
-	case *frontier.Queue:
-		return encodeSnapshot(f.Snapshot())
-	case *frontier.Stack:
-		return encodeSnapshot(f.Snapshot())
-	case *frontier.Random:
-		return encodeSnapshot(f.Snapshot())
-	}
-	return nil, nil
-}
-
 // Run implements Crawler via the staged loop.
 func (c *simpleCrawler) Run(env *Env) (*Result, error) {
 	eng, err := newEngine(env)

@@ -95,10 +95,11 @@ type Env struct {
 
 	// Checkpoint, when non-nil, receives a periodic durable-progress record
 	// every CheckpointEvery charged requests: budget spent, visited-set
-	// size, targets, the adaptive speculation window, and (when the policy
-	// supports it) a serialized frontier snapshot. The persistent-store
-	// layer writes these through its segment log and syncs, so a killed
-	// process recovers to its last checkpoint. Checkpointing only observes
+	// size, targets and the adaptive speculation window — counters the
+	// engine already holds, so a checkpoint costs the same whatever the
+	// frontier's size. The persistent-store layer writes each one through
+	// its segment log and syncs, so the replay database on disk is never
+	// more than one interval behind the crawl. Checkpointing only observes
 	// crawl state — it can never change what the crawl returns.
 	Checkpoint Checkpointer
 	// CheckpointEvery is the checkpoint cadence in charged requests
@@ -131,13 +132,15 @@ const partitionWidth = 8
 // is zero.
 const DefaultCheckpointEvery = 256
 
-// Checkpoint is one durable progress record of a running crawl — the state
-// the persistent store keeps current so a killed crawl reports how far it
-// durably got (resume itself replays the durable response database, which
-// is exact; the checkpoint is the cheap summary and forensic payload).
+// Checkpoint is one durable progress record of a running crawl: the
+// counters the persistent store keeps current so a killed crawl reports how
+// far it durably got. Nothing is restored from it — resume replays the
+// durable response database, which is exact — so it holds only what has a
+// reader: progress reads (Requests, Targets) and an operator's forensics.
 type Checkpoint struct {
 	// Requests/HeadRequests/Targets/TargetBytes/NonTargetBytes mirror the
-	// crawl's charged progress at the checkpoint.
+	// crawl's charged progress at the checkpoint; Requests and Targets are
+	// what Store.SiteProgress / Config.Progress report.
 	Requests       int
 	HeadRequests   int
 	Targets        int
@@ -148,22 +151,18 @@ type Checkpoint struct {
 	// TunerWindow is the adaptive speculation window at the checkpoint
 	// (0 when the width is fixed or prefetch is off).
 	TunerWindow int
-	// Frontier is a codec-serialized frontier snapshot
-	// (frontier.QueueState/StackState/RandomState/PriorityState/
-	// GroupedState) when the running policy supports snapshotting; nil
-	// otherwise.
+	// Frontier held a codec-serialized frontier snapshot that no reader
+	// ever restored; it keeps its slot in the KindCheckpoint encoding, so
+	// checkpoints of earlier builds (which carry a blob here) still decode.
+	//
+	// Deprecated: always nil; removed at the benchmark re-base (the frozen
+	// benchmark/ names it).
 	Frontier []byte
 }
 
 // Checkpointer receives periodic crawl checkpoints (see Env.Checkpoint).
 type Checkpointer interface {
 	Checkpoint(cp Checkpoint)
-}
-
-// frontierSnapshotter is the optional crawlPolicy capability behind
-// Checkpoint.Frontier: policies whose frontier serializes expose it.
-type frontierSnapshotter interface {
-	FrontierSnapshot() ([]byte, error)
 }
 
 func (e *Env) targetMIMEs() urlutil.MIMESet {
@@ -279,9 +278,6 @@ type engine struct {
 	targetBytes    int64
 	nonTargetBytes int64
 	budgetExceeded bool
-	// ckptPolicy is the policy runStaged is driving, consulted for frontier
-	// snapshots at checkpoint time; nil outside the staged loop.
-	ckptPolicy crawlPolicy
 }
 
 func newEngine(env *Env) (*engine, error) {
@@ -477,11 +473,6 @@ func (e *engine) maybeCheckpoint() {
 	}
 	if e.tuner != nil {
 		cp.TunerWindow = e.tuner.Window()
-	}
-	if snap, ok := e.ckptPolicy.(frontierSnapshotter); ok {
-		if blob, err := snap.FrontierSnapshot(); err == nil {
-			cp.Frontier = blob
-		}
 	}
 	sink.Checkpoint(cp)
 }

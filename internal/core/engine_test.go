@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 
 	"sbcrawl/internal/fetch"
+	"sbcrawl/internal/frontier"
 )
 
 // scriptedFetcher serves canned responses for engine edge-case tests.
@@ -315,5 +318,52 @@ func TestCancelledContextStopsFetching(t *testing.T) {
 	}
 	if eng.budgetLeft() {
 		t.Error("budgetLeft must report false after cancellation")
+	}
+}
+
+// countingSink tallies checkpoints and keeps the last one.
+type countingSink struct {
+	n    int
+	last Checkpoint
+}
+
+func (s *countingSink) Checkpoint(cp Checkpoint) { s.n++; s.last = cp }
+
+// TestCheckpointAllocsIndependentOfFrontier: a checkpoint is the engine's
+// counters, so taking one at every request costs the same with 10 URLs
+// queued as with 10,000 — nothing walks, copies or encodes the frontier.
+func TestCheckpointAllocsIndependentOfFrontier(t *testing.T) {
+	const budget = 8
+	crawlBytes := func(queued int) uint64 {
+		urls := make([]string, queued)
+		for i := range urls {
+			urls[i] = "https://site.org/p/" + strconv.Itoa(i)
+		}
+		sink := &countingSink{}
+		// Every URL answers 404: no page is parsed and nothing is pushed, so
+		// the frontier only shrinks and the crawls differ in its size alone.
+		eng, err := newEngine(&Env{
+			Root: "https://site.org/", Fetcher: &scriptedFetcher{},
+			MaxRequests: budget, Checkpoint: sink, CheckpointEvery: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &simpleRun{eng: eng, f: &frontier.Queue{}}
+		for _, u := range urls {
+			r.f.Push(u)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng.runStaged(r)
+		runtime.ReadMemStats(&after)
+		if sink.n != budget || sink.last.Requests != budget || sink.last.Frontier != nil {
+			t.Fatalf("%d checkpoints, last %+v; want %d, the last at request %d with no frontier", sink.n, sink.last, budget, budget)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := crawlBytes(10), crawlBytes(10000)
+	if large > small+1024 {
+		t.Errorf("checkpointing allocates with the frontier: %d bytes over %d requests with 10,000 URLs queued, %d with 10", large, budget, small)
 	}
 }

@@ -99,12 +99,6 @@ func (r *focusedRun) Ingest(_ string, pg page) {
 // Hints implements crawlPolicy.
 func (r *focusedRun) Hints(n int) []string { return r.pq.Peek(n) }
 
-// FrontierSnapshot serializes the score-ordered frontier (heap layout and
-// tie-break counter) for the engine's checkpoints.
-func (r *focusedRun) FrontierSnapshot() ([]byte, error) {
-	return encodeSnapshot(r.pq.Snapshot())
-}
-
 // Run implements Crawler via the staged loop.
 func (f *focused) Run(env *Env) (*Result, error) {
 	eng, err := newEngine(env)

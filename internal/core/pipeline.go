@@ -37,8 +37,6 @@ type crawlPolicy interface {
 // the policy's hints right before each blocking fetch, so the network works
 // on the likely next pages while the current one is fetched and ingested.
 func (e *engine) runStaged(p crawlPolicy) {
-	e.ckptPolicy = p
-	defer func() { e.ckptPolicy = nil }()
 	for e.budgetLeft() {
 		u, ok := p.SelectNext()
 		if !ok {

@@ -219,12 +219,6 @@ func (r *sbRun) Hints(int) []string {
 	return nil
 }
 
-// FrontierSnapshot serializes the action-grouped frontier (links per
-// action plus the draw RNG position) for the engine's checkpoints.
-func (r *sbRun) FrontierSnapshot() ([]byte, error) {
-	return encodeSnapshot(r.front.Snapshot())
-}
-
 // step is Algorithm 4: crawl one URL, then ingest it.
 func (r *sbRun) step(u string, action int, depth int) {
 	r.steps++

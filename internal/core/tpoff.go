@@ -91,11 +91,6 @@ func (p tpoffWarmup) Ingest(u string, pg page) {
 // Hints implements crawlPolicy.
 func (p tpoffWarmup) Hints(n int) []string { return p.r.bfs.Peek(n) }
 
-// FrontierSnapshot serializes the warm-up BFS queue for checkpoints.
-func (p tpoffWarmup) FrontierSnapshot() ([]byte, error) {
-	return encodeSnapshot(p.r.bfs.Snapshot())
-}
-
 // zeroGroup buckets phase-2 links matching no existing group.
 const zeroGroup = -1
 
@@ -144,11 +139,6 @@ func (p tpoffMain) Hints(int) []string {
 		return []string{u}
 	}
 	return nil
-}
-
-// FrontierSnapshot serializes the phase-2 grouped frontier for checkpoints.
-func (p tpoffMain) FrontierSnapshot() ([]byte, error) {
-	return encodeSnapshot(p.r.grouped.Snapshot())
 }
 
 // Run implements Crawler: the BFS warm-up phase and the frozen-benefit

@@ -127,11 +127,6 @@ func (r *tresRun) Ingest(_ string, pg page) {
 // Hints implements crawlPolicy.
 func (r *tresRun) Hints(n int) []string { return r.pq.Peek(n) }
 
-// FrontierSnapshot serializes the score-ordered frontier for checkpoints.
-func (r *tresRun) FrontierSnapshot() ([]byte, error) {
-	return encodeSnapshot(r.pq.Snapshot())
-}
-
 // Run implements Crawler via the staged loop.
 func (t *tres) Run(env *Env) (*Result, error) {
 	eng, err := newEngine(env)

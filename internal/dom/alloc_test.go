@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -29,7 +30,7 @@ func buildPage(nLinks, filler int) []byte {
 // extraction path, reusing one link buffer the way the engine does.
 func allocsPerExtract(page []byte) float64 {
 	var buf []Link
-	buf = ExtractLinksAppend(buf[:0], page) // warm: pool, arenas, intern table
+	buf = ExtractLinksAppend(buf[:0], page) // warm: free list, arenas, intern table
 	return testing.AllocsPerRun(100, func() {
 		buf = ExtractLinksAppend(buf[:0], page)
 	})
@@ -40,9 +41,6 @@ func allocsPerExtract(page []byte) float64 {
 // strings — never O(bytes). Doubling the page's link-free content must not
 // move the allocation count, and the per-link cost must stay small.
 func TestExtractLinksAllocsBoundedByLinks(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops objects at random under the race detector; allocation budgets only hold in normal builds")
-	}
 	const nLinks = 16
 	small := allocsPerExtract(buildPage(nLinks, 4))
 	big := allocsPerExtract(buildPage(nLinks, 64)) // ~12x the bytes, same links
@@ -60,9 +58,6 @@ func TestExtractLinksAllocsBoundedByLinks(t *testing.T) {
 // long for the intern table (plain, and entity-decoded into the parser's
 // arena) must not cost a string per text node per page.
 func TestExtractLinksAllocsIndependentOfText(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops objects at random under the race detector; allocation budgets only hold in normal builds")
-	}
 	const nLinks = 16
 	prose := "<p>" + strings.Repeat("a sentence of running prose, ", 4) + "</p>" +
 		"<p>" + strings.Repeat("caf&eacute; &amp; cr&egrave;me, ", 4) + "</p>"
@@ -77,9 +72,6 @@ func TestExtractLinksAllocsIndependentOfText(t *testing.T) {
 // end: script-heavy pages must not cost allocations proportional to script
 // bytes (the old per-element lowercase copy of the document tail).
 func TestParseAllocsIndependentOfRawText(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops objects at random under the race detector; allocation budgets only hold in normal builds")
-	}
 	link := `<a href="/x">t</a>`
 	light := []byte("<html><body>" + link + strings.Repeat("<script>var a = 1;</script>", 2) + "</body></html>")
 	heavy := []byte("<html><body>" + link + strings.Repeat("<script>var a = 'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa';</script>", 64) + "</body></html>")
@@ -111,6 +103,49 @@ func TestRecycleDropsSourceViews(t *testing.T) {
 			if c[i].text != nil {
 				t.Fatalf("recycled parser still holds a %d-byte view of the last page", len(c[i].text))
 			}
+		}
+	}
+}
+
+// TestExtractLinksAllocsSurviveGC: the free list keeps its parsers across
+// collections (a sync.Pool is emptied by two), so a page extracted after a
+// GC costs the warm count, not a rebuilt arena and a refilled intern table.
+func TestExtractLinksAllocsSurviveGC(t *testing.T) {
+	page := buildPage(16, 64)
+	warm := allocsPerExtract(page)
+	var buf []Link
+	afterGC := testing.AllocsPerRun(10, func() {
+		runtime.GC()
+		runtime.GC()
+		buf = ExtractLinksAppend(buf[:0], page)
+	})
+	if afterGC > warm {
+		t.Errorf("extraction after a GC allocates %v per page, %v warm: the parser did not survive", afterGC, warm)
+	}
+}
+
+// TestOutsizedParserIsNotParked: the free list never shrinks, so a parser a
+// huge page grew must not come back from it.
+func TestOutsizedParserIsNotParked(t *testing.T) {
+	for len(parserFree) > 0 {
+		<-parserFree
+	}
+	putParser(newParser(true))
+	if len(parserFree) != 1 {
+		t.Fatal("an ordinary parser was not parked")
+	}
+	<-parserFree
+	for name, grow := range map[string]func(p *parser){
+		"nodes": func(p *parser) { p.chunks = make([][]Node, maxParkedChunks+1) },
+		"text":  func(p *parser) { p.textArena = make([]byte, 0, maxParkedBytes+1) },
+		"attrs": func(p *parser) { p.z.attrs = make([]RawAttr, 0, maxParkedAttrs+1) },
+	} {
+		p := newParser(true)
+		grow(p)
+		putParser(p)
+		if len(parserFree) != 0 {
+			t.Errorf("a parser with outsized %s was parked", name)
+			<-parserFree
 		}
 	}
 }

@@ -136,20 +136,18 @@ func ExtractLinks(src []byte) []Link {
 // ExtractLinksAppend is ExtractLinks appending into dst (which may be an
 // exhausted scratch slice), for callers that recycle their link buffers.
 func ExtractLinksAppend(dst []Link, src []byte) []Link {
-	p := parserPool.Get().(*parser)
+	p := getParser()
 	root := p.parse(src)
 	dst = p.extract(root, dst)
-	p.recycle()
-	parserPool.Put(p)
+	putParser(p)
 	return dst
 }
 
 // ExtractLinksFromTree is ExtractLinks over an already-parsed tree.
 func ExtractLinksFromTree(root *Node) []Link {
-	p := parserPool.Get().(*parser)
+	p := getParser()
 	links := p.extract(root, nil)
-	p.recycle()
-	parserPool.Put(p)
+	putParser(p)
 	return links
 }
 

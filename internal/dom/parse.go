@@ -2,7 +2,6 @@ package dom
 
 import (
 	"maps"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -190,8 +189,9 @@ const (
 // parser is the reusable state of one Parse/ExtractLinks run: the tokenizer,
 // node and attribute arenas, a dynamic intern table, and the link-extraction
 // walk state. A parser is single-use at a time; ExtractLinks draws parsers
-// from an internal pool and recycles them (the arenas are reused, so trees
-// built by a pooled run must not escape — only materialized strings may).
+// from an internal pool (parserFree) and recycles them (the arenas are
+// reused, so trees built by a pooled run must not escape — only materialized
+// strings may).
 type parser struct {
 	z Tokenizer
 	// views marks a pooled parser: its tree dies with the run, so text nodes
@@ -224,7 +224,51 @@ func newParser(views bool) *parser {
 	return &parser{views: views, interned: maps.Clone(commonStrings)}
 }
 
-var parserPool = sync.Pool{New: func() any { return newParser(true) }}
+// parserFree is the free list ExtractLinks draws warm parsers from. It is a
+// bounded channel, not a sync.Pool: a pool is emptied at every GC, and a cold
+// parser re-grows its arenas and re-interns up to maxIntern strings (1–2 MB
+// of garbage whose amount depends on when the collector happens to run).
+var parserFree = make(chan *parser, parserFreeCap)
+
+// parserFreeCap is how many idle parsers stay warm: one per extraction that
+// can be running at once. Fleets and the daemon default to one crawl per
+// core, so 8 covers them on ordinary machines; callers beyond it build a
+// parser and drop it afterwards, the cost every caller paid after each GC
+// under the pool. The maxParked bounds cap what each idle parser may hold: a
+// free list, unlike a sync.Pool, never lets go, and fetch.HTTP admits 256 MB
+// bodies, so a parser one outsized page grew past any of them is left to the
+// GC instead of parked.
+const (
+	parserFreeCap = 8
+
+	maxParkedChunks = 64      // node arena blocks: 16,384 nodes, so as many links
+	maxParkedBytes  = 1 << 20 // byte scratch that grows with a page's text and names
+	maxParkedAttrs  = 1 << 12 // attribute slots, which grow with one element's attributes
+)
+
+// getParser takes a warm parser off the free list, or builds one.
+func getParser() *parser {
+	select {
+	case p := <-parserFree:
+		return p
+	default:
+		return newParser(true)
+	}
+}
+
+// putParser recycles p and parks it if it is small enough and there is room.
+func putParser(p *parser) {
+	p.recycle()
+	if len(p.chunks) > maxParkedChunks ||
+		cap(p.textArena)+cap(p.textBuf)+cap(p.tokBuf)+cap(p.lower)+cap(p.z.scratch)+cap(p.z.vscratch) > maxParkedBytes ||
+		cap(p.attrChunk)+cap(p.z.attrs) > maxParkedAttrs {
+		return
+	}
+	select {
+	case parserFree <- p:
+	default:
+	}
+}
 
 // recycle resets the parser for reuse, keeping arenas and the intern table.
 func (p *parser) recycle() {

@@ -16,7 +16,9 @@
 // honor this contract internally — the strings they hand out (Node fields,
 // Link fields) are materialized, interned copies that are always safe to
 // retain. ExtractLinks additionally draws its parser state from an internal
-// pool, so it allocates O(links), not O(bytes), in the steady state.
+// pool — a small bounded free list that, unlike a sync.Pool, keeps its
+// parsers across GCs — so it allocates O(links), not O(bytes), in the steady
+// state, and the same after a collection.
 //
 // The tree of a pooled run never escapes, so its text nodes are not
 // materialized at all: each holds a view of the page source (Node.text; a

@@ -248,7 +248,11 @@ func (s *Store) scanSegment(name string, tail bool) error {
 	br := bufio.NewReaderSize(f, 1<<16)
 	var off int64
 	var hdr [recHeaderLen]byte
+	// key and val are read into reused scratch: a value is only checksummed
+	// here (the index keeps its location), so the scan allocates per key, not
+	// per stored byte.
 	key := make([]byte, 0, 256)
+	var val []byte
 	for off < size {
 		good := true
 		var klen, vlen uint32
@@ -266,12 +270,12 @@ func (s *Store) scanSegment(name string, tail bool) error {
 			// keyLen == 0 is the PutBatch sentinel: one CRC-covered payload
 			// holding many entries.
 			want := binary.LittleEndian.Uint32(hdr[8:12])
-			payload := make([]byte, vlen)
-			if _, err := io.ReadFull(br, payload); err != nil {
+			val = resize(val, int(vlen)) // the payload; indexBatch copies its keys out
+			if _, err := io.ReadFull(br, val); err != nil {
 				good = false
-			} else if crc32.ChecksumIEEE(payload) != want {
+			} else if crc32.ChecksumIEEE(val) != want {
 				good = false
-			} else if !s.indexBatch(segIdx, off, payload) {
+			} else if !s.indexBatch(segIdx, off, val) {
 				good = false
 			} else {
 				off += recHeaderLen + int64(vlen)
@@ -279,7 +283,7 @@ func (s *Store) scanSegment(name string, tail bool) error {
 		} else if good {
 			want := binary.LittleEndian.Uint32(hdr[8:12])
 			key = resize(key, int(klen))
-			val := make([]byte, vlen)
+			val = resize(val, int(vlen))
 			if _, err := io.ReadFull(br, key); err != nil {
 				good = false
 			} else if _, err := io.ReadFull(br, val); err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -412,5 +413,53 @@ func TestRecoveryMidLogSkipsWithoutTruncating(t *testing.T) {
 	}
 	if _, ok := s3.Get("first"); ok {
 		t.Fatal("the damaged record should be unreachable")
+	}
+}
+
+// TestOpenAllocsIndependentOfValueBytes: Open reads every value to verify
+// its CRC but keeps only its location, so rebuilding the index allocates per
+// key — through one reused scratch — never per stored byte, for plain
+// records and batch payloads alike.
+func TestOpenAllocsIndependentOfValueBytes(t *testing.T) {
+	const records = 64
+	openBytes := func(valLen int) uint64 {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := bytes.Repeat([]byte{0xA5}, valLen)
+		var batch []KV
+		for i := 0; i < records; i++ {
+			if err := s.Put(fmt.Sprintf("k%03d", i), val); err != nil {
+				t.Fatal(err)
+			}
+			batch = append(batch, KV{Key: fmt.Sprintf("b%03d", i), Val: val[:valLen/8]})
+		}
+		if err := s.PutBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err = Open(dir)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if s.Len() != 2*records || len(s.Recovery()) != 0 {
+			t.Fatalf("reopened store: %d keys, recovery %v", s.Len(), s.Recovery())
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const big = 64 << 10
+	small, large := openBytes(64), openBytes(big)
+	// One scratch that grows to the largest record — here the batch payload,
+	// records × big/8 — not one buffer per record (records × big and more).
+	if limit := small + 2*records*big/8; large > limit {
+		t.Errorf("Open allocates with the stored bytes: %d bytes over %d records of %d bytes (limit %d), %d over records of 64", large, records, big, limit, small)
 	}
 }

@@ -7,15 +7,19 @@ package sbcrawl
 //
 //   - the replay database (every GET/HEAD response, via fetch.Replay's
 //     disk backend) — the durable substrate resume is built on;
-//   - crawl records: periodic engine checkpoints and, when a crawl
-//     finishes, its complete serialized result (the done-record).
+//   - crawl records: the engine's periodic checkpoint — a few counters
+//     saying how far the crawl durably got — and, when a crawl finishes,
+//     its complete serialized result (the done-record).
 //
 // Resume is deterministic re-execution: a killed crawl left every response
 // it ever saw in the store, so running the same Config again replays the
 // prefix from disk at memory speed and continues over the network from the
 // exact request the kill interrupted — byte-identical to a run that was
 // never killed, for every strategy and prefetch width, wherever the kill
-// landed. Config.Resume additionally short-circuits crawls whose
+// landed. Nothing is restored from a checkpoint: its readers are the
+// progress reports (SiteProgress, Config.Progress) and the sync that comes
+// with it, which keeps the replay database at most one checkpoint interval
+// behind the crawl. Config.Resume additionally short-circuits crawls whose
 // done-record (keyed by a fingerprint of the result-relevant Config
 // fields) is already stored, so a restarted fleet only re-executes the
 // sites that had not finished.
@@ -132,11 +136,13 @@ func progressFor(cs *crawlStore, ns, root string, cfg Config) CrawlProgress {
 	return CrawlProgress{}
 }
 
-// readCheckpoint reads the newest durable checkpoint for fp: the full blob
-// under "ckpt|", advanced by the "ckptd|" delta record when it refers to
-// that exact base (matching base Requests sequence) and lands on a newer
-// checkpoint. Checkpoints are warm-up/progress state only, so any
-// mismatch safely falls back to the full blob.
+// readCheckpoint reads the newest durable checkpoint for fp: the record
+// under "ckpt|". Earlier builds wrote a full record every eighth checkpoint
+// and byte-range deltas against it under "ckptd|" between; such a delta is
+// still resolved when it refers to exactly this base (matching base Requests
+// sequence) and lands on a newer checkpoint. A checkpoint is only a progress
+// report, so any mismatch — a stale delta beside a record this build wrote
+// over its base included — safely falls back to the full record.
 func readCheckpoint(records store.Backend, fp string) (core.Checkpoint, bool) {
 	raw, ok := records.Get("ckpt|" + fp)
 	if !ok {
@@ -330,16 +336,18 @@ func (cs *crawlStore) attach(env *core.Env, cfg Config, ns string) *persistedCra
 	replay := fetch.NewReplay(env.Fetcher)
 	replay.SetBackend(store.Prefixed(cs.st, ns+"|r|"))
 	env.Fetcher = replay
-	pc := &persistedCrawl{
+	fp := cfgFingerprint(cfg, env.Root)
+	prefix := ns + "|c|"
+	// The sink writes under its full key, resolved once: a Prefixed Put
+	// would concatenate the namespace at every checkpoint.
+	env.Checkpoint = &storeSink{b: cs.st, key: prefix + "ckpt|" + fp}
+	return &persistedCrawl{
 		cs:      cs,
-		records: store.Prefixed(cs.st, ns+"|c|"),
+		records: store.Prefixed(cs.st, prefix),
 		replay:  replay,
-		doneKey: "done|" + cfgFingerprint(cfg, env.Root),
+		doneKey: "done|" + fp,
 		resumed: replay.Stored() > 0,
 	}
-	fp := cfgFingerprint(cfg, env.Root)
-	env.Checkpoint = &storeSink{b: pc.records, key: "ckpt|" + fp, deltaKey: "ckptd|" + fp}
-	return pc
 }
 
 // loadDone returns the crawl's stored final result, if it ever completed
@@ -379,49 +387,21 @@ func (pc *persistedCrawl) stats(completed bool) *StoreStats {
 	}
 }
 
-// checkpointFullEvery is the delta-encoding cadence K: a full checkpoint
-// blob every K checkpoints, byte-range deltas between. Successive
-// checkpoints of one crawl share most of their encoded bytes (a queue
-// frontier advancing keeps a long common suffix), so the deltas cost a
-// fraction of a full write.
-const checkpointFullEvery = 8
-
 // storeSink adapts the store to the engine's checkpoint hook: each
-// checkpoint is one durable record (last write wins; compaction reclaims
-// the lineage) and a sync, so the store on disk is never more than one
-// checkpoint interval behind the crawl. Full blobs go under key; between
-// full writes, a delta against the last full blob goes under deltaKey,
-// tagged with the base's Requests sequence so readCheckpoint only applies
-// it to the base it was computed from. The engine checkpoints from its
-// sequential demand loop, so the scratch buffers are single-writer.
+// checkpoint is one small durable record (last write wins) and a sync, so
+// the store on disk — the replay database above all — is never more than one
+// checkpoint interval behind the crawl. The engine checkpoints from its
+// sequential demand loop, so the encode scratch is single-writer.
 type storeSink struct {
-	b        store.Backend
-	key      string
-	deltaKey string
-	base     []byte // last full checkpoint's encoding (delta base)
-	baseReq  int    // Requests sequence of base
-	n        int    // deltas written since the last full blob
-	enc      []byte // checkpoint encode scratch
-	denc     []byte // delta encode scratch
+	b   store.Backend
+	key string
+	enc []byte
 }
 
 func (s *storeSink) Checkpoint(cp core.Checkpoint) {
 	s.enc = core.AppendCheckpoint(s.enc[:0], &cp)
-	if s.base == nil || s.n >= checkpointFullEvery-1 {
-		if err := s.b.Put(s.key, s.enc); err != nil {
-			return
-		}
-		s.base = append(s.base[:0], s.enc...)
-		s.baseReq = cp.Requests
-		s.n = 0
-	} else {
-		s.denc = codec.AppendHeader(s.denc[:0], codec.KindCheckpointDelta)
-		s.denc = codec.AppendInt(s.denc, s.baseReq)
-		s.denc = codec.AppendDelta(s.denc, s.base, s.enc)
-		if err := s.b.Put(s.deltaKey, s.denc); err != nil {
-			return
-		}
-		s.n++
+	if err := s.b.Put(s.key, s.enc); err != nil {
+		return
 	}
 	s.b.Sync()
 }

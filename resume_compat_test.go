@@ -1,12 +1,12 @@
 package sbcrawl
 
-// Cross-version gate for the binary codec: records stamped with a future
-// format version are refused cleanly, with the typed error. The
-// delta-checkpoint test pins the other side of the persistence format:
-// between full checkpoints the sink writes byte-range deltas, and progress
-// reads resolve them.
+// Cross-version gates for the persistence format: records stamped with a
+// future format version are refused cleanly, with the typed error; a
+// checkpoint is one small record of counters; and the full + byte-range-delta
+// checkpoint pairs earlier builds wrote are still resolved by progress reads.
 
 import (
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -59,11 +59,11 @@ func TestCodecStoreRefusesUnknownVersion(t *testing.T) {
 	}
 }
 
-// TestDeltaCheckpoints: with CheckpointEvery=4 over a 30-request budget the
-// sink writes one full checkpoint (request 4) and byte-range deltas for the
-// rest; SiteProgress resolves the delta chain to the newest checkpoint, and
-// resume over the delta-bearing store stays byte-identical.
-func TestDeltaCheckpoints(t *testing.T) {
+// TestCheckpointRecordIsCounters: a checkpoint is one small record under
+// "ckpt|" — the engine's counters, no frontier, no delta beside it — and it
+// is what SiteProgress reports once the done-record is gone; resume over the
+// store stays byte-identical.
+func TestCheckpointRecordIsCounters(t *testing.T) {
 	site, err := GenerateSite("cn", 0.01, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -82,53 +82,47 @@ func TestDeltaCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ns := simNamespace(site)
 	fp := cfgFingerprint(killCfg, site.Root())
 	cs, err := openCrawlStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := store.Prefixed(cs.st, ns+"|c|")
-	fullRaw, ok := records.Get("ckpt|" + fp)
+	records := store.Prefixed(cs.st, simNamespace(site)+"|c|")
+	raw, ok := records.Get("ckpt|" + fp)
 	if !ok {
-		t.Fatal("no full checkpoint written")
+		t.Fatal("no checkpoint written")
 	}
-	full, err := core.DecodeCheckpoint(fullRaw)
+	if len(raw) >= 64 {
+		t.Errorf("checkpoint record is %d bytes, want < 64: it holds more than counters", len(raw))
+	}
+	cp, err := core.DecodeCheckpoint(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := records.Get("ckptd|" + fp); !ok {
-		t.Fatal("no delta checkpoint written between full snapshots")
+	if cp.Requests != 28 || cp.Frontier != nil {
+		t.Errorf("checkpoint = %+v, want the one at request 28 with no frontier", cp)
 	}
-	cp, ok := readCheckpoint(records, fp)
-	if !ok {
-		t.Fatal("readCheckpoint found nothing")
-	}
-	if cp.Requests <= full.Requests {
-		t.Fatalf("delta not applied: resolved checkpoint at %d requests, full blob at %d", cp.Requests, full.Requests)
+	if keys := records.Keys("ckptd|"); len(keys) != 0 {
+		t.Errorf("delta checkpoints written: %v", keys)
 	}
 	// Truncate the done-record (the budget-exhausted run recorded one), so
-	// the progress read must fall back through the checkpoint chain — and
-	// must resolve the delta, not stop at the stale full blob.
+	// the progress read must fall back to the checkpoint.
 	if err := records.Put("done|"+fp, []byte{0x00}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// SiteProgress reports the delta-resolved checkpoint, not the stale full.
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := st.SiteProgress(site, killCfg)
 	st.Close()
-	if prog.Done || prog.Requests != cp.Requests {
-		t.Fatalf("SiteProgress = %+v, want requests=%d via delta", prog, cp.Requests)
+	if want := (CrawlProgress{Requests: cp.Requests, Targets: cp.Targets}); prog != want {
+		t.Fatalf("SiteProgress = %+v, want %+v", prog, want)
 	}
 
-	// And resume over the delta-bearing store is still byte-identical.
 	resCfg := cfg
 	resCfg.StorePath = dir
 	resCfg.Resume = true
@@ -137,6 +131,130 @@ func TestDeltaCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(stripStore(resumed), baseline) {
-		t.Error("resume over delta-checkpointed store diverged from uninterrupted run")
+		t.Error("resume over the checkpointed store diverged from uninterrupted run")
+	}
+}
+
+// A "ckpt|" + "ckptd|" pair exactly as commit 2b61bdf — the last build that
+// wrote delta checkpoints — left it: BFS on GenerateSite("cn", 0.001, 3),
+// CheckpointEvery 4, budget 22. The full record is the checkpoint at request
+// 4 with a 173-byte frontier blob; the delta advances it to request 20.
+const (
+	parentFullCheckpoint = "00010208000000da601000ae0100010401052968747470733a2f2f7777772e636e69732e66722f66722f72656368657263" +
+		"68652d616e6e75656c2f332a68747470733a2f2f7777772e636e69732e66722f66722f726170706f72742d636f6d6d657263" +
+		"652f31302868747470733a2f2f7777772e636e69732e66722f66722f7265636865726368652d73616e74652f352968747470" +
+		"733a2f2f7777772e636e69732e66722f66722f636f6d6d657263652d656d706c6f692f313300"
+	parentDeltaCheckpoint = "00010808bb010301782800069628d4ff022c006e00010401033668747470733a2f2f7777772e636e69732e66722f72656769" +
+		"6f6e616c2f656e71756574652d656475636174696f6e2d31322e68746d6c3068747470733a2f2f7777772e636e69732e6672" +
+		"2f66696c65732f616e6e75656c2d726567696f6e616c2d34302e637376"
+)
+
+// TestReadsParentWrittenDeltaCheckpoint: deltas are no longer written but
+// stores hold them. Planted in a store, the parent's pair resolves through
+// the delta for readCheckpoint and SiteProgress; once this build writes its
+// small full record over the base, the stale delta no longer applies and the
+// new record wins.
+func TestReadsParentWrittenDeltaCheckpoint(t *testing.T) {
+	full, err := hex.DecodeString(parentFullCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := hex.DecodeString(parentDeltaCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, err := GenerateSite("cn", 0.001, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Strategy: StrategyBFS, Seed: 3, MaxRequests: 22, CheckpointEvery: 4}
+	fp := cfgFingerprint(cfg, site.Root())
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	records := store.Prefixed(st.cs.st, simNamespace(site)+"|c|")
+	if err := records.Put("ckpt|"+fp, full); err != nil {
+		t.Fatal(err)
+	}
+	if err := records.Put("ckptd|"+fp, delta); err != nil {
+		t.Fatal(err)
+	}
+
+	base, err := core.DecodeCheckpoint(full)
+	if err != nil || base.Requests != 4 || len(base.Frontier) != 173 {
+		t.Fatalf("parent full record decodes to %+v, %v", base, err)
+	}
+	cp, ok := readCheckpoint(records, fp)
+	if !ok {
+		t.Fatal("readCheckpoint found nothing")
+	}
+	if cp.Requests != 20 || cp.Targets != 3 || cp.Visited != 22 {
+		t.Fatalf("delta not resolved: %+v, want the checkpoint at request 20 (3 targets, 22 visited)", cp)
+	}
+	if prog, want := st.SiteProgress(site, cfg), (CrawlProgress{Requests: 20, Targets: 3}); prog != want {
+		t.Fatalf("SiteProgress = %+v, want %+v", prog, want)
+	}
+
+	// This build's sink writes over the base; the delta stays behind.
+	sink := &storeSink{b: records, key: "ckpt|" + fp}
+	sink.Checkpoint(core.Checkpoint{Requests: 8, Targets: 1})
+	if prog, want := st.SiteProgress(site, cfg), (CrawlProgress{Requests: 8, Targets: 1}); prog != want {
+		t.Fatalf("SiteProgress = %+v after a new full record, want %+v (stale delta applied?)", prog, want)
+	}
+	// Even a new record at the delta's own base sequence does not take it:
+	// the delta names its base's length, and this record has no blob.
+	sink.Checkpoint(core.Checkpoint{Requests: 4})
+	if prog, want := st.SiteProgress(site, cfg), (CrawlProgress{Requests: 4}); prog != want {
+		t.Fatalf("SiteProgress = %+v with the base sequence rewritten, want %+v", prog, want)
+	}
+}
+
+// TestStoreSinkCheckpointAllocs: the durable checkpoint path — encode into
+// the sink's scratch, one Put under the full key, one Sync — allocates
+// nothing once the scratch and the store's write buffer are warm.
+func TestStoreSinkCheckpointAllocs(t *testing.T) {
+	cs, err := openCrawlStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	env := &core.Env{Root: "https://site.org/"}
+	cs.attach(env, Config{Strategy: StrategyBFS}, "stest")
+	cp := core.Checkpoint{Requests: 64, Targets: 3, TargetBytes: 4096, NonTargetBytes: 1 << 20, Visited: 900}
+	env.Checkpoint.Checkpoint(cp) // warm: scratch, write buffer, index entry
+	allocs := testing.AllocsPerRun(100, func() {
+		cp.Requests += 64
+		env.Checkpoint.Checkpoint(cp)
+	})
+	if allocs != 0 {
+		t.Errorf("a durable checkpoint allocates %v times, want 0", allocs)
+	}
+	if got, ok := readCheckpoint(store.Prefixed(cs.st, "stest|c|"), cfgFingerprint(Config{Strategy: StrategyBFS}, env.Root)); !ok || !reflect.DeepEqual(got, cp) {
+		t.Errorf("stored checkpoint = %+v, %v; want %+v", got, ok, cp)
+	}
+}
+
+// TestPageCountAllocs: counting a site's pages walks its whole link graph,
+// and every crawl asks; the count is taken once per Site.
+func TestPageCountAllocs(t *testing.T) {
+	site, err := GenerateSite("cn", 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := GenerateFederation([]string{"cn", "cl"}, 0.001, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Site{site, fed} {
+		want := s.PageCount()
+		if allocs := testing.AllocsPerRun(10, func() {
+			if got := s.PageCount(); got != want {
+				t.Fatalf("PageCount = %d, then %d", want, got)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: PageCount allocates %v times on a repeated call, want 0", s.Code(), allocs)
+		}
 	}
 }

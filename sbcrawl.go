@@ -244,7 +244,9 @@ type Config struct {
 	// CheckpointEvery overrides the durable checkpoint cadence in charged
 	// requests (0 → the engine default, 256). Smaller values tighten the
 	// progress observable through Progress / Store.SiteProgress at the cost
-	// of more frequent store syncs.
+	// of more frequent store syncs — the whole cost: a checkpoint is a
+	// ~25-byte record of counters whatever the frontier holds, and without a
+	// store a Progress call is all there is.
 	CheckpointEvery int
 	// Progress, when non-nil, observes the crawl's periodic checkpoints
 	// in-process: it is called every CheckpointEvery charged requests with

@@ -25,6 +25,13 @@ if ls internal/core/*.go | grep -v '_test.go' | xargs grep -nE '^[[:space:]]*go 
 	echo "internal/core starts a goroutine or imports sync outside _test.go" >&2
 	exit 1
 fi
+# Checkpoints are counters: no non-test file of internal/core snapshots a
+# frontier for one (nothing ever restored it; resume replays the response
+# database), so a checkpoint's cost cannot grow back with the frontier's size.
+if ls internal/core/*.go | grep -v '_test.go' | xargs grep -n 'FrontierSnapshot'; then
+	echo "internal/core serializes a frontier outside _test.go" >&2
+	exit 1
+fi
 go test ./...
 # The race pass is the one determinism gate: every equivalence suite —
 # prefetch widths, partitions, kill-and-resume, cross-version stores,
@@ -36,12 +43,13 @@ go test -race ./...
 # pipeline widths, the fleet speedup, the adaptive speculation window, and
 # the fleet-shared speculation cache.
 go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|BenchmarkAdaptivePrefetch|BenchmarkFleetSharedCache' -benchtime 1x .
-# Zero-allocation hot-path gate: the pooled parse/extract scanners and the
-# reusable vectorizer hasher must keep their steady-state allocation
-# budgets (O(links) per page, never O(bytes) nor O(text nodes); one output
-# vector per Vectorize), the raw-text scan must stay copy-free, and the link
-# filters must cost a plain link exactly its one result string (Normalize)
-# and nothing more (Scope.Contains/Admit, HasBlockedExtension).
+# Zero-allocation hot-path gate: the free-listed parse/extract scanners and
+# the reusable vectorizer hasher must keep their steady-state allocation
+# budgets (O(links) per page, never O(bytes) nor O(text nodes), and the same
+# after a GC; one output vector per Vectorize), the raw-text scan must stay
+# copy-free, and the link filters must cost a plain link exactly its one
+# result string (Normalize) and nothing more (Scope.Contains/Admit,
+# HasBlockedExtension).
 go test -run 'Alloc' -count=1 ./internal/dom ./internal/textvec ./internal/urlutil
 # Sparse action-index gate: Algorithm 1 carries a tag path as its ~8
 # non-zero (index, value) pairs, so a lookup allocates nothing once the
@@ -56,6 +64,11 @@ go test -run 'Alloc' -count=1 ./internal/learn ./internal/classify
 # a reused buffer, DecodeResponseInto filling a reused struct with views —
 # and the checkpoint re-encode must allocate nothing in steady state.
 go test -run 'Alloc' -count=1 ./internal/codec
+# Durable-path allocation gate: a checkpoint through the store sink allocates
+# nothing (internal/core's gate above holds it independent of the frontier's
+# size), store.Open allocates per key and not per stored byte, and a Site
+# counts its pages once.
+go test -run 'Alloc' -count=1 ./internal/store .
 # Fuzz seed-corpus gate: the tokenizer/extractor fuzz targets run their
 # checked-in seeds as ordinary tests (termination, a Reset tokenizer's
 # second pass agreeing with its first, UTF-8 preservation, pool hygiene).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/core"
@@ -30,6 +31,10 @@ type Site struct {
 	code  string
 	scale float64
 	seed  int64
+	// pages caches PageCount: counting walks the site's whole link graph,
+	// every crawl asks, and a generated site never changes.
+	pagesOnce sync.Once
+	pages     int
 }
 
 // SiteCodes lists the available site profiles (Table 1 of the paper):
@@ -121,8 +126,8 @@ func (s *Site) PageCount() int {
 	if s.fed != nil {
 		return s.fed.PageCount()
 	}
-	st := s.site.ComputeStats()
-	return st.Available
+	s.pagesOnce.Do(func() { s.pages = s.site.ComputeStats().Available })
+	return s.pages
 }
 
 // Handler serves the site over HTTP, for crawling through the live network

@@ -18,13 +18,22 @@ const (
 // Wrapping the same Replay around several crawler runs gives them the
 // identical view of the website that the paper's evaluation relies on.
 //
-// The database holds responses in memory and, when a store.Backend is
-// attached (SetBackend), writes every response through to it and reloads
-// from it: a crawl killed mid-flight leaves its responses on disk, and the
-// resumed crawl replays them at memory speed instead of re-fetching. Disk
-// and memory share one lookup path, so Hits/Misses/Stored count identically
-// wherever an entry is served from; a disk-served entry is promoted into
-// memory on first touch.
+// Without a store.Backend the database is its two in-memory maps. With one
+// attached (SetBackend) it is a view of the backend: a lookup is one
+// backend Get by URL, a response is written through and not kept, so what a
+// persisted crawl holds in memory does not grow with the bytes it has
+// fetched — a crawl killed mid-flight leaves its responses on disk, and the
+// resumed crawl replays them from there instead of re-fetching. Memory then
+// holds only the responses whose write failed (see DiskErr). Both sides
+// share one lookup path, so Hits/Misses/Stored count identically wherever
+// an entry is served from.
+//
+// The view is live: nothing is listed at attach, so a Replay also serves
+// the records another Replay wrote to the same backend namespace after it
+// attached — two concurrent crawls of one site share fetches as they go.
+// Results do not depend on it (the backend is deterministic), Hits and
+// Misses under such concurrency do. A Replay shared by several runs over a
+// backend re-reads each response from the backend on every run.
 //
 // Replay is safe for concurrent use (the speculative prefetch layer issues
 // overlapping GETs). The lock is never held across a backend fetch, so
@@ -33,18 +42,15 @@ const (
 type Replay struct {
 	backend Fetcher
 
-	mu    sync.Mutex
-	gets  map[string]Response
-	heads map[string]Response
-	// disk is the durable spill; diskGets/diskHeads track keys resident on
-	// disk but not yet promoted into memory, keeping Stored() one number
-	// whatever side an entry lives on.
-	disk      store.Backend
-	diskGets  map[string]bool
-	diskHeads map[string]bool
-	diskErr   error
-	// enc is the spill encode scratch, reused under mu so the write path
-	// stops allocating once it has grown to the largest response seen
+	mu sync.Mutex
+	// gets and heads are the whole database without a durable backend, and
+	// only what could not be written to it with one.
+	gets    map[string]Response
+	heads   map[string]Response
+	disk    store.Backend
+	diskErr error
+	// enc is the write-through encode scratch, reused under mu so the write
+	// path stops allocating once it has grown to the largest response seen
 	// (store.Put copies the value before returning).
 	enc []byte
 	// hits and misses count database lookups, for cache diagnostics.
@@ -60,92 +66,84 @@ func NewReplay(backend Fetcher) *Replay {
 	}
 }
 
-// SetBackend attaches the durable spill and indexes what it already holds,
-// so a reopened database starts warm. Attach before the crawl starts, not
-// concurrently with lookups.
+// SetBackend attaches the durable backend; whatever it already holds is
+// served from the first lookup on, so a reopened database starts warm.
+// Attach before the crawl starts, not concurrently with lookups.
 func (r *Replay) SetBackend(b store.Backend) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.disk = b
-	r.diskGets = make(map[string]bool)
-	r.diskHeads = make(map[string]bool)
-	for _, k := range b.Keys(replayGetPrefix) {
-		url := k[len(replayGetPrefix):]
-		if _, ok := r.gets[url]; !ok {
-			r.diskGets[url] = true
-		}
-	}
-	for _, k := range b.Keys(replayHeadPrefix) {
-		url := k[len(replayHeadPrefix):]
-		if _, ok := r.heads[url]; !ok {
-			r.diskHeads[url] = true
-		}
-	}
 }
 
-// lookup is the single read path of the database: memory first, then the
-// durable spill (promoting what it finds), counting exactly one hit or one
-// miss per call whatever side answered.
-func (r *Replay) lookup(mem map[string]Response, onDisk map[string]bool, prefix, url string) (Response, bool) {
+// load is the single read path of the database: memory first, then the
+// durable backend by key. An absent key is one index miss there; a record
+// that does not decode is treated as absent, and the re-fetch overwrites it.
+func (r *Replay) load(mem map[string]Response, prefix, url string) (Response, bool) {
 	if resp, ok := mem[url]; ok {
-		r.hits++
 		return resp, true
 	}
-	if onDisk[url] {
+	if r.disk != nil {
 		if raw, ok := r.disk.Get(prefix + url); ok {
 			if resp, err := DecodeResponse(raw); err == nil {
-				mem[url] = resp
-				delete(onDisk, url)
-				r.hits++
 				return resp, true
 			}
 		}
-		// Unreadable spill entry (corrupt or racing compaction): forget it
-		// and fall through to a miss.
-		delete(onDisk, url)
 	}
-	r.misses++
 	return Response{}, false
 }
 
-// record is the single write path: memory always, the durable spill when
-// attached. The first spill error is retained (DiskErr) and the database
-// degrades to memory-only rather than failing the crawl.
+// count tallies exactly one hit or one miss per Get or Head, whatever side
+// answered.
+func (r *Replay) count(hit bool) {
+	if hit {
+		r.hits++
+	} else {
+		r.misses++
+	}
+}
+
+// record is the single write path: through to the durable backend when one
+// is attached, into memory otherwise — and when the write fails: the first
+// such error is retained (DiskErr) and the database degrades to memory
+// rather than failing the crawl.
 //
 // Transient and synthetic responses (429/503/599/451) are refused outright:
 // a momentary outage recorded as durable truth would replay as truth
 // forever — a resumed crawl would "see" the failure even after the host
 // recovered. The retry layer above re-attempts such responses, and only
 // the eventual real answer is stored.
-func (r *Replay) record(mem map[string]Response, onDisk map[string]bool, prefix, url string, resp Response) {
+func (r *Replay) record(mem map[string]Response, prefix, url string, resp Response) {
 	if UncacheableStatus(resp.Status) {
 		return
 	}
+	if r.disk != nil {
+		r.enc = AppendResponse(r.enc[:0], &resp)
+		err := r.disk.Put(prefix+url, r.enc)
+		if err == nil {
+			return
+		}
+		if r.diskErr == nil {
+			r.diskErr = err
+		}
+	}
 	mem[url] = resp
-	delete(onDisk, url)
-	if r.disk == nil {
-		return
-	}
-	r.enc = AppendResponse(r.enc[:0], &resp)
-	if err := r.disk.Put(prefix+url, r.enc); err != nil && r.diskErr == nil {
-		r.diskErr = err
-	}
 }
 
 // Get implements Fetcher.
 func (r *Replay) Get(url string) (Response, error) {
 	r.mu.Lock()
-	if resp, ok := r.lookup(r.gets, r.diskGets, replayGetPrefix, url); ok {
-		r.mu.Unlock()
+	resp, ok := r.load(r.gets, replayGetPrefix, url)
+	r.count(ok)
+	r.mu.Unlock()
+	if ok {
 		return resp, nil
 	}
-	r.mu.Unlock()
 	resp, err := r.backend.Get(url)
 	if err != nil {
 		return resp, err
 	}
 	r.mu.Lock()
-	r.record(r.gets, r.diskGets, replayGetPrefix, url, resp)
+	r.record(r.gets, replayGetPrefix, url, resp)
 	r.mu.Unlock()
 	return resp, nil
 }
@@ -153,52 +151,37 @@ func (r *Replay) Get(url string) (Response, error) {
 // Head implements Fetcher. A stored GET also answers HEAD (same headers).
 func (r *Replay) Head(url string) (Response, error) {
 	r.mu.Lock()
-	if resp, ok := r.lookup(r.heads, r.diskHeads, replayHeadPrefix, url); ok {
-		r.mu.Unlock()
+	resp, ok := r.load(r.heads, replayHeadPrefix, url)
+	if !ok {
+		if resp, ok = r.load(r.gets, replayGetPrefix, url); ok {
+			resp.Body = nil
+		}
+	}
+	r.count(ok)
+	r.mu.Unlock()
+	if ok {
 		return resp, nil
 	}
-	// A resident GET answers the HEAD too; the failed head lookup above
-	// already counted the miss, so re-classify it as a hit.
-	if resp, ok := r.gets[url]; ok {
-		r.misses--
-		r.hits++
-		r.mu.Unlock()
-		headResp := resp
-		headResp.Body = nil
-		return headResp, nil
-	}
-	if r.diskGets[url] {
-		if raw, ok := r.disk.Get(replayGetPrefix + url); ok {
-			if resp, err := DecodeResponse(raw); err == nil {
-				r.gets[url] = resp
-				delete(r.diskGets, url)
-				r.misses--
-				r.hits++
-				r.mu.Unlock()
-				headResp := resp
-				headResp.Body = nil
-				return headResp, nil
-			}
-		}
-		delete(r.diskGets, url)
-	}
-	r.mu.Unlock()
 	resp, err := r.backend.Head(url)
 	if err != nil {
 		return resp, err
 	}
 	r.mu.Lock()
-	r.record(r.heads, r.diskHeads, replayHeadPrefix, url, resp)
+	r.record(r.heads, replayHeadPrefix, url, resp)
 	r.mu.Unlock()
 	return resp, nil
 }
 
-// Stored reports how many distinct GET responses the database holds,
-// memory- and disk-resident alike.
+// Stored reports how many distinct GET responses the database holds: the
+// backend's, counted there, plus those held in memory.
 func (r *Replay) Stored() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.gets) + len(r.diskGets)
+	n := len(r.gets)
+	if r.disk != nil {
+		n += r.disk.Count(replayGetPrefix)
+	}
+	return n
 }
 
 // Hits reports how many lookups the database answered.
@@ -215,8 +198,8 @@ func (r *Replay) Misses() int {
 	return r.misses
 }
 
-// DiskErr reports the first durable-spill failure (nil when healthy; the
-// database keeps serving from memory after one).
+// DiskErr reports the first failed write to the durable backend (nil when
+// healthy; a response that could not be written is kept in memory).
 func (r *Replay) DiskErr() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -12,23 +12,25 @@
 // non-zero entries — parallel slices (idx, val) with idx strictly ascending
 // (hence unique), each idx[k] in [0, dim) and val[k] finite — and that is
 // the only arithmetic in the package: AddSparse, NearestSparse and Merge
-// are the implementation; the dense Add, Search, Nearest and Update are
-// adapters that collect the non-zeros of their argument and call them. The
-// index never retains idx or val (they may be the caller's scratch, e.g. a
-// textvec.TagPathVectorizer's, reused on its next call), and a slice the
-// index returns from Vector is read-only.
+// are the implementation; the dense Add, Search, Nearest, Update and Vector
+// are adapters that collect the non-zeros of their argument (or scatter a
+// node's) and call them. The index never retains idx or val (they may be
+// the caller's scratch, e.g. a textvec.TagPathVectorizer's, reused on its
+// next call).
 //
-// A node keeps a dense backing array plus its support, the ascending list
-// of indices that may hold a non-zero. query·centroid loops over the
-// query's entries, norms are sums over a support, and Merge walks the union
+// A node holds what it was given: its support — the ascending indices that
+// may hold a non-zero — and, parallel to it, their values. Nothing in the
+// index is D wide, so founding an action costs its handful of entries, not
+// D zero-filled floats. query·centroid is a merge-join over the two
+// supports, norms are sums over a node's values, and Merge walks the union
 // of two supports. Ascending order is what makes this exact rather than
 // approximately equal: each loop performs, in the same order, the additions
-// the dense loop over all D slots would perform, except for terms that are
-// exactly ±0 — and adding ±0 never changes a float64 sum (the sums here
-// start at +0 and cannot reach −0). Similarities, norms and centroids are
-// therefore bit-identical to the dense computation, and so is every graph
-// decision derived from them. Zeros of either sign are not stored: they
-// read back from Vector as +0.
+// the dense loop over all D slots would perform, except for terms in which
+// one factor is a slot outside a support — exactly ±0 — and adding ±0 never
+// changes a float64 sum (the sums here start at +0 and cannot reach −0).
+// Similarities, norms and centroids are therefore bit-identical to the
+// dense computation, and so is every graph decision derived from them.
+// Zeros of either sign are not stored: they read back from Vector as +0.
 //
 // The index is deterministic for a given seed and is not safe for concurrent
 // use; the crawler drives it from a single goroutine. Searches reuse
@@ -60,9 +62,9 @@ func DefaultConfig() Config {
 }
 
 type node struct {
-	vec     []float64 // dense backing array; zero outside sup
-	sup     []int     // ascending indices covering every non-zero of vec
-	norm    float64   // cached Euclidean norm of vec
+	sup     []int     // ascending indices covering every non-zero of the vector
+	val     []float64 // val[k] is the entry at sup[k]; every other entry is zero
+	norm    float64   // cached Euclidean norm of the vector
 	level   int
 	friends [][]int // friends[l] = neighbour IDs at layer l
 }
@@ -72,6 +74,7 @@ type node struct {
 type Index struct {
 	cfg      Config
 	ml       float64
+	dim      int // the vectors' dimension, as given to AddSparse
 	nodes    []*node
 	entry    int // entry point node ID, -1 when empty
 	maxLevel int
@@ -86,8 +89,8 @@ type Index struct {
 	ranked  []scored // pruneNeighbors' scored friends
 	qidx    []int    // non-zeros of a dense argument (the dense adapters)
 	qval    []float64
-	nval    []float64 // a node's values gathered over its support
-	union   []int     // Merge's union of two supports
+	dense   []float64 // Vector's one dim-wide scratch
+	scatter []int     // the slots of dense the last Vector call wrote
 }
 
 // New creates an empty index with the given configuration.
@@ -112,11 +115,27 @@ func New(cfg Config) *Index {
 // Len returns the number of stored vectors.
 func (ix *Index) Len() int { return len(ix.nodes) }
 
-// Vector returns the stored vector for id: the node's own backing array,
-// not a copy. It is read-only — the index caches the vector's support and
-// norm, which a write through this slice would leave stale; change a stored
-// vector with Merge or Update.
-func (ix *Index) Vector(id int) []float64 { return ix.nodes[id].vec }
+// Vector returns the stored vector for id, scattered into the index's one
+// dim-wide scratch: the slice is read-only and valid until the next Vector
+// call (change a stored vector with Merge or Update).
+//
+// Deprecated: dense adapter, removed at the benchmark re-base.
+func (ix *Index) Vector(id int) []float64 {
+	if len(ix.dense) != ix.dim {
+		ix.dense, ix.scatter = make([]float64, ix.dim), ix.scatter[:0]
+	}
+	// Zero what the previous call wrote, not this node's support: an Update
+	// or Merge in between may have changed it.
+	for _, i := range ix.scatter {
+		ix.dense[i] = 0
+	}
+	n := ix.nodes[id]
+	for k, i := range n.sup {
+		ix.dense[i] = n.val[k]
+	}
+	ix.scatter = append(ix.scatter[:0], n.sup...)
+	return ix.dense
+}
 
 // norm returns the Euclidean norm of a vector given by its non-zero values
 // in ascending index order.
@@ -142,30 +161,55 @@ func (ix *Index) nonZeros(vec []float64) (idx []int, val []float64) {
 	return idx, val
 }
 
-// set makes (idx, val) the vector stored at n, whose backing array is zero
-// outside its current support.
+// set makes a copy of (idx, val) the vector stored at n.
 func (n *node) set(idx []int, val []float64) {
-	for _, i := range n.sup {
-		n.vec[i] = 0
-	}
-	for k, i := range idx {
-		n.vec[i] = val[k]
-	}
 	n.sup = append(n.sup[:0], idx...)
+	n.val = append(n.val[:0], val...)
 	n.norm = norm(val)
 }
 
 // similarity returns the cosine similarity between the sparse query (with
-// precomputed norm) and node n.
+// precomputed norm) and node n: a merge-join over the two ascending
+// supports, adding the products of the shared indices in index order.
 func similarity(idx []int, val []float64, qnorm float64, n *node) float64 {
 	if qnorm == 0 || n.norm == 0 {
 		return 0
 	}
+	sup, nval := n.sup, n.val
 	var dot float64
+	j := 0
 	for k, i := range idx {
-		dot += val[k] * n.vec[i]
+		if j = seek(sup, j, i); j == len(sup) {
+			break
+		}
+		if sup[j] == i {
+			dot += val[k] * nval[j]
+		}
 	}
 	return dot / (qnorm * n.norm)
+}
+
+// seek returns the first position at or after j of the ascending sup whose
+// index is at least i (len(sup) when there is none): a step or two on the
+// handful of entries a tag path has, a binary search on a centroid whose
+// support has grown wide — written out so that it inlines into similarity
+// (slices.BinarySearch does not, and cost the wide-support stream 30 %).
+func seek(sup []int, j, i int) int {
+	if len(sup)-j <= 8 {
+		for j < len(sup) && sup[j] < i {
+			j++
+		}
+		return j
+	}
+	lo, hi := j, len(sup)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); sup[m] < i {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // randomLevel draws a node level from the standard exponential distribution.
@@ -175,6 +219,8 @@ func (ix *Index) randomLevel() int {
 
 // Add inserts the dense vector vec and returns its ID: the adapter over
 // AddSparse.
+//
+// Deprecated: dense adapter, removed at the benchmark re-base.
 func (ix *Index) Add(vec []float64) int {
 	idx, val := ix.nonZeros(vec)
 	return ix.AddSparse(len(vec), idx, val)
@@ -182,9 +228,10 @@ func (ix *Index) Add(vec []float64) int {
 
 // AddSparse inserts the dim-dimensional vector whose non-zero entries are
 // (idx, val) and returns its ID. Every vector of one index must have the
-// same dim.
+// same dim. It allocates in proportion to len(idx), whatever dim is.
 func (ix *Index) AddSparse(dim int, idx []int, val []float64) int {
-	n := &node{vec: make([]float64, dim), level: ix.randomLevel()}
+	ix.dim = dim
+	n := &node{level: ix.randomLevel()}
 	n.set(idx, val)
 	n.friends = make([][]int, n.level+1)
 	id := len(ix.nodes)
@@ -235,6 +282,8 @@ func (ix *Index) AddSparse(dim int, idx []int, val []float64) int {
 // Update replaces the vector stored at id with the dense vector vec,
 // recomputing the node's support and norm: the adapter for callers that
 // build the new vector themselves. Graph links are kept, as in Merge.
+//
+// Deprecated: dense adapter, removed at the benchmark re-base.
 func (ix *Index) Update(id int, vec []float64) {
 	idx, val := ix.nonZeros(vec)
 	ix.nodes[id].set(idx, val)
@@ -250,35 +299,35 @@ func (ix *Index) Update(id int, vec []float64) {
 func (ix *Index) Merge(id int, idx []int, val []float64, n int) {
 	nd := ix.nodes[id]
 	d := float64(n) + 1
-	old := nd.sup
-	union := ix.union[:0]
-	var sq float64
-	for i, k := 0, 0; i < len(old) || k < len(idx); {
-		var at int
-		var p float64
-		switch {
-		case k == len(idx) || (i < len(old) && old[i] < idx[k]):
-			at = old[i]
-			i++
-		case i == len(old) || idx[k] < old[i]:
-			at, p = idx[k], val[k]
-			k++
-		default:
-			at, p = idx[k], val[k]
-			i++
-			k++
+	fresh := len(idx) // indices p brings that the centroid does not have yet
+	for i, k := 0, 0; k < len(idx); k++ {
+		if i = seek(nd.sup, i, idx[k]); i < len(nd.sup) && nd.sup[i] == idx[k] {
+			fresh--
 		}
-		c := nd.vec[at]
-		c += (p - c) / d
-		nd.vec[at] = c
-		sq += c * c
-		union = append(union, at)
 	}
-	ix.union = union
-	if len(union) != len(old) { // p brought new indices
-		nd.sup = append(old[:0], union...)
+	// Grow the node by that many entries and merge from the back, in place:
+	// the write position never falls below the centroid's read position.
+	i, k := len(nd.sup)-1, len(idx)-1
+	nd.sup, nd.val = append(nd.sup, idx[:fresh]...), append(nd.val, val[:fresh]...)
+	sup, cv := nd.sup, nd.val
+	for w := len(sup) - 1; w >= 0; w-- {
+		var at int
+		var c, p float64
+		switch {
+		case k < 0 || (i >= 0 && sup[i] > idx[k]):
+			at, c = sup[i], cv[i]
+			i--
+		case i < 0 || idx[k] > sup[i]:
+			at, p = idx[k], val[k]
+			k--
+		default:
+			at, c, p = idx[k], cv[i], val[k]
+			i--
+			k--
+		}
+		sup[w], cv[w] = at, c+(p-c)/d
 	}
-	nd.norm = math.Sqrt(sq)
+	nd.norm = norm(cv)
 }
 
 // Result is one search hit.
@@ -289,6 +338,8 @@ type Result struct {
 
 // Search returns up to k approximate nearest neighbours of the dense
 // vector q by cosine similarity, most similar first.
+//
+// Deprecated: dense adapter, removed at the benchmark re-base.
 func (ix *Index) Search(q []float64, k int) []Result {
 	idx, val := ix.nonZeros(q)
 	cands := ix.search(idx, val, k)
@@ -304,6 +355,8 @@ func (ix *Index) Search(q []float64, k int) []Result {
 
 // Nearest returns the single best match for the dense vector q, or
 // ok=false on an empty index.
+//
+// Deprecated: dense adapter, removed at the benchmark re-base.
 func (ix *Index) Nearest(q []float64) (Result, bool) {
 	idx, val := ix.nonZeros(q)
 	return ix.NearestSparse(idx, val)
@@ -435,14 +488,9 @@ func (ix *Index) searchLayer(idx []int, val []float64, qnorm float64, ep, ef, l 
 // similar.
 func (ix *Index) pruneNeighbors(id int, friends []int, maxConn int) []int {
 	n := ix.nodes[id]
-	val := ix.nval[:0]
-	for _, i := range n.sup {
-		val = append(val, n.vec[i])
-	}
-	ix.nval = val
 	ranked := ix.ranked[:0]
 	for _, f := range friends {
-		ranked = append(ranked, scored{f, similarity(n.sup, val, n.norm, ix.nodes[f])})
+		ranked = append(ranked, scored{f, similarity(n.sup, n.val, n.norm, ix.nodes[f])})
 	}
 	ix.ranked = ranked
 	// Insertion sort by decreasing similarity (lists are tiny).

@@ -3,6 +3,7 @@ package hnsw
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -300,9 +301,13 @@ func denseOf(dim int, idx []int, val []float64) []float64 {
 func checkNode(t *testing.T, ix *Index, id int, shadow []float64) {
 	t.Helper()
 	n := ix.nodes[id]
+	vec := ix.Vector(id)
+	if len(vec) != len(shadow) {
+		t.Fatalf("node %d reads back with dim %d, dense shadow %d", id, len(vec), len(shadow))
+	}
 	for i, want := range shadow {
-		if math.Float64bits(n.vec[i]) != math.Float64bits(want) {
-			t.Fatalf("node %d slot %d = %v, dense shadow %v", id, i, n.vec[i], want)
+		if math.Float64bits(vec[i]) != math.Float64bits(want) {
+			t.Fatalf("node %d slot %d = %v, dense shadow %v", id, i, vec[i], want)
 		}
 	}
 	var sq float64
@@ -432,4 +437,59 @@ func TestNearestAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { ix.Nearest(q) }); got != 0 {
 		t.Errorf("Nearest (dense adapter) allocates %v per call after warm-up, want 0", got)
 	}
+}
+
+// TestAddSparseAllocsIndependentOfDim: a node is its non-zeros, so founding
+// an action costs the same bytes at D = 4096 as at D = 2^20 (a dense backing
+// array was 32 KB and 8 MB).
+func TestAddSparseAllocsIndependentOfDim(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	rng := rand.New(rand.NewSource(8))
+	idx, val := tagPathLike(rng, 64)
+	addBytes := func(dim int) uint64 {
+		ix := New(DefaultConfig())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range idx {
+			ix.AddSparse(dim, idx[i], val[i])
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := addBytes(4096), addBytes(1<<20)
+	if small != large {
+		t.Errorf("64 AddSparse calls allocate %d bytes at dim 4096, %d at dim 1<<20", small, large)
+	}
+	if perNode := small / 64; perNode > 2048 {
+		t.Errorf("AddSparse allocates %d bytes a node for ~8 non-zeros", perNode)
+	}
+}
+
+// TestVectorScratchContract: Vector scatters into one scratch and must
+// clear what the previous call wrote there — not the node's current
+// support, which an Update in between may have shrunk or moved.
+func TestVectorScratchContract(t *testing.T) {
+	ix := New(DefaultConfig())
+	a := ix.AddSparse(8, []int{1, 3, 6}, []float64{1, 2, 3})
+	b := ix.AddSparse(8, []int{0, 3}, []float64{4, 5})
+	same := func(got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("Vector has dim %d, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("Vector = %v, want %v", got, want)
+			}
+		}
+	}
+	same(ix.Vector(a), []float64{0, 1, 0, 2, 0, 0, 3, 0})
+	ix.Update(a, []float64{0, 0, 0, 0, 0, 0, 7, 0}) // shrinks a's support under the scratch
+	same(ix.Vector(a), []float64{0, 0, 0, 0, 0, 0, 7, 0})
+	same(ix.Vector(b), []float64{4, 0, 0, 5, 0, 0, 0, 0})
+	ix.Merge(b, []int{2}, []float64{2}, 1) // grows b's support
+	same(ix.Vector(a), []float64{0, 0, 0, 0, 0, 0, 7, 0})
+	same(ix.Vector(b), []float64{2, 0, 1, 2.5, 0, 0, 0, 0})
 }

@@ -72,6 +72,8 @@ func FuzzScanSegment(f *testing.F) {
 				t.Fatalf("indexed key %q unreadable", k)
 			}
 		}
+		// And the ordered keys must list exactly what the index holds.
+		checkOrderedKeys(t, s, "", "key-", "batch-a", "\xff")
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}

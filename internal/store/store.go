@@ -1,7 +1,7 @@
 // Package store is the persistent crawl store: a durable, append-only
 // key/value log that the crawl stack writes its replay database,
-// checkpoints, and speculation-cache spill through, so a budgeted crawl can
-// stop and resume and a fleet can survive a process restart (the BUbiNG
+// checkpoints, done-records and session records through, so a budgeted crawl
+// can stop and resume and a fleet can survive a process restart (the BUbiNG
 // discipline of persisting the frontier/workbench, applied to this
 // reproduction's replay-database design).
 //
@@ -18,6 +18,12 @@
 // order on Open — always points at the newest copy. Get reads the value
 // back from its segment, so resident memory stays proportional to the key
 // set, not the stored bytes.
+//
+// Beside the index the store keeps its keys in order: a sorted run plus the
+// keys that arrived since the last listing, which the next Keys, Count or
+// Snapshot sorts and merges in. A key is never deleted, so the run only
+// grows, and a listing costs two binary searches plus its matches — not a
+// walk over every key of every namespace sharing the store.
 //
 // A group commit (PutBatch) appends many entries under one header and one
 // CRC region, using keyLen == 0 as the batch sentinel — unreachable in
@@ -58,15 +64,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 )
 
 // Backend is the byte-level durable map the crawl layers plug into
-// (fetch.Replay's disk spill, checkpoint sinks, speculation-cache
-// persistence). *Store implements it; Prefixed scopes one store into
-// independent namespaces.
+// (fetch.Replay's durable side, checkpoint sinks, session records). *Store
+// implements it; Prefixed scopes one store into independent namespaces.
 type Backend interface {
 	// Put durably records key → val (last write wins).
 	Put(key string, val []byte) error
@@ -77,6 +83,8 @@ type Backend interface {
 	Get(key string) ([]byte, bool)
 	// Keys lists, in sorted order, every live key with the prefix.
 	Keys(prefix string) []string
+	// Count is len(Keys(prefix)) without building the list.
+	Count(prefix string) int
 	// Sync flushes buffered writes to the OS.
 	Sync() error
 }
@@ -166,6 +174,11 @@ type Store struct {
 	wbuf       []byte
 	flushedOff int64 // bytes of the active segment physically in the file
 	index      map[string]loc
+	// keys and fresh together hold every key of index exactly once, as the
+	// string the map was first given (16 bytes a key on top of the index):
+	// keys ascending, fresh in arrival order until orderLocked merges it in.
+	keys       []string
+	fresh      []string
 	liveBytes  int64 // record bytes reachable through the index
 	totalBytes int64 // record bytes across all segments (live + garbage)
 	recovered  []Recovery
@@ -376,6 +389,8 @@ func (s *Store) indexBatch(segIdx int, off int64, payload []byte) bool {
 func (s *Store) indexRecord(key string, l loc, recLen int64) {
 	if old, ok := s.index[key]; ok {
 		s.liveBytes -= recHeaderLen + int64(len(key)) + int64(old.vlen)
+	} else {
+		s.fresh = append(s.fresh, key)
 	}
 	s.index[key] = l
 	s.liveBytes += recLen
@@ -509,18 +524,67 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return val, true
 }
 
+// orderLocked merges the keys that arrived since the last call into the
+// sorted run, in place: the arrivals are sorted, the run grows by their
+// number, and from the largest arrival down each one is located by binary
+// search and the run's keys behind it move up as one block. Nothing in front
+// of the smallest arrival moves, and there is no second buffer.
+func (s *Store) orderLocked() {
+	if len(s.fresh) == 0 {
+		return
+	}
+	slices.Sort(s.fresh)
+	if len(s.keys) == 0 { // the first listing after Open: the arrivals are the run
+		s.keys, s.fresh = s.fresh, s.keys
+		return
+	}
+	end := len(s.keys) // keys[:end] is the part of the run not yet moved
+	s.keys = append(s.keys, s.fresh...)
+	for j := len(s.fresh) - 1; j >= 0; j-- {
+		at, _ := slices.BinarySearch(s.keys[:end], s.fresh[j])
+		copy(s.keys[at+j+1:], s.keys[at:end]) // j+1 arrivals sort in front of it
+		s.keys[at+j] = s.fresh[j]
+		end = at
+	}
+	s.fresh = s.fresh[:0]
+}
+
+// runLocked returns the keys of the sorted run that start with prefix: a
+// view of s.keys, valid while s.mu is held.
+func (s *Store) runLocked(prefix string) []string {
+	lo, _ := slices.BinarySearch(s.keys, prefix)
+	// From lo on every key is ≥ prefix, so the keys carrying it come first.
+	n := sort.Search(len(s.keys)-lo, func(i int) bool { return !strings.HasPrefix(s.keys[lo+i], prefix) })
+	return s.keys[lo : lo+n]
+}
+
 // Keys implements Backend.
 func (s *Store) Keys(prefix string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []string
-	for k := range s.index {
+	s.orderLocked()
+	return append([]string(nil), s.runLocked(prefix)...)
+}
+
+// countMergeAt is how many unmerged arrivals Count checks one by one before
+// it merges them in: a merge moves every key of the run behind the smallest
+// arrival, which a count after every few Puts should not pay each time.
+const countMergeAt = 64
+
+// Count implements Backend.
+func (s *Store) Count(prefix string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.fresh) > countMergeAt {
+		s.orderLocked()
+	}
+	n := len(s.runLocked(prefix))
+	for _, k := range s.fresh {
 		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
+			n++
 		}
 	}
-	sort.Strings(out)
-	return out
+	return n
 }
 
 // Len returns the number of live keys.
@@ -598,16 +662,12 @@ func (s *Store) snapshotLocked() error {
 		s.segs = old
 		return err
 	}
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	s.orderLocked()
 	newIdx := len(s.segs) - 1
 	active := &s.segs[newIdx]
 	var written int64
-	newLocs := make(map[string]loc, len(keys))
-	for _, k := range keys {
+	newLocs := make(map[string]loc, len(s.keys))
+	for _, k := range s.keys {
 		l := s.index[k]
 		val := make([]byte, l.vlen)
 		if _, err := s.segs[l.seg].f.ReadAt(val, l.off); err != nil {
@@ -705,6 +765,7 @@ func (pb *prefixed) PutBatch(kvs []KV) error {
 	}
 	return pb.b.PutBatch(mapped)
 }
+func (pb *prefixed) Count(prefix string) int { return pb.b.Count(pb.p + prefix) }
 func (pb *prefixed) Keys(prefix string) []string {
 	full := pb.b.Keys(pb.p + prefix)
 	out := make([]string, len(full))

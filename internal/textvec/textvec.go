@@ -225,8 +225,10 @@ type TagPathVectorizer struct {
 
 	// bucketCount[j] is the number of vocabulary positions hashing to
 	// bucket j, maintained incrementally as the vocabulary grows — the
-	// count[] column of Project without the per-call O(vocab) rescan.
-	bucketCount []int
+	// count[] column of Project without the per-call O(vocab) rescan. A
+	// count is bounded by the vocabulary size, so 32 bits hold it at half
+	// the D-wide table a crawl would otherwise carry.
+	bucketCount []uint32
 	// gram is the reusable n-gram build buffer; buckets the per-call bucket
 	// of every gram (sorted, repeats included); idx/val the sparse output.
 	gram    []byte
@@ -243,7 +245,7 @@ func NewTagPathVectorizer(n int, m, w uint) *TagPathVectorizer {
 		N:           n,
 		vocab:       NewVocab(),
 		proj:        proj,
-		bucketCount: make([]int, proj.Dim()),
+		bucketCount: make([]uint32, proj.Dim()),
 	}
 }
 

@@ -283,7 +283,13 @@ func simNamespace(site *Site) string {
 
 // liveNamespace scopes store keys for a live crawl: one namespace per
 // (host, UserAgent) — a host may serve different agents differently, so
-// responses only replay for the identity that fetched them.
+// responses only replay for the identity that fetched them. The crawling
+// tenant is deliberately not part of it: crawls of one host under one agent
+// share their stored responses, across crawld tenants and (the replay
+// database being a live view) while both are running. A replay hit issues no
+// request, so it needs no politeness grant, and what is shared is the public
+// bytes the host served that agent; a crawl that must not share sets its own
+// UserAgent.
 func liveNamespace(cfg Config) string {
 	host := cfg.Root
 	if u, err := url.Parse(cfg.Root); err == nil && u.Host != "" {
@@ -330,8 +336,9 @@ type persistedCrawl struct {
 }
 
 // attach wires the store into a crawl Env: the fetcher is wrapped in a
-// disk-backed replay database and the engine's checkpoint hook writes
-// through the store. Must run before the crawl starts.
+// replay database viewing the site's namespace and the engine's checkpoint
+// hook writes through the store. Nothing is listed or loaded, so attaching
+// costs the same whatever the store holds. Must run before the crawl starts.
 func (cs *crawlStore) attach(env *core.Env, cfg Config, ns string) *persistedCrawl {
 	replay := fetch.NewReplay(env.Fetcher)
 	replay.SetBackend(store.Prefixed(cs.st, ns+"|r|"))

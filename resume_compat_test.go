@@ -8,6 +8,7 @@ package sbcrawl
 import (
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -233,6 +234,50 @@ func TestStoreSinkCheckpointAllocs(t *testing.T) {
 	}
 	if got, ok := readCheckpoint(store.Prefixed(cs.st, "stest|c|"), cfgFingerprint(Config{Strategy: StrategyBFS}, env.Root)); !ok || !reflect.DeepEqual(got, cp) {
 		t.Errorf("stored checkpoint = %+v, %v; want %+v", got, ok, cp)
+	}
+}
+
+// TestAttachAllocsIndependentOfStoreSize: wiring a crawl into a shared store
+// and reporting its store stats costs the same however many keys the store
+// holds — other sites' or this site's own replay records — because the
+// replay database is a view that lists nothing; a daemon's attach must not
+// slow down with every session it has ever run. Resumed and ReplayStored
+// keep their meaning: the site's stored GET responses, counted.
+func TestAttachAllocsIndependentOfStoreSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	attach := func(foreign, own int) float64 {
+		cs, err := openCrawlStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cs.Close()
+		for i := 0; i < foreign; i++ {
+			if err := cs.st.Put(fmt.Sprintf("s%08x|r|g|https://other.org/%d", i%97, i), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < own; i++ {
+			if err := cs.st.Put(fmt.Sprintf("stest|r|g|https://site.org/%d", i), nil); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 0 { // HEAD records are stored beside, and are not stored GETs
+				if err := cs.st.Put(fmt.Sprintf("stest|r|h|https://site.org/%d", i), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return testing.AllocsPerRun(10, func() {
+			pc := cs.attach(&core.Env{Root: "https://site.org/"}, Config{Strategy: StrategyBFS}, "stest")
+			if st := pc.stats(false); st.Resumed != (own > 0) || st.ReplayStored != own {
+				t.Fatalf("stats over %d stored responses = %+v", own, *st)
+			}
+		})
+	}
+	empty, small, large := attach(0, 0), attach(100, 10), attach(50000, 5000)
+	if empty != small || small != large {
+		t.Errorf("attach + stats allocates %v times on an empty store, %v beside 100 foreign / 10 own keys, %v beside 50,000 / 5,000", empty, small, large)
 	}
 }
 

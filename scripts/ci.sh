@@ -32,6 +32,13 @@ if ls internal/core/*.go | grep -v '_test.go' | xargs grep -n 'FrontierSnapshot'
 	echo "internal/core serializes a frontier outside _test.go" >&2
 	exit 1
 fi
+# The replay database is a view: non-test internal/fetch/replay.go never lists
+# its store (attach used to list the site's namespace twice, a walk over every
+# key of every session a daemon had ever run).
+if grep -n '\.Keys(' internal/fetch/replay.go; then
+	echo "internal/fetch/replay.go lists its backend" >&2
+	exit 1
+fi
 go test ./...
 # The race pass is the one determinism gate: every equivalence suite —
 # prefetch widths, partitions, kill-and-resume, cross-version stores,
@@ -54,7 +61,8 @@ go test -run 'Alloc' -count=1 ./internal/dom ./internal/textvec ./internal/urlut
 # Sparse action-index gate: Algorithm 1 carries a tag path as its ~8
 # non-zero (index, value) pairs, so a lookup allocates nothing once the
 # index's scratch is warm, a path joining an action merges in place, and
-# founding an action allocates only the stored node.
+# founding an action allocates only the stored node — its non-zeros, the same
+# bytes at any D.
 go test -run 'Alloc' -count=1 ./internal/hnsw ./internal/core
 # Map-free Algorithm 2 gate: a link's character-bigram vector is exactly its
 # two retained slices, scoring it allocates nothing, and training allocates
@@ -66,9 +74,11 @@ go test -run 'Alloc' -count=1 ./internal/learn ./internal/classify
 go test -run 'Alloc' -count=1 ./internal/codec
 # Durable-path allocation gate: a checkpoint through the store sink allocates
 # nothing (internal/core's gate above holds it independent of the frontier's
-# size), store.Open allocates per key and not per stored byte, and a Site
-# counts its pages once.
-go test -run 'Alloc' -count=1 ./internal/store .
+# size), store.Open allocates per key and not per stored byte, a Site counts
+# its pages once, and attaching a crawl to a store costs the same whatever the
+# store already holds (fetch.Replay lists nothing; the root package holds
+# attach + stats to it end to end).
+go test -run 'Alloc' -count=1 ./internal/store ./internal/fetch .
 # Fuzz seed-corpus gate: the tokenizer/extractor fuzz targets run their
 # checked-in seeds as ordinary tests (termination, a Reset tokenizer's
 # second pass agreeing with its first, UTF-8 preservation, pool hygiene).

@@ -196,6 +196,12 @@ func siteCrawlEnv(site *Site, cfg Config, ctx context.Context) *core.Env {
 		fetcher = &fetch.Latency{Backend: fetcher, Delay: cfg.SimLatency, Ctx: ctx}
 	}
 	retry, breaker := retryPolicies(cfg, false)
+	// The ground-truth target list is a scan of every page of the site, and
+	// OMNISCIENT is its only reader.
+	var oracleTargets []string
+	if cfg.Strategy == StrategyOmniscient {
+		oracleTargets = site.targetURLs()
+	}
 	return &core.Env{
 		Root:        site.Root(),
 		Fetcher:     fetcher,
@@ -225,6 +231,6 @@ func siteCrawlEnv(site *Site, cfg Config, ctx context.Context) *core.Env {
 			}
 			return len(pg.DatasetLinks)
 		},
-		OracleTargets: site.targetURLs(),
+		OracleTargets: oracleTargets,
 	}
 }

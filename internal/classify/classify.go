@@ -10,9 +10,12 @@
 // blocks in ascending offset order, which keeps the whole vector sorted and
 // therefore every model score bit-identical from run to run (see the learn
 // package comment). Every discovered link passes through here twice — once
-// predicted, once learned from — so between the two Online retains just the
-// link's two feature slices, and the model is only ever reached through the
-// learn.Model interface (callers may wrap it).
+// predicted, once learned from — and Online keeps no features in between:
+// it predicts from one reused scratch vector, remembers the prediction (and,
+// for URL_CONT, a copy of the link's context), and featurizes a link again
+// only when it becomes a training example, into a batch arena reused after
+// every fit. The model is only ever reached through the learn.Model
+// interface (callers may wrap it).
 package classify
 
 import (
@@ -57,18 +60,32 @@ func (f FeatureSet) String() string {
 	return "URL_ONLY"
 }
 
-// Features vectorizes a link for the given feature set. Feature blocks are
-// offset so URL, anchor, path, and context bigrams do not collide.
+// Features vectorizes a link for the given feature set into a new vector.
+// Feature blocks are offset so URL, anchor, path, and context bigrams do not
+// collide.
 func Features(set FeatureSet, link LinkContext) textvec.Sparse {
+	return appendFeatures(textvec.MakeSparse(featureBound(set, link)), set, link)
+}
+
+// featureBound bounds the entries Features can produce: a string of n bytes
+// has at most n-1 distinct bigrams.
+func featureBound(set FeatureSet, link LinkContext) int {
 	if set != URLContent {
-		return textvec.CharBigrams(link.URL)
+		return len(link.URL)
 	}
-	x := textvec.MakeSparse(len(link.URL) + len(link.AnchorText) + len(link.TagPath) + len(link.SurroundingText))
+	return len(link.URL) + len(link.AnchorText) + len(link.TagPath) + len(link.SurroundingText)
+}
+
+// appendFeatures appends the link's features, in ascending ID order, after
+// whatever x already holds.
+func appendFeatures(x textvec.Sparse, set FeatureSet, link LinkContext) textvec.Sparse {
 	x = x.AppendCharBigrams(link.URL, 0)
+	if set != URLContent {
+		return x
+	}
 	x = x.AppendCharBigrams(link.AnchorText, 1*textvec.CharBigramDim)
 	x = x.AppendCharBigrams(link.TagPath, 2*textvec.CharBigramDim)
-	x = x.AppendCharBigrams(link.SurroundingText, 3*textvec.CharBigramDim)
-	return x
+	return x.AppendCharBigrams(link.SurroundingText, 3*textvec.CharBigramDim)
 }
 
 // Classifier is what the crawl engine consults for every discovered link.
@@ -108,10 +125,18 @@ type Online struct {
 	trained bool
 	pending map[string]pendingPrediction
 	conf    *Confusion
+	// x is the scratch Classify and Guess featurize a link into.
+	x textvec.Sparse
+	// arena holds the features of batch back to back. It is reused once the
+	// batch is fit, which learn.Model allows: PartialFit keeps no reference.
+	arena textvec.Sparse
 }
 
+// pendingPrediction is what Observe needs of a classified link: the
+// prediction and, for URL_CONT, the context it was made from. URL_ONLY
+// features are the URL's, and the URL is the pending map's key.
 type pendingPrediction struct {
-	x    textvec.Sparse
+	link *LinkContext
 	pred int
 }
 
@@ -136,30 +161,10 @@ func NewOnline(cfg Config) *Online {
 // spends a HEAD request per URL and returns the measured class; afterwards
 // it predicts from features alone at zero HTTP cost.
 func (o *Online) Classify(link LinkContext) (int, bool) {
-	return o.ClassifyFeatures(link.URL, o.Features(link))
-}
-
-// Features vectorizes a link under the classifier's feature set. A caller
-// that wants a look at a link before classifying it (Guess) extracts the
-// features once here and hands the same slices to ClassifyFeatures.
-func (o *Online) Features(link LinkContext) textvec.Sparse {
-	return Features(o.cfg.Features, link)
-}
-
-// Guess is the class the current weights give x and nothing else: no HEAD,
-// no pending prediction, no confusion entry. The crawl's speculation layer
-// uses it to see which of a page's links Classify will probably call
-// targets; the answer can differ from the later Classify when the model is
-// refit in between, which costs a wasted hint, never a changed crawl.
-func (o *Online) Guess(x textvec.Sparse) int { return o.model.Predict(x) }
-
-// ClassifyFeatures is Classify over the link's already-extracted features
-// (x must be Features of the link; Online retains its slices).
-func (o *Online) ClassifyFeatures(url string, x textvec.Sparse) (int, bool) {
 	if o.initial && o.cfg.Head != nil {
-		true3 := o.cfg.Head(url)
+		true3 := o.cfg.Head(link.URL)
 		if true3 == ClassHTML || true3 == ClassTarget {
-			o.addExample(learn.Example{X: x, Y: true3})
+			o.addExample(link, true3)
 		}
 		// A "Neither" HEAD (errors) is routed to the frontier-class so the
 		// crawler just wastes one later request — the cheap error kind.
@@ -169,9 +174,26 @@ func (o *Online) ClassifyFeatures(url string, x textvec.Sparse) (int, bool) {
 		}
 		return pred, true
 	}
-	pred := o.model.Predict(x)
-	o.pending[url] = pendingPrediction{x: x, pred: pred}
-	return pred, false
+	p := pendingPrediction{pred: o.Guess(link)}
+	if o.cfg.Features == URLContent {
+		// A copy made here, not &link: that would move every call's
+		// parameter to the heap.
+		lc := link
+		p.link = &lc
+	}
+	o.pending[link.URL] = p
+	return p.pred, false
+}
+
+// Guess is the class the current weights give the link and nothing else: no
+// HEAD, no pending prediction, no confusion entry. The crawl's speculation
+// layer uses it to see which of a page's links Classify will probably call
+// targets; the answer can differ from the later Classify when the model is
+// refit in between, which costs a wasted hint, never a changed crawl.
+func (o *Online) Guess(link LinkContext) int {
+	o.x.IDs, o.x.Vals = o.x.IDs[:0], o.x.Vals[:0]
+	o.x = appendFeatures(o.x, o.cfg.Features, link)
+	return o.model.Predict(o.x)
 }
 
 // Observe implements Classifier: every GET response contributes an annotated
@@ -186,22 +208,39 @@ func (o *Online) Observe(url string, trueClass int) {
 	if trueClass != ClassHTML && trueClass != ClassTarget {
 		return // Neither is never trained on (two-class design)
 	}
-	x := p.x
-	if !had {
-		x = Features(o.cfg.Features, LinkContext{URL: url})
+	link := LinkContext{URL: url}
+	if p.link != nil {
+		link = *p.link
 	}
-	o.addExample(learn.Example{X: x, Y: trueClass})
+	o.addExample(link, trueClass)
 }
 
-func (o *Online) addExample(ex learn.Example) {
-	o.batch = append(o.batch, ex)
+// addExample featurizes the link into the batch arena now, so no caller's
+// string outlives the call (url may be a view into a store record), and fits
+// the batch once it holds b examples.
+func (o *Online) addExample(link LinkContext, y int) {
+	start := len(o.arena.IDs)
+	if need := featureBound(o.cfg.Features, link); cap(o.arena.IDs)-start < need {
+		// Replaced, not grown: the examples already batched keep the old
+		// array.
+		o.arena = textvec.MakeSparse(max(need, 2*cap(o.arena.IDs)))
+		start = 0
+	}
+	o.arena = appendFeatures(o.arena, o.cfg.Features, link)
+	x := textvec.Sparse{IDs: o.arena.IDs[start:], Vals: o.arena.Vals[start:]}
+	o.batch = append(o.batch, learn.Example{X: x, Y: y})
 	if len(o.batch) >= o.cfg.BatchSize {
 		o.model.PartialFit(o.batch)
 		o.batch = o.batch[:0]
+		o.arena.IDs, o.arena.Vals = o.arena.IDs[:0], o.arena.Vals[:0]
 		o.trained = true
 		o.initial = false
 	}
 }
+
+// Release returns the model's weight tables to learn's free list for the
+// next classifier (learn.Release). The classifier must not be used after it.
+func (o *Online) Release() { learn.Release(o.model) }
 
 // InInitialPhase reports whether HEAD labeling is still active.
 func (o *Online) InInitialPhase() bool { return o.initial }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/fetch"
+	"sbcrawl/internal/learn"
 	"sbcrawl/internal/sitegen"
+	"sbcrawl/internal/textvec"
 	"sbcrawl/internal/webserver"
 )
 
@@ -241,6 +244,43 @@ func TestSBDeterministicPerSeed(t *testing.T) {
 		if a.Targets[i] != b.Targets[i] {
 			t.Fatal("target retrieval order diverged between identical runs")
 		}
+	}
+}
+
+// TestSBCrawlReusesClassifierTablesAlloc: an SB crawl releases its
+// classifier's weight table when it ends, so of two identical budgeted
+// crawls back to back the second grows into the first one's table instead
+// of allocating ~70 KB of its own.
+func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
+	if raceEnabled {
+		// Under the race detector the same crawl's allocation varies by
+		// tens of KB from run to run, as much as the table looked for here.
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	crawlBytes := func() uint64 {
+		env, _ := newTestEnv(t, "ed", 0.005, 3)
+		env.MaxRequests = 80
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := NewSB(SBConfig{Seed: 5}).Run(env)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Confusion == nil || res.Confusion.Total() == 0 {
+			t.Fatal("the crawl never left the classifier's HEAD phase")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	crawlBytes() // lazy package state: warm parsers, interned strings
+	// Empty the free list: a fresh model takes one parked table on its
+	// first fit, and the list holds at most 8.
+	for range 8 {
+		learn.NewLogisticRegression().PartialFit([]learn.Example{{X: textvec.CharBigrams("ab"), Y: learn.ClassTarget}})
+	}
+	first, second := crawlBytes(), crawlBytes()
+	if first < second+60<<10 {
+		t.Errorf("first crawl allocated %d bytes, the second %d: want the second ≥ 60 KB less", first, second)
 	}
 }
 

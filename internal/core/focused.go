@@ -47,7 +47,7 @@ type focusedRun struct {
 	eng     *engine
 	model   *learn.LogisticRegression
 	pq      frontier.Priority
-	feats   map[string]textvec.Sparse // frontier URL → link features
+	queued  map[string]textvec.Sparse // frontier URL → link features
 	batch   []learn.Example
 	trained bool
 	steps   int
@@ -68,8 +68,8 @@ func (r *focusedRun) SelectNext() (string, bool) {
 		return "", false
 	}
 	r.steps++
-	r.pending = r.feats[u] // every pushed URL has an entry
-	delete(r.feats, u)
+	r.pending = r.queued[u] // every pushed URL has an entry
+	delete(r.queued, u)
 	return u, true
 }
 
@@ -85,13 +85,13 @@ func (r *focusedRun) Ingest(_ string, pg page) {
 		r.model.PartialFit(r.batch)
 		r.batch = r.batch[:0]
 		r.trained = true
-		r.pq.Rescore(func(url string) float64 { return r.score(r.feats[url]) })
+		r.pq.Rescore(func(url string) float64 { return r.score(r.queued[url]) })
 	}
 	depth := urlutil.Depth(pg.FinalURL)
 	for _, link := range pg.Links {
 		lx := focusedFeatures(link.URL, link.AnchorText, depth)
 		r.eng.seen[link.URL] = true
-		r.feats[link.URL] = lx
+		r.queued[link.URL] = lx
 		r.pq.Push(link.URL, r.score(lx))
 	}
 }
@@ -106,14 +106,14 @@ func (f *focused) Run(env *Env) (*Result, error) {
 		return nil, err
 	}
 	r := &focusedRun{
-		f:     f,
-		eng:   eng,
-		model: learn.NewLogisticRegression(),
-		feats: make(map[string]textvec.Sparse),
+		f:      f,
+		eng:    eng,
+		model:  learn.NewLogisticRegression(),
+		queued: make(map[string]textvec.Sparse),
 	}
 	eng.seen[env.Root] = true
 	r.pq.Push(env.Root, 0)
-	r.feats[env.Root] = focusedFeatures(env.Root, "", 0)
+	r.queued[env.Root] = focusedFeatures(env.Root, "", 0)
 	eng.runStaged(r)
 	return eng.result(f.Name(), r.steps), nil
 }

@@ -8,7 +8,6 @@ import (
 	"sbcrawl/internal/dom"
 	"sbcrawl/internal/frontier"
 	"sbcrawl/internal/learn"
-	"sbcrawl/internal/textvec"
 	"sbcrawl/internal/urlutil"
 )
 
@@ -75,11 +74,10 @@ type sbRun struct {
 	// awake is the arm set SelectNext last handed the bandit (increasing),
 	// kept so Hints asks the bandit again without a second Awake() per step.
 	awake []int
-	// feats and ahead are the speculation scratch of ingestPage, used as
-	// stacks because a misclassified "target" that turns out to be HTML is
-	// ingested inside its parent's loop: the pages being ingested each own
-	// the tail they appended (see predictTargets).
-	feats []textvec.Sparse
+	// ahead is the speculation scratch of ingestPage, used as a stack
+	// because a misclassified "target" that turns out to be HTML is ingested
+	// inside its parent's loop: the pages being ingested each own the tail
+	// they appended (see predictTargets).
 	ahead []string
 }
 
@@ -120,6 +118,7 @@ func (s *SB) Run(env *Env) (*Result, error) {
 	res.Actions = r.actionStats()
 	if online, ok := r.cls.(*classify.Online); ok {
 		res.Confusion = online.Confusion()
+		online.Release()
 	}
 	return res, nil
 }
@@ -239,17 +238,11 @@ func (r *sbRun) ingestPage(pg page, action int, depth int) {
 	case pg.IsHTML:
 		r.cls.Observe(pg.FinalURL, classify.ClassHTML)
 		r.speculateWarmup(pg.Links)
-		online, _ := r.cls.(*classify.Online)
-		fbase, abase := len(r.feats), len(r.ahead)
+		abase := len(r.ahead)
 		r.predictTargets(pg.Links)
-		prepared, next, end := len(r.feats) > fbase, abase, len(r.ahead)
-		for i, link := range pg.Links {
-			var class int
-			if prepared {
-				class, _ = online.ClassifyFeatures(link.URL, r.feats[fbase+i])
-			} else {
-				class, _ = r.cls.Classify(r.linkContext(link))
-			}
+		next, end := abase, len(r.ahead)
+		for _, link := range pg.Links {
+			class, _ := r.cls.Classify(r.linkContext(link))
 			if class == classify.ClassTarget && depth < maxPredictedTargetDepth {
 				// r.ahead[next:end] are this page's predicted targets from
 				// this link on (nested ingests append past end and truncate
@@ -272,8 +265,6 @@ func (r *sbRun) ingestPage(pg page, action int, depth int) {
 				next++
 			}
 		}
-		clear(r.feats[fbase:])
-		r.feats = r.feats[:fbase]
 		clear(r.ahead[abase:])
 		r.ahead = r.ahead[:abase]
 	case pg.IsTarget:
@@ -313,13 +304,11 @@ func (r *sbRun) speculateWarmup(links []dom.Link) {
 // inside ingestPage's loop, one round trip after another; here each link's
 // class is guessed once up front, with the weights as they stand, and the
 // URLs guessed to be targets are appended to r.ahead in page order so the
-// loop can keep a window of them in flight ahead of its cursor. For the
-// online classifier the features extracted for the guess are appended to
-// r.feats, one per link, and the loop classifies from those same slices —
-// features are still extracted once per link. Nothing is appended for a
-// sequential crawl, nor during the HEAD phase (speculateWarmup hints the
-// probes instead). Guessing reads the model only, so the crawl is the same
-// whether or not it runs.
+// loop can keep a window of them in flight ahead of its cursor. Nothing is
+// appended for a sequential crawl, nor during the HEAD phase
+// (speculateWarmup hints the probes instead). Guessing reads the model only,
+// so the crawl is the same whether or not it runs; the loop featurizes each
+// link again to classify it, which costs less than keeping the features.
 func (r *sbRun) predictTargets(links []dom.Link) {
 	if r.eng.prefetcher == nil {
 		return
@@ -336,9 +325,7 @@ func (r *sbRun) predictTargets(links []dom.Link) {
 			return
 		}
 		for _, l := range links {
-			x := cls.Features(r.linkContext(l))
-			r.feats = append(r.feats, x)
-			if cls.Guess(x) == classify.ClassTarget {
+			if cls.Guess(r.linkContext(l)) == classify.ClassTarget {
 				r.ahead = append(r.ahead, l.URL)
 			}
 		}

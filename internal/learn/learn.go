@@ -17,6 +17,18 @@
 // the same float64 whether or not the table has grown to cover it. Score
 // allocates nothing, and PartialFit allocates only when a table grows.
 //
+// # Table free list
+//
+// A crawl builds a fresh model, and its weight table grows once, to ~9,216
+// float64s for URL features, and dies with the crawl; a daemon running
+// thousands of short crawls would allocate one table each. Release hands a
+// finished model's tables back: each is cleared and parked on a small free
+// list, and the first grow of a later model takes a parked table instead of
+// allocating. A parked table is all zeros, the state a fresh table starts
+// in, so reuse changes no score. Release's contract is that the model is not
+// used again; it drops the model's references, so a model used anyway
+// regrows from zero and never shares a table with another.
+//
 // Labels are binary: 0 ("HTML") and 1 ("Target"). The deliberate two-class
 // design — despite some URLs being "Neither" — follows the paper's analysis
 // of asymmetric misclassification costs.
@@ -43,7 +55,9 @@ type Example struct {
 // Model is an online binary classifier.
 type Model interface {
 	// PartialFit performs one incremental training pass over the batch
-	// (one SGD epoch for the gradient models, count updates for NB).
+	// (one SGD epoch for the gradient models, count updates for NB). It
+	// keeps no reference to the batch or its vectors: a caller may reuse
+	// their memory as soon as it returns.
 	PartialFit(batch []Example)
 	// Predict returns ClassHTML or ClassTarget.
 	Predict(x textvec.Sparse) int
@@ -79,6 +93,57 @@ func grow[T any](w []T, x textvec.Sparse) []T {
 	return w
 }
 
+// tableFree is the free list of weight tables (see the package comment). It
+// is a bounded channel, like internal/dom's parser free list and for the
+// same reason: a sync.Pool empties at every GC, so reuse would depend on when
+// the collector runs. Eight covers one crawl per core on ordinary machines,
+// the default of fleets and the daemon; a model past it allocates its table
+// as before.
+var tableFree = make(chan []float64, 8)
+
+// growTable is grow for a float64 table, which starts from a parked table
+// when it has none yet.
+func growTable(w []float64, x textvec.Sparse) []float64 {
+	if w == nil && len(x.IDs) > 0 {
+		select {
+		case w = <-tableFree:
+		default:
+		}
+	}
+	return grow(w, x)
+}
+
+// park clears the table *w, parks it if the free list has room, and drops
+// the reference.
+func park(w *[]float64) {
+	if cap(*w) > 0 {
+		clear(*w)
+		select {
+		case tableFree <- (*w)[:0]:
+		default:
+		}
+	}
+	*w = nil
+}
+
+// Release returns m's weight tables to the free list for the next model to
+// grow into; m must not be used afterwards. The tables of LR, SVM and PA
+// and NB's per-class counts are parked; a model of another type, a wrapper
+// included, is left alone.
+func Release(m Model) {
+	switch m := m.(type) {
+	case *LogisticRegression:
+		park(&m.w)
+	case *LinearSVM:
+		park(&m.w)
+	case *PassiveAggressive:
+		park(&m.w)
+	case *NaiveBayes:
+		park(&m.featCount[0])
+		park(&m.featCount[1])
+	}
+}
+
 func (ws *weights) dot(x textvec.Sparse) float64 {
 	s := ws.b
 	for k, id := range x.IDs {
@@ -89,14 +154,14 @@ func (ws *weights) dot(x textvec.Sparse) float64 {
 
 // decay shrinks the weights of x's features by factor (the L2 step).
 func (ws *weights) decay(factor float64, x textvec.Sparse) {
-	ws.w = grow(ws.w, x)
+	ws.w = growTable(ws.w, x)
 	for _, id := range x.IDs {
 		ws.w[id] *= factor
 	}
 }
 
 func (ws *weights) axpy(scale float64, x textvec.Sparse) {
-	ws.w = grow(ws.w, x)
+	ws.w = growTable(ws.w, x)
 	for k, id := range x.IDs {
 		ws.w[id] += scale * x.Vals[k]
 	}
@@ -234,7 +299,7 @@ func (m *NaiveBayes) PartialFit(batch []Example) {
 	for _, ex := range batch {
 		c := ex.Y
 		m.classCount[c]++
-		m.featCount[c] = grow(m.featCount[c], ex.X)
+		m.featCount[c] = growTable(m.featCount[c], ex.X)
 		m.inVocab = grow(m.inVocab, ex.X)
 		for k, id := range ex.X.IDs {
 			v := ex.X.Vals[k]

@@ -1,6 +1,6 @@
 package textvec
 
-import "slices"
+import "math/bits"
 
 // Sparse is a sparse feature vector, the representation consumed by the
 // online learners of internal/learn: Vals[k] is the value of feature IDs[k],
@@ -42,6 +42,14 @@ func charClass(b byte) int {
 // CharBigramDim is the dimensionality of the character-bigram feature space.
 const CharBigramDim = charClassCount * charClassCount
 
+// bigramWords is the number of 64-bit words in a bitmap over one block.
+const bigramWords = CharBigramDim / 64
+
+// charBigram is the in-block ID of the bigram starting at s[i].
+func charBigram(s string, i int) uint {
+	return uint(charClass(s[i])*charClassCount + charClass(s[i+1]))
+}
+
 // CharBigrams encodes a string as a bag of character 2-grams over the fixed
 // ASCII-pair vocabulary, the URL feature representation of Algorithm 2 (the
 // URL https://www.A.com/... becomes [ht, tt, tp, ...]). It allocates only the
@@ -55,23 +63,35 @@ func CharBigrams(s string) Sparse {
 // concatenated in ascending offset order (offset must exceed every ID
 // already in x, and blocks are CharBigramDim apart), so the result stays
 // strictly ascending without a merge.
+//
+// The block is small and fixed, so there is no sort: one pass marks each
+// bigram in a bitmap over the block, a walk of the bitmap emits the distinct
+// IDs in ascending order, and a second pass counts each bigram at its rank
+// among the set bits. Both tables live on the stack; appending into spare
+// capacity allocates nothing.
 func (x Sparse) AppendCharBigrams(s string, offset int) Sparse {
-	start := len(x.IDs)
-	for i := 0; i+1 < len(s); i++ {
-		x.IDs = append(x.IDs, int32(offset+charClass(s[i])*charClassCount+charClass(s[i+1])))
+	if len(s) < 2 {
+		return x
 	}
-	// One entry per run of equal IDs, compacted in place: the write index
-	// never passes the read index.
-	grams := x.IDs[start:]
-	slices.Sort(grams)
-	x.IDs = x.IDs[:start]
-	for i := 0; i < len(grams); {
-		run := i + 1
-		for run < len(grams) && grams[run] == grams[i] {
-			run++
+	var seen [bigramWords]uint64
+	for i := 0; i+1 < len(s); i++ {
+		g := charBigram(s, i)
+		seen[g/64] |= 1 << (g % 64)
+	}
+	// rank[w] is how many distinct bigrams lie below word w.
+	var rank [bigramWords]uint16
+	start := len(x.IDs)
+	for w, word := range &seen {
+		rank[w] = uint16(len(x.IDs) - start)
+		for ; word != 0; word &= word - 1 {
+			x.IDs = append(x.IDs, int32(offset+64*w+bits.TrailingZeros64(word)))
+			x.Vals = append(x.Vals, 0)
 		}
-		x = x.Append(int(grams[i]), float64(run-i))
-		i = run
+	}
+	vals := x.Vals[start:]
+	for i := 0; i+1 < len(s); i++ {
+		g := charBigram(s, i)
+		vals[int(rank[g/64])+bits.OnesCount64(seen[g/64]&(1<<(g%64)-1))]++
 	}
 	return x
 }

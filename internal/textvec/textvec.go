@@ -33,15 +33,17 @@
 //
 // CharBigrams and AppendCharBigrams build the character-bigram vectors of
 // Algorithm 2 under the same ordering contract, as a Sparse: parallel IDs
-// and Vals with IDs strictly ascending, produced by sorting the string's
-// bigram IDs and run-length counting them. Feature blocks (URL, anchor, tag
-// path, context, FOCUSED's depth slot) are concatenated in ascending offset
-// order, so a multi-block vector is sorted without a merge. Unlike the
-// tag-path scratch these slices belong to the caller — a classifier keeps
-// one per link until the link's true class is known — and they are the only
-// allocations. The learners of internal/learn sum over the entries front to
-// back; ascending IDs are the canonical order that makes those sums, and so
-// every score and weight, repeat bit for bit.
+// and Vals with IDs strictly ascending. A block has a fixed 9,216 IDs, so no
+// sort is needed: the string's bigrams are marked in a stack bitmap over the
+// block, whose walk yields the distinct IDs already in ascending order, and
+// counted at their rank in it. Feature blocks (URL, anchor, tag path,
+// context, FOCUSED's depth slot) are concatenated in ascending offset order,
+// so a multi-block vector is sorted without a merge. Unlike the tag-path
+// scratch these slices belong to the caller, who may append into reused
+// capacity (the URL classifier featurizes into one scratch per classifier);
+// they are the only allocations. The learners of internal/learn sum over the
+// entries front to back; ascending IDs are the canonical order that makes
+// those sums, and so every score and weight, repeat bit for bit.
 package textvec
 
 import (

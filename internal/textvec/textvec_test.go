@@ -296,6 +296,93 @@ func TestCharBigramsAllocs(t *testing.T) {
 	}
 }
 
+// sortedBigrams is the sort-then-run-length construction the bitmap walk
+// replaced, kept as the oracle.
+func sortedBigrams(s string, offset int) Sparse {
+	var ids []int32
+	for i := 0; i+1 < len(s); i++ {
+		ids = append(ids, int32(offset+charClass(s[i])*charClassCount+charClass(s[i+1])))
+	}
+	slices.Sort(ids)
+	var x Sparse
+	for i := 0; i < len(ids); {
+		run := i + 1
+		for run < len(ids) && ids[run] == ids[i] {
+			run++
+		}
+		x = x.Append(int(ids[i]), float64(run-i))
+		i = run
+	}
+	return x
+}
+
+// TestCharBigramsEdgeCounts: the bitmap walk against the sorting oracle at
+// the edges of the block — every ID present, one ID counted past 16 bits,
+// bytes outside printable ASCII, and each URL_CONT block offset.
+func TestCharBigramsEdgeCounts(t *testing.T) {
+	// One byte per class: printable ASCII, then 0xFF for the catch-all.
+	var classBytes []byte
+	for b := byte(0x20); b < 0x7F; b++ {
+		classBytes = append(classBytes, b)
+	}
+	classBytes = append(classBytes, 0xFF)
+	var every []byte
+	for _, a := range classBytes {
+		for _, b := range classBytes {
+			every = append(every, a, b)
+		}
+	}
+	cases := map[string]string{
+		"every class pair": string(every),
+		"long run":         strings.Repeat("w", 1<<17),
+		"non-ASCII":        "\x00\x1f\x7f\x80\xff" + "https://例え.jp/データ\n\t",
+		"url":              "https://www.justice.gouv.fr/documentation/bulletin-officiel/file-2024-03.csv",
+	}
+	for name, s := range cases {
+		for block := 0; block < 4; block++ {
+			offset := block * CharBigramDim
+			got := Sparse{}.AppendCharBigrams(s, offset)
+			want := sortedBigrams(s, offset)
+			if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Vals, want.Vals) {
+				t.Errorf("%s at offset %d: %d entries, oracle %d (or values differ)", name, offset, len(got.IDs), len(want.IDs))
+			}
+		}
+	}
+	if v := CharBigrams(string(every)); len(v.IDs) != CharBigramDim {
+		t.Errorf("every class pair: %d distinct IDs, want %d", len(v.IDs), CharBigramDim)
+	}
+	if v := CharBigrams(strings.Repeat("w", 1<<17)); len(v.IDs) != 1 || v.Vals[0] != 1<<17-1 {
+		t.Errorf("long run = %v entries %v, want one entry counting %d", v.IDs, v.Vals, 1<<17-1)
+	}
+	catchAll := int32((charClassCount-1)*charClassCount + charClassCount - 1)
+	if v := CharBigrams("\x00\x80\xff\x7f"); len(v.IDs) != 1 || v.IDs[0] != catchAll || v.Vals[0] != 3 {
+		t.Errorf("non-ASCII bytes = %v %v, want the catch-all pair %d three times", v.IDs, v.Vals, catchAll)
+	}
+	// The four blocks chained, as URL_CONT lays them out.
+	var got, want Sparse
+	for block, s := range []string{cases["url"], cases["non-ASCII"], "", cases["every class pair"]} {
+		got = got.AppendCharBigrams(s, block*CharBigramDim)
+		w := sortedBigrams(s, block*CharBigramDim)
+		want.IDs, want.Vals = append(want.IDs, w.IDs...), append(want.Vals, w.Vals...)
+	}
+	if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Vals, want.Vals) {
+		t.Error("four chained blocks differ from the oracle")
+	}
+}
+
+// TestAppendCharBigramsAllocs: appending into spare capacity allocates
+// nothing — the bitmap and rank tables stay on the stack.
+func TestAppendCharBigramsAllocs(t *testing.T) {
+	url := "https://www.justice.gouv.fr/documentation/bulletin-officiel/file-2024-03.csv"
+	x := MakeSparse(4 * len(url))
+	if got := testing.AllocsPerRun(100, func() {
+		x.IDs, x.Vals = x.IDs[:0], x.Vals[:0]
+		x = x.AppendCharBigrams(url, 0).AppendCharBigrams(url, CharBigramDim)
+	}); got != 0 {
+		t.Errorf("AppendCharBigrams into spare capacity allocates %v times per call, want 0", got)
+	}
+}
+
 // Property: CharBigrams of s has exactly max(len(s)-1, 0) total counts.
 func TestCharBigramCountProperty(t *testing.T) {
 	f := func(s string) bool {

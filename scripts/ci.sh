@@ -39,6 +39,19 @@ if grep -n '\.Keys(' internal/fetch/replay.go; then
 	echo "internal/fetch/replay.go lists its backend" >&2
 	exit 1
 fi
+# Algorithm 2 pays for a link's bigrams and nothing else: the bigram
+# featurizer orders IDs by walking a bitmap over its fixed block, never by a
+# comparison sort, and the classifier keeps no per-link features between
+# predicting a link and learning from it (it featurizes into scratch and
+# recomputes from the URL or a copy of the link's context).
+if grep -nE '"(slices|sort)"' internal/textvec/chargram.go; then
+	echo "internal/textvec/chargram.go sorts" >&2
+	exit 1
+fi
+if grep -rn --include='*.go' 'ClassifyFeatures' internal | grep -v '_test.go'; then
+	echo "internal/ retains classifier features outside _test.go" >&2
+	exit 1
+fi
 go test ./...
 # The race pass is the one determinism gate: every equivalence suite —
 # prefetch widths, partitions, kill-and-resume, cross-version stores,
@@ -64,9 +77,13 @@ go test -run 'Alloc' -count=1 ./internal/dom ./internal/textvec ./internal/urlut
 # founding an action allocates only the stored node — its non-zeros, the same
 # bytes at any D.
 go test -run 'Alloc' -count=1 ./internal/hnsw ./internal/core
-# Map-free Algorithm 2 gate: a link's character-bigram vector is exactly its
-# two retained slices, scoring it allocates nothing, and training allocates
-# nothing once the flat weight vector has grown to the highest feature ID.
+# Map-free Algorithm 2 gate: classifying and learning from a URL_ONLY link
+# allocates nothing past the HEAD phase (a URL_CONT link one copy of its
+# context), scoring allocates nothing, and training allocates nothing once
+# the flat weight vector has grown. The textvec line above holds the bigram
+# featurizer to no allocation when appending into spare capacity (no sort
+# buffer, the bitmap on the stack); the core line holds a finished SB
+# crawl's weight table to being reused by the next crawl.
 go test -run 'Alloc' -count=1 ./internal/learn ./internal/classify
 # Codec allocation gate: the replay-record round trip — AppendResponse into
 # a reused buffer, DecodeResponseInto filling a reused struct with views —

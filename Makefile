@@ -1,13 +1,15 @@
-# Developer and CI entry points. `make ci` is the tier-1 verification gate:
-# vet, the full test suite, and the same suite under the race detector
-# (the fleet orchestrator runs crawls concurrently — race-clean is a hard
-# requirement, see ROADMAP.md).
+# Developer and CI entry points. `make ci` is the tier-1 verification gate,
+# defined once in scripts/ci.sh: build, vet, gofmt, the grep gates, the full
+# test suite, the same suite under the race detector (the fleet orchestrator
+# runs crawls concurrently — race-clean is a hard requirement, see
+# ROADMAP.md), the allocation gates, bench smokes and time-boxed fuzzing.
 
 GO ?= go
 
 .PHONY: ci build vet test race benchmark bench bench-run bench-store bench-codec bench-serve fleet-bench pipeline-bench speculation-bench
 
-ci: vet test race
+ci:
+	sh scripts/ci.sh
 
 build:
 	$(GO) build ./...

@@ -12,7 +12,6 @@
 //	crawlbench -exp fig4 -prefetch 8 -stats   (append hit-rate report)
 //	crawlbench -exp resume -store /tmp/cs     (kill-and-resume smoke over the
 //	                                           persistent store)
-//	crawlbench -exp table2 -store /tmp/cs -resume  (replay cached responses)
 //
 // Scale 0.002 shrinks every site to 1/500 of its paper size; shapes (who
 // wins, by what factor) are preserved, absolute counts are not.
@@ -65,7 +64,6 @@ func main() {
 		parts    = flag.String("partitions", "0", "speculation-window multiplier per crawl (Config.Partitions): a count, 0 (off), or 'auto' (min(cores, 8))")
 		stats    = flag.Bool("stats", false, "append the speculation hit-rate report after the experiment (see -exp speculation)")
 		storeDir = flag.String("store", "", "persistent crawl store directory: responses spill to an append-only segment log and replay on later runs (see -exp resume)")
-		resume   = flag.Bool("resume", false, "mark the run as a continuation over -store: previously fetched responses replay from disk instead of re-fetching")
 		faults   = flag.Float64("faults", 0, "inject seeded transient faults into this fraction of URLs (chaos mode; see -exp resilience)")
 		faultSd  = flag.Int64("fault-seed", 0, "seed for the injected-fault plan (0 = -seed)")
 		retries  = flag.Int("retries", 0, "transient-failure retry budget under -faults: 0 = default, n fixes it, negative disarms retrying and the circuit breaker")
@@ -106,7 +104,6 @@ func main() {
 		Partitions: partitionN,
 		CSVDir:     *csvDir,
 		StorePath:  *storeDir,
-		Resume:     *resume,
 		FaultRate:  *faults,
 		FaultSeed:  *faultSd,
 		Retries:    *retries,
@@ -114,10 +111,6 @@ func main() {
 	}
 	if *sites != "" {
 		cfg.Sites = strings.Split(*sites, ",")
-	}
-	if *resume && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "crawlbench: -resume needs -store <dir>")
-		os.Exit(2)
 	}
 	closeStore, err := cfg.OpenStore()
 	if err != nil {

@@ -4,9 +4,10 @@
 // are byte-identical whatever the worker count (each site's seed derives
 // deterministically from the shared Config.Seed and the site's index).
 //
-// The same pattern works against live websites through CrawlMany, where a
-// process-wide per-host rate limiter additionally guarantees that two
-// crawls pointed at the same host stay Config.Politeness apart:
+// The same pattern works against live websites through CrawlMany, where the
+// process-wide default politeness registry (or the one set as
+// Config.Hosts) additionally guarantees that two crawls pointed at the
+// same host stay Config.Politeness apart:
 //
 //	res, err := sbcrawl.CrawlMany([]sbcrawl.Config{
 //		{Root: "https://www.example.org/", MaxRequests: 5000},

@@ -4,7 +4,8 @@ package sbcrawl
 // fans live crawls out over a worker pool, CrawlSites does the same for
 // simulated batches. Per-site results are byte-identical whatever the
 // worker count, failures are isolated per site, and live crawls coordinate
-// politeness through the process-wide per-host rate limiter.
+// politeness through one per-host politeness registry (Config.Hosts or the
+// process-wide default).
 
 import (
 	"context"
@@ -112,9 +113,9 @@ type SpeculationStats = fetch.PrefetchStats
 // a store that cannot be opened, and — alongside the result — the context's
 // error after cancellation or a failed close of Config.StorePath.
 //
-// All live crawls share the process-wide per-host rate limiter, so two
-// entries pointing at the same host stay MinDelay apart even while
-// crawling in parallel.
+// All live crawls without a Config.Hosts share the process-wide default
+// politeness registry, so two entries pointing at the same host stay
+// MinDelay apart even while crawling in parallel.
 func CrawlMany(cfgs []Config, opts FleetOptions) (_ *FleetResult, err error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sbcrawl: CrawlMany needs at least one Config")

@@ -25,8 +25,7 @@ import (
 // An Env belongs to one running crawl at a time (its Fetcher carries
 // per-crawl state such as the replay database). A fleet of concurrent
 // crawls builds one Env per site; only read-only substrate — the generated
-// site, its webserver, a shared fetch.HostLimiter — may be shared across
-// Envs.
+// site, its webserver, a shared fetch.Registry — may be shared across Envs.
 type Env struct {
 	// Root is the start URL r.
 	Root string

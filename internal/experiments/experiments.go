@@ -65,9 +65,6 @@ type Config struct {
 	// responses from disk. Open the handle once with OpenStore before
 	// running experiments.
 	StorePath string
-	// Resume marks the run as a continuation of an earlier one over the
-	// same StorePath (diagnostic; the replay database reloads either way).
-	Resume bool
 	// FaultRate injects seeded deterministic transient faults into the
 	// fraction FaultRate of URLs on every crawl (chaos mode): faulty URLs
 	// fail their first 1–2 attempts and then recover. With the retry layer

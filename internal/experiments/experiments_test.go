@@ -310,7 +310,7 @@ func TestRunResilience(t *testing.T) {
 	}
 }
 
-// TestStoreBackedExperimentReplays pins the -store/-resume CLI path: a
+// TestStoreBackedExperimentReplays pins the -store CLI path: a
 // second run of an experiment over the same store replays the first run's
 // responses instead of re-fetching.
 func TestStoreBackedExperimentReplays(t *testing.T) {

@@ -113,11 +113,10 @@ func TestBreakerFailedProbeDoublesCooldown(t *testing.T) {
 	}
 }
 
-// TestRegistryHostLimiterFaultStorm is the satellite-3 gate: concurrent
-// tenants hammering one Registry while a breaker trips and recovers must
-// never deadlock, and politeness spacing must still hold for the recovered
-// host afterwards. Run under -race in CI.
-func TestRegistryHostLimiterFaultStorm(t *testing.T) {
+// TestRegistryFaultStorm: concurrent tenants hammering one Registry while a
+// breaker trips and recovers must never deadlock, and politeness spacing
+// must still hold for the recovered host afterwards. Run under -race in CI.
+func TestRegistryFaultStorm(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetFloor(time.Millisecond)
 	b := NewBreaker(BreakerPolicy{FailureThreshold: 3, Cooldown: 4})
@@ -159,7 +158,7 @@ func TestRegistryHostLimiterFaultStorm(t *testing.T) {
 		t.Fatal("registry accounted no hosts")
 	}
 	// After the storm the recovered host's politeness window still works:
-	// two grants spaced by the limiter, deterministic arithmetic intact.
+	// two grants spaced by the registry, deterministic arithmetic intact.
 	start := time.Now()
 	const spacing = 10 * time.Millisecond
 	if err := reg.WaitContext(nil, "dead.org", spacing); err != nil {

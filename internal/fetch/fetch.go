@@ -5,7 +5,9 @@
 package fetch
 
 import (
+	"context"
 	"errors"
+	"time"
 
 	"sbcrawl/internal/urlutil"
 	"sbcrawl/internal/webserver"
@@ -32,7 +34,7 @@ type Response struct {
 // fetcher, so Sim (stateless over a read-only server), Replay and HTTP
 // (internally locked) all tolerate concurrent calls. Replay and HTTP remain
 // per-crawl even so — a fleet gives every site its own instance and
-// coordinates politeness through the shared HostLimiter instead.
+// coordinates politeness through one shared Registry instead.
 type Fetcher interface {
 	// Get retrieves a URL; implementations honor the banned-MIME
 	// interruption rule when a blocklist is configured.
@@ -92,6 +94,57 @@ func fromServer(r webserver.Response) Response {
 		Body:          r.Body,
 		ContentLength: r.ContentLength,
 		RetryAfter:    r.RetryAfter,
+	}
+}
+
+// Latency decorates a Fetcher with a fixed per-request delay, modelling
+// network round-trip time in simulated crawls. It gives fleet and pipeline
+// benchmarks a realistic speedup surface: parallel crawls — and a single
+// crawl's speculative prefetches — overlap their waits the way real crawls
+// overlap network I/O. Latency is safe for concurrent use when its Backend
+// is.
+type Latency struct {
+	Backend Fetcher
+	Delay   time.Duration
+	// Ctx, when non-nil, interrupts the simulated round trip promptly on
+	// cancellation; the cut-short request reports the context's error.
+	Ctx context.Context
+}
+
+// Get implements Fetcher.
+func (l *Latency) Get(url string) (Response, error) {
+	if l.Delay > 0 {
+		if err := sleepContext(l.Ctx, l.Delay); err != nil {
+			return Response{}, err
+		}
+	}
+	return l.Backend.Get(url)
+}
+
+// Head implements Fetcher.
+func (l *Latency) Head(url string) (Response, error) {
+	if l.Delay > 0 {
+		if err := sleepContext(l.Ctx, l.Delay); err != nil {
+			return Response{}, err
+		}
+	}
+	return l.Backend.Head(url)
+}
+
+// sleepContext sleeps for d or until ctx is cancelled, whichever comes
+// first, returning the context's error on cancellation.
+func sleepContext(ctx context.Context, d time.Duration) error {
+	if ctx == nil {
+		time.Sleep(d)
+		return nil
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

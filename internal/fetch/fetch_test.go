@@ -1,6 +1,8 @@
 package fetch
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -156,10 +158,10 @@ func TestHTTPFetcherSurfacesRedirects(t *testing.T) {
 func TestHTTPPolitenessDelay(t *testing.T) {
 	f := NewHTTP()
 	f.MinDelay = 100 * time.Millisecond
-	f.Limiter = NewHostLimiter()
-	f.Limiter.now = func() time.Time { return time.Unix(1000, 0) } // frozen clock
+	f.Registry = NewRegistry()
+	f.Registry.now = func() time.Time { return time.Unix(1000, 0) } // frozen clock
 	var slept time.Duration
-	f.Limiter.sleep = func(d time.Duration) { slept += d }
+	f.Registry.sleep = func(d time.Duration) { slept += d }
 	f.politeWait("http://example.org/x")
 	if slept != 0 {
 		t.Errorf("first request slept %v, want no wait", slept)
@@ -171,16 +173,16 @@ func TestHTTPPolitenessDelay(t *testing.T) {
 }
 
 func TestHTTPSharedLimiterAcrossFetchers(t *testing.T) {
-	// Two fetchers crawling the same host through one limiter must observe
+	// Two fetchers crawling the same host through one registry must observe
 	// each other's requests; a third on another host must not. The frozen
 	// clock makes the expected sleeps exact.
-	limiter := NewHostLimiter()
-	limiter.now = func() time.Time { return time.Unix(1000, 0) }
+	reg := NewRegistry()
+	reg.now = func() time.Time { return time.Unix(1000, 0) }
 	var slept time.Duration
-	limiter.sleep = func(d time.Duration) { slept += d }
+	reg.sleep = func(d time.Duration) { slept += d }
 	a, b := NewHTTP(), NewHTTP()
 	a.MinDelay, b.MinDelay = 50*time.Millisecond, 50*time.Millisecond
-	a.Limiter, b.Limiter = limiter, limiter
+	a.Registry, b.Registry = reg, reg
 	a.politeWait("http://example.org/a")
 	b.politeWait("http://example.org/b")
 	if slept != 50*time.Millisecond {
@@ -235,6 +237,83 @@ func TestHTTPRobotsMissingMeansAllowed(t *testing.T) {
 	f.MinDelay = 0
 	if _, err := f.Get(ts.URL + "/anything"); err != nil {
 		t.Errorf("no robots.txt (404) must allow: %v", err)
+	}
+}
+
+// TestHTTPCancelInterruptsRobotsFetch pins that a crawl cancelled during its
+// first request to a host does not wait out the robots.txt fetch: Get
+// returns the context's error promptly, and the cut-short fetch leaves no
+// policy behind to be read as "disallow all".
+func TestHTTPCancelInterruptsRobotsFetch(t *testing.T) {
+	reached, unblock := make(chan struct{}, 1), make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case reached <- struct{}{}:
+		default:
+		}
+		select {
+		case <-unblock:
+		case <-r.Context().Done():
+		}
+	}))
+	defer ts.Close()
+	defer close(unblock)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	f := NewHTTP()
+	f.MinDelay = 0
+	f.Ctx = ctx
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.Get(ts.URL + "/page")
+		done <- err
+	}()
+	<-reached // the robots.txt request is in flight
+	cancelled := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if d := time.Since(cancelled); d > 100*time.Millisecond {
+			t.Errorf("Get returned %v after cancel, want within 100ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Get ignored the cancellation during the robots.txt fetch")
+	}
+	f.robots.mu.Lock()
+	defer f.robots.mu.Unlock()
+	if len(f.robots.policies) != 0 {
+		t.Errorf("cancelled robots.txt fetch cached a policy: %v", f.robots.policies)
+	}
+}
+
+func TestLatencyFetcherDelays(t *testing.T) {
+	f, site := newSimFetcher(t)
+	l := &Latency{Backend: f, Delay: 5 * time.Millisecond}
+	start := time.Now()
+	resp, err := l.Get(site.Root())
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("latency GET: %v %+v", err, resp)
+	}
+	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
+		t.Errorf("latency GET returned after %v, want >= 5ms", elapsed)
+	}
+}
+
+// TestLatencyContextCancellation pins that a cancelled crawl interrupts the
+// simulated round-trip sleep promptly.
+func TestLatencyContextCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	l := &Latency{Backend: &Sim{}, Delay: 5 * time.Second, Ctx: ctx}
+	start := time.Now()
+	if _, err := l.Get("https://s.org/"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("cancelled latency sleep still took %v", d)
 	}
 }
 

@@ -28,17 +28,12 @@ type HTTP struct {
 	// (RFC 9309); disallowed URLs return ErrRobotsDisallowed without any
 	// network traffic. On by default.
 	RespectRobots bool
-	// Limiter spaces requests per host. Nil means SharedHostLimiter, which
-	// every HTTP fetcher in the process shares: concurrent crawls of the
-	// same host observe MinDelay between one another's requests, while
-	// crawls of distinct hosts proceed independently.
-	Limiter *HostLimiter
-	// Registry, when non-nil, routes politeness through an explicitly-owned
-	// per-host registry instead of Limiter/SharedHostLimiter: the registry's
-	// delay floor applies and every grant is accounted per host. A daemon
-	// multiplexing many tenants installs one Registry on every fetcher it
-	// builds, so per-host spacing holds across all of them. Takes
-	// precedence over Limiter.
+	// Registry spaces requests per host, applies its delay floor and
+	// accounts every grant. Nil means the process-wide default registry,
+	// which every such fetcher shares: concurrent crawls of the same host
+	// observe MinDelay between one another's requests, while crawls of
+	// distinct hosts proceed independently. A daemon multiplexing many
+	// tenants installs its own Registry on every fetcher it builds.
 	Registry *Registry
 	// Ctx, when non-nil, cancels politeness waits promptly and aborts
 	// in-flight requests when the crawl is cancelled: a fetcher stuck in a
@@ -71,7 +66,7 @@ func (f *HTTP) admit(url string) error {
 	if !f.RespectRobots {
 		return nil
 	}
-	return f.robots.check(f.Client, f.UserAgent, url)
+	return f.robots.check(f.Ctx, f.Client, f.UserAgent, url)
 }
 
 func (f *HTTP) politeWait(url string) error {
@@ -82,14 +77,11 @@ func (f *HTTP) politeWait(url string) error {
 			delay = d
 		}
 	}
-	if f.Registry != nil {
-		return f.Registry.WaitContext(f.Ctx, hostKey(url), delay)
+	reg := f.Registry
+	if reg == nil {
+		reg = defaultRegistry
 	}
-	limiter := f.Limiter
-	if limiter == nil {
-		limiter = SharedHostLimiter
-	}
-	return limiter.WaitContext(f.Ctx, hostKey(url), delay)
+	return reg.WaitContext(f.Ctx, hostKey(url), delay)
 }
 
 // Get implements Fetcher.

@@ -14,7 +14,7 @@ import "sync"
 // would, in the exact order the engine asks, so crawl results are
 // byte-identical to the sequential engine at every window width. Politeness
 // is untouched — speculative GETs go through the same backend chain, so a
-// live fetcher's HostLimiter spaces them like any other request.
+// live fetcher's Registry spaces them like any other request.
 //
 // Beyond GETs, the layer speculates on two more fronts:
 //

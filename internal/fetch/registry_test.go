@@ -1,11 +1,156 @@
 package fetch
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestRegistrySameHostSpacing checks the fleet politeness invariant:
+// concurrent crawls of one host serialize into MinDelay-spaced requests.
+// Six grants spaced 20ms apart cannot complete in under 100ms.
+func TestRegistrySameHostSpacing(t *testing.T) {
+	reg := NewRegistry()
+	const delay = 20 * time.Millisecond
+	const grants = 6
+	start := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < grants/2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg.WaitContext(nil, "https://example.org", delay)
+			reg.WaitContext(nil, "https://example.org", delay)
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed < (grants-1)*delay {
+		t.Errorf("6 same-host grants took %v, want >= %v", elapsed, (grants-1)*delay)
+	}
+}
+
+// TestRegistryDistinctHostsDoNotSerialize checks the other half of the
+// invariant: crawls of different hosts proceed in parallel. Four hosts with
+// two 50ms-spaced requests each would need >=350ms if they serialized; in
+// parallel each host only waits its own 50ms.
+func TestRegistryDistinctHostsDoNotSerialize(t *testing.T) {
+	reg := NewRegistry()
+	const delay = 50 * time.Millisecond
+	hosts := []string{"https://a.org", "https://b.org", "https://c.org", "https://d.org"}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, h := range hosts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg.WaitContext(nil, h, delay)
+			reg.WaitContext(nil, h, delay)
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed >= 200*time.Millisecond {
+		t.Errorf("4 independent hosts took %v, want well under the serialized 350ms", elapsed)
+	}
+}
+
+// TestRegistryDeterministicWindow pins the exact window arithmetic with
+// injected clock seams: the first grant is free, the second sleeps the full
+// delay, and a late arrival sleeps only the remainder.
+func TestRegistryDeterministicWindow(t *testing.T) {
+	reg := NewRegistry()
+	now := time.Unix(1000, 0)
+	var slept []time.Duration
+	reg.now = func() time.Time { return now }
+	reg.sleep = func(d time.Duration) { slept = append(slept, d) }
+
+	reg.WaitContext(nil, "h", time.Second)
+	if len(slept) != 0 {
+		t.Fatalf("first grant slept %v, want none", slept)
+	}
+	reg.WaitContext(nil, "h", time.Second)
+	if len(slept) != 1 || slept[0] != time.Second {
+		t.Fatalf("second grant slept %v, want [1s]", slept)
+	}
+	// 600ms later (grant was claimed at now+1s): only 400ms remain.
+	now = now.Add(1600 * time.Millisecond)
+	reg.WaitContext(nil, "h", time.Second)
+	if len(slept) != 2 || slept[1] != 400*time.Millisecond {
+		t.Fatalf("late grant slept %v, want 400ms remainder", slept)
+	}
+	// Zero delay never waits and never claims.
+	reg.WaitContext(nil, "h", 0)
+	if len(slept) != 2 {
+		t.Fatalf("zero delay slept: %v", slept)
+	}
+}
+
+func TestHostKey(t *testing.T) {
+	cases := map[string]string{
+		"https://example.org/a/b?q=1":   "example.org",
+		"http://example.org:8080/x":     "example.org:8080",
+		"not a url at all":              "not a url at all",
+		"https://other.example.net/doc": "other.example.net",
+		// http→https of one site must share a politeness window.
+		"http://example.org/a/b": "example.org",
+	}
+	for in, want := range cases {
+		if got := hostKey(in); got != want {
+			t.Errorf("hostKey(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestWaitContextInterruptsPolitenessSleep pins the satellite contract: a
+// cancelled context wakes a politeness sleep immediately instead of letting
+// it run out, and the aborted wait does not claim the host's window.
+func TestWaitContextInterruptsPolitenessSleep(t *testing.T) {
+	reg := NewRegistry()
+	const delay = 5 * time.Second
+	// First request claims the window without sleeping.
+	if err := reg.WaitContext(context.Background(), "h", delay); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() { done <- reg.WaitContext(ctx, "h", delay) }()
+	time.Sleep(10 * time.Millisecond) // let the waiter reach the sleep
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if woke := time.Since(start); woke > delay/2 {
+			t.Fatalf("cancellation took %v; the sleep was not interrupted", woke)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("WaitContext ignored the cancellation")
+	}
+}
+
+// TestWaitContextAlreadyCancelled pins that a dead context short-circuits
+// before any sleeping or window claiming.
+func TestWaitContextAlreadyCancelled(t *testing.T) {
+	reg := NewRegistry()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := reg.WaitContext(ctx, "h", time.Second); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// The window must be unclaimed: a live waiter proceeds immediately.
+	start := time.Now()
+	if err := reg.WaitContext(context.Background(), "h", time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("live waiter blocked %v behind a cancelled one", d)
+	}
+}
 
 // grantRecord is one politeness grant observed by the fairness tests:
 // which tenant got the host's window, and when.
@@ -45,20 +190,20 @@ func hammerHost(tenants, perTenant int, wait func(host string, tenant int)) []gr
 	return grants
 }
 
-// TestHostLimiterCrossTenantSpacing is the crawld politeness invariant: N
+// TestRegistryCrossTenantSpacing is the crawld politeness invariant: N
 // goroutines from distinct tenants hammering one host through a single
-// limiter observe MinDelay spacing globally — the host is never contacted
+// registry observe MinDelay spacing globally — the host is never contacted
 // faster than the delay, no matter how the requests distribute over
 // tenants.
-func TestHostLimiterCrossTenantSpacing(t *testing.T) {
+func TestRegistryCrossTenantSpacing(t *testing.T) {
 	const (
 		delay     = 10 * time.Millisecond
 		tenants   = 4
 		perTenant = 4
 	)
-	l := NewHostLimiter()
+	reg := NewRegistry()
 	start := time.Now()
-	grants := hammerHost(tenants, perTenant, func(host string, _ int) { l.Wait(host, delay) })
+	grants := hammerHost(tenants, perTenant, func(host string, _ int) { reg.WaitContext(nil, host, delay) })
 	total := tenants * perTenant
 	if len(grants) != total {
 		t.Fatalf("got %d grants, want %d", len(grants), total)
@@ -68,7 +213,7 @@ func TestHostLimiterCrossTenantSpacing(t *testing.T) {
 		t.Errorf("%d cross-tenant grants took %v, want >= %v", total, elapsed, time.Duration(total-1)*delay)
 	}
 	// ...and every adjacent pair of grants is individually spaced. The
-	// grant stamp is taken just after Wait returns, so allow a small
+	// grant stamp is taken just after the wait returns, so allow a small
 	// scheduling epsilon on the comparison.
 	const epsilon = 2 * time.Millisecond
 	for i := 1; i < len(grants); i++ {
@@ -79,22 +224,22 @@ func TestHostLimiterCrossTenantSpacing(t *testing.T) {
 	}
 }
 
-// TestHostLimiterCrossTenantNearFIFO pins the grant-ordering claim in the
-// HostLimiter doc comment: same-host waiters are granted the window one at a
+// TestRegistryCrossTenantNearFIFO pins the grant-ordering claim in the
+// Registry doc comment: same-host waiters are granted the window one at a
 // time, so concurrently waiting tenants are served near-FIFO — round-robin
 // in practice, because every re-arriving tenant queues behind the waiters
 // already blocked on the host's window. The assertion is a sliding one (no
 // tenant is shut out of any 2N-grant window) rather than strict FIFO: the
 // very first arrivals race, and the mutex only guarantees ordering once
 // waiters are queued.
-func TestHostLimiterCrossTenantNearFIFO(t *testing.T) {
+func TestRegistryCrossTenantNearFIFO(t *testing.T) {
 	const (
 		delay     = 10 * time.Millisecond
 		tenants   = 4
 		perTenant = 4
 	)
-	l := NewHostLimiter()
-	grants := hammerHost(tenants, perTenant, func(host string, _ int) { l.Wait(host, delay) })
+	reg := NewRegistry()
+	grants := hammerHost(tenants, perTenant, func(host string, _ int) { reg.WaitContext(nil, host, delay) })
 	if len(grants) != tenants*perTenant {
 		t.Fatalf("got %d grants, want %d", len(grants), tenants*perTenant)
 	}
@@ -213,12 +358,12 @@ func (b *politeBackend) Get(u string) (Response, error) {
 
 func (b *politeBackend) Head(u string) (Response, error) { return b.Get(u) }
 
-// TestHostLimiterSpeculativeSpacing extends the CrossTenant family to the
+// TestRegistrySpeculativeSpacing extends the CrossTenant family to the
 // speculation window: two crawls' Prefetchers, each launching a window of
 // concurrent speculative GETs at one host through a shared Registry, still
 // contact the host MinDelay apart — a wide window (Config.Partitions) gets
 // no politeness exemption.
-func TestHostLimiterSpeculativeSpacing(t *testing.T) {
+func TestRegistrySpeculativeSpacing(t *testing.T) {
 	const (
 		delay  = 10 * time.Millisecond
 		window = 4
@@ -262,8 +407,8 @@ func TestRegistryFloor(t *testing.T) {
 	reg := NewRegistry()
 	now := time.Unix(1000, 0)
 	var slept []time.Duration
-	reg.limiter.now = func() time.Time { return now }
-	reg.limiter.sleep = func(d time.Duration) { slept = append(slept, d) }
+	reg.now = func() time.Time { return now }
+	reg.sleep = func(d time.Duration) { slept = append(slept, d) }
 	reg.SetFloor(50 * time.Millisecond)
 
 	// First grant is free but claims a floor-wide (50ms) window; the second
@@ -286,9 +431,102 @@ func TestRegistryFloor(t *testing.T) {
 	}
 }
 
+// TestRegistryUsageDoesNotWaitOnSleeper pins that the accounting stays
+// readable while a same-host waiter sleeps out its window holding the slot:
+// /v1/hosts must never wait out a politeness delay.
+func TestRegistryUsageDoesNotWaitOnSleeper(t *testing.T) {
+	reg := NewRegistry()
+	const delay = time.Second
+	if err := reg.WaitContext(context.Background(), "h", delay); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- reg.WaitContext(ctx, "h", delay) }()
+
+	reg.mu.Lock()
+	s := reg.hosts["h"]
+	reg.mu.Unlock()
+	for deadline := time.Now().Add(time.Second); s.mu.TryLock(); {
+		s.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("the second waiter never took the host's slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	type snapshot struct {
+		usage []HostUsage
+		n     int
+		took  time.Duration
+	}
+	got := make(chan snapshot, 1)
+	go func() {
+		start := time.Now()
+		usage, n := reg.Usage(), reg.HostCount()
+		got <- snapshot{usage, n, time.Since(start)}
+	}()
+	select {
+	case snap := <-got:
+		if snap.took > 50*time.Millisecond {
+			t.Errorf("Usage + HostCount took %v behind a sleeping waiter, want < 50ms", snap.took)
+		}
+		if snap.n != 1 || len(snap.usage) != 1 || snap.usage[0].Grants != 1 {
+			t.Errorf("HostCount = %d, usage = %+v; want one host with the first grant", snap.n, snap.usage)
+		}
+	case <-time.After(2 * delay):
+		t.Fatal("Usage + HostCount blocked behind a sleeping waiter")
+	}
+	cancel()
+	<-done
+}
+
+// TestRegistryEvictionDropsAccounting pins that eviction bounds the whole
+// slot: once the table is full, a new host sweeps out the idle ones —
+// window and accounting together — while a host whose window is still open
+// or whose slot a waiter holds stays, accounting intact.
+func TestRegistryEvictionDropsAccounting(t *testing.T) {
+	reg := NewRegistry()
+	now := time.Unix(1000, 0)
+	reg.now = func() time.Time { return now }
+	entered, release := make(chan struct{}), make(chan struct{})
+	reg.sleep = func(time.Duration) { entered <- struct{}{}; <-release }
+
+	// "held": a second waiter sleeps on the host's window, holding the slot.
+	reg.WaitContext(nil, "held", time.Second)
+	done := make(chan struct{})
+	go func() { reg.WaitContext(nil, "held", time.Second); close(done) }()
+	<-entered
+	// "open": a window claimed an hour ahead.
+	reg.WaitContext(nil, "open", time.Hour)
+	for i := 0; reg.HostCount() < evictThreshold; i++ {
+		reg.WaitContext(nil, fmt.Sprintf("idle%d", i), time.Second)
+	}
+
+	now = now.Add(2 * evictGrace)
+	reg.WaitContext(nil, "new", time.Second)
+	var hosts []string
+	for _, u := range reg.Usage() {
+		hosts = append(hosts, u.Host)
+	}
+	if got := strings.Join(hosts, ","); got != "held,new,open" {
+		t.Errorf("hosts after the sweep = %s, want held,new,open", got)
+	}
+	if n := reg.HostCount(); n != 3 {
+		t.Errorf("HostCount after the sweep = %d, want 3", n)
+	}
+
+	close(release)
+	<-done
+	if u := reg.Usage(); len(u) != 3 || u[0].Host != "held" || u[0].Grants != 2 {
+		t.Errorf("usage = %+v, want held's two grants kept through the sweep", u)
+	}
+}
+
 // TestHTTPFetcherRoutesRegistry checks the wiring: an HTTP fetcher with a
 // Registry installed takes politeness from it (and is accounted in it), not
-// from the shared limiter.
+// from the default registry.
 func TestHTTPFetcherRoutesRegistry(t *testing.T) {
 	reg := NewRegistry()
 	f := NewHTTP()

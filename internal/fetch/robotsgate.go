@@ -1,6 +1,7 @@
 package fetch
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -24,8 +25,9 @@ type robotsGate struct {
 
 // check fetches (once per host) and evaluates robots.txt for the URL. The
 // robots.txt request itself bypasses politeness bookkeeping — it is a single
-// small fetch per host.
-func (g *robotsGate) check(client *http.Client, userAgent, rawURL string) error {
+// small fetch per host — but not ctx: a fetch the crawl's cancellation cut
+// short returns the context's error and caches no policy.
+func (g *robotsGate) check(ctx context.Context, client *http.Client, userAgent, rawURL string) error {
 	u, err := url.Parse(rawURL)
 	if err != nil {
 		return err
@@ -40,7 +42,10 @@ func (g *robotsGate) check(client *http.Client, userAgent, rawURL string) error 
 	if !ok {
 		// Fetch outside the lock; concurrent first requests to one host
 		// may fetch robots.txt twice, and either (equal) policy wins.
-		policy = fetchPolicy(client, userAgent, host)
+		policy = fetchPolicy(ctx, client, userAgent, host)
+		if err := ctxErr(ctx); err != nil {
+			return err // cut short: the host gave no answer to cache
+		}
 		g.mu.Lock()
 		if cached, ok := g.policies[host]; ok {
 			policy = cached
@@ -70,11 +75,15 @@ func (g *robotsGate) delay(userAgent, rawURL string) (d int64) {
 }
 
 // fetchPolicy retrieves /robots.txt with RFC 9309 semantics: 2xx → parse,
-// 4xx → allow all, 5xx/network error → disallow all (conservative).
-func fetchPolicy(client *http.Client, userAgent, host string) *robots.Policy {
+// 4xx → allow all, 5xx/network error → disallow all (conservative). The
+// request carries ctx when it is non-nil.
+func fetchPolicy(ctx context.Context, client *http.Client, userAgent, host string) *robots.Policy {
 	req, err := http.NewRequest(http.MethodGet, host+"/robots.txt", nil)
 	if err != nil {
 		return robots.AllowAll()
+	}
+	if ctx != nil {
+		req = req.WithContext(ctx)
 	}
 	req.Header.Set("User-Agent", userAgent)
 	resp, err := client.Do(req)

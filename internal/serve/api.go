@@ -162,13 +162,9 @@ type UnitResult struct {
 	Err string `json:"err,omitempty"`
 }
 
-// HostStatus is one host's politeness accounting from the daemon registry.
-type HostStatus struct {
-	Host      string        `json:"host"`
-	Grants    int           `json:"grants"`
-	Waited    time.Duration `json:"waited"`
-	LastGrant time.Time     `json:"last_grant"`
-}
+// HostStatus is one host's politeness accounting from the daemon registry,
+// served as {"host", "grants", "waited", "last_grant"}.
+type HostStatus = sbcrawl.HostUsage
 
 // Stats is the daemon-wide snapshot.
 type Stats struct {
@@ -181,7 +177,8 @@ type Stats struct {
 	// for a worker.
 	Workers     int `json:"workers"`
 	QueuedUnits int `json:"queued_units"`
-	// Hosts counts distinct hosts the politeness registry has served.
+	// Hosts counts the hosts the politeness registry tracks (idle ones age
+	// out past 1,024).
 	Hosts int `json:"hosts"`
 	// StorePath is the daemon's durable store directory.
 	StorePath string `json:"store_path"`

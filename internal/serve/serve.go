@@ -283,14 +283,7 @@ func (s *Server) Close() error {
 }
 
 // Hosts snapshots the politeness registry.
-func (s *Server) Hosts() []HostStatus {
-	usage := s.hosts.Usage()
-	out := make([]HostStatus, len(usage))
-	for i, u := range usage {
-		out[i] = HostStatus{Host: u.Host, Grants: u.Grants, Waited: u.Waited, LastGrant: u.LastGrant}
-	}
-	return out
-}
+func (s *Server) Hosts() []HostStatus { return s.hosts.Usage() }
 
 // Stats snapshots the daemon.
 func (s *Server) Stats() Stats {

@@ -8,6 +8,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -448,5 +449,19 @@ func TestLiveSessionSharedHost(t *testing.T) {
 	}
 	if srv.hosts.HostCount() != 1 {
 		t.Fatalf("HostCount = %d", srv.hosts.HostCount())
+	}
+	// The wire keys of GET /v1/hosts are an API contract.
+	raw, err := json.Marshal(hosts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"host", "grants", "waited", "last_grant"} {
+		if _, ok := keys[k]; !ok || len(keys) != 4 {
+			t.Errorf("/v1/hosts entry %s lacks key %q (want exactly host, grants, waited, last_grant)", raw, k)
+		}
 	}
 }

@@ -23,8 +23,8 @@
 // CrawlMany and CrawlSites run a fleet of independent crawls over a worker
 // pool (see examples/fleet), aggregating per-site results into a
 // FleetResult. Per-site outcomes are byte-identical whatever the worker
-// count, and a process-wide per-host rate limiter keeps concurrent live
-// crawls of one host MinDelay apart.
+// count, and a process-wide per-host politeness registry keeps concurrent
+// live crawls of one host MinDelay apart.
 //
 // # Concurrency
 //
@@ -42,8 +42,8 @@
 // next, hinted by the frontier itself. Selection and ingestion own all
 // crawl state and randomness, so results are byte-identical at every
 // prefetch width; only the fetch latency is hidden. Politeness survives
-// pipelining: speculative requests pass through the same process-wide
-// per-host rate limiter, so a host is never contacted faster than MinDelay
+// pipelining: speculative requests pass through the same per-host
+// politeness registry, so a host is never contacted faster than MinDelay
 // no matter how wide the window. Config.Prefetch = PrefetchAuto makes the
 // window self-tuning — an AIMD controller widens it while hints keep
 // landing and narrows it when speculation is wasted — Config.Partitions
@@ -139,7 +139,7 @@ type Config struct {
 	// being issued. Results are byte-identical whatever the value, adaptive
 	// included — prefetching is purely a cache warm-up — and per-host
 	// politeness still holds: speculative requests go through the same
-	// shared rate limiter as every other request. Composes with fleet
+	// politeness registry as every other request. Composes with fleet
 	// parallelism (CrawlMany / CrawlSites): workers overlap across sites,
 	// Prefetch overlaps within each; see FleetOptions.SharedSpeculation
 	// for cross-crawl reuse of speculative fetches.
@@ -256,8 +256,8 @@ type Config struct {
 	// need it to be safe for concurrent use.
 	Progress func(CrawlProgress)
 	// Hosts, when non-nil, routes the live crawl's politeness through an
-	// explicitly-owned per-host registry instead of the process-wide shared
-	// limiter: every crawl given the same HostRegistry observes per-host
+	// explicitly-owned per-host registry instead of the process-wide
+	// default one: every crawl given the same HostRegistry observes per-host
 	// MinDelay spacing across all of them, the registry's politeness floor
 	// applies, and per-host traffic is accounted for inspection. The crawld
 	// daemon installs its registry on every session so one tenant's crawl
@@ -343,6 +343,24 @@ type Result struct {
 // All counters are diagnostics.
 type FaultStats = fetch.FaultStats
 
+// HostRegistry is an explicitly-owned per-host politeness domain. Every
+// live crawl given the same registry (Config.Hosts) observes per-host
+// request spacing across all of them — no matter which tenant, session or
+// fleet issued the request — and the owner can raise a domain-wide
+// politeness floor (SetFloor, Floor) and inspect per-host traffic (Usage,
+// HostCount: the hosts tracked, idle ones aging out past 1,024). Crawls
+// without a registry share a process-wide default one. A HostRegistry is
+// safe for concurrent use.
+type HostRegistry = fetch.Registry
+
+// HostUsage is a snapshot of one host's politeness accounting: the host
+// (host:port, scheme stripped), the windows granted, the total time
+// requests waited for them, and when the last one was claimed.
+type HostUsage = fetch.HostUsage
+
+// NewHostRegistry builds an empty politeness registry.
+func NewHostRegistry() *HostRegistry { return fetch.NewRegistry() }
+
 // FabricStats reports the speculation window of a partitioned crawl (see
 // Config.Partitions): the resolved partition count, the crawl loop's GETs
 // answered from the window (DemandHits) or the backend (DemandMisses), and
@@ -374,10 +392,10 @@ func CrawlCtx(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // liveEnv validates a live-crawl Config and wires its Env: one fresh polite
-// HTTP fetcher per crawl (politeness is coordinated across crawls by the
-// process-wide fetch.SharedHostLimiter), with an optional cancellation
-// context and an optional fleet-shared speculation store. Shared by Crawl
-// and CrawlMany so the two never diverge.
+// HTTP fetcher per crawl (politeness is coordinated across crawls by
+// Config.Hosts or the process-wide default registry), with an optional
+// cancellation context and an optional fleet-shared speculation store.
+// Shared by Crawl and CrawlMany so the two never diverge.
 func liveEnv(cfg Config, ctx context.Context, shared fetch.SharedStore) (*core.Env, error) {
 	if cfg.Root == "" {
 		return nil, fmt.Errorf("sbcrawl: Config.Root is required")
@@ -396,9 +414,7 @@ func liveEnv(cfg Config, ctx context.Context, shared fetch.SharedStore) (*core.E
 	// The fetcher shares the crawl's context so a cancelled crawl
 	// interrupts politeness sleeps and in-flight requests promptly.
 	f.Ctx = ctx
-	if cfg.Hosts != nil {
-		f.Registry = cfg.Hosts.reg
-	}
+	f.Registry = cfg.Hosts
 	retry, breaker := retryPolicies(cfg, true)
 	return &core.Env{
 		Root:        cfg.Root,

@@ -3,8 +3,8 @@
 # race-detector pass, and the pipeline gates — the prefetch-equivalence
 # suite under -race (the pipelined engine must never silently regress
 # determinism) plus a benchmark smoke run (the bench suite must never
-# silently stop building). Equivalent to `make ci`; kept as a script for
-# environments without make.
+# silently stop building). `make ci` runs this script; it is the one
+# definition of the gate.
 set -eux
 
 go build ./...

@@ -14,8 +14,9 @@
 // it predicts from one reused scratch vector, remembers the prediction (and,
 // for URL_CONT, a copy of the link's context), and featurizes a link again
 // only when it becomes a training example, into a batch arena reused after
-// every fit. The model is only ever reached through the learn.Model
-// interface (callers may wrap it).
+// every fit and handed, with the model's weight tables, to a small free list
+// for the next classifier when the crawl releases it. The model is only ever
+// reached through the learn.Model interface (callers may wrap it).
 package classify
 
 import (
@@ -148,14 +149,26 @@ func NewOnline(cfg Config) *Online {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 10
 	}
-	return &Online{
+	o := &Online{
 		cfg:     cfg,
 		model:   cfg.Model,
 		initial: true,
 		pending: make(map[string]pendingPrediction),
 		conf:    NewConfusion(),
 	}
+	select {
+	case o.arena = <-arenaFree:
+	default:
+	}
+	return o
 }
+
+// arenaFree parks released classifiers' batch arenas (each doubles up to a
+// batch's features, ~26 KB for URL_ONLY at b = 10) for NewOnline. A parked
+// arena is empty, the state a new one starts in, so reuse changes no example.
+// It is bounded at 8 like internal/learn's table free list, for the same
+// reasons.
+var arenaFree = make(chan textvec.Sparse, 8)
 
 // Classify implements Classifier. During the initial training phase it
 // spends a HEAD request per URL and returns the measured class; afterwards
@@ -238,9 +251,21 @@ func (o *Online) addExample(link LinkContext, y int) {
 	}
 }
 
-// Release returns the model's weight tables to learn's free list for the
-// next classifier (learn.Release). The classifier must not be used after it.
-func (o *Online) Release() { learn.Release(o.model) }
+// Release returns the model's weight tables to learn's free list
+// (learn.Release) and parks the batch arena, emptied even mid-batch, for the
+// next NewOnline. The classifier must not be used after it; one used anyway
+// starts a new arena and regrows its tables, never sharing either.
+func (o *Online) Release() {
+	learn.Release(o.model)
+	if cap(o.arena.IDs) > 0 {
+		select {
+		case arenaFree <- textvec.Sparse{IDs: o.arena.IDs[:0], Vals: o.arena.Vals[:0]}:
+		default:
+		}
+	}
+	o.arena = textvec.Sparse{}
+	o.batch = o.batch[:0]
+}
 
 // InInitialPhase reports whether HEAD labeling is still active.
 func (o *Online) InInitialPhase() bool { return o.initial }

@@ -95,6 +95,11 @@ func (ai *ActionIndex) Match(tokens []string) (int, bool) {
 	return 0, false
 }
 
+// Release parks the HNSW index's level generator for the next action index
+// (hnsw.Index.Release). NumActions, PathCount and Example still answer; the
+// index must not map paths afterwards.
+func (ai *ActionIndex) Release() { ai.index.Release() }
+
 // NumActions returns |A|.
 func (ai *ActionIndex) NumActions() int { return ai.index.Len() }
 

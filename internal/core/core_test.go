@@ -1,11 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/fetch"
+	"sbcrawl/internal/frontier"
+	"sbcrawl/internal/hnsw"
 	"sbcrawl/internal/learn"
 	"sbcrawl/internal/sitegen"
 	"sbcrawl/internal/textvec"
@@ -248,9 +252,10 @@ func TestSBDeterministicPerSeed(t *testing.T) {
 }
 
 // TestSBCrawlReusesClassifierTablesAlloc: an SB crawl releases its
-// classifier's weight table when it ends, so of two identical budgeted
-// crawls back to back the second grows into the first one's table instead
-// of allocating ~70 KB of its own.
+// classifier's weight table and batch arena, its HNSW level generator and its
+// frontier's generator source when it ends, so of two identical budgeted
+// crawls back to back the second takes all four from the free lists instead
+// of allocating ~110 KB of its own (~70 KB of it the table).
 func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 	if raceEnabled {
 		// Under the race detector the same crawl's allocation varies by
@@ -273,15 +278,69 @@ func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	crawlBytes() // lazy package state: warm parsers, interned strings
-	// Empty the free list: a fresh model takes one parked table on its
-	// first fit, and the list holds at most 8.
+	// Empty the four free lists, each of which holds at most 8: a fresh model
+	// takes one parked table on its first fit, and a classifier, an HNSW
+	// index and a grouped frontier take a parked arena, generator and source
+	// when they are built.
 	for range 8 {
 		learn.NewLogisticRegression().PartialFit([]learn.Example{{X: textvec.CharBigrams("ab"), Y: learn.ClassTarget}})
+		classify.NewOnline(classify.Config{})
+		hnsw.New(hnsw.DefaultConfig())
+		frontier.NewGrouped(0)
 	}
 	first, second := crawlBytes(), crawlBytes()
-	if first < second+60<<10 {
-		t.Errorf("first crawl allocated %d bytes, the second %d: want the second ≥ 60 KB less", first, second)
+	if first < second+100<<10 {
+		t.Errorf("first crawl allocated %d bytes, the second %d: want the second ≥ 100 KB less", first, second)
 	}
+	// The two generators are too small to show in that margin: the crawl just
+	// run parked both, so building an index and a frontier allocates neither
+	// (a math/rand source is ~4.9 KB).
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hnsw.New(hnsw.DefaultConfig())
+	frontier.NewGrouped(0)
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 4<<10 {
+		t.Errorf("an index and a frontier built after an SB crawl allocate %d bytes: a generator was not parked", b)
+	}
+}
+
+// TestSBCrawlReleaseConcurrent: SB and TP-OFF crawls run and release from
+// several goroutines at once, every crawl taking and parking tables, arenas
+// and generators on the shared free lists, and each returns exactly the
+// Result it returns alone.
+func TestSBCrawlReleaseConcurrent(t *testing.T) {
+	crawlers := func() []Crawler {
+		return []Crawler{NewSB(SBConfig{Seed: 5}), NewSB(SBConfig{Seed: 6, Model: "NB"}), NewTPOff(10, 5)}
+	}
+	run := func(c Crawler) *Result {
+		env, _ := newTestEnv(t, "ed", 0.005, 3)
+		env.MaxRequests = 60
+		res, err := c.Run(env)
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	var want []*Result
+	for _, c := range crawlers() {
+		want = append(want, run(c))
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 3 {
+				for i, c := range crawlers() {
+					if got := run(c); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("goroutine %d, round %d: %s differs from its solo run", g, round, c.Name())
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestActionStatsExposeRewardStructure(t *testing.T) {

@@ -265,7 +265,7 @@ type engine struct {
 	breaker        *fetch.Breaker // per-host circuit breaker; nil unless Env.Breaker
 	faultStats     fetch.FaultStats
 	failedCharges  int        // charged requests whose final outcome was a failure
-	rawLinks       []dom.Link // reusable raw-extraction buffer
+	links          []dom.Link // the stack every page's links live on (see extractNewLinks)
 	specStats      *fetch.PrefetchStats
 	scope          *urlutil.Scope
 	mimes          urlutil.MIMESet
@@ -547,25 +547,41 @@ func (e *engine) processSuccess(u string, resp fetch.Response) page {
 // Algorithm 4 filters: same-website scope, not already in T ∪ F, extension
 // not blocklisted. URLs are normalized to absolute form and deduplicated in
 // document order.
+//
+// The links are pushed onto the engine's link stack and filtered there in
+// place; the result is a capacity-capped view of that tail, valid until the
+// stack is popped below it (popLinks). A nested fetch while the page is being
+// ingested pushes past the view, and when its append reallocates the stack
+// the view stays on the old array, which nothing writes any more.
 func (e *engine) extractNewLinks(pageURL string, body []byte) []dom.Link {
 	base := urlutil.ParseBase(pageURL)
-	raw := dom.ExtractLinksAppend(e.rawLinks[:0], body)
-	e.rawLinks = raw
-	out := make([]dom.Link, 0, len(raw))
+	start := len(e.links)
+	all := dom.ExtractLinksAppend(e.links, body)
 	// A fresh set per page, not a cleared engine-owned one: clear() costs the
 	// map's capacity, which one hub page would leave large for every page
 	// after it.
-	inPage := make(map[string]bool, len(raw))
-	for _, l := range raw {
+	inPage := make(map[string]bool, len(all)-start)
+	n := start
+	for _, l := range all[start:] {
 		abs := urlutil.Normalize(base, l.URL)
 		if abs == "" || inPage[abs] || e.seen[abs] || !e.scope.Admit(abs) {
 			continue
 		}
 		inPage[abs] = true
 		l.URL = abs
-		out = append(out, l)
+		all[n] = l
+		n++
 	}
-	return out
+	clear(all[n:]) // the dropped links' strings are not pinned by the stack
+	e.links = all[:n]
+	return all[start:n:n]
+}
+
+// popLinks drops the link stack back to mark, the height it had before the
+// fetches whose pages are now ingested.
+func (e *engine) popLinks(mark int) {
+	clear(e.links[mark:])
+	e.links = e.links[:mark]
 }
 
 // result assembles the shared part of a Result, winding down the prefetch

@@ -3,14 +3,19 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 
+	"sbcrawl/internal/dom"
 	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/frontier"
+	"sbcrawl/internal/urlutil"
 )
 
 // scriptedFetcher serves canned responses for engine edge-case tests.
@@ -365,5 +370,95 @@ func TestCheckpointAllocsIndependentOfFrontier(t *testing.T) {
 	small, large := crawlBytes(10), crawlBytes(10000)
 	if large > small+1024 {
 		t.Errorf("checkpointing allocates with the frontier: %d bytes over %d requests with 10,000 URLs queued, %d with 10", large, budget, small)
+	}
+}
+
+// TestNestedFetchKeepsParentLinks: a page's link view survives a nested
+// fetchPage — SB fetching a predicted target that turns out to be HTML while
+// the parent is being ingested — and the pop back to the mark, both when the
+// nested page's links fit the stack's spare capacity and when appending them
+// reallocates the stack.
+func TestNestedFetchKeepsParentLinks(t *testing.T) {
+	var child strings.Builder
+	for i := range 200 {
+		fmt.Fprintf(&child, `<li><a href="/c/%d">c%d</a></li>`, i, i)
+	}
+	f := &scriptedFetcher{responses: map[string]fetch.Response{
+		"https://site.org/p":     htmlResp("https://site.org/p", `<ul><li><a href="/x">x</a></li><li><a href="/y">y</a></li></ul><p><a href="/z">z</a></p>`),
+		"https://site.org/child": htmlResp("https://site.org/child", child.String()),
+	}}
+	for _, spare := range []int{1024, 0} {
+		eng := newScriptedEngine(t, f)
+		eng.links = make([]dom.Link, 0, spare)
+		parent := eng.fetchPage("https://site.org/p")
+		if len(parent.Links) != 3 || cap(parent.Links) != len(parent.Links) {
+			t.Fatalf("spare %d: parent view len %d cap %d, want 3 links capped", spare, len(parent.Links), cap(parent.Links))
+		}
+		want := slices.Clone(parent.Links)
+		mark := len(eng.links)
+		nested := eng.fetchPage("https://site.org/child")
+		if len(nested.Links) != 200 {
+			t.Fatalf("spare %d: nested page has %d links, want 200", spare, len(nested.Links))
+		}
+		if moved := &eng.links[:1][0] != &parent.Links[0]; moved != (spare == 0) {
+			t.Fatalf("spare %d: stack reallocated %v", spare, moved)
+		}
+		eng.popLinks(mark)
+		if !reflect.DeepEqual(parent.Links, want) {
+			t.Errorf("spare %d: parent links after the nested fetch and pop %+v, want %+v", spare, parent.Links, want)
+		}
+		if len(eng.links) != mark {
+			t.Errorf("spare %d: stack height %d after the pop, want %d", spare, len(eng.links), mark)
+		}
+	}
+}
+
+// extractNewLinksCopying is extractNewLinks as it was before the link stack,
+// kept as the allocation reference: the same filters into a fresh slice per
+// page.
+func extractNewLinksCopying(e *engine, pageURL string, body []byte) []dom.Link {
+	base := urlutil.ParseBase(pageURL)
+	raw := dom.ExtractLinksAppend(e.links[:0], body)
+	e.links = raw
+	out := make([]dom.Link, 0, len(raw))
+	inPage := make(map[string]bool, len(raw))
+	for _, l := range raw {
+		abs := urlutil.Normalize(base, l.URL)
+		if abs == "" || inPage[abs] || e.seen[abs] || !e.scope.Admit(abs) {
+			continue
+		}
+		inPage[abs] = true
+		l.URL = abs
+		out = append(out, l)
+	}
+	return out
+}
+
+// TestExtractNewLinksCopiesNoLinksAlloc: filtering a page's links in place on
+// the engine's stack costs exactly one allocation less per page than copying
+// the survivors into a fresh slice did.
+func TestExtractNewLinksCopiesNoLinksAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	var page strings.Builder
+	for i := range 30 {
+		fmt.Fprintf(&page, `<li><a href="/d/%d.csv">d%d</a></li><a href="https://other.org/%d">out</a>`, i, i, i)
+	}
+	body := []byte(page.String())
+	eng := newScriptedEngine(t, &scriptedFetcher{})
+	if got := eng.extractNewLinks("https://site.org/page", body); len(got) != 30 {
+		t.Fatalf("%d links survive the filters, want 30", len(got))
+	}
+	eng.popLinks(0)
+	stack := testing.AllocsPerRun(100, func() {
+		eng.extractNewLinks("https://site.org/page", body)
+		eng.popLinks(0)
+	})
+	copying := testing.AllocsPerRun(100, func() {
+		extractNewLinksCopying(eng, "https://site.org/page", body)
+	})
+	if stack != copying-1 {
+		t.Errorf("extractNewLinks allocates %v times per page, the copying form %v: want exactly one fewer", stack, copying)
 	}
 }

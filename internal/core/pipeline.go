@@ -48,6 +48,7 @@ func (e *engine) runStaged(p crawlPolicy) {
 			return
 		}
 		p.Ingest(u, pg)
+		e.popLinks(0)
 	}
 }
 

@@ -120,6 +120,8 @@ func (s *SB) Run(env *Env) (*Result, error) {
 		res.Confusion = online.Confusion()
 		online.Release()
 	}
+	r.actions.Release()
+	r.front.Release()
 	return res, nil
 }
 
@@ -218,9 +220,13 @@ func (r *sbRun) Hints(int) []string {
 	return nil
 }
 
-// step is Algorithm 4: crawl one URL, then ingest it.
+// step is Algorithm 4: crawl one URL, then ingest it. Its page's links are
+// popped off the engine's link stack when it returns, so a predicted target
+// that turns out to be HTML leaves its parent's links on top.
 func (r *sbRun) step(u string, action int, depth int) {
 	r.steps++
+	mark := len(r.eng.links)
+	defer r.eng.popLinks(mark)
 	pg := r.eng.fetchPage(u)
 	if pg.Truncated {
 		return

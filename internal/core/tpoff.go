@@ -172,7 +172,10 @@ func (t *tpoff) Run(env *Env) (*Result, error) {
 		r.grouped.Push(r.groupOf[u], u)
 	}
 	eng.runStaged(tpoffMain{r})
-	return eng.result(t.Name(), r.steps), nil
+	res := eng.result(t.Name(), r.steps)
+	r.actions.Release()
+	r.grouped.Release()
+	return res, nil
 }
 
 // bestGroup picks the awake group with the highest frozen average benefit;

@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -110,7 +111,8 @@ type Link struct {
 	// URL is the raw attribute value (href or src), not yet resolved
 	// against the page URL.
 	URL string
-	// TagPath is the root-to-link tag path labeling this edge.
+	// TagPath is the root-to-link tag path labeling this edge. It is
+	// read-only: consecutive links with equal paths share one slice.
 	TagPath TagPath
 	// AnchorText is the link's own text content (empty for area/iframe).
 	AnchorText string
@@ -154,12 +156,14 @@ func ExtractLinksFromTree(root *Node) []Link {
 // extract walks the tree once, maintaining the root-to-node tag-path token
 // stack incrementally (no per-link Parent-chain rebuild) and memoizing the
 // last parent's collapsed text (links sharing a parent share the
-// computation). Links collect in the parser's own buffer and reach dst in
-// one append, so a nil dst costs one exactly-sized allocation, not a
+// computation) and the last link's tag path (a link whose path equals it
+// shares the slice). Links collect in the parser's own buffer and reach dst
+// in one append, so a nil dst costs one exactly-sized allocation, not a
 // doubling series.
 func (p *parser) extract(root *Node, dst []Link) []Link {
 	p.lastParent = nil
 	p.lastParentText = ""
+	p.lastPath = nil
 	for _, c := range root.Children {
 		p.walkExtract(c)
 	}
@@ -182,11 +186,16 @@ func (p *parser) walkExtract(n *Node) {
 	if attr, ok := linkAttr[n.Data]; ok {
 		href, _ := n.Attr(attr)
 		if href = strings.TrimSpace(href); href != "" {
-			tp := make(TagPath, len(p.pathStack))
-			copy(tp, p.pathStack)
+			// Sibling links (a list of downloads, a menu) mostly share their
+			// path; tokens are interned, so the comparison is mostly
+			// pointer-equal strings.
+			if !slices.Equal(p.lastPath, p.pathStack) {
+				p.lastPath = make(TagPath, len(p.pathStack))
+				copy(p.lastPath, p.pathStack)
+			}
 			l := Link{
 				URL:     href,
-				TagPath: tp,
+				TagPath: p.lastPath,
 				Tag:     n.Data,
 			}
 			if n.Data == "a" {

@@ -218,6 +218,7 @@ type parser struct {
 	links          []Link // links of the page being walked (see extract)
 	lastParent     *Node
 	lastParentText string
+	lastPath       TagPath // the previous link's path, shared by equal ones
 }
 
 func newParser(views bool) *parser {
@@ -289,6 +290,7 @@ func (p *parser) recycle() {
 	p.pathStack = p.pathStack[:0]
 	p.lastParent = nil
 	p.lastParentText = ""
+	p.lastPath = nil
 	p.z.Reset(nil)
 }
 

@@ -271,6 +271,44 @@ func NewGrouped(seed int64) *Grouped {
 	return &Grouped{byAction: make(map[int][]string), rng: rng, src: src, seed: seed}
 }
 
+// Release parks the frontier's generator source for the next frontier. The
+// frontier must not be used afterwards; one used anyway panics on its next
+// draw rather than share a source with another frontier.
+func (g *Grouped) Release() {
+	if g.src == nil {
+		return
+	}
+	select {
+	case sourceFree <- g.src.src:
+	default:
+	}
+	g.rng, g.src = nil, nil
+}
+
+// sourceFree parks released frontiers' generator sources (~4.9 KB each, one
+// per SB crawl) for newCountedRand to re-seed: Seed resets a source's whole
+// state, so the stream is rand.NewSource's. It is bounded at 8 like
+// internal/learn's table free list, for the same reasons.
+var sourceFree = make(chan rand.Source, 8)
+
+// newCountedRand builds a deterministic generator at position draws, on a
+// parked source when one is waiting.
+func newCountedRand(seed, draws int64) (*rand.Rand, *countedSource) {
+	var src rand.Source
+	select {
+	case src = <-sourceFree:
+		src.Seed(seed)
+	default:
+		src = rand.NewSource(seed)
+	}
+	cs := &countedSource{src: src}
+	for i := int64(0); i < draws; i++ {
+		cs.src.Int63()
+	}
+	cs.draws = draws
+	return rand.New(cs), cs
+}
+
 // Push adds a URL under the given action.
 func (g *Grouped) Push(action int, url string) {
 	g.byAction[action] = append(g.byAction[action], url)

@@ -74,16 +74,6 @@ func (c *countedSource) peekIntn(n int) (int, bool) {
 	return int(v % int32(n)), true
 }
 
-// newCountedRand builds a deterministic generator at position draws.
-func newCountedRand(seed, draws int64) (*rand.Rand, *countedSource) {
-	cs := &countedSource{src: rand.NewSource(seed)}
-	for i := int64(0); i < draws; i++ {
-		cs.src.Int63()
-	}
-	cs.draws = draws
-	return rand.New(cs), cs
-}
-
 // QueueState is a serializable Queue snapshot.
 type QueueState struct {
 	Items []string

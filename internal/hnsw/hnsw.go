@@ -104,12 +104,39 @@ func New(cfg Config) *Index {
 	if cfg.EfSearch <= 0 {
 		cfg.EfSearch = 2 * cfg.M
 	}
+	var rng *rand.Rand
+	select {
+	case rng = <-rngFree:
+		rng.Seed(cfg.Seed)
+	default:
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
 	return &Index{
 		cfg:   cfg,
 		ml:    1 / math.Log(float64(cfg.M)),
 		entry: -1,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rng,
 	}
+}
+
+// rngFree parks released indexes' level generators (a math/rand source is
+// ~4.9 KB, one per crawl) for New to re-seed: Seed resets a source's whole
+// state, so the stream is a new generator's. It is bounded at 8 like
+// internal/learn's table free list, for the same reasons.
+var rngFree = make(chan *rand.Rand, 8)
+
+// Release parks the index's level generator for the next New. The index must
+// not be used afterwards; one used anyway panics on its next insertion rather
+// than share a generator with another index.
+func (ix *Index) Release() {
+	if ix.rng == nil {
+		return
+	}
+	select {
+	case rngFree <- ix.rng:
+	default:
+	}
+	ix.rng = nil
 }
 
 // Len returns the number of stored vectors.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -448,15 +449,22 @@ func TestAddSparseAllocsIndependentOfDim(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(8))
 	idx, val := tagPathLike(rng, 64)
+	// The least of three builds: TotalAlloc also counts the odd allocation of
+	// another goroutine (the runtime's, the test framework's), which only
+	// ever adds bytes.
 	addBytes := func(dim int) uint64 {
-		ix := New(DefaultConfig())
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := range idx {
-			ix.AddSparse(dim, idx[i], val[i])
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			ix := New(DefaultConfig())
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range idx {
+				ix.AddSparse(dim, idx[i], val[i])
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return least
 	}
 	small, large := addBytes(4096), addBytes(1<<20)
 	if small != large {
@@ -492,4 +500,59 @@ func TestVectorScratchContract(t *testing.T) {
 	ix.Merge(b, []int{2}, []float64{2}, 1) // grows b's support
 	same(ix.Vector(a), []float64{0, 0, 0, 0, 0, 0, 7, 0})
 	same(ix.Vector(b), []float64{2, 0, 1, 2.5, 0, 0, 0, 0})
+}
+
+// drainRNGs empties the generator free list, so the next New allocates.
+func drainRNGs() {
+	for {
+		select {
+		case <-rngFree:
+		default:
+			return
+		}
+	}
+}
+
+// TestReleasedGeneratorIsFresh: an index built on the generator a used index
+// released — seeded differently and part-way through its stream — draws the
+// same levels and answers the same NearestSparse queries as one built with
+// the free list empty.
+func TestReleasedGeneratorIsFresh(t *testing.T) {
+	defer drainRNGs()
+	idx, val := tagPathLike(rand.New(rand.NewSource(3)), 150)
+	build := func(seed int64, n int) (*Index, []int, []Result) {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		ix := New(cfg)
+		levels := make([]int, n)
+		for i := range n {
+			ix.AddSparse(4096, idx[i], val[i])
+			levels[i] = ix.nodes[i].level
+		}
+		var res []Result
+		for i := n; i < len(idx); i++ {
+			r, _ := ix.NearestSparse(idx[i], val[i])
+			res = append(res, r)
+		}
+		return ix, levels, res
+	}
+	drainRNGs()
+	_, wantLevels, want := build(9, 120)
+
+	used, _, _ := build(77, 60)
+	parked := used.rng
+	used.Release()
+	if used.rng != nil || len(rngFree) != 1 {
+		t.Fatalf("after Release: generator still held %v, %d parked", used.rng != nil, len(rngFree))
+	}
+	reused, levels, got := build(9, 120)
+	if reused.rng != parked {
+		t.Fatal("New allocated a generator with one parked")
+	}
+	if !slices.Equal(levels, wantLevels) {
+		t.Errorf("levels on a reused generator %v, on a fresh one %v", levels, wantLevels)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("NearestSparse on a reused generator %v, on a fresh one %v", got, want)
+	}
 }

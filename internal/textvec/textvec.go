@@ -9,8 +9,9 @@
 // n-gram into an internal reusable byte buffer and resolves it against the
 // vocabulary by byte view — a gram string is materialized only the first
 // time it is ever seen — and the projection's per-bucket collision counts
-// are maintained incrementally as the vocabulary grows instead of being
-// recomputed over the whole vocabulary per call.
+// are computed in closed form from the vocabulary's size for the handful of
+// buckets a path touches, instead of being recomputed over the whole
+// vocabulary per call or kept in a D-wide table.
 //
 // A tag path touches a handful of the D = 2^m buckets (~8 of 4096 on the
 // simulated sites), so the vector leaves the package as its non-zero
@@ -225,12 +226,9 @@ type TagPathVectorizer struct {
 	vocab *Vocab
 	proj  *Projector
 
-	// bucketCount[j] is the number of vocabulary positions hashing to
-	// bucket j, maintained incrementally as the vocabulary grows — the
-	// count[] column of Project without the per-call O(vocab) rescan. A
-	// count is bounded by the vocabulary size, so 32 bits hold it at half
-	// the D-wide table a crawl would otherwise carry.
-	bucketCount []uint32
+	// piInv is Π⁻¹ mod 2^64, which inverts the projection's multiplication
+	// for collisions.
+	piInv uint64
 	// gram is the reusable n-gram build buffer; buckets the per-call bucket
 	// of every gram (sorted, repeats included); idx/val the sparse output.
 	gram    []byte
@@ -240,14 +238,23 @@ type TagPathVectorizer struct {
 }
 
 // NewTagPathVectorizer builds a vectorizer with the given n-gram order and
-// projection parameters (paper defaults: n=2, m=12, w=15).
+// projection parameters (paper defaults: n=2, m=12, w=15). Each vector costs
+// 2^(w−m) multiply-and-mask steps per non-zero bucket for its collision
+// counts (8 at every in-repo setting, w = m+3), and construction allocates
+// nothing D wide.
 func NewTagPathVectorizer(n int, m, w uint) *TagPathVectorizer {
-	proj := NewProjector(m, w, DefaultPi)
+	// Newton's iteration for the inverse of the odd Π mod 2^64: Π·Π ≡ 1
+	// (mod 8), so Π is its own inverse to 3 bits, and each step doubles the
+	// bits that are right.
+	inv := uint64(DefaultPi)
+	for range 5 {
+		inv *= 2 - DefaultPi*inv
+	}
 	return &TagPathVectorizer{
-		N:           n,
-		vocab:       NewVocab(),
-		proj:        proj,
-		bucketCount: make([]uint32, proj.Dim()),
+		N:     n,
+		vocab: NewVocab(),
+		proj:  NewProjector(m, w, DefaultPi),
+		piInv: inv,
 	}
 }
 
@@ -258,16 +265,34 @@ func (tv *TagPathVectorizer) Dim() int { return tv.proj.Dim() }
 func (tv *TagPathVectorizer) VocabLen() int { return tv.vocab.Len() }
 
 // gramID resolves the gram (as bytes) to its vocabulary ID, materializing
-// the string and updating the projection's bucket counts only on first
-// sight.
+// the string only on first sight.
 func (tv *TagPathVectorizer) gramID(gram []byte) int {
 	if id, ok := tv.vocab.ids[string(gram)]; ok {
 		return id
 	}
 	id := len(tv.vocab.ids)
 	tv.vocab.ids[string(gram)] = id
-	tv.bucketCount[tv.proj.Hash(id)]++
 	return id
+}
+
+// collisions returns how many vocabulary positions 0…V−1 hash to bucket j —
+// the count[] column of Project — from V alone. Π is odd, so x ↦ Π·x mod 2^w
+// is a bijection, and the positions hashing to j are those congruent mod 2^w
+// to one of the 2^(w−m) residues r = Π⁻¹·y mod 2^w with y in
+// [j·2^(w−m), (j+1)·2^(w−m)); IDs are dense, so r < V contributes
+// ⌊(V−1−r)/2^w⌋ + 1 of them.
+func (tv *TagPathVectorizer) collisions(j int) int {
+	v := uint64(len(tv.vocab.ids))
+	w := tv.proj.W
+	mask := uint64(1)<<w - 1
+	s := w - tv.proj.M
+	n := 0
+	for y := uint64(j) << s; y < uint64(j+1)<<s; y++ {
+		if r := tv.piInv * y & mask; r < v {
+			n += int((v-1-r)>>w) + 1
+		}
+	}
+	return n
 }
 
 // appendToken appends one virtual framed token (BOS, tokens..., EOS) to the
@@ -303,8 +328,9 @@ func (tv *TagPathVectorizer) Vectorize(tokens []string) []float64 {
 // its next call (see the package comment). The entries are bit-identical to
 // the non-zeros of proj.Project(vocab.BoW(NGrams(tokens, N))): a bucket's
 // sum is the number of grams hashing to it (an integer, exact in float64
-// however it is accumulated) and the collision counts come from the
-// incrementally maintained bucket table.
+// however it is accumulated) and its collision count, computed in closed
+// form from the vocabulary's size (collisions), is the integer Project
+// counts.
 func (tv *TagPathVectorizer) VectorizeSparse(tokens []string) (idx []int, val []float64) {
 	tv.buckets = tv.buckets[:0]
 	n := tv.N
@@ -350,7 +376,7 @@ func (tv *TagPathVectorizer) VectorizeSparse(tokens []string) (idx []int, val []
 			run++
 		}
 		tv.idx = append(tv.idx, j)
-		tv.val = append(tv.val, float64(run-i)/float64(tv.bucketCount[j]))
+		tv.val = append(tv.val, float64(run-i)/float64(tv.collisions(j)))
 		i = run
 	}
 	return tv.idx, tv.val

@@ -2,7 +2,9 @@ package textvec
 
 import (
 	"math"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -540,7 +542,7 @@ func TestVectorizeSparseAllocs(t *testing.T) {
 
 // Steady-state Vectorize — the dense adapter — allocates only the returned
 // vector: grams resolve against the vocabulary by byte view, and the
-// collision counts are maintained incrementally (no per-call O(vocab)
+// collision counts are computed in closed form (no per-call O(vocab)
 // scratch).
 func TestVectorizeAllocsSteadyState(t *testing.T) {
 	tv := NewTagPathVectorizer(2, 12, 15)
@@ -553,3 +555,49 @@ func TestVectorizeAllocsSteadyState(t *testing.T) {
 		t.Errorf("steady-state Vectorize allocates %v per call, want 1 (the output vector)", allocs)
 	}
 }
+
+// TestDefaultPiIsOdd: collisions inverts Π mod 2^w, which needs Π odd.
+func TestDefaultPiIsOdd(t *testing.T) {
+	if DefaultPi%2 == 0 {
+		t.Fatalf("DefaultPi = %d is even: x ↦ Π·x mod 2^w is not a bijection", DefaultPi)
+	}
+}
+
+// TestCollisionsMatchIncrementalCount: the closed-form collision count of
+// every bucket equals the table the vectorizer used to keep — one counter per
+// bucket, incremented at the hash of each new vocabulary ID — at every
+// vocabulary size V from 0 to past one full residue cycle (2^w + 17).
+func TestCollisionsMatchIncrementalCount(t *testing.T) {
+	for _, mw := range [][2]uint{{12, 15}, {8, 12}, {6, 9}, {4, 8}} {
+		m, w := mw[0], mw[1]
+		tv := NewTagPathVectorizer(2, m, w)
+		count := make([]int, tv.Dim())
+		for v := 0; v <= 1<<w+17; v++ {
+			for j := range count {
+				if got := tv.collisions(j); got != count[j] {
+					t.Fatalf("m=%d w=%d V=%d: collisions(%d) = %d, the incremental table holds %d", m, w, v, j, got, count[j])
+				}
+			}
+			tv.vocab.ids[strconv.Itoa(v)] = v
+			count[tv.proj.Hash(v)]++
+		}
+	}
+}
+
+// TestNewTagPathVectorizerAlloc: a vectorizer is built without a D-wide
+// table — under 1 KB at the paper's D = 4096, where the bucket table alone
+// was 16 KB.
+func TestNewTagPathVectorizerAlloc(t *testing.T) {
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		sinkVectorizer = NewTagPathVectorizer(2, 12, 15)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<10 {
+		t.Errorf("NewTagPathVectorizer allocates %d bytes, want < 1 KB", per)
+	}
+}
+
+var sinkVectorizer *TagPathVectorizer

@@ -52,6 +52,18 @@ if grep -rn --include='*.go' 'ClassifyFeatures' internal | grep -v '_test.go'; t
 	echo "internal/ retains classifier features outside _test.go" >&2
 	exit 1
 fi
+# A session pays for its pages, not for being a crawl: the tag-path
+# vectorizer computes its collision counts from the vocabulary's size instead
+# of keeping a D-wide bucket table per crawl, and the engine filters each
+# page's links in place on its link stack instead of copying them.
+if grep -rn --include='*.go' 'bucketCount' internal/textvec | grep -v '_test.go'; then
+	echo "internal/textvec keeps a bucket table outside _test.go" >&2
+	exit 1
+fi
+if grep -rn --include='*.go' 'make(\[\]dom.Link' internal/core | grep -v '_test.go'; then
+	echo "internal/core copies a page's links outside _test.go" >&2
+	exit 1
+fi
 go test ./...
 # The race pass is the one determinism gate: every equivalence suite —
 # prefetch widths, partitions, kill-and-resume, cross-version stores,
@@ -82,8 +94,10 @@ go test -run 'Alloc' -count=1 ./internal/hnsw ./internal/core
 # context), scoring allocates nothing, and training allocates nothing once
 # the flat weight vector has grown. The textvec line above holds the bigram
 # featurizer to no allocation when appending into spare capacity (no sort
-# buffer, the bitmap on the stack); the core line holds a finished SB
-# crawl's weight table to being reused by the next crawl.
+# buffer, the bitmap on the stack) and a tag-path vectorizer to being built
+# without a D-wide table; the core line holds a finished SB crawl's weight
+# table, batch arena and two generators to being reused by the next crawl,
+# and a page's link filtering to copying no links.
 go test -run 'Alloc' -count=1 ./internal/learn ./internal/classify
 # Codec allocation gate: the replay-record round trip — AppendResponse into
 # a reused buffer, DecodeResponseInto filling a reused struct with views —

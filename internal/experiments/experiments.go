@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section over the synthetic website substrate. Each experiment
 // is addressable by the paper artifact it reproduces (table1 … fig15) and
-// prints the same rows or series the paper reports; DESIGN.md carries the
-// full experiment index.
+// prints the same rows or series the paper reports; All is the experiment
+// index, and `crawlbench -list` prints it.
 package experiments
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/core"
-	"sbcrawl/internal/faultsim"
 	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/fleet"
 	"sbcrawl/internal/metrics"
@@ -43,18 +42,6 @@ type Config struct {
 	// the value: per-site work is independent and results are assembled
 	// in site order.
 	Workers int
-	// Prefetch pipelines every crawl with a speculative fetch window of
-	// this width (0 = sequential; negative = core.PrefetchAuto, the
-	// self-tuning adaptive window). Reports are identical whatever the
-	// value — prefetching only warms the replay database ahead of the
-	// crawl loop — so it composes with Workers: sites in parallel,
-	// requests pipelined within each site.
-	Prefetch int
-	// Partitions multiplies every crawl's speculation window (0 = off;
-	// negative = core.PartitionsAuto); see core.Env.Partitions. Reports are
-	// identical whatever the value — like Prefetch, it only warms the crawl
-	// loop's cache.
-	Partitions int
 	// Out receives the report (default os.Stdout).
 	Out io.Writer
 	// CSVDir, when set, receives figure series as CSV files.
@@ -65,19 +52,6 @@ type Config struct {
 	// responses from disk. Open the handle once with OpenStore before
 	// running experiments.
 	StorePath string
-	// FaultRate injects seeded deterministic transient faults into the
-	// fraction FaultRate of URLs on every crawl (chaos mode): faulty URLs
-	// fail their first 1–2 attempts and then recover. With the retry layer
-	// armed (Retries >= 0, the default) every report stays byte-identical
-	// to the fault-free run — the robustness claim the resilience
-	// experiment quantifies.
-	FaultRate float64
-	// FaultSeed seeds the fault plan (0 = Seed).
-	FaultSeed int64
-	// Retries < 0 disarms the retry/backoff/breaker layer, exposing every
-	// injected fault to the strategies; >= 0 arms it (0 = default budget).
-	// Only consulted when FaultRate > 0.
-	Retries int
 
 	// st is the open store handle behind StorePath (see OpenStore).
 	st *store.Store
@@ -194,34 +168,26 @@ type siteEnv struct {
 	totals metrics.SiteTotals
 }
 
-// buildSite generates a site at the config's scale and wires the crawl Env:
-// a replay-cached simulated fetcher (the local response database of
-// Sec. 4.4, shared by all crawlers) plus the oracle hooks.
-func buildSite(cfg Config, code string) (*siteEnv, error) {
+// generate builds one site at the config's scale, seed and page cap.
+func generate(cfg Config, code string) (*sitegen.Site, error) {
 	profile, ok := sitegen.ProfileByCode(code)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown site %q", code)
 	}
-	site := sitegen.Generate(sitegen.Config{
-		Profile:  profile,
-		Scale:    cfg.Scale,
-		Seed:     cfg.Seed,
-		MaxPages: cfg.MaxPages,
-	})
-	var backend fetch.Fetcher = fetch.NewSim(webserver.New(site))
-	if cfg.FaultRate > 0 {
-		// Chaos mode: the injector sits below the replay cache, so only
-		// recovered (true) responses are ever recorded; transient failures
-		// fall through and burn the plan's attempt counters.
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		backend = fetch.NewFaultInjector(backend, faultsim.NewPlan(faultsim.Schedule{
-			Seed: seed, Rate: cfg.FaultRate,
-		}))
+	return sitegen.Generate(sitegen.Config{
+		Profile: profile, Scale: cfg.Scale, Seed: cfg.Seed, MaxPages: cfg.MaxPages,
+	}), nil
+}
+
+// buildSite generates a site at the config's scale and wires the crawl Env:
+// a replay-cached simulated fetcher (the local response database of
+// Sec. 4.4, shared by all crawlers) plus the oracle hooks.
+func buildSite(cfg Config, code string) (*siteEnv, error) {
+	site, err := generate(cfg, code)
+	if err != nil {
+		return nil, err
 	}
-	replay := fetch.NewReplay(backend)
+	replay := fetch.NewReplay(fetch.NewSim(webserver.New(site)))
 	if cfg.st != nil {
 		// Durable replay: namespace the site's responses by everything
 		// that shapes its content, so only an identical regeneration
@@ -230,10 +196,8 @@ func buildSite(cfg Config, code string) (*siteEnv, error) {
 		replay.SetBackend(store.Prefixed(cfg.st, ns))
 	}
 	env := &core.Env{
-		Root:       site.Root(),
-		Fetcher:    replay,
-		Prefetch:   cfg.Prefetch,
-		Partitions: cfg.Partitions,
+		Root:    site.Root(),
+		Fetcher: replay,
 		OracleClass: func(u string) int {
 			pg, ok := site.Lookup(u)
 			if !ok {
@@ -256,15 +220,6 @@ func buildSite(cfg Config, code string) (*siteEnv, error) {
 			return len(pg.DatasetLinks)
 		},
 		OracleTargets: site.TargetURLs(),
-	}
-	if cfg.FaultRate > 0 && cfg.Retries >= 0 {
-		rp := fetch.DefaultRetryPolicy()
-		if cfg.Retries > 0 {
-			rp.MaxAttempts = cfg.Retries + 1
-		}
-		rp.Seed = cfg.Seed
-		bp := fetch.DefaultBreakerPolicy()
-		env.Retry, env.Breaker = &rp, &bp
 	}
 	se := &siteEnv{code: code, site: site, env: env, stats: site.ComputeStats()}
 

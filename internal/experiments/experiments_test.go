@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/<id>.golden from the current reports")
 
 // tinyConfig keeps test experiments fast: minimum-size sites, single run.
 func tinyConfig(out *bytes.Buffer) Config {
@@ -17,6 +21,86 @@ func tinyConfig(out *bytes.Buffer) Config {
 		Runs:     1,
 		MaxPages: 120,
 		Out:      out,
+	}
+}
+
+// reports memoizes each experiment's masked report at tinyConfig with its
+// default sites, so the golden comparison and the assertions below share one
+// run of every experiment.
+var reports = map[string]string{}
+
+func report(t *testing.T, id string) string {
+	t.Helper()
+	if r, ok := reports[id]; ok {
+		return r
+	}
+	exp, ok := ByID(id)
+	if !ok {
+		t.Fatalf("experiment %q missing", id)
+	}
+	var out bytes.Buffer
+	if err := exp.Run(tinyConfig(&out)); err != nil {
+		t.Fatalf("%s: %v\n%s", id, err, out.String())
+	}
+	reports[id] = masked(id, out.String())
+	return reports[id]
+}
+
+// masked blanks the only bytes that differ between two runs of the same
+// code: the resume report's temporary store path and the speculation
+// report's timing-dependent columns (launched, hits, miss, evict, headhits,
+// hit%).
+func masked(id, s string) string {
+	lines := strings.SplitAfter(s, "\n")
+	for i, line := range lines {
+		switch {
+		case id == "resume" && strings.HasPrefix(line, "Kill-and-resume"):
+			lines[i] = "Kill-and-resume equivalence (store: *)\n"
+		case id == "speculation" && i >= 2 && strings.TrimSpace(line) != "":
+			f := strings.Fields(line)
+			lines[i] = fmt.Sprintf("%-5s %-14s %9s  *\n", f[0], f[1], f[2])
+		}
+	}
+	return strings.Join(lines, "")
+}
+
+// TestReportsMatchGoldens pins every paper report byte for byte. Regenerate
+// the goldens with `go test ./internal/experiments -run Goldens -update`
+// only when a report is meant to change.
+func TestReportsMatchGoldens(t *testing.T) {
+	for _, exp := range All {
+		t.Run(exp.ID, func(t *testing.T) {
+			got := report(t, exp.ID)
+			path := filepath.Join("testdata", exp.ID+".golden")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s differs from %s:\n%s", exp.ID, path, got)
+			}
+		})
+	}
+}
+
+// mustContain asserts what a report shows whatever its numbers, so these
+// properties survive a regeneration of the goldens.
+func mustContain(t *testing.T, id string, subs ...string) {
+	t.Helper()
+	r := report(t, id)
+	for _, s := range subs {
+		if !strings.Contains(r, s) {
+			t.Errorf("%s report missing %q:\n%s", id, s, r)
+		}
 	}
 }
 
@@ -67,137 +151,48 @@ func TestBuildSiteUnknownCode(t *testing.T) {
 	}
 }
 
-func TestRunTable1(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"cl", "be", "ju"}
-	if err := RunTable1(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, code := range cfg.Sites {
-		if !strings.Contains(s, code) {
-			t.Errorf("table 1 output missing site %s:\n%s", code, s)
-		}
-	}
-	if !strings.Contains(s, "#Target") {
-		t.Error("table 1 must print the target column")
-	}
-}
+func TestRunTable1(t *testing.T) { mustContain(t, "table1", "cl", "be", "ju", "#Target") }
 
 func TestRunTable2AndMatrix(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"cl"}
-	if err := RunTable2(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, name := range []string{"SB-CLASSIFIER", "SB-ORACLE", "BFS", "DFS", "RANDOM", "FOCUSED", "TP-OFF", "TRES"} {
-		if !strings.Contains(s, name) {
-			t.Errorf("table 2 output missing crawler %s:\n%s", name, s)
-		}
-	}
-	if !strings.Contains(s, "early stopping") {
-		t.Error("table 2 must include the early-stopping rows")
-	}
+	mustContain(t, "table2", "SB-CLASSIFIER", "SB-ORACLE", "BFS", "DFS", "RANDOM",
+		"FOCUSED", "TP-OFF", "TRES", "early stopping")
 }
 
-func TestRunTable3(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"cn"}
-	if err := RunTable3(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "volume") {
-		t.Error("table 3 header missing")
-	}
-}
+func TestRunTable3(t *testing.T) { mustContain(t, "table3", "volume") }
 
 func TestRunTable4Variants(t *testing.T) {
-	for _, run := range []func(Config) error{RunTable4Alpha, RunTable4Ngram, RunTable4Theta} {
-		var out bytes.Buffer
-		cfg := tinyConfig(&out)
-		cfg.Sites = []string{"cl", "qa"}
-		if err := run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if out.Len() == 0 {
-			t.Error("empty table 4 output")
-		}
-	}
+	mustContain(t, "table4-alpha", "a=2sqrt2")
+	mustContain(t, "table4-ngram", "n=3")
+	mustContain(t, "table4-theta", "th=0.95")
 }
 
-func TestRunTable5(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"cl"}
-	if err := RunTable5(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, v := range []string{"URL_ONLY-LR", "URL_CONT-PA", "MR"} {
-		if !strings.Contains(s, v) {
-			t.Errorf("table 5 missing %q:\n%s", v, s)
-		}
-	}
-}
+func TestRunTable5(t *testing.T) { mustContain(t, "table5", "URL_ONLY-LR", "URL_CONT-PA", "MR") }
 
 func TestRunTable6AndFig5(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"cl", "nc"}
-	if err := RunTable6(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunFigure5(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "top-10") {
-		t.Error("figure 5 output missing")
-	}
+	mustContain(t, "table6", "groups")
+	mustContain(t, "fig5", "top-10")
 }
 
-func TestRunTable7(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	if err := RunTable7(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, code := range []string{"be", "is", "wh"} {
-		if !strings.Contains(s, code) {
-			t.Errorf("table 7 missing site %s", code)
-		}
-	}
-}
+func TestRunTable7(t *testing.T) { mustContain(t, "table7", "be", "is", "wh") }
 
-func TestRunConfusion(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"cl"}
-	if err := RunConfusion(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "Neither") {
-		t.Error("confusion matrices must render all classes")
-	}
-}
+func TestRunConfusion(t *testing.T) { mustContain(t, "confusion", "Neither") }
 
 func TestRunEarlyStopAndFig15(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"cl"}
-	if err := RunEarlyStop(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunFigure15(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "early stop") {
-		t.Error("fig15 output missing")
-	}
+	mustContain(t, "earlystop", "fired")
+	mustContain(t, "fig15", "early stop")
+}
+
+func TestRunSearchEngines(t *testing.T) { mustContain(t, "searchengines", "crawler") }
+
+func TestRunAblations(t *testing.T) {
+	mustContain(t, "ablation-policy", "AUER", "thompson")
+	mustContain(t, "ablation-reward", "novelty", "raw-count")
+	mustContain(t, "ablation-dim", "m=14")
+	mustContain(t, "ablation-batch", "b=200")
+}
+
+func TestRunRevisitExtension(t *testing.T) {
+	mustContain(t, "ext-revisit", "round-robin", "thompson", "sleeping-bandit")
 }
 
 func TestRunFigure4WithCSV(t *testing.T) {
@@ -220,49 +215,6 @@ func TestRunFigure4WithCSV(t *testing.T) {
 	}
 }
 
-func TestRunSearchEngines(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"ju"}
-	if err := RunSearchEngines(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "crawler") {
-		t.Error("search engine report missing")
-	}
-}
-
-func TestRunAblations(t *testing.T) {
-	for _, run := range []func(Config) error{
-		RunAblationPolicy, RunAblationReward, RunAblationDim, RunAblationBatch,
-	} {
-		var out bytes.Buffer
-		cfg := tinyConfig(&out)
-		cfg.Sites = []string{"cl"}
-		if err := run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if out.Len() == 0 {
-			t.Error("empty ablation output")
-		}
-	}
-}
-
-func TestRunRevisitExtension(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"nc"}
-	if err := RunRevisit(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, p := range []string{"round-robin", "thompson", "sleeping-bandit"} {
-		if !strings.Contains(s, p) {
-			t.Errorf("revisit report missing policy %q:\n%s", p, s)
-		}
-	}
-}
-
 func TestRunResume(t *testing.T) {
 	var out bytes.Buffer
 	cfg := tinyConfig(&out)
@@ -282,28 +234,12 @@ func TestRunResume(t *testing.T) {
 	}
 }
 
-// TestRunResilience smoke-tests the robustness table: with retries on,
+// TestRunResilience holds the robustness table's claim: with retries on,
 // recall stays pinned to the fault-free baseline at every injected fault
-// rate, so the report must never show a retry-on row losing targets.
+// rate, so no retry-on row may lose targets.
 func TestRunResilience(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tinyConfig(&out)
-	cfg.Sites = []string{"cl"}
-	if err := RunResilience(cfg); err != nil {
-		t.Fatalf("RunResilience: %v\n%s", err, out.String())
-	}
-	report := out.String()
-	if !strings.Contains(report, "Resilience") {
-		t.Errorf("missing report header:\n%s", report)
-	}
-	for _, col := range []string{"rate", "retry", "recall%", "retries", "failed"} {
-		if !strings.Contains(report, col) {
-			t.Errorf("report missing column %q:\n%s", col, report)
-		}
-	}
-	// Retry-on rows must show full recall (the convergence property); the
-	// retry-off 20% row should visibly lose targets on any non-trivial site.
-	for _, line := range strings.Split(report, "\n") {
+	mustContain(t, "resilience", "Resilience", "rate", "retry", "recall%", "retries", "failed")
+	for _, line := range strings.Split(report(t, "resilience"), "\n") {
 		if strings.Contains(line, " on ") && !strings.Contains(line, "100.0%") {
 			t.Errorf("retry-on row lost targets: %s", line)
 		}
@@ -354,7 +290,7 @@ func TestFmtPct(t *testing.T) {
 // per-site work of an experiment across a worker pool must produce
 // byte-identical reports, whatever the worker count.
 func TestParallelWorkersPreserveReports(t *testing.T) {
-	for _, id := range []string{"table2", "table6", "earlystop", "fig4"} {
+	for _, id := range []string{"table2", "table6", "earlystop", "fig4", "fig15", "searchengines", "ext-revisit"} {
 		exp, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %q missing", id)

@@ -103,17 +103,7 @@ func RunFigure5(cfg Config) error {
 	sites := sitesOrDefault(cfg, sitegen.Figure4Codes)
 	fmt.Fprintf(cfg.Out, "Figure 5 — mean rewards of the top-10 tag-path groups\n")
 	fmt.Fprintf(cfg.Out, "%-4s %s\n", "site", "top-10 group mean rewards (desc)")
-	stats, err := forEachSite(cfg, sites, func(code string) (metrics.RewardStats, error) {
-		se, err := buildSite(cfg, code)
-		if err != nil {
-			return metrics.RewardStats{}, err
-		}
-		res, err := core.NewSB(core.SBConfig{Seed: cfg.Seed}).Run(se.env)
-		if err != nil {
-			return metrics.RewardStats{}, err
-		}
-		return metrics.ComputeRewardStats(res.Actions, 10), nil
-	})
+	stats, err := rewardStats(cfg, sites)
 	if err != nil {
 		return err
 	}
@@ -134,21 +124,29 @@ func RunFigure5(cfg Config) error {
 func RunFigure15(cfg Config) error {
 	cfg = cfg.withDefaults()
 	sites := sitesOrDefault(cfg, []string{"in", "ju"})
-	for _, code := range sites {
+	blocks, err := forEachSite(cfg, sites, func(code string) (string, error) {
 		se, err := buildSite(cfg, code)
 		if err != nil {
-			return err
+			return "", err
 		}
 		es := core.ScaledEarlyStop(se.stats.Available)
 		res, err := core.NewSB(core.SBConfig{Seed: cfg.Seed, EarlyStop: &es}).Run(se.env)
 		if err != nil {
-			return err
+			return "", err
 		}
-		fmt.Fprintf(cfg.Out, "Figure 15 — %s: early stop fired=%v after %d requests (%d/%d targets)\n",
+		var b strings.Builder
+		fmt.Fprintf(&b, "Figure 15 — %s: early stop fired=%v after %d requests (%d/%d targets)\n",
 			code, res.EarlyStopped, res.Requests, len(res.Targets), se.totals.Targets)
 		for _, pt := range metrics.Curve(res.Trace, 20) {
-			fmt.Fprintf(cfg.Out, "  req %6d  targets %6d\n", pt.Requests, pt.Targets)
+			fmt.Fprintf(&b, "  req %6d  targets %6d\n", pt.Requests, pt.Targets)
 		}
+		return b.String(), nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, block := range blocks {
+		fmt.Fprint(cfg.Out, block)
 	}
 	return nil
 }
@@ -163,20 +161,26 @@ func RunSearchEngines(cfg Config) error {
 	sites := sitesOrDefault(cfg, []string{"ju", "il", "in"})
 	fmt.Fprintf(cfg.Out, "Search engines vs focused crawl (Sec. 4.2)\n")
 	fmt.Fprintf(cfg.Out, "%-4s %9s %10s %10s %10s\n", "site", "#targets", "GS", "GDS", "crawler")
-	for _, code := range sites {
+	rows, err := forEachSite(cfg, sites, func(code string) (string, error) {
 		se, err := buildSite(cfg, code)
 		if err != nil {
-			return err
+			return "", err
 		}
 		targets := se.site.TargetURLs()
 		gs := simulatedSEIndex(targets, 0.30, 1000, cfg.Seed)    // classic search
 		gds := simulatedSEIndex(targets, 0.08, 1000, cfg.Seed+1) // dataset search
 		res, err := core.NewSB(core.SBConfig{Seed: cfg.Seed}).Run(se.env)
 		if err != nil {
-			return err
+			return "", err
 		}
-		fmt.Fprintf(cfg.Out, "%-4s %9d %10d %10d %10d\n",
-			code, len(targets), gs, gds, len(res.Targets))
+		return fmt.Sprintf("%-4s %9d %10d %10d %10d\n",
+			code, len(targets), gs, gds, len(res.Targets)), nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
+		fmt.Fprint(cfg.Out, row)
 	}
 	return nil
 }
@@ -201,52 +205,25 @@ func simulatedSEIndex(targets []string, coverage float64, cap int, seed int64) i
 // ε-greedy, and Thompson sampling (extended-version Appendix C discussion).
 func RunAblationPolicy(cfg Config) error {
 	cfg = cfg.withDefaults()
-	sites := sitesOrDefault(cfg, []string{"nc", "wo", "ju"})
-	policies := []struct {
-		label string
-		build func(seed int64) bandit.Policy
-	}{
-		{"AUER", func(int64) bandit.Policy { return bandit.NewSleeping() }},
-		{"UCB1", func(int64) bandit.Policy { return bandit.NewUCB1() }},
-		{"eps-greedy", func(seed int64) bandit.Policy { return bandit.NewEpsilonGreedy(0.1, seed) }},
-		{"thompson", func(seed int64) bandit.Policy { return bandit.NewThompson(2, seed) }},
+	policies := []func(seed int64) bandit.Policy{
+		func(int64) bandit.Policy { return bandit.NewSleeping() },
+		func(int64) bandit.Policy { return bandit.NewUCB1() },
+		func(seed int64) bandit.Policy { return bandit.NewEpsilonGreedy(0.1, seed) },
+		func(seed int64) bandit.Policy { return bandit.NewThompson(2, seed) },
 	}
-	fmt.Fprintf(cfg.Out, "Ablation — bandit policy (SB-ORACLE, req%% to 90%%)\n")
-	fmt.Fprintf(cfg.Out, "%-12s", "policy")
-	for _, code := range sites {
-		fmt.Fprintf(cfg.Out, " %6s", code)
-	}
-	fmt.Fprintln(cfg.Out)
-	ses, err := forEachSite(cfg, sites, func(code string) (*siteEnv, error) {
-		return buildSite(cfg, code)
-	})
-	if err != nil {
-		return err
-	}
-	envs := map[string]*siteEnv{}
-	for i, code := range sites {
-		envs[code] = ses[i]
-	}
-	for _, p := range policies {
-		fmt.Fprintf(cfg.Out, "%-12s", p.label)
-		for _, code := range sites {
-			se := envs[code]
-			var vals []float64
-			for run := 0; run < cfg.Runs; run++ {
-				seed := cfg.Seed + int64(run)*101
-				res, err := core.NewSB(core.SBConfig{
-					Oracle: true, Seed: seed, Policy: p.build(seed),
-				}).Run(se.env)
-				if err != nil {
-					return err
-				}
-				vals = append(vals, metrics.RequestPct90(res.Trace, se.totals))
-			}
-			fmt.Fprintf(cfg.Out, " %6s", fmtPct(metrics.Mean(vals)))
-		}
-		fmt.Fprintln(cfg.Out)
-	}
-	return nil
+	return sweep(cfg, sitesOrDefault(cfg, []string{"nc", "wo", "ju"}),
+		"Ablation — bandit policy (SB-ORACLE, req% to 90%)", "policy",
+		[]string{"AUER", "UCB1", "eps-greedy", "thompson"}, false,
+		func(i int, seed int64) *core.SB {
+			return core.NewSB(core.SBConfig{Oracle: true, Seed: seed, Policy: policies[i](seed)})
+		})
+}
+
+// ablation sweeps one SB variant over the ablation sites.
+func ablation(cfg Config, title string, labels []string, build func(i int, seed int64) *core.SB) error {
+	cfg = cfg.withDefaults()
+	return sweep(cfg, sitesOrDefault(cfg, []string{"be", "cn", "nc"}),
+		title+" (req% to 90%)", "variant", labels, false, build)
 }
 
 // RunAblationReward compares the novelty reward (new targets only) against
@@ -255,8 +232,7 @@ func RunAblationPolicy(cfg Config) error {
 // a new target and the two definitions coincide, so only classification
 // errors separate them.
 func RunAblationReward(cfg Config) error {
-	cfg = cfg.withDefaults()
-	return runSBVariantAblation(cfg, "Ablation — reward definition (SB-CLASSIFIER)",
+	return ablation(cfg, "Ablation — reward definition (SB-CLASSIFIER)",
 		[]string{"novelty", "raw-count"},
 		func(i int, seed int64) *core.SB {
 			return core.NewSB(core.SBConfig{Seed: seed, RawReward: i == 1})
@@ -266,9 +242,8 @@ func RunAblationReward(cfg Config) error {
 // RunAblationDim sweeps the projection dimension D = 2^m, which the paper
 // reports as insignificant.
 func RunAblationDim(cfg Config) error {
-	cfg = cfg.withDefaults()
 	ms := []uint{8, 10, 12, 14}
-	return runSBVariantAblation(cfg, "Ablation — projection dimension D=2^m",
+	return ablation(cfg, "Ablation — projection dimension D=2^m",
 		[]string{"m=8", "m=10", "m=12", "m=14"},
 		func(i int, seed int64) *core.SB {
 			return core.NewSB(core.SBConfig{
@@ -280,48 +255,10 @@ func RunAblationDim(cfg Config) error {
 
 // RunAblationBatch sweeps the classifier batch size b of Algorithm 2.
 func RunAblationBatch(cfg Config) error {
-	cfg = cfg.withDefaults()
 	bs := []int{5, 10, 50, 200}
-	return runSBVariantAblation(cfg, "Ablation — classifier batch size b",
+	return ablation(cfg, "Ablation — classifier batch size b",
 		[]string{"b=5", "b=10", "b=50", "b=200"},
 		func(i int, seed int64) *core.SB {
 			return core.NewSB(core.SBConfig{Seed: seed, BatchSize: bs[i]})
 		})
-}
-
-func runSBVariantAblation(cfg Config, title string, labels []string,
-	build func(i int, seed int64) *core.SB) error {
-	sites := sitesOrDefault(cfg, []string{"be", "cn", "nc"})
-	fmt.Fprintf(cfg.Out, "%s (req%% to 90%%)\n%-12s", title, "variant")
-	for _, code := range sites {
-		fmt.Fprintf(cfg.Out, " %6s", code)
-	}
-	fmt.Fprintln(cfg.Out)
-	ses, err := forEachSite(cfg, sites, func(code string) (*siteEnv, error) {
-		return buildSite(cfg, code)
-	})
-	if err != nil {
-		return err
-	}
-	envs := map[string]*siteEnv{}
-	for i, code := range sites {
-		envs[code] = ses[i]
-	}
-	for i, label := range labels {
-		fmt.Fprintf(cfg.Out, "%-12s", label)
-		for _, code := range sites {
-			se := envs[code]
-			var vals []float64
-			for run := 0; run < cfg.Runs; run++ {
-				res, err := build(i, cfg.Seed+int64(run)*101).Run(se.env)
-				if err != nil {
-					return err
-				}
-				vals = append(vals, metrics.RequestPct90(res.Trace, se.totals))
-			}
-			fmt.Fprintf(cfg.Out, " %6s", fmtPct(metrics.Mean(vals)))
-		}
-		fmt.Fprintln(cfg.Out)
-	}
-	return nil
 }

@@ -102,11 +102,7 @@ func faultEnv(se *siteEnv, cfg Config, rate float64, retry bool) *core.Env {
 	env := *se.env
 	var fetcher fetch.Fetcher = fetch.NewSim(webserver.New(se.site))
 	if rate > 0 {
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		plan := faultsim.NewPlan(faultsim.Schedule{Seed: seed, Rate: rate})
+		plan := faultsim.NewPlan(faultsim.Schedule{Seed: cfg.Seed, Rate: rate})
 		fetcher = fetch.NewFaultInjector(fetcher, plan)
 	}
 	env.Fetcher = fetcher

@@ -64,7 +64,7 @@ func resumeCrawler(name string, seed int64) core.Crawler {
 }
 
 // resumeEnv wires a fresh Env over the site, optionally store-backed.
-func resumeEnv(cfg Config, site *sitegen.Site, backend store.Backend, budget int) (*core.Env, *fetch.Replay) {
+func resumeEnv(site *sitegen.Site, backend store.Backend, budget int) (*core.Env, *fetch.Replay) {
 	replay := fetch.NewReplay(fetch.NewSim(webserver.New(site)))
 	if backend != nil {
 		replay.SetBackend(backend)
@@ -73,21 +73,17 @@ func resumeEnv(cfg Config, site *sitegen.Site, backend store.Backend, budget int
 		Root:        site.Root(),
 		Fetcher:     replay,
 		MaxRequests: budget,
-		Prefetch:    cfg.Prefetch,
 	}, replay
 }
 
 func resumeOne(cfg Config, dir, code, strategy string) (string, error) {
-	profile, ok := sitegen.ProfileByCode(code)
-	if !ok {
-		return "", fmt.Errorf("experiments: unknown site %q", code)
+	site, err := generate(cfg, code)
+	if err != nil {
+		return "", err
 	}
-	site := sitegen.Generate(sitegen.Config{
-		Profile: profile, Scale: cfg.Scale, Seed: cfg.Seed, MaxPages: cfg.MaxPages,
-	})
 
 	// Uninterrupted reference.
-	env, _ := resumeEnv(cfg, site, nil, 0)
+	env, _ := resumeEnv(site, nil, 0)
 	full, err := resumeCrawler(strategy, cfg.Seed).Run(env)
 	if err != nil {
 		return "", err
@@ -103,7 +99,7 @@ func resumeOne(cfg Config, dir, code, strategy string) (string, error) {
 	if killAt < 1 {
 		killAt = 1
 	}
-	kenv, _ := resumeEnv(cfg, site, st, killAt)
+	kenv, _ := resumeEnv(site, st, killAt)
 	if _, err := resumeCrawler(strategy, cfg.Seed).Run(kenv); err != nil {
 		return "", err
 	}
@@ -112,7 +108,7 @@ func resumeOne(cfg Config, dir, code, strategy string) (string, error) {
 	}
 
 	// Resume over the store with the full budget.
-	renv, replay := resumeEnv(cfg, site, st, 0)
+	renv, replay := resumeEnv(site, st, 0)
 	resumed, err := resumeCrawler(strategy, cfg.Seed).Run(renv)
 	if err != nil {
 		return "", err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sbcrawl/internal/revisit"
-	"sbcrawl/internal/sitegen"
 )
 
 // RunRevisit evaluates the incremental-revisit extension (the future work of
@@ -22,27 +21,30 @@ func RunRevisit(cfg Config) error {
 		epochs, budget)
 	fmt.Fprintf(cfg.Out, "%-4s %8s %12s %14s %10s %17s\n",
 		"site", "hubs", "round-robin", "proportional", "thompson", "sleeping-bandit")
-	for _, code := range sites {
-		profile, ok := sitegen.ProfileByCode(code)
-		if !ok {
-			return fmt.Errorf("unknown site %q", code)
+	rows, err := forEachSite(cfg, sites, func(code string) (string, error) {
+		site, err := generate(cfg, code)
+		if err != nil {
+			return "", err
 		}
-		site := sitegen.Generate(sitegen.Config{
-			Profile: profile, Scale: cfg.Scale, Seed: cfg.Seed, MaxPages: cfg.MaxPages,
-		})
 		build := func() *revisit.Simulation {
 			return revisit.NewSimulationFromSite(site, cfg.Seed+7)
 		}
 		sim := build()
 		if sim.Pages() == 0 {
-			continue
+			return "", nil
 		}
 		rr := revisit.Run(build(), &revisit.RoundRobin{}, epochs, budget)
 		prop := revisit.Run(build(), &revisit.Proportional{}, epochs, budget)
 		th := revisit.Run(build(), revisit.NewThompson(cfg.Seed), epochs, budget)
 		sb := revisit.Run(build(), revisit.NewSleepingBandit(), epochs, budget)
-		fmt.Fprintf(cfg.Out, "%-4s %8d %12.3f %14.3f %10.3f %17.3f\n",
-			code, sim.Pages(), rr, prop, th, sb)
+		return fmt.Sprintf("%-4s %8d %12.3f %14.3f %10.3f %17.3f\n",
+			code, sim.Pages(), rr, prop, th, sb), nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
+		fmt.Fprint(cfg.Out, row)
 	}
 	return nil
 }

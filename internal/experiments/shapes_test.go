@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-
-	"sbcrawl/internal/metrics"
 )
 
 // TestHeadlineShapeReproduces guards the paper's central result at the
@@ -22,8 +20,11 @@ func TestHeadlineShapeReproduces(t *testing.T) {
 
 	sums := map[string]float64{}
 	counts := map[string]int{}
-	sites := []string{"nc", "ed", "wo", "in"}
-	for _, code := range sites {
+	// The paper's headline: "90% of the targets accessing only 20% of the
+	// webpages" on some large sites. The best per-site SB cell must get into
+	// that regime.
+	best := math.Inf(1)
+	for _, code := range []string{"nc", "ed", "wo", "in"} {
 		se, err := buildSite(cfg, code)
 		if err != nil {
 			t.Fatal(err)
@@ -32,6 +33,7 @@ func TestHeadlineShapeReproduces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		best = math.Min(best, cells["SB-CLASSIFIER"].RequestPct)
 		for _, name := range []string{"SB-CLASSIFIER", "FOCUSED", "BFS", "RANDOM", "OMNISCIENT"} {
 			cell, ok := cells[name]
 			if !ok {
@@ -62,25 +64,7 @@ func TestHeadlineShapeReproduces(t *testing.T) {
 	if !(omni < sb) {
 		t.Errorf("OMNISCIENT (%.1f) must lower-bound SB (%.1f)", omni, sb)
 	}
-	// The paper's headline: "90% of the targets accessing only 20% of the
-	// webpages" on some large sites. Check the best per-site SB cell gets
-	// into that regime.
-	best := math.Inf(1)
-	for _, code := range sites {
-		se, err := buildSite(cfg, code)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := runMatrix(cfg, se)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := res["SB-CLASSIFIER"].RequestPct; v < best {
-			best = v
-		}
-	}
 	if best > 35 {
 		t.Errorf("best-site SB-CLASSIFIER = %.1f%%, want the ≲20-35%% regime of the headline claim", best)
 	}
-	_ = metrics.Infinity
 }

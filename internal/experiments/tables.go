@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/core"
@@ -18,14 +19,11 @@ func RunTable1(cfg Config) error {
 		"site", "Mlg.", "F.C.", "#Avail", "#Target", "HTMLtoT(%)", "TgtSize(KB)", "TgtDepth")
 	sites := sitesOrDefault(cfg, allCodes())
 	rows, err := forEachSite(cfg, sites, func(code string) (string, error) {
-		p, ok := sitegen.ProfileByCode(code)
-		if !ok {
-			return "", fmt.Errorf("unknown site %q", code)
+		site, err := generate(cfg, code)
+		if err != nil {
+			return "", err
 		}
-		site := sitegen.Generate(sitegen.Config{
-			Profile: p, Scale: cfg.Scale, Seed: cfg.Seed, MaxPages: cfg.MaxPages,
-		})
-		st := site.ComputeStats()
+		p, st := site.Profile, site.ComputeStats()
 		return fmt.Sprintf("%-4s %-5s %-5s %9d %9d %10.2f %7.1f(±%.1f) %7.2f(±%.2f)\n",
 			code, checkmark(p.Multilingual), checkmark(p.FullyCrawled),
 			st.Available, st.Targets, st.HTMLToTargetPct,
@@ -65,13 +63,13 @@ func RunTable3(cfg Config) error {
 		func(c *matrixCell) float64 { return c.VolumePct }, false)
 }
 
-func runMetricTable(cfg Config, title string, metric func(*matrixCell) float64, earlyStop bool) error {
+func runMetricTable(cfg Config, title string, metric func(*matrixCell) float64, withEarlyStop bool) error {
 	sites := sitesOrDefault(cfg, allCodes())
 	// Work returns only the extracted metric values so the generated site,
 	// replay cache, and traces are released as each site finishes.
 	type siteCells struct {
-		row         map[string]float64 // crawler → metric value
-		saved, lost float64
+		row map[string]float64 // crawler → metric value
+		es  metrics.EarlyStopOutcome
 	}
 	perSite, err := forEachSite(cfg, sites, func(code string) (siteCells, error) {
 		se, err := buildSite(cfg, code)
@@ -86,30 +84,19 @@ func runMetricTable(cfg Config, title string, metric func(*matrixCell) float64, 
 		for name, cell := range cells {
 			sc.row[name] = metric(cell)
 		}
-		if earlyStop {
-			sc.saved, sc.lost, err = earlyStopNumbers(cfg, se, cells["SB-CLASSIFIER"])
-			if err != nil {
-				return siteCells{}, err
+		if withEarlyStop {
+			sc.es, err = earlyStop(cfg, se, cells["SB-CLASSIFIER"].Result)
+			if !sc.es.Fired {
+				// The rule never fired before the crawl's end (behaviours
+				// (ii) and (iii)): it saved and lost nothing.
+				sc.es = metrics.EarlyStopOutcome{}
 			}
 		}
-		return sc, nil
+		return sc, err
 	})
 	if err != nil {
 		return err
 	}
-	rows := make(map[string]map[string]float64) // crawler → site → value
-	saved := map[string]float64{}
-	lost := map[string]float64{}
-	for i, code := range sites {
-		for name, v := range perSite[i].row {
-			if rows[name] == nil {
-				rows[name] = map[string]float64{}
-			}
-			rows[name][code] = v
-		}
-		saved[code], lost[code] = perSite[i].saved, perSite[i].lost
-	}
-
 	fmt.Fprintf(cfg.Out, title+" (scale %.4g, %d run(s))\n", cfg.Scale, cfg.Runs)
 	fmt.Fprintf(cfg.Out, "%-14s", "Crawler")
 	for _, code := range sites {
@@ -117,13 +104,15 @@ func runMetricTable(cfg Config, title string, metric func(*matrixCell) float64, 
 	}
 	fmt.Fprintln(cfg.Out)
 	for _, name := range CrawlerOrder {
-		row, ok := rows[name]
-		if !ok {
+		// TRES and SB-ORACLE run on fully crawled sites only: a crawler
+		// gets a row when some site ran it, and NA where a site did not.
+		ran := func(sc siteCells) bool { _, ok := sc.row[name]; return ok }
+		if !slices.ContainsFunc(perSite, ran) {
 			continue
 		}
 		fmt.Fprintf(cfg.Out, "%-14s", name)
-		for _, code := range sites {
-			if v, ok := row[code]; ok {
+		for _, sc := range perSite {
+			if v, ok := sc.row[name]; ok {
 				fmt.Fprintf(cfg.Out, " %6s", fmtPct(v))
 			} else {
 				fmt.Fprintf(cfg.Out, " %6s", "NA")
@@ -131,38 +120,31 @@ func runMetricTable(cfg Config, title string, metric func(*matrixCell) float64, 
 		}
 		fmt.Fprintln(cfg.Out)
 	}
-	if earlyStop {
+	if withEarlyStop {
 		fmt.Fprintln(cfg.Out, "---- early stopping (SB-CLASSIFIER) ----")
 		fmt.Fprintf(cfg.Out, "%-14s", "Saved req.")
-		for _, code := range sites {
-			fmt.Fprintf(cfg.Out, " %6.1f", saved[code])
+		for _, sc := range perSite {
+			fmt.Fprintf(cfg.Out, " %6.1f", sc.es.SavedRequestsPct)
 		}
 		fmt.Fprintln(cfg.Out)
 		fmt.Fprintf(cfg.Out, "%-14s", "Lost targets")
-		for _, code := range sites {
-			fmt.Fprintf(cfg.Out, " %6.1f", lost[code])
+		for _, sc := range perSite {
+			fmt.Fprintf(cfg.Out, " %6.1f", sc.es.LostTargetsPct)
 		}
 		fmt.Fprintln(cfg.Out)
 	}
 	return nil
 }
 
-// earlyStopNumbers runs SB-CLASSIFIER with the scaled Section 4.8 stopper
-// and compares it against the full run already in the matrix.
-func earlyStopNumbers(cfg Config, se *siteEnv, full *matrixCell) (saved, lost float64, err error) {
-	if full == nil {
-		return 0, 0, fmt.Errorf("missing SB-CLASSIFIER reference on %s", se.code)
-	}
+// earlyStop runs SB-CLASSIFIER with the scaled Section 4.8 stopper and
+// compares it against full, the same crawl run to the end.
+func earlyStop(cfg Config, se *siteEnv, full *core.Result) (metrics.EarlyStopOutcome, error) {
 	es := core.ScaledEarlyStop(se.stats.Available)
 	res, err := core.NewSB(core.SBConfig{Seed: cfg.Seed, EarlyStop: &es}).Run(se.env)
 	if err != nil {
-		return 0, 0, err
+		return metrics.EarlyStopOutcome{}, err
 	}
-	out := metrics.CompareEarlyStop(res, full.Result)
-	if !out.Fired {
-		return 0, 0, nil // behaviour (ii)/(iii): never met before crawl end
-	}
-	return out.SavedRequestsPct, out.LostTargetsPct, nil
+	return metrics.CompareEarlyStop(res, full), nil
 }
 
 // RunEarlyStop regenerates the lower rows of Table 2 on their own.
@@ -180,12 +162,7 @@ func RunEarlyStop(cfg Config) error {
 		if err != nil {
 			return metrics.EarlyStopOutcome{}, err
 		}
-		es := core.ScaledEarlyStop(se.stats.Available)
-		stopped, err := core.NewSB(core.SBConfig{Seed: cfg.Seed, EarlyStop: &es}).Run(se.env)
-		if err != nil {
-			return metrics.EarlyStopOutcome{}, err
-		}
-		return metrics.CompareEarlyStop(stopped, full), nil
+		return earlyStop(cfg, se, full)
 	})
 	if err != nil {
 		return err
@@ -198,67 +175,72 @@ func RunEarlyStop(cfg Config) error {
 	return nil
 }
 
-// table4Variant runs SB-ORACLE over the fully crawled sites for each value
-// of one hyper-parameter and prints the "req | vol" cells of Table 4.
-func table4Variant(cfg Config, title string, labels []string,
+// sweep crawls each site with every variant build makes, cfg.Runs seeds per
+// variant, and prints under header one row per variant: the mean % of
+// requests to 90% of targets on each site, plus the mean % of non-target
+// volume when withVol is set. Table 4 and the ablations are sweeps.
+func sweep(cfg Config, sites []string, header, column string, labels []string, withVol bool,
 	build func(i int, seed int64) *core.SB) error {
-	sites := sitesOrDefault(cfg, sitegen.FullyCrawledCodes())
-	type cell struct{ req, vol []float64 }
-	perSite, err := forEachSite(cfg, sites, func(code string) ([]*cell, error) {
+	type cell struct{ req, vol float64 }
+	perSite, err := forEachSite(cfg, sites, func(code string) ([]cell, error) {
 		se, err := buildSite(cfg, code)
 		if err != nil {
 			return nil, err
 		}
-		cells := make([]*cell, len(labels))
+		cells := make([]cell, len(labels))
 		for i := range labels {
-			c := &cell{}
+			var req, vol []float64
 			for run := 0; run < cfg.Runs; run++ {
 				res, err := build(i, cfg.Seed+int64(run)*101).Run(se.env)
 				if err != nil {
 					return nil, err
 				}
-				c.req = append(c.req, metrics.RequestPct90(res.Trace, se.totals))
-				c.vol = append(c.vol, metrics.VolumePct90(res.Trace, se.totals))
+				req = append(req, metrics.RequestPct90(res.Trace, se.totals))
+				vol = append(vol, metrics.VolumePct90(res.Trace, se.totals))
 			}
-			cells[i] = c
+			cells[i] = cell{metrics.Mean(req), metrics.Mean(vol)}
 		}
 		return cells, nil
 	})
 	if err != nil {
 		return err
 	}
-	table := make([]map[string]*cell, len(labels))
-	for i := range table {
-		table[i] = map[string]*cell{}
+	codeFmt := " %6s"
+	if withVol {
+		codeFmt = " %13s"
 	}
-	for s, code := range sites {
-		for i := range labels {
-			table[i][code] = perSite[s][i]
-		}
-	}
-	fmt.Fprintf(cfg.Out, "%s (SB-ORACLE, fully-crawled sites; req%% | vol%%)\n", title)
-	fmt.Fprintf(cfg.Out, "%-12s", "Variant")
+	fmt.Fprintf(cfg.Out, "%s\n%-12s", header, column)
 	for _, code := range sites {
-		fmt.Fprintf(cfg.Out, " %13s", code)
+		fmt.Fprintf(cfg.Out, codeFmt, code)
 	}
 	fmt.Fprintln(cfg.Out)
 	for i, label := range labels {
 		fmt.Fprintf(cfg.Out, "%-12s", label)
-		for _, code := range sites {
-			c := table[i][code]
-			fmt.Fprintf(cfg.Out, " %6s|%6s", fmtPct(metrics.Mean(c.req)), fmtPct(metrics.Mean(c.vol)))
+		for s := range sites {
+			c := perSite[s][i]
+			if withVol {
+				fmt.Fprintf(cfg.Out, " %6s|%6s", fmtPct(c.req), fmtPct(c.vol))
+			} else {
+				fmt.Fprintf(cfg.Out, " %6s", fmtPct(c.req))
+			}
 		}
 		fmt.Fprintln(cfg.Out)
 	}
 	return nil
 }
 
+// table4 sweeps one SB-ORACLE hyper-parameter over the fully crawled sites.
+func table4(cfg Config, title string, labels []string, build func(i int, seed int64) *core.SB) error {
+	cfg = cfg.withDefaults()
+	return sweep(cfg, sitesOrDefault(cfg, sitegen.FullyCrawledCodes()),
+		title+" (SB-ORACLE, fully-crawled sites; req% | vol%)", "Variant", labels, true, build)
+}
+
 // RunTable4Alpha sweeps α ∈ {0.1, 2√2, 30} (Table 4 top, Figures 8–9).
 func RunTable4Alpha(cfg Config) error {
-	cfg = cfg.withDefaults()
 	alphas := []float64{0.1, 2.8284271247461903, 30}
-	labels := []string{"a=0.1", "a=2sqrt2", "a=30"}
-	return table4Variant(cfg, "Table 4 (top) — exploration coefficient α", labels,
+	return table4(cfg, "Table 4 (top) — exploration coefficient α",
+		[]string{"a=0.1", "a=2sqrt2", "a=30"},
 		func(i int, seed int64) *core.SB {
 			return core.NewSB(core.SBConfig{Oracle: true, Alpha: alphas[i], Seed: seed})
 		})
@@ -266,24 +248,21 @@ func RunTable4Alpha(cfg Config) error {
 
 // RunTable4Ngram sweeps n ∈ {1, 2, 3} (Table 4 middle, Figures 10–11).
 func RunTable4Ngram(cfg Config) error {
-	cfg = cfg.withDefaults()
-	ns := []int{1, 2, 3}
-	labels := []string{"n=1", "n=2", "n=3"}
-	return table4Variant(cfg, "Table 4 (middle) — n-gram order", labels,
+	return table4(cfg, "Table 4 (middle) — n-gram order",
+		[]string{"n=1", "n=2", "n=3"},
 		func(i int, seed int64) *core.SB {
 			return core.NewSB(core.SBConfig{
 				Oracle: true, Seed: seed,
-				Index: core.ActionIndexConfig{N: ns[i]},
+				Index: core.ActionIndexConfig{N: i + 1},
 			})
 		})
 }
 
 // RunTable4Theta sweeps θ ∈ {0.55, 0.75, 0.95} (Table 4 bottom, Figs 12–13).
 func RunTable4Theta(cfg Config) error {
-	cfg = cfg.withDefaults()
 	thetas := []float64{0.55, 0.75, 0.95}
-	labels := []string{"th=0.55", "th=0.75", "th=0.95"}
-	return table4Variant(cfg, "Table 4 (bottom) — similarity threshold θ", labels,
+	return table4(cfg, "Table 4 (bottom) — similarity threshold θ",
+		[]string{"th=0.55", "th=0.75", "th=0.95"},
 		func(i int, seed int64) *core.SB {
 			return core.NewSB(core.SBConfig{
 				Oracle: true, Seed: seed,
@@ -292,31 +271,74 @@ func RunTable4Theta(cfg Config) error {
 		})
 }
 
-// classifierVariants are the eight URL-classifier configurations of Table 5.
-func classifierVariants() []struct {
-	Label    string
-	Model    string
-	Features int
-} {
-	out := []struct {
-		Label    string
-		Model    string
-		Features int
-	}{}
-	for _, feat := range []int{0, 1} {
-		name := "URL_ONLY"
-		if feat == 1 {
-			name = "URL_CONT"
-		}
+// classifierVariant is one URL-classifier configuration of Table 5.
+type classifierVariant struct {
+	label, model string
+	features     classify.FeatureSet
+}
+
+// classifierVariants are Table 5's eight configurations: every model over
+// each feature set.
+var classifierVariants = func() []classifierVariant {
+	var out []classifierVariant
+	for _, feat := range []classify.FeatureSet{classify.URLOnly, classify.URLContent} {
 		for _, model := range []string{"LR", "SVM", "NB", "PA"} {
-			out = append(out, struct {
-				Label    string
-				Model    string
-				Features int
-			}{name + "-" + model, model, feat})
+			out = append(out, classifierVariant{feat.String() + "-" + model, model, feat})
 		}
 	}
 	return out
+}()
+
+// classifierCells crawls each site with every classifier variant, runs seeds
+// per variant, and returns per variant the mean % of requests to 90% of
+// targets on each site (req[variant][site]) and the confusion counts merged
+// across sites and runs. Merged counts are the paper's "inter-site averaged
+// confusion matrices": they weight every prediction equally, so floor-size
+// sites with a handful of predictions do not dominate.
+func classifierCells(cfg Config, sites []string, runs int) (req [][]float64, conf []classify.Confusion, err error) {
+	type cell struct {
+		req  float64
+		conf classify.Confusion
+	}
+	perSite, err := forEachSite(cfg, sites, func(code string) ([]cell, error) {
+		se, err := buildSite(cfg, code)
+		if err != nil {
+			return nil, err
+		}
+		cells := make([]cell, len(classifierVariants))
+		for i, v := range classifierVariants {
+			var reqs []float64
+			for run := 0; run < runs; run++ {
+				res, err := core.NewSB(core.SBConfig{
+					Seed:     cfg.Seed + int64(run)*101,
+					Model:    v.model,
+					Features: v.features,
+				}).Run(se.env)
+				if err != nil {
+					return nil, err
+				}
+				reqs = append(reqs, metrics.RequestPct90(res.Trace, se.totals))
+				if res.Confusion != nil {
+					cells[i].conf.Merge(res.Confusion)
+				}
+			}
+			cells[i].req = metrics.Mean(reqs)
+		}
+		return cells, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	req = make([][]float64, len(classifierVariants))
+	conf = make([]classify.Confusion, len(classifierVariants))
+	for i := range classifierVariants {
+		req[i] = make([]float64, len(sites))
+		for s := range sites {
+			req[i][s] = perSite[s][i].req
+			conf[i].Merge(&perSite[s][i].conf)
+		}
+	}
+	return req, conf, nil
 }
 
 // RunTable5 regenerates Table 5: the intra-site crawl metric per classifier
@@ -324,59 +346,9 @@ func classifierVariants() []struct {
 func RunTable5(cfg Config) error {
 	cfg = cfg.withDefaults()
 	sites := sitesOrDefault(cfg, sitegen.FullyCrawledCodes())
-	variants := classifierVariants()
-	table := make(map[string]map[string]float64)
-	// MR comes from the confusion counts merged across sites and runs —
-	// "inter-site averaged confusion matrices" weight every prediction
-	// equally, so floor-size sites with a handful of predictions do not
-	// dominate the rate.
-	merged := make(map[string]*classify.Confusion)
-	type variantCell struct {
-		req  float64
-		conf *classify.Confusion
-	}
-	perSite, err := forEachSite(cfg, sites, func(code string) (map[string]variantCell, error) {
-		se, err := buildSite(cfg, code)
-		if err != nil {
-			return nil, err
-		}
-		cells := make(map[string]variantCell, len(variants))
-		for _, v := range variants {
-			var req []float64
-			conf := classify.NewConfusion()
-			for run := 0; run < cfg.Runs; run++ {
-				res, err := core.NewSB(core.SBConfig{
-					Seed:     cfg.Seed + int64(run)*101,
-					Model:    v.Model,
-					Features: featureSet(v.Features),
-				}).Run(se.env)
-				if err != nil {
-					return nil, err
-				}
-				req = append(req, metrics.RequestPct90(res.Trace, se.totals))
-				if res.Confusion != nil {
-					conf.Merge(res.Confusion)
-				}
-			}
-			cells[v.Label] = variantCell{req: metrics.Mean(req), conf: conf}
-		}
-		return cells, nil
-	})
+	req, conf, err := classifierCells(cfg, sites, cfg.Runs)
 	if err != nil {
 		return err
-	}
-	for i, code := range sites {
-		for _, v := range variants {
-			cell := perSite[i][v.Label]
-			if table[v.Label] == nil {
-				table[v.Label] = map[string]float64{}
-			}
-			table[v.Label][code] = cell.req
-			if merged[v.Label] == nil {
-				merged[v.Label] = classify.NewConfusion()
-			}
-			merged[v.Label].Merge(cell.conf)
-		}
 	}
 	fmt.Fprintf(cfg.Out, "Table 5 — classifier variants (req%% to 90%% targets; MR = inter-site misclassification %%)\n")
 	fmt.Fprintf(cfg.Out, "%-14s", "Variant")
@@ -384,30 +356,36 @@ func RunTable5(cfg Config) error {
 		fmt.Fprintf(cfg.Out, " %6s", code)
 	}
 	fmt.Fprintf(cfg.Out, " %6s\n", "MR")
-	for _, v := range variants {
-		fmt.Fprintf(cfg.Out, "%-14s", v.Label)
-		for _, code := range sites {
-			fmt.Fprintf(cfg.Out, " %6s", fmtPct(table[v.Label][code]))
+	for i, v := range classifierVariants {
+		fmt.Fprintf(cfg.Out, "%-14s", v.label)
+		for _, r := range req[i] {
+			fmt.Fprintf(cfg.Out, " %6s", fmtPct(r))
 		}
-		mr := 0.0
-		if m := merged[v.Label]; m != nil {
-			mr = m.MisclassificationRate()
-		}
-		fmt.Fprintf(cfg.Out, " %6.2f\n", mr)
+		fmt.Fprintf(cfg.Out, " %6.2f\n", conf[i].MisclassificationRate())
 	}
 	return nil
 }
 
-func featureSet(i int) classify.FeatureSet { return classify.FeatureSet(i) }
-
-// RunTable6 regenerates Table 6: mean and STD of the agent's non-zero
-// rewards on every site.
-func RunTable6(cfg Config) error {
+// RunConfusion regenerates Tables 8–16: the confusion matrix of each
+// classifier variant, averaged across the fully crawled sites.
+func RunConfusion(cfg Config) error {
 	cfg = cfg.withDefaults()
-	sites := sitesOrDefault(cfg, allCodes())
-	fmt.Fprintf(cfg.Out, "Table 6 — non-zero action rewards (SB-CLASSIFIER)\n")
-	fmt.Fprintf(cfg.Out, "%-4s %10s %10s %8s\n", "site", "mean", "std", "groups")
-	stats, err := forEachSite(cfg, sites, func(code string) (metrics.RewardStats, error) {
+	sites := sitesOrDefault(cfg, sitegen.FullyCrawledCodes())
+	_, conf, err := classifierCells(cfg, sites, 1)
+	if err != nil {
+		return err
+	}
+	for i, v := range classifierVariants {
+		fmt.Fprintf(cfg.Out, "Confusion matrix — %s (inter-site, %d sites)\n%s\n",
+			v.label, len(sites), &conf[i])
+	}
+	return nil
+}
+
+// rewardStats crawls each site once with SB-CLASSIFIER and summarizes its
+// non-zero action rewards (Table 6, Figure 5).
+func rewardStats(cfg Config, sites []string) ([]metrics.RewardStats, error) {
+	return forEachSite(cfg, sites, func(code string) (metrics.RewardStats, error) {
 		se, err := buildSite(cfg, code)
 		if err != nil {
 			return metrics.RewardStats{}, err
@@ -418,6 +396,16 @@ func RunTable6(cfg Config) error {
 		}
 		return metrics.ComputeRewardStats(res.Actions, 10), nil
 	})
+}
+
+// RunTable6 regenerates Table 6: mean and STD of the agent's non-zero
+// rewards on every site.
+func RunTable6(cfg Config) error {
+	cfg = cfg.withDefaults()
+	sites := sitesOrDefault(cfg, allCodes())
+	fmt.Fprintf(cfg.Out, "Table 6 — non-zero action rewards (SB-CLASSIFIER)\n")
+	fmt.Fprintf(cfg.Out, "%-4s %10s %10s %8s\n", "site", "mean", "std", "groups")
+	stats, err := rewardStats(cfg, sites)
 	if err != nil {
 		return err
 	}
@@ -436,13 +424,10 @@ func RunTable7(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "Table 7 — SDs retrieval across sample targets (40 per site)\n")
 	fmt.Fprintf(cfg.Out, "%-4s %12s %16s %8s\n", "site", "SD Yield(%)", "Mean #SDs/Tgt", "sampled")
 	reports, err := forEachSite(cfg, sites, func(code string) (metrics.SDYieldReport, error) {
-		p, ok := sitegen.ProfileByCode(code)
-		if !ok {
-			return metrics.SDYieldReport{}, fmt.Errorf("unknown site %q", code)
+		site, err := generate(cfg, code)
+		if err != nil {
+			return metrics.SDYieldReport{}, err
 		}
-		site := sitegen.Generate(sitegen.Config{
-			Profile: p, Scale: cfg.Scale, Seed: cfg.Seed, MaxPages: cfg.MaxPages,
-		})
 		return metrics.SDYield(site, 40, cfg.Seed), nil
 	})
 	if err != nil {
@@ -451,49 +436,6 @@ func RunTable7(cfg Config) error {
 	for i, code := range sites {
 		rep := reports[i]
 		fmt.Fprintf(cfg.Out, "%-4s %12.0f %16.1f %8d\n", code, rep.YieldPct, rep.MeanSDs, rep.Sampled)
-	}
-	return nil
-}
-
-// RunConfusion regenerates Tables 8–16: the confusion matrix of each
-// classifier variant, averaged across the fully crawled sites.
-func RunConfusion(cfg Config) error {
-	cfg = cfg.withDefaults()
-	sites := sitesOrDefault(cfg, sitegen.FullyCrawledCodes())
-	variants := classifierVariants()
-	// One site build serves every variant; sites fan out across workers.
-	perSite, err := forEachSite(cfg, sites, func(code string) ([]*classify.Confusion, error) {
-		se, err := buildSite(cfg, code)
-		if err != nil {
-			return nil, err
-		}
-		confs := make([]*classify.Confusion, len(variants))
-		for i, v := range variants {
-			res, err := core.NewSB(core.SBConfig{
-				Seed:     cfg.Seed,
-				Model:    v.Model,
-				Features: featureSet(v.Features),
-			}).Run(se.env)
-			if err != nil {
-				return nil, err
-			}
-			confs[i] = classify.NewConfusion()
-			if res.Confusion != nil {
-				confs[i].Merge(res.Confusion)
-			}
-		}
-		return confs, nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, v := range variants {
-		merged := classify.NewConfusion()
-		for s := range sites {
-			merged.Merge(perSite[s][i])
-		}
-		fmt.Fprintf(cfg.Out, "Confusion matrix — %s (inter-site, %d sites)\n%s\n",
-			v.Label, len(sites), merged)
 	}
 	return nil
 }

@@ -8,6 +8,9 @@
 set -eux
 
 go build ./...
+# CLI smoke: crawlbench's flag parsing, OpenStore and its close, and the
+# -stats report stay wired (the build above only compiles them).
+go run ./cmd/crawlbench -exp table1 -sites cl -scale 0.0005 -maxpages 120 -runs 1 -stats -store "$(mktemp -d)" >/dev/null
 go vet ./...
 test -z "$(gofmt -l .)"
 # Gob-free: nothing outside test files imports encoding/gob (tests keep it

@@ -21,8 +21,8 @@ func FuzzCodec(f *testing.F) {
 	// Seeds: a real encoding of each of the five codec families, plus
 	// framing edge cases (bare headers, a gob-looking first byte, a future
 	// version stamp).
-	raw, _ := fetch.EncodeResponse(sampleResponse())
-	f.Add(raw)
+	resp := sampleResponse()
+	f.Add(fetch.AppendResponse(nil, &resp))
 	cp := sampleCheckpoint()
 	f.Add(core.EncodeCheckpoint(&cp))
 	f.Add(core.EncodeResult(sampleResult()))
@@ -44,13 +44,9 @@ func FuzzCodec(f *testing.F) {
 		if len(data) > 1<<16 {
 			return // five decoders run per input: keep iterations cheap
 		}
-		if resp, err := fetch.DecodeResponse(data); err == nil {
-			re, err := fetch.EncodeResponse(resp)
-			if err != nil {
-				t.Fatalf("re-encode accepted response: %v", err)
-			}
-			resp2, err := fetch.DecodeResponse(re)
-			if err != nil {
+		var resp, resp2 fetch.Response
+		if fetch.DecodeResponseInto(data, &resp) == nil {
+			if err := fetch.DecodeResponseInto(fetch.AppendResponse(nil, &resp), &resp2); err != nil {
 				t.Fatalf("canonical response bytes rejected: %v", err)
 			}
 			if !reflect.DeepEqual(resp2, resp) {

@@ -29,12 +29,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		{URL: "http://s/503", Status: 503, RetryAfter: 7, Interrupted: true},
 	}
 	for _, want := range cases {
-		raw, err := fetch.EncodeResponse(want)
-		if err != nil {
-			t.Fatalf("encode %q: %v", want.URL, err)
-		}
-		got, err := fetch.DecodeResponse(raw)
-		if err != nil {
+		var got fetch.Response
+		if err := fetch.DecodeResponseInto(fetch.AppendResponse(nil, &want), &got); err != nil {
 			t.Fatalf("decode %q: %v", want.URL, err)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -54,7 +50,8 @@ func gobOf(t *testing.T, v any) []byte {
 }
 
 func TestResponseLegacyGob(t *testing.T) {
-	if _, err := fetch.DecodeResponse(gobOf(t, sampleResponse())); !errors.Is(err, codec.ErrLegacyFormat) {
+	var resp fetch.Response
+	if err := fetch.DecodeResponseInto(gobOf(t, sampleResponse()), &resp); !errors.Is(err, codec.ErrLegacyFormat) {
 		t.Fatalf("gob-era response: err = %v, want ErrLegacyFormat", err)
 	}
 }
@@ -159,7 +156,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 // fails with the typed error at every decoder, never a misparse.
 func TestUnknownVersionRefused(t *testing.T) {
 	future := func(kind byte) []byte { return []byte{codec.Tag, 0x2A, kind, 0, 0, 0} }
-	if _, err := fetch.DecodeResponse(future(codec.KindResponse)); !errors.Is(err, codec.ErrUnknownVersion) {
+	var resp fetch.Response
+	if err := fetch.DecodeResponseInto(future(codec.KindResponse), &resp); !errors.Is(err, codec.ErrUnknownVersion) {
 		t.Fatalf("response: %v", err)
 	}
 	if _, err := core.DecodeCheckpoint(future(codec.KindCheckpoint)); !errors.Is(err, codec.ErrUnknownVersion) {
@@ -179,9 +177,10 @@ func TestUnknownVersionRefused(t *testing.T) {
 // TestTruncatedPayloadsRefused: every decoder reports ErrCorrupt (not a
 // partial value) when a codec blob is cut short.
 func TestTruncatedPayloadsRefused(t *testing.T) {
-	raw, _ := fetch.EncodeResponse(sampleResponse())
+	resp := sampleResponse()
+	raw := fetch.AppendResponse(nil, &resp)
 	for _, cut := range []int{4, len(raw) / 2, len(raw) - 1} {
-		if _, err := fetch.DecodeResponse(raw[:cut]); err == nil {
+		if err := fetch.DecodeResponseInto(raw[:cut], &resp); err == nil {
 			t.Fatalf("truncated response at %d accepted", cut)
 		}
 	}

@@ -256,6 +256,7 @@ type engine struct {
 	env            *Env
 	fetcher        fetch.Fetcher     // Env.Fetcher, prefetch-wrapped when pipelining
 	prefetcher     *fetch.Prefetcher // nil for a sequential crawl
+	recycler       fetch.Recycler    // Env.Fetcher when it lends bodies and the crawl is sequential
 	tuner          *fetch.AutoTuner  // adaptive window controller; nil unless PrefetchAuto
 	scale          int               // window multiplier: max(1, resolved Env.Partitions)
 	window         int               // in-flight cap, scale × the fixed or tuned width
@@ -326,6 +327,12 @@ func newEngine(env *Env) (*engine, error) {
 			e.prefetcher.SetShared(env.SharedSpec)
 		}
 		e.fetcher = e.prefetcher
+	}
+	// A sequential crawl hands every body it is done with back to a fetcher
+	// that lends them. A pipelined one never does: the window and a fleet's
+	// shared cache keep responses past the step.
+	if rc, ok := env.Fetcher.(fetch.Recycler); ok && e.prefetcher == nil {
+		e.recycler = rc
 	}
 	return e, nil
 }
@@ -504,22 +511,36 @@ func (e *engine) fetchPage(u string) page {
 		if !ok {
 			return page{Truncated: true}
 		}
-		switch {
-		case resp.Status >= 300 && resp.Status < 400:
-			loc := urlutil.Normalize(urlutil.ParseBase(cur), resp.Location)
-			if loc == "" || e.seen[loc] || !e.scope.Contains(loc) {
-				return page{FinalURL: cur, Status: resp.Status}
-			}
-			cur = loc
-			continue
-		case resp.Status >= 200 && resp.Status < 300:
-			return e.processSuccess(cur, resp)
-		default:
-			// 4xx/5xx: no links, no targets (Algorithm 4 returns).
-			return page{FinalURL: cur, Status: resp.Status}
+		p, next := e.hop(cur, resp)
+		// The body's one reader is done: the page keeps only strings that
+		// dom and urlutil materialized.
+		if e.recycler != nil {
+			e.recycler.Recycle(resp.Body)
 		}
+		if next == "" {
+			return p
+		}
+		cur = next
 	}
 	return page{FinalURL: cur, Status: 310} // redirect loop exhausted
+}
+
+// hop handles one response of fetchPage: the processed page, or the
+// redirect target to fetch next.
+func (e *engine) hop(cur string, resp fetch.Response) (p page, next string) {
+	switch {
+	case resp.Status >= 300 && resp.Status < 400:
+		loc := urlutil.Normalize(urlutil.ParseBase(cur), resp.Location)
+		if loc == "" || e.seen[loc] || !e.scope.Contains(loc) {
+			return page{FinalURL: cur, Status: resp.Status}, ""
+		}
+		return page{}, loc
+	case resp.Status >= 200 && resp.Status < 300:
+		return e.processSuccess(cur, resp), ""
+	default:
+		// 4xx/5xx: no links, no targets (Algorithm 4 returns).
+		return page{FinalURL: cur, Status: resp.Status}, ""
+	}
 }
 
 func (e *engine) processSuccess(u string, resp fetch.Response) page {

@@ -25,8 +25,9 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 
 // DecodeResponseInto decodes raw into resp without allocating: the
 // decoded URL/MIME/Location strings and Body are views aliasing raw, so
-// raw must stay alive and unmodified for as long as resp is used (store
-// reads hand out freshly owned buffers, which satisfies this).
+// raw must stay alive and unmodified for as long as resp is used. A caller
+// that reuses raw's buffer must first copy out whatever outlives it (Replay
+// keeps only the Body as a view, and lends it; see Replay.Recycle).
 func DecodeResponseInto(raw []byte, resp *Response) error {
 	payload, err := codec.Header(raw, codec.KindResponse)
 	if err != nil {
@@ -42,17 +43,4 @@ func DecodeResponseInto(raw []byte, resp *Response) error {
 	resp.Interrupted = r.Bool()
 	resp.RetryAfter = r.Int()
 	return r.Close()
-}
-
-// EncodeResponse serializes a Response for durable storage.
-func EncodeResponse(resp Response) ([]byte, error) {
-	return AppendResponse(make([]byte, 0, 64+len(resp.Body)), &resp), nil
-}
-
-// DecodeResponse is the inverse of EncodeResponse. The returned Response
-// aliases raw (see DecodeResponseInto).
-func DecodeResponse(raw []byte) (Response, error) {
-	var resp Response
-	err := DecodeResponseInto(raw, &resp)
-	return resp, err
 }

@@ -43,6 +43,16 @@ type Fetcher interface {
 	Head(url string) (Response, error)
 }
 
+// Recycler is implemented by a Fetcher that lends the bodies of the
+// responses it returns (Replay's disk hits): a caller done with a GET's Body
+// hands it back, and the fetcher reuses its memory for a later response.
+// Handing back is optional — a body never recycled is left to the GC — and
+// only the body's last holder may do it, once: afterwards neither the body
+// nor anything aliasing it may be read.
+type Recycler interface {
+	Recycle(body []byte)
+}
+
 // ErrNotFetched reports a URL the fetcher refused to retrieve.
 var ErrNotFetched = errors.New("fetch: not fetched")
 

@@ -1,8 +1,10 @@
 package fetch
 
 import (
+	"strings"
 	"sync"
 
+	"sbcrawl/internal/codec"
 	"sbcrawl/internal/store"
 )
 
@@ -20,7 +22,7 @@ const (
 //
 // Without a store.Backend the database is its two in-memory maps. With one
 // attached (SetBackend) it is a view of the backend: a lookup is one
-// backend Get by URL, a response is written through and not kept, so what a
+// backend read by URL, a response is written through and not kept, so what a
 // persisted crawl holds in memory does not grow with the bytes it has
 // fetched — a crawl killed mid-flight leaves its responses on disk, and the
 // resumed crawl replays them from there instead of re-fetching. Memory then
@@ -34,6 +36,20 @@ const (
 // Results do not depend on it (the backend is deterministic), Hits and
 // Misses under such concurrency do. A Replay shared by several runs over a
 // backend re-reads each response from the backend on every run.
+//
+// A disk hit is read into a pooled buffer (codec.GetBuffer) and owns every
+// field but the Body: the URL is the requested string or a copy, the MIME
+// type and Location are copies.
+// The Body is a view of the buffer, lent to the caller: one body at a time
+// is on loan, and Recycle with that body returns the buffer to the pool.
+// While a body is on loan, further GET hits read into a fresh value of their
+// own, as every hit did before lending; a HEAD hit carries no body, so its
+// buffer goes back at once. Bodies served from memory or by the backend are
+// never lent. Only a body's last holder may recycle it: the sequential crawl
+// engine does, once it has extracted a page's links; a pipelined crawl never
+// does, because the Prefetcher window and a fleet's shared cache keep
+// responses past the step. A body on loan that is never handed back is
+// left to the GC and lending stops for that Replay.
 //
 // Replay is safe for concurrent use (the speculative prefetch layer issues
 // overlapping GETs). The lock is never held across a backend fetch, so
@@ -53,6 +69,10 @@ type Replay struct {
 	// path stops allocating once it has grown to the largest response seen
 	// (store.Put copies the value before returning).
 	enc []byte
+	// lent is the pooled buffer whose Body is on loan and lentAt that body's
+	// first byte, both nil when nothing is lent.
+	lent   *[]byte
+	lentAt *byte
 	// hits and misses count database lookups, for cache diagnostics.
 	hits, misses int
 }
@@ -78,18 +98,76 @@ func (r *Replay) SetBackend(b store.Backend) {
 // load is the single read path of the database: memory first, then the
 // durable backend by key. An absent key is one index miss there; a record
 // that does not decode is treated as absent, and the re-fetch overwrites it.
-func (r *Replay) load(mem map[string]Response, prefix, url string) (Response, bool) {
-	if resp, ok := mem[url]; ok {
-		return resp, true
+// lend marks a GET, whose disk-hit body may be lent; any other lookup is a
+// HEAD and comes back without a body.
+func (r *Replay) load(mem map[string]Response, prefix, url string, lend bool) (Response, bool) {
+	resp, ok := mem[url]
+	if !ok && r.disk != nil {
+		resp, ok = r.read(prefix+url, url, lend)
 	}
-	if r.disk != nil {
-		if raw, ok := r.disk.Get(prefix + url); ok {
-			if resp, err := DecodeResponse(raw); err == nil {
-				return resp, true
-			}
+	if !lend {
+		resp.Body = nil
+	}
+	return resp, ok
+}
+
+// read decodes the backend's record under key. It reads into a pooled
+// buffer unless a GET body is already on loan — then into a fresh value the
+// GC takes back — and lends the buffer with a GET's non-empty body or
+// returns it to the pool at once.
+func (r *Replay) read(key, url string, lend bool) (Response, bool) {
+	var buf *[]byte
+	var raw []byte
+	if r.lent == nil || !lend {
+		buf = codec.GetBuffer()
+		raw = *buf
+	}
+	raw, ok := r.disk.AppendValue(raw, key)
+	var resp Response
+	if ok && DecodeResponseInto(raw, &resp) == nil {
+		r.own(&resp, url)
+	} else {
+		resp, ok = Response{}, false
+	}
+	if buf != nil {
+		*buf = raw
+		if lend && len(resp.Body) > 0 {
+			r.lent, r.lentAt = buf, &resp.Body[0]
+		} else {
+			codec.PutBuffer(buf)
 		}
 	}
-	return Response{}, false
+	return resp, ok
+}
+
+// own replaces the string views a decode leaves into the read buffer with
+// strings that outlive it: the requested URL when the record's equals it, a
+// copy otherwise.
+func (r *Replay) own(resp *Response, url string) {
+	if resp.URL == url {
+		resp.URL = url
+	} else {
+		resp.URL = strings.Clone(resp.URL)
+	}
+	resp.MIME = strings.Clone(resp.MIME)
+	resp.Location = strings.Clone(resp.Location)
+}
+
+// Recycle implements Recycler: handed the body on loan, it returns that
+// body's buffer to the pool. Any other slice — a body served from memory or
+// by the backend, a foreign one — is ignored. A body must be handed back at
+// most once: after Recycle its memory may hold the next hit's body.
+func (r *Replay) Recycle(body []byte) {
+	if len(body) == 0 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if &body[0] != r.lentAt {
+		return
+	}
+	codec.PutBuffer(r.lent)
+	r.lent, r.lentAt = nil, nil
 }
 
 // count tallies exactly one hit or one miss per Get or Head, whatever side
@@ -132,7 +210,7 @@ func (r *Replay) record(mem map[string]Response, prefix, url string, resp Respon
 // Get implements Fetcher.
 func (r *Replay) Get(url string) (Response, error) {
 	r.mu.Lock()
-	resp, ok := r.load(r.gets, replayGetPrefix, url)
+	resp, ok := r.load(r.gets, replayGetPrefix, url, true)
 	r.count(ok)
 	r.mu.Unlock()
 	if ok {
@@ -148,14 +226,13 @@ func (r *Replay) Get(url string) (Response, error) {
 	return resp, nil
 }
 
-// Head implements Fetcher. A stored GET also answers HEAD (same headers).
+// Head implements Fetcher. A stored GET also answers HEAD (same headers); a
+// hit never carries a body.
 func (r *Replay) Head(url string) (Response, error) {
 	r.mu.Lock()
-	resp, ok := r.load(r.heads, replayHeadPrefix, url)
+	resp, ok := r.load(r.heads, replayHeadPrefix, url, false)
 	if !ok {
-		if resp, ok = r.load(r.gets, replayGetPrefix, url); ok {
-			resp.Body = nil
-		}
+		resp, ok = r.load(r.gets, replayGetPrefix, url, false)
 	}
 	r.count(ok)
 	r.mu.Unlock()

@@ -251,9 +251,10 @@ func TestReplayCorruptRecordIsAMiss(t *testing.T) {
 	if f.gets != 1 || r.Misses() != 1 || r.Hits() != 1 || r.Stored() != 1 {
 		t.Fatalf("%d GETs, misses=%d hits=%d stored=%d; want 1, 1/1/1", f.gets, r.Misses(), r.Hits(), r.Stored())
 	}
-	if raw, _ := st.Get(replayGetPrefix + "u"); len(raw) == 0 {
+	var resp Response
+	if raw, _ := st.AppendValue(nil, replayGetPrefix+"u"); len(raw) == 0 {
 		t.Fatal("the corrupt record was not overwritten")
-	} else if _, err := DecodeResponse(raw); err != nil {
+	} else if err := DecodeResponseInto(raw, &resp); err != nil {
 		t.Fatalf("the record left behind still does not decode: %v", err)
 	}
 }
@@ -281,12 +282,8 @@ func TestReplayResponseRoundTrip(t *testing.T) {
 		URL: "https://x/y", Status: 302, MIME: "video/mp4",
 		Location: "https://x/z", Body: nil, ContentLength: 12345, Interrupted: true,
 	}
-	raw, err := EncodeResponse(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeResponse(raw)
-	if err != nil {
+	var got Response
+	if err := DecodeResponseInto(AppendResponse(nil, &orig), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, orig) {

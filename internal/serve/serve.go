@@ -546,7 +546,7 @@ func (s *Server) runUnit(u *unit) {
 // sessions are rebuilt as terminal records so clients still see them.
 func (s *Server) reload() {
 	for _, key := range s.records.Keys("sess|") {
-		raw, ok := s.records.Get(key)
+		raw, ok := s.records.AppendValue(nil, key)
 		if !ok {
 			continue
 		}

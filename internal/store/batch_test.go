@@ -40,13 +40,13 @@ func TestPutBatchRoundTrip(t *testing.T) {
 	check := func(st *Store, label string) {
 		t.Helper()
 		for i := 0; i < 50; i++ {
-			v, ok := st.Get(fmt.Sprintf("b%03d", i))
+			v, ok := st.AppendValue(nil, fmt.Sprintf("b%03d", i))
 			if !ok || string(v) != fmt.Sprintf("batch-value-%d", i) {
 				t.Fatalf("%s: Get(b%03d) = %q, %v", label, i, v, ok)
 			}
 		}
 		for k, want := range map[string]string{"before": "plain-1", "after": "plain-2"} {
-			if v, ok := st.Get(k); !ok || string(v) != want {
+			if v, ok := st.AppendValue(nil, k); !ok || string(v) != want {
 				t.Fatalf("%s: Get(%s) = %q, %v", label, k, v, ok)
 			}
 		}
@@ -79,13 +79,13 @@ func TestPutBatchLastWriteWins(t *testing.T) {
 	if err := s.PutBatch([]KV{{Key: "k", Val: []byte("v2")}, {Key: "k2", Val: []byte("x")}}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Get("k"); string(v) != "v2" {
+	if v, _ := s.AppendValue(nil, "k"); string(v) != "v2" {
 		t.Fatalf("batch did not supersede plain record: %q", v)
 	}
 	if err := s.Put("k", []byte("v3")); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Get("k"); string(v) != "v3" {
+	if v, _ := s.AppendValue(nil, "k"); string(v) != "v3" {
 		t.Fatalf("plain record did not supersede batch entry: %q", v)
 	}
 	if err := s.Close(); err != nil {
@@ -96,7 +96,7 @@ func TestPutBatchLastWriteWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if v, _ := s2.Get("k"); string(v) != "v3" {
+	if v, _ := s2.AppendValue(nil, "k"); string(v) != "v3" {
 		t.Fatalf("reopened order wrong: %q", v)
 	}
 }
@@ -113,7 +113,7 @@ func TestPutBatchEmptyAndInvalid(t *testing.T) {
 	if err := s.PutBatch([]KV{{Key: "", Val: []byte("x")}}); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	if v, ok := s.Get("x"); ok {
+	if v, ok := s.AppendValue(nil, "x"); ok {
 		t.Fatalf("rejected batch left a record: %q", v)
 	}
 }
@@ -131,7 +131,7 @@ func TestGetServesUnflushedTail(t *testing.T) {
 	if err := s.Put("tail", []byte("unflushed-value")); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := s.Get("tail"); !ok || string(v) != "unflushed-value" {
+	if v, ok := s.AppendValue(nil, "tail"); !ok || string(v) != "unflushed-value" {
 		t.Fatalf("Get(tail) = %q, %v", v, ok)
 	}
 	// The read must not have flushed: the active segment file is still empty.
@@ -149,7 +149,7 @@ func TestGetServesUnflushedTail(t *testing.T) {
 	if got := len(s.wbuf); got != 0 {
 		t.Fatalf("wbuf not drained by Sync: %d bytes", got)
 	}
-	if v, ok := s.Get("tail"); !ok || string(v) != "unflushed-value" {
+	if v, ok := s.AppendValue(nil, "tail"); !ok || string(v) != "unflushed-value" {
 		t.Fatalf("post-flush Get(tail) = %q, %v", v, ok)
 	}
 }
@@ -181,7 +181,7 @@ func TestWriteBufferAutoFlush(t *testing.T) {
 	}
 	// Every record is still readable, flushed or buffered.
 	for i := 0; i < 2*flushAt/len(val); i++ {
-		if _, ok := s.Get(fmt.Sprintf("k%04d", i)); !ok {
+		if _, ok := s.AppendValue(nil, fmt.Sprintf("k%04d", i)); !ok {
 			t.Fatalf("Get(k%04d) missing", i)
 		}
 	}
@@ -230,11 +230,11 @@ func TestBatchCorruptionAtomic(t *testing.T) {
 	if rec := s2.Recovery(); len(rec) == 0 {
 		t.Fatal("corrupted batch not reported")
 	}
-	if v, ok := s2.Get("keep"); !ok || string(v) != "survives" {
+	if v, ok := s2.AppendValue(nil, "keep"); !ok || string(v) != "survives" {
 		t.Fatalf("record before damage lost: %q, %v", v, ok)
 	}
 	for i := 0; i < 10; i++ {
-		if _, ok := s2.Get(fmt.Sprintf("b%d", i)); ok {
+		if _, ok := s2.AppendValue(nil, fmt.Sprintf("b%d", i)); ok {
 			t.Fatalf("entry b%d of the corrupted batch was indexed", i)
 		}
 	}
@@ -251,10 +251,10 @@ func TestPrefixedPutBatch(t *testing.T) {
 	if err := ns.PutBatch([]KV{{Key: "a", Val: []byte("1")}, {Key: "b", Val: []byte("2")}}); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := ns.Get("a"); !ok || string(v) != "1" {
+	if v, ok := ns.AppendValue(nil, "a"); !ok || string(v) != "1" {
 		t.Fatalf("prefixed Get(a) = %q, %v", v, ok)
 	}
-	if v, ok := s.Get("ns|b"); !ok || string(v) != "2" {
+	if v, ok := s.AppendValue(nil, "ns|b"); !ok || string(v) != "2" {
 		t.Fatalf("raw Get(ns|b) = %q, %v", v, ok)
 	}
 	if got := ns.Keys(""); len(got) != 2 || got[0] != "a" || got[1] != "b" {
@@ -292,7 +292,7 @@ func TestSnapshotPreservesBatchEntries(t *testing.T) {
 	}
 	defer s2.Close()
 	for i := 0; i < 30; i++ {
-		if v, ok := s2.Get(fmt.Sprintf("b%02d", i)); !ok || string(v) != fmt.Sprintf("v%d", i) {
+		if v, ok := s2.AppendValue(nil, fmt.Sprintf("b%02d", i)); !ok || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("Get(b%02d) after snapshot+reopen = %q, %v", i, v, ok)
 		}
 	}

@@ -34,7 +34,7 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 		if err := s.Put(key, val); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := s.Get(key); !ok {
+		if _, ok := s.AppendValue(nil, key); !ok {
 			b.Fatal("lost record")
 		}
 	}

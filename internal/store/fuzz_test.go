@@ -68,7 +68,7 @@ func FuzzScanSegment(f *testing.F) {
 		}
 		// The index must be internally consistent: every key Gets back.
 		for _, k := range s.Keys("") {
-			if _, ok := s.Get(k); !ok {
+			if _, ok := s.AppendValue(nil, k); !ok {
 				t.Fatalf("indexed key %q unreadable", k)
 			}
 		}
@@ -98,7 +98,7 @@ func TestScanSegmentByteFlips(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range s.Keys("") {
-			v, _ := s.Get(k)
+			v, _ := s.AppendValue(nil, k)
 			want[k] = string(v)
 		}
 		s.Close()
@@ -118,7 +118,7 @@ func TestScanSegmentByteFlips(t *testing.T) {
 			// No damage reported: the store must not silently serve wrong
 			// bytes — everything it indexed must match the pristine content.
 			for _, k := range s.Keys("") {
-				v, _ := s.Get(k)
+				v, _ := s.AppendValue(nil, k)
 				if want[k] != string(v) {
 					t.Fatalf("offset %d: silent corruption: %q = %q, want %q", off, k, v, want[k])
 				}

@@ -15,9 +15,10 @@
 // (little-endian header, 12 bytes). Records are never rewritten in place:
 // a Put of an existing key appends a fresh record, and the in-memory index
 // — key → (segment, offset, length), rebuilt by scanning the segments in
-// order on Open — always points at the newest copy. Get reads the value
-// back from its segment, so resident memory stays proportional to the key
-// set, not the stored bytes.
+// order on Open — always points at the newest copy. AppendValue reads the
+// value back from its segment into the caller's buffer, so resident memory
+// stays proportional to the key set, not the stored bytes, and a reader that
+// reuses its buffer allocates nothing per read.
 //
 // Beside the index the store keeps its keys in order: a sorted run plus the
 // keys that arrived since the last listing, which the next Keys, Count or
@@ -41,8 +42,8 @@
 // syncs it, and deletes the older segments. Close() compacts automatically
 // when more than half of the stored bytes are garbage. Between snapshots a
 // record is durable once Sync() has flushed it (Put appends to an
-// in-process write buffer; Get serves unflushed tail records straight from
-// that buffer, so reads never force a flush); the crawl layer syncs at
+// in-process write buffer; AppendValue serves unflushed tail records straight
+// from that buffer, so reads never force a flush); the crawl layer syncs at
 // every checkpoint.
 //
 // # Corruption recovery
@@ -79,8 +80,12 @@ type Backend interface {
 	// PutBatch group-commits many entries: one record header and CRC
 	// region for the whole batch, a single buffered write, one flush.
 	PutBatch(kvs []KV) error
-	// Get returns the newest value recorded for key.
-	Get(key string) ([]byte, bool)
+	// AppendValue appends the newest value recorded for key to dst and
+	// returns the extended slice; it allocates only when dst lacks the
+	// capacity. A caller reading into a reused buffer owns what it reads
+	// (the backend keeps no reference), and a nil dst gets a fresh copy. On
+	// a miss dst comes back unchanged with false.
+	AppendValue(dst []byte, key string) ([]byte, bool)
 	// Keys lists, in sorted order, every live key with the prefix.
 	Keys(prefix string) []string
 	// Count is len(Keys(prefix)) without building the list.
@@ -499,29 +504,42 @@ func (s *Store) PutBatch(kvs []KV) error {
 	return s.flushLocked()
 }
 
-// Get implements Backend.
-func (s *Store) Get(key string) ([]byte, bool) {
+// AppendValue implements Backend.
+func (s *Store) AppendValue(dst []byte, key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l, ok := s.index[key]
 	if !ok || s.closed {
-		return nil, false
+		return dst, false
 	}
-	val := make([]byte, l.vlen)
-	// A record still sitting in the write buffer is served straight from
-	// it — read-your-writes without forcing a flush. Records are buffered
-	// whole (flush drains the buffer completely), so a record is either
-	// entirely in wbuf (value offset at or past flushedOff) or entirely
-	// in the file.
+	out, err := s.appendLocked(dst, l)
+	return out, err == nil
+}
+
+// Get returns a fresh copy of the newest value recorded for key.
+//
+// Deprecated: use AppendValue; removed at the benchmark re-base (the frozen
+// benchmark/ calls it).
+func (s *Store) Get(key string) ([]byte, bool) { return s.AppendValue(nil, key) }
+
+// appendLocked appends the value l addresses to dst. A record still sitting
+// in the write buffer is served straight from it — read-your-writes without
+// forcing a flush. Records are buffered whole (flush drains the buffer
+// completely), so a record is either entirely in wbuf (value offset at or
+// past flushedOff) or entirely in the file. On error dst comes back at its
+// original length.
+func (s *Store) appendLocked(dst []byte, l loc) ([]byte, error) {
+	n := len(dst)
+	dst = slices.Grow(dst, l.vlen)[:n+l.vlen]
 	if l.seg == len(s.segs)-1 && l.off >= s.flushedOff {
 		start := l.off - s.flushedOff
-		copy(val, s.wbuf[start:start+int64(l.vlen)])
-		return val, true
+		copy(dst[n:], s.wbuf[start:start+int64(l.vlen)])
+		return dst, nil
 	}
-	if _, err := s.segs[l.seg].f.ReadAt(val, l.off); err != nil {
-		return nil, false
+	if _, err := s.segs[l.seg].f.ReadAt(dst[n:], l.off); err != nil {
+		return dst[:n], err
 	}
-	return val, true
+	return dst, nil
 }
 
 // orderLocked merges the keys that arrived since the last call into the
@@ -667,10 +685,12 @@ func (s *Store) snapshotLocked() error {
 	active := &s.segs[newIdx]
 	var written int64
 	newLocs := make(map[string]loc, len(s.keys))
+	// Every value passes through one scratch, which appendRecord copies out
+	// at once: compaction allocates per key, not per stored byte.
+	var val []byte
 	for _, k := range s.keys {
-		l := s.index[k]
-		val := make([]byte, l.vlen)
-		if _, err := s.segs[l.seg].f.ReadAt(val, l.off); err != nil {
+		var err error
+		if val, err = s.appendLocked(val[:0], s.index[k]); err != nil {
 			return fmt.Errorf("store: snapshot read: %w", err)
 		}
 		recLen := s.appendRecord(k, val)
@@ -756,8 +776,10 @@ type prefixed struct {
 }
 
 func (pb *prefixed) Put(key string, val []byte) error { return pb.b.Put(pb.p+key, val) }
-func (pb *prefixed) Get(key string) ([]byte, bool)    { return pb.b.Get(pb.p + key) }
 func (pb *prefixed) Sync() error                      { return pb.b.Sync() }
+func (pb *prefixed) AppendValue(dst []byte, key string) ([]byte, bool) {
+	return pb.b.AppendValue(dst, pb.p+key)
+}
 func (pb *prefixed) PutBatch(kvs []KV) error {
 	mapped := make([]KV, len(kvs))
 	for i, kv := range kvs {

@@ -28,12 +28,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want 100", got)
 	}
 	for i := 0; i < 100; i++ {
-		v, ok := s.Get(fmt.Sprintf("k%03d", i))
+		v, ok := s.AppendValue(nil, fmt.Sprintf("k%03d", i))
 		if !ok || string(v) != fmt.Sprintf("value-%d", i) {
 			t.Fatalf("Get(k%03d) = %q, %v", i, v, ok)
 		}
 	}
-	if _, ok := s.Get("missing"); ok {
+	if _, ok := s.AppendValue(nil, "missing"); ok {
 		t.Fatal("Get(missing) = true")
 	}
 	if err := s.Close(); err != nil {
@@ -49,7 +49,7 @@ func TestRoundTrip(t *testing.T) {
 	if got := s2.Len(); got != 100 {
 		t.Fatalf("reopened Len = %d, want 100", got)
 	}
-	v, ok := s2.Get("k042")
+	v, ok := s2.AppendValue(nil, "k042")
 	if !ok || string(v) != "value-42" {
 		t.Fatalf("reopened Get(k042) = %q, %v", v, ok)
 	}
@@ -69,7 +69,7 @@ func TestLastWriteWins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v, _ := s.Get("k"); string(v) != "v4" {
+	if v, _ := s.AppendValue(nil, "k"); string(v) != "v4" {
 		t.Fatalf("Get = %q, want v4", v)
 	}
 	if s.GarbageRatio() <= 0 {
@@ -81,7 +81,7 @@ func TestLastWriteWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if v, _ := s2.Get("k"); string(v) != "v4" {
+	if v, _ := s2.AppendValue(nil, "k"); string(v) != "v4" {
 		t.Fatalf("reopened Get = %q, want v4", v)
 	}
 	if n := s2.Len(); n != 1 {
@@ -103,7 +103,7 @@ func TestKeysPrefixAndPrefixed(t *testing.T) {
 	if got := ns.Keys(""); !reflect.DeepEqual(got, []string{"x", "y"}) {
 		t.Fatalf("ns.Keys = %v", got)
 	}
-	if v, _ := other.Get("x"); string(v) != "3" {
+	if v, _ := other.AppendValue(nil, "x"); string(v) != "3" {
 		t.Fatalf("namespaces collided: %q", v)
 	}
 	if got := s.Keys("a|"); !reflect.DeepEqual(got, []string{"a|x", "a|y"}) {
@@ -130,7 +130,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatalf("GarbageRatio after snapshot = %.2f, want 0", g)
 	}
 	// The store still serves, accepts writes, and survives a reopen.
-	if v, _ := s.Get("k03"); string(v) != "gen-43" {
+	if v, _ := s.AppendValue(nil, "k03"); string(v) != "gen-43" {
 		t.Fatalf("post-snapshot Get = %q", v)
 	}
 	s.Put("new", []byte("after"))
@@ -148,7 +148,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	if n := s2.Len(); n != 11 {
 		t.Fatalf("reopened Len = %d, want 11", n)
 	}
-	if v, _ := s2.Get("new"); string(v) != "after" {
+	if v, _ := s2.AppendValue(nil, "new"); string(v) != "after" {
 		t.Fatalf("post-snapshot append lost: %q", v)
 	}
 }
@@ -200,10 +200,10 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 	if n := s2.Len(); n != 19 {
 		t.Fatalf("Len after recovery = %d, want 19", n)
 	}
-	if v, ok := s2.Get("k18"); !ok || !bytes.Equal(v, bytes.Repeat([]byte{18}, 100)) {
+	if v, ok := s2.AppendValue(nil, "k18"); !ok || !bytes.Equal(v, bytes.Repeat([]byte{18}, 100)) {
 		t.Fatalf("Get(k18) after recovery = %v, %v", v, ok)
 	}
-	if _, ok := s2.Get("k19"); ok {
+	if _, ok := s2.AppendValue(nil, "k19"); ok {
 		t.Fatal("the damaged record should be gone")
 	}
 	// Recovery is sticky-clean: a re-open after healing reports nothing.
@@ -217,7 +217,7 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 	if rec := s3.Recovery(); rec != nil {
 		t.Fatalf("healed store still reports recovery: %+v", rec)
 	}
-	if v, _ := s3.Get("k19"); string(v) != "rewritten" {
+	if v, _ := s3.AppendValue(nil, "k19"); string(v) != "rewritten" {
 		t.Fatalf("Get(k19) = %q", v)
 	}
 }
@@ -264,7 +264,7 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if v, ok := s.Get(key); !ok || string(v) != key {
+				if v, ok := s.AppendValue(nil, key); !ok || string(v) != key {
 					t.Errorf("Get(%s) = %q, %v", key, v, ok)
 					return
 				}
@@ -295,7 +295,7 @@ func TestSyncMakesWritesDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if v, ok := s2.Get("k"); !ok || string(v) != "v" {
+	if v, ok := s2.AppendValue(nil, "k"); !ok || string(v) != "v" {
 		t.Fatalf("synced record lost: %q, %v", v, ok)
 	}
 }
@@ -408,10 +408,10 @@ func TestRecoveryMidLogSkipsWithoutTruncating(t *testing.T) {
 		t.Fatalf("mid-log segment was truncated from %d to %d bytes", len(data), len(after))
 	}
 	// Later segments still serve.
-	if v, ok := s3.Get("second"); !ok || string(v) != "two" {
+	if v, ok := s3.AppendValue(nil, "second"); !ok || string(v) != "two" {
 		t.Fatalf("Get(second) = %q, %v", v, ok)
 	}
-	if _, ok := s3.Get("first"); ok {
+	if _, ok := s3.AppendValue(nil, "first"); ok {
 		t.Fatal("the damaged record should be unreachable")
 	}
 }
@@ -461,5 +461,110 @@ func TestOpenAllocsIndependentOfValueBytes(t *testing.T) {
 	// records × big/8 — not one buffer per record (records × big and more).
 	if limit := small + 2*records*big/8; large > limit {
 		t.Errorf("Open allocates with the stored bytes: %d bytes over %d records of %d bytes (limit %d), %d over records of 64", large, records, big, limit, small)
+	}
+}
+
+// TestAppendValueIntoSpareCapacity: AppendValue keeps dst's bytes, reads into
+// its spare capacity whether the record is still buffered or already in the
+// file, and leaves dst as it was on a miss.
+func TestAppendValueIntoSpareCapacity(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put("k", []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	dst := append(make([]byte, 0, 64), "ab:"...)
+	for _, flushed := range []bool{false, true} {
+		if flushed {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, ok := s.AppendValue(dst, "k")
+		if !ok || string(out) != "ab:value" || &out[0] != &dst[0] {
+			t.Fatalf("flushed %v: AppendValue = %q, %v (same array %v), want \"ab:value\" in dst's array", flushed, out, ok, ok && &out[0] == &dst[0])
+		}
+	}
+	if out, ok := s.AppendValue(dst, "missing"); ok || string(out) != "ab:" {
+		t.Fatalf("miss: AppendValue = %q, %v; want dst unchanged and false", out, ok)
+	}
+}
+
+// TestAppendValueReusedBufferAllocs: a read into a warm reused buffer copies
+// the value, it does not allocate one — the cost of reading a 64 KB value is
+// that of reading a 64-byte one.
+func TestAppendValueReusedBufferAllocs(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const big = 64 << 10
+	if err := s.Put("small", bytes.Repeat([]byte{1}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("big", bytes.Repeat([]byte{2}, big)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	readBytes := func(key string) uint64 {
+		buf, _ = s.AppendValue(buf[:0], key) // warm: size the buffer once
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 100 {
+			buf, _ = s.AppendValue(buf[:0], key)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 100
+	}
+	if small, large := readBytes("small"), readBytes("big"); large > small+256 {
+		t.Errorf("a read into a reused buffer allocates with the value: %d bytes per 64 KB read, %d per 64-byte read", large, small)
+	}
+}
+
+// TestSnapshotAllocsIndependentOfValueBytes: compaction passes every value
+// through one scratch that appendRecord copies out at once, so it allocates
+// per key, not per stored byte.
+func TestSnapshotAllocsIndependentOfValueBytes(t *testing.T) {
+	const records = 64
+	snapshotBytes := func(valLen int) uint64 {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		val := bytes.Repeat([]byte{0x5A}, valLen)
+		for i := 0; i < records; i++ {
+			if err := s.Put(fmt.Sprintf("k%03d", i), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = s.Snapshot()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := s.AppendValue(nil, "k042"); s.Len() != records || !ok || !bytes.Equal(v, val) {
+			t.Fatalf("after the snapshot: %d keys, k042 present %v intact %v", s.Len(), ok, bytes.Equal(v, val))
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const big = 64 << 10
+	small, large := snapshotBytes(64), snapshotBytes(big)
+	// One scratch that grows to the largest value, not a buffer per key
+	// (records × big).
+	if limit := small + 4*big; large > limit {
+		t.Errorf("Snapshot allocates with the stored bytes: %d bytes over %d values of %d bytes (limit %d), %d over values of 64", large, records, big, limit, small)
 	}
 }

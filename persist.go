@@ -75,14 +75,15 @@ func (s *Store) Close() error { return s.cs.Close() }
 func (s *Store) Path() string { return s.path }
 
 // RecordStore is the raw durable key/value view of one Store namespace:
-// last-write-wins Puts into the append-only segment log, Gets of the newest
-// value, sorted key listing, and an explicit Sync making buffered writes
-// durable. A daemon keeps its own bookkeeping (session records) in the same
-// store its crawls write through, so one directory — and one writer lock —
-// holds everything needed to restart.
+// last-write-wins Puts into the append-only segment log, reads of the newest
+// value appended to a caller's buffer (nil for a fresh copy), sorted key
+// listing, and an explicit Sync making buffered writes durable. A daemon
+// keeps its own bookkeeping (session records) in the same store its crawls
+// write through, so one directory — and one writer lock — holds everything
+// needed to restart.
 type RecordStore interface {
 	Put(key string, val []byte) error
-	Get(key string) ([]byte, bool)
+	AppendValue(dst []byte, key string) ([]byte, bool)
 	Keys(prefix string) []string
 	Sync() error
 }
@@ -125,7 +126,7 @@ func (s *Store) LiveProgress(cfg Config) CrawlProgress {
 func progressFor(cs *crawlStore, ns, root string, cfg Config) CrawlProgress {
 	records := store.Prefixed(cs.st, ns+"|c|")
 	fp := cfgFingerprint(cfg, root)
-	if raw, ok := records.Get("done|" + fp); ok {
+	if raw, ok := records.AppendValue(nil, "done|"+fp); ok {
 		if res, err := core.DecodeResult(raw); err == nil {
 			return CrawlProgress{Requests: res.Requests, Targets: len(res.Targets), Done: true}
 		}
@@ -144,7 +145,7 @@ func progressFor(cs *crawlStore, ns, root string, cfg Config) CrawlProgress {
 // report, so any mismatch — a stale delta beside a record this build wrote
 // over its base included — safely falls back to the full record.
 func readCheckpoint(records store.Backend, fp string) (core.Checkpoint, bool) {
-	raw, ok := records.Get("ckpt|" + fp)
+	raw, ok := records.AppendValue(nil, "ckpt|"+fp)
 	if !ok {
 		return core.Checkpoint{}, false
 	}
@@ -152,7 +153,7 @@ func readCheckpoint(records store.Backend, fp string) (core.Checkpoint, bool) {
 	if err != nil {
 		return core.Checkpoint{}, false
 	}
-	draw, ok := records.Get("ckptd|" + fp)
+	draw, ok := records.AppendValue(nil, "ckptd|"+fp)
 	if !ok {
 		return cp, true
 	}
@@ -360,7 +361,7 @@ func (cs *crawlStore) attach(env *core.Env, cfg Config, ns string) *persistedCra
 // loadDone returns the crawl's stored final result, if it ever completed
 // with this Config.
 func (pc *persistedCrawl) loadDone() (*core.Result, bool) {
-	raw, ok := pc.records.Get(pc.doneKey)
+	raw, ok := pc.records.AppendValue(nil, pc.doneKey)
 	if !ok {
 		return nil, false
 	}

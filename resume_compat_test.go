@@ -89,7 +89,7 @@ func TestCheckpointRecordIsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := store.Prefixed(cs.st, simNamespace(site)+"|c|")
-	raw, ok := records.Get("ckpt|" + fp)
+	raw, ok := records.AppendValue(nil, "ckpt|"+fp)
 	if !ok {
 		t.Fatal("no checkpoint written")
 	}

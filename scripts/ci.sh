@@ -78,41 +78,25 @@ go test -race ./...
 # pipeline widths, the fleet speedup, the adaptive speculation window, and
 # the fleet-shared speculation cache.
 go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|BenchmarkAdaptivePrefetch|BenchmarkFleetSharedCache' -benchtime 1x .
-# Zero-allocation hot-path gate: the free-listed parse/extract scanners and
-# the reusable vectorizer hasher must keep their steady-state allocation
-# budgets (O(links) per page, never O(bytes) nor O(text nodes), and the same
-# after a GC; one output vector per Vectorize), the raw-text scan must stay
-# copy-free, and the link filters must cost a plain link exactly its one
-# result string (Normalize) and nothing more (Scope.Contains/Admit,
-# HasBlockedExtension).
-go test -run 'Alloc' -count=1 ./internal/dom ./internal/textvec ./internal/urlutil
-# Sparse action-index gate: Algorithm 1 carries a tag path as its ~8
-# non-zero (index, value) pairs, so a lookup allocates nothing once the
-# index's scratch is warm, a path joining an action merges in place, and
-# founding an action allocates only the stored node — its non-zeros, the same
-# bytes at any D.
-go test -run 'Alloc' -count=1 ./internal/hnsw ./internal/core
-# Map-free Algorithm 2 gate: classifying and learning from a URL_ONLY link
-# allocates nothing past the HEAD phase (a URL_CONT link one copy of its
-# context), scoring allocates nothing, and training allocates nothing once
-# the flat weight vector has grown. The textvec line above holds the bigram
-# featurizer to no allocation when appending into spare capacity (no sort
-# buffer, the bitmap on the stack) and a tag-path vectorizer to being built
-# without a D-wide table; the core line holds a finished SB crawl's weight
-# table, batch arena and two generators to being reused by the next crawl,
-# and a page's link filtering to copying no links.
-go test -run 'Alloc' -count=1 ./internal/learn ./internal/classify
-# Codec allocation gate: the replay-record round trip — AppendResponse into
-# a reused buffer, DecodeResponseInto filling a reused struct with views —
-# and the checkpoint re-encode must allocate nothing in steady state.
-go test -run 'Alloc' -count=1 ./internal/codec
-# Durable-path allocation gate: a checkpoint through the store sink allocates
-# nothing (internal/core's gate above holds it independent of the frontier's
-# size), store.Open allocates per key and not per stored byte, a Site counts
-# its pages once, and attaching a crawl to a store costs the same whatever the
-# store already holds (fetch.Replay lists nothing; the root package holds
-# attach + stats to it end to end).
-go test -run 'Alloc' -count=1 ./internal/store ./internal/fetch .
+# Allocation gates, every package's 'Alloc' tests in one pass. They hold:
+# link path — free-listed parsers cost O(links) a page, never O(bytes), the
+# same after a GC; the raw-text scan copies nothing; Normalize costs a link its
+# one result string and the scope/blocklist filters nothing; the engine
+# filters a page's links without copying them. Algorithm 1 — an action-index
+# lookup allocates nothing once warm, a founding action only its non-zeros.
+# Algorithm 2 — bigrams into spare capacity allocate nothing, a URL_ONLY link
+# nothing past the HEAD phase, scoring and training nothing once the weight
+# vector has grown; a finished SB crawl's weight table, batch arena and
+# generators are reused by the next, and a tag-path vectorizer keeps no
+# D-wide table. Durable path — the replay-record codec round trip and the
+# checkpoint re-encode allocate nothing; the checkpoint sink nothing, whatever
+# the frontier's size; store.Open and Snapshot allocate per key, not per
+# stored byte, and a read into a reused buffer copies, never allocates; a
+# replay GET hit whose body is handed back, or a HEAD answered by a stored GET,
+# costs its key strings and nothing the size of the record; attaching a crawl
+# to a store costs the same whatever the store holds; a Site counts its pages
+# once.
+go test -run 'Alloc' -count=1 ./...
 # Fuzz seed-corpus gate: the tokenizer/extractor fuzz targets run their
 # checked-in seeds as ordinary tests (termination, a Reset tokenizer's
 # second pass agreeing with its first, UTF-8 preservation, pool hygiene).

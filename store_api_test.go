@@ -97,10 +97,10 @@ func TestStoreRecords(t *testing.T) {
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := a.Get("sess|1"); !ok || string(got) != "alpha" {
+	if got, ok := a.AppendValue(nil, "sess|1"); !ok || string(got) != "alpha" {
 		t.Fatalf("Get = %q, %v; want alpha", got, ok)
 	}
-	if _, ok := b.Get("sess|1"); ok {
+	if _, ok := b.AppendValue(nil, "sess|1"); ok {
 		t.Fatal("record leaked across namespaces")
 	}
 	if keys := a.Keys("sess|"); len(keys) != 1 || keys[0] != "sess|1" {

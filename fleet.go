@@ -342,8 +342,6 @@ func runFleet(jobs []fleet.Job, opts FleetOptions, storeStats []*StoreStats, ord
 	if seen {
 		out.Store = agg
 	}
-	for _, pt := range metrics.Curve(sum.Trace, 500) {
-		out.Curve = append(out.Curve, CurvePoint(pt))
-	}
+	out.Curve = metrics.Curve(sum.Trace, 500)
 	return out, err
 }

@@ -164,11 +164,15 @@ type Checkpointer interface {
 	Checkpoint(cp Checkpoint)
 }
 
+// defaultTargets is the paper's 38-type target set, built once and shared
+// read-only by every crawl whose Env.TargetMIMEs is nil.
+var defaultTargets = urlutil.DefaultTargetSet()
+
 func (e *Env) targetMIMEs() urlutil.MIMESet {
 	if e.TargetMIMEs != nil {
 		return e.TargetMIMEs
 	}
-	return urlutil.DefaultTargetSet()
+	return defaultTargets
 }
 
 // Crawler runs a crawl strategy over an Env.

@@ -35,7 +35,10 @@ func (c *Client) http() *http.Client {
 }
 
 // do issues one request and decodes the JSON response into out; non-2xx
-// responses come back as *Error.
+// responses come back as *Error. The body, an error envelope's too, is read
+// to its end and unmarshalled out of a pooled buffer (decodeJSON): out keeps
+// nothing of the buffer, and the connection goes back to the transport's
+// idle pool for the next call.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var reader io.Reader
 	if body != nil {
@@ -59,15 +62,12 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		apiErr := &Error{Status: resp.StatusCode, Code: "internal"}
-		if err := json.NewDecoder(resp.Body).Decode(apiErr); err != nil || apiErr.Message == "" {
+		if err := decodeJSON(resp.Body, apiErr); err != nil || apiErr.Message == "" {
 			apiErr.Message = fmt.Sprintf("HTTP %d from %s %s", resp.StatusCode, method, path)
 		}
 		return apiErr
 	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decodeJSON(resp.Body, out)
 }
 
 // Create creates the session, or attaches to the existing one when the same

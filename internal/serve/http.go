@@ -13,11 +13,15 @@ package serve
 //	GET    /v1/stats                 daemon snapshot
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
+
+	"sbcrawl/internal/codec"
 )
 
 // maxWait caps a long-poll so dead clients cannot pin handlers forever.
@@ -53,9 +57,28 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, apiErr.Status, apiErr)
 }
 
+// decodeJSON reads r to its end into a pooled codec buffer and unmarshals
+// the one JSON value there into out; anything but whitespace after that
+// value is an error. json.Unmarshal copies every string it keeps, so out
+// holds nothing of the buffer, which is back in the pool when decodeJSON
+// returns. Every body of the API is read this way (request specs, responses,
+// error envelopes) except the events stream, a sequence of values that
+// Client.Events reads with a json.Decoder.
+func decodeJSON(r io.Reader, out any) error {
+	buf := codec.GetBuffer()
+	defer codec.PutBuffer(buf)
+	b := bytes.NewBuffer(*buf)
+	_, err := b.ReadFrom(r)
+	*buf = b.Bytes()
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(*buf, out)
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec SessionSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeJSON(r.Body, &spec); err != nil {
 		writeErr(w, errInvalid("bad session spec: %v", err))
 		return
 	}

@@ -97,6 +97,14 @@ func (s *session) bump() {
 	s.change = make(chan struct{})
 }
 
+// done reports a terminal state, as status(false).Done() would, without
+// building the snapshot.
+func (s *session) done() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state != StateRunning
+}
+
 func (s *session) isCancelled() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -292,7 +300,7 @@ func (s *Server) Stats() Stats {
 	st := Stats{Sessions: len(s.sessions), Workers: s.workers, StorePath: s.store.Path()}
 	for _, sess := range s.sessions {
 		tenants[sess.spec.Tenant] = true
-		if !sess.status(false).Done() {
+		if !sess.done() {
 			st.Active++
 		}
 	}
@@ -330,7 +338,7 @@ func (s *Server) Create(spec SessionSpec) (SessionStatus, error) {
 	if lim := s.cfg.Limits.TenantSessions; lim > 0 {
 		active := 0
 		for _, sess := range s.sessions {
-			if sess.spec.Tenant == spec.Tenant && !sess.status(false).Done() {
+			if sess.spec.Tenant == spec.Tenant && !sess.done() {
 				active++
 			}
 		}

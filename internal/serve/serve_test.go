@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -463,5 +464,36 @@ func TestLiveSessionSharedHost(t *testing.T) {
 		if _, ok := keys[k]; !ok || len(keys) != 4 {
 			t.Errorf("/v1/hosts entry %s lacks key %q (want exactly host, grants, waited, last_grant)", raw, k)
 		}
+	}
+}
+
+// TestCreateTakesOneJSONValue: a POST /v1/sessions body is one JSON spec.
+// Trailing whitespace is fine; a valid spec followed by anything else is 400
+// invalid and creates nothing.
+func TestCreateTakesOneJSONValue(t *testing.T) {
+	srv, client, stop := daemon(t, Config{StorePath: t.TempDir(), Workers: 1})
+	defer stop()
+	spec := `{"tenant":"acme","name":"one","crawl":{"strategy":"sb","seed":1,"max_requests":5},"sites":[{"code":"cl","scale":0.01,"seed":1}]}`
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{spec + `{"tenant":"acme","name":"two"}`, http.StatusBadRequest},
+		{spec + " x", http.StatusBadRequest},
+		{spec + " \n\t", http.StatusOK},
+	} {
+		resp, err := http.Post(client.BaseURL+"/v1/sessions", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr Error
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != c.want || (c.want == http.StatusBadRequest && apiErr.Code != "invalid") {
+			t.Errorf("POST %q: HTTP %d %+v, %v; want %d", c.body, resp.StatusCode, apiErr, err, c.want)
+		}
+	}
+	if n := srv.Stats().Sessions; n != 1 {
+		t.Fatalf("%d sessions exist, want 1 (the whitespace-trailed spec's)", n)
 	}
 }

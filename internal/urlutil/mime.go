@@ -47,7 +47,9 @@ var DefaultTargetMIMEs = []string{
 }
 
 // MIMESet is a set of canonical MIME types. Lookups ignore parameters such
-// as "; charset=utf-8" and are case-insensitive.
+// as "; charset=utf-8" and are case-insensitive. A set is read-only once
+// built, so any number of crawls may share one: the engine hands the same
+// default set to every crawl that names no target list.
 type MIMESet map[string]struct{}
 
 // NewMIMESet builds a MIMESet from a list of MIME types.

@@ -294,13 +294,12 @@ const PartitionsAuto = core.PartitionsAuto
 // every request gets exactly one attempt and any failure is final.
 const RetriesOff = -1
 
-// CurvePoint is one sample of a crawl's progress curve.
-type CurvePoint struct {
-	Requests       int
-	Targets        int
-	TargetBytes    int64
-	NonTargetBytes int64
-}
+// CurvePoint is one sample of a crawl's progress curve: the requests issued
+// so far and the targets and bytes received by then (fields Requests,
+// Targets, TargetBytes and NonTargetBytes, which are also its JSON keys). It
+// is an alias of the type the metrics package downsamples a trace into, so a
+// Result holds that curve as computed.
+type CurvePoint = metrics.CurvePoint
 
 // Result reports a finished crawl.
 type Result struct {
@@ -527,20 +526,17 @@ func (t *progressTee) Checkpoint(cp core.Checkpoint) {
 
 // convertResult maps an internal crawl result onto the public type.
 func convertResult(res *core.Result) *Result {
-	out := &Result{
+	return &Result{
 		Strategy:       res.Crawler,
 		Targets:        res.Targets,
 		Requests:       res.Requests,
 		TargetBytes:    res.TargetBytes,
 		NonTargetBytes: res.NonTargetBytes,
 		EarlyStopped:   res.EarlyStopped,
+		Curve:          metrics.Curve(res.Trace, 500),
 		Fabric:         res.Fabric,
 		Faults:         res.Faults,
 	}
-	for _, pt := range metrics.Curve(res.Trace, 500) {
-		out.Curve = append(out.Curve, CurvePoint(pt))
-	}
-	return out
 }
 
 // retryPolicies maps Config.Retries onto the engine's retry and breaker

@@ -95,7 +95,7 @@ go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|Bench
 # replay GET hit whose body is handed back, or a HEAD answered by a stored GET,
 # costs its key strings and nothing the size of the record; attaching a crawl
 # to a store costs the same whatever the store holds; a Site counts its pages
-# once.
+# once; a crawld client decodes each response out of one reused buffer.
 go test -run 'Alloc' -count=1 ./...
 # Fuzz seed-corpus gate: the tokenizer/extractor fuzz targets run their
 # checked-in seeds as ordinary tests (termination, a Reset tokenizer's

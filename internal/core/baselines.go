@@ -74,6 +74,7 @@ func (c *simpleCrawler) Run(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng.fields = 0 // links are followed by URL alone
 	r := &simpleRun{eng: eng, f: c.front()}
 	eng.seen[env.Root] = true
 	r.f.Push(env.Root)
@@ -129,6 +130,7 @@ func (omniscient) Run(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng.fields = 0 // no link is followed
 	w := &targetWalk{targets: env.OracleTargets}
 	eng.runStaged(w)
 	return eng.result("OMNISCIENT", w.steps), nil

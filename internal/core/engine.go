@@ -271,6 +271,11 @@ type engine struct {
 	faultStats     fetch.FaultStats
 	failedCharges  int        // charged requests whose final outcome was a failure
 	links          []dom.Link // the stack every page's links live on (see extractNewLinks)
+	fields         dom.Fields // the Link fields the strategy reads; all of them unless it narrows them
+	admitLink      func(href string) (string, bool)
+	base           urlutil.Base    // the page whose links or redirect are being resolved
+	abs            []byte          // a link's normal form, before it earns a string
+	inPage         map[string]bool // the current page's surviving links
 	specStats      *fetch.PrefetchStats
 	scope          *urlutil.Scope
 	mimes          urlutil.MIMESet
@@ -296,7 +301,9 @@ func newEngine(env *Env) (*engine, error) {
 		mimes:   env.targetMIMEs(),
 		trace:   &Trace{},
 		seen:    make(map[string]bool),
+		fields:  dom.AllFields,
 	}
+	e.admitLink = e.admit
 	// The retry layer sits at the bottom of the stack, directly over
 	// Env.Fetcher (and thus over the replay database when persistence
 	// attached one): the prefetcher and the demand loop fetch through it,
@@ -534,11 +541,14 @@ func (e *engine) fetchPage(u string) page {
 func (e *engine) hop(cur string, resp fetch.Response) (p page, next string) {
 	switch {
 	case resp.Status >= 300 && resp.Status < 400:
-		loc := urlutil.Normalize(urlutil.ParseBase(cur), resp.Location)
-		if loc == "" || e.seen[loc] || !e.scope.Contains(loc) {
+		e.base.Reset(cur)
+		if !e.resolve(resp.Location) || e.seen[string(e.abs)] {
 			return page{FinalURL: cur, Status: resp.Status}, ""
 		}
-		return page{}, loc
+		if loc := urlutil.String(e.abs, resp.Location); e.scope.Contains(loc) {
+			return page{}, loc
+		}
+		return page{FinalURL: cur, Status: resp.Status}, ""
 	case resp.Status >= 200 && resp.Status < 300:
 		return e.processSuccess(cur, resp), ""
 	default:
@@ -571,35 +581,59 @@ func (e *engine) processSuccess(u string, resp fetch.Response) page {
 // extractNewLinks parses the page body and returns its links after the
 // Algorithm 4 filters: same-website scope, not already in T ∪ F, extension
 // not blocklisted. URLs are normalized to absolute form and deduplicated in
-// document order.
+// document order; of the other Link fields, only those the strategy reads
+// (e.fields) are built, and only for links that pass.
 //
-// The links are pushed onto the engine's link stack and filtered there in
-// place; the result is a capacity-capped view of that tail, valid until the
-// stack is popped below it (popLinks). A nested fetch while the page is being
-// ingested pushes past the view, and when its append reallocates the stack
-// the view stays on the old array, which nothing writes any more.
+// The links are pushed onto the engine's link stack; the result is a
+// capacity-capped view of that tail, valid until the stack is popped below it
+// (popLinks). A nested fetch while the page is being ingested pushes past the
+// view, and when its append reallocates the stack the view stays on the old
+// array, which nothing writes any more.
 func (e *engine) extractNewLinks(pageURL string, body []byte) []dom.Link {
-	base := urlutil.ParseBase(pageURL)
-	start := len(e.links)
-	all := dom.ExtractLinksAppend(e.links, body)
-	// A fresh set per page, not a cleared engine-owned one: clear() costs the
-	// map's capacity, which one hub page would leave large for every page
-	// after it.
-	inPage := make(map[string]bool, len(all)-start)
-	n := start
-	for _, l := range all[start:] {
-		abs := urlutil.Normalize(base, l.URL)
-		if abs == "" || inPage[abs] || e.seen[abs] || !e.scope.Admit(abs) {
-			continue
-		}
-		inPage[abs] = true
-		l.URL = abs
-		all[n] = l
-		n++
+	e.base.Reset(pageURL)
+	if e.inPage == nil {
+		e.inPage = make(map[string]bool)
 	}
-	clear(all[n:]) // the dropped links' strings are not pinned by the stack
-	e.links = all[:n]
-	return all[start:n:n]
+	start := len(e.links)
+	e.links = dom.ExtractLinksFiltered(e.links, body, e.fields, e.admitLink)
+	// clear() costs the set's capacity, so a hub page's set is dropped
+	// rather than cleared for every page after it.
+	if len(e.inPage) > inPageKeep {
+		e.inPage = nil
+	} else {
+		clear(e.inPage)
+	}
+	return e.links[start:len(e.links):len(e.links)]
+}
+
+// inPageKeep is the largest in-page set extractNewLinks clears for reuse.
+const inPageKeep = 1024
+
+// admit is extractNewLinks' filter, which dom calls at each link element
+// before it builds anything else of the link. The href is normalized into
+// e.abs and looked up in the in-page set and T ∪ F there, so a link dropped
+// as known costs no string; a new one gets its URL string (the href itself
+// when that is already normal) and then meets the scope and blocklist.
+// newEngine binds it once, as e.admitLink: a method value made per page
+// would allocate.
+func (e *engine) admit(href string) (string, bool) {
+	if !e.resolve(href) || e.inPage[string(e.abs)] || e.seen[string(e.abs)] {
+		return "", false
+	}
+	abs := urlutil.String(e.abs, href)
+	if !e.scope.Admit(abs) {
+		return "", false
+	}
+	e.inPage[abs] = true
+	return abs, true
+}
+
+// resolve normalizes ref against e.base into e.abs, reporting false for a
+// URL Normalize would turn into "".
+func (e *engine) resolve(ref string) bool {
+	var ok bool
+	e.abs, ok = e.base.AppendNormalize(e.abs[:0], ref)
+	return ok
 }
 
 // popLinks drops the link stack back to mark, the height it had before the

@@ -15,7 +15,6 @@ import (
 	"sbcrawl/internal/dom"
 	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/frontier"
-	"sbcrawl/internal/urlutil"
 )
 
 // scriptedFetcher serves canned responses for engine edge-case tests.
@@ -474,62 +473,83 @@ func TestNestedFetchKeepsParentLinks(t *testing.T) {
 	}
 }
 
-// extractNewLinksCopying is extractNewLinks as it was before the link stack,
-// kept as the allocation reference: the same filters into a fresh slice per
-// page.
-func extractNewLinksCopying(e *engine, pageURL string, body []byte) []dom.Link {
-	base := urlutil.ParseBase(pageURL)
-	raw := dom.ExtractLinksAppend(e.links[:0], body)
-	e.links = raw
-	out := make([]dom.Link, 0, len(raw))
-	inPage := make(map[string]bool, len(raw))
-	for _, l := range raw {
-		abs := urlutil.Normalize(base, l.URL)
-		if abs == "" || inPage[abs] || e.seen[abs] || !e.scope.Admit(abs) {
-			continue
+// linkPage renders k plain links under a list, with filler paragraphs of
+// prose and markup between them when wordy, so a page's text and markup vary
+// while its links stay the same.
+func linkPage(k int, wordy bool) []byte {
+	var page strings.Builder
+	page.WriteString(`<html><body><div id="main" class="content wide"><ul class="files">`)
+	for i := range k {
+		if wordy {
+			page.WriteString(`<p class="intro">` + strings.Repeat("A sentence of <b>running</b> prose &amp; more, ", 20) + `</p>`)
 		}
-		inPage[abs] = true
-		l.URL = abs
-		out = append(out, l)
+		fmt.Fprintf(&page, `<li class="row"><a class="dl" href="/d/%d.csv">download d%d</a> %s</li>`, i, i, strings.Repeat("context ", 10))
 	}
-	return out
+	page.WriteString(`</ul></div></body></html>`)
+	return []byte(page.String())
 }
 
-// TestExtractNewLinksCopiesNoLinksAlloc: filtering a page's links in place on
-// the engine's stack costs exactly one allocation less per page than copying
-// the survivors into a fresh slice did.
-//
-// What a page costs depends on the parser it draws from dom's free list:
-// earlier tests may have parked up to eight, and one whose intern table is
-// full allocates strings that another interns. Sequential extractions rotate
-// through the parked parsers, so each form is measured over whole rotations —
-// every parser warmed on the page first, then a run count that every
-// free-list length from one to eight divides — and both see the same mix.
-func TestExtractNewLinksCopiesNoLinksAlloc(t *testing.T) {
+// warmAllocsPerPage is testing.AllocsPerRun of fn over the parsers dom's free
+// list holds. Sequential extractions rotate through the parked parsers (up to
+// eight, parked by earlier tests), so every one is warmed on the page first,
+// and the run count is one that every free-list length from one to eight
+// divides.
+func warmAllocsPerPage(fn func()) float64 {
+	for range 24 {
+		fn()
+	}
+	const runs = 840 // a multiple of 1, 2, …, 8
+	return testing.AllocsPerRun(runs, fn)
+}
+
+// TestExtractKnownLinksAllocsNothing: once warm, a page whose links are all in
+// T ∪ F costs extractNewLinks nothing. Each link is normalized into the
+// engine's scratch and dropped on a lookup that builds no string, before dom
+// builds anything else of it.
+func TestExtractKnownLinksAllocsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets only hold in normal builds")
 	}
-	var page strings.Builder
-	for i := range 30 {
-		fmt.Fprintf(&page, `<li><a href="/d/%d.csv">d%d</a></li><a href="https://other.org/%d">out</a>`, i, i, i)
-	}
-	body := []byte(page.String())
+	const pageURL = "https://site.org/page"
+	body := linkPage(30, true)
 	eng := newScriptedEngine(t, &scriptedFetcher{})
-	for range 8 { // the free list's capacity: every parked parser sees the page
-		if got := eng.extractNewLinks("https://site.org/page", body); len(got) != 30 {
-			t.Fatalf("%d links survive the filters, want 30", len(got))
-		}
-		eng.popLinks(0)
+	links := eng.extractNewLinks(pageURL, body)
+	if len(links) != 30 {
+		t.Fatalf("%d links survive the filters, want 30", len(links))
 	}
-	const runs = 840 // a multiple of 1, 2, …, 8
-	stack := testing.AllocsPerRun(runs, func() {
-		eng.extractNewLinks("https://site.org/page", body)
-		eng.popLinks(0)
-	})
-	copying := testing.AllocsPerRun(runs, func() {
-		extractNewLinksCopying(eng, "https://site.org/page", body)
-	})
-	if stack != copying-1 {
-		t.Errorf("extractNewLinks allocates %v times per page, the copying form %v: want exactly one fewer", stack, copying)
+	for _, l := range links {
+		eng.seen[l.URL] = true
+	}
+	eng.popLinks(0)
+	if n := warmAllocsPerPage(func() {
+		if got := eng.extractNewLinks(pageURL, body); len(got) != 0 {
+			t.Fatalf("%d known links survive the filters", len(got))
+		}
+	}); n != 0 {
+		t.Errorf("a page of known links costs extractNewLinks %v allocations, want 0", n)
+	}
+}
+
+// TestExtractNewLinksAllocsTheirURLs: a page of k new links, with no field
+// asked for, costs its k URL strings and a constant, whatever its text and
+// markup.
+func TestExtractNewLinksAllocsTheirURLs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	const k, slack = 30, 2
+	for _, wordy := range []bool{false, true} {
+		body := linkPage(k, wordy)
+		eng := newScriptedEngine(t, &scriptedFetcher{})
+		eng.fields = 0
+		n := warmAllocsPerPage(func() {
+			if got := eng.extractNewLinks("https://site.org/page", body); len(got) != k {
+				t.Fatalf("%d links survive the filters, want %d", len(got), k)
+			}
+			eng.popLinks(0)
+		})
+		if n < k || n > k+slack {
+			t.Errorf("wordy=%v: a page of %d new links costs %v allocations, want %d to %d", wordy, k, n, k, k+slack)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sbcrawl/internal/dom"
 	"sbcrawl/internal/frontier"
 	"sbcrawl/internal/learn"
 	"sbcrawl/internal/textvec"
@@ -105,6 +106,7 @@ func (f *focused) Run(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng.fields = dom.AnchorTextField
 	r := &focusedRun{
 		f:      f,
 		eng:    eng,

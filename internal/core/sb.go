@@ -88,6 +88,7 @@ func (s *SB) Run(env *Env) (*Result, error) {
 		return nil, err
 	}
 	cfg := s.cfg
+	eng.fields = linkFields(cfg)
 	idxCfg := cfg.Index
 	idxCfg.Seed = cfg.Seed
 	r := &sbRun{
@@ -338,8 +339,19 @@ func (r *sbRun) predictTargets(links []dom.Link) {
 	}
 }
 
+// linkFields is what SB reads of a link beyond its URL: the tag path for the
+// action index, and the texts only for the learned classifier's URL_CONT
+// features (the oracle and URL_ONLY features read the URL alone).
+func linkFields(cfg SBConfig) dom.Fields {
+	if cfg.Features == classify.URLContent && !cfg.Oracle {
+		return dom.AllFields
+	}
+	return dom.TagPathField
+}
+
 // linkContext is what the classifier sees of a link. The tag path is only
-// rendered for URL_CONT; URL_ONLY features never read it.
+// rendered for URL_CONT; URL_ONLY features never read it, and the texts are
+// empty unless linkFields asked for them.
 func (r *sbRun) linkContext(l dom.Link) classify.LinkContext {
 	lc := classify.LinkContext{
 		URL:             l.URL,

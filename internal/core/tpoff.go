@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"sbcrawl/internal/dom"
 	"sbcrawl/internal/frontier"
 )
 
@@ -148,6 +149,7 @@ func (t *tpoff) Run(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng.fields = dom.TagPathField
 	r := &tpoffRun{
 		t:          t,
 		eng:        eng,

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"sbcrawl/internal/classify"
+	"sbcrawl/internal/dom"
 	"sbcrawl/internal/frontier"
 )
 
@@ -137,6 +138,7 @@ func (t *tres) Run(env *Env) (*Result, error) {
 		// TRES cannot run without its URL-type oracle (Sec. 4.3).
 		return eng.result(t.Name(), 0), nil
 	}
+	eng.fields = dom.AnchorTextField
 	r := &tresRun{t: t, eng: eng, env: env}
 	eng.seen[env.Root] = true
 	r.pq.Push(env.Root, 0)

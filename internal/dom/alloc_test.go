@@ -2,6 +2,7 @@ package dom
 
 import (
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -79,6 +80,60 @@ func TestParseAllocsIndependentOfRawText(t *testing.T) {
 	a2 := allocsPerExtract(heavy)
 	if a2 > a1+4 {
 		t.Errorf("raw-text bytes leak into allocations: %v (light) vs %v (heavy)", a1, a2)
+	}
+}
+
+// TestSurroundingTextCostsItsCap: a link's SurroundingText is cut to its 256
+// bytes before it becomes a string, so a link under a 64 KB paragraph costs
+// what one under a 1 KB paragraph does — not a copy of the paragraph's text,
+// which every such link in a frontier would keep alive.
+func TestSurroundingTextCostsItsCap(t *testing.T) {
+	perExtract := func(parentBytes int) uint64 {
+		page := []byte("<p>" + strings.Repeat("word ", parentBytes/5) + `<a href="/x">t</a></p>`)
+		var buf []Link
+		extract := func() { buf = ExtractLinksAppend(buf[:0], page) }
+		for range 2 * parserFreeCap { // every parked parser grows its scratch
+			extract()
+		}
+		if len(buf) != 1 || len(buf[0].SurroundingText) != 256 {
+			t.Fatalf("%d-byte parent: %d links, want 1 with 256 bytes of context", parentBytes, len(buf))
+		}
+		const runs = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			extract()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, big := perExtract(1<<10), perExtract(64<<10)
+	if big >= small+256 {
+		t.Errorf("a link under a 64 KB parent costs %d bytes an extraction, under a 1 KB one %d: want within 256", big, small)
+	}
+}
+
+// TestFullInternTableStartsOver: a parser whose intern table filled on
+// earlier pages starts the table over instead of allocating every new string
+// from then on, so it warms to the page it parses now.
+func TestFullInternTableStartsOver(t *testing.T) {
+	drain := func() {
+		for len(parserFree) > 0 {
+			<-parserFree
+		}
+	}
+	page := buildPage(16, 4)
+	drain()
+	fresh := allocsPerExtract(page) // one parser, built for it and parked
+	drain()
+	p := newParser(true)
+	for i := 0; len(p.interned) < maxIntern+len(commonStrings); i++ {
+		p.intern([]byte("filler-" + strconv.Itoa(i)))
+	}
+	putParser(p)
+	full := allocsPerExtract(page)
+	if full != fresh {
+		t.Errorf("a page costs %v allocations on a parser whose table filled, %v on a fresh one", full, fresh)
 	}
 }
 

@@ -103,12 +103,47 @@ func FuzzTokenizer(f *testing.F) {
 	})
 }
 
+// filterLinks is ExtractLinksFiltered's definition over an unfiltered
+// extraction: the links admit keeps, with the URL it returns and the fields
+// outside want zeroed.
+func filterLinks(links []Link, want Fields, admit func(string) (string, bool)) []Link {
+	var out []Link
+	for _, l := range links {
+		u, ok := admit(l.URL)
+		if !ok {
+			continue
+		}
+		l.URL = u
+		if want&TagPathField == 0 {
+			l.TagPath = nil
+		}
+		if want&AnchorTextField == 0 {
+			l.AnchorText = ""
+		}
+		if want&SurroundingTextField == 0 {
+			l.SurroundingText = ""
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// fuzzAdmit is a deterministic filter for the fuzz target: it drops every
+// href whose length is a multiple of three and rewrites the others.
+func fuzzAdmit(href string) (string, bool) {
+	if len(href)%3 == 0 {
+		return "", false
+	}
+	return "admitted:" + href, true
+}
+
 // FuzzExtractLinks drives the full pooled parse→extract path: it must
 // terminate, two runs over one input must agree exactly (no state leaking
 // through the parser pool), the result must equal the materializing tree
 // path's (Parse + ExtractLinksFromTree builds every text node as a string;
-// it is the oracle for the pooled run's source views), and every extracted
-// link must satisfy the documented invariants.
+// it is the oracle for the pooled run's source views), the filtered form
+// must equal the unfiltered one followed by the same filter for every field
+// set, and every extracted link must satisfy the documented invariants.
 func FuzzExtractLinks(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src []byte) {
@@ -120,6 +155,12 @@ func FuzzExtractLinks(f *testing.F) {
 		}
 		if tree := ExtractLinksFromTree(Parse(src)); !reflect.DeepEqual(links, tree) {
 			t.Errorf("pooled extraction differs from the tree path:\npooled: %+v\ntree:   %+v", links, tree)
+		}
+		for want := Fields(0); want <= AllFields; want++ {
+			got := ExtractLinksFiltered(nil, src, want, fuzzAdmit)
+			if ref := filterLinks(links, want, fuzzAdmit); !reflect.DeepEqual(got, ref) {
+				t.Errorf("fields %03b: filtered extraction differs from filtering the full one:\nfiltered: %+v\nfull:     %+v", want, got, ref)
+			}
 		}
 		for _, l := range links {
 			if strings.TrimSpace(l.URL) == "" {

@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"unicode/utf8"
@@ -106,22 +107,41 @@ func PathTo(n *Node) TagPath {
 
 // Link is one hyperlink extracted from a page: the edge of the website graph
 // together with its label and the textual context used by the FOCUSED
-// baseline's URL_CONT feature set.
+// baseline's URL_CONT feature set. An extraction that was not asked for a
+// field (see Fields) leaves it empty.
 type Link struct {
 	// URL is the raw attribute value (href or src), not yet resolved
-	// against the page URL.
+	// against the page URL — or, in a filtered extraction, what the admit
+	// callback returned for it.
 	URL string
 	// TagPath is the root-to-link tag path labeling this edge. It is
-	// read-only: consecutive links with equal paths share one slice.
+	// read-only: consecutive links of one extraction with equal paths share
+	// one slice (in a filtered extraction, consecutive surviving links).
 	TagPath TagPath
 	// AnchorText is the link's own text content (empty for area/iframe).
 	AnchorText string
 	// SurroundingText is the text of the link's parent element, giving a
-	// window of context around the anchor.
+	// window of context around the anchor: its first 256 bytes, cut at a
+	// rune boundary.
 	SurroundingText string
 	// Tag is the linking element name: "a", "area", or "iframe".
 	Tag string
 }
+
+// Fields names the Link fields beyond URL and Tag that an extraction builds.
+type Fields uint8
+
+// The optional Link fields.
+const (
+	TagPathField Fields = 1 << iota
+	AnchorTextField
+	SurroundingTextField
+
+	AllFields = TagPathField | AnchorTextField | SurroundingTextField
+)
+
+// surroundingCap is the byte cap on SurroundingText.
+const surroundingCap = 256
 
 // linkAttr maps each linking element to the attribute holding its URL,
 // following Section 2.2 (edges exist via tags like <a>, <area>, <iframe>).
@@ -136,11 +156,22 @@ func ExtractLinks(src []byte) []Link {
 }
 
 // ExtractLinksAppend is ExtractLinks appending into dst (which may be an
-// exhausted scratch slice), for callers that recycle their link buffers.
+// exhausted scratch slice), for callers that recycle their link buffers. It
+// is ExtractLinksFiltered with every field and no filter.
 func ExtractLinksAppend(dst []Link, src []byte) []Link {
+	return ExtractLinksFiltered(dst, src, AllFields, nil)
+}
+
+// ExtractLinksFiltered is ExtractLinksAppend for a caller that keeps some of
+// a page's links and reads some of their fields. At each link element, admit
+// is called with the trimmed href before anything else about the link is
+// built: a link it refuses costs nothing more, and one it admits is appended
+// with the URL admit returned and, of the optional fields, only those in
+// want. A nil admit keeps every link, its href as URL.
+func ExtractLinksFiltered(dst []Link, src []byte, want Fields, admit func(href string) (string, bool)) []Link {
 	p := getParser()
 	root := p.parse(src)
-	dst = p.extract(root, dst)
+	dst = p.extract(root, dst, want, admit)
 	putParser(p)
 	return dst
 }
@@ -148,25 +179,27 @@ func ExtractLinksAppend(dst []Link, src []byte) []Link {
 // ExtractLinksFromTree is ExtractLinks over an already-parsed tree.
 func ExtractLinksFromTree(root *Node) []Link {
 	p := getParser()
-	links := p.extract(root, nil)
+	links := p.extract(root, nil, AllFields, nil)
 	putParser(p)
 	return links
 }
 
-// extract walks the tree once, maintaining the root-to-node tag-path token
-// stack incrementally (no per-link Parent-chain rebuild) and memoizing the
-// last parent's collapsed text (links sharing a parent share the
-// computation) and the last link's tag path (a link whose path equals it
-// shares the slice). Links collect in the parser's own buffer and reach dst
-// in one append, so a nil dst costs one exactly-sized allocation, not a
-// doubling series.
-func (p *parser) extract(root *Node, dst []Link) []Link {
+// extract walks the tree once. With tag paths wanted, it maintains the
+// root-to-node token stack incrementally (no per-link Parent-chain rebuild)
+// and shares the last link's path with a next one whose path equals it; with
+// surrounding text wanted, it memoizes the last parent's truncated text
+// (links sharing a parent share the computation). Links collect in the
+// parser's own buffer and reach dst in one append, so a nil dst costs one
+// exactly-sized allocation, not a doubling series.
+func (p *parser) extract(root *Node, dst []Link, want Fields, admit func(string) (string, bool)) []Link {
+	p.want, p.admit = want, admit
 	p.lastParent = nil
 	p.lastParentText = ""
 	p.lastPath = nil
 	for _, c := range root.Children {
 		p.walkExtract(c)
 	}
+	p.admit = nil // a parked parser keeps no caller state alive
 	dst = append(dst, p.links...)
 	clear(p.links)
 	p.links = p.links[:0]
@@ -177,57 +210,75 @@ func (p *parser) walkExtract(n *Node) {
 	if n.Type != ElementNode {
 		return
 	}
-	tok := n.Data // the whole token of an element without id or class
-	if len(n.Attrs) > 0 {
-		p.tokBuf = appendPathToken(p.tokBuf[:0], n)
-		tok = p.intern(p.tokBuf)
-	}
-	p.pathStack = append(p.pathStack, tok)
-	if attr, ok := linkAttr[n.Data]; ok {
-		href, _ := n.Attr(attr)
-		if href = strings.TrimSpace(href); href != "" {
-			// Sibling links (a list of downloads, a menu) mostly share their
-			// path; tokens are interned, so the comparison is mostly
-			// pointer-equal strings.
-			if !slices.Equal(p.lastPath, p.pathStack) {
-				p.lastPath = make(TagPath, len(p.pathStack))
-				copy(p.lastPath, p.pathStack)
-			}
-			l := Link{
-				URL:     href,
-				TagPath: p.lastPath,
-				Tag:     n.Data,
-			}
-			if n.Data == "a" {
-				l.AnchorText = p.textOf(n)
-			}
-			if n.Parent != nil {
-				if n.Parent != p.lastParent {
-					p.lastParent = n.Parent
-					p.lastParentText = p.textOf(n.Parent)
-				}
-				l.SurroundingText = truncate(p.lastParentText, 256)
-			}
-			p.links = append(p.links, l)
+	paths := p.want&TagPathField != 0
+	if paths {
+		tok := n.Data // the whole token of an element without id or class
+		if len(n.Attrs) > 0 {
+			p.tokBuf = appendPathToken(p.tokBuf[:0], n)
+			tok = p.intern(p.tokBuf)
 		}
+		p.pathStack = append(p.pathStack, tok)
+	}
+	if attr, ok := linkAttr[n.Data]; ok {
+		p.link(n, attr)
 	}
 	for _, c := range n.Children {
 		p.walkExtract(c)
 	}
-	p.pathStack = p.pathStack[:len(p.pathStack)-1]
+	if paths {
+		p.pathStack = p.pathStack[:len(p.pathStack)-1]
+	}
 }
 
-// textOf is Node.Text over the parser's reusable scratch, interning short
-// results (anchor texts repeat heavily across a site).
-func (p *parser) textOf(n *Node) string {
+// link appends the link element n, its URL in attribute attr, if it has one
+// and admit keeps it.
+func (p *parser) link(n *Node, attr string) {
+	href, _ := n.Attr(attr)
+	if href = strings.TrimSpace(href); href == "" {
+		return
+	}
+	if p.admit != nil {
+		var ok bool
+		if href, ok = p.admit(href); !ok {
+			return
+		}
+	}
+	l := Link{URL: href, Tag: n.Data}
+	if p.want&TagPathField != 0 {
+		// Sibling links (a list of downloads, a menu) mostly share their
+		// path; tokens are interned, so the comparison is mostly
+		// pointer-equal strings.
+		if !slices.Equal(p.lastPath, p.pathStack) {
+			p.lastPath = make(TagPath, len(p.pathStack))
+			copy(p.lastPath, p.pathStack)
+		}
+		l.TagPath = p.lastPath
+	}
+	if p.want&AnchorTextField != 0 && n.Data == "a" {
+		l.AnchorText = p.textOf(n, math.MaxInt)
+	}
+	if p.want&SurroundingTextField != 0 && n.Parent != nil {
+		if n.Parent != p.lastParent {
+			p.lastParent = n.Parent
+			p.lastParentText = p.textOf(n.Parent, surroundingCap)
+		}
+		l.SurroundingText = p.lastParentText
+	}
+	p.links = append(p.links, l)
+}
+
+// textOf is Node.Text over the parser's reusable scratch, cut to its first
+// limit bytes at a rune boundary and then interned (anchor texts repeat
+// heavily across a site): only what the Link keeps becomes a string.
+func (p *parser) textOf(n *Node, limit int) string {
 	var brk bool
 	p.textBuf = appendNodeText(p.textBuf[:0], n, &brk)
-	return p.intern(p.textBuf)
+	return p.intern(truncate(p.textBuf, limit))
 }
 
 // truncate caps s at n bytes without splitting a multi-byte UTF-8 rune: the
 // cut backs off to the nearest rune boundary at or before n.
-func truncate(s string, n int) string {
+func truncate[S string | []byte](s S, n int) S {
 	if len(s) <= n {
 		return s
 	}

@@ -212,6 +212,8 @@ type parser struct {
 	stack []*Node // open-element stack
 
 	// Link-extraction walk state.
+	want           Fields
+	admit          func(href string) (string, bool) // nil outside a filtered walk
 	pathStack      []string
 	tokBuf         []byte
 	textBuf        []byte
@@ -342,9 +344,16 @@ func (p *parser) intern(b []byte) string {
 		return s
 	}
 	s := string(b)
-	if len(p.interned) < maxIntern+len(commonStrings) && len(s) <= maxInternLen {
-		p.interned[s] = s
+	if len(s) > maxInternLen {
+		return s
 	}
+	if len(p.interned) >= maxIntern+len(commonStrings) {
+		// A full table starts over, so a long-lived parser keeps learning
+		// the site it parses now instead of the first ones it saw.
+		clear(p.interned)
+		maps.Copy(p.interned, commonStrings)
+	}
+	p.interned[s] = s
 	return s
 }
 

@@ -25,11 +25,24 @@
 // copy in the parser's arena only when the tokenizer decoded entities into
 // its scratch), and the whitespace-collapsing scan that builds AnchorText and
 // SurroundingText reads the views directly, whole ASCII words at a time.
-// Only the collapsed result becomes a string. The views are dropped when the
-// parser is recycled, so an idle parser pins no page body. Parse builds the
-// same tree with every text node materialized in Node.Data;
-// ExtractLinksFromTree over it is the oracle the fuzz target holds
-// ExtractLinks to.
+// Only the collapsed result becomes a string — for SurroundingText, only its
+// first 256 bytes. The views are dropped when the parser is recycled, so an
+// idle parser pins no page body. Parse builds the same tree with every text
+// node materialized in Node.Data; ExtractLinksFromTree over it is the oracle
+// the fuzz target holds ExtractLinks to.
+//
+// A caller that keeps few of a page's links and reads few of their fields
+// pays for those alone through ExtractLinksFiltered, of which
+// ExtractLinksAppend is the unfiltered case. Its admit callback sees each
+// link's href before anything else of the link exists: a refused link costs
+// the walk nothing more. An admitted link gets the URL admit returned and
+// only the fields the caller asked for: its tag path (a copy only when it
+// differs from the previous surviving link's, and the element tokens behind
+// it are not even built when no tag path is wanted), its anchor text, its
+// parent's text (computed once per parent). Every string an extraction hands
+// out is interned in the parser's bounded table when short; a table that
+// fills starts over, so a long-lived parser stays warm on the pages it
+// parses now.
 package dom
 
 import (

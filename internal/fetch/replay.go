@@ -61,10 +61,13 @@ type Replay struct {
 	mu sync.Mutex
 	// gets and heads are the whole database without a durable backend, and
 	// only what could not be written to it with one.
-	gets    map[string]Response
-	heads   map[string]Response
-	disk    store.Backend
-	diskErr error
+	gets  map[string]Response
+	heads map[string]Response
+	// getDisk and headDisk are the backend's two verb namespaces (nil
+	// without one), read and written by URL alone: a read's key is joined
+	// in the store's scratch, never in a string (see store.Prefixed).
+	getDisk, headDisk store.Backend
+	diskErr           error
 	// enc is the write-through encode scratch, reused under mu so the write
 	// path stops allocating once it has grown to the largest response seen
 	// (store.Put copies the value before returning).
@@ -92,18 +95,22 @@ func NewReplay(backend Fetcher) *Replay {
 func (r *Replay) SetBackend(b store.Backend) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.disk = b
+	r.getDisk, r.headDisk = nil, nil
+	if b != nil {
+		r.getDisk = store.Prefixed(b, replayGetPrefix)
+		r.headDisk = store.Prefixed(b, replayHeadPrefix)
+	}
 }
 
 // load is the single read path of the database: memory first, then the
-// durable backend by key. An absent key is one index miss there; a record
-// that does not decode is treated as absent, and the re-fetch overwrites it.
-// lend marks a GET, whose disk-hit body may be lent; any other lookup is a
-// HEAD and comes back without a body.
-func (r *Replay) load(mem map[string]Response, prefix, url string, lend bool) (Response, bool) {
+// durable backend's namespace disk by URL. An absent URL is one index miss
+// there; a record that does not decode is treated as absent, and the
+// re-fetch overwrites it. lend marks a GET, whose disk-hit body may be lent;
+// any other lookup is a HEAD and comes back without a body.
+func (r *Replay) load(mem map[string]Response, disk store.Backend, url string, lend bool) (Response, bool) {
 	resp, ok := mem[url]
-	if !ok && r.disk != nil {
-		resp, ok = r.read(prefix+url, url, lend)
+	if !ok && disk != nil {
+		resp, ok = r.read(disk, url, lend)
 	}
 	if !lend {
 		resp.Body = nil
@@ -111,18 +118,18 @@ func (r *Replay) load(mem map[string]Response, prefix, url string, lend bool) (R
 	return resp, ok
 }
 
-// read decodes the backend's record under key. It reads into a pooled
-// buffer unless a GET body is already on loan — then into a fresh value the
-// GC takes back — and lends the buffer with a GET's non-empty body or
-// returns it to the pool at once.
-func (r *Replay) read(key, url string, lend bool) (Response, bool) {
+// read decodes disk's record for url. It reads into a pooled buffer unless a
+// GET body is already on loan — then into a fresh value the GC takes back —
+// and lends the buffer with a GET's non-empty body or returns it to the pool
+// at once.
+func (r *Replay) read(disk store.Backend, url string, lend bool) (Response, bool) {
 	var buf *[]byte
 	var raw []byte
 	if r.lent == nil || !lend {
 		buf = codec.GetBuffer()
 		raw = *buf
 	}
-	raw, ok := r.disk.AppendValue(raw, key)
+	raw, ok := disk.AppendValue(raw, url)
 	var resp Response
 	if ok && DecodeResponseInto(raw, &resp) == nil {
 		r.own(&resp, url)
@@ -190,13 +197,13 @@ func (r *Replay) count(hit bool) {
 // forever — a resumed crawl would "see" the failure even after the host
 // recovered. The retry layer above re-attempts such responses, and only
 // the eventual real answer is stored.
-func (r *Replay) record(mem map[string]Response, prefix, url string, resp Response) {
+func (r *Replay) record(mem map[string]Response, disk store.Backend, url string, resp Response) {
 	if UncacheableStatus(resp.Status) {
 		return
 	}
-	if r.disk != nil {
+	if disk != nil {
 		r.enc = AppendResponse(r.enc[:0], &resp)
-		err := r.disk.Put(prefix+url, r.enc)
+		err := disk.Put(url, r.enc)
 		if err == nil {
 			return
 		}
@@ -210,7 +217,7 @@ func (r *Replay) record(mem map[string]Response, prefix, url string, resp Respon
 // Get implements Fetcher.
 func (r *Replay) Get(url string) (Response, error) {
 	r.mu.Lock()
-	resp, ok := r.load(r.gets, replayGetPrefix, url, true)
+	resp, ok := r.load(r.gets, r.getDisk, url, true)
 	r.count(ok)
 	r.mu.Unlock()
 	if ok {
@@ -221,7 +228,7 @@ func (r *Replay) Get(url string) (Response, error) {
 		return resp, err
 	}
 	r.mu.Lock()
-	r.record(r.gets, replayGetPrefix, url, resp)
+	r.record(r.gets, r.getDisk, url, resp)
 	r.mu.Unlock()
 	return resp, nil
 }
@@ -230,9 +237,9 @@ func (r *Replay) Get(url string) (Response, error) {
 // hit never carries a body.
 func (r *Replay) Head(url string) (Response, error) {
 	r.mu.Lock()
-	resp, ok := r.load(r.heads, replayHeadPrefix, url, false)
+	resp, ok := r.load(r.heads, r.headDisk, url, false)
 	if !ok {
-		resp, ok = r.load(r.gets, replayGetPrefix, url, false)
+		resp, ok = r.load(r.gets, r.getDisk, url, false)
 	}
 	r.count(ok)
 	r.mu.Unlock()
@@ -244,7 +251,7 @@ func (r *Replay) Head(url string) (Response, error) {
 		return resp, err
 	}
 	r.mu.Lock()
-	r.record(r.heads, replayHeadPrefix, url, resp)
+	r.record(r.heads, r.headDisk, url, resp)
 	r.mu.Unlock()
 	return resp, nil
 }
@@ -255,8 +262,8 @@ func (r *Replay) Stored() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := len(r.gets)
-	if r.disk != nil {
-		n += r.disk.Count(replayGetPrefix)
+	if r.getDisk != nil {
+		n += r.getDisk.Count("")
 	}
 	return n
 }

@@ -189,6 +189,7 @@ type Store struct {
 	recovered  []Recovery
 	lock       *os.File // flock-held writer lock (LOCK file)
 	closed     bool
+	keyBuf     []byte // a namespaced read's joined key (appendJoined)
 }
 
 // Open opens (creating if needed) the store directory, rebuilds the index
@@ -509,6 +510,22 @@ func (s *Store) AppendValue(dst []byte, key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l, ok := s.index[key]
+	return s.valueLocked(dst, l, ok)
+}
+
+// appendJoined is AppendValue of the key prefix+key, joined in the store's
+// own scratch under its lock instead of in a string: a namespaced read (see
+// Prefixed) builds no key.
+func (s *Store) appendJoined(dst []byte, prefix, key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.keyBuf = append(append(s.keyBuf[:0], prefix...), key...)
+	l, ok := s.index[string(s.keyBuf)]
+	return s.valueLocked(dst, l, ok)
+}
+
+// valueLocked appends the value of the index entry l (present when ok).
+func (s *Store) valueLocked(dst []byte, l loc, ok bool) ([]byte, bool) {
 	if !ok || s.closed {
 		return dst, false
 	}
@@ -765,8 +782,13 @@ var _ Backend = (*Store)(nil)
 
 // Prefixed scopes a Backend into a namespace: every key is transparently
 // prefixed, so independent layers (per-site replay databases, checkpoints,
-// session records) share one physical store without colliding.
+// session records) share one physical store without colliding. A namespace
+// of a namespace is one namespace under the joined prefix, and a read
+// through one over a *Store joins its key there, in no new string.
 func Prefixed(b Backend, prefix string) Backend {
+	if pb, ok := b.(*prefixed); ok {
+		return &prefixed{b: pb.b, p: pb.p + prefix}
+	}
 	return &prefixed{b: b, p: prefix}
 }
 
@@ -778,6 +800,9 @@ type prefixed struct {
 func (pb *prefixed) Put(key string, val []byte) error { return pb.b.Put(pb.p+key, val) }
 func (pb *prefixed) Sync() error                      { return pb.b.Sync() }
 func (pb *prefixed) AppendValue(dst []byte, key string) ([]byte, bool) {
+	if s, ok := pb.b.(*Store); ok {
+		return s.appendJoined(dst, pb.p, key)
+	}
 	return pb.b.AppendValue(dst, pb.p+key)
 }
 func (pb *prefixed) PutBatch(kvs []KV) error {

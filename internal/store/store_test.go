@@ -111,6 +111,63 @@ func TestKeysPrefixAndPrefixed(t *testing.T) {
 	}
 }
 
+// TestPrefixedOfPrefixed: a namespace of a namespace reads and writes the
+// same key bytes as one namespace under the joined prefix, and lists and
+// counts the same keys.
+func TestPrefixedOfPrefixed(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	nested := Prefixed(Prefixed(s, "site|r|"), "g|")
+	if err := nested.Put("u", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := nested.PutBatch([]KV{{Key: "v", Val: []byte("2")}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Keys(""); !reflect.DeepEqual(got, []string{"site|r|g|u", "site|r|g|v"}) {
+		t.Fatalf("raw keys %v", got)
+	}
+	flat := Prefixed(s, "site|r|g|")
+	for _, ns := range []Backend{nested, flat} {
+		if v, ok := ns.AppendValue(nil, "u"); !ok || string(v) != "1" {
+			t.Errorf("AppendValue(u) = %q, %v", v, ok)
+		}
+		if got := ns.Keys(""); !reflect.DeepEqual(got, []string{"u", "v"}) || ns.Count("") != 2 {
+			t.Errorf("Keys = %v, Count = %d", got, ns.Count(""))
+		}
+	}
+	if _, ok := Prefixed(s, "site|r|").AppendValue(nil, "u"); ok {
+		t.Error("the outer namespace reads the inner one's key without its prefix")
+	}
+}
+
+// TestPrefixedReadAllocs: a namespaced read into a warm buffer allocates
+// nothing; the store joins the namespace and the key in its own scratch.
+func TestPrefixedReadAllocs(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ns := Prefixed(Prefixed(s, "site|r|"), "g|")
+	const key = "https://www.example.org/data/file.csv"
+	if err := ns.Put(key, bytes.Repeat([]byte{1}, 512)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	if n := testing.AllocsPerRun(100, func() {
+		var ok bool
+		if buf, ok = ns.AppendValue(buf[:0], key); !ok {
+			t.Fatal("namespaced read missed")
+		}
+	}); n != 0 {
+		t.Errorf("a namespaced read allocates %v times, want 0", n)
+	}
+}
+
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -90,37 +90,100 @@ func plainTail(s string, i int, dots bool) (pathEnd, end int, ok bool) {
 	return pathEnd, end, end == len(s) || s[end] == '#'
 }
 
-// normalizePlain is Normalize's fast path. It either returns exactly what
-// normalizeURL would, or declines (ok=false) and leaves ref to it. It takes
-// two shapes of reference, both in the plain form and both free of dot
-// segments: a path-absolute one ("/p?q#f", not "//"), which resolves to the
-// base's origin followed by the reference when that origin is itself plain;
-// and an absolute one ("http://host/p?q#f"), which is its own normal form.
-// The fragment is cut either way.
-func normalizePlain(base *url.URL, ref string) (abs string, ok bool) {
-	start := 0 // where the path begins in ref
+// plainRef reads a reference in one of the two shapes the fast path takes,
+// both in the plain form and both free of dot segments: a path-absolute one
+// ("/p?q#f", not "//"), which resolves to the base's origin followed by the
+// reference when that origin is itself plain; and an absolute one
+// ("http://host/p?q#f"), which is its own normal form. start is where the
+// path begins in ref (0 for the path-absolute shape) and ref[:end] is what
+// the normal form keeps of it: the fragment is cut either way. ok is false
+// for any other reference.
+func plainRef(ref string) (start, end int, ok bool) {
 	switch {
 	case len(ref) == 0:
-		return "", false
+		return 0, 0, false
 	case ref[0] != '/':
 		if _, start, ok = plainOrigin(ref); !ok {
-			return "", false
+			return 0, 0, false
 		}
 	case len(ref) > 1 && ref[1] == '/':
-		return "", false // "//host/…" names an authority
+		return 0, 0, false // "//host/…" names an authority
 	}
-	_, end, ok := plainTail(ref, start, false)
+	_, end, ok = plainTail(ref, start, false)
 	if !ok || span(ref, end, cFrag) != len(ref) {
+		return 0, 0, false
+	}
+	return start, end, true
+}
+
+// normalizePlain is Normalize's fast path. It either returns exactly what
+// normalizeURL would, or declines (ok=false) and leaves ref to it.
+func normalizePlain(base *url.URL, ref string) (abs string, ok bool) {
+	start, end, ok := plainRef(ref)
+	switch {
+	case !ok:
 		return "", false
-	}
-	if start > 0 {
+	case start > 0:
 		return ref[:end], true
-	}
-	if base == nil || base.User != nil || (base.Scheme != "http" && base.Scheme != "https") ||
-		base.Host == "" || span(base.Host, 0, cHost) != len(base.Host) {
+	case base == nil || base.User != nil || (base.Scheme != "http" && base.Scheme != "https") ||
+		base.Host == "" || span(base.Host, 0, cHost) != len(base.Host):
 		return "", false
 	}
 	return base.Scheme + "://" + base.Host + ref[:end], true
+}
+
+// Base is a page URL as the base its links resolve against, parsed only when
+// a link needs more of it than its origin. When the page URL is in the plain
+// form, a plain reference resolves against the origin alone (url.Parse of
+// such a URL has exactly that scheme and host, and no userinfo), so a page
+// whose links are all plain never reaches net/url. A Base is reused from page
+// to page through Reset; the zero Base is the empty page URL.
+type Base struct {
+	raw    string
+	origin string   // raw's "scheme://host" when raw is plain, else ""
+	u      *url.URL // ParseBase(raw), once a reference has needed it
+}
+
+// Reset points b at the page URL raw.
+func (b *Base) Reset(raw string) {
+	b.raw, b.origin, b.u = raw, "", nil
+	if host, _, ok := splitPlain(raw); ok {
+		b.origin = raw[:strings.IndexByte(raw, ':')+len("://")+len(host)]
+	}
+}
+
+// parsed is ParseBase of the page URL, parsed on first use.
+func (b *Base) parsed() *url.URL {
+	if b.u == nil {
+		b.u = ParseBase(b.raw)
+	}
+	return b.u
+}
+
+// AppendNormalize appends Normalize(ParseBase(page), ref) to dst, where page
+// is the URL b was Reset to, and reports false (dst unchanged) where that is
+// "". A plain reference builds no string on the way; any other one goes
+// through Normalize.
+func (b *Base) AppendNormalize(dst []byte, ref string) ([]byte, bool) {
+	if start, end, ok := plainRef(ref); ok && (start > 0 || b.origin != "") {
+		if start == 0 {
+			dst = append(dst, b.origin...)
+		}
+		return append(dst, ref[:end]...), true
+	}
+	abs := Normalize(b.parsed(), ref)
+	return append(dst, abs...), abs != ""
+}
+
+// String returns abs, the normal form of ref that AppendNormalize appended,
+// as a string that outlives abs's buffer: ref itself (a view) when it begins
+// with abs — an absolute plain reference is its own normal form, so it costs
+// nothing, as in Normalize — and a copy otherwise.
+func String(abs []byte, ref string) string {
+	if len(abs) <= len(ref) && ref[:len(abs)] == string(abs) {
+		return ref[:len(abs)]
+	}
+	return string(abs)
 }
 
 // splitPlain splits an absolute URL in the plain form — what Normalize

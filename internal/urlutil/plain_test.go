@@ -69,12 +69,17 @@ func TestNormalizeFastPathAccepts(t *testing.T) {
 
 // FuzzNormalizeFastVsURL holds Normalize to its net/url definition for
 // arbitrary references and bases: whatever the fast path returns, the
-// retained body must return too.
+// retained body must return too. The append form over a lazy Base must
+// return the same for the base as a page URL, whatever that URL is.
 func FuzzNormalizeFastVsURL(f *testing.F) {
 	bases := []string{
 		"", "https://www.example.org/a/b/page.html", "http://h.org", "http://H.ORG/x",
 		"http://h.org:80/", "https://h.org:443/", "http://u:p@h.org/", "http://[::1]:8080/",
 		"mailto:x@y.z", "http:opaque", "://bad", "/relative/base", "//h.org/x",
+		// Page URLs whose plain-looking origin url.Parse reads otherwise, or
+		// refuses: a bad escape or a fragment in the tail, a query right
+		// after the host, an uppercase scheme, a space.
+		"https://h.org/a%zz", "https://h.org/a#f", "https://h.org?q", "HTTPS://h.org/", "https://h.org/a b",
 	}
 	refs := []string{
 		"/x", "/a/b.csv?dl=1#top", "http://other.org/y", "https://other.org", "c.html",
@@ -95,7 +100,40 @@ func FuzzNormalizeFastVsURL(f *testing.F) {
 		if got, want := Normalize(b, ref), normalizeURL(b, ref); got != want {
 			t.Errorf("Normalize(%q, %q) = %q, net/url says %q", base, ref, got, want)
 		}
+		var lazy Base
+		lazy.Reset(base)
+		want := normalizeURL(ParseBase(base), ref)
+		got, ok := lazy.AppendNormalize([]byte("dst:"), ref)
+		if string(got) != "dst:"+want || ok != (want != "") {
+			t.Errorf("AppendNormalize over page %q of %q = %q, %v; net/url says %q", base, ref, got, ok, want)
+		}
+		if s := String(got[len("dst:"):], ref); s != want {
+			t.Errorf("String of %q's normal form = %q, want %q", ref, s, want)
+		}
 	})
+}
+
+// TestBaseAppendNormalizeAllocs: over a plain page URL, a plain link
+// normalizes into a warm buffer without parsing the page or building a
+// string, and String of an absolute one is the link itself.
+func TestBaseAppendNormalizeAllocs(t *testing.T) {
+	var b Base
+	var buf []byte
+	const abs = "https://sub.example.org/data/file.csv"
+	for _, ref := range []string{"/data/file.csv?dl=1", abs + "#top"} {
+		if n := testing.AllocsPerRun(200, func() {
+			b.Reset("https://www.example.org/a/b/page.html?x=1")
+			buf, _ = b.AppendNormalize(buf[:0], ref)
+		}); n != 0 {
+			t.Errorf("AppendNormalize(%q) allocates %v times, want 0", ref, n)
+		}
+		if b.u != nil {
+			t.Errorf("AppendNormalize(%q) parsed the page URL", ref)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() { sink = String(buf, abs+"#top") }); n != 0 || sink != abs {
+		t.Errorf("String of an absolute link = %q with %v allocations, want %q with none", sink, n, abs)
+	}
 }
 
 // FuzzSplitVsURL holds the plain split to url.Parse: whenever it accepts,

@@ -27,7 +27,9 @@
 // one thing reference resolution rewrites inside such a path, and "/." is
 // the cheapest test that rules both out. splitPlain reads host and path off
 // an already-normalized URL under the same classes; a '#' declines there
-// outright.
+// outright. Base.AppendNormalize is Normalize with the same grammar, written
+// into the caller's buffer, against a page URL that is parsed only when a
+// reference falls through to net/url.
 package urlutil
 
 import (

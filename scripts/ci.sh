@@ -57,8 +57,8 @@ if grep -rn --include='*.go' 'ClassifyFeatures' internal | grep -v '_test.go'; t
 fi
 # A session pays for its pages, not for being a crawl: the tag-path
 # vectorizer computes its collision counts from the vocabulary's size instead
-# of keeping a D-wide bucket table per crawl, and the engine filters each
-# page's links in place on its link stack instead of copying them.
+# of keeping a D-wide bucket table per crawl, and a page's surviving links go
+# straight onto the engine's link stack instead of into a copy.
 if grep -rn --include='*.go' 'bucketCount' internal/textvec | grep -v '_test.go'; then
 	echo "internal/textvec keeps a bucket table outside _test.go" >&2
 	exit 1
@@ -80,9 +80,13 @@ go test -race ./...
 go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|BenchmarkAdaptivePrefetch|BenchmarkFleetSharedCache' -benchtime 1x .
 # Allocation gates, every package's 'Alloc' tests in one pass. They hold:
 # link path — free-listed parsers cost O(links) a page, never O(bytes), the
-# same after a GC; the raw-text scan copies nothing; Normalize costs a link its
-# one result string and the scope/blocklist filters nothing; the engine
-# filters a page's links without copying them. Algorithm 1 — an action-index
+# same after a GC, and a full intern table starts over; the raw-text scan
+# copies nothing; a link's surrounding text costs its 256 bytes whatever its
+# parent's size; Normalize costs a link its one result string, the lazy page
+# base nothing, and the scope/blocklist filters nothing; once warm, a page
+# whose links are all in T ∪ F costs extractNewLinks nothing, and a page of k
+# new links with no field asked for costs its k URL strings plus a constant,
+# whatever its text and markup. Algorithm 1 — an action-index
 # lookup allocates nothing once warm, a founding action only its non-zeros.
 # Algorithm 2 — bigrams into spare capacity allocate nothing, a URL_ONLY link
 # nothing past the HEAD phase, scoring and training nothing once the weight
@@ -91,9 +95,10 @@ go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|Bench
 # D-wide table. Durable path — the replay-record codec round trip and the
 # checkpoint re-encode allocate nothing; the checkpoint sink nothing, whatever
 # the frontier's size; store.Open and Snapshot allocate per key, not per
-# stored byte, and a read into a reused buffer copies, never allocates; a
-# replay GET hit whose body is handed back, or a HEAD answered by a stored GET,
-# costs its key strings and nothing the size of the record; attaching a crawl
+# stored byte, and a read into a reused buffer copies, never allocates, a
+# namespaced one included (the store joins its key); a replay GET hit whose
+# body is handed back costs its MIME copy alone, a HEAD answered by a stored
+# GET nothing the size of the record; attaching a crawl
 # to a store costs the same whatever the store holds; a Site counts its pages
 # once; a crawld client decodes each response out of one reused buffer.
 go test -run 'Alloc' -count=1 ./...
@@ -122,8 +127,9 @@ go test -run '^$' -fuzz '^FuzzActionIndexSparseVsDense$' -fuzztime 10s ./interna
 # And for the sorted-slice URL features: arbitrary bytes and block offsets
 # must give exactly the map-keyed vector they replaced, in ascending ID order.
 go test -run '^$' -fuzz '^FuzzCharBigramsSortedVsMap$' -fuzztime 10s ./internal/learn
-# And for the link path's fast forms: Normalize must equal its retained
-# net/url body for arbitrary references and bases, and whatever the plain
+# And for the link path's fast forms: Normalize, and its append form over a
+# lazily parsed page base, must equal the retained net/url body for arbitrary
+# references and bases, and whatever the plain
 # host/path split accepts url.Parse must parse to the same host and path (a
 # first cut of the split accepted "http://0/#%", a fragment with a bad escape,
 # and only a live run found it).

@@ -124,6 +124,7 @@ type Online struct {
 	batch   []learn.Example
 	initial bool
 	trained bool
+	fits    int // batches fit so far (see Refits)
 	pending map[string]pendingPrediction
 	conf    *Confusion
 	// x is the scratch Classify and Guess featurize a link into.
@@ -244,6 +245,7 @@ func (o *Online) addExample(link LinkContext, y int) {
 	o.batch = append(o.batch, learn.Example{X: x, Y: y})
 	if len(o.batch) >= o.cfg.BatchSize {
 		o.model.PartialFit(o.batch)
+		o.fits++
 		o.batch = o.batch[:0]
 		o.arena.IDs, o.arena.Vals = o.arena.IDs[:0], o.arena.Vals[:0]
 		o.trained = true
@@ -269,6 +271,22 @@ func (o *Online) Release() {
 
 // InInitialPhase reports whether HEAD labeling is still active.
 func (o *Online) InInitialPhase() bool { return o.initial }
+
+// LabelsToFit is how many more labels the initial phase needs before the
+// first fit ends it: b minus the examples batched so far, 0 once trained.
+// Each HEAD probe that finds an HTML page or a target is one label, as is
+// each GET the crawl observes, so the phase issues at most this many more
+// probes that count (a probe answered "neither" labels nothing).
+func (o *Online) LabelsToFit() int {
+	if !o.initial {
+		return 0
+	}
+	return o.cfg.BatchSize - len(o.batch)
+}
+
+// Refits counts the batches fit so far. Guess answers from the weights of
+// the latest fit, so a guess made before Refits moved may be stale.
+func (o *Online) Refits() int { return o.fits }
 
 // Confusion returns the accumulated confusion matrix.
 func (o *Online) Confusion() *Confusion { return o.conf }

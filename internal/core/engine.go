@@ -42,15 +42,20 @@ type Env struct {
 	// Fleet orchestration uses this for mid-batch cancellation.
 	Ctx context.Context
 	// Prefetch, when > 0, pipelines the crawl: up to Prefetch speculative
-	// GETs for the strategy's likely-next URLs run concurrently behind the
-	// engine's sequential loop, hiding fetch latency inside a single site
-	// crawl. PrefetchAuto (any negative value) selects the adaptive
-	// controller instead: the window starts narrow and is widened or
-	// narrowed online as the strategy's hint accuracy becomes visible (see
-	// fetch.AutoTuner). Results are byte-identical to Prefetch == 0 for
-	// every strategy, fixed and adaptive alike; speculative requests are
-	// never charged to the budget. The Fetcher must be safe for concurrent
-	// Gets (all provided ones are).
+	// fetches for the URLs the loop will likely or surely ask for next run
+	// concurrently behind the engine's sequential loop, hiding fetch latency
+	// inside a single site crawl. PrefetchAuto (any negative value) selects
+	// the adaptive controller instead: the window for the strategy's guesses
+	// at its next selections starts narrow and is widened or narrowed online
+	// as their accuracy becomes visible (see fetch.AutoTuner), while what
+	// the loop has already decided to fetch — SB's predicted targets of the
+	// page it is ingesting, its warm-up HEAD probes and the bandit draw
+	// behind them — goes out up to the tuner's ceiling, fetch.AutoMaxWindow,
+	// whatever the tuned width. Either way at most that many are in flight.
+	// Results are byte-identical to Prefetch == 0 for every strategy, fixed
+	// and adaptive alike; speculative requests are never charged to the
+	// budget. The Fetcher must be safe for concurrent Gets (all provided
+	// ones are).
 	Prefetch int
 	// ParseWorkers sized the deleted parse-ahead stage.
 	//
@@ -58,14 +63,15 @@ type Env struct {
 	// benchmark/ names it).
 	ParseWorkers int
 	// Partitions, when non-zero, widens the crawl's one speculation window
-	// by that factor: P × Prefetch fetches may be in flight (P × the tuned
-	// width under PrefetchAuto, P × 8 when Prefetch is 0) and the strategy
-	// is asked for as many hints per step. Nothing else changes — the same
-	// Prefetcher, the same budget clamp, the same sequential loop — so
-	// results are byte-identical to Partitions == 0 for every strategy.
-	// n >= 1 scales by n; PartitionsAuto (any negative value) by
-	// min(GOMAXPROCS, 8). Result.Fabric reports the window's hits and its
-	// launches tallied by host hash.
+	// by that factor: P × Prefetch fetches may be in flight (P × 8 when
+	// Prefetch is 0; under PrefetchAuto the strategy's guesses get P × the
+	// tuned width and decided fetches P × fetch.AutoMaxWindow, which also
+	// caps the two together) and the strategy is asked for as many hints per
+	// step. Nothing else changes — the same Prefetcher, the same budget
+	// clamp, the same sequential loop — so results are byte-identical to
+	// Partitions == 0 for every strategy. n >= 1 scales by n; PartitionsAuto
+	// (any negative value) by min(GOMAXPROCS, 8). Result.Fabric reports the
+	// window's hits and its launches tallied by host hash.
 	Partitions int
 	// Retry, when non-nil, interposes the deterministic retry layer below
 	// every speculation stage: transient failures (timeouts, connection
@@ -263,7 +269,8 @@ type engine struct {
 	recycler       fetch.Recycler    // Env.Fetcher when it lends bodies and the crawl is sequential
 	tuner          *fetch.AutoTuner  // adaptive window controller; nil unless PrefetchAuto
 	scale          int               // window multiplier: max(1, resolved Env.Partitions)
-	window         int               // in-flight cap, scale × the fixed or tuned width
+	window         int               // in-flight cap of policy hints, scale × the fixed or tuned width
+	ceiling        int               // in-flight cap of decided demands, scale × the fixed width or fetch.AutoMaxWindow
 	partFetches    []atomic.Int64    // speculative launches by owning partition; nil when unpartitioned
 	fabricStats    *fabric.Stats
 	retrier        *fetch.Retrier // deterministic retry layer; nil unless Env.Retry
@@ -317,16 +324,17 @@ func newEngine(env *Env) (*engine, error) {
 	}
 	if (env.Prefetch != 0 || env.Partitions != 0) && env.Fetcher != nil {
 		parts := fabric.Resolve(env.Partitions)
-		width := env.Prefetch
+		width, ceiling := env.Prefetch, env.Prefetch
 		switch {
 		case width < 0: // PrefetchAuto: the tuner owns the width
 			e.tuner = fetch.NewAutoTuner()
-			width = e.tuner.Window()
+			width, ceiling = e.tuner.Window(), fetch.AutoMaxWindow
 		case width == 0:
-			width = partitionWidth
+			width, ceiling = partitionWidth, partitionWidth
 		}
 		e.scale = max(1, parts)
 		e.window = e.scale * width
+		e.ceiling = e.scale * ceiling
 		e.prefetcher = fetch.NewPrefetcher(e.fetcher, e.window)
 		if parts > 0 {
 			e.partFetches = make([]atomic.Int64, parts)

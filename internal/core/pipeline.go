@@ -85,32 +85,18 @@ func (e *engine) specRoom(n int) int {
 	return n
 }
 
-// specBatch trims a list of upcoming demands to what one speculative batch
-// may hold: a window's worth, within the budget.
-func (e *engine) specBatch(urls []string) []string {
-	return urls[:max(0, e.specRoom(min(len(urls), e.window)))]
-}
-
-// speculateGets hints the GETs a policy is about to demand one after
-// another — SB's predicted targets of the page being ingested, in page
-// order, from the one the loop is at. At most one window's worth is
-// submitted; the caller re-submits as its cursor advances, and the prefetch
-// layer skips what it already tracks.
-func (e *engine) speculateGets(urls []string) {
-	if e.prefetcher != nil {
-		e.prefetcher.Hint(e.specBatch(urls)...)
+// demandRoom is how many exchanges one batch of a policy's decided demands
+// may hold — SB's predicted targets of the page being ingested, its warm-up
+// HEAD probes, the bandit's next draw behind them: the window's ceiling (the
+// fixed width, or fetch.AutoMaxWindow under PrefetchAuto, times the
+// partition scale) within the budget (see specRoom); 0 for a sequential
+// crawl. The ceiling is also the batch's in-flight bound
+// (Prefetcher.HintDemands): the tuned width, which sizes the policy's
+// guesses (Hints), does not narrow it, and with a fixed Env.Prefetch the two
+// are the same.
+func (e *engine) demandRoom() int {
+	if e.prefetcher == nil {
+		return 0
 	}
-}
-
-// speculateHeads routes upcoming HEAD probes through the speculation layer:
-// the SB classifier's initial training phase labels links by strictly
-// sequential HEAD requests, and hinting them here lets those round trips
-// overlap — the charged HEADs are then answered from resident speculation
-// (or from resident speculative GETs) instead of each paying the backend
-// latency. At most one window's worth is hinted so a warm-up that ends
-// mid-page does not leave a page of stale HEAD speculation behind.
-func (e *engine) speculateHeads(urls []string) {
-	if e.prefetcher != nil {
-		e.prefetcher.HintHeads(e.specBatch(urls)...)
-	}
+	return e.specRoom(e.ceiling)
 }

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"slices"
-
 	"sbcrawl/internal/bandit"
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/dom"
+	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/frontier"
 	"sbcrawl/internal/learn"
 	"sbcrawl/internal/urlutil"
@@ -65,6 +64,7 @@ type sbRun struct {
 	actions *ActionIndex
 	policy  bandit.Policy
 	cls     classify.Classifier
+	online  *classify.Online // cls, unless it is the oracle
 	stopper *earlyStopper
 	steps   int
 	stopped bool
@@ -74,15 +74,44 @@ type sbRun struct {
 	// awake is the arm set SelectNext last handed the bandit (increasing),
 	// kept so Hints asks the bandit again without a second Awake() per step.
 	awake []int
+	// drawAwake is the arm set a next-draw guess is made on (see drawAhead).
+	drawAwake []int
+	// hint is the slice Hints returns.
+	hint []string
 	// ahead is the speculation scratch of ingestPage, used as a stack
 	// because a misclassified "target" that turns out to be HTML is ingested
 	// inside its parent's loop: the pages being ingested each own the tail
 	// they appended (see predictTargets).
 	ahead []string
+	// batch is the scratch speculate builds a batch of demands in.
+	batch []fetch.Demand
 }
 
 // Run implements Crawler (Algorithm 3).
 func (s *SB) Run(env *Env) (*Result, error) {
+	r, err := s.newRun(env)
+	if err != nil {
+		return nil, err
+	}
+	// Crawl the root, then run the staged loop: select action, pop a
+	// link, crawl it (Algorithm 3 over the select/fetch/ingest stages).
+	r.step(env.Root, -1, 0)
+	r.eng.runStaged(r)
+
+	res := r.eng.result(s.Name(), r.steps)
+	res.EarlyStopped = r.stopped
+	res.Actions = r.actionStats()
+	if r.online != nil {
+		res.Confusion = r.online.Confusion()
+		r.online.Release()
+	}
+	r.actions.Release()
+	r.front.Release()
+	return res, nil
+}
+
+// newRun builds the state of one crawl over env, before its first fetch.
+func (s *SB) newRun(env *Env) (*sbRun, error) {
 	eng, err := newEngine(env)
 	if err != nil {
 		return nil, err
@@ -105,25 +134,11 @@ func (s *SB) Run(env *Env) (*Result, error) {
 		r.policy = bandit.NewSleeping()
 	}
 	r.cls = s.buildClassifier(env, r)
+	r.online, _ = r.cls.(*classify.Online)
 	if cfg.EarlyStop != nil {
 		r.stopper = newEarlyStopper(*cfg.EarlyStop)
 	}
-
-	// Crawl the root, then run the staged loop: select action, pop a
-	// link, crawl it (Algorithm 3 over the select/fetch/ingest stages).
-	r.step(env.Root, -1, 0)
-	eng.runStaged(r)
-
-	res := eng.result(s.Name(), r.steps)
-	res.EarlyStopped = r.stopped
-	res.Actions = r.actionStats()
-	if online, ok := r.cls.(*classify.Online); ok {
-		res.Confusion = online.Confusion()
-		online.Release()
-	}
-	r.actions.Release()
-	r.front.Release()
-	return res, nil
+	return r, nil
 }
 
 func (s *SB) buildClassifier(env *Env, r *sbRun) classify.Classifier {
@@ -160,7 +175,7 @@ func (s *SB) buildClassifier(env *Env, r *sbRun) classify.Classifier {
 // retries, as in Algorithm 3.
 func (r *sbRun) SelectNext() (string, bool) {
 	for r.front.Len() > 0 && !r.stopped {
-		r.awake = r.front.Awake()
+		r.awake = r.front.AppendAwake(r.awake[:0])
 		a, ok := r.policy.Select(r.awake, r.steps)
 		if !ok {
 			return "", false
@@ -199,26 +214,44 @@ func (r *sbRun) Ingest(_ string, pg page) {
 // Assuming a zero reward instead, or hinting both guesses, hit within two
 // requests in 250 of this on four sites. Ablation policies (SBConfig.Policy)
 // get no next-draw hint: ε-greedy and Thompson spend randomness in Select,
-// UCB1 records wasted picks there.
+// UCB1 records wasted picks there. While the page is ingested, speculate
+// guesses the draw again over the frontier as the page leaves it. The
+// returned slice is valid until the next call.
 func (r *sbRun) Hints(int) []string {
-	auer, ok := r.policy.(*bandit.Sleeping)
+	awake := r.drawAwake[:0]
+	for _, a := range r.awake {
+		// The pending arm is asleep if its last link was just drawn.
+		if a != r.pendingAction || r.front.ActionLen(a) > 0 {
+			awake = append(awake, a)
+		}
+	}
+	r.drawAwake = awake
+	u, ok := r.drawAhead(awake)
 	if !ok {
 		return nil
 	}
-	awake := r.awake
-	if r.front.ActionLen(r.pendingAction) == 0 { // its last link was just drawn
-		if i, ok := slices.BinarySearch(awake, r.pendingAction); ok {
-			awake = slices.Delete(awake, i, i+1)
-		}
+	r.hint = append(r.hint[:0], u)
+	return r.hint
+}
+
+// drawAhead is the link the bandit's next draw would take over the given
+// awake arms, if the policy is AUER (see Hints).
+func (r *sbRun) drawAhead(awake []int) (string, bool) {
+	auer, ok := r.policy.(*bandit.Sleeping)
+	if !ok {
+		return "", false
 	}
 	a, ok := auer.Select(awake, r.steps)
 	if !ok {
-		return nil
+		return "", false
 	}
-	if u, ok := r.front.PeekFrom(a); ok {
-		return []string{u}
-	}
-	return nil
+	return r.front.PeekFrom(a)
+}
+
+// liveDraw is drawAhead over the frontier as it stands.
+func (r *sbRun) liveDraw() (string, bool) {
+	r.drawAwake = r.front.AppendAwake(r.drawAwake[:0])
+	return r.drawAhead(r.drawAwake)
 }
 
 // step is Algorithm 4: crawl one URL, then ingest it. Its page's links are
@@ -244,17 +277,32 @@ func (r *sbRun) ingestPage(pg page, action int, depth int) {
 	switch {
 	case pg.IsHTML:
 		r.cls.Observe(pg.FinalURL, classify.ClassHTML)
-		r.speculateWarmup(pg.Links)
+		// r.ahead[next:] are this page's predicted targets from the cursor
+		// on: nested ingests append past them and truncate back, so the
+		// range survives the steps below.
 		abase := len(r.ahead)
+		fits := r.refits()
 		r.predictTargets(pg.Links)
-		next, end := abase, len(r.ahead)
-		for _, link := range pg.Links {
+		next := abase
+		r.speculate(r.ahead[next:], pg.Links)
+		for i, link := range pg.Links {
 			class, _ := r.cls.Classify(r.linkContext(link))
-			if class == classify.ClassTarget && depth < maxPredictedTargetDepth {
-				// r.ahead[next:end] are this page's predicted targets from
-				// this link on (nested ingests append past end and truncate
-				// back, so the range survives the step below).
-				r.eng.speculateGets(r.ahead[next:end])
+			target := class == classify.ClassTarget && depth < maxPredictedTargetDepth
+			refit := r.refits() != fits
+			if refit {
+				// The model moved (the first fit ends the HEAD phase): guess
+				// the links still to come again, so what it now calls
+				// targets is hinted before the loop reaches them.
+				fits = r.refits()
+				clear(r.ahead[abase:])
+				r.ahead = r.ahead[:abase]
+				next = abase
+				r.predictTargets(pg.Links[i+1:])
+			}
+			if target || refit {
+				r.speculate(r.ahead[next:], pg.Links[i+1:])
+			}
+			if target {
 				before := r.eng.tcount
 				r.step(link.URL, action, depth+1)
 				if r.cfg.RawReward {
@@ -268,7 +316,7 @@ func (r *sbRun) ingestPage(pg page, action int, depth int) {
 				r.eng.seen[link.URL] = true // joins F (T ∪ F membership)
 				r.front.Push(a, link.URL)
 			}
-			if next < end && r.ahead[next] == link.URL {
+			if next < len(r.ahead) && r.ahead[next] == link.URL {
 				next++
 			}
 		}
@@ -284,55 +332,74 @@ func (r *sbRun) ingestPage(pg page, action int, depth int) {
 	}
 }
 
-// speculateWarmup overlaps the classifier's initial-phase HEAD probes:
-// while Algorithm 2 still labels links by HEAD request, this page's links
-// are about to be probed one by one in the loop below, so their HEADs are
-// hinted to the speculation layer and the round trips proceed concurrently
-// ahead of the strictly sequential charged probes. A no-op once the
-// classifier has trained (probes stop) and for the oracle classifier
-// (which never probes).
-func (r *sbRun) speculateWarmup(links []dom.Link) {
-	if r.eng.prefetcher == nil || len(links) == 0 {
+// refits is the online classifier's fit count (0 for the oracle, which never
+// changes its answers).
+func (r *sbRun) refits() int {
+	if r.online == nil {
+		return 0
+	}
+	return r.online.Refits()
+}
+
+// speculate hints what ingestPage's loop will demand from its cursor on, in
+// that order, as one batch of at most demandRoom: targets, the page's
+// predicted targets still ahead; the HEAD probes of the links still to
+// classify (rest) while the classifier labels by HEAD, at most as many as it
+// needs before its first fit; then the bandit's next draw over the frontier
+// as it stands. That guess is taken again at every call because the page
+// keeps moving the frontier, and a wrong one costs a wasted fetch, never a
+// changed crawl. The loop calls again as its cursor advances; the prefetch
+// layer skips what it already tracks.
+func (r *sbRun) speculate(targets []string, rest []dom.Link) {
+	room := r.eng.demandRoom()
+	if room <= 0 {
 		return
 	}
-	online, ok := r.cls.(*classify.Online)
-	if !ok || !online.InInitialPhase() {
-		return
+	b := r.batch[:0]
+	for _, u := range targets[:min(len(targets), room)] {
+		b = append(b, fetch.Demand{URL: u})
 	}
-	urls := make([]string, len(links))
-	for i, l := range links {
-		urls[i] = l.URL
+	if r.online != nil {
+		for _, l := range rest[:min(len(rest), r.online.LabelsToFit(), room-len(b))] {
+			b = append(b, fetch.Demand{URL: l.URL, Head: true})
+		}
 	}
-	r.eng.speculateHeads(urls)
+	if len(b) < room {
+		if u, ok := r.liveDraw(); ok {
+			b = append(b, fetch.Demand{URL: u})
+		}
+	}
+	if len(b) > 0 {
+		r.eng.prefetcher.HintDemands(r.eng.ceiling, b...)
+	}
+	clear(b)
+	r.batch = b[:0]
 }
 
 // predictTargets is the in-page half of SB speculation. A trained
 // classifier sends every link it calls a target straight to a blocking GET
 // inside ingestPage's loop, one round trip after another; here each link's
-// class is guessed once up front, with the weights as they stand, and the
-// URLs guessed to be targets are appended to r.ahead in page order so the
-// loop can keep a window of them in flight ahead of its cursor. Nothing is
-// appended for a sequential crawl, nor during the HEAD phase
-// (speculateWarmup hints the probes instead). Guessing reads the model only,
-// so the crawl is the same whether or not it runs; the loop featurizes each
-// link again to classify it, which costs less than keeping the features.
+// class is guessed up front, with the weights as they stand, and the URLs
+// guessed to be targets are appended to r.ahead in page order so the loop
+// can keep them in flight ahead of its cursor. Nothing is appended for a
+// sequential crawl, nor during the HEAD phase (speculate hints the probes
+// instead). Guessing reads the model only, so the crawl is the same whether
+// or not it runs; the loop featurizes each link again to classify it, which
+// costs less than keeping the features.
 func (r *sbRun) predictTargets(links []dom.Link) {
 	if r.eng.prefetcher == nil {
 		return
 	}
-	switch cls := r.cls.(type) {
-	case *classify.Oracle:
+	switch {
+	case r.online == nil:
 		for _, l := range links {
-			if class, _ := cls.Classify(classify.LinkContext{URL: l.URL}); class == classify.ClassTarget {
+			if class, _ := r.cls.Classify(classify.LinkContext{URL: l.URL}); class == classify.ClassTarget {
 				r.ahead = append(r.ahead, l.URL)
 			}
 		}
-	case *classify.Online:
-		if cls.InInitialPhase() {
-			return
-		}
+	case !r.online.InInitialPhase():
 		for _, l := range links {
-			if cls.Guess(r.linkContext(l)) == classify.ClassTarget {
+			if r.online.Guess(r.linkContext(l)) == classify.ClassTarget {
 				r.ahead = append(r.ahead, l.URL)
 			}
 		}

@@ -1,18 +1,23 @@
 package fetch
 
 // The adaptive speculation controller: a Prefetcher's in-flight window is a
-// bet on how much of what the strategy hints the crawl then asks for, and
-// the right width differs per site and per strategy. BFS, DFS and the
-// priority frontiers hint their exact pop order; SB hints the targets it
-// predicts on the page it is ingesting, in the order its loop fetches them,
-// plus the one link the bandit's next draw will take, so its window fills
-// only as wide as a page has predicted targets; RANDOM's hints are 1/Len
-// guesses. Rather than asking the caller to tune Prefetch per crawl,
-// AutoTuner observes the speculation outcomes online and adjusts the window
-// the way TCP adjusts its congestion window: a slow-start ramp while every
-// hint lands, then additive increase / multiplicative decrease (AIMD)
+// bet on how much of what the strategy guesses the crawl then asks for, and
+// the right width differs per site and per strategy. What the tuner sizes is
+// the policy's own guesses at its next selections, the hints Prefetcher.Hint
+// takes: BFS, DFS and the priority frontiers hint their exact pop order,
+// RANDOM's hints are 1/Len guesses, and SB hints the one link the bandit's
+// next draw will take. Rather than asking the caller to tune Prefetch per
+// crawl, AutoTuner observes the speculation outcomes online and adjusts the
+// window the way TCP adjusts its congestion window: a slow-start ramp while
+// every hint lands, then additive increase / multiplicative decrease (AIMD)
 // around the first congestion signal — a sinking hit rate or eviction-heavy
 // speculation, both meaning the window outruns the hints' accuracy.
+//
+// The tuner does not gate exchanges the crawl loop has already decided to
+// issue (Prefetcher.HintDemands): SB's predicted targets on the page it is
+// ingesting, its warm-up HEAD probes and the bandit draw behind them go out
+// as one batch bounded by AutoMaxWindow and the budget, so a hit rate sunk by
+// wrong next-draw guesses no longer narrows them.
 //
 // The tuner only ever changes how wide the Prefetcher speculates, never
 // what the crawl returns: speculation is a pure cache warm-up, so results
@@ -20,12 +25,15 @@ package fetch
 // the tuner drives (its inputs are wall-clock dependent, its effects are
 // not observable in crawl results).
 
+// AutoMaxWindow is the widest window the tuner drives, and so the in-flight
+// ceiling of a crawl under the adaptive controller (times its partitions).
+const AutoMaxWindow = 64
+
 // Tuning constants. The window is sampled every autoSampleEvery crawl
 // steps; rates are computed over the deltas since the previous sample, so
 // the tuner reacts to the crawl's current phase rather than its history.
 const (
 	autoMinWindow     = 1
-	autoMaxWindow     = 64
 	autoInitialWindow = 4
 	autoSampleEvery   = 4
 
@@ -92,8 +100,8 @@ func (t *AutoTuner) Observe(st PrefetchStats) int {
 	if t.window < autoMinWindow {
 		t.window = autoMinWindow
 	}
-	if t.window > autoMaxWindow {
-		t.window = autoMaxWindow
+	if t.window > AutoMaxWindow {
+		t.window = AutoMaxWindow
 	}
 	return t.window
 }

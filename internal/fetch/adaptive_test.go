@@ -25,8 +25,8 @@ func TestAutoTunerSlowStartRamp(t *testing.T) {
 		st.Launched += autoSampleEvery
 		got := observeSteps(tu, st)
 		want *= 2
-		if want > autoMaxWindow {
-			want = autoMaxWindow
+		if want > AutoMaxWindow {
+			want = AutoMaxWindow
 		}
 		if got != want {
 			t.Fatalf("sample %d: window = %d, want %d", i, got, want)

@@ -16,25 +16,29 @@ import "sync"
 // is untouched — speculative GETs go through the same backend chain, so a
 // live fetcher's Registry spaces them like any other request.
 //
+// Hints come in two kinds. Hint takes a strategy's guesses at what it will
+// select next, launched while the in-flight window has room. HintDemands
+// takes exchanges the crawl loop has already decided to issue, in the order
+// it will issue them, under a bound the caller passes instead of the window.
 // Beyond GETs, the layer speculates on two more fronts:
 //
-//   - HEAD probes (HintHeads): the classifier warm-up's strictly sequential
-//     HEAD round trips overlap the same way. A demand Head is answered from
-//     a speculated HEAD, or — without consuming it — from a resident
-//     speculative GET, whose status line and headers are exactly what a
-//     HEAD would have returned.
+//   - HEAD probes (a Demand with Head set): the classifier warm-up's strictly
+//     sequential HEAD round trips overlap the same way. A demand Head is
+//     answered from a speculated HEAD, or — without consuming it — from a
+//     resident speculative GET, whose status line and headers are exactly
+//     what a HEAD would have returned.
 //   - A fleet-shared store (SetShared): several crawls of one host publish
 //     their completed GETs into a URL-keyed cache and serve each other from
 //     it, BUbiNG-style, instead of re-fetching.
 //
 // The in-flight window is mutable (SetWindow): the adaptive speculation
 // controller widens or narrows it online as the strategy's hint accuracy
-// becomes visible in Stats.
+// becomes visible in Stats. It gates Hint only.
 //
 // Speculative responses are consumed at most once: a Get for a hinted URL
 // removes it from the cache, and a hint for an already-tracked URL is a
 // no-op. URLs that are hinted but never fetched are evicted oldest-first
-// once the store outgrows its cap, bounding memory by O(window).
+// once the store outgrows its cap, bounding memory by O(in-flight bound).
 //
 // The backend must be safe for concurrent use (Sim, Latency, the
 // mutex-guarded Replay, and HTTP all are). A Prefetcher is itself safe for
@@ -150,7 +154,7 @@ func (p *Prefetcher) SetShared(s SharedStore) {
 // it is called with the URL once per fetch the window starts, on that
 // fetch's own goroutine before the backend call, so it must be safe for
 // concurrent calls; Close returns after the last call. Set it before the
-// first Hint.
+// first hint.
 func (p *Prefetcher) SetOnLaunch(fn func(url string)) {
 	p.mu.Lock()
 	p.onLaunch = fn
@@ -159,7 +163,8 @@ func (p *Prefetcher) SetOnLaunch(fn func(url string)) {
 
 // SetWindow resizes the in-flight window (clamped to ≥ 1). Narrowing never
 // abandons a running fetch — the window drains to the new width as in-flight
-// fetches land; widening takes effect at the next Hint.
+// fetches land; widening takes effect at the next Hint. HintDemands brings
+// its own bound and ignores the width.
 func (p *Prefetcher) SetWindow(n int) {
 	if n < 1 {
 		n = 1
@@ -176,68 +181,105 @@ func (p *Prefetcher) Window() int {
 	return p.window
 }
 
-// Hint submits speculative GET candidates, most-likely-next first. URLs
-// already tracked — in flight, resident, or speculated before (consumed or
-// evicted) — are skipped, as are URLs the fleet-shared cache already holds
-// (a guaranteed hit needs no fetch). The whole batch is always scanned;
-// a full in-flight window (or a store whose every entry is still in flight)
-// only stops further launches, never the scan, so cost-free skips late in
-// the batch are still taken. Hints are advisory and never queued.
+// Hint submits speculative GET candidates, most-likely-next first, while
+// fewer than the window's width are in flight. URLs already tracked — in
+// flight, resident, or speculated before (consumed or evicted) — are skipped,
+// as are URLs the fleet-shared cache already holds (a guaranteed hit needs no
+// fetch). The whole batch is always scanned; a full in-flight window (or a
+// store whose every entry is still in flight) only stops further launches,
+// never the scan, so cost-free skips late in the batch are still taken.
+// Hints are advisory and never queued.
 func (p *Prefetcher) Hint(urls ...string) {
-	p.hint(urls, false)
-}
-
-// HintHeads submits speculative HEAD candidates — the classifier warm-up's
-// probe targets — under the same window, dedup, and eviction rules as Hint.
-// A URL whose GET is already tracked is skipped: a resident speculative GET
-// answers the HEAD by itself.
-func (p *Prefetcher) HintHeads(urls ...string) {
-	p.hint(urls, true)
-}
-
-func (p *Prefetcher) hint(urls []string, head bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if !p.beginHintLocked(p.window) {
 		return
+	}
+	for _, u := range urls {
+		p.launchLocked(u, false, p.window)
+	}
+}
+
+// Demand is one exchange a crawl loop will issue: a GET of URL, or its HEAD
+// probe when Head is set.
+type Demand struct {
+	URL  string
+	Head bool
+}
+
+// HintDemands submits exchanges the caller will demand next, in the order it
+// will demand them, under the same dedup, shared-cache and eviction rules as
+// Hint. What bounds the launches is limit, not the window: none starts once
+// limit speculative fetches are in flight, counting those Hint started. The
+// caller sizes the batch and the bound; the window, which the adaptive
+// controller narrows when guesses miss, does not narrow a batch of exchanges
+// that are already decided. A HEAD whose URL has a tracked GET is skipped: a
+// resident speculative GET answers the HEAD by itself.
+func (p *Prefetcher) HintDemands(limit int, demands ...Demand) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.beginHintLocked(limit) {
+		return
+	}
+	for _, d := range demands {
+		p.launchLocked(d.URL, d.Head, limit)
+	}
+}
+
+// storeCap bounds the completed-but-unconsumed responses a batch under the
+// given in-flight bound may leave behind.
+func (p *Prefetcher) storeCap(limit int) int {
+	return max(p.window, limit) * storedFactor
+}
+
+// beginHintLocked opens a batch under the in-flight bound limit, reporting
+// false once the Prefetcher is closed.
+func (p *Prefetcher) beginHintLocked(limit int) bool {
+	if p.closed {
+		return false
 	}
 	// Amortized cleanup: consumed entries leave holes in the order queue;
 	// drop them once they outnumber the live entries plus the store cap.
-	if len(p.order) > 2*len(p.store)+p.window*storedFactor {
+	if len(p.order) > 2*len(p.store)+p.storeCap(limit) {
 		p.compactOrderLocked()
 	}
-	for _, u := range urls {
-		key := u
-		if head {
-			key = headKey(u)
-			// A tracked GET serves the HEAD on its own (see Head).
-			if _, ok := p.store[u]; ok {
-				continue
-			}
+	return true
+}
+
+// launchLocked starts one speculative fetch unless the URL is tracked, spent
+// or shared-resident, limit fetches are in flight, or the store is full of
+// in-flight entries.
+func (p *Prefetcher) launchLocked(u string, head bool, limit int) {
+	key := u
+	if head {
+		key = headKey(u)
+		// A tracked GET serves the HEAD on its own (see Head).
+		if _, ok := p.store[u]; ok {
+			return
 		}
-		if _, ok := p.store[key]; ok {
-			continue
-		}
-		if _, ok := p.spent[key]; ok {
-			continue
-		}
-		if p.shared != nil && p.shared.Contains(u) {
-			continue // Get/Head will be served from the shared cache
-		}
-		if p.pending >= p.window {
-			continue // window full: stop launching, keep scanning
-		}
-		if len(p.store) >= p.window*storedFactor && !p.evictOldestLocked() {
-			continue // store full of in-flight entries: nothing to free
-		}
-		s := &speculative{done: make(chan struct{})}
-		p.store[key] = s
-		p.order = append(p.order, key)
-		p.pending++
-		p.stats.Launched++
-		p.wg.Add(1)
-		go p.fetch(u, head, s, p.onLaunch)
 	}
+	if _, ok := p.store[key]; ok {
+		return
+	}
+	if _, ok := p.spent[key]; ok {
+		return
+	}
+	if p.shared != nil && p.shared.Contains(u) {
+		return // Get/Head will be served from the shared cache
+	}
+	if p.pending >= limit {
+		return // bound reached: stop launching, keep scanning
+	}
+	if len(p.store) >= p.storeCap(limit) && !p.evictOldestLocked() {
+		return // store full of in-flight entries: nothing to free
+	}
+	s := &speculative{done: make(chan struct{})}
+	p.store[key] = s
+	p.order = append(p.order, key)
+	p.pending++
+	p.stats.Launched++
+	p.wg.Add(1)
+	go p.fetch(u, head, s, p.onLaunch)
 }
 
 // compactOrderLocked drops consumed holes from the order queue, keeping
@@ -298,10 +340,17 @@ func (p *Prefetcher) fetch(u string, head bool, s *speculative, onLaunch func(st
 	p.pending--
 	shared := p.shared
 	p.mu.Unlock()
-	// Failures never enter the fleet-shared cache: a momentary 503 must
-	// not be replayed to other crawls as the page's truth.
-	if shared != nil && !head && s.err == nil && !TransientResult(s.resp, s.err) {
-		shared.Publish(u, s.resp)
+	if !head {
+		publish(shared, u, s.resp, s.err)
+	}
+}
+
+// publish offers a completed GET to the fleet-shared cache, if there is one.
+// Failures never enter it: a momentary 503 must not be replayed to other
+// crawls as the page's truth.
+func publish(shared SharedStore, u string, resp Response, err error) {
+	if shared != nil && err == nil && !TransientResult(resp, err) {
+		shared.Publish(u, resp)
 	}
 }
 
@@ -312,8 +361,8 @@ func (p *Prefetcher) fetch(u string, head bool, s *speculative, onLaunch func(st
 // the fleet.
 func (p *Prefetcher) Get(u string) (Response, error) {
 	p.mu.Lock()
-	s := p.store[u]
-	if s != nil {
+	shared := p.shared
+	if s := p.store[u]; s != nil {
 		delete(p.store, u)
 		p.spent[u] = struct{}{}
 		p.stats.Hits++
@@ -324,11 +373,12 @@ func (p *Prefetcher) Get(u string) (Response, error) {
 		}
 		// Never serve a speculative failure as the demand result: the
 		// fault may have been momentary, so the demand path gets a fresh
-		// attempt (which retries on its own below this layer).
-		return p.backend.Get(u)
+		// attempt (which retries on its own below this layer), shared like
+		// any other demand fetch.
+		return p.demand(shared, u)
 	}
-	if p.shared != nil {
-		if resp, ok := p.shared.Lookup(u); ok {
+	if shared != nil {
+		if resp, ok := shared.Lookup(u); ok {
 			p.spent[u] = struct{}{} // a shared hit never needs speculation
 			p.stats.Hits++
 			p.stats.SharedHits++
@@ -337,12 +387,15 @@ func (p *Prefetcher) Get(u string) (Response, error) {
 		}
 	}
 	p.stats.Misses++
-	shared := p.shared
 	p.mu.Unlock()
+	return p.demand(shared, u)
+}
+
+// demand fetches u from the backend for the demand path and publishes the
+// answer for the rest of the fleet.
+func (p *Prefetcher) demand(shared SharedStore, u string) (Response, error) {
 	resp, err := p.backend.Get(u)
-	if shared != nil && err == nil && !TransientResult(resp, err) {
-		shared.Publish(u, resp)
-	}
+	publish(shared, u, resp, err)
 	return resp, err
 }
 

@@ -246,7 +246,7 @@ func TestPrefetcherSpeculativeHeadConsumeOnce(t *testing.T) {
 	backend := newCountingFetcher(0)
 	p := NewPrefetcher(backend, 4)
 	defer p.Close()
-	p.HintHeads("u")
+	p.HintDemands(4, Demand{URL: "u", Head: true})
 	waitIdle(t, p)
 	resp, err := p.Head("u")
 	if err != nil || resp.Status != 200 {
@@ -505,7 +505,7 @@ func TestPrefetcherSharedStore(t *testing.T) {
 	}
 }
 
-// TestPrefetcherConcurrentAccess exercises Hint/HintHeads/Get/Head/Stats/
+// TestPrefetcherConcurrentAccess exercises Hint/HintDemands/Get/Head/Stats/
 // SetWindow from many goroutines at once; it exists for the -race pass of
 // the CI gate, which watches the speculative layer under real interleaving.
 func TestPrefetcherConcurrentAccess(t *testing.T) {
@@ -525,7 +525,7 @@ func TestPrefetcherConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			p.HintHeads(fmt.Sprintf("u%d", i))
+			p.HintDemands(4, Demand{URL: fmt.Sprintf("u%d", i), Head: true})
 		}
 	}()
 	go func() {
@@ -578,4 +578,89 @@ func waitIdle(t *testing.T, p *Prefetcher) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// flakyFirstFetcher answers each URL's first GET with a 503 and every later
+// one with countingFetcher's 200.
+type flakyFirstFetcher struct {
+	countingFetcher
+	seen sync.Map
+}
+
+func (f *flakyFirstFetcher) Get(url string) (Response, error) {
+	if _, again := f.seen.LoadOrStore(url, true); !again {
+		return Response{URL: url, Status: 503}, nil
+	}
+	return f.countingFetcher.Get(url)
+}
+
+// publishCounter is a SharedStore that holds nothing and counts every
+// Publish call per URL.
+type publishCounter struct {
+	mu        sync.Mutex
+	published map[string]int
+}
+
+func (s *publishCounter) Lookup(string) (Response, bool) { return Response{}, false }
+func (s *publishCounter) Contains(string) bool           { return false }
+func (s *publishCounter) Publish(u string, _ Response) {
+	s.mu.Lock()
+	s.published[u]++
+	s.mu.Unlock()
+}
+
+// TestPrefetcherSharesRefetchAfterFailedSpeculation: when a speculative GET
+// failed transiently, the demand path fetches again, and that answer is
+// published to the fleet like any demand miss's — once, and the failure not
+// at all.
+func TestPrefetcherSharesRefetchAfterFailedSpeculation(t *testing.T) {
+	backend := &flakyFirstFetcher{countingFetcher: *newCountingFetcher(0)}
+	shared := &publishCounter{published: make(map[string]int)}
+	p := NewPrefetcher(backend, 4)
+	p.SetShared(shared)
+	defer p.Close()
+	p.Hint("u")
+	waitIdle(t, p)
+	resp, err := p.Get("u")
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("demand GET after a failed speculation: resp=%+v err=%v", resp, err)
+	}
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	if got := shared.published["u"]; got != 1 {
+		t.Errorf("published %d times, want once", got)
+	}
+}
+
+// TestHintDemandsBoundIsTheCallers: a batch of demands launches up to the
+// caller's bound whatever the window's width, the bound counts what Hint
+// already started, and HEADs and GETs of one URL are tracked apart.
+func TestHintDemandsBoundIsTheCallers(t *testing.T) {
+	backend := newGatedFetcher()
+	p := NewPrefetcher(backend, 1)
+	p.Hint("a") // the window's one slot
+	batch := make([]Demand, 12)
+	for i := range batch {
+		batch[i] = Demand{URL: fmt.Sprintf("u%d", i), Head: i%2 == 1}
+	}
+	p.HintDemands(8, batch...)
+	if st := p.Stats(); st.Launched != 8 {
+		t.Errorf("launched %d, want 8 (1 hinted + 7 of the batch under a bound of 8)", st.Launched)
+	}
+	p.Hint("b") // the window is still full
+	if st := p.Stats(); st.Launched != 8 {
+		t.Errorf("Hint launched past a full window: %+v", st)
+	}
+	close(backend.release)
+	waitIdle(t, p)
+	if _, err := p.Get("u0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Head("u1"); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Hits != 1 || st.HeadHits != 1 {
+		t.Errorf("stats = %+v, want the batch's GET and HEAD served from speculation", st)
+	}
+	p.Close()
 }

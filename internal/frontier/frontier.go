@@ -8,7 +8,7 @@ package frontier
 import (
 	"container/heap"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Peeker is the speculative-selection capability of a frontier: Peek
@@ -372,13 +372,19 @@ func (g *Grouped) popAt(action, i int) (string, bool) {
 
 // Awake returns, in increasing order, the actions that still hold links —
 // the availability indicator 1_a(t) of the sleeping bandit.
-func (g *Grouped) Awake() []int {
-	out := make([]int, 0, len(g.byAction))
+func (g *Grouped) Awake() []int { return g.AppendAwake(nil) }
+
+// AppendAwake appends Awake's actions to dst and returns the extended slice,
+// so a caller that keeps dst's array allocates nothing once it is large
+// enough.
+func (g *Grouped) AppendAwake(dst []int) []int {
+	dst = slices.Grow(dst, len(g.byAction))
+	start := len(dst)
 	for a := range g.byAction {
-		out = append(out, a)
+		dst = append(dst, a)
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // ActionLen returns how many links the action currently holds.

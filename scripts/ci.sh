@@ -92,7 +92,9 @@ go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|Bench
 # nothing past the HEAD phase, scoring and training nothing once the weight
 # vector has grown; a finished SB crawl's weight table, batch arena and
 # generators are reused by the next, and a tag-path vectorizer keeps no
-# D-wide table. Durable path — the replay-record codec round trip and the
+# D-wide table. Algorithm 3 — once warm, an SB step's select stage, its
+# select-time next-draw hint and the next-draw guess behind each batch of
+# predicted targets allocate nothing. Durable path — the replay-record codec round trip and the
 # checkpoint re-encode allocate nothing; the checkpoint sink nothing, whatever
 # the frontier's size; store.Open and Snapshot allocate per key, not per
 # stored byte, and a read into a reused buffer copies, never allocates, a

@@ -294,19 +294,3 @@ func TestMeanBoundedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkSleepingSelect(b *testing.B) {
-	p := NewSleeping()
-	available := make([]int, 200)
-	for i := range available {
-		available[i] = i
-		p.EnsureArm(i)
-		p.RecordSelection(i)
-		p.RecordReward(i, float64(i%17))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Select(available, i+2)
-	}
-}

@@ -483,25 +483,3 @@ func TestBadRootRejected(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkSBOracleMediumSite(b *testing.B) {
-	env, _ := newTestEnv(b, "ju", 0.005, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewSB(SBConfig{Oracle: true, Seed: int64(i)}).Run(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBFSMediumSite(b *testing.B) {
-	env, _ := newTestEnv(b, "ju", 0.005, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewBFS().Run(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

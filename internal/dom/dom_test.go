@@ -291,28 +291,3 @@ func TestPathDepthProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkParseSamplePage(b *testing.B) {
-	src := []byte(samplePage)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = Parse(src)
-	}
-}
-
-func BenchmarkExtractLinks(b *testing.B) {
-	// A realistic listing page with 100 dataset links.
-	var sb strings.Builder
-	sb.WriteString("<html><body><div id='main'><ul class='datasets'>")
-	for i := 0; i < 100; i++ {
-		sb.WriteString("<li><a href='/data/file")
-		sb.WriteString(strings.Repeat("x", i%5))
-		sb.WriteString(".csv'>Dataset</a></li>")
-	}
-	sb.WriteString("</ul></div></body></html>")
-	src := []byte(sb.String())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = ExtractLinks(src)
-	}
-}

@@ -265,17 +265,6 @@ func TestGroupedDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func BenchmarkGroupedPushPop(b *testing.B) {
-	g := NewGrouped(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Push(i%64, "url")
-		if i%2 == 1 {
-			g.PopFrom(i % 64)
-		}
-	}
-}
-
 // TestQueueCompactionPastHeadThreshold drives Pop just past the 1024-head
 // compaction trigger while new pushes keep arriving, pinning that the
 // compaction slide never reorders, drops, or duplicates items.

@@ -207,20 +207,6 @@ func TestSearchInvariantProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkAdd(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vecs := make([][]float64, b.N)
-	for i := range vecs {
-		vecs[i] = randomUnitVec(rng, 32)
-	}
-	ix := New(DefaultConfig())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Add(vecs[i])
-	}
-}
-
 // tagPathLike returns n sparse vectors shaped like hash-projected tag
 // paths at D = 4096: families sharing a 7-bucket trunk (html, body, the
 // page skeleton) and differing in one or two leaf buckets, values 1 or 1/2

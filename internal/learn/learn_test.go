@@ -239,18 +239,6 @@ func BenchmarkLogisticPartialFit(b *testing.B) {
 	}
 }
 
-func BenchmarkPredict(b *testing.B) {
-	train, _ := trainTestSplit()
-	m := NewLogisticRegression()
-	m.PartialFit(train)
-	x := textvec.CharBigrams("https://www.example.org/data/file.csv")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(x)
-	}
-}
-
 // TestScoreAllocs: scoring is an index loop over the two slices — no map, no
 // key copy, no sort.
 func TestScoreAllocs(t *testing.T) {

@@ -188,18 +188,3 @@ func TestConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkThompsonEpoch(b *testing.B) {
-	sim := skewedSim(1)
-	p := NewThompson(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sim.Tick()
-		pages := p.Select(sim, 4)
-		harvest := make([]int, len(pages))
-		for k, idx := range pages {
-			harvest[k] = sim.Visit(idx)
-		}
-		p.Feedback(pages, harvest)
-	}
-}

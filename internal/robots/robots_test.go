@@ -183,11 +183,3 @@ func itoa(n int) string {
 	}
 	return string(b)
 }
-
-func BenchmarkAllowed(b *testing.B) {
-	p := Parse([]byte(sample))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Allowed("sbcrawl/1.0", "/private/some/deep/path/file.csv")
-	}
-}

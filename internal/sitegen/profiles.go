@@ -7,8 +7,8 @@
 // exploits.
 //
 // The crawler under test never sees the generator; it sees URLs, HTML bytes,
-// MIME types, and HTTP statuses through the same Fetcher interface used for
-// live HTTP (see DESIGN.md's substitution table).
+// MIME types, and HTTP statuses through internal/webserver and the same
+// fetch.Fetcher interface that fetch.HTTP implements for live hosts.
 package sitegen
 
 import "sbcrawl/internal/faultsim"

@@ -397,27 +397,3 @@ func TestGenerateRobustnessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkGenerateMediumSite(b *testing.B) {
-	p, _ := ProfileByCode("ju")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Generate(Config{Profile: p, Scale: 0.01, Seed: int64(i)})
-	}
-}
-
-func BenchmarkRenderHubPage(b *testing.B) {
-	site := testSite("nc", 0.01, 1)
-	var hub *Page
-	for _, p := range site.Pages() {
-		if p.IsHub {
-			hub = p
-			break
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		site.RenderPage(hub)
-	}
-}

@@ -300,21 +300,3 @@ func TestExactSolverSizeGuard(t *testing.T) {
 	}()
 	OptimalCrawlCost(New(31, 0))
 }
-
-func BenchmarkOptimalCrawl15Nodes(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := New(15, 0)
-	for u := 0; u < 15; u++ {
-		for v := u + 1; v < 15; v++ {
-			if rng.Intn(3) == 0 {
-				g.AddEdge(u, v, "")
-			}
-		}
-	}
-	g.Target[14] = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		OptimalCrawlCost(g)
-	}
-}

@@ -1,10 +1,10 @@
 #!/bin/sh
-# Tier-1 verification: build (library, cmd/, examples/), vet, tests, the
-# race-detector pass, and the pipeline gates — the prefetch-equivalence
-# suite under -race (the pipelined engine must never silently regress
-# determinism) plus a benchmark smoke run (the bench suite must never
-# silently stop building). `make ci` runs this script; it is the one
-# definition of the gate.
+# Tier-1 verification: build (library, cmd/, examples/), a CLI smoke, vet,
+# gofmt, the grep gates, one pass of every test (allocation gates and fuzz
+# seed corpora included), the same suite under the race detector, one
+# iteration of every micro-benchmark, and time-boxed live fuzzing. `make ci`
+# runs this script; it is the one definition of the gate. The performance
+# record is `go run ./benchmark` (`make benchmark`), not part of this gate.
 set -eux
 
 go build ./...
@@ -14,8 +14,8 @@ go run ./cmd/crawlbench -exp table1 -sites cl -scale 0.0005 -maxpages 120 -runs 
 go vet ./...
 test -z "$(gofmt -l .)"
 # Gob-free: nothing outside test files imports encoding/gob (tests keep it
-# as the benchmark baseline and to forge the pre-codec records decoders must
-# refuse with codec.ErrLegacyFormat).
+# only to forge the pre-codec records decoders must refuse with
+# codec.ErrLegacyFormat).
 if grep -rn --include='*.go' '"encoding/gob"' . | grep -v '_test.go'; then
 	echo "encoding/gob imported outside _test.go" >&2
 	exit 1
@@ -67,18 +67,8 @@ if grep -rn --include='*.go' 'make(\[\]dom.Link' internal/core | grep -v '_test.
 	echo "internal/core copies a page's links outside _test.go" >&2
 	exit 1
 fi
-go test ./...
-# The race pass is the one determinism gate: every equivalence suite —
-# prefetch widths, partitions, kill-and-resume, cross-version stores,
-# retry convergence and the breaker, the crawld session lifecycle — runs here
-# with the race detector watching the speculative layers. Nothing below
-# re-runs a subset of it.
-go test -race ./...
-# Bench smoke: the perf-trajectory benchmarks still build and run — the
-# pipeline widths, the fleet speedup, the adaptive speculation window, and
-# the fleet-shared speculation cache.
-go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|BenchmarkAdaptivePrefetch|BenchmarkFleetSharedCache' -benchtime 1x .
-# Allocation gates, every package's 'Alloc' tests in one pass. They hold:
+# The main pass runs every test once, uncached. That includes every
+# package's 'Alloc' gates, which hold:
 # link path — free-listed parsers cost O(links) a page, never O(bytes), the
 # same after a GC, and a full intern table starts over; the raw-text scan
 # copies nothing; a link's surrounding text costs its 256 bytes whatever its
@@ -103,16 +93,22 @@ go test -run '^$' -bench 'BenchmarkPrefetchPipeline|BenchmarkFleetParallel|Bench
 # GET nothing the size of the record; attaching a crawl
 # to a store costs the same whatever the store holds; a Site counts its pages
 # once; a crawld client decodes each response out of one reused buffer.
-go test -run 'Alloc' -count=1 ./...
-# Fuzz seed-corpus gate: the tokenizer/extractor fuzz targets run their
-# checked-in seeds as ordinary tests (termination, a Reset tokenizer's
-# second pass agreeing with its first, UTF-8 preservation, pool hygiene).
-go test -run 'Fuzz' -count=1 ./internal/dom
-# Codec/store fuzz seeds: every persistence-plane decoder survives
-# arbitrary bytes (accepted blobs must re-encode to identity), the segment
-# scanner never panics and reports mutated logs through Recovery(), and the
-# session-record decoder does the same for the daemon.
-go test -run 'Fuzz' -count=1 ./internal/codec ./internal/store ./internal/serve
+# It also runs every Fuzz target's checked-in seed corpus as ordinary
+# tests: the tokenizer/extractor targets (termination, a Reset tokenizer's
+# second pass agreeing with its first, UTF-8 preservation, pool hygiene),
+# and every persistence-plane decoder (accepted blobs re-encode to
+# identity, the segment scanner never panics and reports mutated logs
+# through Recovery(), the session-record decoder likewise).
+go test -count=1 ./...
+# The race pass is the one determinism gate: every equivalence suite —
+# prefetch widths, partitions, kill-and-resume, cross-version stores,
+# retry convergence and the breaker, the crawld session lifecycle — runs here
+# with the race detector watching the speculative layers. Nothing below
+# re-runs a subset of it.
+go test -race ./...
+# Micro-benchmark smoke: every Benchmark* outside benchmark/ runs one
+# iteration, so one that stops building or panics fails the gate.
+go test -run '^$' -bench . -benchtime 1x ./...
 # Real fuzzing, time-boxed: running only the checked-in seeds does not
 # actually enforce the never-panic invariant (corrupt-length overflow
 # panics sailed through the seed-only gate and fell to a real -fuzz run in
@@ -141,13 +137,3 @@ go test -run '^$' -fuzz '^FuzzSplitVsURL$' -fuzztime 10s ./internal/urlutil
 # next draw at every turn must pop, count draws and snapshot exactly like a
 # twin that never peeks.
 go test -run '^$' -fuzz '^FuzzGroupedPeekPop$' -fuzztime 10s ./internal/frontier
-# Storage-layer smoke: the segment-log benchmarks behind BENCH_store.json
-# (round trip, snapshot compaction, resume/index-rebuild overhead) still
-# build and run.
-go test -run '^$' -bench 'BenchmarkStoreRoundTrip|BenchmarkStoreSnapshot|BenchmarkStorePutBatch|BenchmarkResumeOverhead' -benchtime 1x ./internal/store
-# Codec-vs-gob smoke: the round-trip benchmark behind the ≥3x/≥10x
-# acceptance numbers still builds and runs.
-go test -run '^$' -bench 'BenchmarkCodecRoundTrip' -benchtime 1x ./internal/codec
-# Resilience-bench smoke: the workload behind BENCH_resilience.json still
-# builds and runs.
-go test -run '^$' -bench 'BenchmarkResilience' -benchtime 1x .

@@ -131,7 +131,7 @@ func TestCheckpointRecordIsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripStore(resumed), baseline) {
+	if !reflect.DeepEqual(outcome(resumed), baseline) {
 		t.Error("resume over the checkpointed store diverged from uninterrupted run")
 	}
 }

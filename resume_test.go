@@ -1,181 +1,17 @@
 package sbcrawl
 
-// Resume-equivalence gate for the persistent crawl store: a crawl killed at
-// any step and resumed over its store must produce Results byte-identical
-// to a run that was never interrupted — for all 9 strategies and for
-// Prefetch ∈ {0, 8, auto} — because resume is deterministic re-execution
-// over the durable replay database. The fleet variants additionally pin
-// warm starts (every page served by the replay database) and done-record
-// short-circuits.
+// What a store keeps and serves beyond the crawl invariant (FuzzCrawlConfig
+// holds kill, resume and warm starts byte-identical): the bytes two sharing
+// fleets leave, done-record short-circuits across budgets, and replay over
+// live HTTP.
 
 import (
-	"context"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 )
-
-// resumeWidths is the ISSUE 5 acceptance sweep: sequential, a fixed
-// window, and the adaptive controller.
-var resumeWidths = []int{0, 8, PrefetchAuto}
-
-// stripStore clears the store diagnostics so results can be compared to
-// store-less baselines (the crawl outcome must match byte for byte; the
-// diagnostics legitimately differ).
-func stripStore(res *Result) *Result {
-	res.Store = nil
-	return res
-}
-
-func TestResumeEquivalence(t *testing.T) {
-	site, err := GenerateSite("cn", 0.01, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range allStrategies {
-		s := s
-		t.Run(string(s), func(t *testing.T) {
-			for _, width := range resumeWidths {
-				cfg := Config{Strategy: s, Seed: 2, Prefetch: width}
-				baseline, err := CrawlSite(site, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Kill at step k: run the same crawl with a hard budget
-				// into a fresh store, leaving a partial durable prefix.
-				dir := t.TempDir()
-				killCfg := cfg
-				killCfg.MaxRequests = 13
-				killCfg.StorePath = dir
-				if _, err := CrawlSite(site, killCfg); err != nil {
-					t.Fatal(err)
-				}
-				// Resume: full budget over the same store.
-				resCfg := cfg
-				resCfg.StorePath = dir
-				resCfg.Resume = true
-				resumed, err := CrawlSite(site, resCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resumed.Store == nil || !resumed.Store.Resumed {
-					t.Fatalf("prefetch=%d: resumed crawl did not report a warm start: %+v", width, resumed.Store)
-				}
-				if resumed.Store.ReplayHits == 0 {
-					t.Fatalf("prefetch=%d: resumed crawl replayed nothing from the store", width)
-				}
-				if resumed.Store.Completed {
-					t.Fatalf("prefetch=%d: the killed run's done-record leaked into a different budget", width)
-				}
-				if !reflect.DeepEqual(stripStore(resumed), baseline) {
-					t.Errorf("prefetch=%d: resumed crawl diverged from uninterrupted run:\nbase:   req=%d targets=%d curve=%d\nresume: req=%d targets=%d curve=%d",
-						width, baseline.Requests, len(baseline.Targets), len(baseline.Curve),
-						resumed.Requests, len(resumed.Targets), len(resumed.Curve))
-				}
-			}
-		})
-	}
-}
-
-// TestResumeEquivalenceAfterCancel kills a fleet the hard way — context
-// cancellation mid-flight, at a timing-dependent step — and still demands
-// byte-identical resume: re-execution does not care where the kill landed.
-func TestResumeEquivalenceAfterCancel(t *testing.T) {
-	site, err := GenerateSite("cl", 0.01, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := []*Site{site, site}
-	cfg := Config{Strategy: StrategySB, Seed: 7, Prefetch: 8, SimLatency: 200 * time.Microsecond}
-	baseline, err := CrawlSites(sites, cfg, FleetOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	killCfg := cfg
-	killCfg.StorePath = dir
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(3 * time.Millisecond)
-		cancel()
-	}()
-	// The cancelled fleet returns partial results (and the ctx error);
-	// only its durable side effects matter here.
-	if _, err := CrawlSites(sites, killCfg, FleetOptions{Workers: 2, Ctx: ctx}); err == nil {
-		t.Log("fleet finished before the cancel landed; resume is then a pure warm start")
-	}
-
-	resCfg := cfg
-	resCfg.StorePath = dir
-	resCfg.Resume = true
-	resumed, err := CrawlSites(sites, resCfg, FleetOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range baseline.Sites {
-		want, got := baseline.Sites[i].Result, resumed.Sites[i].Result
-		if want == nil || got == nil {
-			t.Fatalf("site %d missing result: base=%v resumed=%v", i, want != nil, got != nil)
-		}
-		if !reflect.DeepEqual(stripStore(got), stripStore(want)) {
-			t.Errorf("site %d: resumed result diverged from uninterrupted fleet", i)
-		}
-	}
-	if !reflect.DeepEqual(resumed.Curve, baseline.Curve) {
-		t.Error("resumed fleet curve diverged from uninterrupted fleet")
-	}
-}
-
-// TestFleetWarmStart is the ISSUE 5 acceptance: a second fleet over the
-// same sites with StorePath set starts warm — the durable replay database
-// serves every page, so the fleet touches no backend — and still returns
-// byte-identical results.
-func TestFleetWarmStart(t *testing.T) {
-	site, err := GenerateSite("ju", 0.01, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := []*Site{site, site}
-	dir := t.TempDir()
-	cfg := Config{Strategy: StrategySB, Seed: 4, Prefetch: 8, StorePath: dir}
-	// The small cap keeps the speculation cache from covering the whole
-	// site, so its overflow falls through to the replay database too.
-	opts := FleetOptions{Workers: 2, SharedSpeculation: true, SpecCacheCap: 12}
-
-	first, err := CrawlSites(sites, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Note: even on a cold store the fleet's second crawl of the same Site
-	// can report a warm start — its twin's responses are already durable —
-	// so only the store's presence is asserted here.
-	if first.Store == nil {
-		t.Fatal("first fleet reported no store activity")
-	}
-	second, err := CrawlSites(sites, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Store == nil || !second.Store.Resumed {
-		t.Fatalf("second fleet did not start warm: %+v", second.Store)
-	}
-	if second.Store.ReplayHits == 0 {
-		t.Error("second fleet never hit the durable replay database")
-	}
-	if second.Store.ReplayMisses != 0 {
-		t.Errorf("warm fleet went to the backend %d times", second.Store.ReplayMisses)
-	}
-	for i := range first.Sites {
-		want, got := first.Sites[i].Result, second.Sites[i].Result
-		if !reflect.DeepEqual(stripStore(got), stripStore(want)) {
-			t.Errorf("site %d: warm fleet result diverged from cold fleet", i)
-		}
-	}
-}
 
 // TestSharedSpeculationStoresEachResponseOnce pins what the store holds
 // after fleets that share speculation: the cache lives in memory for one
@@ -242,7 +78,7 @@ func TestResumeSkipsCompleted(t *testing.T) {
 		t.Fatalf("restarted fleet should be served from done-records: %+v", second.Store)
 	}
 	for i := range first.Sites {
-		if !reflect.DeepEqual(stripStore(second.Sites[i].Result), stripStore(first.Sites[i].Result)) {
+		if !reflect.DeepEqual(outcome(second.Sites[i].Result), outcome(first.Sites[i].Result)) {
 			t.Errorf("site %d: stored result diverged from the original", i)
 		}
 	}
@@ -260,63 +96,6 @@ func TestResumeSkipsCompleted(t *testing.T) {
 	}
 	if third.Requests > 9 {
 		t.Errorf("budgeted resume issued %d requests", third.Requests)
-	}
-}
-
-// TestResumeAfterStoreCorruption pins the recovery path end to end: the
-// killed crawl's store loses its segment tail (as after a crash
-// mid-write), and resume still reproduces the uninterrupted run — what the
-// log lost is simply re-fetched.
-func TestResumeAfterStoreCorruption(t *testing.T) {
-	site, err := GenerateSite("is", 0.01, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Strategy: StrategySB, Seed: 3}
-	baseline, err := CrawlSite(site, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	killCfg := cfg
-	killCfg.MaxRequests = 25
-	killCfg.StorePath = dir
-	if _, err := CrawlSite(site, killCfg); err != nil {
-		t.Fatal(err)
-	}
-	// Damage the newest non-empty segment: chop its tail mid-record.
-	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments written: %v %v", segs, err)
-	}
-	damaged := false
-	for i := len(segs) - 1; i >= 0; i-- {
-		info, err := os.Stat(segs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Size() < 40 {
-			continue
-		}
-		if err := os.Truncate(segs[i], info.Size()-17); err != nil {
-			t.Fatal(err)
-		}
-		damaged = true
-		break
-	}
-	if !damaged {
-		t.Fatal("found no segment worth damaging")
-	}
-
-	resCfg := cfg
-	resCfg.StorePath = dir
-	resCfg.Resume = true
-	resumed, err := CrawlSite(site, resCfg)
-	if err != nil {
-		t.Fatalf("resume over a damaged store must recover, not fail: %v", err)
-	}
-	if !reflect.DeepEqual(stripStore(resumed), baseline) {
-		t.Error("resume over a damaged store diverged from the uninterrupted run")
 	}
 }
 
@@ -350,7 +129,7 @@ func TestCrawlManyStoreWarmStart(t *testing.T) {
 		t.Fatalf("second live fleet did not replay from the store: %+v", second.Store)
 	}
 	for i := range first.Sites {
-		if !reflect.DeepEqual(stripStore(second.Sites[i].Result), stripStore(first.Sites[i].Result)) {
+		if !reflect.DeepEqual(outcome(second.Sites[i].Result), outcome(first.Sites[i].Result)) {
 			t.Errorf("site %d: replayed live crawl diverged", i)
 		}
 	}

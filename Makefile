@@ -1,9 +1,9 @@
 # Developer and CI entry points. `make ci` is the tier-1 verification gate,
-# defined once in scripts/ci.sh: build, vet, gofmt, the grep gates, the full
-# test suite (allocation gates and fuzz seed corpora included), the same suite
-# under the race detector (the fleet orchestrator runs crawls concurrently —
-# race-clean is a hard requirement, see ROADMAP.md), one pass over the
-# micro-benchmarks and time-boxed fuzzing.
+# defined once in scripts/ci.sh: build, vet, gofmt, the full test suite (the
+# architecture and dead-code rules, allocation gates and fuzz seed corpora
+# included), the same suite under the race detector (the fleet orchestrator
+# runs crawls concurrently — race-clean is a hard requirement, see
+# ROADMAP.md), one pass over the micro-benchmarks and time-boxed fuzzing.
 
 GO ?= go
 

@@ -5,6 +5,8 @@ package sbcrawl
 // matches nothing fails, so a rename or a move cannot switch it off.
 
 import (
+	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -79,5 +81,368 @@ func TestArchitectureRules(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// benchmarkOnly is the reason for a declaration only benchmark/ calls. The
+// benchmark is frozen until it is re-based on today's code; these entries are
+// what that re-base deletes.
+const benchmarkOnly = "benchmark-only until the benchmark is re-based"
+
+// deadCodeAllowed: the declarations the dead-code rule lets stand without a
+// non-test caller outside benchmark/, one per identifier, each with its
+// reason. An identifier is "dir.Name" for a top-level declaration,
+// "dir.Type.Method" for a method, or a bare directory for a whole package.
+// An entry that names no declaration, or whose identifier has a caller, fails
+// the rule, so the list can only shrink.
+var deadCodeAllowed = []deadCodeEntry{
+	{"internal/webgraph", "no package imports it: kept whole until a strategy reads the link graph or the package is deleted"},
+
+	{"internal/codec.AppendDelta", benchmarkOnly},
+	{"internal/codec.AppendFrontierState", benchmarkOnly},
+	{"internal/dom.ExtractLinksAppend", benchmarkOnly},
+	{"internal/fabric.AppendEnvelope", benchmarkOnly},
+	{"internal/frontier.Grouped.Snapshot", benchmarkOnly},
+	{"internal/frontier.Priority.Snapshot", benchmarkOnly},
+	{"internal/frontier.Queue.Snapshot", benchmarkOnly},
+	{"internal/frontier.Random.Snapshot", benchmarkOnly},
+	{"internal/frontier.Stack.Snapshot", benchmarkOnly},
+	{"internal/hnsw.Index.Nearest", benchmarkOnly},
+	{"internal/hnsw.Index.Vector", benchmarkOnly},
+	{"internal/store.Store.GarbageRatio", benchmarkOnly},
+	{"internal/store.Store.Snapshot", benchmarkOnly},
+	{"internal/textvec.TagPathVectorizer.Vectorize", benchmarkOnly},
+	{"internal/urlutil.HasBlockedExtension", benchmarkOnly},
+
+	{"internal/frontier.scoredHeap.Less", "heap.Interface: container/heap calls it"},
+	{"internal/frontier.scoredHeap.Swap", "heap.Interface: container/heap calls it"},
+	{"internal/store.LockedError.Unwrap", "errors.Is and errors.As call it"},
+
+	{"internal/classify.Features", "learn's sorted-vs-map differential test vectorizes links with it"},
+	{"internal/textvec.NGrams", "the dense Figure 3 pipeline, core's sparse-vs-dense action-index reference"},
+	{"internal/textvec.Projector.Project", "the dense Figure 3 pipeline, core's sparse-vs-dense action-index reference"},
+	{"internal/textvec.Vocab.BoW", "the dense Figure 3 pipeline, core's sparse-vs-dense action-index reference"},
+	{"internal/webserver.Server.EnableTrap", "core's robot-trap test crawls the trap it switches on"},
+}
+
+type deadCodeEntry struct{ id, reason string }
+
+// goFile is one parsed non-test Go file and its package directory,
+// module-relative and slash-separated ("." is the root package).
+type goFile struct {
+	dir  string
+	file *ast.File
+}
+
+// TestEveryDeclarationHasACaller holds the dead-code rule over the module's
+// non-test Go files.
+func TestEveryDeclarationHasACaller(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []goFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, goFile{filepath.ToSlash(filepath.Dir(path)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, problem := range deadCode(fset, "sbcrawl", files, deadCodeAllowed) {
+		t.Error(problem)
+	}
+}
+
+// deadCode reports every declaration without a caller, and every allowlist
+// entry that no longer holds. It is syntactic, so it needs no type
+// information, and it matches names, so it can miss dead code; what it flags
+// wrongly is a method only the standard library calls, such as a
+// heap.Interface method, which takes an allowlist entry.
+//
+// It checks every top-level declaration of an internal/ package, every
+// unexported top-level declaration anywhere, and every exported method of an
+// internal/ type; the root package's exports are the product and a command's
+// main is its entry point. A use must sit in a non-test file outside
+// benchmark/ and outside the declaration itself. For a top-level name it is
+// a pkg.Name selector or an unqualified identifier in the declaring package;
+// for a method it is any .Name selector or a method of the same name in an
+// interface type. An allowlisted declaration must have no such use, and its
+// reason is benchmarkOnly exactly when benchmark/ uses it.
+func deadCode(fset *token.FileSet, module string, files []goFile, allowed []deadCodeEntry) []string {
+	inBenchmark := func(dir string) bool { return dir == "benchmark" || strings.HasPrefix(dir, "benchmark/") }
+	pkgName := map[string]string{}
+	for _, gf := range files {
+		pkgName[gf.dir] = gf.file.Name.Name
+	}
+
+	type use struct {
+		pos       token.Pos
+		benchmark bool
+	}
+	type decl struct {
+		id, dir, name string
+		method        bool
+		node          ast.Node
+	}
+	topUses := map[[2]string][]use{} // {dir, name}
+	methodUses := map[string][]use{}
+	importers := map[string]bool{} // directories a non-test file outside benchmark/ imports from another package
+	var decls []decl
+
+	for _, gf := range files {
+		bench := inBenchmark(gf.dir)
+		imports := map[string]string{} // local name -> directory
+		for _, imp := range gf.file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			dir, ok := strings.CutPrefix(p, module+"/")
+			if p == module {
+				dir, ok = ".", true
+			}
+			if !ok {
+				continue
+			}
+			if !bench && dir != gf.dir {
+				importers[dir] = true
+			}
+			name := pkgName[dir]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = dir
+		}
+
+		if !bench {
+			internal := strings.HasPrefix(gf.dir, "internal/")
+			top := func(name string, node ast.Node) {
+				if name != "_" && name != "init" && (internal || !ast.IsExported(name)) &&
+					!(name == "main" && gf.file.Name.Name == "main") {
+					decls = append(decls, decl{gf.dir + "." + name, gf.dir, name, false, node})
+				}
+			}
+			for _, d := range gf.file.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						top(d.Name.Name, d)
+					} else if internal && d.Name.IsExported() {
+						decls = append(decls, decl{gf.dir + "." + receiverType(d) + "." + d.Name.Name, gf.dir, d.Name.Name, true, d})
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							top(spec.Name.Name, spec)
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								top(n.Name, spec)
+							}
+						}
+					}
+				}
+			}
+		}
+
+		// Identifiers that name something rather than use it.
+		naming := map[*ast.Ident]bool{gf.file.Name: true}
+		ast.Inspect(gf.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				naming[n.Name] = true
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							naming[id] = true
+						}
+						return true
+					})
+				}
+			case *ast.TypeSpec:
+				naming[n.Name] = true
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					naming[id] = true
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					naming[id] = true
+				}
+			case *ast.ImportSpec:
+				if n.Name != nil {
+					naming[n.Name] = true
+				}
+			case *ast.LabeledStmt:
+				naming[n.Label] = true
+			case *ast.BranchStmt:
+				if n.Label != nil {
+					naming[n.Label] = true
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						methodUses[id.Name] = append(methodUses[id.Name], use{id.Pos(), bench})
+					}
+				}
+			case *ast.SelectorExpr:
+				naming[n.Sel] = true
+				methodUses[n.Sel.Name] = append(methodUses[n.Sel.Name], use{n.Sel.Pos(), bench})
+				if x, ok := n.X.(*ast.Ident); ok {
+					if dir, ok := imports[x.Name]; ok {
+						k := [2]string{dir, n.Sel.Name}
+						topUses[k] = append(topUses[k], use{n.Sel.Pos(), bench})
+					}
+				}
+			}
+			return true
+		})
+		ast.Inspect(gf.file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !naming[id] {
+				k := [2]string{gf.dir, id.Name}
+				topUses[k] = append(topUses[k], use{id.Pos(), bench})
+			}
+			return true
+		})
+	}
+
+	allow := map[string]string{}
+	matched := map[string]bool{}
+	var problems []string
+	for _, e := range allowed {
+		if _, dup := allow[e.id]; dup || e.reason == "" {
+			problems = append(problems, fmt.Sprintf("allowlist entry %s: one entry per identifier, each with a reason", e.id))
+		}
+		allow[e.id] = e.reason
+	}
+	for _, d := range decls {
+		uses := topUses[[2]string{d.dir, d.name}]
+		if d.method {
+			uses = methodUses[d.name]
+		}
+		var used, benchUsed bool
+		for _, u := range uses {
+			if u.pos >= d.node.Pos() && u.pos < d.node.End() {
+				continue // a declaration does not keep itself alive
+			}
+			used = used || !u.benchmark
+			benchUsed = benchUsed || u.benchmark
+		}
+		if _, whole := allow[d.dir]; whole {
+			matched[d.dir] = true
+			continue
+		}
+		at := fset.Position(d.node.Pos())
+		reason, listed := allow[d.id]
+		matched[d.id] = matched[d.id] || listed
+		switch {
+		case !listed && !used:
+			problems = append(problems, fmt.Sprintf("%s:%d: %s has no caller outside tests and benchmark/", at.Filename, at.Line, d.id))
+		case listed && used:
+			problems = append(problems, fmt.Sprintf("%s:%d: %s has a caller now: delete its allowlist entry (%s)", at.Filename, at.Line, d.id, reason))
+		case listed && (reason == benchmarkOnly) != benchUsed:
+			problems = append(problems, fmt.Sprintf("%s:%d: %s: the reason must be %q exactly when benchmark/ calls it", at.Filename, at.Line, d.id, benchmarkOnly))
+		}
+	}
+	for _, e := range allowed {
+		switch {
+		case !matched[e.id]:
+			problems = append(problems, fmt.Sprintf("allowlist entry %s names no declaration the rule checks", e.id))
+		case importers[e.id]:
+			problems = append(problems, fmt.Sprintf("allowlist entry %s: another package imports it now", e.id))
+		}
+	}
+	return problems
+}
+
+// receiverType names a method's receiver type, without pointer or type
+// parameters.
+func receiverType(f *ast.FuncDecl) string {
+	x := f.Recv.List[0].Type
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	switch t := x.(type) {
+	case *ast.IndexExpr:
+		x = t.X
+	case *ast.IndexListExpr:
+		x = t.X
+	}
+	if id, ok := x.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
+}
+
+// TestDeadCodeRuleCatchesPlantedCases: over a planted module, the dead-code
+// rule reports an unused export, an unused method, an unused unexported
+// function (whose only use is itself), an allowlist entry naming nothing and
+// an allowlisted name that has a caller — and nothing else: a use from
+// cmd/, a benchmark-only entry and a use of a std-interface method's name
+// through an interface type all hold.
+func TestDeadCodeRuleCatchesPlantedCases(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []goFile
+	for _, f := range []struct{ dir, src string }{
+		{"internal/lib", `package lib
+func Used()   {}
+func Unused() {}
+func Listed() {}
+func Bench()  {}
+type T struct{}
+func (T) M()    {}
+func (T) Len() int { return 0 }
+func (T) Dead() {}
+func dead()   { dead() }
+`},
+		{"internal/app", `package app
+type sized interface{ Len() int }
+var _ sized
+`},
+		{"cmd/tool", `package main
+import "example.test/internal/lib"
+func main() { lib.Used(); lib.Listed(); var t lib.T; t.M() }
+`},
+		{"benchmark", `package main
+import "example.test/internal/lib"
+func main() { lib.Bench() }
+`},
+	} {
+		file, err := parser.ParseFile(fset, f.dir+"/x.go", f.src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, goFile{f.dir, file})
+	}
+	allowed := []deadCodeEntry{
+		{"internal/lib.Listed", "planted"},
+		{"internal/lib.Missing", "planted"},
+		{"internal/lib.Bench", benchmarkOnly},
+	}
+	problems := deadCode(fset, "example.test", files, allowed)
+	for _, want := range []string{
+		"internal/lib.Unused has no caller",
+		"internal/lib.T.Dead has no caller",
+		"internal/lib.dead has no caller",
+		"internal/lib.Missing names no declaration",
+		"internal/lib.Listed has a caller now",
+	} {
+		if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, want) }) {
+			t.Errorf("no report %q", want)
+		}
+	}
+	if len(problems) != 5 {
+		t.Errorf("%d reports, want the 5 planted:\n%s", len(problems), strings.Join(problems, "\n"))
 	}
 }

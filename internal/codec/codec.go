@@ -57,7 +57,7 @@ const (
 	KindCheckpoint
 	KindResult
 	KindFrontier
-	KindPartitionSnapshot // retired; old checkpoints still embed these blobs
+	_ // retired partition snapshots; checkpoints of earlier builds embed them
 	KindEnvelope
 	KindSessionRecord
 	KindCheckpointDelta // no longer written; stores of earlier builds hold them
@@ -237,9 +237,9 @@ func AppendInt64s(dst []byte, vs []int64) []byte {
 // Reader decodes a codec payload sequentially. Errors are sticky: after
 // the first malformed field every subsequent read returns zero values and
 // Close reports the error, so decoders read straight through without
-// per-field error handling. The zero-copy accessors (View, ViewString,
-// ViewStrings) alias the underlying buffer — the caller must keep the raw
-// blob alive and unmodified for as long as those views are used.
+// per-field error handling. The zero-copy accessors (View, ViewString)
+// alias the underlying buffer — the caller must keep the raw blob alive and
+// unmodified for as long as those views are used.
 type Reader struct {
 	b   []byte
 	off int
@@ -425,22 +425,6 @@ func (r *Reader) Strings() []string {
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, r.String())
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// ViewStrings reads a nil-aware string slice of zero-copy views.
-func (r *Reader) ViewStrings() []string {
-	n, ok := r.SliceLen()
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.ViewString())
 	}
 	if r.err != nil {
 		return nil

@@ -340,3 +340,26 @@ func TestBufferPool(t *testing.T) {
 	huge := make([]byte, 0, poolCap+1)
 	PutBuffer(&huge) // must not pin; nothing to assert beyond not panicking
 }
+
+// TestKindBytesAreWireFormat pins every payload kind's header byte: stores
+// on disk hold these bytes, so retiring a kind must leave its slot empty and
+// never renumber the kinds after it.
+func TestKindBytesAreWireFormat(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		kind, want byte
+	}{
+		{"KindResponse", KindResponse, 1},
+		{"KindCheckpoint", KindCheckpoint, 2},
+		{"KindResult", KindResult, 3},
+		{"KindFrontier", KindFrontier, 4},
+		// 5 held the retired partition snapshots.
+		{"KindEnvelope", KindEnvelope, 6},
+		{"KindSessionRecord", KindSessionRecord, 7},
+		{"KindCheckpointDelta", KindCheckpointDelta, 8},
+	} {
+		if c.kind != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.kind, c.want)
+		}
+	}
+}

@@ -64,7 +64,7 @@ func TestApplyDeltaOverflowingPrefixSuffix(t *testing.T) {
 
 func TestCheckpointHugeElementCount(t *testing.T) {
 	cp := core.Checkpoint{Requests: 7}
-	blob := core.EncodeCheckpoint(&cp)
+	blob := core.AppendCheckpoint(nil, &cp)
 	// The retired partition-snapshot list encodes as a trailing 0 byte;
 	// replace it with a count far beyond the remaining payload.
 	if blob[len(blob)-1] != 0 {

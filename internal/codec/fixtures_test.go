@@ -96,3 +96,17 @@ func sampleEnvelope() fabric.Envelope {
 		URLs: []string{"http://s/p1.html", "http://s/p2.html", "http://s/p3.html"},
 	}
 }
+
+// decodeEnvelope is the inverse of fabric.AppendEnvelope.
+func decodeEnvelope(raw []byte) (fabric.Envelope, error) {
+	var e fabric.Envelope
+	payload, err := codec.Header(raw, codec.KindEnvelope)
+	if err != nil {
+		return e, err
+	}
+	r := codec.NewReader(payload)
+	e.From = r.Int()
+	e.To = r.Int()
+	e.URLs = r.Strings()
+	return e, r.Close()
+}

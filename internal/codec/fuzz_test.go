@@ -24,8 +24,8 @@ func FuzzCodec(f *testing.F) {
 	resp := sampleResponse()
 	f.Add(fetch.AppendResponse(nil, &resp))
 	cp := sampleCheckpoint()
-	f.Add(core.EncodeCheckpoint(&cp))
-	f.Add(core.EncodeResult(sampleResult()))
+	f.Add(core.AppendCheckpoint(nil, &cp))
+	f.Add(core.AppendResult(nil, sampleResult()))
 	env := sampleEnvelope()
 	f.Add(fabric.AppendEnvelope(nil, &env))
 	f.Add(sampleFrontierBlob())
@@ -37,7 +37,7 @@ func FuzzCodec(f *testing.F) {
 	// checkpoint element count far beyond the payload that used to drive an
 	// unbounded make.
 	f.Add(binary.AppendUvarint(codec.AppendHeader(nil, codec.KindResult), 1<<63-1))
-	cpb := core.EncodeCheckpoint(&core.Checkpoint{})
+	cpb := core.AppendCheckpoint(nil, &core.Checkpoint{})
 	f.Add(binary.AppendUvarint(cpb[:len(cpb)-1], 1<<40+1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -54,19 +54,19 @@ func FuzzCodec(f *testing.F) {
 			}
 		}
 		if cp, err := core.DecodeCheckpoint(data); err == nil {
-			cp2, err := core.DecodeCheckpoint(core.EncodeCheckpoint(&cp))
+			cp2, err := core.DecodeCheckpoint(core.AppendCheckpoint(nil, &cp))
 			if err != nil || !reflect.DeepEqual(cp2, cp) {
 				t.Fatalf("checkpoint identity: err=%v\n got %#v\nwant %#v", err, cp2, cp)
 			}
 		}
 		if res, err := core.DecodeResult(data); err == nil {
-			res2, err := core.DecodeResult(core.EncodeResult(res))
+			res2, err := core.DecodeResult(core.AppendResult(nil, res))
 			if err != nil || !reflect.DeepEqual(res2, res) {
 				t.Fatalf("result identity: err=%v\n got %#v\nwant %#v", err, res2, res)
 			}
 		}
-		if e, err := fabric.DecodeEnvelope(data); err == nil {
-			e2, err := fabric.DecodeEnvelope(fabric.AppendEnvelope(nil, &e))
+		if e, err := decodeEnvelope(data); err == nil {
+			e2, err := decodeEnvelope(fabric.AppendEnvelope(nil, &e))
 			if err != nil || !reflect.DeepEqual(e2, e) {
 				t.Fatalf("envelope identity: err=%v\n got %#v\nwant %#v", err, e2, e)
 			}

@@ -63,7 +63,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		{Requests: 4, Frontier: []byte{}},
 	}
 	for i, want := range cases {
-		got, err := core.DecodeCheckpoint(core.EncodeCheckpoint(&want))
+		got, err := core.DecodeCheckpoint(core.AppendCheckpoint(nil, &want))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -115,7 +115,7 @@ func TestResultRoundTrip(t *testing.T) {
 	full := sampleResult()
 	minimal := &core.Result{Crawler: "dfs", Requests: 3, Steps: 3}
 	for _, want := range []*core.Result{full, minimal} {
-		got, err := core.DecodeResult(core.EncodeResult(want))
+		got, err := core.DecodeResult(core.AppendResult(nil, want))
 		if err != nil {
 			t.Fatalf("%s: %v", want.Crawler, err)
 		}
@@ -124,7 +124,7 @@ func TestResultRoundTrip(t *testing.T) {
 		}
 	}
 	// The optional sections must come back nil, not zero-valued.
-	got, err := core.DecodeResult(core.EncodeResult(minimal))
+	got, err := core.DecodeResult(core.AppendResult(nil, minimal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestResultLegacyGob(t *testing.T) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	for _, want := range []fabric.Envelope{sampleEnvelope(), {From: 1, To: 2}} {
-		got, err := fabric.DecodeEnvelope(fabric.AppendEnvelope(nil, &want))
+		got, err := decodeEnvelope(fabric.AppendEnvelope(nil, &want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestUnknownVersionRefused(t *testing.T) {
 	if _, err := core.DecodeResult(future(codec.KindResult)); !errors.Is(err, codec.ErrUnknownVersion) {
 		t.Fatalf("result: %v", err)
 	}
-	if _, err := fabric.DecodeEnvelope(future(codec.KindEnvelope)); !errors.Is(err, codec.ErrUnknownVersion) {
+	if _, err := decodeEnvelope(future(codec.KindEnvelope)); !errors.Is(err, codec.ErrUnknownVersion) {
 		t.Fatalf("envelope: %v", err)
 	}
 	if _, err := codec.DecodeFrontierState(future(codec.KindFrontier)); !errors.Is(err, codec.ErrUnknownVersion) {
@@ -185,7 +185,7 @@ func TestTruncatedPayloadsRefused(t *testing.T) {
 		}
 	}
 	cp := sampleCheckpoint()
-	enc := core.EncodeCheckpoint(&cp)
+	enc := core.AppendCheckpoint(nil, &cp)
 	if _, err := core.DecodeCheckpoint(enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}

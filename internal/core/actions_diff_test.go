@@ -101,7 +101,7 @@ func tagPathStream(t testing.TB, code string, scale float64, limit int) []dom.Ta
 		if pg.Kind != sitegen.KindHTML {
 			continue
 		}
-		for _, l := range dom.ExtractLinks(site.RenderPage(pg)) {
+		for _, l := range dom.ExtractLinksAppend(nil, site.RenderPage(pg)) {
 			paths = append(paths, l.TagPath)
 			if len(paths) == limit {
 				return paths

@@ -4,13 +4,17 @@ import (
 	"sbcrawl/internal/frontier"
 )
 
-// simpleFrontier abstracts the three unordered baselines' frontiers. It
-// includes the Peek capability (frontier.Peeker) so the staged loop can
-// speculate on the likely next pops.
+// simpleFrontier abstracts the three unordered baselines' frontiers.
 type simpleFrontier interface {
 	Push(url string)
 	Pop() (string, bool)
 	Len() int
+	// Peek returns up to n URLs the frontier is likely to pop soon, so the
+	// staged loop can speculate on them. It removes nothing and consumes no
+	// randomness, so peeking never changes what a crawl does. The order is
+	// best-effort: exact for FIFO and LIFO, a 1/Len guess for Random. The
+	// result may be a view of the frontier's storage, valid until the next
+	// Push or Pop, and must never be modified.
 	Peek(n int) []string
 }
 

@@ -33,11 +33,6 @@ func AppendCheckpoint(dst []byte, cp *Checkpoint) []byte {
 	return dst
 }
 
-// EncodeCheckpoint serializes a checkpoint for durable storage.
-func EncodeCheckpoint(cp *Checkpoint) []byte {
-	return AppendCheckpoint(make([]byte, 0, 128+len(cp.Frontier)), cp)
-}
-
 // DecodeCheckpoint decodes a durable checkpoint.
 func DecodeCheckpoint(raw []byte) (Checkpoint, error) {
 	var cp Checkpoint
@@ -132,11 +127,6 @@ func AppendResult(dst []byte, res *Result) []byte {
 		dst = codec.AppendStrings(dst, res.Faults.QuarantinedHosts)
 	}
 	return dst
-}
-
-// EncodeResult serializes a crawl result for durable storage.
-func EncodeResult(res *Result) []byte {
-	return AppendResult(make([]byte, 0, 1024), res)
 }
 
 // DecodeResult decodes a durable crawl result.

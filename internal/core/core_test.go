@@ -283,7 +283,7 @@ func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 	// index and a grouped frontier take a parked arena, generator and source
 	// when they are built.
 	for range 8 {
-		learn.NewLogisticRegression().PartialFit([]learn.Example{{X: textvec.CharBigrams("ab"), Y: learn.ClassTarget}})
+		learn.NewLogisticRegression().PartialFit([]learn.Example{{X: textvec.MakeSparse(2).AppendCharBigrams("ab", 0), Y: learn.ClassTarget}})
 		classify.NewOnline(classify.Config{})
 		hnsw.New(hnsw.DefaultConfig())
 		frontier.NewGrouped(0)

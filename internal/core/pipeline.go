@@ -26,8 +26,8 @@ type crawlPolicy interface {
 	// accounting. Not called for truncated fetches.
 	Ingest(u string, pg page)
 	// Hints lists up to n URLs the policy is likely to select soon, in
-	// decreasing likelihood, without mutating any crawl state (see
-	// frontier.Peeker). Only consulted when prefetching is on.
+	// decreasing likelihood, without mutating any crawl state (a frontier's
+	// Peek). Only consulted when prefetching is on.
 	Hints(n int) []string
 }
 

@@ -143,7 +143,7 @@ func TestRecycleDropsSourceViews(t *testing.T) {
 	p := newParser(true)
 	root := p.parse(buildPage(300, 8)) // spills into a second arena block
 	views := 0
-	Walk(root, func(n *Node) bool {
+	walk(root, func(n *Node) bool {
 		if n.text != nil {
 			views++
 		}

@@ -6,6 +6,45 @@ import (
 	"testing/quick"
 )
 
+// parse builds an owned tree of src: an unpooled parser materializes every
+// text node in Node.Data, so the tree outlives the call.
+func parse(src []byte) *Node { return newParser(false).parse(src) }
+
+// extractTree extracts every link of an already-parsed tree, with every
+// field.
+func extractTree(root *Node) []Link { return newParser(false).extract(root, nil, AllFields, nil) }
+
+// walk visits every node of the tree in document order, calling fn; when fn
+// returns false the subtree below the node is skipped.
+func walk(n *Node, fn func(*Node) bool) {
+	if !fn(n) {
+		return
+	}
+	for _, c := range n.Children {
+		walk(c, fn)
+	}
+}
+
+// find returns the first element with the given tag name in document order,
+// or nil.
+func find(n *Node, name string) *Node {
+	var found *Node
+	walk(n, func(m *Node) bool {
+		if found != nil {
+			return false
+		}
+		if m.Type == ElementNode && m.Data == name {
+			found = m
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// decodeEntities resolves named and numeric character references in s.
+func decodeEntities(s string) string { return string(appendDecodedEntities(nil, []byte(s))) }
+
 const samplePage = `<!DOCTYPE html>
 <html>
 <head><title>Datasets &amp; Reports</title>
@@ -31,22 +70,22 @@ const samplePage = `<!DOCTYPE html>
 </html>`
 
 func TestParseBasicStructure(t *testing.T) {
-	root := Parse([]byte(samplePage))
-	html := Find(root, "html")
+	root := parse([]byte(samplePage))
+	html := find(root, "html")
 	if html == nil {
 		t.Fatal("no <html> element")
 	}
-	if got := Title(root); got != "Datasets & Reports" {
-		t.Errorf("Title = %q, want %q (entity must decode)", got, "Datasets & Reports")
+	if got := find(root, "title").Text(); got != "Datasets & Reports" {
+		t.Errorf("title = %q, want %q (entity must decode)", got, "Datasets & Reports")
 	}
-	if div := Find(root, "div"); div == nil || div.ID() != "main" {
+	if div := find(root, "div"); div == nil || div.ID() != "main" {
 		t.Errorf("first div should have id main, got %+v", div)
 	}
 }
 
 func TestScriptContentIsNotParsed(t *testing.T) {
-	root := Parse([]byte(samplePage))
-	for _, l := range ExtractLinksFromTree(root) {
+	root := parse([]byte(samplePage))
+	for _, l := range extractTree(root) {
 		if l.URL == "/trap" {
 			t.Fatal("link inside <script> must not be extracted")
 		}
@@ -54,7 +93,7 @@ func TestScriptContentIsNotParsed(t *testing.T) {
 }
 
 func TestExtractLinks(t *testing.T) {
-	links := ExtractLinks([]byte(samplePage))
+	links := ExtractLinksAppend(nil, []byte(samplePage))
 	byURL := map[string]Link{}
 	for _, l := range links {
 		byURL[l.URL] = l
@@ -84,7 +123,7 @@ func TestExtractLinks(t *testing.T) {
 }
 
 func TestTagPathFormat(t *testing.T) {
-	links := ExtractLinks([]byte(samplePage))
+	links := ExtractLinksAppend(nil, []byte(samplePage))
 	var dataset Link
 	for _, l := range links {
 		if l.URL == "/data/a.csv" {
@@ -104,7 +143,7 @@ func TestTagPathFormat(t *testing.T) {
 func TestImpliedLiClose(t *testing.T) {
 	// The sample's second <li> has no closing tag; the third <li> must still
 	// be a sibling, not a descendant, so both paths are equal.
-	links := ExtractLinks([]byte(samplePage))
+	links := ExtractLinksAppend(nil, []byte(samplePage))
 	var b, more Link
 	for _, l := range links {
 		switch l.URL {
@@ -120,7 +159,7 @@ func TestImpliedLiClose(t *testing.T) {
 }
 
 func TestSidebarPathIncludesAllClasses(t *testing.T) {
-	links := ExtractLinks([]byte(samplePage))
+	links := ExtractLinksAppend(nil, []byte(samplePage))
 	for _, l := range links {
 		if l.URL == "https://other.org/x" {
 			want := "html body div#main.container div.sidebar.promo a"
@@ -134,7 +173,7 @@ func TestSidebarPathIncludesAllClasses(t *testing.T) {
 }
 
 func TestSurroundingText(t *testing.T) {
-	links := ExtractLinks([]byte(samplePage))
+	links := ExtractLinksAppend(nil, []byte(samplePage))
 	for _, l := range links {
 		if l.URL == "relative.html" {
 			if !strings.Contains(l.SurroundingText, "Intro text") {
@@ -162,12 +201,12 @@ func TestMalformedHTMLDoesNotPanic(t *testing.T) {
 		"<a href=\"&#x48;&#101;llo.html\">num</a>",
 	}
 	for _, c := range cases {
-		_ = ExtractLinks([]byte(c)) // must not panic
+		_ = ExtractLinksAppend(nil, []byte(c)) // must not panic
 	}
 }
 
 func TestUnquotedAndNumericEntityHref(t *testing.T) {
-	links := ExtractLinks([]byte(`<a href=/plain.csv>p</a><a href="&#x48;i.html">n</a>`))
+	links := ExtractLinksAppend(nil, []byte(`<a href=/plain.csv>p</a><a href="&#x48;i.html">n</a>`))
 	if len(links) != 2 {
 		t.Fatalf("got %d links, want 2", len(links))
 	}
@@ -180,8 +219,8 @@ func TestUnquotedAndNumericEntityHref(t *testing.T) {
 }
 
 func TestVoidElementsDoNotNest(t *testing.T) {
-	root := Parse([]byte(`<div><img src="a.png"><a href="/x">link</a></div>`))
-	links := ExtractLinksFromTree(root)
+	root := parse([]byte(`<div><img src="a.png"><a href="/x">link</a></div>`))
+	links := extractTree(root)
 	if len(links) != 1 {
 		t.Fatalf("got %d links, want 1", len(links))
 	}
@@ -191,26 +230,34 @@ func TestVoidElementsDoNotNest(t *testing.T) {
 }
 
 func TestSelfClosingTag(t *testing.T) {
-	root := Parse([]byte(`<div><br/><a href="/x">link</a></div>`))
-	links := ExtractLinksFromTree(root)
+	root := parse([]byte(`<div><br/><a href="/x">link</a></div>`))
+	links := extractTree(root)
 	if len(links) != 1 || links[0].TagPath.String() != "div a" {
 		t.Errorf("self-closing br broke structure: %+v", links)
 	}
 }
 
 func TestNodeText(t *testing.T) {
-	root := Parse([]byte(`<p>  hello   <b>bold</b>
+	root := parse([]byte(`<p>  hello   <b>bold</b>
 	world </p>`))
-	p := Find(root, "p")
+	p := find(root, "p")
 	if got := p.Text(); got != "hello bold world" {
 		t.Errorf("Text = %q, want %q", got, "hello bold world")
 	}
 }
 
+// TestFindAll: sibling elements of one kind all land in the tree, as
+// siblings.
 func TestFindAll(t *testing.T) {
-	root := Parse([]byte(`<ul><li>a</li><li>b</li><li>c</li></ul>`))
-	if n := len(FindAll(root, "li")); n != 3 {
-		t.Errorf("FindAll(li) = %d, want 3", n)
+	root := parse([]byte(`<ul><li>a</li><li>b</li><li>c</li></ul>`))
+	ul := find(root, "ul")
+	if ul == nil || len(ul.Children) != 3 {
+		t.Fatalf("ul = %+v, want three li children", ul)
+	}
+	for _, li := range ul.Children {
+		if li.Data != "li" {
+			t.Errorf("ul child %q, want li", li.Data)
+		}
 	}
 }
 
@@ -259,7 +306,7 @@ func TestExtractLinksProperty(t *testing.T) {
 				b.WriteString("<!-- c -->")
 			}
 		}
-		links := ExtractLinks([]byte(b.String()))
+		links := ExtractLinksAppend(nil, []byte(b.String()))
 		for _, l := range links {
 			if len(l.TagPath) == 0 {
 				return false
@@ -276,12 +323,12 @@ func TestExtractLinksProperty(t *testing.T) {
 	}
 }
 
-// Property: PathTo depth equals the element's ancestor chain length.
+// Property: tag-path depth equals the element's ancestor chain length.
 func TestPathDepthProperty(t *testing.T) {
 	f := func(depth uint8) bool {
 		d := int(depth%20) + 1
 		html := strings.Repeat("<div>", d) + "<a href='/x'>y</a>" + strings.Repeat("</div>", d)
-		links := ExtractLinks([]byte(html))
+		links := ExtractLinksAppend(nil, []byte(html))
 		if len(links) != 1 {
 			return false
 		}

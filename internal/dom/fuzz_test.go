@@ -70,7 +70,8 @@ func FuzzTokenizer(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src []byte) {
 		validIn := utf8.Valid(src)
-		z := NewTokenizer(src)
+		var z Tokenizer
+		z.Reset(src)
 		drain := func(check bool) []token {
 			var out []token
 			for steps := 0; ; steps++ {
@@ -140,20 +141,21 @@ func fuzzAdmit(href string) (string, bool) {
 // FuzzExtractLinks drives the full pooled parse→extract path: it must
 // terminate, two runs over one input must agree exactly (no state leaking
 // through the parser pool), the result must equal the materializing tree
-// path's (Parse + ExtractLinksFromTree builds every text node as a string;
-// it is the oracle for the pooled run's source views), the filtered form
+// path's (an unpooled parse builds every text node as a string; extracting
+// from its tree is the oracle for the pooled run's source views), the
+// filtered form
 // must equal the unfiltered one followed by the same filter for every field
 // set, and every extracted link must satisfy the documented invariants.
 func FuzzExtractLinks(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src []byte) {
 		validIn := utf8.Valid(src)
-		links := ExtractLinks(src)
-		again := ExtractLinks(src)
+		links := ExtractLinksAppend(nil, src)
+		again := ExtractLinksAppend(nil, src)
 		if !reflect.DeepEqual(links, again) {
 			t.Error("two extractions of one page differ: parser pool leaks state")
 		}
-		if tree := ExtractLinksFromTree(Parse(src)); !reflect.DeepEqual(links, tree) {
+		if tree := extractTree(parse(src)); !reflect.DeepEqual(links, tree) {
 			t.Errorf("pooled extraction differs from the tree path:\npooled: %+v\ntree:   %+v", links, tree)
 		}
 		for want := Fields(0); want <= AllFields; want++ {

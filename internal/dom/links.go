@@ -22,13 +22,9 @@ func (p TagPath) String() string { return strings.Join(p, " ") }
 // keys, mirroring the appendix notation "/html/body/div.nces/...".
 func (p TagPath) Key() string { return "/" + strings.Join(p, "/") }
 
-// PathToken renders one element as a tag-path token: name, then "#id" when an
-// id is present, then ".class" for each class in document order.
-func PathToken(n *Node) string {
-	return string(appendPathToken(nil, n))
-}
-
-// appendPathToken appends the element's tag-path token to dst.
+// appendPathToken appends the element's tag-path token to dst: name, then
+// "#id" when an id is present, then ".class" for each class in document
+// order.
 func appendPathToken(dst []byte, n *Node) []byte {
 	dst = append(dst, n.Data...)
 	if id, _ := n.Attr("id"); id != "" {
@@ -88,23 +84,6 @@ func appendSanitized(dst []byte, s string) []byte {
 	return dst
 }
 
-// PathTo returns the tag path from the document root to n (inclusive),
-// excluding the synthetic #document node.
-func PathTo(n *Node) TagPath {
-	var rev []string
-	for m := n; m != nil && m.Data != "#document"; m = m.Parent {
-		if m.Type != ElementNode {
-			continue
-		}
-		rev = append(rev, PathToken(m))
-	}
-	path := make(TagPath, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, rev[i])
-	}
-	return path
-}
-
 // Link is one hyperlink extracted from a page: the edge of the website graph
 // together with its label and the textual context used by the FOCUSED
 // baseline's URL_CONT feature set. An extraction that was not asked for a
@@ -147,17 +126,12 @@ const surroundingCap = 256
 // following Section 2.2 (edges exist via tags like <a>, <area>, <iframe>).
 var linkAttr = map[string]string{"a": "href", "area": "href", "iframe": "src"}
 
-// ExtractLinks parses the HTML page and returns every hyperlink with its tag
-// path and context. The order matches document order. The parse runs on a
-// pooled scanner: only the returned Links (plain strings throughout) survive
-// the call, so steady-state allocation is O(links), not O(bytes).
-func ExtractLinks(src []byte) []Link {
-	return ExtractLinksAppend(nil, src)
-}
-
-// ExtractLinksAppend is ExtractLinks appending into dst (which may be an
-// exhausted scratch slice), for callers that recycle their link buffers. It
-// is ExtractLinksFiltered with every field and no filter.
+// ExtractLinksAppend parses the HTML page and appends every hyperlink, with
+// its tag path and context, to dst (which may be an exhausted scratch
+// slice), in document order. The parse runs on a pooled scanner: only the
+// appended Links (plain strings throughout) survive the call, so
+// steady-state allocation is O(links), not O(bytes). It is
+// ExtractLinksFiltered with every field and no filter.
 func ExtractLinksAppend(dst []Link, src []byte) []Link {
 	return ExtractLinksFiltered(dst, src, AllFields, nil)
 }
@@ -174,14 +148,6 @@ func ExtractLinksFiltered(dst []Link, src []byte, want Fields, admit func(href s
 	dst = p.extract(root, dst, want, admit)
 	putParser(p)
 	return dst
-}
-
-// ExtractLinksFromTree is ExtractLinks over an already-parsed tree.
-func ExtractLinksFromTree(root *Node) []Link {
-	p := getParser()
-	links := p.extract(root, nil, AllFields, nil)
-	putParser(p)
-	return links
 }
 
 // extract walks the tree once. With tag paths wanted, it maintains the
@@ -286,12 +252,4 @@ func truncate[S string | []byte](s S, n int) S {
 		n--
 	}
 	return s[:n]
-}
-
-// Title returns the content of the page's <title> element, or "".
-func Title(root *Node) string {
-	if t := Find(root, "title"); t != nil {
-		return t.Text()
-	}
-	return ""
 }

@@ -23,7 +23,7 @@ type Node struct {
 	Parent   *Node
 	Children []*Node
 
-	// text is a text node's content in a pooled ExtractLinks run, whose tree
+	// text is a text node's content in a pooled extraction, whose tree
 	// never escapes: a view of the page source (or of the parser's arena, for
 	// entity-decoded text) standing in for Data, which stays "".
 	text []byte
@@ -186,9 +186,9 @@ const (
 	maxInternLen = 64
 )
 
-// parser is the reusable state of one Parse/ExtractLinks run: the tokenizer,
+// parser is the reusable state of one parse-and-extract run: the tokenizer,
 // node and attribute arenas, a dynamic intern table, and the link-extraction
-// walk state. A parser is single-use at a time; ExtractLinks draws parsers
+// walk state. A parser is single-use at a time; extractions draw parsers
 // from an internal pool (parserFree) and recycles them (the arenas are
 // reused, so trees built by a pooled run must not escape — only materialized
 // strings may).
@@ -223,11 +223,14 @@ type parser struct {
 	lastPath       TagPath // the previous link's path, shared by equal ones
 }
 
+// newParser builds a parser. The pool's parsers hold text views; one built
+// with views off materializes every text node, the tree the tests hold a
+// pooled run's links to.
 func newParser(views bool) *parser {
 	return &parser{views: views, interned: maps.Clone(commonStrings)}
 }
 
-// parserFree is the free list ExtractLinks draws warm parsers from. It is a
+// parserFree is the free list extractions draw warm parsers from. It is a
 // bounded channel, not a sync.Pool: a pool is emptied at every GC, and a cold
 // parser re-grows its arenas and re-interns up to maxIntern strings (1–2 MB
 // of garbage whose amount depends on when the collector happens to run).
@@ -397,14 +400,10 @@ func foldEqualStr(name []byte, s string) bool {
 	return true
 }
 
-// Parse builds a DOM tree from HTML bytes. It never fails: malformed input
+// parse builds a DOM tree from HTML bytes. It never fails: malformed input
 // produces a best-effort tree. The returned root is a synthetic element named
-// "#document" whose children are the top-level nodes. The tree owns its
-// memory (it is not drawn from the shared pool) and may be retained freely.
-func Parse(src []byte) *Node {
-	return newParser(false).parse(src)
-}
-
+// "#document" whose children are the top-level nodes. The tree lives in the
+// parser's arenas until it is recycled.
 func (p *parser) parse(src []byte) *Node {
 	p.z.Reset(src)
 	root := p.newNode()
@@ -471,44 +470,4 @@ func (p *parser) parse(src []byte) *Node {
 		}
 	}
 	return root
-}
-
-// Walk visits every node of the tree in document order, calling fn; when fn
-// returns false the subtree below the node is skipped.
-func Walk(n *Node, fn func(*Node) bool) {
-	if !fn(n) {
-		return
-	}
-	for _, c := range n.Children {
-		Walk(c, fn)
-	}
-}
-
-// Find returns the first element with the given tag name in document order,
-// or nil.
-func Find(n *Node, name string) *Node {
-	var found *Node
-	Walk(n, func(m *Node) bool {
-		if found != nil {
-			return false
-		}
-		if m.Type == ElementNode && m.Data == name {
-			found = m
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// FindAll returns all elements with the given tag name in document order.
-func FindAll(n *Node, name string) []*Node {
-	var out []*Node
-	Walk(n, func(m *Node) bool {
-		if m.Type == ElementNode && m.Data == name {
-			out = append(out, m)
-		}
-		return true
-	})
-	return out
 }

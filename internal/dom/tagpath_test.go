@@ -8,11 +8,25 @@ import (
 	"sbcrawl/internal/sitegen"
 )
 
-// linkNodes returns the elements ExtractLinks turns into links, in document
+// pathTo returns the tag path from the document root to n (inclusive),
+// excluding the synthetic #document node, rebuilt from the Parent chain: the
+// oracle for the extractor's incremental path stack.
+func pathTo(n *Node) TagPath {
+	var path TagPath
+	for m := n; m != nil && m.Data != "#document"; m = m.Parent {
+		if m.Type == ElementNode {
+			path = append(path, string(appendPathToken(nil, m)))
+		}
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// linkNodes returns the elements ExtractLinksAppend turns into links, in document
 // order: a linking element whose URL attribute is non-blank.
 func linkNodes(root *Node) []*Node {
 	var out []*Node
-	Walk(root, func(n *Node) bool {
+	walk(root, func(n *Node) bool {
 		if n.Type != ElementNode {
 			return true
 		}
@@ -27,7 +41,7 @@ func linkNodes(root *Node) []*Node {
 }
 
 // TestExtractedTagPathsShareEqualNeighbours: on rendered sitegen pages every
-// extracted TagPath equals PathTo of its element, a link whose path equals
+// extracted TagPath equals pathTo of its element, a link whose path equals
 // the previous link's shares that link's slice, and one whose path differs
 // gets its own.
 func TestExtractedTagPathsShareEqualNeighbours(t *testing.T) {
@@ -44,14 +58,14 @@ func TestExtractedTagPathsShareEqualNeighbours(t *testing.T) {
 				continue
 			}
 			src := site.RenderPage(pg)
-			got := ExtractLinks(src)
-			nodes := linkNodes(Parse(src))
+			got := ExtractLinksAppend(nil, src)
+			nodes := linkNodes(parse(src))
 			if len(got) != len(nodes) {
 				t.Fatalf("%s %s: %d links for %d linking elements", code, pg.URL, len(got), len(nodes))
 			}
 			for i, l := range got {
-				if want := PathTo(nodes[i]); !slices.Equal(l.TagPath, want) {
-					t.Fatalf("%s %s link %d: TagPath %q, PathTo %q", code, pg.URL, i, l.TagPath, want)
+				if want := pathTo(nodes[i]); !slices.Equal(l.TagPath, want) {
+					t.Fatalf("%s %s link %d: TagPath %q, pathTo %q", code, pg.URL, i, l.TagPath, want)
 				}
 				if i == 0 {
 					continue
@@ -79,7 +93,7 @@ func TestExtractedTagPathsShareEqualNeighbours(t *testing.T) {
 // TestParkedParserHoldsNoLastPath: a parser on the free list keeps no link's
 // path alive.
 func TestParkedParserHoldsNoLastPath(t *testing.T) {
-	ExtractLinks([]byte(samplePage))
+	ExtractLinksAppend(nil, []byte(samplePage))
 	var parked []*parser
 	for {
 		select {

@@ -12,13 +12,13 @@
 // Tokenizer's internal scratch, for entity-decoded content) and its Attrs
 // slice is backed by storage the Tokenizer reuses. Every view is valid only
 // until the next call to NextRaw on the same Tokenizer; callers that
-// retain token content across calls must copy it. Parse and ExtractLinks
-// honor this contract internally — the strings they hand out (Node fields,
-// Link fields) are materialized, interned copies that are always safe to
-// retain. ExtractLinks additionally draws its parser state from an internal
-// pool — a small bounded free list that, unlike a sync.Pool, keeps its
-// parsers across GCs — so it allocates O(links), not O(bytes), in the steady
-// state, and the same after a collection.
+// retain token content across calls must copy it. The link extractors honor
+// this contract internally — the strings they hand out (Link fields) are
+// materialized, interned copies that are always safe to retain. They draw
+// their parser state from an internal pool — a small bounded free list that,
+// unlike a sync.Pool, keeps its parsers across GCs — so extraction allocates
+// O(links), not O(bytes), in the steady state, and the same after a
+// collection.
 //
 // The tree of a pooled run never escapes, so its text nodes are not
 // materialized at all: each holds a view of the page source (Node.text; a
@@ -27,9 +27,9 @@
 // SurroundingText reads the views directly, whole ASCII words at a time.
 // Only the collapsed result becomes a string — for SurroundingText, only its
 // first 256 bytes. The views are dropped when the parser is recycled, so an
-// idle parser pins no page body. Parse builds the same tree with every text
-// node materialized in Node.Data; ExtractLinksFromTree over it is the oracle
-// the fuzz target holds ExtractLinks to.
+// idle parser pins no page body. An unpooled parser (newParser(false)) builds
+// the same tree with every text node materialized in Node.Data; extracting
+// from that tree is the oracle the fuzz target holds the pooled run to.
 //
 // A caller that keeps few of a page's links and reads few of their fields
 // pays for those alone through ExtractLinksFiltered, of which
@@ -45,10 +45,7 @@
 // parses now.
 package dom
 
-import (
-	"bytes"
-	"strings"
-)
+import "bytes"
 
 // TokenType discriminates the kinds of tokens produced by the Tokenizer.
 type TokenType int
@@ -107,10 +104,9 @@ func rawTextTag(name []byte) []byte {
 	return nil
 }
 
-// Tokenizer scans an HTML byte stream into tokens. The zero value is not
-// usable; construct with NewTokenizer (or Reset a pooled one). A Tokenizer
-// may be reused across documents via Reset; its internal buffers then stop
-// allocating in the steady state.
+// Tokenizer scans an HTML byte stream into tokens. Reset aims it at a
+// document; it may be reused across documents, and its internal buffers then
+// stop allocating in the steady state.
 type Tokenizer struct {
 	src []byte
 	pos int
@@ -128,14 +124,9 @@ type Tokenizer struct {
 	vscratch []byte
 }
 
-// NewTokenizer returns a Tokenizer over src. The slice is not copied; the
-// caller must not mutate it during tokenization.
-func NewTokenizer(src []byte) *Tokenizer {
-	return &Tokenizer{src: src}
-}
-
-// Reset re-aims the Tokenizer at a new document, keeping its internal
-// buffers for reuse.
+// Reset aims the Tokenizer at a new document, keeping its internal buffers
+// for reuse. The slice is not copied; the caller must not mutate it during
+// tokenization.
 func (z *Tokenizer) Reset(src []byte) {
 	z.src = src
 	z.pos = 0
@@ -509,14 +500,6 @@ var entityTable = map[string]string{
 	"nbsp": " ", "copy": "©", "reg": "®", "mdash": "—",
 	"ndash": "–", "hellip": "…", "laquo": "«", "raquo": "»",
 	"eacute": "é", "egrave": "è", "agrave": "à", "ccedil": "ç",
-}
-
-// decodeEntities resolves named and numeric character references in s.
-func decodeEntities(s string) string {
-	if !strings.ContainsRune(s, '&') {
-		return s
-	}
-	return string(appendDecodedEntities(nil, []byte(s)))
 }
 
 // appendDecodedEntities appends b to dst with named and numeric character

@@ -26,7 +26,8 @@ func materialize(raw RawToken) token {
 // against non-termination.
 func collectRaw(t *testing.T, src string) []token {
 	t.Helper()
-	z := NewTokenizer([]byte(src))
+	var z Tokenizer
+	z.Reset([]byte(src))
 	var out []token
 	for i := 0; ; i++ {
 		if i > 10*len(src)+100 {
@@ -88,7 +89,8 @@ func TestRawTextScanZeroAlloc(t *testing.T) {
 		sb.WriteString("<script>var x = 'aaaaaaaaaaaaaaaaaaaaaaaa';</script>")
 	}
 	src := []byte(sb.String())
-	z := NewTokenizer(src)
+	var z Tokenizer
+	z.Reset(src)
 	allocs := testing.AllocsPerRun(100, func() {
 		z.Reset(src)
 		for {
@@ -116,7 +118,7 @@ func TestHasPrefixAtFoldsLettersOnly(t *testing.T) {
 		t.Error("letter folding must still hold")
 	}
 	// End to end: the bogus opener must not eat the rest of the document.
-	links := ExtractLinks([]byte("<!\r\r junk> <a href=\"/x\">t</a>"))
+	links := ExtractLinksAppend(nil, []byte("<!\r\r junk> <a href=\"/x\">t</a>"))
 	if len(links) != 1 || links[0].URL != "/x" {
 		t.Errorf("link after <!\\r\\r declaration lost: %+v", links)
 	}
@@ -156,7 +158,7 @@ func TestTruncateRuneBoundary(t *testing.T) {
 		sb.WriteString("é") // 400 bytes of two-byte runes
 	}
 	sb.WriteString(`<a href="/x">t</a></p>`)
-	links := ExtractLinks([]byte(sb.String()))
+	links := ExtractLinksAppend(nil, []byte(sb.String()))
 	if len(links) != 1 {
 		t.Fatalf("got %d links, want 1", len(links))
 	}

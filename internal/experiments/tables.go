@@ -6,6 +6,7 @@ import (
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/core"
+	"sbcrawl/internal/learn"
 	"sbcrawl/internal/metrics"
 	"sbcrawl/internal/sitegen"
 )
@@ -282,7 +283,7 @@ type classifierVariant struct {
 var classifierVariants = func() []classifierVariant {
 	var out []classifierVariant
 	for _, feat := range []classify.FeatureSet{classify.URLOnly, classify.URLContent} {
-		for _, model := range []string{"LR", "SVM", "NB", "PA"} {
+		for _, model := range learn.ModelNames {
 			out = append(out, classifierVariant{feat.String() + "-" + model, model, feat})
 		}
 	}

@@ -81,17 +81,3 @@ func AppendEnvelope(dst []byte, e *Envelope) []byte {
 	dst = codec.AppendStrings(dst, e.URLs)
 	return dst
 }
-
-// DecodeEnvelope is the inverse of AppendEnvelope.
-func DecodeEnvelope(raw []byte) (Envelope, error) {
-	var e Envelope
-	payload, err := codec.Header(raw, codec.KindEnvelope)
-	if err != nil {
-		return e, err
-	}
-	r := codec.NewReader(payload)
-	e.From = r.Int()
-	e.To = r.Int()
-	e.URLs = r.Strings()
-	return e, r.Close()
-}

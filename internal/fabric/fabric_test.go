@@ -41,7 +41,7 @@ func TestEnvelopeGobRoundTrip(t *testing.T) {
 // TestEnvelopeLegacyGob: the codec framing is the only wire format; a gob
 // stream is refused with the typed error, not misparsed.
 func TestEnvelopeLegacyGob(t *testing.T) {
-	if _, err := DecodeEnvelope(gobEnvelope(t)); !errors.Is(err, codec.ErrLegacyFormat) {
+	if _, err := codec.Header(gobEnvelope(t), codec.KindEnvelope); !errors.Is(err, codec.ErrLegacyFormat) {
 		t.Fatalf("gob envelope: err = %v, want ErrLegacyFormat", err)
 	}
 }

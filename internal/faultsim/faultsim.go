@@ -24,14 +24,12 @@ import (
 	"sbcrawl/internal/urlutil"
 )
 
-// Kind is one injectable fault shape.
+// Kind is one injectable fault shape. The zero Kind is no fault.
 type Kind int
 
 const (
-	// KindNone marks the absence of a fault.
-	KindNone Kind = iota
 	// Kind503 answers 503 Service Unavailable with a Retry-After header.
-	Kind503
+	Kind503 Kind = iota + 1
 	// Kind429 answers 429 Too Many Requests with a Retry-After header.
 	Kind429
 	// KindConnReset fails the exchange with a connection-reset error.

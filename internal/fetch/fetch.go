@@ -6,7 +6,6 @@ package fetch
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"sbcrawl/internal/urlutil"
@@ -52,9 +51,6 @@ type Fetcher interface {
 type Recycler interface {
 	Recycle(body []byte)
 }
-
-// ErrNotFetched reports a URL the fetcher refused to retrieve.
-var ErrNotFetched = errors.New("fetch: not fetched")
 
 // SimBackend is an in-memory website a Sim serves from: one
 // webserver.Server, or a webserver.Federation spanning several hosts.

@@ -95,13 +95,6 @@ func (r *Registry) SetFloor(d time.Duration) {
 	r.floor = d
 }
 
-// Floor returns the registry-wide politeness floor.
-func (r *Registry) Floor() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.floor
-}
-
 func (r *Registry) clock() time.Time {
 	if r.now != nil {
 		return r.now()

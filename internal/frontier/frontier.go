@@ -3,6 +3,12 @@
 // score-ordered priority queue (FOCUSED, TP-OFF), and the action-grouped
 // frontier of SB-CLASSIFIER, where each bandit action owns a set of links
 // and a link is drawn uniformly at random from the chosen action (Sec. 3.2).
+//
+// Every frontier can Peek at the URLs it is likely to pop soon without
+// removing them and without consuming any randomness, so peeking can never
+// change what a crawl does. The result may be a view of the frontier's own
+// storage: it is valid until the next Push or Pop and must never be
+// modified.
 package frontier
 
 import (
@@ -10,19 +16,6 @@ import (
 	"math/rand"
 	"slices"
 )
-
-// Peeker is the speculative-selection capability of a frontier: Peek
-// returns up to n URLs the frontier is likely to pop soon, without removing
-// them and — crucially — without consuming any randomness, so peeking can
-// never change what a crawl does. The returned order is best-effort (exact
-// for FIFO/LIFO/priority frontiers, a 1/Len guess for Random, the exact
-// next draw of each action for Grouped); the pipelined engine feeds it to
-// the prefetch layer as hints. The returned slice may be a view of the
-// frontier's own storage: it is valid until the next Push or Pop and must
-// never be modified.
-type Peeker interface {
-	Peek(n int) []string
-}
 
 // Queue is a FIFO frontier (breadth-first crawling). The zero value is
 // ready to use.
@@ -53,9 +46,8 @@ func (q *Queue) Pop() (string, bool) {
 // Len returns the number of queued URLs.
 func (q *Queue) Len() int { return len(q.items) - q.head }
 
-// Peek implements Peeker: the next n URLs in pop order, as a read-only view
-// of the queue (capacity-clipped, so an append by the caller cannot write
-// into it).
+// Peek returns the next n URLs in pop order, as a read-only view of the
+// queue (capacity-clipped, so an append by the caller cannot write into it).
 func (q *Queue) Peek(n int) []string {
 	if n > q.Len() {
 		n = q.Len()
@@ -88,7 +80,7 @@ func (s *Stack) Pop() (string, bool) {
 // Len returns the number of stacked URLs.
 func (s *Stack) Len() int { return len(s.items) }
 
-// Peek implements Peeker: the next n URLs in pop order (top first).
+// Peek returns the next n URLs in pop order (top first).
 func (s *Stack) Peek(n int) []string {
 	if n > len(s.items) {
 		n = len(s.items)
@@ -136,11 +128,11 @@ func (r *Random) Pop() (string, bool) {
 // Len returns the number of held URLs.
 func (r *Random) Len() int { return len(r.items) }
 
-// Peek implements Peeker. Which member the next Pop draws cannot be known
-// without consuming the RNG, so Peek returns an arbitrary-but-deterministic
-// n members (each a 1/Len guess); the prefetch layer keeps unconsumed
-// speculation around, so even "wrong" guesses pay off when their URL is
-// drawn later.
+// Peek returns n members as guesses. Which member the next Pop draws cannot
+// be known without consuming the RNG, so Peek returns an
+// arbitrary-but-deterministic n members (each a 1/Len guess); the prefetch
+// layer keeps unconsumed speculation around, so even "wrong" guesses pay off
+// when their URL is drawn later.
 func (r *Random) Peek(n int) []string {
 	if n > len(r.items) {
 		n = len(r.items)
@@ -201,8 +193,8 @@ func (p *Priority) Pop() (string, float64, bool) {
 // Len returns the number of held URLs.
 func (p *Priority) Len() int { return p.h.Len() }
 
-// Peek implements Peeker: the n highest-scored URLs in pop order, without
-// disturbing the heap. A pruned descent over the heap structure — the
+// Peek returns the n highest-scored URLs in pop order, without disturbing
+// the heap. A pruned descent over the heap structure — the
 // next-best item is always the root or a child of one already taken — costs
 // O(n²) for the small prefetch widths n, independent of the heap size.
 func (p *Priority) Peek(n int) []string {
@@ -335,26 +327,6 @@ func (g *Grouped) PopFrom(action int) (string, bool) {
 	return u, true
 }
 
-// PopAny removes and returns a uniformly random URL across all actions
-// (Algorithm 3's fallback when the action set is still empty). Actions are
-// walked in sorted order so the draw is deterministic for a given seed — Go
-// map iteration order must never leak into crawler behaviour.
-func (g *Grouped) PopAny() (string, int, bool) {
-	if g.total == 0 {
-		return "", 0, false
-	}
-	k := g.rng.Intn(g.total)
-	for _, action := range g.Awake() {
-		links := g.byAction[action]
-		if k < len(links) {
-			u, _ := g.popAt(action, k)
-			return u, action, true
-		}
-		k -= len(links)
-	}
-	return "", 0, false // unreachable while total is consistent
-}
-
 func (g *Grouped) popAt(action, i int) (string, bool) {
 	links := g.byAction[action]
 	n := len(links)
@@ -410,9 +382,9 @@ func (g *Grouped) PeekFrom(action int) (string, bool) {
 	return links[i], true
 }
 
-// Peek implements Peeker: the exact next draw (PeekFrom) of each awake
-// action, in increasing action order, up to n URLs — whichever action is
-// served next, its draw is in the list while fewer than n are awake.
+// Peek returns the exact next draw (PeekFrom) of each awake action, in
+// increasing action order, up to n URLs — whichever action is served next,
+// its draw is in the list while fewer than n are awake.
 func (g *Grouped) Peek(n int) []string {
 	if n <= 0 || g.total == 0 {
 		return nil

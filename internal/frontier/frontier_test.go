@@ -322,7 +322,7 @@ func TestQueuePopAfterEmpty(t *testing.T) {
 	}
 }
 
-// TestPeekMatchesPopOrder pins the Peeker contract for the deterministic
+// TestPeekMatchesPopOrder pins the peek contract for the deterministic
 // frontiers: Peek(n) previews exactly the next n pops, without consuming.
 func TestPeekMatchesPopOrder(t *testing.T) {
 	var q Queue
@@ -348,7 +348,7 @@ func TestPeekMatchesPopOrder(t *testing.T) {
 	check("Priority", p.Peek(4), func() (string, bool) { u, _, ok := p.Pop(); return u, ok })
 }
 
-// TestQueuePeekIsAView pins the Peeker storage contract for the FIFO
+// TestQueuePeekIsAView pins the peek storage contract for the FIFO
 // frontier: peeking allocates nothing however wide (the pipelined BFS loop
 // peeks a full window every step), and the view is capacity-clipped so a
 // caller's append cannot write into the queue.
@@ -386,7 +386,7 @@ func TestPeekOverAsk(t *testing.T) {
 	}
 }
 
-// TestRandomPeekDoesNotConsumeRandomness pins the crucial Peeker property
+// TestRandomPeekDoesNotConsumeRandomness pins the crucial peek property
 // for randomized frontiers: peeking must not change what Pop later draws.
 func TestRandomPeekDoesNotConsumeRandomness(t *testing.T) {
 	pops := func(peek bool) []string {
@@ -463,4 +463,24 @@ func TestGroupedPeekIsNextDrawPerAction(t *testing.T) {
 	if u, _ := g.PopFrom(0); u != got[0] {
 		t.Errorf("PopFrom(0) = %q, Peek said %q", u, got[0])
 	}
+}
+
+// PopAny removes and returns a uniformly random URL across all actions
+// (Algorithm 3's fallback when the action set is still empty). Actions are
+// walked in sorted order so the draw is deterministic for a given seed — Go
+// map iteration order must never leak into crawler behaviour.
+func (g *Grouped) PopAny() (string, int, bool) {
+	if g.total == 0 {
+		return "", 0, false
+	}
+	k := g.rng.Intn(g.total)
+	for _, action := range g.Awake() {
+		links := g.byAction[action]
+		if k < len(links) {
+			u, _ := g.popAt(action, k)
+			return u, action, true
+		}
+		k -= len(links)
+	}
+	return "", 0, false // unreachable while total is consistent
 }

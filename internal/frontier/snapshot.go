@@ -1,11 +1,11 @@
 package frontier
 
-// Checkpoint/resume support: every frontier can serialize its complete
-// state — held URLs, heap layout, and (for the randomized frontiers) the
-// RNG position — and restore it into an empty instance such that the
-// restored frontier pops the exact same sequence the original would have.
-// The engine embeds these snapshots in its periodic crawl checkpoints
-// (core.Checkpoint), written through the persistent store.
+// Snapshots: every frontier can serialize its complete state — held URLs,
+// heap layout, and (for the randomized frontiers) the RNG position — such
+// that a frontier restored from it pops the exact same sequence the
+// original would have. Checkpoints of earlier builds embed these snapshots;
+// the crawl engine no longer writes or restores one, and the restore side
+// lives with the tests that check the round trip.
 //
 // RNG state travels as (Seed, Draws): math/rand sources are opaque, but
 // every random frontier owns its generator and consumes it only through
@@ -84,12 +84,6 @@ func (q *Queue) Snapshot() QueueState {
 	return QueueState{Items: append([]string(nil), q.items[q.head:]...)}
 }
 
-// Restore replaces the queue's state with the snapshot.
-func (q *Queue) Restore(st QueueState) {
-	q.items = append([]string(nil), st.Items...)
-	q.head = 0
-}
-
 // StackState is a serializable Stack snapshot.
 type StackState struct {
 	Items []string
@@ -98,11 +92,6 @@ type StackState struct {
 // Snapshot captures the stack bottom-to-top.
 func (s *Stack) Snapshot() StackState {
 	return StackState{Items: append([]string(nil), s.items...)}
-}
-
-// Restore replaces the stack's state with the snapshot.
-func (s *Stack) Restore(st StackState) {
-	s.items = append([]string(nil), st.Items...)
 }
 
 // RandomState is a serializable Random snapshot, RNG position included.
@@ -119,14 +108,6 @@ func (r *Random) Snapshot() RandomState {
 		Seed:  r.seed,
 		Draws: r.src.draws,
 	}
-}
-
-// Restore replaces the frontier's state with the snapshot; subsequent Pops
-// draw exactly what the snapshotted frontier would have drawn.
-func (r *Random) Restore(st RandomState) {
-	r.items = append([]string(nil), st.Items...)
-	r.seed = st.Seed
-	r.rng, r.src = newCountedRand(st.Seed, st.Draws)
 }
 
 // PriorityEntry is one held URL of a Priority snapshot.
@@ -153,16 +134,6 @@ func (p *Priority) Snapshot() PriorityState {
 	return st
 }
 
-// Restore replaces the heap with the snapshot's layout (already
-// heap-ordered, since Snapshot copied a valid heap).
-func (p *Priority) Restore(st PriorityState) {
-	p.h = make(scoredHeap, len(st.Entries))
-	for i, e := range st.Entries {
-		p.h[i] = scoredItem{url: e.URL, score: e.Score, seq: e.Seq}
-	}
-	p.n = st.Seq
-}
-
 // GroupedState is a serializable Grouped snapshot, RNG position included.
 type GroupedState struct {
 	// Actions maps each awake action to its links in slice order (the
@@ -183,16 +154,4 @@ func (g *Grouped) Snapshot() GroupedState {
 		st.Actions[a] = append([]string(nil), links...)
 	}
 	return st
-}
-
-// Restore replaces the frontier's state with the snapshot.
-func (g *Grouped) Restore(st GroupedState) {
-	g.byAction = make(map[int][]string, len(st.Actions))
-	g.total = 0
-	for a, links := range st.Actions {
-		g.byAction[a] = append([]string(nil), links...)
-		g.total += len(links)
-	}
-	g.seed = st.Seed
-	g.rng, g.src = newCountedRand(st.Seed, st.Draws)
 }

@@ -188,3 +188,44 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Restore replaces the queue's state with the snapshot.
+func (q *Queue) Restore(st QueueState) {
+	q.items = append([]string(nil), st.Items...)
+	q.head = 0
+}
+
+// Restore replaces the stack's state with the snapshot.
+func (s *Stack) Restore(st StackState) {
+	s.items = append([]string(nil), st.Items...)
+}
+
+// Restore replaces the frontier's state with the snapshot; subsequent Pops
+// draw exactly what the snapshotted frontier would have drawn.
+func (r *Random) Restore(st RandomState) {
+	r.items = append([]string(nil), st.Items...)
+	r.seed = st.Seed
+	r.rng, r.src = newCountedRand(st.Seed, st.Draws)
+}
+
+// Restore replaces the heap with the snapshot's layout (already
+// heap-ordered, since Snapshot copied a valid heap).
+func (p *Priority) Restore(st PriorityState) {
+	p.h = make(scoredHeap, len(st.Entries))
+	for i, e := range st.Entries {
+		p.h[i] = scoredItem{url: e.URL, score: e.Score, seq: e.Seq}
+	}
+	p.n = st.Seq
+}
+
+// Restore replaces the frontier's state with the snapshot.
+func (g *Grouped) Restore(st GroupedState) {
+	g.byAction = make(map[int][]string, len(st.Actions))
+	g.total = 0
+	for a, links := range st.Actions {
+		g.byAction[a] = append([]string(nil), links...)
+		g.total += len(links)
+	}
+	g.seed = st.Seed
+	g.rng, g.src = newCountedRand(st.Seed, st.Draws)
+}

@@ -11,10 +11,13 @@ import (
 // urlBatch builds a batch of labeled char-bigram examples from URL strings.
 // Raw counts, as the paper's BoW encoding uses them (no normalization —
 // multinomial NB in particular needs counts, not fractions).
+// bigrams is the URL feature vector of s.
+func bigrams(s string) textvec.Sparse { return textvec.MakeSparse(len(s)).AppendCharBigrams(s, 0) }
+
 func urlBatch(urls []string, label int) []Example {
 	out := make([]Example, len(urls))
 	for i, u := range urls {
-		out[i] = Example{X: textvec.CharBigrams(u), Y: label}
+		out[i] = Example{X: bigrams(u), Y: label}
 	}
 	return out
 }
@@ -81,7 +84,7 @@ func TestAllModelsLearnSeparableURLs(t *testing.T) {
 func TestUntrainedModelsPredictHTML(t *testing.T) {
 	// Before any training the safe default is ClassHTML (the frontier class);
 	// all margin models score 0 which maps to HTML.
-	x := textvec.CharBigrams("https://x.org/file.csv")
+	x := bigrams("https://x.org/file.csv")
 	for _, name := range ModelNames {
 		m := NewModel(name)
 		if got := m.Predict(x); got != ClassHTML {
@@ -118,7 +121,7 @@ func TestOnlineAdaptationToDistributionShift(t *testing.T) {
 		m.PartialFit(newTgt)
 		m.PartialFit(newHTML)
 	}
-	probe := textvec.CharBigrams("https://x.org/dl/99999")
+	probe := bigrams("https://x.org/dl/99999")
 	if m.Predict(probe) != ClassTarget {
 		t.Error("model failed to adapt to the new extension-less target style")
 	}
@@ -180,7 +183,7 @@ func TestDeterministicTraining(t *testing.T) {
 		a, b := NewModel(name), NewModel(name)
 		a.PartialFit(train)
 		b.PartialFit(train)
-		probe := textvec.CharBigrams("https://www.example.org/some/new.csv")
+		probe := bigrams("https://www.example.org/some/new.csv")
 		if a.Score(probe) != b.Score(probe) {
 			t.Errorf("%s: training is not deterministic", name)
 		}
@@ -197,7 +200,7 @@ func TestPredictRangeProperty(t *testing.T) {
 		models = append(models, m)
 	}
 	f := func(s string) bool {
-		x := textvec.CharBigrams(s)
+		x := bigrams(s)
 		for _, m := range models {
 			if c := m.Predict(x); c != ClassHTML && c != ClassTarget {
 				return false
@@ -217,7 +220,7 @@ func TestScorePredictConsistencyProperty(t *testing.T) {
 		m := NewModel(name)
 		m.PartialFit(train)
 		f := func(s string) bool {
-			x := textvec.CharBigrams(s)
+			x := bigrams(s)
 			want := ClassHTML
 			if m.Score(x) > 0 {
 				want = ClassTarget
@@ -243,7 +246,7 @@ func BenchmarkLogisticPartialFit(b *testing.B) {
 // key copy, no sort.
 func TestScoreAllocs(t *testing.T) {
 	train, _ := trainTestSplit()
-	x := textvec.CharBigrams("https://www.example.org/data/file.csv")
+	x := bigrams("https://www.example.org/data/file.csv")
 	for _, name := range ModelNames {
 		m := NewModel(name)
 		m.PartialFit(train)

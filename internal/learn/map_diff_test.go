@@ -43,7 +43,7 @@ func linkStream(t testing.TB, code string, scale float64, limit int) []sample {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range dom.ExtractLinks(site.RenderPage(pg)) {
+		for _, l := range dom.ExtractLinksAppend(nil, site.RenderPage(pg)) {
 			abs := urlutil.Normalize(base, l.URL)
 			label := learn.ClassHTML
 			if site.IsTarget(abs) {
@@ -108,7 +108,7 @@ var layouts = []struct {
 		// core.focusedFeatures is unexported; this is its layout.
 		name: "FOCUSED",
 		fast: func(s sample) textvec.Sparse {
-			x := textvec.CharBigrams(s.link.URL)
+			x := textvec.MakeSparse(len(s.link.URL)+len(s.link.AnchorText)).AppendCharBigrams(s.link.URL, 0)
 			x = x.AppendCharBigrams(s.link.AnchorText, textvec.CharBigramDim)
 			return x.Append(4*textvec.CharBigramDim, float64(s.depth))
 		},
@@ -196,7 +196,7 @@ func FuzzCharBigramsSortedVsMap(f *testing.F) {
 		// the first, as every caller lays them out.
 		offset := (1 + int(block%8)) * textvec.CharBigramDim
 		want := refCharBigrams(string(first))
-		got := textvec.CharBigrams(string(first))
+		got := textvec.MakeSparse(len(first)).AppendCharBigrams(string(first), 0)
 		sameVector(t, got, want)
 
 		want.Add(refCharBigrams(string(second)), offset)

@@ -45,21 +45,6 @@ type Simulation struct {
 	Collected int
 }
 
-// NewSimulation builds a simulation over explicit page rates (tests).
-func NewSimulation(rates []float64, groups []int, seed int64) *Simulation {
-	s := &Simulation{rng: rand.New(rand.NewSource(seed))}
-	for i, r := range rates {
-		g := 0
-		if i < len(groups) {
-			g = groups[i]
-		}
-		s.pages = append(s.pages, PageState{
-			URL: "page-" + itoa(i), Group: g, rate: r,
-		})
-	}
-	return s
-}
-
 // NewSimulationFromSite derives the evolution model from a generated site:
 // every hub page becomes revisitable, with a change rate proportional to its
 // catalog size (rich catalogs update more often) and its catalog run as the
@@ -414,16 +399,4 @@ func gammaSample(rng *rand.Rand, shape float64) float64 {
 			return d * v
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }

@@ -3,11 +3,27 @@ package revisit
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"sbcrawl/internal/sitegen"
 )
+
+// NewSimulation builds a simulation over explicit page rates.
+func NewSimulation(rates []float64, groups []int, seed int64) *Simulation {
+	s := &Simulation{rng: rand.New(rand.NewSource(seed))}
+	for i, r := range rates {
+		g := 0
+		if i < len(groups) {
+			g = groups[i]
+		}
+		s.pages = append(s.pages, PageState{
+			URL: "page-" + strconv.Itoa(i), Group: g, rate: r,
+		})
+	}
+	return s
+}
 
 // skewedSim: one hot page (rate 2/epoch), many cold ones (0.01/epoch).
 func skewedSim(seed int64) *Simulation {

@@ -170,9 +170,6 @@ func (p *Policy) CrawlDelay(userAgent string) time.Duration {
 	return 0
 }
 
-// Sitemaps lists the advertised sitemap URLs.
-func (p *Policy) Sitemaps() []string { return p.sitemaps }
-
 // pathMatches implements robots path patterns: '*' matches any sequence,
 // '$' anchors the end.
 func pathMatches(pattern, path string) bool {

@@ -183,3 +183,6 @@ func itoa(n int) string {
 	}
 	return string(b)
 }
+
+// Sitemaps lists the advertised sitemap URLs.
+func (p *Policy) Sitemaps() []string { return p.sitemaps }

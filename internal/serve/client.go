@@ -131,39 +131,6 @@ func (c *Client) List(ctx context.Context, tenant string) ([]SessionStatus, erro
 	return out, err
 }
 
-// Events streams the session's status changes, calling fn per update until
-// the session is terminal, fn returns false, or ctx is done.
-func (c *Client) Events(ctx context.Context, id string, fn func(SessionStatus) bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/sessions/"+url.PathEscape(id)+"/events", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		apiErr := &Error{Status: resp.StatusCode, Code: "internal", Message: "events stream refused"}
-		json.NewDecoder(resp.Body).Decode(apiErr)
-		return apiErr
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var st SessionStatus
-		if err := dec.Decode(&st); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		if !fn(st) || st.Done() {
-			return nil
-		}
-	}
-}
-
 // Hosts fetches the daemon's per-host politeness accounting.
 func (c *Client) Hosts(ctx context.Context) ([]HostStatus, error) {
 	var out []HostStatus

@@ -62,8 +62,8 @@ func writeErr(w http.ResponseWriter, err error) {
 // value is an error. json.Unmarshal copies every string it keeps, so out
 // holds nothing of the buffer, which is back in the pool when decodeJSON
 // returns. Every body of the API is read this way (request specs, responses,
-// error envelopes) except the events stream, a sequence of values that
-// Client.Events reads with a json.Decoder.
+// error envelopes) except the events stream, a sequence of values a client
+// reads line by line.
 func decodeJSON(r io.Reader, out any) error {
 	buf := codec.GetBuffer()
 	defer codec.PutBuffer(buf)

@@ -7,6 +7,7 @@ package serve
 // resume-equivalence gate through the serve layer.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -495,5 +496,87 @@ func TestCreateTakesOneJSONValue(t *testing.T) {
 	}
 	if n := srv.Stats().Sessions; n != 1 {
 		t.Fatalf("%d sessions exist, want 1 (the whitespace-trailed spec's)", n)
+	}
+}
+
+// TestSessionEventsStream: GET /v1/sessions/{id}/events is newline-delimited
+// JSON — the session's current status first, one line per change with Seq
+// strictly rising, the terminal status last, then the body ends. A finished
+// session streams its one terminal line; an unknown id gets the 404 JSON
+// error.
+func TestSessionEventsStream(t *testing.T) {
+	srv, client, stop := daemon(t, Config{StorePath: t.TempDir(), Workers: 1})
+	defer stop()
+	created, err := client.Create(context.Background(), SessionSpec{
+		Tenant: "acme",
+		Name:   "events",
+		Crawl:  CrawlSpec{Strategy: "sb", Seed: 1, MaxRequests: 400},
+		Sites:  []SiteSpec{{Code: "cl", Scale: 0.01, Seed: 1}, {Code: "cn", Scale: 0.01, Seed: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := func(id string) []SessionStatus {
+		t.Helper()
+		resp, err := http.Get(client.BaseURL + "/v1/sessions/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-ndjson" {
+			t.Fatalf("HTTP %d, Content-Type %q", resp.StatusCode, ct)
+		}
+		var out []SessionStatus
+		lines := bufio.NewScanner(resp.Body)
+		lines.Buffer(nil, 1<<24)
+		for lines.Scan() {
+			var st SessionStatus
+			if err := json.Unmarshal(lines.Bytes(), &st); err != nil {
+				t.Fatalf("line %d: %v", len(out)+1, err)
+			}
+			out = append(out, st)
+		}
+		if err := lines.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	live := events(created.ID)
+	if len(live) == 0 || live[0].ID != created.ID || live[0].Seq < created.Seq {
+		t.Fatalf("first line %+v, want the session at Seq >= %d", live, created.Seq)
+	}
+	for i := 1; i < len(live); i++ {
+		if live[i].Seq <= live[i-1].Seq {
+			t.Errorf("line %d: Seq %d after %d", i+1, live[i].Seq, live[i-1].Seq)
+		}
+		if live[i-1].Done() {
+			t.Errorf("line %d follows the terminal status", i+1)
+		}
+	}
+	last := live[len(live)-1]
+	if !last.Done() {
+		t.Fatalf("the stream ended at a running status: %+v", last)
+	}
+	final, err := srv.Get(created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(last, final) {
+		t.Errorf("last line differs from the session the daemon holds:\nline   %+v\ndaemon %+v", last, final)
+	}
+	if done := events(created.ID); len(done) != 1 || !reflect.DeepEqual(done[0], final) {
+		t.Errorf("a finished session streamed %d lines, want its one terminal status", len(done))
+	}
+
+	resp, err := http.Get(client.BaseURL + "/v1/sessions/nope/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var apiErr Error
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil || resp.StatusCode != http.StatusNotFound ||
+		resp.Header.Get("Content-Type") != "application/json" || apiErr.Code != "not_found" {
+		t.Errorf("unknown id: HTTP %d %+v, %v; want 404 not_found", resp.StatusCode, apiErr, err)
 	}
 }

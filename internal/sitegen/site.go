@@ -41,18 +41,6 @@ func (s *Site) IsTarget(url string) bool {
 	return ok && p.Kind == KindTarget
 }
 
-// TotalTargetBytes sums all target sizes (denominator of the Table 3
-// volume metric).
-func (s *Site) TotalTargetBytes() int64 {
-	var total int64
-	for _, p := range s.pages {
-		if p.Kind == KindTarget {
-			total += int64(p.SizeB)
-		}
-	}
-	return total
-}
-
 // outLinks returns every outgoing link of a page in rendering order.
 func (p *Page) outLinks() []int {
 	out := make([]int, 0,

@@ -3,6 +3,8 @@ package sitegen
 import (
 	"bytes"
 	"math"
+	"net/url"
+	"path"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -162,7 +164,7 @@ func TestExtensionlessTargetFraction(t *testing.T) {
 			continue
 		}
 		total++
-		if urlutil.Extension(p.URL) == "" {
+		if u, err := url.Parse(p.URL); err != nil || path.Ext(u.Path) == "" {
 			extless++
 		}
 	}
@@ -185,7 +187,7 @@ func TestRenderedHTMLParsesAndLinksResolve(t *testing.T) {
 		}
 		checked++
 		body := site.RenderPage(p)
-		links := dom.ExtractLinks(body)
+		links := dom.ExtractLinksAppend(nil, body)
 		wantMin := len(p.outLinks()) // internal links at least
 		if len(links) < wantMin {
 			t.Fatalf("page %d: extracted %d links, generator placed ≥ %d", p.ID, len(links), wantMin)
@@ -208,7 +210,7 @@ func TestHubPagesCarryDatasetTagPath(t *testing.T) {
 	if hub == nil {
 		t.Fatal("no hub generated")
 	}
-	links := dom.ExtractLinks(site.RenderPage(hub))
+	links := dom.ExtractLinksAppend(nil, site.RenderPage(hub))
 	datasetURL := site.PageByID(hub.DatasetLinks[0]).URL
 	found := false
 	for _, l := range links {
@@ -242,7 +244,7 @@ func TestTagPathConsistencyWithinZone(t *testing.T) {
 		if !p.IsHub {
 			continue
 		}
-		links := dom.ExtractLinks(site.RenderPage(p))
+		links := dom.ExtractLinksAppend(nil, site.RenderPage(p))
 		for _, l := range links {
 			for _, dl := range p.DatasetLinks {
 				full := l.URL
@@ -273,8 +275,8 @@ func TestUniqueIDsSkinProducesDistinctPaths(t *testing.T) {
 	site := testSite("ed", 0.001, 23)
 	a := site.RenderPage(site.PageByID(1))
 	b := site.RenderPage(site.PageByID(2))
-	pa := dom.ExtractLinks(a)
-	pb := dom.ExtractLinks(b)
+	pa := dom.ExtractLinksAppend(nil, a)
+	pb := dom.ExtractLinksAppend(nil, b)
 	if len(pa) == 0 || len(pb) == 0 {
 		t.Fatal("no links")
 	}
@@ -396,4 +398,16 @@ func TestGenerateRobustnessProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TotalTargetBytes sums all target sizes (denominator of the Table 3
+// volume metric).
+func (s *Site) TotalTargetBytes() int64 {
+	var total int64
+	for _, p := range s.pages {
+		if p.Kind == KindTarget {
+			total += int64(p.SizeB)
+		}
+	}
+	return total
 }

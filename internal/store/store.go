@@ -629,13 +629,6 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Recovery reports the damage Open healed (nil for a clean store).
-func (s *Store) Recovery() []Recovery {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Recovery(nil), s.recovered...)
-}
-
 // GarbageRatio reports the fraction of stored bytes no longer reachable
 // through the index (superseded records awaiting Snapshot).
 func (s *Store) GarbageRatio() float64 {

@@ -625,3 +625,10 @@ func TestSnapshotAllocsIndependentOfValueBytes(t *testing.T) {
 		t.Errorf("Snapshot allocates with the stored bytes: %d bytes over %d values of %d bytes (limit %d), %d over values of 64", large, records, big, limit, small)
 	}
 }
+
+// Recovery reports the damage Open healed (nil for a clean store).
+func (s *Store) Recovery() []Recovery {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Recovery(nil), s.recovered...)
+}

@@ -50,16 +50,12 @@ func charBigram(s string, i int) uint {
 	return uint(charClass(s[i])*charClassCount + charClass(s[i+1]))
 }
 
-// CharBigrams encodes a string as a bag of character 2-grams over the fixed
-// ASCII-pair vocabulary, the URL feature representation of Algorithm 2 (the
-// URL https://www.A.com/... becomes [ht, tt, tp, ...]). It allocates only the
-// two slices it returns.
-func CharBigrams(s string) Sparse {
-	return MakeSparse(len(s)).AppendCharBigrams(s, 0)
-}
-
 // AppendCharBigrams appends the character-bigram counts of s, feature IDs
-// shifted by offset, and returns the extended vector. Feature blocks are
+// shifted by offset, and returns the extended vector: a bag of character
+// 2-grams over the fixed ASCII-pair vocabulary, the URL feature
+// representation of Algorithm 2 (the URL https://www.A.com/... becomes [ht,
+// tt, tp, ...]). A string of n bytes has at most n-1 distinct bigrams, so
+// MakeSparse(len(s)) holds them without growing. Feature blocks are
 // concatenated in ascending offset order (offset must exceed every ID
 // already in x, and blocks are CharBigramDim apart), so the result stays
 // strictly ascending without a merge.

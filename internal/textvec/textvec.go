@@ -32,7 +32,7 @@
 //
 // # URL features (sorted sparse, caller-owned)
 //
-// CharBigrams and AppendCharBigrams build the character-bigram vectors of
+// AppendCharBigrams builds the character-bigram vectors of
 // Algorithm 2 under the same ordering contract, as a Sparse: parallel IDs
 // and Vals with IDs strictly ascending. A block has a fixed 9,216 IDs, so no
 // sort is needed: the string's bigrams are marked in a stack bitmap over the
@@ -47,10 +47,7 @@
 // those sums, and so every score and weight, repeat bit for bit.
 package textvec
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // BOS and EOS are the special tokens denoting beginning and end of a tag
 // path's token stream (Figure 3).
@@ -202,21 +199,6 @@ func (pr *Projector) Project(p []float64) []float64 {
 	return out
 }
 
-// Cosine returns the cosine similarity of two equal-length vectors, or 0
-// when either has zero norm.
-func Cosine(a, b []float64) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
 // TagPathVectorizer turns tag paths into fixed-dimension vectors: n-grams
 // over a dynamic vocabulary, then hash projection. It is the composition
 // used by Algorithm 1 to feed the action index. A vectorizer owns reusable
@@ -260,9 +242,6 @@ func NewTagPathVectorizer(n int, m, w uint) *TagPathVectorizer {
 
 // Dim returns the fixed output dimension D.
 func (tv *TagPathVectorizer) Dim() int { return tv.proj.Dim() }
-
-// VocabLen returns the current dynamic vocabulary size.
-func (tv *TagPathVectorizer) VocabLen() int { return tv.vocab.Len() }
 
 // gramID resolves the gram (as bytes) to its vocabulary ID, materializing
 // the string only on first sight.

@@ -232,8 +232,11 @@ func checkSorted(t *testing.T, v Sparse) {
 	}
 }
 
+// charBigrams is the URL feature vector of s.
+func charBigrams(s string) Sparse { return MakeSparse(len(s)).AppendCharBigrams(s, 0) }
+
 func TestCharBigrams(t *testing.T) {
-	v := CharBigrams("https://www.A.com/data/file.csv")
+	v := charBigrams("https://www.A.com/data/file.csv")
 	if len(v.IDs) == 0 {
 		t.Fatal("no bigrams extracted")
 	}
@@ -255,7 +258,7 @@ func TestCharBigrams(t *testing.T) {
 func TestCharBigramsNonASCII(t *testing.T) {
 	// Multilingual URL (e.g. soumu.go.jp pages with encoded Japanese) must
 	// still yield features, via the catch-all bucket.
-	v := CharBigrams("https://例え.jp/データ")
+	v := charBigrams("https://例え.jp/データ")
 	if len(v.IDs) == 0 {
 		t.Error("non-ASCII input must still produce features")
 	}
@@ -264,14 +267,14 @@ func TestCharBigramsNonASCII(t *testing.T) {
 
 func TestCharBigramsShortStrings(t *testing.T) {
 	for _, s := range []string{"", "a"} {
-		if v := CharBigrams(s); len(v.IDs) != 0 || len(v.Vals) != 0 {
+		if v := charBigrams(s); len(v.IDs) != 0 || len(v.Vals) != 0 {
 			t.Errorf("CharBigrams(%q) = %v, want no entries", s, v)
 		}
 	}
 }
 
 func TestAppendCharBigramsWithOffset(t *testing.T) {
-	x := CharBigrams("abab")
+	x := charBigrams("abab")
 	x = x.AppendCharBigrams("ab", 1*CharBigramDim)
 	x = x.AppendCharBigrams("", 2*CharBigramDim)
 	x = x.AppendCharBigrams("abb", 3*CharBigramDim)
@@ -293,7 +296,7 @@ func TestAppendCharBigramsWithOffset(t *testing.T) {
 // scratch, no map, no sort buffer.
 func TestCharBigramsAllocs(t *testing.T) {
 	url := "https://www.justice.gouv.fr/documentation/bulletin-officiel/file-2024-03.csv"
-	if got := testing.AllocsPerRun(100, func() { _ = CharBigrams(url) }); got > 2 {
+	if got := testing.AllocsPerRun(100, func() { _ = charBigrams(url) }); got > 2 {
 		t.Errorf("CharBigrams allocates %v times per call, want <= 2", got)
 	}
 }
@@ -350,14 +353,14 @@ func TestCharBigramsEdgeCounts(t *testing.T) {
 			}
 		}
 	}
-	if v := CharBigrams(string(every)); len(v.IDs) != CharBigramDim {
+	if v := charBigrams(string(every)); len(v.IDs) != CharBigramDim {
 		t.Errorf("every class pair: %d distinct IDs, want %d", len(v.IDs), CharBigramDim)
 	}
-	if v := CharBigrams(strings.Repeat("w", 1<<17)); len(v.IDs) != 1 || v.Vals[0] != 1<<17-1 {
+	if v := charBigrams(strings.Repeat("w", 1<<17)); len(v.IDs) != 1 || v.Vals[0] != 1<<17-1 {
 		t.Errorf("long run = %v entries %v, want one entry counting %d", v.IDs, v.Vals, 1<<17-1)
 	}
 	catchAll := int32((charClassCount-1)*charClassCount + charClassCount - 1)
-	if v := CharBigrams("\x00\x80\xff\x7f"); len(v.IDs) != 1 || v.IDs[0] != catchAll || v.Vals[0] != 3 {
+	if v := charBigrams("\x00\x80\xff\x7f"); len(v.IDs) != 1 || v.IDs[0] != catchAll || v.Vals[0] != 3 {
 		t.Errorf("non-ASCII bytes = %v %v, want the catch-all pair %d three times", v.IDs, v.Vals, catchAll)
 	}
 	// The four blocks chained, as URL_CONT lays them out.
@@ -388,7 +391,7 @@ func TestAppendCharBigramsAllocs(t *testing.T) {
 // Property: CharBigrams of s has exactly max(len(s)-1, 0) total counts.
 func TestCharBigramCountProperty(t *testing.T) {
 	f := func(s string) bool {
-		v := CharBigrams(s)
+		v := charBigrams(s)
 		var total float64
 		for _, c := range v.Vals {
 			total += c
@@ -426,7 +429,7 @@ func BenchmarkCharBigrams(b *testing.B) {
 	url := "https://www.justice.gouv.fr/documentation/bulletin-officiel/file-2024-03.csv"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = CharBigrams(url)
+		_ = charBigrams(url)
 	}
 }
 
@@ -601,3 +604,21 @@ func TestNewTagPathVectorizerAlloc(t *testing.T) {
 }
 
 var sinkVectorizer *TagPathVectorizer
+
+// VocabLen returns the current dynamic vocabulary size.
+func (tv *TagPathVectorizer) VocabLen() int { return tv.vocab.Len() }
+
+// Cosine returns the cosine similarity of two equal-length vectors, or 0
+// when either has zero norm.
+func Cosine(a, b []float64) float64 {
+	var dot, na, nb float64
+	for i := range a {
+		dot += a[i] * b[i]
+		na += a[i] * a[i]
+		nb += b[i] * b[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+}

@@ -172,14 +172,9 @@ func normalizeURL(base *url.URL, ref string) string {
 	return u.String()
 }
 
-// Extension returns the lowercased file extension of the URL path, including
-// the leading dot, or "" when the path has none. Query strings and fragments
-// are ignored, matching how the extension blocklist of Section 3.4 is applied.
-func Extension(raw string) string {
-	p, _ := split(raw)
-	return pathExtension(p.path)
-}
-
+// pathExtension returns the lowercased file extension of a URL path,
+// including the leading dot, or "" when the path has none: the key of the
+// extension blocklist of Section 3.4.
 func pathExtension(p string) string {
 	ext := path.Ext(p)
 	if ext == "." {

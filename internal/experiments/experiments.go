@@ -13,7 +13,6 @@ import (
 	"os"
 	"sort"
 
-	"sbcrawl/internal/classify"
 	"sbcrawl/internal/core"
 	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/fleet"
@@ -195,30 +194,12 @@ func buildSite(cfg Config, code string) (*siteEnv, error) {
 		ns := fmt.Sprintf("x|%s|%g|%d|%d|r|", code, cfg.Scale, cfg.Seed, cfg.MaxPages)
 		replay.SetBackend(store.Prefixed(cfg.st, ns))
 	}
+	class, benefit := sitegen.Oracles(site.Lookup)
 	env := &core.Env{
-		Root:    site.Root(),
-		Fetcher: replay,
-		OracleClass: func(u string) int {
-			pg, ok := site.Lookup(u)
-			if !ok {
-				return classify.ClassNeither
-			}
-			switch pg.Kind {
-			case sitegen.KindHTML:
-				return classify.ClassHTML
-			case sitegen.KindTarget:
-				return classify.ClassTarget
-			default:
-				return classify.ClassNeither
-			}
-		},
-		OracleBenefit: func(u string) int {
-			pg, ok := site.Lookup(u)
-			if !ok {
-				return 0
-			}
-			return len(pg.DatasetLinks)
-		},
+		Root:          site.Root(),
+		Fetcher:       replay,
+		OracleClass:   class,
+		OracleBenefit: benefit,
 		OracleTargets: site.TargetURLs(),
 	}
 	se := &siteEnv{code: code, site: site, env: env, stats: site.ComputeStats()}

@@ -170,7 +170,7 @@ func (p *Proportional) score(i int) float64 {
 	}
 	// λ̂ = smoothed yield per epoch observed so far (the pseudo-count keeps
 	// zero-yield pages revisitable once stale enough); pending ≈ λ̂ × staleness.
-	rate := (p.yield[i] + 0.5) / float64(maxi(p.lastVisit[i], 1)+1)
+	rate := (p.yield[i] + 0.5) / float64(max(p.lastVisit[i], 1)+1)
 	staleness := float64(p.epoch - p.lastVisit[i])
 	return rate * staleness
 }
@@ -191,13 +191,6 @@ func (p *Proportional) grow(n int) {
 		p.yield = append(p.yield, 0)
 		p.lastVisit = append(p.lastVisit, 0)
 	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Thompson samples per-page change probabilities from Beta posteriors on
@@ -265,6 +258,7 @@ type SleepingBandit struct {
 	policy    *bandit.Sleeping
 	lastVisit []int
 	t         int
+	groups    []int // the group of each page the last Select returned
 }
 
 // NewSleepingBandit builds the policy.
@@ -291,6 +285,7 @@ func (p *SleepingBandit) Select(sim *Simulation, budget int) []int {
 	}
 	sort.Ints(awake)
 	var out []int
+	p.groups = p.groups[:0]
 	used := map[int]bool{}
 	for len(out) < budget && len(out) < n {
 		p.t++
@@ -312,20 +307,17 @@ func (p *SleepingBandit) Select(sim *Simulation, budget int) []int {
 		used[best] = true
 		p.lastVisit[best] = p.t
 		out = append(out, best)
+		p.groups = append(p.groups, g)
 	}
 	return out
 }
 
-// Feedback implements Policy.
+// Feedback implements Policy: each page's harvest rewards the group Select
+// drew it from.
 func (p *SleepingBandit) Feedback(pages []int, harvest []int) {
-	// Rewards flow to the groups the pages belong to; group membership is
-	// recovered lazily at Select time, so we track it per page here.
 	for k := range pages {
-		_ = k
-		_ = harvest
-		break
+		p.policy.RecordReward(p.groups[k], float64(harvest[k]))
 	}
-	// Group rewards are recorded in Run, which knows the simulation.
 }
 
 // Run executes a policy over the simulation for the given number of epochs
@@ -339,11 +331,6 @@ func Run(sim *Simulation, p Policy, epochs, budget int) float64 {
 			harvest[k] = sim.Visit(i)
 		}
 		p.Feedback(pages, harvest)
-		if sb, ok := p.(*SleepingBandit); ok {
-			for k, i := range pages {
-				sb.policy.RecordReward(sim.pages[i].Group, float64(harvest[k]))
-			}
-		}
 	}
 	return sim.Recall()
 }

@@ -1,19 +1,21 @@
 package serve
 
 // Daemon acceptance tests. The load-bearing one is
-// TestServeResumeEquivalence — kill the daemon mid-session, restart it on
-// the same store, re-attach, and the final Results must be byte-identical
-// to a session that was never interrupted — extending the library's
-// resume-equivalence gate through the serve layer.
+// TestServeResumeEquivalence — stop the daemon mid-session, restart it on
+// the same store, re-attach, and the final Results must equal the
+// library's CrawlSites over the same sites — extending the crawl invariant
+// through the serve layer.
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,18 +38,6 @@ func daemon(t *testing.T, cfg Config) (*Server, *Client, func()) {
 		ts.Close()
 		srv.Close()
 	}
-}
-
-// stripUnitStores clears store diagnostics from session results so
-// different store histories (warm vs cold) compare equal; the crawl
-// outcomes themselves must match byte for byte.
-func stripUnitStores(st SessionStatus) SessionStatus {
-	for i := range st.Results {
-		if st.Results[i].Result != nil {
-			st.Results[i].Result.Store = nil
-		}
-	}
-	return st
 }
 
 func TestSessionLifecycle(t *testing.T) {
@@ -105,24 +95,10 @@ func TestSessionLifecycle(t *testing.T) {
 
 	// The session's crawls match the library fleet exactly: same store-less
 	// results as CrawlSites with the same derivation.
-	var sites []*sbcrawl.Site
-	for _, sp := range spec.Sites {
-		site, err := sbcrawl.GenerateSite(sp.Code, sp.Scale, sp.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites = append(sites, site)
-	}
-	fleetRes, err := sbcrawl.CrawlSites(sites, sbcrawl.Config{Strategy: sbcrawl.StrategySB, Seed: 7}, sbcrawl.FleetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final = stripUnitStores(final)
-	for i := range fleetRes.Sites {
-		want, got := fleetRes.Sites[i].Result, final.Results[i].Result
-		if got.Requests != want.Requests || len(got.Targets) != len(want.Targets) ||
-			!reflect.DeepEqual(got.Targets, want.Targets) {
-			t.Errorf("unit %d diverged from CrawlSites: req %d vs %d", i, got.Requests, want.Requests)
+	want := libraryResults(t, spec)
+	for i, ur := range final.Results {
+		if got := outcome(ur.Result); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("unit %d diverged from CrawlSites: req %d vs %d", i, got.Requests, want[i].Requests)
 		}
 	}
 
@@ -140,75 +116,135 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestServeResumeEquivalence is the kill-the-daemon acceptance: a session
-// interrupted by daemon shutdown and resumed by a restarted daemon — client
-// re-attaching with the same spec — must produce Results byte-identical to
-// the same session run uninterrupted on a fresh store.
+// TestServeResumeEquivalence is the daemon axis of the crawl invariant: a
+// session whose daemon is stopped and restarted on the same store, the
+// client re-attaching with the same spec each time, must end with the
+// Results the library's CrawlSites computes over the same sites.
 func TestServeResumeEquivalence(t *testing.T) {
-	spec := SessionSpec{
-		Tenant: "acme",
-		Name:   "resume-me",
-		Crawl:  CrawlSpec{Strategy: "sb", Seed: 11, SimLatency: 200 * time.Microsecond, Prefetch: 4},
-		Sites: []SiteSpec{
-			{Code: "cl", Scale: 0.01, Seed: 3},
-			{Code: "ju", Scale: 0.01, Seed: 4},
-		},
+	rows := []serveDraw{
+		// Two SB units side by side, speculating.
+		{Sites: []SiteSpec{{Code: "cl", Scale: 0.01, Seed: 3}, {Code: "ju", Scale: 0.01, Seed: 4}},
+			Crawl: CrawlSpec{Strategy: "sb", Seed: 11, SimLatency: 200 * time.Microsecond, Prefetch: 4}, Workers: 2, Restarts: []int{60}},
+		// The small second unit finishes while the first is mid-crawl, so
+		// the restarted daemon dispatches them most-complete-first: in the
+		// opposite order.
+		{Sites: []SiteSpec{{Code: "ju", Scale: 0.005, Seed: 4}, {Code: "cl", Scale: 0.002, Seed: 3}},
+			Crawl: CrawlSpec{Strategy: "sb", Seed: 5, SimLatency: 500 * time.Microsecond}, Workers: 2, Restarts: []int{150, 250}},
+		// Faults with retries, partitions and a budget on one worker: the
+		// first unit finishes between the restarts, the second starts late.
+		{Sites: []SiteSpec{{Code: "cn", Scale: 0.01, Seed: 2}, {Code: "be", Scale: 0.005, Seed: 1}},
+			Crawl: CrawlSpec{Strategy: "random", Seed: 9, MaxRequests: 80, Partitions: 2, FaultRate: 0.1, FaultSeed: 99,
+				SimLatency: 200 * time.Microsecond}, Workers: 1, Restarts: []int{30, 110}},
 	}
-	ctx := context.Background()
+	for i, d := range rows {
+		t.Run(fmt.Sprint(i), func(t *testing.T) { checkServeDraw(t, d) })
+	}
+}
 
-	// Baseline: the same session, never interrupted.
-	_, baseClient, stopBase := daemon(t, Config{StorePath: t.TempDir(), Workers: 2})
-	created, err := baseClient.Create(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := baseClient.WaitDone(ctx, created.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stopBase()
-	if baseline.State != StateDone {
-		t.Fatalf("baseline state = %q", baseline.State)
-	}
+// A serveDraw is one point of the daemon axis: a session's sites and crawl,
+// the daemon's worker pool, and the session requests at which the daemon is
+// stopped and restarted.
+type serveDraw struct {
+	Sites    []SiteSpec
+	Crawl    CrawlSpec
+	Workers  int
+	Restarts []int
+}
 
-	// Victim: same session on its own store, daemon killed mid-crawl.
-	dir := t.TempDir()
-	_, killClient, stopKill := daemon(t, Config{StorePath: dir, Workers: 2})
-	if _, err := killClient.Create(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(15 * time.Millisecond) // let the crawls get somewhere mid-flight
-	stopKill()                        // SIGTERM equivalent: cancels crawls, releases the lock
-
-	// Restart on the same store; the client re-attaches with the same spec.
-	_, resumedClient, stopResumed := daemon(t, Config{StorePath: dir, Workers: 2})
-	defer stopResumed()
-	attached, err := resumedClient.Create(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attached.ID != created.ID {
-		t.Fatalf("re-attach got id %s, want %s", attached.ID, created.ID)
-	}
-	resumed, err := resumedClient.WaitDone(ctx, attached.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.State != StateDone {
-		t.Fatalf("resumed state = %q", resumed.State)
-	}
-	baseline, resumed = stripUnitStores(baseline), stripUnitStores(resumed)
-	for i := range baseline.Results {
-		if !reflect.DeepEqual(resumed.Results[i], baseline.Results[i]) {
-			t.Errorf("unit %d: resumed result diverged from uninterrupted session\nbase: req=%d targets=%d\ngot:  req=%d targets=%d",
-				i, baseline.Results[i].Result.Requests, len(baseline.Results[i].Result.Targets),
-				resumed.Results[i].Result.Requests, len(resumed.Results[i].Result.Targets))
+// checkServeDraw runs the draw's session, checkpointing at every request,
+// through one daemon per restart point plus one that finishes it. Each
+// daemon is stopped once the session's Requests reach its point (or the
+// session is done). The terminal Results must equal the library's, and a
+// unit that had finished before a restart must come back from its
+// done-record.
+func checkServeDraw(t *testing.T, d serveDraw) {
+	d.Crawl.CheckpointEvery = 1
+	spec := SessionSpec{Tenant: "acme", Name: "restarted", Crawl: d.Crawl, Sites: d.Sites}
+	want := libraryResults(t, spec)
+	dir, ctx := t.TempDir(), context.Background()
+	finished := make([]bool, len(d.Sites))
+	var last SessionStatus
+	for leg, k := range append(slices.Clone(d.Restarts), -1) {
+		func() {
+			_, client, stop := daemon(t, Config{StorePath: dir, Workers: d.Workers})
+			defer stop()
+			st, err := client.Create(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ID != SessionID(spec.Tenant, spec.Name) {
+				t.Fatalf("daemon %d attached the spec to session %s", leg, st.ID)
+			}
+			for !st.Done() && (k < 0 || st.Requests < k) {
+				if st, err = client.Wait(ctx, st.ID, st.Seq, 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last = st
+		}()
+		for i, ur := range last.Results {
+			finished[i] = finished[i] || k >= 0 && ur.Result != nil
 		}
+		t.Logf("daemon %d stopped at %d requests (%s), units finished %v", leg, last.Requests, last.State, finished)
 	}
-	if resumed.Requests != baseline.Requests || resumed.Targets != baseline.Targets {
-		t.Errorf("totals diverged: base %d/%d, resumed %d/%d",
-			baseline.Requests, baseline.Targets, resumed.Requests, resumed.Targets)
+	if last.State != StateDone || len(last.Results) != len(want) {
+		t.Fatalf("the session ended %q with %d results, want done with %d", last.State, len(last.Results), len(want))
 	}
+	requests, targets := 0, 0
+	for i, ur := range last.Results {
+		if ur.Label != d.Sites[i].Code || ur.Err != "" || ur.Result == nil {
+			t.Fatalf("unit %d: %+v", i, ur)
+		}
+		if got := outcome(ur.Result); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("unit %d diverged from CrawlSites: req=%d targets=%d, want req=%d targets=%d",
+				i, got.Requests, len(got.Targets), want[i].Requests, len(want[i].Targets))
+		}
+		if finished[i] && (ur.Result.Store == nil || !ur.Result.Store.Completed) {
+			t.Errorf("unit %d finished before a restart but was not served from its done-record: %+v", i, ur.Result.Store)
+		}
+		requests, targets = requests+want[i].Requests, targets+len(want[i].Targets)
+	}
+	if last.Requests != requests || last.Targets != targets {
+		t.Errorf("session totals %d requests, %d targets; CrawlSites %d, %d", last.Requests, last.Targets, requests, targets)
+	}
+}
+
+// libraryResults crawls the spec's sites with sbcrawl.CrawlSites, without a
+// store, and returns each unit's outcome as the wire carries it.
+func libraryResults(t *testing.T, spec SessionSpec) []*sbcrawl.Result {
+	var sites []*sbcrawl.Site
+	for _, sp := range spec.Sites {
+		site, err := sbcrawl.GenerateSite(sp.Code, sp.Scale, sp.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites = append(sites, site)
+	}
+	fr, err := sbcrawl.CrawlSites(sites, spec.Crawl.config(), sbcrawl.FleetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*sbcrawl.Result
+	for _, s := range fr.Sites {
+		raw, err := json.Marshal(s.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res sbcrawl.Result
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, outcome(&res))
+	}
+	return out
+}
+
+// outcome returns a copy of res without its diagnostics (Store, Fabric,
+// Faults): the part of a Result no restart may change.
+func outcome(res *sbcrawl.Result) *sbcrawl.Result {
+	out := *res
+	out.Store, out.Fabric, out.Faults = nil, nil, nil
+	return &out
 }
 
 // TestServeCancelDurable: cancelling is observable, stops the work, and

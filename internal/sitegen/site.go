@@ -2,6 +2,8 @@ package sitegen
 
 import (
 	"math"
+
+	"sbcrawl/internal/classify"
 )
 
 // Root returns the crawl-start URL of the site.
@@ -39,6 +41,35 @@ func (s *Site) TargetURLs() []string {
 func (s *Site) IsTarget(url string) bool {
 	p, ok := s.Lookup(url)
 	return ok && p.Kind == KindTarget
+}
+
+// Oracles builds the ground truth the oracle strategies consult, over a
+// lookup of a URL's page: class is the page's classify class (HTML, target,
+// or neither for an error, a redirect or an unknown URL), and benefit its
+// number of dataset links.
+func Oracles(lookup func(url string) (*Page, bool)) (class, benefit func(url string) int) {
+	class = func(u string) int {
+		pg, ok := lookup(u)
+		if !ok {
+			return classify.ClassNeither
+		}
+		switch pg.Kind {
+		case KindHTML:
+			return classify.ClassHTML
+		case KindTarget:
+			return classify.ClassTarget
+		default:
+			return classify.ClassNeither
+		}
+	}
+	benefit = func(u string) int {
+		pg, ok := lookup(u)
+		if !ok {
+			return 0
+		}
+		return len(pg.DatasetLinks)
+	}
+	return class, benefit
 }
 
 // outLinks returns every outgoing link of a page in rendering order.

@@ -40,11 +40,22 @@
 // Superseded records are garbage until Snapshot() compacts the store: it
 // writes every live entry into one fresh segment (in sorted key order),
 // syncs it, and deletes the older segments. Close() compacts automatically
-// when more than half of the stored bytes are garbage. Between snapshots a
-// record is durable once Sync() has flushed it (Put appends to an
-// in-process write buffer; AppendValue serves unflushed tail records straight
-// from that buffer, so reads never force a flush); the crawl layer syncs at
-// every checkpoint.
+// when more than half of the stored bytes are garbage.
+//
+// # Crash model
+//
+// Put appends to an in-process write buffer (AppendValue serves unflushed
+// tail records straight from it, so reads never force a flush). Sync,
+// PutBatch and a buffer grown past 64 KB hand the buffer to the OS in one
+// write; only Snapshot fsyncs. A record Sync has returned for therefore
+// survives a crash of the process, whose written bytes the kernel keeps,
+// but not an OS crash or a power loss, which can lose or tear anything
+// written since the last Snapshot. The crawl layer syncs at every
+// checkpoint. A crash leaves the newest segment cut at any byte past its
+// last synced size, or — mid-Snapshot — the old segments beside a cut
+// snapshot segment, or the whole snapshot beside the old segments it had
+// not yet deleted; Open reads each such state back to its last complete
+// record.
 //
 // # Corruption recovery
 //
@@ -53,7 +64,8 @@
 // segment at the last good record. A damaged tail segment is truncated back
 // to its last good byte; damage is reported through Recovery() rather than
 // by failing Open, so a crawl resumes from the last durable checkpoint
-// instead of refusing to start. New writes always go to a fresh segment.
+// instead of refusing to start. New writes always go to a fresh segment,
+// which Close deletes again when nothing was written to it.
 package store
 
 import (
@@ -640,8 +652,9 @@ func (s *Store) GarbageRatio() float64 {
 	return float64(s.totalBytes-s.liveBytes) / float64(s.totalBytes)
 }
 
-// Sync implements Backend: buffered writes become visible to the OS (and to
-// a post-crash Open).
+// Sync implements Backend: buffered writes become visible to the OS, and so
+// to an Open after the process crashes (not after the OS does: see the
+// package doc's crash model).
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -752,6 +765,13 @@ func (s *Store) Close() error {
 	}
 	if ferr := s.flushLocked(); err == nil {
 		err = ferr
+	}
+	// An active segment nothing was written to goes, so re-opening a store
+	// leaves no empty file behind for every later Open to hold open.
+	if active := &s.segs[len(s.segs)-1]; active.size == 0 {
+		active.f.Close()
+		active.f = nil
+		os.Remove(filepath.Join(s.dir, active.name))
 	}
 	s.closeFiles()
 	s.closed = true

@@ -234,51 +234,6 @@ func corruptTail(t *testing.T, dir string, f func(data []byte) []byte) {
 	t.Fatal("no non-empty segment to corrupt")
 }
 
-func TestRecoveryTruncatedTail(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	for i := 0; i < 20; i++ {
-		s.Put(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 100))
-	}
-	s.Close()
-	// Chop the last record in half, as a crash mid-write would.
-	corruptTail(t, dir, func(data []byte) []byte { return data[:len(data)-60] })
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open should recover, not fail: %v", err)
-	}
-	defer s2.Close()
-	rec := s2.Recovery()
-	if len(rec) != 1 || rec[0].DroppedBytes == 0 || !rec[0].Truncated {
-		t.Fatalf("Recovery = %+v, want one truncated-tail report", rec)
-	}
-	// Everything before the damaged record survives.
-	if n := s2.Len(); n != 19 {
-		t.Fatalf("Len after recovery = %d, want 19", n)
-	}
-	if v, ok := s2.AppendValue(nil, "k18"); !ok || !bytes.Equal(v, bytes.Repeat([]byte{18}, 100)) {
-		t.Fatalf("Get(k18) after recovery = %v, %v", v, ok)
-	}
-	if _, ok := s2.AppendValue(nil, "k19"); ok {
-		t.Fatal("the damaged record should be gone")
-	}
-	// Recovery is sticky-clean: a re-open after healing reports nothing.
-	s2.Put("k19", []byte("rewritten"))
-	s2.Close()
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if rec := s3.Recovery(); rec != nil {
-		t.Fatalf("healed store still reports recovery: %+v", rec)
-	}
-	if v, _ := s3.AppendValue(nil, "k19"); string(v) != "rewritten" {
-		t.Fatalf("Get(k19) = %q", v)
-	}
-}
-
 func TestRecoveryCRCMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
@@ -331,29 +286,6 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if n := s.Len(); n != 8*200 {
 		t.Fatalf("Len = %d, want %d", n, 8*200)
-	}
-}
-
-func TestSyncMakesWritesDurable(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	s.Put("k", []byte("v"))
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash: drop the handles without Close's flush.
-	s.mu.Lock()
-	s.closeFiles()
-	s.closed = true
-	s.mu.Unlock()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if v, ok := s2.AppendValue(nil, "k"); !ok || string(v) != "v" {
-		t.Fatalf("synced record lost: %q, %v", v, ok)
 	}
 }
 

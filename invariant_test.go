@@ -12,6 +12,7 @@ package sbcrawl
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -57,15 +58,15 @@ var killPoints = []int{1, 7, 13, -1}
 
 // How a persistent store takes part in a draw.
 const (
-	storeNone    = iota
-	storeKill    // a budget of k into a fresh store, then Resume with the full budget
-	storeCancel  // cancelled at exactly request k, then Resume
-	storeTwice   // killed at k, re-run to a later kill at another Prefetch, then Resume
-	storeCorrupt // killed at k, the newest segment's tail cut off, then Resume
-	storeWarm    // crawled, then crawled again over the warm store
-	storeDone    // crawled, then again with Resume: served from the done-record
-	storeLend    // a warm store, the replay's Recycler visible and hidden (CrawlSite only)
-	storeShared  // two concurrent crawls through one OpenStore handle (CrawlSite only)
+	storeNone   = iota
+	storeKill   // a budget of k into a fresh store, then Resume with the full budget
+	storeCancel // cancelled at exactly request k, then Resume
+	storeTwice  // killed at k, re-run to a later kill at another Prefetch, then Resume
+	storeCrash  // killed at k, the newest segment cut where a crash can cut it, then Resume
+	storeWarm   // crawled, then crawled again over the warm store
+	storeDone   // crawled, then again with Resume: served from the done-record
+	storeLend   // a warm store, the replay's Recycler visible and hidden (CrawlSite only)
+	storeShared // two concurrent crawls through one OpenStore handle (CrawlSite only)
 	storeModes
 )
 
@@ -83,6 +84,7 @@ type draw struct {
 	FaultSeed  int64
 	Store      uint8
 	Kill       uint8 // index into killPoints
+	Cut        uint8 // storeCrash: the record (Cut/5, from the end) and byte class (Cut%5) cut at
 	Workers    uint8 // 0: CrawlSite of Sites[0]; n: CrawlSites with n workers
 	Shared     bool  // FleetOptions.SharedSpeculation
 	CacheCap   uint8 // FleetOptions.SpecCacheCap
@@ -182,12 +184,12 @@ func newInvariantCase(t *testing.T, d draw) *invariantCase {
 func FuzzCrawlConfig(f *testing.F) {
 	for _, d := range invariantCorpus() {
 		f.Add(d.Sites, string(d.Strategy), d.Seed, d.Budget, d.Prefetch, d.Partitions, d.LatencyUS,
-			d.FaultPct, d.FaultSeed, d.Store, d.Kill, d.Workers, d.Shared, d.CacheCap)
+			d.FaultPct, d.FaultSeed, d.Store, d.Kill, d.Cut, d.Workers, d.Shared, d.CacheCap)
 	}
 	f.Fuzz(func(t *testing.T, sites, strategy string, seed int64, budget uint16, prefetch int8, partitions uint8,
-		latencyUS uint16, faultPct uint8, faultSeed int64, store, kill, workers uint8, shared bool, cacheCap uint8) {
+		latencyUS uint16, faultPct uint8, faultSeed int64, store, kill, cut, workers uint8, shared bool, cacheCap uint8) {
 		checkDraw(t, draw{sites, Strategy(strategy), seed, budget, prefetch, partitions, latencyUS,
-			faultPct, faultSeed, store, kill, workers, shared, cacheCap}.normalized())
+			faultPct, faultSeed, store, kill, cut, workers, shared, cacheCap}.normalized())
 	})
 }
 
@@ -306,7 +308,7 @@ func (c *invariantCase) run(t *testing.T) {
 	switch c.Store {
 	case storeNone:
 		final = c.cfg
-	case storeKill, storeTwice, storeCorrupt:
+	case storeKill, storeTwice, storeCrash:
 		kill := durable
 		kill.MaxRequests = c.k
 		first = c.crawl(t, kill, nil)
@@ -315,8 +317,8 @@ func (c *invariantCase) run(t *testing.T) {
 			kill.Prefetch = otherWidth(c.cfg.Prefetch)
 			c.crawl(t, kill, nil)
 		}
-		if c.Store == storeCorrupt {
-			cutSegmentTail(t, durable.StorePath)
+		if c.Store == storeCrash {
+			cutSegment(t, durable.StorePath, c.Cut)
 		}
 	case storeCancel:
 		ctx, cancel := context.WithCancel(context.Background())
@@ -361,7 +363,7 @@ func (c *invariantCase) run(t *testing.T) {
 		if st == nil || !st.Completed {
 			t.Errorf("a finished crawl re-run with Resume was not served from its done-record: %+v", st)
 		}
-	case c.Store == storeNone || c.Store == storeCorrupt: // a cut tail may lose all k responses
+	case c.Store == storeNone || c.Store == storeCrash: // a cut may lose all k responses
 	case st == nil || !st.Resumed || st.ReplayHits == 0 || st.Completed:
 		t.Errorf("the crawl did not start warm over the store its earlier legs wrote, or another budget's done-record served it: %+v", st)
 	case c.Store == storeWarm && c.opts != nil && c.Budget == 0 && st.ReplayMisses != 0:
@@ -568,19 +570,35 @@ func (c *invariantCase) checkFired(t *testing.T, l *FleetResult) {
 	}
 }
 
-// cutSegmentTail chops 17 bytes off the newest segment of some size, as a
-// crash mid-write leaves it.
-func cutSegmentTail(t *testing.T, dir string) {
+// cutSegment cuts the kill leg's segment where a crash mid-append can: in
+// record cut/5 counted from its end, at byte class cut%5 — the record's
+// first byte, its length header, its CRC, its key (a batch's payload) or
+// its value. The leg's Close must not have compacted: a snapshot segment
+// whose predecessors are gone was fsynced whole, so no crash cuts it.
+func cutSegment(t *testing.T, dir string, cut uint8) {
 	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
-	for i := len(segs) - 1; i >= 0; i-- {
-		if info, err := os.Stat(segs[i]); err == nil && info.Size() >= 40 {
-			if err := os.Truncate(segs[i], info.Size()-17); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
+	if len(segs) != 1 || filepath.Base(segs[0]) != "00000001.seg" {
+		t.Fatalf("the kill leg left segments %v: its Close compacted the store", segs)
 	}
-	t.Fatal("found no segment worth damaging")
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	type record struct{ off, klen, vlen int }
+	var recs []record
+	for off := 0; off+12 <= len(data); {
+		r := record{off, int(binary.LittleEndian.Uint32(data[off:])), int(binary.LittleEndian.Uint32(data[off+4:]))}
+		recs = append(recs, r)
+		off += 12 + r.klen + r.vlen
+	}
+	if len(recs) == 0 {
+		t.Fatal("the kill leg wrote no record")
+	}
+	r := recs[len(recs)-1-int(cut/5)%len(recs)]
+	at := r.off + []int{0, 4, 10, 12 + r.klen/2, 12 + r.klen + r.vlen/2}[cut%5]
+	if err := os.Truncate(segs[0], int64(at)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // invariantCorpus is the fuzz seed corpus: with the equivalence families
@@ -606,7 +624,13 @@ func invariantCorpus() []draw {
 	return append(rows,
 		draw{Sites: "ll", Strategy: StrategySB, Seed: 9, Budget: 60, LatencyUS: 1000, Prefetch: 8, Workers: 1, Shared: true},
 		draw{Sites: "x", Strategy: StrategyBFS, LatencyUS: 2000, Partitions: 2},
-		draw{Sites: "n", Strategy: StrategySB, Seed: 3, Store: storeCorrupt, Kill: 2},
+		// A crash cut at each byte class: the newest record's value, an older
+		// record's CRC, key, length header and first byte.
+		draw{Sites: "n", Strategy: StrategySB, Seed: 3, Store: storeCrash, Kill: 2, Cut: 4},
+		draw{Sites: "l", Strategy: StrategyBFS, Seed: 7, Prefetch: 8, Store: storeCrash, Kill: 1, Cut: 5 + 2},
+		draw{Sites: "n", Strategy: StrategyTPOff, Seed: 2, Partitions: 2, Store: storeCrash, Kill: 3, Cut: 5*3 + 3},
+		draw{Sites: "ll", Strategy: StrategySB, Seed: 7, Prefetch: 8, Store: storeCrash, Kill: 2, Cut: 5*9 + 1, Workers: 2},
+		draw{Sites: "n", Strategy: StrategyRandom, Seed: 5, FaultPct: 10, FaultSeed: 99, Store: storeCrash, Kill: 1, Cut: 5 * 50},
 		draw{Sites: "nn", Strategy: StrategySB, Seed: 4, Prefetch: 8, Store: storeWarm, Workers: 2, Shared: true, CacheCap: 12},
 		draw{Sites: "lnx", Strategy: StrategySB, Seed: 5, Store: storeDone, Workers: 2},
 		draw{Sites: "ff", Strategy: StrategyBFS, Budget: 100, LatencyUS: 2000, Partitions: 2, Workers: 2},

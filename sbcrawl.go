@@ -217,8 +217,12 @@ type Config struct {
 	// re-running the same Config replays the completed prefix at memory
 	// speed and continues from the exact request the kill interrupted,
 	// producing a Result byte-identical to a never-interrupted run, at any
-	// Prefetch setting. One store directory serves a whole fleet (sites
-	// are namespaced inside it) but has a single writer at a time. The
+	// Prefetch setting. "Killed" means the process: a checkpoint syncs the
+	// store to the OS, not to the disk (only compaction fsyncs), so what
+	// the crawl wrote survives its process dying but not an OS crash or a
+	// power loss, which can lose what was written since the last
+	// compaction. One store directory serves a whole fleet (sites are
+	// namespaced inside it) but has a single writer at a time. The
 	// store is closed when the call returns; a close that fails (the final
 	// flush or compaction) is returned as the call's error beside the
 	// Result, since the run's writes may then not be durable.

@@ -52,8 +52,13 @@ test -z "$(gofmt -l .)"
 # and FuzzCrawlConfig's share of the crawl-invariant table (the six
 # Test*Equivalence/TestRetryConvergence families run the rest through the
 # same harness): accelerated crawls (prefetch, partitions, latency, faults
-# with retries, kill/cancel and resume, damaged and warm stores, lending,
-# fleets sharing speculation) each equal to the plain sequential crawl.
+# with retries, kill/cancel and resume, a killed crawl's segment cut inside
+# a record at each byte class — length header, CRC, key, value — as a crash
+# mid-append cuts it, warm stores, lending, fleets sharing speculation) each
+# equal to the plain sequential crawl. The store's FuzzCrashStates corpus
+# opens every state a process crash can leave an op sequence in, and
+# TestServeResumeEquivalence restarts crawld mid-session against
+# sbcrawl.CrawlSites.
 go test -count=1 ./...
 # The race pass is the one determinism gate: the crawl-invariant table,
 # the cross-version stores, the breaker and the crawld session lifecycle run
@@ -67,7 +72,8 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # enforce a never-panic or an equivalence invariant (corrupt-length overflows
 # sailed through the seed-only gate and fell to a real -fuzz run in seconds),
 # so each target gets a short live pass; a crasher lands in testdata/fuzz/
-# and fails the build. Targets: the persistence-plane decoders; the sparse
+# and fails the build. Targets: the persistence-plane decoders; the store's
+# crash states (any op sequence, every cut of every step); the sparse
 # action index against the dense Algorithm 1; the sorted-slice URL features
 # against the map-keyed ones; Normalize's fast forms and the host/path split
 # against net/url; a peeking frontier against one that never peeks; and any
@@ -78,6 +84,7 @@ done <<'EOF'
 ./internal/codec FuzzCodec 30
 ./internal/codec FuzzDelta 10
 ./internal/store FuzzScanSegment 10
+./internal/store FuzzCrashStates 10
 ./internal/serve FuzzSessionRecord 10
 ./internal/core FuzzActionIndexSparseVsDense 10
 ./internal/learn FuzzCharBigramsSortedVsMap 10

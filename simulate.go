@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"sbcrawl/internal/classify"
 	"sbcrawl/internal/core"
 	"sbcrawl/internal/faultsim"
 	"sbcrawl/internal/fetch"
@@ -196,6 +195,7 @@ func siteCrawlEnv(site *Site, cfg Config, ctx context.Context) *core.Env {
 		fetcher = &fetch.Latency{Backend: fetcher, Delay: cfg.SimLatency, Ctx: ctx}
 	}
 	retry, breaker := retryPolicies(cfg, false)
+	class, benefit := sitegen.Oracles(site.lookup)
 	// The ground-truth target list is a scan of every page of the site, and
 	// OMNISCIENT is its only reader.
 	var oracleTargets []string
@@ -203,34 +203,15 @@ func siteCrawlEnv(site *Site, cfg Config, ctx context.Context) *core.Env {
 		oracleTargets = site.targetURLs()
 	}
 	return &core.Env{
-		Root:        site.Root(),
-		Fetcher:     fetcher,
-		MaxRequests: cfg.MaxRequests,
-		Ctx:         ctx,
-		Prefetch:    cfg.Prefetch,
-		Retry:       retry,
-		Breaker:     breaker,
-		OracleClass: func(u string) int {
-			pg, ok := site.lookup(u)
-			if !ok {
-				return classify.ClassNeither
-			}
-			switch pg.Kind {
-			case sitegen.KindHTML:
-				return classify.ClassHTML
-			case sitegen.KindTarget:
-				return classify.ClassTarget
-			default:
-				return classify.ClassNeither
-			}
-		},
-		OracleBenefit: func(u string) int {
-			pg, ok := site.lookup(u)
-			if !ok {
-				return 0
-			}
-			return len(pg.DatasetLinks)
-		},
+		Root:          site.Root(),
+		Fetcher:       fetcher,
+		MaxRequests:   cfg.MaxRequests,
+		Ctx:           ctx,
+		Prefetch:      cfg.Prefetch,
+		Retry:         retry,
+		Breaker:       breaker,
+		OracleClass:   class,
+		OracleBenefit: benefit,
 		OracleTargets: oracleTargets,
 	}
 }

@@ -39,6 +39,8 @@ var architectureRules = []struct{ files, imports, lines, reason string }{
 		"the tag-path vectorizer computes collision counts from the vocabulary's size, not a D-wide table per crawl"},
 	{"internal/core/...", ``, `make\(\[\]dom\.Link`,
 		"a page's surviving links go straight onto the engine's link stack instead of into a copy"},
+	{"internal/dom/...", ``, `\btype\s+Node\b|^\s*Node\s+struct\b|\bChildren\s+\[\]\*`,
+		"links come from one pass over the tokens; the tree lives only in the test oracle"},
 }
 
 func TestArchitectureRules(t *testing.T) {

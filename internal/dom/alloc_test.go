@@ -1,10 +1,14 @@
 package dom
 
 import (
+	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // buildPage renders a page with nLinks anchors and `filler` copies of a
@@ -126,7 +130,7 @@ func TestFullInternTableStartsOver(t *testing.T) {
 	drain()
 	fresh := allocsPerExtract(page) // one parser, built for it and parked
 	drain()
-	p := newParser(true)
+	p := newParser()
 	for i := 0; len(p.interned) < maxIntern+len(commonStrings); i++ {
 		p.intern([]byte("filler-" + strconv.Itoa(i)))
 	}
@@ -137,29 +141,72 @@ func TestFullInternTableStartsOver(t *testing.T) {
 	}
 }
 
-// TestRecycleDropsSourceViews: text nodes of a pooled run are views of the
-// page body; a recycled parser waiting in the pool must not keep them.
+// TestRecycleDropsSourceViews: a parser's tokenizer and attribute slots are
+// views of the page body while it runs; a parked parser must hold no slice of
+// the body, nor its caller's admit callback.
 func TestRecycleDropsSourceViews(t *testing.T) {
-	p := newParser(true)
-	root := p.parse(buildPage(300, 8)) // spills into a second arena block
-	views := 0
-	walk(root, func(n *Node) bool {
-		if n.text != nil {
-			views++
-		}
-		return true
-	})
-	if views == 0 {
-		t.Fatal("a pooled parse produced no text views")
+	for len(parserFree) > 0 {
+		<-parserFree
 	}
-	p.recycle()
-	for _, c := range p.chunks {
-		for i := range c {
-			if c[i].text != nil {
-				t.Fatalf("recycled parser still holds a %d-byte view of the last page", len(c[i].text))
+	page := buildPage(300, 8)
+	p := newParser()
+	p.want, p.admit = AllFields, func(href string) (string, bool) { return href, true }
+	p.run(page)
+	if views := sourceViews(reflect.ValueOf(p).Elem(), page); views == 0 {
+		t.Fatal("a running parser holds no view of its page: the check below checks nothing")
+	}
+	putParser(p)
+	if len(parserFree) != 1 {
+		t.Fatal("the parser was not parked")
+	}
+	p = <-parserFree
+	if views := sourceViews(reflect.ValueOf(p).Elem(), page); views != 0 {
+		t.Errorf("a parked parser holds %d slices of the last page", views)
+	}
+	if p.admit != nil {
+		t.Error("a parked parser holds its last caller's admit callback")
+	}
+}
+
+// sourceViews counts the byte slices and strings reachable from v, through
+// structs, slices up to their capacity, and maps, whose memory lies inside
+// body's.
+func sourceViews(v reflect.Value, body []byte) int {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(body)))
+	hi := lo + uintptr(len(body))
+	inBody := func(p uintptr, n int) bool { return n > 0 && p < hi && p+uintptr(n) > lo }
+	switch v.Kind() {
+	case reflect.String:
+		if s := v.String(); inBody(uintptr(unsafe.Pointer(unsafe.StringData(s))), len(s)) {
+			return 1
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			if inBody(v.Pointer(), v.Cap()) {
+				return 1
 			}
+			return 0
 		}
+		n := 0
+		v = v.Slice3(0, v.Cap(), v.Cap())
+		for i := range v.Len() {
+			n += sourceViews(v.Index(i), body)
+		}
+		return n
+	case reflect.Struct:
+		n := 0
+		for i := range v.NumField() {
+			n += sourceViews(v.Field(i), body)
+		}
+		return n
+	case reflect.Map:
+		n := 0
+		for it := v.MapRange(); it.Next(); {
+			n += sourceViews(it.Key(), body) + sourceViews(it.Value(), body)
+		}
+		return n
 	}
+	return 0
 }
 
 // TestExtractLinksAllocsSurviveGC: the free list keeps its parsers across
@@ -185,17 +232,20 @@ func TestOutsizedParserIsNotParked(t *testing.T) {
 	for len(parserFree) > 0 {
 		<-parserFree
 	}
-	putParser(newParser(true))
+	putParser(newParser())
 	if len(parserFree) != 1 {
 		t.Fatal("an ordinary parser was not parked")
 	}
 	<-parserFree
 	for name, grow := range map[string]func(p *parser){
-		"nodes": func(p *parser) { p.chunks = make([][]Node, maxParkedChunks+1) },
-		"text":  func(p *parser) { p.textArena = make([]byte, 0, maxParkedBytes+1) },
-		"attrs": func(p *parser) { p.z.attrs = make([]RawAttr, 0, maxParkedAttrs+1) },
+		"text":    func(p *parser) { p.text = make([]byte, 0, maxParkedBytes+1) },
+		"attrs":   func(p *parser) { p.z.attrs = make([]RawAttr, 0, maxParkedAttrs+1) },
+		"stack":   func(p *parser) { p.stack = make([]openElement, 0, maxParkedSlots+1) },
+		"path":    func(p *parser) { p.path = make([]string, 0, maxParkedSlots+1) },
+		"pending": func(p *parser) { p.pending = make([]int, 0, maxParkedSlots+1) },
+		"links":   func(p *parser) { p.links = make([]Link, 0, maxParkedSlots+1) },
 	} {
-		p := newParser(true)
+		p := newParser()
 		grow(p)
 		putParser(p)
 		if len(parserFree) != 0 {
@@ -203,4 +253,46 @@ func TestOutsizedParserIsNotParked(t *testing.T) {
 			<-parserFree
 		}
 	}
+}
+
+// nestedPage renders n nested <div>s, each holding a word of text and one
+// link, so every link's parent holds every deeper link's parent.
+func nestedPage(n int) []byte {
+	var sb strings.Builder
+	for i := range n {
+		sb.WriteString("<div>text ")
+		sb.WriteString(strconv.Itoa(i))
+		sb.WriteString(` <a href="/x">a</a>`)
+	}
+	sb.WriteString(strings.Repeat("</div>", n))
+	return []byte(sb.String())
+}
+
+// TestNestedParentsExtractInLinearTime: a parent's text is read once, where
+// it closes, from the page's one collapsed buffer, so extracting surrounding
+// text from nested parents costs time linear in the page, where re-walking
+// each parent's subtree costs the square of its depth. Eight times the
+// nesting must cost well under the 64 times a quadratic walk would. The tag
+// path is left out: a link's TagPath is depth-long, so that output alone is
+// quadratic here.
+func TestNestedParentsExtractInLinearTime(t *testing.T) {
+	median := func(page []byte) time.Duration {
+		var buf []Link
+		runs := make([]time.Duration, 5)
+		for i := range runs {
+			start := time.Now()
+			buf = ExtractLinksFiltered(buf[:0], page, SurroundingTextField, nil)
+			runs[i] = time.Since(start)
+		}
+		slices.Sort(runs)
+		return runs[len(runs)/2]
+	}
+	small, big := nestedPage(500), nestedPage(4000)
+	median(big) // warm the parser's scratch to the bigger page
+	ts, tb := median(small), median(big)
+	ratio := float64(tb) / float64(ts)
+	if ratio >= 24 {
+		t.Errorf("8x the nesting costs %.1fx the time (%v at 500 parents, %v at 4,000): want linear, under 24x", ratio, ts, tb)
+	}
+	t.Logf("8x the nesting costs %.1fx the time (%v at 500 parents, %v at 4,000)", ratio, ts, tb)
 }

@@ -1,46 +1,11 @@
 package dom
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
-
-// parse builds an owned tree of src: an unpooled parser materializes every
-// text node in Node.Data, so the tree outlives the call.
-func parse(src []byte) *Node { return newParser(false).parse(src) }
-
-// extractTree extracts every link of an already-parsed tree, with every
-// field.
-func extractTree(root *Node) []Link { return newParser(false).extract(root, nil, AllFields, nil) }
-
-// walk visits every node of the tree in document order, calling fn; when fn
-// returns false the subtree below the node is skipped.
-func walk(n *Node, fn func(*Node) bool) {
-	if !fn(n) {
-		return
-	}
-	for _, c := range n.Children {
-		walk(c, fn)
-	}
-}
-
-// find returns the first element with the given tag name in document order,
-// or nil.
-func find(n *Node, name string) *Node {
-	var found *Node
-	walk(n, func(m *Node) bool {
-		if found != nil {
-			return false
-		}
-		if m.Type == ElementNode && m.Data == name {
-			found = m
-			return false
-		}
-		return true
-	})
-	return found
-}
 
 // decodeEntities resolves named and numeric character references in s.
 func decodeEntities(s string) string { return string(appendDecodedEntities(nil, []byte(s))) }
@@ -84,8 +49,7 @@ func TestParseBasicStructure(t *testing.T) {
 }
 
 func TestScriptContentIsNotParsed(t *testing.T) {
-	root := parse([]byte(samplePage))
-	for _, l := range extractTree(root) {
+	for _, l := range ExtractLinksAppend(nil, []byte(samplePage)) {
 		if l.URL == "/trap" {
 			t.Fatal("link inside <script> must not be extracted")
 		}
@@ -142,7 +106,11 @@ func TestTagPathFormat(t *testing.T) {
 
 func TestImpliedLiClose(t *testing.T) {
 	// The sample's second <li> has no closing tag; the third <li> must still
-	// be a sibling, not a descendant, so both paths are equal.
+	// be a sibling, not a descendant: in the reference tree the list has
+	// three items, and the extracted paths of the last two links are equal.
+	if ul := find(parse([]byte(samplePage)), "ul"); ul == nil || len(ul.Children) != 3 {
+		t.Fatalf("ul = %+v, want three li children", ul)
+	}
 	links := ExtractLinksAppend(nil, []byte(samplePage))
 	var b, more Link
 	for _, l := range links {
@@ -172,17 +140,25 @@ func TestSidebarPathIncludesAllClasses(t *testing.T) {
 	t.Fatal("sidebar link not found")
 }
 
+// TestSurroundingText: a link's surrounding text is its own parent's whole
+// text, not that of a child element closed in between.
 func TestSurroundingText(t *testing.T) {
 	links := ExtractLinksAppend(nil, []byte(samplePage))
-	for _, l := range links {
-		if l.URL == "relative.html" {
-			if !strings.Contains(l.SurroundingText, "Intro text") {
-				t.Errorf("surrounding text %q should contain the paragraph text", l.SurroundingText)
-			}
-			return
+	if i := slices.IndexFunc(links, func(l Link) bool { return l.URL == "relative.html" }); i < 0 {
+		t.Error("inline link not found")
+	} else if !strings.Contains(links[i].SurroundingText, "Intro text") {
+		t.Errorf("surrounding text %q should contain the paragraph text", links[i].SurroundingText)
+	}
+	links = ExtractLinksAppend(nil, []byte(`<div>lead <a href=/1>one</a><p>inner <a href=/2>two</a></p> tail <a href=/3>three</a></div>`))
+	want := []string{"lead one inner two tail three", "inner two", "lead one inner two tail three"}
+	if len(links) != len(want) {
+		t.Fatalf("got %d links, want %d", len(links), len(want))
+	}
+	for i, l := range links {
+		if l.SurroundingText != want[i] {
+			t.Errorf("link %s: surrounding text %q, want %q", l.URL, l.SurroundingText, want[i])
 		}
 	}
-	t.Fatal("inline link not found")
 }
 
 func TestMalformedHTMLDoesNotPanic(t *testing.T) {
@@ -219,8 +195,11 @@ func TestUnquotedAndNumericEntityHref(t *testing.T) {
 }
 
 func TestVoidElementsDoNotNest(t *testing.T) {
-	root := parse([]byte(`<div><img src="a.png"><a href="/x">link</a></div>`))
-	links := extractTree(root)
+	src := []byte(`<div><img src="a.png"><a href="/x">link</a></div>`)
+	if div := find(parse(src), "div"); div == nil || len(div.Children) != 2 || len(div.Children[0].Children) != 0 {
+		t.Errorf("div = %+v, want the img childless and the a its sibling", div)
+	}
+	links := ExtractLinksAppend(nil, src)
 	if len(links) != 1 {
 		t.Fatalf("got %d links, want 1", len(links))
 	}
@@ -230,8 +209,7 @@ func TestVoidElementsDoNotNest(t *testing.T) {
 }
 
 func TestSelfClosingTag(t *testing.T) {
-	root := parse([]byte(`<div><br/><a href="/x">link</a></div>`))
-	links := extractTree(root)
+	links := ExtractLinksAppend(nil, []byte(`<div><br/><a href="/x">link</a></div>`))
 	if len(links) != 1 || links[0].TagPath.String() != "div a" {
 		t.Errorf("self-closing br broke structure: %+v", links)
 	}

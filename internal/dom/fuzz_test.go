@@ -40,6 +40,13 @@ func seedCorpus(f *testing.F) {
 		"<p>x\u0085y\u00a0z\u2028w<a href=/x>\u00a0t\u2028</a></p>",
 		"<p>\xff\xfe bad \xc3<a href=/x>\xe2\x82 t \x80</a></p>",
 		"<div>" + strings.Repeat("long parent text é ", 30) + "<a href=/x>t</a></div>",
+		// The open-element stack: implied end tags, a parent's links wait
+		// past a child's close, a stray end tag closes nothing, the first of
+		// repeated attributes counts.
+		"<ul><li><a href=/1>a</a><li>b <a href=/2>c</a></ul><p>x <a href=/3>y</a><p>z",
+		"<div>lead <a href=/1>one</a><p>inner <a href=/2>two</a></p> tail <a href=/3>three</a></div>",
+		"<div><span>x</b><a href=/y>z</a></i></span></div><a href=/w>w</a>",
+		"<div ID=first id=second CLASS='x y' class=z><a HREF=/a href=/b>t</a></div>",
 	} {
 		f.Add([]byte(s))
 	}
@@ -105,16 +112,18 @@ func FuzzTokenizer(f *testing.F) {
 }
 
 // filterLinks is ExtractLinksFiltered's definition over an unfiltered
-// extraction: the links admit keeps, with the URL it returns and the fields
-// outside want zeroed.
+// extraction: the links admit keeps (all of them for a nil admit), with the
+// URL it returns and the fields outside want zeroed.
 func filterLinks(links []Link, want Fields, admit func(string) (string, bool)) []Link {
 	var out []Link
 	for _, l := range links {
-		u, ok := admit(l.URL)
-		if !ok {
-			continue
+		if admit != nil {
+			u, ok := admit(l.URL)
+			if !ok {
+				continue
+			}
+			l.URL = u
 		}
-		l.URL = u
 		if want&TagPathField == 0 {
 			l.TagPath = nil
 		}
@@ -138,14 +147,13 @@ func fuzzAdmit(href string) (string, bool) {
 	return "admitted:" + href, true
 }
 
-// FuzzExtractLinks drives the full pooled parse→extract path: it must
-// terminate, two runs over one input must agree exactly (no state leaking
-// through the parser pool), the result must equal the materializing tree
-// path's (an unpooled parse builds every text node as a string; extracting
-// from its tree is the oracle for the pooled run's source views), the
-// filtered form
-// must equal the unfiltered one followed by the same filter for every field
-// set, and every extracted link must satisfy the documented invariants.
+// FuzzExtractLinks holds the one-pass extractor to the reference tree
+// (tree_ref_test.go): it must terminate, two runs over one input must agree
+// exactly (no state leaking through the parser free list), the unfiltered
+// result must equal extracting every link from the tree, every filtered
+// form — each of the 8 field sets, with no admit and with one — must equal
+// the tree's links filtered the same way, and every extracted link must
+// satisfy the documented invariants.
 func FuzzExtractLinks(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src []byte) {
@@ -153,15 +161,18 @@ func FuzzExtractLinks(f *testing.F) {
 		links := ExtractLinksAppend(nil, src)
 		again := ExtractLinksAppend(nil, src)
 		if !reflect.DeepEqual(links, again) {
-			t.Error("two extractions of one page differ: parser pool leaks state")
+			t.Error("two extractions of one page differ: the parser free list leaks state")
 		}
-		if tree := extractTree(parse(src)); !reflect.DeepEqual(links, tree) {
-			t.Errorf("pooled extraction differs from the tree path:\npooled: %+v\ntree:   %+v", links, tree)
+		tree := extractTree(parse(src))
+		if !reflect.DeepEqual(links, tree) {
+			t.Errorf("one-pass extraction differs from the reference tree:\none pass: %+v\ntree:     %+v", links, tree)
 		}
 		for want := Fields(0); want <= AllFields; want++ {
-			got := ExtractLinksFiltered(nil, src, want, fuzzAdmit)
-			if ref := filterLinks(links, want, fuzzAdmit); !reflect.DeepEqual(got, ref) {
-				t.Errorf("fields %03b: filtered extraction differs from filtering the full one:\nfiltered: %+v\nfull:     %+v", want, got, ref)
+			for _, admit := range []func(string) (string, bool){nil, fuzzAdmit} {
+				got := ExtractLinksFiltered(nil, src, want, admit)
+				if ref := filterLinks(tree, want, admit); !reflect.DeepEqual(got, ref) {
+					t.Errorf("fields %03b, admit %t: one-pass extraction differs from the reference tree's links filtered:\none pass: %+v\ntree:     %+v", want, admit != nil, got, ref)
+				}
 			}
 		}
 		for _, l := range links {

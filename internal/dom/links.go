@@ -1,8 +1,6 @@
 package dom
 
 import (
-	"math"
-	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -22,32 +20,32 @@ func (p TagPath) String() string { return strings.Join(p, " ") }
 // keys, mirroring the appendix notation "/html/body/div.nces/...".
 func (p TagPath) Key() string { return "/" + strings.Join(p, "/") }
 
-// appendPathToken appends the element's tag-path token to dst: name, then
-// "#id" when an id is present, then ".class" for each class in document
-// order.
-func appendPathToken(dst []byte, n *Node) []byte {
-	dst = append(dst, n.Data...)
-	if id, _ := n.Attr("id"); id != "" {
+// appendPathToken appends the tag-path token of the element name with
+// attributes attrs to dst: name, then "#id" when the id is non-empty, then
+// ".class" for each class in document order. Of repeated attributes the
+// first counts.
+func appendPathToken(dst []byte, name string, attrs []RawAttr) []byte {
+	dst = append(dst, name...)
+	if id := attrValue(attrs, "id"); len(id) > 0 {
 		dst = append(dst, '#')
 		dst = appendSanitized(dst, id)
 	}
-	if class, _ := n.Attr("class"); class != "" {
-		for i := 0; i < len(class); {
-			start, end := nextField(class, i)
-			if start < 0 {
-				break
-			}
-			dst = append(dst, '.')
-			dst = appendSanitized(dst, class[start:end])
-			i = end
+	class := attrValue(attrs, "class")
+	for i := 0; ; {
+		start, end := nextField(class, i)
+		if start < 0 {
+			break
 		}
+		dst = append(dst, '.')
+		dst = appendSanitized(dst, class[start:end])
+		i = end
 	}
 	return dst
 }
 
 // nextField locates the next whitespace-delimited field of s at or after i,
 // with strings.Fields semantics. start is -1 when no field remains.
-func nextField(s string, i int) (start, end int) {
+func nextField[S string | []byte](s S, i int) (start, end int) {
 	for i < len(s) {
 		space, size := spaceAt(s, i)
 		if !space {
@@ -72,7 +70,7 @@ func nextField(s string, i int) (start, end int) {
 // appendSanitized appends s with whitespace and the path separators replaced
 // by '-' so that tokens remain unambiguous. The replaced characters are all
 // ASCII, so the byte-level scan never splits a multi-byte rune.
-func appendSanitized(dst []byte, s string) []byte {
+func appendSanitized[S string | []byte](dst []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ' ', '\t', '\n', '/', '.', '#':
@@ -126,12 +124,9 @@ const surroundingCap = 256
 // following Section 2.2 (edges exist via tags like <a>, <area>, <iframe>).
 var linkAttr = map[string]string{"a": "href", "area": "href", "iframe": "src"}
 
-// ExtractLinksAppend parses the HTML page and appends every hyperlink, with
-// its tag path and context, to dst (which may be an exhausted scratch
-// slice), in document order. The parse runs on a pooled scanner: only the
-// appended Links (plain strings throughout) survive the call, so
-// steady-state allocation is O(links), not O(bytes). It is
-// ExtractLinksFiltered with every field and no filter.
+// ExtractLinksAppend appends every hyperlink of the HTML page, with its tag
+// path and context, to dst (which may be an exhausted scratch slice), in
+// document order. It is ExtractLinksFiltered with every field and no filter.
 func ExtractLinksAppend(dst []Link, src []byte) []Link {
 	return ExtractLinksFiltered(dst, src, AllFields, nil)
 }
@@ -141,105 +136,19 @@ func ExtractLinksAppend(dst []Link, src []byte) []Link {
 // is called with the trimmed href before anything else about the link is
 // built: a link it refuses costs nothing more, and one it admits is appended
 // with the URL admit returned and, of the optional fields, only those in
-// want. A nil admit keeps every link, its href as URL.
+// want. A nil admit keeps every link, its href as URL. The page is read in
+// one pass on a free-listed parser, and only the appended Links (plain
+// strings throughout) survive the call, so steady-state allocation is
+// O(links), not O(bytes). Links collect in the parser's own buffer and reach
+// dst in one append, so a nil dst costs one exactly-sized allocation, not a
+// doubling series.
 func ExtractLinksFiltered(dst []Link, src []byte, want Fields, admit func(href string) (string, bool)) []Link {
 	p := getParser()
-	root := p.parse(src)
-	dst = p.extract(root, dst, want, admit)
+	p.want, p.admit = want, admit
+	p.run(src)
+	dst = append(dst, p.links...)
 	putParser(p)
 	return dst
-}
-
-// extract walks the tree once. With tag paths wanted, it maintains the
-// root-to-node token stack incrementally (no per-link Parent-chain rebuild)
-// and shares the last link's path with a next one whose path equals it; with
-// surrounding text wanted, it memoizes the last parent's truncated text
-// (links sharing a parent share the computation). Links collect in the
-// parser's own buffer and reach dst in one append, so a nil dst costs one
-// exactly-sized allocation, not a doubling series.
-func (p *parser) extract(root *Node, dst []Link, want Fields, admit func(string) (string, bool)) []Link {
-	p.want, p.admit = want, admit
-	p.lastParent = nil
-	p.lastParentText = ""
-	p.lastPath = nil
-	for _, c := range root.Children {
-		p.walkExtract(c)
-	}
-	p.admit = nil // a parked parser keeps no caller state alive
-	dst = append(dst, p.links...)
-	clear(p.links)
-	p.links = p.links[:0]
-	return dst
-}
-
-func (p *parser) walkExtract(n *Node) {
-	if n.Type != ElementNode {
-		return
-	}
-	paths := p.want&TagPathField != 0
-	if paths {
-		tok := n.Data // the whole token of an element without id or class
-		if len(n.Attrs) > 0 {
-			p.tokBuf = appendPathToken(p.tokBuf[:0], n)
-			tok = p.intern(p.tokBuf)
-		}
-		p.pathStack = append(p.pathStack, tok)
-	}
-	if attr, ok := linkAttr[n.Data]; ok {
-		p.link(n, attr)
-	}
-	for _, c := range n.Children {
-		p.walkExtract(c)
-	}
-	if paths {
-		p.pathStack = p.pathStack[:len(p.pathStack)-1]
-	}
-}
-
-// link appends the link element n, its URL in attribute attr, if it has one
-// and admit keeps it.
-func (p *parser) link(n *Node, attr string) {
-	href, _ := n.Attr(attr)
-	if href = strings.TrimSpace(href); href == "" {
-		return
-	}
-	if p.admit != nil {
-		var ok bool
-		if href, ok = p.admit(href); !ok {
-			return
-		}
-	}
-	l := Link{URL: href, Tag: n.Data}
-	if p.want&TagPathField != 0 {
-		// Sibling links (a list of downloads, a menu) mostly share their
-		// path; tokens are interned, so the comparison is mostly
-		// pointer-equal strings.
-		if !slices.Equal(p.lastPath, p.pathStack) {
-			p.lastPath = make(TagPath, len(p.pathStack))
-			copy(p.lastPath, p.pathStack)
-		}
-		l.TagPath = p.lastPath
-	}
-	if p.want&AnchorTextField != 0 && n.Data == "a" {
-		l.AnchorText = p.textOf(n, math.MaxInt)
-	}
-	if p.want&SurroundingTextField != 0 && n.Parent != nil {
-		if n.Parent != p.lastParent {
-			p.lastParent = n.Parent
-			p.lastParentText = p.textOf(n.Parent, surroundingCap)
-		}
-		l.SurroundingText = p.lastParentText
-	}
-	p.links = append(p.links, l)
-}
-
-// textOf is Node.Text over the parser's reusable scratch, cut to its first
-// limit bytes at a rune boundary and then interned (anchor texts repeat
-// heavily across a site): only what the Link keeps becomes a string.
-func (p *parser) textOf(n *Node, limit int) string {
-	var brk bool
-	p.textBuf = appendNodeText(p.textBuf[:0], n, &brk)
-	return p.intern(truncate(p.textBuf, limit))
 }
 
 // truncate caps s at n bytes without splitting a multi-byte UTF-8 rune: the

@@ -1,77 +1,13 @@
 package dom
 
 import (
+	"bytes"
 	"maps"
+	"math"
+	"slices"
 	"unicode"
 	"unicode/utf8"
 )
-
-// NodeType discriminates DOM node kinds.
-type NodeType int
-
-// Node kinds.
-const (
-	ElementNode NodeType = iota
-	TextNode
-)
-
-// Node is one node of the parsed DOM tree.
-type Node struct {
-	Type     NodeType
-	Data     string // element name (lowercased) or text content
-	Attrs    []Attr
-	Parent   *Node
-	Children []*Node
-
-	// text is a text node's content in a pooled extraction, whose tree
-	// never escapes: a view of the page source (or of the parser's arena, for
-	// entity-decoded text) standing in for Data, which stays "".
-	text []byte
-}
-
-// Attr returns the value of the named attribute and whether it is present.
-func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
-// ID returns the element's id attribute, or "".
-func (n *Node) ID() string {
-	v, _ := n.Attr("id")
-	return v
-}
-
-// Text returns the concatenated text content of the subtree rooted at n,
-// with runs of whitespace collapsed to single spaces.
-func (n *Node) Text() string {
-	var brk bool
-	b := appendNodeText(nil, n, &brk)
-	return string(b)
-}
-
-// appendNodeText appends the whitespace-collapsed text of the subtree to dst
-// in a single pass. brk carries the pending-word-break state: text nodes are
-// word-separated from each other, and runs of Unicode whitespace collapse to
-// one ' ' (the exact output of joining strings.Fields with single spaces).
-func appendNodeText(dst []byte, n *Node, brk *bool) []byte {
-	if n.Type == TextNode {
-		if n.text != nil {
-			dst = appendCollapsed(dst, n.text, brk)
-		} else {
-			dst = appendCollapsed(dst, n.Data, brk)
-		}
-		*brk = true // adjacent text nodes never fuse into one word
-		return dst
-	}
-	for _, c := range n.Children {
-		dst = appendNodeText(dst, c, brk)
-	}
-	return dst
-}
 
 // appendCollapsed appends s to dst with whitespace runs collapsed to single
 // spaces and edges trimmed, continuing the word-break state in brk.
@@ -150,12 +86,10 @@ var impliedClosers = func() map[string]map[string]bool {
 	return out
 }()
 
-// commonStrings interns the tag names, attribute names, and attribute values
-// a crawler sees on virtually every page, so materializing them never
-// allocates.
+// commonStrings seeds every parser's intern table with the element names a
+// crawler sees on virtually every page, so they never allocate.
 var commonStrings = func() map[string]string {
 	names := []string{
-		"#document",
 		"html", "head", "body", "title", "meta", "link", "script", "style",
 		"div", "span", "p", "a", "ul", "ol", "li", "dl", "dt", "dd",
 		"table", "thead", "tbody", "tr", "td", "th", "nav", "header",
@@ -164,8 +98,6 @@ var commonStrings = func() map[string]string {
 		"hr", "em", "strong", "b", "i", "u", "small", "sup", "sub",
 		"h1", "h2", "h3", "h4", "h5", "h6", "iframe", "area", "map",
 		"figure", "figcaption", "blockquote", "pre", "code",
-		"href", "src", "id", "class", "name", "type", "value", "rel",
-		"alt", "content", "charset", "lang", "style", "width", "height",
 	}
 	m := make(map[string]string, len(names))
 	for _, s := range names {
@@ -174,65 +106,53 @@ var commonStrings = func() map[string]string {
 	return m
 }()
 
-// nodeChunk and attrChunk size the parser's arena blocks. Blocks are stable
-// in memory (nodes are linked by pointer), so a full block is retired and a
-// fresh one started rather than growing in place.
+// maxIntern bounds a parser's dynamic intern table; maxInternLen keeps big
+// text blobs out of it.
 const (
-	nodeChunk     = 256
-	attrChunkSize = 256
-	// maxIntern bounds a parser's dynamic intern table; maxInternLen keeps
-	// big text blobs out of it.
 	maxIntern    = 8192
 	maxInternLen = 64
 )
 
-// parser is the reusable state of one parse-and-extract run: the tokenizer,
-// node and attribute arenas, a dynamic intern table, and the link-extraction
-// walk state. A parser is single-use at a time; extractions draw parsers
-// from an internal pool (parserFree) and recycles them (the arenas are
-// reused, so trees built by a pooled run must not escape — only materialized
-// strings may).
+// parser is the reusable state of one extraction: the tokenizer, an intern
+// table, and the open-element stack with what its elements' links wait for.
+// A parser serves one extraction at a time; extractions draw parsers from a
+// free list (parserFree), and only the Links' strings outlive the call.
 type parser struct {
-	z Tokenizer
-	// views marks a pooled parser: its tree dies with the run, so text nodes
-	// hold views (Node.text) instead of materialized strings.
-	views     bool
-	textArena []byte // entity-decoded text the views point into
-
-	chunks [][]Node // stable node arena blocks
-	ci     int      // current block
-	used   int      // used slots in current block
-
-	attrChunk []Attr
-	attrUsed  int
-
+	z        Tokenizer
 	interned map[string]string
 	lower    []byte // lowercase scratch for names
+	tokBuf   []byte // path-token scratch
 
-	stack []*Node // open-element stack
+	want  Fields
+	admit func(href string) (string, bool) // nil outside a filtered extraction
 
-	// Link-extraction walk state.
-	want           Fields
-	admit          func(href string) (string, bool) // nil outside a filtered walk
-	pathStack      []string
-	tokBuf         []byte
-	textBuf        []byte
-	links          []Link // links of the page being walked (see extract)
-	lastParent     *Node
-	lastParentText string
-	lastPath       TagPath // the previous link's path, shared by equal ones
+	stack    []openElement
+	path     []string // the path tokens of stack[1:], when tag paths are wanted
+	lastPath TagPath  // the previous link's path, shared by an equal next one
+	text     []byte   // the page's collapsed text so far, when a text field is wanted
+	brk      bool     // a word break is pending at the end of text
+	pending  []int    // links waiting for their parent's text, innermost parent's last
+	links    []Link   // the page's links so far, in document order
 }
 
-// newParser builds a parser. The pool's parsers hold text views; one built
-// with views off materializes every text node, the tree the tests hold a
-// pooled run's links to.
-func newParser(views bool) *parser {
-	return &parser{views: views, interned: maps.Clone(commonStrings)}
+// openElement is one entry of the open-element stack. Its text is p.text
+// from its text offset to where it closes (less the word break before its
+// first word), so reading it costs its length, never a walk of the subtree.
+type openElement struct {
+	name   string
+	text   int // len(p.text) when the element opened
+	anchor int // the index of the <a> link waiting for this element's text, or -1
+	mark   int // len(p.pending) when the element opened: the entries past it wait for this one
+}
+
+// newParser builds a parser with an intern table seeded by commonStrings.
+func newParser() *parser {
+	return &parser{interned: maps.Clone(commonStrings)}
 }
 
 // parserFree is the free list extractions draw warm parsers from. It is a
 // bounded channel, not a sync.Pool: a pool is emptied at every GC, and a cold
-// parser re-grows its arenas and re-interns up to maxIntern strings (1–2 MB
+// parser re-grows its scratch and re-interns up to maxIntern strings (1–2 MB
 // of garbage whose amount depends on when the collector happens to run).
 var parserFree = make(chan *parser, parserFreeCap)
 
@@ -247,9 +167,9 @@ var parserFree = make(chan *parser, parserFreeCap)
 const (
 	parserFreeCap = 8
 
-	maxParkedChunks = 64      // node arena blocks: 16,384 nodes, so as many links
-	maxParkedBytes  = 1 << 20 // byte scratch that grows with a page's text and names
-	maxParkedAttrs  = 1 << 12 // attribute slots, which grow with one element's attributes
+	maxParkedBytes = 1 << 20 // byte scratch that grows with a page's text and names
+	maxParkedAttrs = 1 << 12 // attribute slots, which grow with one element's attributes
+	maxParkedSlots = 1 << 14 // stack, path, pending and link slots, which grow with a page's depth and links
 )
 
 // getParser takes a warm parser off the free list, or builds one.
@@ -258,16 +178,16 @@ func getParser() *parser {
 	case p := <-parserFree:
 		return p
 	default:
-		return newParser(true)
+		return newParser()
 	}
 }
 
 // putParser recycles p and parks it if it is small enough and there is room.
 func putParser(p *parser) {
 	p.recycle()
-	if len(p.chunks) > maxParkedChunks ||
-		cap(p.textArena)+cap(p.textBuf)+cap(p.tokBuf)+cap(p.lower)+cap(p.z.scratch)+cap(p.z.vscratch) > maxParkedBytes ||
-		cap(p.attrChunk)+cap(p.z.attrs) > maxParkedAttrs {
+	if cap(p.text)+cap(p.tokBuf)+cap(p.lower)+cap(p.z.scratch)+cap(p.z.vscratch) > maxParkedBytes ||
+		cap(p.z.attrs) > maxParkedAttrs ||
+		cap(p.stack)+cap(p.path)+cap(p.pending)+cap(p.links) > maxParkedSlots {
 		return
 	}
 	select {
@@ -276,64 +196,15 @@ func putParser(p *parser) {
 	}
 }
 
-// recycle resets the parser for reuse, keeping arenas and the intern table.
+// recycle resets the parser for reuse, keeping its scratch and intern table.
+// An idle parser holds no slice of the last page and nothing of its caller.
 func (p *parser) recycle() {
-	// Drop the text views so an idle parser does not pin a page body.
-	for ci := 0; ci <= p.ci && ci < len(p.chunks); ci++ {
-		c := p.chunks[ci]
-		if ci == p.ci {
-			c = c[:p.used]
-		}
-		for i := range c {
-			c[i].text = nil
-		}
-	}
-	p.textArena = p.textArena[:0]
-	p.ci, p.used = 0, 0
-	p.attrUsed = 0
-	p.stack = p.stack[:0]
-	p.pathStack = p.pathStack[:0]
-	p.lastParent = nil
-	p.lastParentText = ""
-	p.lastPath = nil
 	p.z.Reset(nil)
-}
-
-// newNode carves one node from the arena. Recycled slots keep their Children
-// backing array (capacity reuse); all other fields are cleared.
-func (p *parser) newNode() *Node {
-	if p.ci >= len(p.chunks) {
-		p.chunks = append(p.chunks, make([]Node, nodeChunk))
-	}
-	c := p.chunks[p.ci]
-	if p.used == len(c) {
-		p.ci++
-		p.used = 0
-		return p.newNode()
-	}
-	n := &c[p.used]
-	p.used++
-	n.Type = ElementNode
-	n.Data = ""
-	n.Attrs = nil
-	n.Parent = nil
-	n.Children = n.Children[:0]
-	return n
-}
-
-// allocAttrs carves an exactly-sized attribute slice from the arena.
-func (p *parser) allocAttrs(n int) []Attr {
-	if p.attrUsed+n > len(p.attrChunk) {
-		size := attrChunkSize
-		if n > size {
-			size = n
-		}
-		p.attrChunk = make([]Attr, size)
-		p.attrUsed = 0
-	}
-	s := p.attrChunk[p.attrUsed : p.attrUsed+n : p.attrUsed+n]
-	p.attrUsed += n
-	return s
+	clear(p.z.attrs[:cap(p.z.attrs)]) // views of the page's tags
+	p.admit = nil
+	clear(p.links)
+	p.links = p.links[:0]
+	p.lastPath = nil
 }
 
 // intern materializes b as a string, reusing a previously seen copy when
@@ -360,18 +231,6 @@ func (p *parser) intern(b []byte) string {
 	return s
 }
 
-// textView returns text-token data in a form that outlives the token: the
-// data itself when it is a view of the source, a copy in the parser's arena
-// when the tokenizer decoded it into its scratch.
-func (p *parser) textView(b []byte) []byte {
-	if !p.z.decoded(b) {
-		return b
-	}
-	off := len(p.textArena)
-	p.textArena = append(p.textArena, b...)
-	return p.textArena[off:]
-}
-
 // internLower interns the ASCII-lowercased form of b, lowercasing lazily:
 // already-lowercase names (the overwhelmingly common case) intern as-is.
 func (p *parser) internLower(b []byte) string {
@@ -382,8 +241,8 @@ func (p *parser) internLower(b []byte) string {
 	return p.intern(p.lower)
 }
 
-// foldEqualStr reports whether name equals the (lowercase) element name s
-// under ASCII case folding.
+// foldEqualStr reports whether name equals the (lowercase) name s under
+// ASCII case folding.
 func foldEqualStr(name []byte, s string) bool {
 	if len(name) != len(s) {
 		return false
@@ -400,15 +259,17 @@ func foldEqualStr(name []byte, s string) bool {
 	return true
 }
 
-// parse builds a DOM tree from HTML bytes. It never fails: malformed input
-// produces a best-effort tree. The returned root is a synthetic element named
-// "#document" whose children are the top-level nodes. The tree lives in the
-// parser's arenas until it is recycled.
-func (p *parser) parse(src []byte) *Node {
+// run appends the links of the HTML page src to p.links in one pass over its
+// tokens. It never fails: malformed input yields best-effort links. The
+// open-element stack applies the tree-building rules — implied end tags,
+// void elements, stray end tags ignored, everything open closed at EOF — so
+// at every token it is the ancestor chain a DOM tree would give it, with the
+// document itself at the bottom.
+func (p *parser) run(src []byte) {
 	p.z.Reset(src)
-	root := p.newNode()
-	root.Data = "#document"
-	p.stack = append(p.stack[:0], root)
+	p.stack = append(p.stack[:0], openElement{anchor: -1})
+	p.text, p.brk = p.text[:0], false
+	texts := p.want&(AnchorTextField|SurroundingTextField) != 0
 	for {
 		tok, ok := p.z.NextRaw()
 		if !ok {
@@ -416,52 +277,17 @@ func (p *parser) parse(src []byte) *Node {
 		}
 		switch tok.Type {
 		case TextToken:
-			if len(trimSpaceBytes(tok.Data)) == 0 {
-				continue
+			if texts && len(trimSpaceBytes(tok.Data)) > 0 {
+				p.text = appendCollapsed(p.text, tok.Data, &p.brk)
+				p.brk = true // adjacent text nodes never fuse into one word
 			}
-			parent := p.stack[len(p.stack)-1]
-			child := p.newNode()
-			child.Type = TextNode
-			if p.views {
-				child.text = p.textView(tok.Data)
-			} else {
-				child.Data = p.intern(tok.Data)
-			}
-			child.Parent = parent
-			parent.Children = append(parent.Children, child)
 		case StartTagToken, SelfClosingTagToken:
-			name := p.internLower(tok.Data)
-			// Apply implied-end recovery: <li> closes an open <li>, etc.
-			if closers := impliedClosers[name]; closers != nil {
-				for len(p.stack) > 1 {
-					top := p.stack[len(p.stack)-1]
-					if closers[top.Data] {
-						p.stack = p.stack[:len(p.stack)-1]
-						continue
-					}
-					break
-				}
-			}
-			parent := p.stack[len(p.stack)-1]
-			el := p.newNode()
-			el.Data = name
-			el.Parent = parent
-			if len(tok.Attrs) > 0 {
-				attrs := p.allocAttrs(len(tok.Attrs))
-				for i, a := range tok.Attrs {
-					attrs[i] = Attr{Name: p.internLower(a.Name), Value: p.intern(a.Value)}
-				}
-				el.Attrs = attrs
-			}
-			parent.Children = append(parent.Children, el)
-			if tok.Type == StartTagToken && !voidElements[name] {
-				p.stack = append(p.stack, el)
-			}
+			p.start(tok)
 		case EndTagToken:
-			// Pop to the matching open element, if any; ignore strays.
+			// Close to the matching open element, if any; ignore strays.
 			for i := len(p.stack) - 1; i >= 1; i-- {
-				if foldEqualStr(tok.Data, p.stack[i].Data) {
-					p.stack = p.stack[:i]
+				if foldEqualStr(tok.Data, p.stack[i].name) {
+					p.closeTo(i)
 					break
 				}
 			}
@@ -469,5 +295,128 @@ func (p *parser) parse(src []byte) *Node {
 			// Dropped: neither contributes to tag paths or links.
 		}
 	}
-	return root
+	p.closeTo(0)
+}
+
+// start handles a start tag: the elements it implicitly ends close, a
+// linking element's link is appended, and an element that can have content
+// opens.
+func (p *parser) start(tok RawToken) {
+	name := p.internLower(tok.Data)
+	// Implied-end recovery: <li> closes an open <li>, etc.
+	if closers := impliedClosers[name]; closers != nil {
+		n := len(p.stack)
+		for n > 1 && closers[p.stack[n-1].name] {
+			n--
+		}
+		p.closeTo(n)
+	}
+	paths := p.want&TagPathField != 0
+	if paths {
+		p.path = append(p.path, p.pathToken(name, tok.Attrs))
+	}
+	anchor := -1
+	if attr, ok := linkAttr[name]; ok {
+		anchor = p.link(name, attr, tok.Attrs)
+	}
+	if tok.Type == StartTagToken && !voidElements[name] {
+		p.stack = append(p.stack, openElement{name: name, text: len(p.text), anchor: anchor, mark: len(p.pending)})
+	} else if paths {
+		p.path = p.path[:len(p.path)-1]
+	}
+}
+
+// closeTo closes the open elements above the first n, innermost first,
+// filling in the texts their links wait for: an <a>'s anchor text, and the
+// surrounding text of the links whose parent it is, computed once for all of
+// them.
+func (p *parser) closeTo(n int) {
+	for len(p.stack) > n {
+		e := p.stack[len(p.stack)-1]
+		p.stack = p.stack[:len(p.stack)-1]
+		if len(p.path) > 0 { // the document has no token
+			p.path = p.path[:len(p.path)-1]
+		}
+		if e.anchor >= 0 {
+			p.links[e.anchor].AnchorText = p.textSince(e.text, math.MaxInt)
+		}
+		if len(p.pending) > e.mark {
+			s := p.textSince(e.text, surroundingCap)
+			for _, i := range p.pending[e.mark:] {
+				p.links[i].SurroundingText = s
+			}
+			p.pending = p.pending[:e.mark]
+		}
+	}
+}
+
+// textSince is the text written since offset off, without the word break
+// before its first word, cut to its first limit bytes at a rune boundary and
+// interned: only what a Link keeps becomes a string.
+func (p *parser) textSince(off, limit int) string {
+	t := p.text[off:]
+	if len(t) > 0 && t[0] == ' ' { // a word never starts with a space
+		t = t[1:]
+	}
+	return p.intern(truncate(t, limit))
+}
+
+// pathToken is the element's interned tag-path token; an element without an
+// id or class has its name as its token.
+func (p *parser) pathToken(name string, attrs []RawAttr) string {
+	if len(attrs) == 0 {
+		return name
+	}
+	p.tokBuf = appendPathToken(p.tokBuf[:0], name, attrs)
+	if len(p.tokBuf) == len(name) {
+		return name
+	}
+	return p.intern(p.tokBuf)
+}
+
+// link appends the link of a linking element, its URL in attribute attr, if
+// it has one and admit keeps it. It returns the link's index when the link
+// waits for its anchor text, else -1.
+func (p *parser) link(name, attr string, attrs []RawAttr) int {
+	href := bytes.TrimSpace(attrValue(attrs, attr))
+	if len(href) == 0 {
+		return -1
+	}
+	url := p.intern(href)
+	if p.admit != nil {
+		var ok bool
+		if url, ok = p.admit(url); !ok {
+			return -1
+		}
+	}
+	l := Link{URL: url, Tag: name}
+	if p.want&TagPathField != 0 {
+		// Sibling links (a list of downloads, a menu) mostly share their
+		// path; tokens are interned, so the comparison is mostly
+		// pointer-equal strings.
+		if !slices.Equal(p.lastPath, p.path) {
+			p.lastPath = slices.Clone(p.path)
+		}
+		l.TagPath = p.lastPath
+	}
+	i := len(p.links)
+	p.links = append(p.links, l)
+	if p.want&SurroundingTextField != 0 {
+		p.pending = append(p.pending, i)
+	}
+	if p.want&AnchorTextField != 0 && name == "a" {
+		return i
+	}
+	return -1
+}
+
+// attrValue is the value of the first attribute whose name is name (given
+// in lowercase) under ASCII case folding, or nil.
+func attrValue(attrs []RawAttr, name string) []byte {
+	for _, a := range attrs {
+		if foldEqualStr(a.Name, name) {
+			return a.Value
+		}
+	}
+	return nil
 }

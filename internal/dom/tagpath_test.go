@@ -9,13 +9,13 @@ import (
 )
 
 // pathTo returns the tag path from the document root to n (inclusive),
-// excluding the synthetic #document node, rebuilt from the Parent chain: the
-// oracle for the extractor's incremental path stack.
+// excluding the synthetic #document node, rebuilt from the reference tree's
+// Parent chain: the oracle for the extractor's open-element stack.
 func pathTo(n *Node) TagPath {
 	var path TagPath
 	for m := n; m != nil && m.Data != "#document"; m = m.Parent {
 		if m.Type == ElementNode {
-			path = append(path, string(appendPathToken(nil, m)))
+			path = append(path, pathToken(m))
 		}
 	}
 	slices.Reverse(path)

@@ -1,48 +1,47 @@
-// Package dom implements a small, dependency-free HTML parser sufficient for
-// focused crawling: it tokenizes real-world HTML, builds a DOM tree, and
-// extracts hyperlinks together with their root-to-link tag paths (Sec. 2.2 of
-// the paper), anchor text, and surrounding text. It is deliberately lenient —
-// malformed markup degrades gracefully rather than failing, as a crawler must
-// never die on a bad page.
+// Package dom implements a small, dependency-free HTML reader sufficient for
+// focused crawling: it tokenizes real-world HTML and extracts hyperlinks
+// together with their root-to-link tag paths (Sec. 2.2 of the paper), anchor
+// text, and surrounding text. It is deliberately lenient — malformed markup
+// degrades gracefully rather than failing, as a crawler must never die on a
+// bad page.
 //
-// # Hot-path contract (pooled scanners, byte views)
+// # Hot-path contract (one pass, byte views)
 //
 // The tokenizer's native form is the zero-copy RawToken: its Data and
 // attribute Name/Value fields are views into the source buffer (or into the
 // Tokenizer's internal scratch, for entity-decoded content) and its Attrs
 // slice is backed by storage the Tokenizer reuses. Every view is valid only
 // until the next call to NextRaw on the same Tokenizer; callers that
-// retain token content across calls must copy it. The link extractors honor
-// this contract internally — the strings they hand out (Link fields) are
-// materialized, interned copies that are always safe to retain. They draw
-// their parser state from an internal pool — a small bounded free list that,
-// unlike a sync.Pool, keeps its parsers across GCs — so extraction allocates
-// O(links), not O(bytes), in the steady state, and the same after a
-// collection.
+// retain token content across calls must copy it.
 //
-// The tree of a pooled run never escapes, so its text nodes are not
-// materialized at all: each holds a view of the page source (Node.text; a
-// copy in the parser's arena only when the tokenizer decoded entities into
-// its scratch), and the whitespace-collapsing scan that builds AnchorText and
-// SurroundingText reads the views directly, whole ASCII words at a time.
-// Only the collapsed result becomes a string — for SurroundingText, only its
-// first 256 bytes. The views are dropped when the parser is recycled, so an
-// idle parser pins no page body. An unpooled parser (newParser(false)) builds
-// the same tree with every text node materialized in Node.Data; extracting
-// from that tree is the oracle the fuzz target holds the pooled run to.
+// Link extraction builds no tree. It reads the tokens once, keeping a stack
+// of open elements under the tree-building rules (implied end tags, void
+// elements, stray end tags ignored), so the stack at each token is the
+// node's ancestor chain. A link is appended at its start tag, in document
+// order. When a text field is wanted, every text token is collapsed into one
+// buffer per page, and an element's text is the stretch of it written while
+// the element was open: an <a>'s anchor text is read when it closes, and
+// its parent's text — the SurroundingText of every link directly inside it,
+// cut to 256 bytes — when the parent closes. Each text costs its length,
+// whatever the nesting, and only what a Link keeps becomes a string.
 //
 // A caller that keeps few of a page's links and reads few of their fields
 // pays for those alone through ExtractLinksFiltered, of which
 // ExtractLinksAppend is the unfiltered case. Its admit callback sees each
 // link's href before anything else of the link exists: a refused link costs
-// the walk nothing more. An admitted link gets the URL admit returned and
-// only the fields the caller asked for: its tag path (a copy only when it
-// differs from the previous surviving link's, and the element tokens behind
-// it are not even built when no tag path is wanted), its anchor text, its
-// parent's text (computed once per parent). Every string an extraction hands
-// out is interned in the parser's bounded table when short; a table that
-// fills starts over, so a long-lived parser stays warm on the pages it
-// parses now.
+// nothing more. An admitted link gets the URL admit returned and only the
+// fields the caller asked for: its tag path (a copy only when it differs
+// from the previous surviving link's, and the element tokens behind it are
+// not even built when no tag path is wanted), its anchor text, its parent's
+// text (computed once per parent). Every string an extraction hands out is
+// interned in the parser's bounded table when short; a table that fills
+// starts over, so a long-lived parser stays warm on the pages it parses now.
+//
+// Parsers come from a small bounded free list that, unlike a sync.Pool,
+// keeps them across GCs, so extraction allocates O(links), not O(bytes), in
+// the steady state, and the same after a collection. A parked parser holds
+// no slice of the last page. The DOM tree the extractor replaced survives
+// only in the tests, as the oracle its output is held to.
 package dom
 
 import "bytes"
@@ -59,12 +58,6 @@ const (
 	CommentToken
 	DoctypeToken
 )
-
-// Attr is a single name="value" HTML attribute. Names are lowercased.
-type Attr struct {
-	Name  string
-	Value string
-}
 
 // RawAttr is a single attribute as byte views. The Name preserves source
 // case (compare with EqualFold-style helpers or lowercase on materialize);
@@ -174,12 +167,6 @@ func (z *Tokenizer) decodeText(b []byte) []byte {
 	}
 	z.scratch = appendDecodedEntities(z.scratch[:0], b)
 	return z.scratch
-}
-
-// decoded reports whether b, the Data of the text token just returned, is the
-// tokenizer's decode scratch rather than a view of the source.
-func (z *Tokenizer) decoded(b []byte) bool {
-	return len(b) > 0 && len(z.scratch) > 0 && &b[0] == &z.scratch[0]
 }
 
 // nextRawText consumes text up to the closing tag of the pending raw-text

@@ -27,6 +27,10 @@ import (
 // maxWait caps a long-poll so dead clients cannot pin handlers forever.
 const maxWait = 60 * time.Second
 
+// maxSpecBytes caps a POST /v1/sessions body, about 10k sites of spec, so
+// one oversized request cannot make the daemon allocate its whole size.
+const maxSpecBytes = 1 << 20
+
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -78,7 +82,7 @@ func decodeJSON(r io.Reader, out any) error {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec SessionSpec
-	if err := decodeJSON(r.Body, &spec); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxSpecBytes), &spec); err != nil {
 		writeErr(w, errInvalid("bad session spec: %v", err))
 		return
 	}

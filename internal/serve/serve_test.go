@@ -535,6 +535,37 @@ func TestCreateTakesOneJSONValue(t *testing.T) {
 	}
 }
 
+// TestCreateBodyIsCapped: a POST /v1/sessions body past maxSpecBytes is 400
+// invalid and creates nothing, read no further than the cap; a spec padded to
+// exactly the cap still creates its session.
+func TestCreateBodyIsCapped(t *testing.T) {
+	srv, client, stop := daemon(t, Config{StorePath: t.TempDir(), Workers: 1})
+	defer stop()
+	spec := `{"tenant":"acme","name":"capped","crawl":{"strategy":"sb","seed":1,"max_requests":5},"sites":[{"code":"cl","scale":0.01,"seed":1}]}`
+	for _, c := range []struct {
+		size int
+		want int
+	}{
+		{maxSpecBytes + 1, http.StatusBadRequest},
+		{maxSpecBytes, http.StatusOK},
+	} {
+		body := spec + strings.Repeat(" ", c.size-len(spec))
+		resp, err := http.Post(client.BaseURL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr Error
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != c.want || (c.want == http.StatusBadRequest && apiErr.Code != "invalid") {
+			t.Errorf("POST of a %d-byte spec: HTTP %d %+v, %v; want %d", c.size, resp.StatusCode, apiErr, err, c.want)
+		}
+	}
+	if n := srv.Stats().Sessions; n != 1 {
+		t.Fatalf("%d sessions exist, want 1 (the spec at the cap)", n)
+	}
+}
+
 // TestSessionEventsStream: GET /v1/sessions/{id}/events is newline-delimited
 // JSON — the session's current status first, one line per change with Seq
 // strictly rising, the terminal status last, then the body ends. A finished

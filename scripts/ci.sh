@@ -23,9 +23,9 @@ test -z "$(gofmt -l .)"
 # a non-test caller outside benchmark/, or an allowlist entry with a reason),
 # and
 # every package's 'Alloc' gates, which hold:
-# link path — free-listed parsers cost O(links) a page, never O(bytes), the
-# same after a GC, and a full intern table starts over; the raw-text scan
-# copies nothing; a link's surrounding text costs its 256 bytes whatever its
+# link path — one-pass extraction on free-listed parsers costs O(links) a
+# page, never O(bytes), the same after a GC, and a full intern table starts
+# over; the raw-text scan copies nothing; a link's surrounding text costs its 256 bytes whatever its
 # parent's size; Normalize costs a link its one result string, the lazy page
 # base nothing, and the scope/blocklist filters nothing; once warm, a page
 # whose links are all in T ∪ F costs extractNewLinks nothing, and a page of k
@@ -76,8 +76,9 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # crash states (any op sequence, every cut of every step); the sparse
 # action index against the dense Algorithm 1; the sorted-slice URL features
 # against the map-keyed ones; Normalize's fast forms and the host/path split
-# against net/url; a peeking frontier against one that never peeks; and any
-# Config against the plain sequential crawl.
+# against net/url; the one-pass link extractor against the reference DOM tree
+# for every field set; a peeking frontier against one that never peeks; and
+# any Config against the plain sequential crawl.
 while read -r pkg target secs; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime "${secs}s" "$pkg" </dev/null
 done <<'EOF'
@@ -90,6 +91,7 @@ done <<'EOF'
 ./internal/learn FuzzCharBigramsSortedVsMap 10
 ./internal/urlutil FuzzNormalizeFastVsURL 10
 ./internal/urlutil FuzzSplitVsURL 10
+./internal/dom FuzzExtractLinks 10
 ./internal/frontier FuzzGroupedPeekPop 10
 . FuzzCrawlConfig 10
 EOF

@@ -93,13 +93,11 @@ const benchmarkOnly = "benchmark-only until the benchmark is re-based"
 
 // deadCodeAllowed: the declarations the dead-code rule lets stand without a
 // non-test caller outside benchmark/, one per identifier, each with its
-// reason. An identifier is "dir.Name" for a top-level declaration,
-// "dir.Type.Method" for a method, or a bare directory for a whole package.
+// reason. An identifier is "dir.Name" for a top-level declaration or
+// "dir.Type.Method" for a method.
 // An entry that names no declaration, or whose identifier has a caller, fails
 // the rule, so the list can only shrink.
 var deadCodeAllowed = []deadCodeEntry{
-	{"internal/webgraph", "no package imports it: kept whole until a strategy reads the link graph or the package is deleted"},
-
 	{"internal/codec.AppendDelta", benchmarkOnly},
 	{"internal/codec.AppendFrontierState", benchmarkOnly},
 	{"internal/dom.ExtractLinksAppend", benchmarkOnly},
@@ -115,6 +113,7 @@ var deadCodeAllowed = []deadCodeEntry{
 	{"internal/store.Store.Snapshot", benchmarkOnly},
 	{"internal/textvec.TagPathVectorizer.Vectorize", benchmarkOnly},
 	{"internal/urlutil.HasBlockedExtension", benchmarkOnly},
+	{"internal/webserver.NewFlaky", benchmarkOnly},
 
 	{"internal/frontier.scoredHeap.Less", "heap.Interface: container/heap calls it"},
 	{"internal/frontier.scoredHeap.Swap", "heap.Interface: container/heap calls it"},
@@ -202,7 +201,6 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 	}
 	topUses := map[[2]string][]use{} // {dir, name}
 	methodUses := map[string][]use{}
-	importers := map[string]bool{} // directories a non-test file outside benchmark/ imports from another package
 	var decls []decl
 
 	for _, gf := range files {
@@ -216,9 +214,6 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 			}
 			if !ok {
 				continue
-			}
-			if !bench && dir != gf.dir {
-				importers[dir] = true
 			}
 			name := pkgName[dir]
 			if imp.Name != nil {
@@ -341,10 +336,6 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 			used = used || !u.benchmark
 			benchUsed = benchUsed || u.benchmark
 		}
-		if _, whole := allow[d.dir]; whole {
-			matched[d.dir] = true
-			continue
-		}
 		at := fset.Position(d.node.Pos())
 		reason, listed := allow[d.id]
 		matched[d.id] = matched[d.id] || listed
@@ -358,11 +349,8 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 		}
 	}
 	for _, e := range allowed {
-		switch {
-		case !matched[e.id]:
+		if !matched[e.id] {
 			problems = append(problems, fmt.Sprintf("allowlist entry %s names no declaration the rule checks", e.id))
-		case importers[e.id]:
-			problems = append(problems, fmt.Sprintf("allowlist entry %s: another package imports it now", e.id))
 		}
 	}
 	return problems

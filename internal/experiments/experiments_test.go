@@ -93,7 +93,8 @@ func TestReportsMatchGoldens(t *testing.T) {
 }
 
 // mustContain asserts what a report shows whatever its numbers, so these
-// properties survive a regeneration of the goldens.
+// properties survive a regeneration of the goldens. A label a row of the
+// claim table reads (claims_test.go) is checked there, not here.
 func mustContain(t *testing.T, id string, subs ...string) {
 	t.Helper()
 	r := report(t, id)
@@ -154,19 +155,17 @@ func TestBuildSiteUnknownCode(t *testing.T) {
 func TestRunTable1(t *testing.T) { mustContain(t, "table1", "cl", "be", "ju", "#Target") }
 
 func TestRunTable2AndMatrix(t *testing.T) {
-	mustContain(t, "table2", "SB-CLASSIFIER", "SB-ORACLE", "BFS", "DFS", "RANDOM",
-		"FOCUSED", "TP-OFF", "TRES", "early stopping")
+	mustContain(t, "table2", "SB-ORACLE", "DFS", "TP-OFF", "TRES", "early stopping")
 }
 
 func TestRunTable3(t *testing.T) { mustContain(t, "table3", "volume") }
 
 func TestRunTable4Variants(t *testing.T) {
-	mustContain(t, "table4-alpha", "a=2sqrt2")
 	mustContain(t, "table4-ngram", "n=3")
 	mustContain(t, "table4-theta", "th=0.95")
 }
 
-func TestRunTable5(t *testing.T) { mustContain(t, "table5", "URL_ONLY-LR", "URL_CONT-PA", "MR") }
+func TestRunTable5(t *testing.T) { mustContain(t, "table5", "URL_CONT-PA", "MR") }
 
 func TestRunTable6AndFig5(t *testing.T) {
 	mustContain(t, "table6", "groups")
@@ -178,21 +177,18 @@ func TestRunTable7(t *testing.T) { mustContain(t, "table7", "be", "is", "wh") }
 func TestRunConfusion(t *testing.T) { mustContain(t, "confusion", "Neither") }
 
 func TestRunEarlyStopAndFig15(t *testing.T) {
-	mustContain(t, "earlystop", "fired")
 	mustContain(t, "fig15", "early stop")
 }
 
 func TestRunSearchEngines(t *testing.T) { mustContain(t, "searchengines", "crawler") }
 
 func TestRunAblations(t *testing.T) {
-	mustContain(t, "ablation-policy", "AUER", "thompson")
-	mustContain(t, "ablation-reward", "novelty", "raw-count")
 	mustContain(t, "ablation-dim", "m=14")
 	mustContain(t, "ablation-batch", "b=200")
 }
 
 func TestRunRevisitExtension(t *testing.T) {
-	mustContain(t, "ext-revisit", "round-robin", "thompson", "sleeping-bandit")
+	mustContain(t, "ext-revisit", "thompson")
 }
 
 func TestRunFigure4WithCSV(t *testing.T) {
@@ -234,16 +230,10 @@ func TestRunResume(t *testing.T) {
 	}
 }
 
-// TestRunResilience holds the robustness table's claim: with retries on,
-// recall stays pinned to the fault-free baseline at every injected fault
-// rate, so no retry-on row may lose targets.
+// TestRunResilience: the robustness table's claim, that no retry-on row
+// loses targets, is claim row C8.
 func TestRunResilience(t *testing.T) {
-	mustContain(t, "resilience", "Resilience", "rate", "retry", "recall%", "retries", "failed")
-	for _, line := range strings.Split(report(t, "resilience"), "\n") {
-		if strings.Contains(line, " on ") && !strings.Contains(line, "100.0%") {
-			t.Errorf("retry-on row lost targets: %s", line)
-		}
-	}
+	mustContain(t, "resilience", "Resilience", "rate", "retries", "failed")
 }
 
 // TestStoreBackedExperimentReplays pins the -store CLI path: a

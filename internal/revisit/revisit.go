@@ -16,6 +16,7 @@ package revisit
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"sbcrawl/internal/bandit"
@@ -288,12 +289,10 @@ func (p *SleepingBandit) Select(sim *Simulation, budget int) []int {
 	p.groups = p.groups[:0]
 	used := map[int]bool{}
 	for len(out) < budget && len(out) < n {
-		p.t++
-		g, ok := p.policy.Select(awake, p.t)
+		g, ok := p.policy.Select(awake, p.t+1)
 		if !ok {
 			break
 		}
-		p.policy.RecordSelection(g)
 		// Stalest unused page of the group.
 		best, bestVisit := -1, 1<<30
 		for _, i := range groups[g] {
@@ -302,8 +301,14 @@ func (p *SleepingBandit) Select(sim *Simulation, budget int) []int {
 			}
 		}
 		if best < 0 {
-			break
+			// Every page of the group is used this epoch: the group sleeps
+			// until the next one, and the draw is not a play. Some group
+			// still has a page, since fewer than n are used.
+			awake = slices.DeleteFunc(awake, func(a int) bool { return a == g })
+			continue
 		}
+		p.t++
+		p.policy.RecordSelection(g)
 		used[best] = true
 		p.lastVisit[best] = p.t
 		out = append(out, best)

@@ -143,6 +143,27 @@ func TestSleepingBanditSelectsDistinctPages(t *testing.T) {
 	}
 }
 
+// TestSleepingBanditSpendsItsBudget: a group with fewer pages than the
+// budget sleeps once its pages are used, so the epoch goes on in the other
+// groups instead of ending short. Here the one-page group 0 carries all the
+// reward, so AUER draws it again after its only page is taken.
+func TestSleepingBanditSpendsItsBudget(t *testing.T) {
+	sim := NewSimulation([]float64{5, 0.01, 0.01, 0.01, 0.01}, []int{0, 1, 1, 1, 1}, 3)
+	p := NewSleepingBandit()
+	for e := 0; e < 20; e++ {
+		sim.Tick()
+		pages := p.Select(sim, 3)
+		if len(pages) != 3 {
+			t.Fatalf("epoch %d: selected %v, want 3 pages of 5", e, pages)
+		}
+		harvest := make([]int, len(pages))
+		for k, i := range pages {
+			harvest[k] = sim.Visit(i)
+		}
+		p.Feedback(pages, harvest)
+	}
+}
+
 func TestNewSimulationFromSite(t *testing.T) {
 	profile, _ := sitegen.ProfileByCode("nc")
 	site := sitegen.Generate(sitegen.Config{Profile: profile, Scale: 0.004, Seed: 5})

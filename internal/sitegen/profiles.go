@@ -62,8 +62,9 @@ type Profile struct {
 	// (faultsim.Schedule): scheduled URLs answer 503/429 with Retry-After
 	// for their first attempts before serving their real page
 	// (webserver.Flaky compiles it per crawl). Pure data — profiles stay
-	// serializable — and nil for all built-in Table 1 profiles; scenario
-	// experiments set it to stress the retry/breaker stack.
+	// serializable — and nil for all built-in Table 1 profiles. Only the
+	// frozen benchmark reads it: the crawl API injects faults transport-side
+	// (fetch.FaultInjector) from its own Config.
 	Faults *faultsim.Schedule
 }
 

@@ -58,12 +58,17 @@ test -z "$(gofmt -l .)"
 # equal to the plain sequential crawl. The store's FuzzCrashStates corpus
 # opens every state a process crash can leave an op sequence in, and
 # TestServeResumeEquivalence restarts crawld mid-session against
-# sbcrawl.CrawlSites.
+# sbcrawl.CrawlSites. internal/experiments' TestPaperClaims holds the paper's
+# claims, one row each, over seeds 1-5 at scale 0.004, and its expected-failure
+# rows to still failing.
 go test -count=1 ./...
 # The race pass is the one determinism gate: the crawl-invariant table,
 # the cross-version stores, the breaker and the crawld session lifecycle run
 # again with the race detector watching the speculative layers. Nothing below
-# re-runs a subset of it.
+# re-runs a subset of it. TestPaperClaims skips here: each of its crawls is
+# single-goroutine, the site fan-out around them is raced here through
+# TestParallelWorkersPreserveReports, and at ~8x their time (table5 at seed 1:
+# 1.8 s, 14.5 s under -race) the claim crawls would add ~3 min.
 go test -race ./...
 # Micro-benchmark smoke: every Benchmark* outside benchmark/ runs one
 # iteration, so one that stops building or panics fails the gate.

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"sbcrawl/internal/core"
-	"sbcrawl/internal/faultsim"
 	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/sitegen"
 	"sbcrawl/internal/webserver"
@@ -179,11 +178,6 @@ func siteCrawlEnv(site *Site, cfg Config, ctx context.Context) *core.Env {
 	var backend fetch.SimBackend = site.server
 	if site.fed != nil {
 		backend = site.fed
-	}
-	// Server-side faults: a profile can carry its own fault schedule, making
-	// the simulated site itself flaky independent of the Config.
-	if site.fed == nil && site.site.Profile.Faults != nil {
-		backend = webserver.NewFlaky(backend, faultsim.NewPlan(*site.site.Profile.Faults))
 	}
 	var fetcher fetch.Fetcher = fetch.NewSim(backend)
 	// Transport-side faults: the Config's injected-fault schedule wraps the

@@ -28,7 +28,11 @@ import (
 	"sbcrawl/internal/experiments"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run returns the exit status, so the store is closed on every path and a
+// failed close (the final flush or compaction) fails the command.
+func run() (status int) {
 	var (
 		exp      = flag.String("exp", "", "experiment ID (see -list), or 'all'")
 		list     = flag.Bool("list", false, "list available experiments")
@@ -53,9 +57,9 @@ func main() {
 			fmt.Printf("  %-16s %s\n", e.ID, e.Title)
 		}
 		if *exp == "" && !*list {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
 
 	cfg := experiments.Config{
@@ -74,35 +78,41 @@ func main() {
 	closeStore, err := cfg.OpenStore()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crawlbench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
-	defer closeStore()
+	defer func() {
+		if err := closeStore(); err != nil {
+			fmt.Fprintf(os.Stderr, "crawlbench: closing store: %v\n", err)
+			status = max(status, 1)
+		}
+	}()
 
 	if *exp == "all" {
 		for _, e := range experiments.All {
 			fmt.Printf("==== %s — %s ====\n", e.ID, e.Title)
 			if err := e.Run(cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "crawlbench: %s: %v\n", e.ID, err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Println()
 		}
-		return
+		return 0
 	}
 	e, ok := experiments.ByID(*exp)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "crawlbench: unknown experiment %q (use -list)\n", *exp)
-		os.Exit(2)
+		return 2
 	}
 	if err := e.Run(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "crawlbench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	if *stats && *exp != "speculation" {
 		fmt.Println()
 		if err := experiments.RunSpeculation(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "crawlbench: speculation stats: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }

@@ -32,7 +32,7 @@ var claimSeeds = []int64{1, 2, 3, 4, 5}
 // at its default sites (table2's are all 18).
 var claimReports = []string{
 	"table2", "table5", "table4-alpha", "table4-ngram", "table4-theta",
-	"ablation-policy", "ablation-reward", "resilience", "ext-revisit",
+	"ablation-policy", "ablation-reward", "resilience",
 }
 
 // headlineSites are the large sites of the paper's headline claim.
@@ -155,18 +155,6 @@ var claims = []claim{
 			}
 			return ok, "SB vs BFS: " + strings.Join(nums, ", ")
 		}},
-	{"C10", "ext-revisit", "defaults",
-		"sleeping-bandit recall ≥ round-robin on each site",
-		func(r seedReports) (bool, string) {
-			tb := r.table("ext-revisit")
-			ok, nums := true, []string{}
-			for _, row := range tb.rows {
-				sb, rr := tb.get(row[0], "sleeping-bandit"), tb.get(row[0], "round-robin")
-				ok = ok && sb >= rr
-				nums = append(nums, fmt.Sprintf("%s %.3f vs %.3f", row[0], sb, rr))
-			}
-			return ok && len(tb.rows) > 0, "sleeping-bandit vs round-robin: " + strings.Join(nums, ", ")
-		}},
 }
 
 // doesNotReproduce is the expected-failure table: the claims the first full
@@ -180,9 +168,10 @@ var doesNotReproduce = map[string]string{
 		"eps-greedy 46.1 on seed 5",
 	"C7": "2/5: novelty 85.4, 82.4, 87.5, 78.6, 79.0; raw-count 79.7, 82.4, 86.0, 81.6, 75.0",
 	"C9": "0/5: SB-CLASSIFIER 100.0–120.0 on cl, cn and qa against BFS's 87.5–102.0, above BFS " +
-		"on all 15 site-seed pairs: on these 40–51-page sites the HEAD warm-up costs more than it saves",
-	"C10": "0/5: sleeping-bandit 0.506–0.619 on is, 0.591–0.695 on nc, 0.949–0.974 on wo; " +
-		"round-robin 0.736–0.829, 0.775–0.850, 0.979–0.990",
+		"on all 15 site-seed pairs. Not the bandit: SB-ORACLE, the same bandit over perfect labels, " +
+		"reads 60.0–80.0, below BFS on all 15. Not the HEADs alone: they are 6–9 of SB-CLASSIFIER's " +
+		"48–64 requests, and net of all of them it would still read 86.3–102.0. The cause is the URL " +
+		"classifier's labels on these 40–51-page sites, a cold start",
 }
 
 // TestPaperClaims holds the paper's claims, one row each, over the seeds

@@ -58,8 +58,9 @@ type Config struct {
 
 // OpenStore opens the Config's StorePath and attaches the handle that
 // buildSite wires into every replay database. The returned closer flushes
-// and compacts; callers run it after the last experiment. A no-op (nil
-// closer function is still returned) when StorePath is empty.
+// and compacts; callers run it after the last experiment and treat its
+// error as the run's. When StorePath is empty nothing is opened and the
+// closer is a no-op.
 func (c *Config) OpenStore() (func() error, error) {
 	if c.StorePath == "" {
 		return func() error { return nil }, nil
@@ -142,7 +143,6 @@ var All = []Experiment{
 	{"ablation-reward", "Ablation: novelty reward vs raw target count", RunAblationReward},
 	{"ablation-dim", "Ablation: projection dimension D = 2^m", RunAblationDim},
 	{"ablation-batch", "Ablation: classifier batch size b", RunAblationBatch},
-	{"ext-revisit", "Extension: incremental revisit policies (Sec. 6 future work)", RunRevisit},
 	{"speculation", "Speculative-fetch hit rates per strategy (adaptive window diagnostics)", RunSpeculation},
 	{"resume", "Kill-and-resume equivalence over the persistent store (Sec. 4.4 durable)", RunResume},
 	{"resilience", "Crawl yield under injected faults: strategies × fault rate × retry on/off", RunResilience},

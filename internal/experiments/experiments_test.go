@@ -64,10 +64,28 @@ func masked(id, s string) string {
 	return strings.Join(lines, "")
 }
 
-// TestReportsMatchGoldens pins every paper report byte for byte. Regenerate
-// the goldens with `go test ./internal/experiments -run Goldens -update`
-// only when a report is meant to change.
+// TestReportsMatchGoldens pins every paper report byte for byte, and the
+// registry to the goldens directory both ways: each All entry has its own ID
+// and golden, and each golden an All entry writing it. Regenerate the goldens
+// with `go test ./internal/experiments -run Goldens -update` only when a
+// report is meant to change.
 func TestReportsMatchGoldens(t *testing.T) {
+	ids := map[string]bool{}
+	for _, exp := range All {
+		if ids[exp.ID] {
+			t.Errorf("two experiments in All share the ID %q", exp.ID)
+		}
+		ids[exp.ID] = true
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range goldens {
+		if !ids[strings.TrimSuffix(filepath.Base(path), ".golden")] {
+			t.Errorf("%s: no experiment in All writes it", path)
+		}
+	}
 	for _, exp := range All {
 		t.Run(exp.ID, func(t *testing.T) {
 			got := report(t, exp.ID)
@@ -105,24 +123,12 @@ func mustContain(t *testing.T, id string, subs ...string) {
 	}
 }
 
+// TestRegistryCoversEveryPaperArtifact: which artifacts All holds is pinned
+// by the goldens directory (TestReportsMatchGoldens); ByID must resolve
+// nothing else.
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
-	wantIDs := []string{
-		"table1", "table2", "table3", "fig4", "table4-alpha", "table4-ngram",
-		"table4-theta", "table5", "table6", "fig5", "table7", "confusion",
-		"earlystop", "fig15", "searchengines",
-		"ablation-policy", "ablation-reward", "ablation-dim", "ablation-batch",
-		"ext-revisit", "speculation", "resume", "resilience",
-	}
-	for _, id := range wantIDs {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("experiment %q missing from registry", id)
-		}
-	}
 	if _, ok := ByID("nonexistent"); ok {
 		t.Error("unknown ID must not resolve")
-	}
-	if len(All) != len(wantIDs) {
-		t.Errorf("registry has %d experiments, want %d", len(All), len(wantIDs))
 	}
 }
 
@@ -185,10 +191,6 @@ func TestRunSearchEngines(t *testing.T) { mustContain(t, "searchengines", "crawl
 func TestRunAblations(t *testing.T) {
 	mustContain(t, "ablation-dim", "m=14")
 	mustContain(t, "ablation-batch", "b=200")
-}
-
-func TestRunRevisitExtension(t *testing.T) {
-	mustContain(t, "ext-revisit", "thompson")
 }
 
 func TestRunFigure4WithCSV(t *testing.T) {
@@ -286,7 +288,7 @@ func TestFmtPct(t *testing.T) {
 // per-site work of an experiment across a worker pool must produce
 // byte-identical reports, whatever the worker count.
 func TestParallelWorkersPreserveReports(t *testing.T) {
-	for _, id := range []string{"table2", "table6", "earlystop", "fig4", "fig15", "searchengines", "ext-revisit"} {
+	for _, id := range []string{"table2", "table6", "earlystop", "fig4", "fig15", "searchengines"} {
 		exp, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %q missing", id)

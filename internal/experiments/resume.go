@@ -76,7 +76,9 @@ func resumeEnv(site *sitegen.Site, backend store.Backend, budget int) (*core.Env
 	}, replay
 }
 
-func resumeOne(cfg Config, dir, code, strategy string) (string, error) {
+// resumeOne returns one row of the table. A failed close of its store (the
+// final flush or compaction) is its error unless a leg already failed.
+func resumeOne(cfg Config, dir, code, strategy string) (row string, err error) {
 	site, err := generate(cfg, code)
 	if err != nil {
 		return "", err
@@ -94,7 +96,11 @@ func resumeOne(cfg Config, dir, code, strategy string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	defer st.Close()
+	defer func() {
+		if cerr := st.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("experiments: closing store %s-%s: %w", code, strategy, cerr)
+		}
+	}()
 	killAt := full.Requests / 2
 	if killAt < 1 {
 		killAt = 1
@@ -120,7 +126,7 @@ func resumeOne(cfg Config, dir, code, strategy string) (string, error) {
 	if !identical {
 		verdict = "NO"
 	}
-	row := fmt.Sprintf("%-6s %-14s %10d %10d %10d %10d  %s",
+	row = fmt.Sprintf("%-6s %-14s %10d %10d %10d %10d  %s",
 		code, strategy, full.Requests, killAt, replay.Hits(), replay.Misses(), verdict)
 	if !identical {
 		return row, fmt.Errorf("experiments: resume diverged for %s/%s", code, strategy)

@@ -14,8 +14,9 @@
 // it predicts from one reused scratch vector, remembers the prediction (and,
 // for URL_CONT, a copy of the link's context), and featurizes a link again
 // only when it becomes a training example, into a batch arena reused after
-// every fit and handed, with the model's weight tables, to a small free list
-// for the next classifier when the crawl releases it. The model is only ever
+// every fit and handed, with the model's weight tables, the scratch, the
+// example slots and the pending map, to a small free list for the next
+// classifier when the crawl releases it. The model is only ever
 // reached through the learn.Model interface (callers may wrap it).
 package classify
 
@@ -126,7 +127,10 @@ type Online struct {
 	trained bool
 	fits    int // batches fit so far (see Refits)
 	pending map[string]pendingPrediction
-	conf    *Confusion
+	// peak is the most predictions pending at once: the size the pending map
+	// grew to, which Release bounds what it parks by.
+	peak int
+	conf *Confusion
 	// x is the scratch Classify and Guess featurize a link into.
 	x textvec.Sparse
 	// arena holds the features of batch back to back. It is reused once the
@@ -154,22 +158,44 @@ func NewOnline(cfg Config) *Online {
 		cfg:     cfg,
 		model:   cfg.Model,
 		initial: true,
-		pending: make(map[string]pendingPrediction),
 		conf:    NewConfusion(),
 	}
 	select {
-	case o.arena = <-arenaFree:
+	case t := <-arenaFree:
+		o.arena, o.x, o.batch, o.pending = t.arena, t.x, t.batch, t.pending
 	default:
+	}
+	if o.pending == nil {
+		o.pending = make(map[string]pendingPrediction)
 	}
 	return o
 }
 
+// parkedTables are what Release hands the next NewOnline: the batch arena,
+// the featurizing scratch, the batch's example slots and the
+// pending-prediction map, any of which may be missing.
+type parkedTables struct {
+	arena, x textvec.Sparse
+	batch    []learn.Example
+	pending  map[string]pendingPrediction
+}
+
 // arenaFree parks released classifiers' batch arenas (each doubles up to a
-// batch's features, ~26 KB for URL_ONLY at b = 10) for NewOnline. A parked
-// arena is empty, the state a new one starts in, so reuse changes no example.
-// It is bounded at 8 like internal/learn's table free list, for the same
-// reasons.
-var arenaFree = make(chan textvec.Sparse, 8)
+// batch's features, ~26 KB for URL_ONLY at b = 10), scratch vectors, example
+// slots and pending maps for NewOnline. All are parked empty, the state a new
+// one starts in, and the pending map is only ever looked up, never ranged
+// over, so reuse changes no example and no prediction. It is bounded at 8
+// like internal/learn's table free list, for the same reasons; a cleared map
+// keeps the buckets it grew, so one that held more than maxParkedPending
+// predictions at once is left to the GC, as are a scratch vector and example
+// slots past their bounds.
+var arenaFree = make(chan parkedTables, 8)
+
+const (
+	maxParkedPending = 1 << 10 // pending predictions (~0.08 MB of map slots)
+	maxParkedX       = 1 << 12 // scratch features (48 KB), which grow with the longest link's text
+	maxParkedBatch   = 1 << 8  // example slots, which grow to b
+)
 
 // Classify implements Classifier. During the initial training phase it
 // spends a HEAD request per URL and returns the measured class; afterwards
@@ -196,6 +222,7 @@ func (o *Online) Classify(link LinkContext) (int, bool) {
 		p.link = &lc
 	}
 	o.pending[link.URL] = p
+	o.peak = max(o.peak, len(o.pending))
 	return p.pred, false
 }
 
@@ -254,19 +281,38 @@ func (o *Online) addExample(link LinkContext, y int) {
 }
 
 // Release returns the model's weight tables to learn's free list
-// (learn.Release) and parks the batch arena, emptied even mid-batch, for the
-// next NewOnline. The classifier must not be used after it; one used anyway
-// starts a new arena and regrows its tables, never sharing either.
+// (learn.Release) and parks the batch arena, emptied even mid-batch, with the
+// featurizing scratch, the example slots, zeroed, and the pending-prediction
+// map, cleared, for the next NewOnline; a map that held more than
+// maxParkedPending predictions at once is not parked, nor is a scratch or a
+// slot table past maxParkedX or maxParkedBatch. The classifier must not be
+// used after it; one used anyway starts a new arena and regrows its tables,
+// never sharing either, and panics at its next prediction rather than share a
+// pending map.
 func (o *Online) Release() {
 	learn.Release(o.model)
+	var t parkedTables
 	if cap(o.arena.IDs) > 0 {
+		t.arena = textvec.Sparse{IDs: o.arena.IDs[:0], Vals: o.arena.Vals[:0]}
+	}
+	if cap(o.x.IDs) <= maxParkedX {
+		t.x = textvec.Sparse{IDs: o.x.IDs[:0], Vals: o.x.Vals[:0]}
+	}
+	if cap(o.batch) <= maxParkedBatch {
+		clear(o.batch[:cap(o.batch)])
+		t.batch = o.batch[:0]
+	}
+	if o.peak <= maxParkedPending {
+		clear(o.pending)
+		t.pending = o.pending
+	}
+	if t.pending != nil || cap(t.arena.IDs)+cap(t.x.IDs)+cap(t.batch) > 0 {
 		select {
-		case arenaFree <- textvec.Sparse{IDs: o.arena.IDs[:0], Vals: o.arena.Vals[:0]}:
+		case arenaFree <- t:
 		default:
 		}
 	}
-	o.arena = textvec.Sparse{}
-	o.batch = o.batch[:0]
+	o.arena, o.x, o.batch, o.pending = textvec.Sparse{}, textvec.Sparse{}, nil, nil
 }
 
 // InInitialPhase reports whether HEAD labeling is still active.

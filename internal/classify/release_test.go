@@ -3,6 +3,7 @@ package classify
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -84,5 +85,66 @@ func TestReleasedArenaIsFresh(t *testing.T) {
 				t.Errorf("probe scores on a reused arena %v, on a fresh one %v", scores, wantScores)
 			}
 		})
+	}
+}
+
+// TestReleaseParksTablesEmpty: Release, mid-batch, parks the pending map
+// cleared — no URL or context of the crawl that classified them — the example
+// slots zeroed and the arena and scratch emptied, and the next NewOnline
+// takes them.
+func TestReleaseParksTablesEmpty(t *testing.T) {
+	defer drainArenas()
+	drainArenas()
+	o := NewOnline(Config{Features: URLContent, BatchSize: 5, Head: fakeTruth})
+	for i := range 50 {
+		o.Classify(LinkContext{URL: htmlURL(i), AnchorText: "next"})
+	}
+	for i := range 3 {
+		o.Observe(htmlURL(i), ClassHTML)
+	}
+	if len(o.pending) == 0 || len(o.batch) == 0 {
+		t.Fatalf("%d pending, %d batched: want both held at Release", len(o.pending), len(o.batch))
+	}
+	o.Release()
+	if o.pending != nil || o.batch != nil || len(arenaFree) != 1 {
+		t.Fatalf("after Release: pending %v, batch %v, %d parked", o.pending, o.batch, len(arenaFree))
+	}
+	parked := <-arenaFree
+	if len(parked.pending) != 0 || len(parked.batch) != 0 || len(parked.arena.IDs) != 0 || len(parked.x.IDs) != 0 {
+		t.Fatalf("parked: %d pending, %d examples, %d arena and %d scratch features: want all empty",
+			len(parked.pending), len(parked.batch), len(parked.arena.IDs), len(parked.x.IDs))
+	}
+	for i, ex := range parked.batch[:cap(parked.batch)] {
+		if ex.X.IDs != nil || ex.X.Vals != nil || ex.Y != 0 {
+			t.Fatalf("parked example slot %d holds %+v", i, ex)
+		}
+	}
+	arenaFree <- parked
+	reused := NewOnline(Config{})
+	if reflect.ValueOf(reused.pending).UnsafePointer() != reflect.ValueOf(parked.pending).UnsafePointer() {
+		t.Fatal("NewOnline did not take the parked pending map")
+	}
+}
+
+// TestOutsizedPendingIsNotParked: a pending map that once held more than
+// maxParkedPending predictions is left to the GC even when they have all been
+// observed since: a map keeps the buckets it grew.
+func TestOutsizedPendingIsNotParked(t *testing.T) {
+	defer drainArenas()
+	drainArenas()
+	o := NewOnline(Config{})
+	for i := range maxParkedPending + 1 {
+		o.Classify(LinkContext{URL: htmlURL(i)})
+	}
+	for i := range maxParkedPending + 1 {
+		o.Observe(htmlURL(i), ClassNeither)
+	}
+	o.Release()
+	select {
+	case got := <-arenaFree:
+		if got.pending != nil {
+			t.Errorf("a pending map that held %d predictions was parked", maxParkedPending+1)
+		}
+	default:
 	}
 }

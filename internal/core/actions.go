@@ -95,10 +95,15 @@ func (ai *ActionIndex) Match(tokens []string) (int, bool) {
 	return 0, false
 }
 
-// Release parks the HNSW index's level generator for the next action index
-// (hnsw.Index.Release). NumActions, PathCount and Example still answer; the
-// index must not map paths afterwards.
-func (ai *ActionIndex) Release() { ai.index.Release() }
+// Release parks the HNSW index's level generator (hnsw.Index.Release) and the
+// tag-path vocabulary, cleared and only under its bound
+// (textvec.TagPathVectorizer.Release), for the next action index. NumActions,
+// PathCount and Example still answer; the index must not map paths
+// afterwards.
+func (ai *ActionIndex) Release() {
+	ai.index.Release()
+	ai.vec.Release()
+}
 
 // NumActions returns |A|.
 func (ai *ActionIndex) NumActions() int { return ai.index.Len() }

@@ -3,10 +3,12 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
 	"sbcrawl/internal/classify"
+	"sbcrawl/internal/dom"
 	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/frontier"
 	"sbcrawl/internal/hnsw"
@@ -252,10 +254,12 @@ func TestSBDeterministicPerSeed(t *testing.T) {
 }
 
 // TestSBCrawlReusesClassifierTablesAlloc: an SB crawl releases its
-// classifier's weight table and batch arena, its HNSW level generator and its
-// frontier's generator source when it ends, so of two identical budgeted
-// crawls back to back the second takes all four from the free lists instead
-// of allocating ~110 KB of its own (~70 KB of it the table).
+// classifier's weight table, batch arena, scratch, example slots and pending
+// map, its HNSW level generator, its tag-path vocabulary, its frontier's
+// generator source and its engine's tables (T ∪ F, the in-page set, the link
+// stack) when it ends, so of two identical budgeted crawls back to back the
+// second takes them all from the free lists instead of allocating ~170 KB of
+// its own (~70 KB of it the weight table, ~60 KB the maps, slots and stack).
 func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 	if raceEnabled {
 		// Under the race detector the same crawl's allocation varies by
@@ -278,19 +282,22 @@ func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	crawlBytes() // lazy package state: warm parsers, interned strings
-	// Empty the four free lists, each of which holds at most 8: a fresh model
+	// Empty the six free lists, each of which holds at most 8: a fresh model
 	// takes one parked table on its first fit, and a classifier, an HNSW
-	// index and a grouped frontier take a parked arena, generator and source
-	// when they are built.
+	// index, a grouped frontier, a tag-path vectorizer and an engine take a
+	// parked arena (with its scratch, slots and pending map), generator,
+	// source, vocabulary and engine tables when they are built.
 	for range 8 {
 		learn.NewLogisticRegression().PartialFit([]learn.Example{{X: textvec.MakeSparse(2).AppendCharBigrams("ab", 0), Y: learn.ClassTarget}})
 		classify.NewOnline(classify.Config{})
 		hnsw.New(hnsw.DefaultConfig())
 		frontier.NewGrouped(0)
+		textvec.NewTagPathVectorizer(2, 12, 15)
+		takeTables()
 	}
 	first, second := crawlBytes(), crawlBytes()
-	if first < second+100<<10 {
-		t.Errorf("first crawl allocated %d bytes, the second %d: want the second ≥ 100 KB less", first, second)
+	if first < second+150<<10 {
+		t.Errorf("first crawl allocated %d bytes, the second %d: want the second ≥ 150 KB less", first, second)
 	}
 	// The two generators are too small to show in that margin: the crawl just
 	// run parked both, so building an index and a frontier allocates neither
@@ -305,13 +312,13 @@ func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 	}
 }
 
-// TestSBCrawlReleaseConcurrent: SB and TP-OFF crawls run and release from
-// several goroutines at once, every crawl taking and parking tables, arenas
-// and generators on the shared free lists, and each returns exactly the
-// Result it returns alone.
+// TestSBCrawlReleaseConcurrent: SB, TP-OFF, BFS and FOCUSED crawls run and
+// release from several goroutines at once, every crawl taking and parking
+// tables, arenas and generators on the shared free lists (every strategy
+// parks its engine's), and each returns exactly the Result it returns alone.
 func TestSBCrawlReleaseConcurrent(t *testing.T) {
 	crawlers := func() []Crawler {
-		return []Crawler{NewSB(SBConfig{Seed: 5}), NewSB(SBConfig{Seed: 6, Model: "NB"}), NewTPOff(10, 5)}
+		return []Crawler{NewSB(SBConfig{Seed: 5}), NewSB(SBConfig{Seed: 6, Model: "NB"}), NewTPOff(10, 5), NewBFS(), NewFocused(0)}
 	}
 	run := func(c Crawler) *Result {
 		env, _ := newTestEnv(t, "ed", 0.005, 3)
@@ -341,6 +348,90 @@ func TestSBCrawlReleaseConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// drainTables empties the engine-table free list.
+func drainTables() {
+	for {
+		select {
+		case <-tablesFree:
+		default:
+			return
+		}
+	}
+}
+
+// TestParkedEngineTablesAreEmpty: a finished crawl parks its engine's tables
+// holding nothing of it — no T ∪ F or in-page key, no link in any slot of the
+// stack, no scratch byte — and the next engine takes them.
+func TestParkedEngineTablesAreEmpty(t *testing.T) {
+	defer drainTables()
+	drainTables()
+	env, _ := newTestEnv(t, "ed", 0.005, 3)
+	env.MaxRequests = 60
+	if _, err := NewBFS().Run(env); err != nil {
+		t.Fatal(err)
+	}
+	if len(tablesFree) != 1 {
+		t.Fatalf("%d engine tables parked, want 1", len(tablesFree))
+	}
+	tb := <-tablesFree
+	if tb.seen == nil || len(tb.seen) != 0 || len(tb.inPage) != 0 || len(tb.abs) != 0 {
+		t.Fatalf("parked T ∪ F %d keys, in-page set %d, scratch %d bytes: want all empty", len(tb.seen), len(tb.inPage), len(tb.abs))
+	}
+	if cap(tb.links) == 0 || len(tb.links) != 0 {
+		t.Fatalf("parked link stack len %d cap %d: want an empty stack with room", len(tb.links), cap(tb.links))
+	}
+	for i, l := range tb.links[:cap(tb.links)] {
+		if !reflect.DeepEqual(l, dom.Link{}) {
+			t.Fatalf("parked link slot %d holds %+v", i, l)
+		}
+	}
+	tablesFree <- tb
+	eng, err := newEngine(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tablesFree) != 0 || cap(eng.links) != cap(tb.links) {
+		t.Fatal("newEngine did not take the parked tables")
+	}
+}
+
+// TestOutsizedEngineTablesAreNotParked: a crawl whose T ∪ F outgrew
+// maxParkedSeen parks nothing, and one whose link stack outgrew
+// maxParkedLinks parks its other tables without it: a cleared map keeps its
+// buckets, and a free list never lets go.
+func TestOutsizedEngineTablesAreNotParked(t *testing.T) {
+	defer drainTables()
+	env, _ := newTestEnv(t, "ed", 0.005, 3)
+	for _, tc := range []struct {
+		name      string
+		seen      int
+		links     int
+		wantLinks bool // false: nothing parked at all
+	}{
+		{"seen", maxParkedSeen + 1, 0, false},
+		{"links", maxParkedSeen, maxParkedLinks + 1, true},
+	} {
+		drainTables()
+		eng, err := newEngine(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tc.seen {
+			eng.seen[strconv.Itoa(i)] = true
+		}
+		eng.links = make([]dom.Link, 0, tc.links)
+		eng.result("X", 0)
+		switch {
+		case !tc.wantLinks && len(tablesFree) != 0:
+			t.Errorf("%s: a T ∪ F of %d entries was parked", tc.name, tc.seen)
+		case tc.wantLinks && len(tablesFree) != 1:
+			t.Errorf("%s: %d engine tables parked, want 1", tc.name, len(tablesFree))
+		case tc.wantLinks && (<-tablesFree).links != nil:
+			t.Errorf("%s: a link stack of %d slots was parked", tc.name, tc.links)
+		}
+	}
 }
 
 func TestActionStatsExposeRewardStructure(t *testing.T) {

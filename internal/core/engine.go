@@ -261,7 +261,10 @@ func (tr *Trace) Record(targets int, targetBytes, nonTargetBytes int64) {
 func (tr *Trace) Len() int { return len(tr.Targets) }
 
 // engine is the per-run state shared by every crawler: Algorithm 4 without
-// the policy-specific link handling.
+// the policy-specific link handling. Its growing tables — T ∪ F, the in-page
+// set, the link stack and the normal-form scratch — come off tablesFree and
+// go back to it, emptied and only while under the maxParked bounds, when
+// result assembles the crawl's Result.
 type engine struct {
 	env            *Env
 	fetcher        fetch.Fetcher     // Env.Fetcher, prefetch-wrapped when pipelining
@@ -301,13 +304,17 @@ func newEngine(env *Env) (*engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: bad crawl root: %w", err)
 	}
+	t := takeTables()
 	e := &engine{
 		env:     env,
 		fetcher: env.Fetcher,
 		scope:   scope,
 		mimes:   env.targetMIMEs(),
 		trace:   &Trace{},
-		seen:    make(map[string]bool),
+		seen:    t.seen,
+		inPage:  t.inPage,
+		links:   t.links,
+		abs:     t.abs,
 		fields:  dom.AllFields,
 	}
 	e.admitLink = e.admit
@@ -354,6 +361,70 @@ func newEngine(env *Env) (*engine, error) {
 		e.recycler = rc
 	}
 	return e, nil
+}
+
+// engineTables are the tables every crawl grows from empty the same way: T ∪ F,
+// the in-page set, the link stack and the normal-form scratch.
+type engineTables struct {
+	seen   map[string]bool
+	inPage map[string]bool
+	links  []dom.Link
+	abs    []byte
+}
+
+// tablesFree parks finished crawls' tables for newEngine, so a daemon's many
+// short crawls stop regrowing them from empty. A parked table is empty — its
+// maps cleared, its link slots zeroed — the state a new one starts in, and
+// nothing ever ranges over the two sets, so reuse changes no crawl. It is
+// bounded at 8 like dom's parser free list, for the same reasons, and the
+// maxParked bounds cap what one entry may hold: a free list never lets go,
+// and a cleared map keeps the buckets it grew, so a crawl whose T ∪ F or link
+// stack outgrew them leaves its tables to the GC. An entry holds at most
+// ~0.4 MB: T ∪ F ~0.22, the link stack ~0.09, the in-page set, which
+// extractNewLinks holds to inPageKeep, ~0.06.
+var tablesFree = make(chan engineTables, 8)
+
+const (
+	maxParkedSeen  = 1 << 12 // T ∪ F entries
+	maxParkedLinks = 1 << 10 // link-stack slots, which grow with a page's new links
+	maxParkedAbs   = 1 << 12 // scratch bytes, which grow with the longest link
+)
+
+// takeTables takes a parked set of tables, or makes T ∪ F for a cold crawl
+// (the rest are made or grown on first use).
+func takeTables() engineTables {
+	select {
+	case t := <-tablesFree:
+		return t
+	default:
+		return engineTables{seen: make(map[string]bool)}
+	}
+}
+
+// parkTables empties the engine's tables and parks those under the bounds;
+// the engine holds none of them afterwards.
+func (e *engine) parkTables() {
+	t := engineTables{inPage: e.inPage}
+	clear(t.inPage)
+	if len(e.seen) <= maxParkedSeen {
+		clear(e.seen)
+		t.seen = e.seen
+	}
+	if cap(e.links) <= maxParkedLinks {
+		clear(e.links) // popLinks has zeroed the slots past it
+		t.links = e.links[:0]
+	}
+	if cap(e.abs) <= maxParkedAbs {
+		t.abs = e.abs[:0]
+	}
+	e.seen, e.inPage, e.links, e.abs = nil, nil, nil, nil
+	if t.seen == nil {
+		return // a cold crawl would make T ∪ F anyway; nothing else is worth a slot
+	}
+	select {
+	case tablesFree <- t:
+	default:
+	}
 }
 
 // close winds the pipeline down: after it returns, no speculative fetch is
@@ -422,10 +493,29 @@ func (e *engine) get(u string) (fetch.Response, bool) {
 	} else {
 		e.nonTargetBytes += vol
 	}
-	e.trace.Record(e.tcount, e.targetBytes, e.nonTargetBytes)
+	e.record()
 	e.maybeCheckpoint()
 	return resp, true
 }
+
+// record appends the trace point of the request just charged. A budgeted
+// crawl's first point allocates the three series once, for
+// min(MaxRequests, traceReserve) points, instead of growing them by doubling;
+// a crawl that charges nothing keeps them nil.
+func (e *engine) record() {
+	tr := e.trace
+	if tr.Targets == nil && e.env.MaxRequests > 0 {
+		n := min(e.env.MaxRequests, traceReserve)
+		tr.Targets = make([]int32, 0, n)
+		tr.TargetBytes = make([]int64, 0, n)
+		tr.NonTargetBytes = make([]int64, 0, n)
+	}
+	tr.Record(e.tcount, e.targetBytes, e.nonTargetBytes)
+}
+
+// traceReserve caps the points a budgeted crawl's trace allocates up front,
+// so a site exhausted long before its budget wastes at most this many.
+const traceReserve = 1 << 12
 
 // head issues one charged HEAD (classifier initial phase / TP-OFF probing).
 func (e *engine) head(u string) (fetch.Response, bool) {
@@ -438,7 +528,7 @@ func (e *engine) head(u string) (fetch.Response, bool) {
 		e.failedCharges++
 	}
 	e.nonTargetBytes += e.meter.ChargeHead()
-	e.trace.Record(e.tcount, e.targetBytes, e.nonTargetBytes)
+	e.record()
 	e.maybeCheckpoint()
 	return resp, true
 }
@@ -652,9 +742,11 @@ func (e *engine) popLinks(mark int) {
 }
 
 // result assembles the shared part of a Result, winding down the prefetch
-// pipeline first so no speculative fetch outlives the crawl.
+// pipeline first so no speculative fetch outlives the crawl, and parks the
+// engine's tables (parkTables): the engine maps no link after it.
 func (e *engine) result(name string, steps int) *Result {
 	e.close()
+	e.parkTables()
 	r := &Result{
 		Crawler:        name,
 		Trace:          e.trace,

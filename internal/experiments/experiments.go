@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"sync"
 
 	"sbcrawl/internal/core"
 	"sbcrawl/internal/fetch"
@@ -178,10 +179,60 @@ func generate(cfg Config, code string) (*sitegen.Site, error) {
 	}), nil
 }
 
-// buildSite generates a site at the config's scale and wires the crawl Env:
+// buildSite returns the site env of the code at the config's scale, seed and
+// page cap, built once per generation (siteMemo) unless a durable store backs
+// the replay database: a report's Run builds each of its sites, and
+// consecutive reports of one configuration — the claim table's reports of one
+// seed — share them. No report mutates a siteEnv (those that vary the Env
+// copy it), and a warm replay database serves the bytes a cold one would
+// fetch, so sharing changes no report.
+func buildSite(cfg Config, code string) (*siteEnv, error) {
+	if cfg.st != nil {
+		return newSiteEnv(cfg, code)
+	}
+	gen := siteGen{cfg.Scale, cfg.Seed, cfg.MaxPages}
+	siteMemo.mu.Lock()
+	if siteMemo.sites == nil || siteMemo.gen != gen {
+		siteMemo.gen, siteMemo.sites = gen, map[string]*memoSite{}
+	}
+	m := siteMemo.sites[code]
+	if m == nil {
+		m = &memoSite{}
+		siteMemo.sites[code] = m
+	}
+	siteMemo.mu.Unlock()
+	m.once.Do(func() { m.se, m.err = newSiteEnv(cfg, code) })
+	return m.se, m.err
+}
+
+// siteMemo holds the site envs of the latest generation only: a call with
+// another generation drops them, so the memo never pins more than one
+// configuration's sites and their replay bodies.
+var siteMemo struct {
+	mu    sync.Mutex
+	gen   siteGen
+	sites map[string]*memoSite
+}
+
+// siteGen is what a generated site and its reference crawl depend on besides
+// the code.
+type siteGen struct {
+	scale    float64
+	seed     int64
+	maxPages int
+}
+
+// memoSite is one code's site env, built by the first caller.
+type memoSite struct {
+	once sync.Once
+	se   *siteEnv
+	err  error
+}
+
+// newSiteEnv generates a site at the config's scale and wires the crawl Env:
 // a replay-cached simulated fetcher (the local response database of
 // Sec. 4.4, shared by all crawlers) plus the oracle hooks.
-func buildSite(cfg Config, code string) (*siteEnv, error) {
+func newSiteEnv(cfg Config, code string) (*siteEnv, error) {
 	site, err := generate(cfg, code)
 	if err != nil {
 		return nil, err

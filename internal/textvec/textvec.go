@@ -232,12 +232,49 @@ func NewTagPathVectorizer(n int, m, w uint) *TagPathVectorizer {
 	for range 5 {
 		inv *= 2 - DefaultPi*inv
 	}
+	var vocab *Vocab
+	select {
+	case ids := <-vocabFree:
+		vocab = &Vocab{ids: ids}
+	default:
+		vocab = NewVocab()
+	}
 	return &TagPathVectorizer{
 		N:     n,
-		vocab: NewVocab(),
+		vocab: vocab,
 		proj:  NewProjector(m, w, DefaultPi),
 		piInv: inv,
 	}
+}
+
+// vocabFree parks released vectorizers' vocabulary maps for
+// NewTagPathVectorizer, so a daemon's many short crawls stop regrowing one
+// each. A parked map is cleared, and a gram's ID is the vocabulary's size
+// when it is first seen, so a reused map numbers every gram as a new one
+// would. It is bounded at 8 like internal/learn's table free list, for the
+// same reasons; a cleared map keeps the buckets it grew, so a vocabulary
+// past maxParkedVocab grams is left to the GC.
+var vocabFree = make(chan map[string]int, 8)
+
+// maxParkedVocab bounds the vocabulary Release parks (~0.22 MB of slots).
+const maxParkedVocab = 1 << 12
+
+// Release parks the vocabulary map, cleared, for the next
+// NewTagPathVectorizer if it is under maxParkedVocab grams. The vectorizer
+// must not be used afterwards; one used anyway panics on its next vector
+// rather than share a vocabulary with another.
+func (tv *TagPathVectorizer) Release() {
+	if tv.vocab == nil {
+		return
+	}
+	if ids := tv.vocab.ids; len(ids) <= maxParkedVocab {
+		clear(ids)
+		select {
+		case vocabFree <- ids:
+		default:
+		}
+	}
+	tv.vocab = nil
 }
 
 // Dim returns the fixed output dimension D.

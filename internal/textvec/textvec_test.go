@@ -622,3 +622,68 @@ func Cosine(a, b []float64) float64 {
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
+
+// drainVocabs empties the vocabulary free list.
+func drainVocabs() {
+	for {
+		select {
+		case <-vocabFree:
+		default:
+			return
+		}
+	}
+}
+
+// TestReleasedVocabIsEmpty: Release parks the vocabulary map cleared — no
+// gram string of the paths it numbered — and the next vectorizer takes it and
+// numbers grams, and so builds vectors, exactly as one on a new map does.
+func TestReleasedVocabIsEmpty(t *testing.T) {
+	defer drainVocabs()
+	paths := [][]string{{"html", "body", "div", "a"}, {"html", "body", "ul", "li", "a"}, {"html", "body", "a"}}
+	vectors := func(tv *TagPathVectorizer) [][]float64 {
+		var out [][]float64
+		for _, p := range paths {
+			out = append(out, tv.Vectorize(p))
+		}
+		return out
+	}
+	drainVocabs()
+	want := vectors(NewTagPathVectorizer(2, 8, 12))
+
+	used := NewTagPathVectorizer(2, 8, 12)
+	used.Vectorize([]string{"html", "body", "table", "tr", "td", "a"})
+	parked := used.vocab.ids
+	used.Release()
+	if used.vocab != nil || len(vocabFree) != 1 {
+		t.Fatalf("after Release: vocabulary %v, %d parked", used.vocab, len(vocabFree))
+	}
+	if len(parked) != 0 {
+		t.Fatalf("the parked vocabulary holds %d grams of the vectorizer that released it", len(parked))
+	}
+	reused := NewTagPathVectorizer(2, 8, 12)
+	if len(vocabFree) != 0 {
+		t.Fatal("NewTagPathVectorizer did not take the parked vocabulary")
+	}
+	got := vectors(reused)
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("path %d on a reused vocabulary: %v, on a new one %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestOutsizedVocabIsNotParked: a vocabulary grown past maxParkedVocab grams
+// is left to the GC, since a cleared map keeps its buckets and a free list
+// never lets go.
+func TestOutsizedVocabIsNotParked(t *testing.T) {
+	defer drainVocabs()
+	drainVocabs()
+	tv := NewTagPathVectorizer(1, 8, 12)
+	for i := 0; tv.VocabLen() <= maxParkedVocab; i++ {
+		tv.VectorizeSparse([]string{"t" + strconv.Itoa(i)})
+	}
+	tv.Release()
+	if len(vocabFree) != 0 {
+		t.Errorf("a vocabulary of %d grams was parked", maxParkedVocab+1)
+	}
+}

@@ -34,9 +34,11 @@ test -z "$(gofmt -l .)"
 # lookup allocates nothing once warm, a founding action only its non-zeros.
 # Algorithm 2 — bigrams into spare capacity allocate nothing, a URL_ONLY link
 # nothing past the HEAD phase, scoring and training nothing once the weight
-# vector has grown; a finished SB crawl's weight table, batch arena and
-# generators are reused by the next, and a tag-path vectorizer keeps no
-# D-wide table. Algorithm 3 — once warm, an SB step's select stage, its
+# vector has grown; a finished SB crawl's weight table, batch arena, feature
+# scratch, example slots, pending predictions, generators and tag-path
+# vocabulary, and every finished crawl's T ∪ F, in-page set and link stack,
+# are reused by the next, each parked empty and only under its size bound, and
+# a tag-path vectorizer keeps no D-wide table. Algorithm 3 — once warm, an SB step's select stage, its
 # select-time next-draw hint and the next-draw guess behind each batch of
 # predicted targets allocate nothing. Durable path — the replay-record codec round trip and the
 # checkpoint re-encode allocate nothing; the checkpoint sink nothing, whatever

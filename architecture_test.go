@@ -174,11 +174,11 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 // wrongly is a method only the standard library calls, such as a
 // heap.Interface method, which takes an allowlist entry.
 //
-// It checks every top-level declaration of an internal/ package, every
-// unexported top-level declaration anywhere, and every exported method of an
-// internal/ type; the root package's exports are the product and a command's
-// main is its entry point. A use must sit in a non-test file outside
-// benchmark/ and outside the declaration itself. For a top-level name it is
+// It checks every top-level declaration and every method of an internal/
+// package, and every unexported top-level declaration and method anywhere;
+// the root package's exports are the product and a command's main is its
+// entry point. A use must sit in a non-test file outside benchmark/ and
+// outside the declaration itself. For a top-level name it is
 // a pkg.Name selector or an unqualified identifier in the declaring package;
 // for a method it is any .Name selector or a method of the same name in an
 // interface type. An allowlisted declaration must have no such use, and its
@@ -235,7 +235,7 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 				case *ast.FuncDecl:
 					if d.Recv == nil {
 						top(d.Name.Name, d)
-					} else if internal && d.Name.IsExported() {
+					} else if internal || !d.Name.IsExported() {
 						decls = append(decls, decl{gf.dir + "." + receiverType(d) + "." + d.Name.Name, gf.dir, d.Name.Name, true, d})
 					}
 				case *ast.GenDecl:
@@ -377,8 +377,9 @@ func receiverType(f *ast.FuncDecl) string {
 
 // TestDeadCodeRuleCatchesPlantedCases: over a planted module, the dead-code
 // rule reports an unused export, an unused method, an unused unexported
-// function (whose only use is itself), an allowlist entry naming nothing and
-// an allowlisted name that has a caller — and nothing else: a use from
+// function (whose only use is itself), an unused unexported method inside
+// and outside internal/, an allowlist entry naming nothing and an
+// allowlisted name that has a caller — and nothing else: a use from
 // cmd/, a benchmark-only entry and a use of a std-interface method's name
 // through an interface type all hold.
 func TestDeadCodeRuleCatchesPlantedCases(t *testing.T) {
@@ -394,6 +395,7 @@ type T struct{}
 func (T) M()    {}
 func (T) Len() int { return 0 }
 func (T) Dead() {}
+func (T) idle() {}
 func dead()   { dead() }
 `},
 		{"internal/app", `package app
@@ -402,7 +404,10 @@ var _ sized
 `},
 		{"cmd/tool", `package main
 import "example.test/internal/lib"
-func main() { lib.Used(); lib.Listed(); var t lib.T; t.M() }
+type tool struct{}
+func (tool) run()  {}
+func (tool) idle() {}
+func main() { lib.Used(); lib.Listed(); var t lib.T; t.M(); tool{}.run() }
 `},
 		{"benchmark", `package main
 import "example.test/internal/lib"
@@ -427,12 +432,14 @@ func main() { lib.Bench() }
 		"internal/lib.dead has no caller",
 		"internal/lib.Missing names no declaration",
 		"internal/lib.Listed has a caller now",
+		"internal/lib.T.idle has no caller",
+		"cmd/tool.tool.idle has no caller",
 	} {
 		if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, want) }) {
 			t.Errorf("no report %q", want)
 		}
 	}
-	if len(problems) != 5 {
-		t.Errorf("%d reports, want the 5 planted:\n%s", len(problems), strings.Join(problems, "\n"))
+	if len(problems) != 7 {
+		t.Errorf("%d reports, want the 7 planted:\n%s", len(problems), strings.Join(problems, "\n"))
 	}
 }

@@ -21,6 +21,7 @@
 package classify
 
 import (
+	"sbcrawl/internal/freelist"
 	"sbcrawl/internal/learn"
 	"sbcrawl/internal/textvec"
 )
@@ -160,10 +161,8 @@ func NewOnline(cfg Config) *Online {
 		initial: true,
 		conf:    NewConfusion(),
 	}
-	select {
-	case t := <-arenaFree:
+	if t, ok := arenaFree.Get(); ok {
 		o.arena, o.x, o.batch, o.pending = t.arena, t.x, t.batch, t.pending
-	default:
 	}
 	if o.pending == nil {
 		o.pending = make(map[string]pendingPrediction)
@@ -184,12 +183,10 @@ type parkedTables struct {
 // batch's features, ~26 KB for URL_ONLY at b = 10), scratch vectors, example
 // slots and pending maps for NewOnline. All are parked empty, the state a new
 // one starts in, and the pending map is only ever looked up, never ranged
-// over, so reuse changes no example and no prediction. It is bounded at 8
-// like internal/learn's table free list, for the same reasons; a cleared map
-// keeps the buckets it grew, so one that held more than maxParkedPending
-// predictions at once is left to the GC, as are a scratch vector and example
-// slots past their bounds.
-var arenaFree = make(chan parkedTables, 8)
+// over, so reuse changes no example and no prediction. A pending map that
+// held more than maxParkedPending predictions at once is left to the GC, as
+// are a scratch vector and example slots past their bounds.
+var arenaFree = freelist.New[parkedTables]()
 
 const (
 	maxParkedPending = 1 << 10 // pending predictions (~0.08 MB of map slots)
@@ -307,10 +304,7 @@ func (o *Online) Release() {
 		t.pending = o.pending
 	}
 	if t.pending != nil || cap(t.arena.IDs)+cap(t.x.IDs)+cap(t.batch) > 0 {
-		select {
-		case arenaFree <- t:
-		default:
-		}
+		arenaFree.Put(t)
 	}
 	o.arena, o.x, o.batch, o.pending = textvec.Sparse{}, textvec.Sparse{}, nil, nil
 }

@@ -11,12 +11,8 @@ import (
 // drainArenas empties the arena free list, so the next NewOnline starts with
 // no arena.
 func drainArenas() {
-	for {
-		select {
-		case <-arenaFree:
-		default:
-			return
-		}
+	for len(arenaFree) > 0 {
+		<-arenaFree
 	}
 }
 

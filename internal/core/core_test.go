@@ -10,6 +10,7 @@ import (
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/dom"
 	"sbcrawl/internal/fetch"
+	"sbcrawl/internal/freelist"
 	"sbcrawl/internal/frontier"
 	"sbcrawl/internal/hnsw"
 	"sbcrawl/internal/learn"
@@ -312,6 +313,57 @@ func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 	}
 }
 
+// TestFocusedParksItsModel: a finished FOCUSED crawl parks its model's weight
+// table on learn's free list — exactly one, which the next model's first fit
+// takes without allocating and fits exactly as a new table — and the next
+// FOCUSED crawl, which takes it, returns exactly the Result of one run with
+// the list empty.
+func TestFocusedParksItsModel(t *testing.T) {
+	probe := []learn.Example{{X: focusedFeatures("http://x/a", "b", 2), Y: learn.ClassTarget}}
+	const tableBytes = (depthFeatureID + 1) * 8 // a FOCUSED table covers the depth slot
+	run := func() *Result {
+		env, _ := newTestEnv(t, "ed", 0.005, 3)
+		env.MaxRequests = 60 // past one fit at the default retrainEvery
+		res, err := NewFocused(0).Run(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fit := func() (*learn.LogisticRegression, uint64) {
+		m := learn.NewLogisticRegression()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.PartialFit(probe)
+		runtime.ReadMemStats(&after)
+		return m, after.TotalAlloc - before.TotalAlloc
+	}
+	for range freelist.Cap { // empty the list: each model's first fit takes a table
+		fit()
+	}
+	want := run()
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a FOCUSED crawl on a parked table differs from one with the list empty")
+	}
+	parked, warm := fit()
+	fresh, cold := fit()
+	// The race build does not fuse grow's append(w, make(...)...), so there
+	// every fit allocates a table-sized operand, parked table or not.
+	if !raceEnabled && warm >= tableBytes/4 {
+		t.Errorf("the first fit after a FOCUSED crawl allocated %d bytes: no table was parked", warm)
+	}
+	if !raceEnabled && cold < tableBytes {
+		t.Errorf("the second fit allocated %d bytes, want a new %d-byte table: more than one was parked", cold, tableBytes)
+	}
+	all := textvec.MakeSparse(depthFeatureID + 1)
+	for id := range depthFeatureID + 1 {
+		all = all.Append(id, 1)
+	}
+	if a, b := parked.Score(all), fresh.Score(all); a != b {
+		t.Errorf("a model fit on the parked table scores %v, one fit on a new table %v", a, b)
+	}
+}
+
 // TestSBCrawlReleaseConcurrent: SB, TP-OFF, BFS and FOCUSED crawls run and
 // release from several goroutines at once, every crawl taking and parking
 // tables, arenas and generators on the shared free lists (every strategy
@@ -352,12 +404,8 @@ func TestSBCrawlReleaseConcurrent(t *testing.T) {
 
 // drainTables empties the engine-table free list.
 func drainTables() {
-	for {
-		select {
-		case <-tablesFree:
-		default:
-			return
-		}
+	for len(tablesFree) > 0 {
+		<-tablesFree
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"sbcrawl/internal/dom"
 	"sbcrawl/internal/fabric"
 	"sbcrawl/internal/fetch"
+	"sbcrawl/internal/freelist"
 	"sbcrawl/internal/urlutil"
 )
 
@@ -375,14 +376,11 @@ type engineTables struct {
 // tablesFree parks finished crawls' tables for newEngine, so a daemon's many
 // short crawls stop regrowing them from empty. A parked table is empty — its
 // maps cleared, its link slots zeroed — the state a new one starts in, and
-// nothing ever ranges over the two sets, so reuse changes no crawl. It is
-// bounded at 8 like dom's parser free list, for the same reasons, and the
-// maxParked bounds cap what one entry may hold: a free list never lets go,
-// and a cleared map keeps the buckets it grew, so a crawl whose T ∪ F or link
-// stack outgrew them leaves its tables to the GC. An entry holds at most
-// ~0.4 MB: T ∪ F ~0.22, the link stack ~0.09, the in-page set, which
-// extractNewLinks holds to inPageKeep, ~0.06.
-var tablesFree = make(chan engineTables, 8)
+// nothing ever ranges over the two sets, so reuse changes no crawl. A crawl
+// whose T ∪ F or link stack outgrew the maxParked bounds leaves its tables to
+// the GC. An entry holds at most ~0.4 MB: T ∪ F ~0.22, the link stack ~0.09,
+// the in-page set, which extractNewLinks holds to inPageKeep, ~0.06.
+var tablesFree = freelist.New[engineTables]()
 
 const (
 	maxParkedSeen  = 1 << 12 // T ∪ F entries
@@ -393,12 +391,10 @@ const (
 // takeTables takes a parked set of tables, or makes T ∪ F for a cold crawl
 // (the rest are made or grown on first use).
 func takeTables() engineTables {
-	select {
-	case t := <-tablesFree:
+	if t, ok := tablesFree.Get(); ok {
 		return t
-	default:
-		return engineTables{seen: make(map[string]bool)}
 	}
+	return engineTables{seen: make(map[string]bool)}
 }
 
 // parkTables empties the engine's tables and parks those under the bounds;
@@ -421,10 +417,7 @@ func (e *engine) parkTables() {
 	if t.seen == nil {
 		return // a cold crawl would make T ∪ F anyway; nothing else is worth a slot
 	}
-	select {
-	case tablesFree <- t:
-	default:
-	}
+	tablesFree.Put(t)
 }
 
 // close winds the pipeline down: after it returns, no speculative fetch is

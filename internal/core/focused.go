@@ -117,5 +117,7 @@ func (f *focused) Run(env *Env) (*Result, error) {
 	r.pq.Push(env.Root, 0)
 	r.queued[env.Root] = focusedFeatures(env.Root, "", 0)
 	eng.runStaged(r)
-	return eng.result(f.Name(), r.steps), nil
+	res := eng.result(f.Name(), r.steps)
+	learn.Release(r.model)
+	return res, nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"sbcrawl/internal/dom"
 	"sbcrawl/internal/frontier"
 )
@@ -181,9 +179,9 @@ func (t *tpoff) Run(env *Env) (*Result, error) {
 }
 
 // bestGroup picks the awake group with the highest frozen average benefit;
-// ties and the zero bucket resolve to the smallest ID for determinism.
+// ties and the zero bucket resolve to the smallest ID for determinism, since
+// awake is in increasing order (Grouped.Awake).
 func bestGroup(awake []int, avg func(int) float64) int {
-	sort.Ints(awake)
 	best, bestAvg := awake[0], -1.0
 	for _, g := range awake {
 		a := 0.0

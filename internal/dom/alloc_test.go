@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"sbcrawl/internal/freelist"
 )
 
 // buildPage renders a page with nLinks anchors and `filler` copies of a
@@ -96,7 +98,7 @@ func TestSurroundingTextCostsItsCap(t *testing.T) {
 		page := []byte("<p>" + strings.Repeat("word ", parentBytes/5) + `<a href="/x">t</a></p>`)
 		var buf []Link
 		extract := func() { buf = ExtractLinksAppend(buf[:0], page) }
-		for range 2 * parserFreeCap { // every parked parser grows its scratch
+		for range 2 * freelist.Cap { // every parked parser grows its scratch
 			extract()
 		}
 		if len(buf) != 1 || len(buf[0].SurroundingText) != 256 {

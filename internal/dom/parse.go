@@ -7,6 +7,8 @@ import (
 	"slices"
 	"unicode"
 	"unicode/utf8"
+
+	"sbcrawl/internal/freelist"
 )
 
 // appendCollapsed appends s to dst with whitespace runs collapsed to single
@@ -150,23 +152,15 @@ func newParser() *parser {
 	return &parser{interned: maps.Clone(commonStrings)}
 }
 
-// parserFree is the free list extractions draw warm parsers from. It is a
-// bounded channel, not a sync.Pool: a pool is emptied at every GC, and a cold
+// parserFree is the free list extractions draw warm parsers from: a cold
 // parser re-grows its scratch and re-interns up to maxIntern strings (1–2 MB
-// of garbage whose amount depends on when the collector happens to run).
-var parserFree = make(chan *parser, parserFreeCap)
+// of garbage).
+var parserFree = freelist.New[*parser]()
 
-// parserFreeCap is how many idle parsers stay warm: one per extraction that
-// can be running at once. Fleets and the daemon default to one crawl per
-// core, so 8 covers them on ordinary machines; callers beyond it build a
-// parser and drop it afterwards, the cost every caller paid after each GC
-// under the pool. The maxParked bounds cap what each idle parser may hold: a
-// free list, unlike a sync.Pool, never lets go, and fetch.HTTP admits 256 MB
-// bodies, so a parser one outsized page grew past any of them is left to the
-// GC instead of parked.
+// The maxParked bounds cap what each idle parser may hold: fetch.HTTP admits
+// 256 MB bodies, so a parser one outsized page grew past any of them is left
+// to the GC instead of parked.
 const (
-	parserFreeCap = 8
-
 	maxParkedBytes = 1 << 20 // byte scratch that grows with a page's text and names
 	maxParkedAttrs = 1 << 12 // attribute slots, which grow with one element's attributes
 	maxParkedSlots = 1 << 14 // stack, path, pending and link slots, which grow with a page's depth and links
@@ -174,12 +168,10 @@ const (
 
 // getParser takes a warm parser off the free list, or builds one.
 func getParser() *parser {
-	select {
-	case p := <-parserFree:
+	if p, ok := parserFree.Get(); ok {
 		return p
-	default:
-		return newParser()
 	}
+	return newParser()
 }
 
 // putParser recycles p and parks it if it is small enough and there is room.
@@ -190,10 +182,7 @@ func putParser(p *parser) {
 		cap(p.stack)+cap(p.path)+cap(p.pending)+cap(p.links) > maxParkedSlots {
 		return
 	}
-	select {
-	case parserFree <- p:
-	default:
-	}
+	parserFree.Put(p)
 }
 
 // recycle resets the parser for reuse, keeping its scratch and intern table.

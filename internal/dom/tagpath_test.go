@@ -95,14 +95,8 @@ func TestExtractedTagPathsShareEqualNeighbours(t *testing.T) {
 func TestParkedParserHoldsNoLastPath(t *testing.T) {
 	ExtractLinksAppend(nil, []byte(samplePage))
 	var parked []*parser
-	for {
-		select {
-		case p := <-parserFree:
-			parked = append(parked, p)
-			continue
-		default:
-		}
-		break
+	for len(parserFree) > 0 {
+		parked = append(parked, <-parserFree)
 	}
 	if len(parked) == 0 {
 		t.Fatal("no parser parked after an extraction")

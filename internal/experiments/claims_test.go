@@ -174,9 +174,29 @@ var doesNotReproduce = map[string]string{
 		"classifier's labels on these 40–51-page sites, a cold start",
 }
 
+// diagnoses are the checked causes of doesNotReproduce rows: claim rows over
+// the same reports, each declared before it was run, whose id is the row it
+// explains plus "-cause". A diagnosis must hold like a claim, on at least
+// claimWins seeds.
+var diagnoses = []claim{
+	{"C9-cause", "table2", "cl, cn, qa",
+		"SB-ORACLE req% < BFS on each site: the bandit over perfect labels wins, so C9's loss is the classifier's",
+		func(r seedReports) (bool, string) {
+			tb := r.table("table2")
+			ok, nums := true, []string{}
+			for _, site := range []string{"cl", "cn", "qa"} {
+				oracle, bfs := tb.get("SB-ORACLE", site), tb.get("BFS", site)
+				ok = ok && oracle < bfs
+				nums = append(nums, fmt.Sprintf("%s %.1f vs %.1f", site, oracle, bfs))
+			}
+			return ok, "SB-ORACLE vs BFS: " + strings.Join(nums, ", ")
+		}},
+}
+
 // TestPaperClaims holds the paper's claims, one row each, over the seeds
 // declared above: a row passes when its predicate holds on at least
-// claimWins seeds, and a row of doesNotReproduce when it does not.
+// claimWins seeds, and a row of doesNotReproduce when it does not. The
+// diagnoses run in the same loop and must hold.
 func TestPaperClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the claim table crawls every seed at scale 0.004")
@@ -187,6 +207,11 @@ func TestPaperClaims(t *testing.T) {
 	for id := range doesNotReproduce {
 		if !slices.ContainsFunc(claims, func(c claim) bool { return c.id == id }) {
 			t.Errorf("doesNotReproduce names %s, which is no claim", id)
+		}
+	}
+	for _, d := range diagnoses {
+		if _, ok := doesNotReproduce[strings.TrimSuffix(d.id, "-cause")]; !ok {
+			t.Errorf("diagnosis %s explains no row of doesNotReproduce", d.id)
 		}
 	}
 	runs := make([]map[string]string, len(claimSeeds))
@@ -202,7 +227,7 @@ func TestPaperClaims(t *testing.T) {
 			runs[i][id] = out.String()
 		}
 	}
-	for _, c := range claims {
+	for _, c := range slices.Concat(claims, diagnoses) {
 		t.Run(c.id, func(t *testing.T) {
 			wins, lines := 0, []string{}
 			for i, reports := range runs {

@@ -1,0 +1,32 @@
+package freelist
+
+import "testing"
+
+// TestEmptyGetReturnsZero: Get on an empty list returns at once with the zero
+// value and false.
+func TestEmptyGetReturnsZero(t *testing.T) {
+	l := New[*int]()
+	if v, ok := l.Get(); v != nil || ok {
+		t.Fatalf("Get on an empty list = %v, %v; want nil, false", v, ok)
+	}
+}
+
+// TestListKeepsCapValues: Cap parked values come back out, each once, and a
+// Put on a full list returns at once and drops its value.
+func TestListKeepsCapValues(t *testing.T) {
+	l := New[int]()
+	for i := range Cap + 1 {
+		l.Put(i) // the last Put finds the list full
+	}
+	if len(l) != Cap {
+		t.Fatalf("%d values parked, want %d", len(l), Cap)
+	}
+	for i := range Cap {
+		if v, ok := l.Get(); v != i || !ok {
+			t.Fatalf("Get %d = %v, %v; want %d, true", i, v, ok, i)
+		}
+	}
+	if v, ok := l.Get(); ok {
+		t.Fatalf("Get past Cap = %v, true: the value Put on a full list was kept", v)
+	}
+}

@@ -15,6 +15,8 @@ import (
 	"container/heap"
 	"math/rand"
 	"slices"
+
+	"sbcrawl/internal/freelist"
 )
 
 // Queue is a FIFO frontier (breadth-first crawling). The zero value is
@@ -270,27 +272,22 @@ func (g *Grouped) Release() {
 	if g.src == nil {
 		return
 	}
-	select {
-	case sourceFree <- g.src.src:
-	default:
-	}
+	sourceFree.Put(g.src.src)
 	g.rng, g.src = nil, nil
 }
 
 // sourceFree parks released frontiers' generator sources (~4.9 KB each, one
 // per SB crawl) for newCountedRand to re-seed: Seed resets a source's whole
-// state, so the stream is rand.NewSource's. It is bounded at 8 like
-// internal/learn's table free list, for the same reasons.
-var sourceFree = make(chan rand.Source, 8)
+// state, so the stream is rand.NewSource's.
+var sourceFree = freelist.New[rand.Source]()
 
 // newCountedRand builds a deterministic generator at position draws, on a
 // parked source when one is waiting.
 func newCountedRand(seed, draws int64) (*rand.Rand, *countedSource) {
-	var src rand.Source
-	select {
-	case src = <-sourceFree:
+	src, ok := sourceFree.Get()
+	if ok {
 		src.Seed(seed)
-	default:
+	} else {
 		src = rand.NewSource(seed)
 	}
 	cs := &countedSource{src: src}
@@ -309,22 +306,11 @@ func (g *Grouped) Push(action int, url string) {
 
 // PopFrom removes and returns a uniformly random URL of the action.
 func (g *Grouped) PopFrom(action int) (string, bool) {
-	links := g.byAction[action]
-	n := len(links)
+	n := len(g.byAction[action])
 	if n == 0 {
 		return "", false
 	}
-	i := g.rng.Intn(n)
-	u := links[i]
-	links[i] = links[n-1]
-	links = links[:n-1]
-	if len(links) == 0 {
-		delete(g.byAction, action)
-	} else {
-		g.byAction[action] = links
-	}
-	g.total--
-	return u, true
+	return g.popAt(action, g.rng.Intn(n))
 }
 
 func (g *Grouped) popAt(action, i int) (string, bool) {

@@ -9,12 +9,8 @@ import (
 // drainSources empties the source free list, so the next generator
 // allocates.
 func drainSources() {
-	for {
-		select {
-		case <-sourceFree:
-		default:
-			return
-		}
+	for len(sourceFree) > 0 {
+		<-sourceFree
 	}
 }
 

@@ -40,6 +40,8 @@ package hnsw
 import (
 	"math"
 	"math/rand"
+
+	"sbcrawl/internal/freelist"
 )
 
 // Config holds HNSW construction parameters.
@@ -104,11 +106,10 @@ func New(cfg Config) *Index {
 	if cfg.EfSearch <= 0 {
 		cfg.EfSearch = 2 * cfg.M
 	}
-	var rng *rand.Rand
-	select {
-	case rng = <-rngFree:
+	rng, ok := rngFree.Get()
+	if ok {
 		rng.Seed(cfg.Seed)
-	default:
+	} else {
 		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	return &Index{
@@ -121,9 +122,8 @@ func New(cfg Config) *Index {
 
 // rngFree parks released indexes' level generators (a math/rand source is
 // ~4.9 KB, one per crawl) for New to re-seed: Seed resets a source's whole
-// state, so the stream is a new generator's. It is bounded at 8 like
-// internal/learn's table free list, for the same reasons.
-var rngFree = make(chan *rand.Rand, 8)
+// state, so the stream is a new generator's.
+var rngFree = freelist.New[*rand.Rand]()
 
 // Release parks the index's level generator for the next New. The index must
 // not be used afterwards; one used anyway panics on its next insertion rather
@@ -132,10 +132,7 @@ func (ix *Index) Release() {
 	if ix.rng == nil {
 		return
 	}
-	select {
-	case rngFree <- ix.rng:
-	default:
-	}
+	rngFree.Put(ix.rng)
 	ix.rng = nil
 }
 

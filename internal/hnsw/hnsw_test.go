@@ -490,12 +490,8 @@ func TestVectorScratchContract(t *testing.T) {
 
 // drainRNGs empties the generator free list, so the next New allocates.
 func drainRNGs() {
-	for {
-		select {
-		case <-rngFree:
-		default:
-			return
-		}
+	for len(rngFree) > 0 {
+		<-rngFree
 	}
 }
 

@@ -37,6 +37,7 @@ package learn
 import (
 	"math"
 
+	"sbcrawl/internal/freelist"
 	"sbcrawl/internal/textvec"
 )
 
@@ -93,22 +94,14 @@ func grow[T any](w []T, x textvec.Sparse) []T {
 	return w
 }
 
-// tableFree is the free list of weight tables (see the package comment). It
-// is a bounded channel, like internal/dom's parser free list and for the
-// same reason: a sync.Pool empties at every GC, so reuse would depend on when
-// the collector runs. Eight covers one crawl per core on ordinary machines,
-// the default of fleets and the daemon; a model past it allocates its table
-// as before.
-var tableFree = make(chan []float64, 8)
+// tableFree is the free list of weight tables (see the package comment).
+var tableFree = freelist.New[[]float64]()
 
 // growTable is grow for a float64 table, which starts from a parked table
 // when it has none yet.
 func growTable(w []float64, x textvec.Sparse) []float64 {
 	if w == nil && len(x.IDs) > 0 {
-		select {
-		case w = <-tableFree:
-		default:
-		}
+		w, _ = tableFree.Get()
 	}
 	return grow(w, x)
 }
@@ -118,10 +111,7 @@ func growTable(w []float64, x textvec.Sparse) []float64 {
 func park(w *[]float64) {
 	if cap(*w) > 0 {
 		clear(*w)
-		select {
-		case tableFree <- (*w)[:0]:
-		default:
-		}
+		tableFree.Put((*w)[:0])
 	}
 	*w = nil
 }

@@ -8,12 +8,8 @@ import (
 
 // drainTables empties the free list, so the next model grows a new table.
 func drainTables() {
-	for {
-		select {
-		case <-tableFree:
-		default:
-			return
-		}
+	for len(tableFree) > 0 {
+		<-tableFree
 	}
 }
 

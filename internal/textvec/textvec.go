@@ -47,7 +47,11 @@
 // those sums, and so every score and weight, repeat bit for bit.
 package textvec
 
-import "slices"
+import (
+	"slices"
+
+	"sbcrawl/internal/freelist"
+)
 
 // BOS and EOS are the special tokens denoting beginning and end of a tag
 // path's token stream (Figure 3).
@@ -233,10 +237,9 @@ func NewTagPathVectorizer(n int, m, w uint) *TagPathVectorizer {
 		inv *= 2 - DefaultPi*inv
 	}
 	var vocab *Vocab
-	select {
-	case ids := <-vocabFree:
+	if ids, ok := vocabFree.Get(); ok {
 		vocab = &Vocab{ids: ids}
-	default:
+	} else {
 		vocab = NewVocab()
 	}
 	return &TagPathVectorizer{
@@ -251,10 +254,8 @@ func NewTagPathVectorizer(n int, m, w uint) *TagPathVectorizer {
 // NewTagPathVectorizer, so a daemon's many short crawls stop regrowing one
 // each. A parked map is cleared, and a gram's ID is the vocabulary's size
 // when it is first seen, so a reused map numbers every gram as a new one
-// would. It is bounded at 8 like internal/learn's table free list, for the
-// same reasons; a cleared map keeps the buckets it grew, so a vocabulary
-// past maxParkedVocab grams is left to the GC.
-var vocabFree = make(chan map[string]int, 8)
+// would. A vocabulary past maxParkedVocab grams is left to the GC.
+var vocabFree = freelist.New[map[string]int]()
 
 // maxParkedVocab bounds the vocabulary Release parks (~0.22 MB of slots).
 const maxParkedVocab = 1 << 12
@@ -269,10 +270,7 @@ func (tv *TagPathVectorizer) Release() {
 	}
 	if ids := tv.vocab.ids; len(ids) <= maxParkedVocab {
 		clear(ids)
-		select {
-		case vocabFree <- ids:
-		default:
-		}
+		vocabFree.Put(ids)
 	}
 	tv.vocab = nil
 }

@@ -625,12 +625,8 @@ func Cosine(a, b []float64) float64 {
 
 // drainVocabs empties the vocabulary free list.
 func drainVocabs() {
-	for {
-		select {
-		case <-vocabFree:
-		default:
-			return
-		}
+	for len(vocabFree) > 0 {
+		<-vocabFree
 	}
 }
 

@@ -19,8 +19,8 @@ test -z "$(gofmt -l .)"
 # links; the replay database lists nothing; the bigram featurizer sorts
 # nothing; no per-link classifier features; no per-crawl bucket table) and
 # its dead-code rule TestEveryDeclarationHasACaller (every internal/
-# declaration, every unexported one and every internal/ exported method has
-# a non-test caller outside benchmark/, or an allowlist entry with a reason),
+# declaration and method, and every unexported one anywhere, has a non-test
+# caller outside benchmark/, or an allowlist entry with a reason),
 # and
 # every package's 'Alloc' gates, which hold:
 # link path — one-pass extraction on free-listed parsers costs O(links) a
@@ -34,7 +34,7 @@ test -z "$(gofmt -l .)"
 # lookup allocates nothing once warm, a founding action only its non-zeros.
 # Algorithm 2 — bigrams into spare capacity allocate nothing, a URL_ONLY link
 # nothing past the HEAD phase, scoring and training nothing once the weight
-# vector has grown; a finished SB crawl's weight table, batch arena, feature
+# vector has grown; a finished SB crawl's (and FOCUSED's) weight table, batch arena, feature
 # scratch, example slots, pending predictions, generators and tag-path
 # vocabulary, and every finished crawl's T ∪ F, in-page set and link stack,
 # are reused by the next, each parked empty and only under its size bound, and

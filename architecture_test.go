@@ -92,9 +92,10 @@ func TestArchitectureRules(t *testing.T) {
 const benchmarkOnly = "benchmark-only until the benchmark is re-based"
 
 // deadCodeAllowed: the declarations the dead-code rule lets stand without a
-// non-test caller outside benchmark/, one per identifier, each with its
-// reason. An identifier is "dir.Name" for a top-level declaration or
-// "dir.Type.Method" for a method.
+// non-test caller outside benchmark/, and the fields it lets stand unread, one
+// per identifier, each with its reason. An identifier is "dir.Name" for a
+// top-level declaration, "dir.Type.Method" for a method or "dir.Type.field"
+// for a field.
 // An entry that names no declaration, or whose identifier has a caller, fails
 // the rule, so the list can only shrink.
 var deadCodeAllowed = []deadCodeEntry{
@@ -124,6 +125,10 @@ var deadCodeAllowed = []deadCodeEntry{
 	{"internal/textvec.Projector.Project", "the dense Figure 3 pipeline, core's sparse-vs-dense action-index reference"},
 	{"internal/textvec.Vocab.BoW", "the dense Figure 3 pipeline, core's sparse-vs-dense action-index reference"},
 	{"internal/webserver.Server.EnableTrap", "core's robot-trap test crawls the trap it switches on"},
+
+	{"internal/experiments.siteGen.scale", "siteGen is the site memo's generation key, compared as a whole"},
+	{"internal/experiments.siteGen.seed", "siteGen is the site memo's generation key, compared as a whole"},
+	{"internal/experiments.siteGen.maxPages", "siteGen is the site memo's generation key, compared as a whole"},
 }
 
 type deadCodeEntry struct{ id, reason string }
@@ -168,11 +173,12 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	}
 }
 
-// deadCode reports every declaration without a caller, and every allowlist
-// entry that no longer holds. It is syntactic, so it needs no type
-// information, and it matches names, so it can miss dead code; what it flags
-// wrongly is a method only the standard library calls, such as a
-// heap.Interface method, which takes an allowlist entry.
+// deadCode reports every declaration without a caller, every unexported
+// struct field nothing reads, and every allowlist entry that no longer holds.
+// It is syntactic, so it needs no type information, and it matches names, so
+// it can miss dead code; what it flags wrongly is a method only the standard
+// library calls, such as a heap.Interface method, which takes an allowlist
+// entry.
 //
 // It checks every top-level declaration and every method of an internal/
 // package, and every unexported top-level declaration and method anywhere;
@@ -181,8 +187,11 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 // outside the declaration itself. For a top-level name it is
 // a pkg.Name selector or an unqualified identifier in the declaring package;
 // for a method it is any .Name selector or a method of the same name in an
-// interface type. An allowlisted declaration must have no such use, and its
-// reason is benchmarkOnly exactly when benchmark/ uses it.
+// interface type. An unexported field of a top-level struct type is checked
+// everywhere outside benchmark/; its use is a .name selector in its package
+// that is not the whole left side of an = or := (a write). An allowlisted
+// declaration must have no such use, and its reason is benchmarkOnly exactly
+// when benchmark/ uses it.
 func deadCode(fset *token.FileSet, module string, files []goFile, allowed []deadCodeEntry) []string {
 	inBenchmark := func(dir string) bool { return dir == "benchmark" || strings.HasPrefix(dir, "benchmark/") }
 	pkgName := map[string]string{}
@@ -196,11 +205,12 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 	}
 	type decl struct {
 		id, dir, name string
-		method        bool
+		method, field bool
 		node          ast.Node
 	}
 	topUses := map[[2]string][]use{} // {dir, name}
 	methodUses := map[string][]use{}
+	fieldReads := map[[2]string][]use{} // {dir, field name}
 	var decls []decl
 
 	for _, gf := range files {
@@ -227,7 +237,7 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 			top := func(name string, node ast.Node) {
 				if name != "_" && name != "init" && (internal || !ast.IsExported(name)) &&
 					!(name == "main" && gf.file.Name.Name == "main") {
-					decls = append(decls, decl{gf.dir + "." + name, gf.dir, name, false, node})
+					decls = append(decls, decl{gf.dir + "." + name, gf.dir, name, false, false, node})
 				}
 			}
 			for _, d := range gf.file.Decls {
@@ -236,13 +246,22 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 					if d.Recv == nil {
 						top(d.Name.Name, d)
 					} else if internal || !d.Name.IsExported() {
-						decls = append(decls, decl{gf.dir + "." + receiverType(d) + "." + d.Name.Name, gf.dir, d.Name.Name, true, d})
+						decls = append(decls, decl{gf.dir + "." + receiverType(d) + "." + d.Name.Name, gf.dir, d.Name.Name, true, false, d})
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
 							top(spec.Name.Name, spec)
+							if st, ok := spec.Type.(*ast.StructType); ok {
+								for _, f := range st.Fields.List {
+									for _, n := range f.Names {
+										if !n.IsExported() && n.Name != "_" {
+											decls = append(decls, decl{gf.dir + "." + spec.Name.Name + "." + n.Name, gf.dir, n.Name, false, true, f})
+										}
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							for _, n := range spec.Names {
 								top(n.Name, spec)
@@ -253,10 +272,20 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 			}
 		}
 
-		// Identifiers that name something rather than use it.
+		// Identifiers that name something rather than use it, and selectors
+		// assigned to rather than read.
 		naming := map[*ast.Ident]bool{gf.file.Name: true}
+		written := map[*ast.SelectorExpr]bool{}
 		ast.Inspect(gf.file, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							written[sel] = true
+						}
+					}
+				}
 			case *ast.FuncDecl:
 				naming[n.Name] = true
 				if n.Recv != nil {
@@ -296,6 +325,10 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 			case *ast.SelectorExpr:
 				naming[n.Sel] = true
 				methodUses[n.Sel.Name] = append(methodUses[n.Sel.Name], use{n.Sel.Pos(), bench})
+				if !written[n] {
+					k := [2]string{gf.dir, n.Sel.Name}
+					fieldReads[k] = append(fieldReads[k], use{n.Sel.Pos(), bench})
+				}
 				if x, ok := n.X.(*ast.Ident); ok {
 					if dir, ok := imports[x.Name]; ok {
 						k := [2]string{dir, n.Sel.Name}
@@ -324,9 +357,12 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 		allow[e.id] = e.reason
 	}
 	for _, d := range decls {
-		uses := topUses[[2]string{d.dir, d.name}]
-		if d.method {
+		uses, unused := topUses[[2]string{d.dir, d.name}], "has no caller outside tests and benchmark/"
+		switch {
+		case d.method:
 			uses = methodUses[d.name]
+		case d.field:
+			uses, unused = fieldReads[[2]string{d.dir, d.name}], "is never read outside tests"
 		}
 		var used, benchUsed bool
 		for _, u := range uses {
@@ -341,7 +377,7 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 		matched[d.id] = matched[d.id] || listed
 		switch {
 		case !listed && !used:
-			problems = append(problems, fmt.Sprintf("%s:%d: %s has no caller outside tests and benchmark/", at.Filename, at.Line, d.id))
+			problems = append(problems, fmt.Sprintf("%s:%d: %s %s", at.Filename, at.Line, d.id, unused))
 		case listed && used:
 			problems = append(problems, fmt.Sprintf("%s:%d: %s has a caller now: delete its allowlist entry (%s)", at.Filename, at.Line, d.id, reason))
 		case listed && (reason == benchmarkOnly) != benchUsed:
@@ -378,16 +414,18 @@ func receiverType(f *ast.FuncDecl) string {
 // TestDeadCodeRuleCatchesPlantedCases: over a planted module, the dead-code
 // rule reports an unused export, an unused method, an unused unexported
 // function (whose only use is itself), an unused unexported method inside
-// and outside internal/, an allowlist entry naming nothing and an
-// allowlisted name that has a caller — and nothing else: a use from
-// cmd/, a benchmark-only entry and a use of a std-interface method's name
+// and outside internal/, a field that is written but never read, an
+// allowlist entry naming nothing and an allowlisted name that has a caller —
+// and nothing else: a use from cmd/, a benchmark-only entry, a field read on
+// an assignment's right side and a use of a std-interface method's name
 // through an interface type all hold.
 func TestDeadCodeRuleCatchesPlantedCases(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []goFile
 	for _, f := range []struct{ dir, src string }{
 		{"internal/lib", `package lib
-func Used()   {}
+type S struct{ read, written int }
+func Used()   { var s S; s.written = s.read }
 func Unused() {}
 func Listed() {}
 func Bench()  {}
@@ -434,12 +472,13 @@ func main() { lib.Bench() }
 		"internal/lib.Listed has a caller now",
 		"internal/lib.T.idle has no caller",
 		"cmd/tool.tool.idle has no caller",
+		"internal/lib.S.written is never read",
 	} {
 		if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, want) }) {
 			t.Errorf("no report %q", want)
 		}
 	}
-	if len(problems) != 7 {
-		t.Errorf("%d reports, want the 7 planted:\n%s", len(problems), strings.Join(problems, "\n"))
+	if len(problems) != 8 {
+		t.Errorf("%d reports, want the 8 planted:\n%s", len(problems), strings.Join(problems, "\n"))
 	}
 }

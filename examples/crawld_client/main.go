@@ -105,8 +105,8 @@ func main() {
 	srv.Close() // cancels running crawls; their responses are already on disk
 
 	// Restart on the same store. The daemon reloads the session from its
-	// durable record and re-enqueues it (most-complete units first); the
-	// client re-attaches simply by creating the same spec again.
+	// durable record and re-enqueues its units; the client re-attaches
+	// simply by creating the same spec again.
 	srv, web, client, err = daemon(killDir)
 	if err != nil {
 		log.Fatal(err)

@@ -120,7 +120,7 @@ func CrawlMany(cfgs []Config, opts FleetOptions) (_ *FleetResult, err error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sbcrawl: CrawlMany needs at least one Config")
 	}
-	cs, release, err := fleetStore(cfgs)
+	st, release, err := fleetStore(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -147,33 +147,19 @@ func CrawlMany(cfgs []Config, opts FleetOptions) (_ *FleetResult, err error) {
 		}
 		// Persistence is per Config: an entry that did not ask for a store
 		// crawls unpersisted even when the rest of the batch is durable.
-		jobCS := cs
+		jobStore := st
 		if cfg.StorePath == "" && cfg.Store == nil {
-			jobCS = nil
+			jobStore = nil
 		}
-		jobs[i] = fleet.Job{Label: cfg.Root, Run: liveJob(cfg, shared, jobCS, &stats[i])}
+		jobs[i] = fleet.Job{Label: cfg.Root, Run: liveJob(cfg, shared, jobStore, &stats[i])}
 	}
-	// Store-aware resume scheduling: dispatch the most-complete resuming
-	// entries first, so a restarted fleet finishes its nearly-done crawls
-	// soonest. Entries without Resume (or persistence) rank as cold.
-	var order []int
-	if cs != nil {
-		order = fleet.ResumeOrder(len(cfgs), func(i int) (bool, int) {
-			cfg := cfgs[i]
-			if !cfg.Resume || (cfg.StorePath == "" && cfg.Store == nil) {
-				return false, 0
-			}
-			p := progressFor(cs, liveNamespace(cfg), cfg.Root, cfg)
-			return p.Done, p.Requests
-		})
-	}
-	return runFleet(jobs, opts, stats, order)
+	return runFleet(jobs, opts, stats)
 }
 
 // fleetStore resolves the one store handle a fleet writes through: every
 // Config with persistence must agree — the same shared open handle
 // (Config.Store), or the same StorePath (opened here, closed by release).
-func fleetStore(cfgs []Config) (cs *crawlStore, release func() error, err error) {
+func fleetStore(cfgs []Config) (st *Store, release func() error, err error) {
 	noop := func() error { return nil }
 	var shared *Store
 	storePath := ""
@@ -196,26 +182,26 @@ func fleetStore(cfgs []Config) (cs *crawlStore, release func() error, err error)
 		if storePath != "" && storePath != shared.path {
 			return nil, nil, fmt.Errorf("sbcrawl: fleet Config.Store is open at %q but a StorePath says %q", shared.path, storePath)
 		}
-		return shared.cs, noop, nil
+		return shared, noop, nil
 	}
 	if storePath == "" {
 		return nil, noop, nil
 	}
-	if cs, err = openCrawlStore(storePath); err != nil {
+	if st, err = OpenStore(storePath); err != nil {
 		return nil, nil, err
 	}
-	return cs, cs.Close, nil
+	return st, st.Close, nil
 }
 
 // liveJob builds the per-site closure running one live crawl, through the
 // same validation and wiring as Crawl (see liveEnv).
-func liveJob(cfg Config, shared fetch.SharedStore, cs *crawlStore, slot **StoreStats) func(ctx context.Context) (*core.Result, error) {
+func liveJob(cfg Config, shared fetch.SharedStore, st *Store, slot **StoreStats) func(ctx context.Context) (*core.Result, error) {
 	return func(ctx context.Context) (*core.Result, error) {
 		env, err := liveEnv(cfg, ctx, shared)
 		if err != nil {
 			return nil, err
 		}
-		return runFleetCrawl(cfg, env, 0, cs, liveNamespace(cfg), slot)
+		return runFleetCrawl(cfg, env, 0, st, liveNamespace(cfg), slot)
 	}
 }
 
@@ -229,7 +215,7 @@ func CrawlSites(sites []*Site, cfg Config, opts FleetOptions) (_ *FleetResult, e
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("sbcrawl: CrawlSites needs at least one Site")
 	}
-	cs, release, err := storeFor(cfg)
+	st, release, err := storeFor(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -249,35 +235,22 @@ func CrawlSites(sites []*Site, cfg Config, opts FleetOptions) (_ *FleetResult, e
 	}
 	jobs := make([]fleet.Job, len(sites))
 	stats := make([]*StoreStats, len(sites))
-	siteCfgs := make([]Config, len(sites))
 	for i, site := range sites {
 		siteCfg := cfg
 		siteCfg.Seed = fleet.DeriveSeed(cfg.Seed, i)
-		siteCfgs[i] = siteCfg
-		jobs[i] = fleet.Job{Label: site.Code(), Run: simJob(site, siteCfg, caches[site], cs, &stats[i])}
+		jobs[i] = fleet.Job{Label: site.Code(), Run: simJob(site, siteCfg, caches[site], st, &stats[i])}
 	}
-	// Store-aware resume scheduling: start the most-complete sites first
-	// (done-record sites free their slots instantly, checkpointed sites
-	// finish soonest); progress is keyed by each site's derived seed, the
-	// same Config its crawl will fingerprint.
-	var order []int
-	if cfg.Resume && cs != nil {
-		order = fleet.ResumeOrder(len(sites), func(i int) (bool, int) {
-			p := progressFor(cs, simNamespace(sites[i]), sites[i].Root(), siteCfgs[i])
-			return p.Done, p.Requests
-		})
-	}
-	return runFleet(jobs, opts, stats, order)
+	return runFleet(jobs, opts, stats)
 }
 
 // simJob builds the per-site closure running one simulated crawl.
-func simJob(site *Site, cfg Config, shared *fleet.SpecCache, cs *crawlStore, slot **StoreStats) func(ctx context.Context) (*core.Result, error) {
+func simJob(site *Site, cfg Config, shared *fleet.SpecCache, st *Store, slot **StoreStats) func(ctx context.Context) (*core.Result, error) {
 	return func(ctx context.Context) (*core.Result, error) {
 		env := siteCrawlEnv(site, cfg, ctx)
 		if shared != nil {
 			env.SharedSpec = shared
 		}
-		return runFleetCrawl(cfg, env, site.PageCount(), cs, simNamespace(site), slot)
+		return runFleetCrawl(cfg, env, site.PageCount(), st, simNamespace(site), slot)
 	}
 }
 
@@ -286,12 +259,12 @@ func simJob(site *Site, cfg Config, shared *fleet.SpecCache, cs *crawlStore, slo
 // site in runFleet. With a store handle it runs the persisted path —
 // disk-backed replay, checkpoints, done-records — through the fleet's
 // shared handle, depositing the site's store stats in its slot.
-func runFleetCrawl(cfg Config, env *core.Env, sitePages int, cs *crawlStore, ns string, slot **StoreStats) (*core.Result, error) {
-	if cs == nil {
+func runFleetCrawl(cfg Config, env *core.Env, sitePages int, st *Store, ns string, slot **StoreStats) (*core.Result, error) {
+	if st == nil {
 		res, _, err := execCrawl(cfg, env, sitePages)
 		return res, err
 	}
-	res, stats, err := persistedRun(cs, cfg, env, sitePages, ns)
+	res, stats, err := persistedRun(st, cfg, env, sitePages, ns)
 	if err != nil {
 		return nil, err
 	}
@@ -299,10 +272,9 @@ func runFleetCrawl(cfg Config, env *core.Env, sitePages int, cs *crawlStore, ns 
 	return res, nil
 }
 
-// runFleet executes the jobs (in dispatch order, when one is given) and
-// converts the summary to the public type.
-func runFleet(jobs []fleet.Job, opts FleetOptions, storeStats []*StoreStats, order []int) (*FleetResult, error) {
-	sum, err := fleet.Run(jobs, fleet.Options{Workers: opts.Workers, Ctx: opts.Ctx, Order: order})
+// runFleet executes the jobs and converts the summary to the public type.
+func runFleet(jobs []fleet.Job, opts FleetOptions, storeStats []*StoreStats) (*FleetResult, error) {
+	sum, err := fleet.Run(jobs, fleet.Options{Workers: opts.Workers, Ctx: opts.Ctx})
 	out := &FleetResult{
 		Sites:          make([]SiteOutcome, len(sum.Sites)),
 		Completed:      sum.Completed,

@@ -124,9 +124,7 @@ type Online struct {
 	cfg     Config
 	model   learn.Model
 	batch   []learn.Example
-	initial bool
-	trained bool
-	fits    int // batches fit so far (see Refits)
+	fits    int // batches fit so far (see Refits); 0 during the initial phase
 	pending map[string]pendingPrediction
 	// peak is the most predictions pending at once: the size the pending map
 	// grew to, which Release bounds what it parks by.
@@ -156,10 +154,9 @@ func NewOnline(cfg Config) *Online {
 		cfg.BatchSize = 10
 	}
 	o := &Online{
-		cfg:     cfg,
-		model:   cfg.Model,
-		initial: true,
-		conf:    NewConfusion(),
+		cfg:   cfg,
+		model: cfg.Model,
+		conf:  NewConfusion(),
 	}
 	if t, ok := arenaFree.Get(); ok {
 		o.arena, o.x, o.batch, o.pending = t.arena, t.x, t.batch, t.pending
@@ -198,7 +195,7 @@ const (
 // spends a HEAD request per URL and returns the measured class; afterwards
 // it predicts from features alone at zero HTTP cost.
 func (o *Online) Classify(link LinkContext) (int, bool) {
-	if o.initial && o.cfg.Head != nil {
+	if o.fits == 0 && o.cfg.Head != nil {
 		true3 := o.cfg.Head(link.URL)
 		if true3 == ClassHTML || true3 == ClassTarget {
 			o.addExample(link, true3)
@@ -272,8 +269,6 @@ func (o *Online) addExample(link LinkContext, y int) {
 		o.fits++
 		o.batch = o.batch[:0]
 		o.arena.IDs, o.arena.Vals = o.arena.IDs[:0], o.arena.Vals[:0]
-		o.trained = true
-		o.initial = false
 	}
 }
 
@@ -310,7 +305,7 @@ func (o *Online) Release() {
 }
 
 // InInitialPhase reports whether HEAD labeling is still active.
-func (o *Online) InInitialPhase() bool { return o.initial }
+func (o *Online) InInitialPhase() bool { return o.fits == 0 }
 
 // LabelsToFit is how many more labels the initial phase needs before the
 // first fit ends it: b minus the examples batched so far, 0 once trained.
@@ -318,7 +313,7 @@ func (o *Online) InInitialPhase() bool { return o.initial }
 // each GET the crawl observes, so the phase issues at most this many more
 // probes that count (a probe answered "neither" labels nothing).
 func (o *Online) LabelsToFit() int {
-	if !o.initial {
+	if o.fits > 0 {
 		return 0
 	}
 	return o.cfg.BatchSize - len(o.batch)

@@ -142,7 +142,7 @@ func TestObserveWithoutClassifyStillTrains(t *testing.T) {
 	if len(o.batch) != 0 {
 		t.Error("batch must flush at size b")
 	}
-	if !o.trained {
+	if o.Refits() == 0 {
 		t.Error("model must have been trained")
 	}
 }

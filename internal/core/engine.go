@@ -297,7 +297,6 @@ type engine struct {
 	targets        []string
 	targetBytes    int64
 	nonTargetBytes int64
-	budgetExceeded bool
 }
 
 func newEngine(env *Env) (*engine, error) {
@@ -473,7 +472,6 @@ func (e *engine) budgetLeft() bool {
 // budget is exhausted (no request is made).
 func (e *engine) get(u string) (fetch.Response, bool) {
 	if !e.budgetLeft() {
-		e.budgetExceeded = true
 		return fetch.Response{}, false
 	}
 	resp, failed := e.demand(u, false)
@@ -513,7 +511,6 @@ const traceReserve = 1 << 12
 // head issues one charged HEAD (classifier initial phase / TP-OFF probing).
 func (e *engine) head(u string) (fetch.Response, bool) {
 	if !e.budgetLeft() {
-		e.budgetExceeded = true
 		return fetch.Response{}, false
 	}
 	resp, failed := e.demand(u, true)

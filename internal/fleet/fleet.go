@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 
 	"sbcrawl/internal/core"
@@ -29,67 +28,6 @@ type Options struct {
 	// context's error, and running crawls stop at their next request when
 	// their Env carries the same context.
 	Ctx context.Context
-	// Order, when a permutation of the job indices, is the dispatch order:
-	// Order[0] starts first, Order[1] next, and so on as worker slots free
-	// up. Results stay in input order and stay byte-identical — only the
-	// scheduling changes. Store-aware resume uses it to start the
-	// most-complete sites first so a resumed fleet finishes its nearly-done
-	// work soonest. Nil (or anything that is not a permutation of the job
-	// indices) means input order.
-	Order []int
-}
-
-// dispatchOrder validates opts.Order: a permutation of 0..n-1 is honored,
-// anything else falls back to input order rather than dropping or doubling
-// jobs.
-func dispatchOrder(order []int, n int) []int {
-	if len(order) != n {
-		return nil
-	}
-	seen := make([]bool, n)
-	for _, i := range order {
-		if i < 0 || i >= n || seen[i] {
-			return nil
-		}
-		seen[i] = true
-	}
-	return order
-}
-
-// ResumeOrder builds an Options.Order ranking n crawls most-complete-first
-// from their durable progress: finished crawls first (they short-circuit
-// instantly, freeing worker slots), then by checkpointed request count
-// descending, ties in input order. Returns nil — input order — when every
-// crawl is cold. Purely a scheduling hint: results, and their input-order
-// reporting, are byte-identical whatever the order.
-func ResumeOrder(n int, progress func(i int) (done bool, requests int)) []int {
-	type prog struct {
-		done     bool
-		requests int
-	}
-	ps := make([]prog, n)
-	warm := false
-	for i := range ps {
-		ps[i].done, ps[i].requests = progress(i)
-		if ps[i].done || ps[i].requests > 0 {
-			warm = true
-		}
-	}
-	if !warm {
-		return nil
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := ps[order[a]], ps[order[b]]
-		if pa.done != pb.done {
-			return pa.done
-		}
-		return pa.requests > pb.requests
-	})
-	return order
 }
 
 // Job is one crawl of a fleet. Run receives the fleet's context so the job
@@ -160,13 +98,9 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 	for i := range jobs {
 		sum.Sites[i] = SiteResult{Index: i, Label: jobs[i].Label, Err: errNotRun}
 	}
-	order := dispatchOrder(opts.Order, len(jobs))
 	// The pool is Do's; job errors are isolated by always returning nil
 	// from the callback, so the only way Do errors is the context.
 	_ = Do(ctx, opts.Workers, len(jobs), func(i int) error {
-		if order != nil {
-			i = order[i]
-		}
 		// Do's dispatcher can still hand out indices after cancellation
 		// (both select cases ready); skip them here so cancelled fleets
 		// deterministically report every unstarted crawl as skipped

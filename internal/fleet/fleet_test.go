@@ -221,54 +221,33 @@ func TestDeriveSeedStableAndDistinct(t *testing.T) {
 	}
 }
 
-// TestRunDispatchOrder pins Options.Order: a single worker dispatches jobs
-// in the given permutation, while the summary stays in input order. An
-// invalid order (not a permutation) falls back to input order instead of
-// dropping jobs.
+// TestRunDispatchOrder: a single worker dispatches jobs in input order, and
+// the summary stays in input order.
 func TestRunDispatchOrder(t *testing.T) {
 	var (
 		mu      sync.Mutex
 		started []int
 	)
-	mkJobs := func(n int) []Job {
-		jobs := make([]Job, n)
-		for i := range jobs {
-			i := i
-			jobs[i] = Job{Label: string(rune('a' + i)), Run: func(context.Context) (*core.Result, error) {
-				mu.Lock()
-				started = append(started, i)
-				mu.Unlock()
-				return &core.Result{Crawler: "t", Requests: i}, nil
-			}}
-		}
-		return jobs
+	jobs := make([]Job, 4)
+	for i := range jobs {
+		i := i
+		jobs[i] = Job{Label: string(rune('a' + i)), Run: func(context.Context) (*core.Result, error) {
+			mu.Lock()
+			started = append(started, i)
+			mu.Unlock()
+			return &core.Result{Crawler: "t", Requests: i}, nil
+		}}
 	}
-
-	order := []int{3, 1, 0, 2}
-	sum, err := Run(mkJobs(4), Options{Workers: 1, Order: order})
+	sum, err := Run(jobs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(started, order) {
-		t.Errorf("dispatch order = %v, want %v", started, order)
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(started, want) {
+		t.Errorf("dispatch order = %v, want %v", started, want)
 	}
 	for i, s := range sum.Sites {
 		if s.Index != i || s.Result == nil || s.Result.Requests != i {
 			t.Errorf("summary slot %d out of input order: %+v", i, s)
 		}
-	}
-
-	// Not a permutation (duplicate index): every job must still run once,
-	// in input order.
-	started = nil
-	sum, err = Run(mkJobs(3), Options{Workers: 1, Order: []int{2, 2, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(started, []int{0, 1, 2}) {
-		t.Errorf("invalid order dispatched %v, want input order", started)
-	}
-	if sum.Completed != 3 {
-		t.Errorf("completed %d/3 with invalid order", sum.Completed)
 	}
 }

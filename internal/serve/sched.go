@@ -35,7 +35,6 @@ func clampWeight(w int) int {
 type unit struct {
 	sess  *session
 	index int
-	label string
 }
 
 // tenantQueue is one tenant's pending units and stride state.

@@ -17,8 +17,7 @@
 //     store. Kill the daemon at any point, restart it on the same store,
 //     and every interrupted session resumes by deterministic re-execution —
 //     clients re-attach by POSTing the same spec and read final Results
-//     byte-identical to an uninterrupted run. Resumed units dispatch
-//     most-complete-first, so nearly-done work finishes soonest.
+//     byte-identical to an uninterrupted run.
 package serve
 
 import (
@@ -235,7 +234,7 @@ type Server struct {
 
 // New opens the store (surfacing sbcrawl.ErrStoreLocked when another
 // process owns it), reloads every durable session — re-enqueuing unfinished
-// ones most-complete-first — and starts the worker pool.
+// ones — and starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	st := cfg.Store
 	own := false
@@ -358,7 +357,7 @@ func (s *Server) Create(spec SessionSpec) (SessionStatus, error) {
 	s.mu.Unlock()
 
 	s.putRecord(sessionRecord{Spec: spec, Created: time.Now()})
-	s.enqueue(sess, nil)
+	s.enqueue(sess)
 	return sess.status(true), nil
 }
 
@@ -457,20 +456,11 @@ func (s *Server) putRecord(rec sessionRecord) {
 	s.records.Sync()
 }
 
-// enqueue hands the session's units to the scheduler. order, when non-nil,
-// is the dispatch order over unit indices (reload uses most-complete-first);
-// nil means unit order.
-func (s *Server) enqueue(sess *session, order []int) {
+// enqueue hands the session's units to the scheduler in unit order.
+func (s *Server) enqueue(sess *session) {
 	units := make([]*unit, len(sess.labels))
 	for i := range units {
-		units[i] = &unit{sess: sess, index: i, label: sess.labels[i]}
-	}
-	if order != nil {
-		reordered := make([]*unit, 0, len(units))
-		for _, i := range order {
-			reordered = append(reordered, units[i])
-		}
-		units = reordered
+		units[i] = &unit{sess: sess, index: i}
 	}
 	s.sched.enqueue(sess.spec.Tenant, sess.spec.Weight, units)
 }
@@ -546,12 +536,12 @@ func (s *Server) runUnit(u *unit) {
 }
 
 // reload rebuilds every durable session at startup. Non-cancelled sessions
-// re-enqueue all their units with most-complete-first dispatch: finished
-// units short-circuit from their done-records (re-materializing their
-// results at memory speed), interrupted ones resume by re-execution over
-// the replay database, untouched ones crawl fresh — and the session reaches
-// the exact state an uninterrupted daemon would have produced. Cancelled
-// sessions are rebuilt as terminal records so clients still see them.
+// re-enqueue all their units in unit order: finished units short-circuit
+// from their done-records (re-materializing their results at memory speed),
+// interrupted ones resume by re-execution over the replay database,
+// untouched ones crawl fresh — and the session reaches the exact state an
+// uninterrupted daemon would have produced. Cancelled sessions are rebuilt
+// as terminal records so clients still see them.
 func (s *Server) reload() {
 	for _, key := range s.records.Keys("sess|") {
 		raw, ok := s.records.AppendValue(nil, key)
@@ -574,25 +564,6 @@ func (s *Server) reload() {
 		if rec.Cancelled {
 			continue
 		}
-		// Store-aware resume scheduling: rank this session's units by their
-		// durable progress, as a resumed fleet does.
-		order := fleet.ResumeOrder(len(sess.labels), func(i int) (bool, int) {
-			p := s.unitProgress(sess, i)
-			return p.Done, p.Requests
-		})
-		s.enqueue(sess, order)
+		s.enqueue(sess)
 	}
-}
-
-// unitProgress reads unit i's durable progress without executing anything.
-func (s *Server) unitProgress(sess *session, i int) sbcrawl.CrawlProgress {
-	cfg := s.unitConfig(sess, i)
-	if i < len(sess.spec.Sites) {
-		site, err := s.site(sess.spec.Sites[i])
-		if err != nil {
-			return sbcrawl.CrawlProgress{}
-		}
-		return s.store.SiteProgress(site, cfg)
-	}
-	return s.store.LiveProgress(cfg)
 }

@@ -125,9 +125,8 @@ func TestServeResumeEquivalence(t *testing.T) {
 		// Two SB units side by side, speculating.
 		{Sites: []SiteSpec{{Code: "cl", Scale: 0.01, Seed: 3}, {Code: "ju", Scale: 0.01, Seed: 4}},
 			Crawl: CrawlSpec{Strategy: "sb", Seed: 11, SimLatency: 200 * time.Microsecond, Prefetch: 4}, Workers: 2, Restarts: []int{60}},
-		// The small second unit finishes while the first is mid-crawl, so
-		// the restarted daemon dispatches them most-complete-first: in the
-		// opposite order.
+		// The small second unit finishes while the first is mid-crawl: a
+		// finished unit beside an interrupted one, across two restarts.
 		{Sites: []SiteSpec{{Code: "ju", Scale: 0.005, Seed: 4}, {Code: "cl", Scale: 0.002, Seed: 3}},
 			Crawl: CrawlSpec{Strategy: "sb", Seed: 5, SimLatency: 500 * time.Microsecond}, Workers: 2, Restarts: []int{150, 250}},
 		// Faults with retries, partitions and a budget on one worker: the
@@ -360,15 +359,16 @@ func TestAdmissionLimits(t *testing.T) {
 // split ~1:3, and the light tenant is never starved.
 func TestSchedulerFairness(t *testing.T) {
 	s := newScheduler()
-	tag := func(name string, n int) []*unit {
+	lightSess, heavySess := &session{}, &session{}
+	tag := func(sess *session, n int) []*unit {
 		units := make([]*unit, n)
 		for i := range units {
-			units[i] = &unit{index: i, label: name}
+			units[i] = &unit{sess: sess, index: i}
 		}
 		return units
 	}
-	s.enqueue("light", 1, tag("light", 40))
-	s.enqueue("heavy", 3, tag("heavy", 40))
+	s.enqueue("light", 1, tag(lightSess, 40))
+	s.enqueue("heavy", 3, tag(heavySess, 40))
 	light, heavy := 0, 0
 	lastLight := -1
 	for i := 0; i < 40; i++ {
@@ -376,7 +376,7 @@ func TestSchedulerFairness(t *testing.T) {
 		if !ok {
 			t.Fatal("scheduler closed early")
 		}
-		if u.label == "light" {
+		if u.sess == lightSess {
 			light++
 			if lastLight >= 0 && i-lastLight > 8 {
 				t.Fatalf("light tenant starved: gap of %d dispatches", i-lastLight)

@@ -12,7 +12,6 @@ import (
 // per-site structure, so the agent must learn each site from scratch
 // (the paper's online, per-website learning argument).
 type skin struct {
-	name string
 	// pageOpen may contain %d, replaced by the page ID when the profile
 	// stamps unique IDs (the θ=0.95 pathology of Sec. 4.6).
 	pageOpen, pageClose string
@@ -34,8 +33,7 @@ type skin struct {
 
 // skins are the template families; a profile hashes onto one.
 var skins = []skin{
-	{
-		name:         "gov",
+	{ // gov
 		pageOpen:     `<div id="page" class="site-wrapper">`,
 		pageClose:    `</div>`,
 		navOpen:      `<header class="site-header"><nav class="main-menu"><ul class="menu">`,
@@ -54,8 +52,7 @@ var skins = []skin{
 		pagingClose:  `</ul></nav>`,
 		pagingItem:   `<li class="pager-item"><a class="pager-link" href="%s">%s</a></li>`,
 	},
-	{
-		name:         "portal",
+	{ // portal
 		pageOpen:     `<div id="wrapper">`,
 		pageClose:    `</div>`,
 		navOpen:      `<div id="groval_navi"><ul id="groval_menu">`,
@@ -74,8 +71,7 @@ var skins = []skin{
 		pagingClose:  `</div>`,
 		pagingItem:   `<a class="page-next" href="%s">%s</a>`,
 	},
-	{
-		name:         "cms",
+	{ // cms
 		pageOpen:     `<div class="dialog-off-canvas-main-canvas"><div class="layout-container">`,
 		pageClose:    `</div></div>`,
 		navOpen:      `<nav class="navbar"><ul class="nav">`,
@@ -94,8 +90,7 @@ var skins = []skin{
 		pagingClose:  `</ul></nav>`,
 		pagingItem:   `<li><a class="fr-pagination__link" href="%s">%s</a></li>`,
 	},
-	{
-		name:         "library",
+	{ // library
 		pageOpen:     `<div class="container s-lib-side-borders">`,
 		pageClose:    `</div>`,
 		navOpen:      `<div class="row"><div class="col-md-12 top-nav"><ul class="breadcrumb">`,

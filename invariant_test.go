@@ -430,7 +430,7 @@ func (c *invariantCase) lend(t *testing.T, dir string) {
 	} {
 		site := c.entries[0]
 		env := siteCrawlEnv(site, c.cfg, nil)
-		st.cs.attach(env, c.cfg, simNamespace(site))
+		st.attach(env, c.cfg, simNamespace(site))
 		env.Fetcher = wrap(env.Fetcher)
 		res, _, err := execCrawl(c.cfg, env, site.PageCount())
 		if err != nil {

@@ -53,7 +53,7 @@ var ErrStoreLocked = store.ErrLocked
 // passes the handle through Config.Store so every session writes through
 // it. All Store methods are safe for concurrent use.
 type Store struct {
-	cs   *crawlStore
+	st   *store.Store
 	path string
 }
 
@@ -62,15 +62,21 @@ type Store struct {
 // another — fails with an error matching ErrStoreLocked until the first
 // handle is closed.
 func OpenStore(dir string) (*Store, error) {
-	cs, err := openCrawlStore(dir)
+	st, err := store.Open(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sbcrawl: opening store %q: %w", dir, err)
 	}
-	return &Store{cs: cs, path: dir}, nil
+	return &Store{st: st, path: dir}, nil
 }
 
-// Close flushes and compacts the store and releases the writer lock.
-func (s *Store) Close() error { return s.cs.Close() }
+// Close flushes and compacts the store (snapshot compaction kicks in when
+// more than half the log is superseded records) and releases the writer lock.
+func (s *Store) Close() error {
+	if err := s.st.Close(); err != nil {
+		return fmt.Errorf("sbcrawl: closing store: %w", err)
+	}
+	return nil
+}
 
 // Path returns the store's directory.
 func (s *Store) Path() string { return s.path }
@@ -93,7 +99,7 @@ type RecordStore interface {
 // independent of each other and of the crawl state (replay databases,
 // checkpoints, done-records) kept in the same directory.
 func (s *Store) Records(namespace string) RecordStore {
-	return store.Prefixed(s.cs.st, "x|"+namespace+"|")
+	return store.Prefixed(s.st, "x|"+namespace+"|")
 }
 
 // CrawlProgress reports how far a (possibly interrupted) crawl got, read
@@ -111,22 +117,12 @@ type CrawlProgress struct {
 
 // SiteProgress reports the durable progress of CrawlSite(site, cfg) over
 // this store: zero if the crawl never checkpointed, its last checkpoint if
-// it was interrupted, its final tallies with Done set if it completed.
-// Resume scheduling uses it to start the most-complete sites first.
+// it was interrupted, its final tallies with Done set if it completed. It
+// reads the done-record or the last checkpoint, without touching any crawl
+// state.
 func (s *Store) SiteProgress(site *Site, cfg Config) CrawlProgress {
-	return progressFor(s.cs, simNamespace(site), site.Root(), cfg)
-}
-
-// LiveProgress is SiteProgress for a live crawl (Crawl with cfg.Root).
-func (s *Store) LiveProgress(cfg Config) CrawlProgress {
-	return progressFor(s.cs, liveNamespace(cfg), cfg.Root, cfg)
-}
-
-// progressFor reads a crawl's done-record or last checkpoint from the
-// store, without touching any crawl state.
-func progressFor(cs *crawlStore, ns, root string, cfg Config) CrawlProgress {
-	records := store.Prefixed(cs.st, ns+"|c|")
-	fp := cfgFingerprint(cfg, root)
+	records := store.Prefixed(s.st, simNamespace(site)+"|c|")
+	fp := cfgFingerprint(cfg, site.Root())
 	if raw, ok := records.AppendValue(nil, "done|"+fp); ok {
 		if res, err := core.DecodeResult(raw); err == nil {
 			return CrawlProgress{Requests: res.Requests, Targets: len(res.Targets), Done: true}
@@ -181,22 +177,22 @@ func readCheckpoint(records store.Backend, fp string) (core.Checkpoint, bool) {
 
 // storeFor resolves a Config's store: an already-open shared handle
 // (Config.Store — not closed here), a fresh per-call open of
-// Config.StorePath (closed by release), or no store at all (nil cs).
-func storeFor(cfg Config) (cs *crawlStore, release func() error, err error) {
+// Config.StorePath (closed by release), or no store at all (nil st).
+func storeFor(cfg Config) (st *Store, release func() error, err error) {
 	noop := func() error { return nil }
 	if cfg.Store != nil {
 		if cfg.StorePath != "" && cfg.StorePath != cfg.Store.path {
 			return nil, nil, fmt.Errorf("sbcrawl: Config.Store is open at %q but Config.StorePath says %q", cfg.Store.path, cfg.StorePath)
 		}
-		return cfg.Store.cs, noop, nil
+		return cfg.Store, noop, nil
 	}
 	if cfg.StorePath == "" {
 		return nil, noop, nil
 	}
-	if cs, err = openCrawlStore(cfg.StorePath); err != nil {
+	if st, err = OpenStore(cfg.StorePath); err != nil {
 		return nil, nil, err
 	}
-	return cs, cs.Close, nil
+	return st, st.Close, nil
 }
 
 // closeInto releases a per-call store when the crawl returns. A failed close
@@ -248,32 +244,6 @@ func (s *StoreStats) add(o *StoreStats) {
 	if s.WriteErr == nil {
 		s.WriteErr = o.WriteErr
 	}
-}
-
-// crawlStore is one open store directory, shared by every crawl of a call
-// (a fleet's sites write through one handle; *store.Store is locked).
-type crawlStore struct {
-	st *store.Store
-}
-
-// openCrawlStore opens (or creates) the store directory. A directory has
-// one writer at a time: concurrent opens of the same path fail cleanly
-// rather than interleaving segments.
-func openCrawlStore(path string) (*crawlStore, error) {
-	st, err := store.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sbcrawl: opening store %q: %w", path, err)
-	}
-	return &crawlStore{st: st}, nil
-}
-
-// Close flushes and compacts the store (snapshot compaction kicks in when
-// more than half the log is superseded records).
-func (cs *crawlStore) Close() error {
-	if err := cs.st.Close(); err != nil {
-		return fmt.Errorf("sbcrawl: closing store: %w", err)
-	}
-	return nil
 }
 
 // fingerprint hashes the parts that select distinct durable state.
@@ -340,7 +310,6 @@ func cfgFingerprint(cfg Config, root string) string {
 
 // persistedCrawl is the per-crawl persistence context attach() wires up.
 type persistedCrawl struct {
-	cs      *crawlStore
 	records store.Backend // "<ns>|c|" namespace: checkpoints + done-record
 	replay  *fetch.Replay
 	sink    *storeSink
@@ -353,19 +322,18 @@ type persistedCrawl struct {
 // replay database viewing the site's namespace and the engine's checkpoint
 // hook writes through the store. Nothing is listed or loaded, so attaching
 // costs the same whatever the store holds. Must run before the crawl starts.
-func (cs *crawlStore) attach(env *core.Env, cfg Config, ns string) *persistedCrawl {
+func (s *Store) attach(env *core.Env, cfg Config, ns string) *persistedCrawl {
 	replay := fetch.NewReplay(env.Fetcher)
-	replay.SetBackend(store.Prefixed(cs.st, ns+"|r|"))
+	replay.SetBackend(store.Prefixed(s.st, ns+"|r|"))
 	env.Fetcher = replay
 	fp := cfgFingerprint(cfg, env.Root)
 	prefix := ns + "|c|"
 	// The sink writes under its full key, resolved once: a Prefixed Put
 	// would concatenate the namespace at every checkpoint.
-	sink := &storeSink{b: cs.st, key: prefix + "ckpt|" + fp}
+	sink := &storeSink{b: s.st, key: prefix + "ckpt|" + fp}
 	env.Checkpoint = sink
 	return &persistedCrawl{
-		cs:      cs,
-		records: store.Prefixed(cs.st, prefix),
+		records: store.Prefixed(s.st, prefix),
 		replay:  replay,
 		sink:    sink,
 		doneKey: "done|" + fp,

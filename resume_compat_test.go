@@ -38,7 +38,7 @@ func TestCodecStoreRefusesUnknownVersion(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg := Config{Strategy: StrategyBFS, Seed: 1, MaxRequests: 48}
-	cs, err2 := openCrawlStore(dir)
+	cs, err2 := OpenStore(dir)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -84,7 +84,7 @@ func TestCheckpointRecordIsCounters(t *testing.T) {
 	}
 
 	fp := cfgFingerprint(killCfg, site.Root())
-	cs, err := openCrawlStore(dir)
+	cs, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestReadsParentWrittenDeltaCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	records := store.Prefixed(st.cs.st, simNamespace(site)+"|c|")
+	records := store.Prefixed(st.st, simNamespace(site)+"|c|")
 	if err := records.Put("ckpt|"+fp, full); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestReadsParentWrittenDeltaCheckpoint(t *testing.T) {
 // the sink's scratch, one Put under the full key, one Sync — allocates
 // nothing once the scratch and the store's write buffer are warm.
 func TestStoreSinkCheckpointAllocs(t *testing.T) {
-	cs, err := openCrawlStore(t.TempDir())
+	cs, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestAttachAllocsIndependentOfStoreSize(t *testing.T) {
 		t.Skip("allocation budgets only hold in normal builds")
 	}
 	attach := func(foreign, own int) float64 {
-		cs, err := openCrawlStore(t.TempDir())
+		cs, err := OpenStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -232,10 +232,7 @@ type Config struct {
 	// (strategy, seed, budget, hyper-parameters), the stored Result is
 	// returned without re-executing. Crawls without a done-record run
 	// normally — over the warm store — so a killed fleet restarted with
-	// Resume only re-executes its unfinished sites. Resumed fleets also
-	// schedule store-aware: the most-complete sites (by checkpointed
-	// progress) dispatch first, so nearly-done work finishes soonest;
-	// results stay byte-identical to any other order.
+	// Resume only re-executes its unfinished sites.
 	Resume bool
 	// Store, when non-nil, is an already-open persistent crawl store the
 	// crawl writes through instead of opening StorePath itself. The store
@@ -435,19 +432,19 @@ func liveEnv(cfg Config, ctx context.Context, shared fetch.SharedStore) (*core.E
 // Config.StorePath is set), and converts the result. ns scopes the crawl's
 // keys inside the store (one namespace per site identity).
 func runCrawl(cfg Config, env *core.Env, sitePages int, ns string) (_ *Result, err error) {
-	cs, release, err := storeFor(cfg)
+	st, release, err := storeFor(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer closeInto(release, &err)
-	if cs == nil {
+	if st == nil {
 		res, _, err := execCrawl(cfg, env, sitePages)
 		if err != nil {
 			return nil, err
 		}
 		return convertResult(res), nil
 	}
-	res, stats, err := persistedRun(cs, cfg, env, sitePages, ns)
+	res, stats, err := persistedRun(st, cfg, env, sitePages, ns)
 	if err != nil {
 		return nil, err
 	}
@@ -459,8 +456,8 @@ func runCrawl(cfg Config, env *core.Env, sitePages int, ns string) (_ *Result, e
 // persistedRun executes one crawl through an already-open store: the
 // shared path of runCrawl (single crawls) and the fleet jobs (which share
 // one store handle across sites).
-func persistedRun(cs *crawlStore, cfg Config, env *core.Env, sitePages int, ns string) (*core.Result, *StoreStats, error) {
-	pc := cs.attach(env, cfg, ns)
+func persistedRun(st *Store, cfg Config, env *core.Env, sitePages int, ns string) (*core.Result, *StoreStats, error) {
+	pc := st.attach(env, cfg, ns)
 	if cfg.Resume {
 		if res, ok := pc.loadDone(); ok {
 			return res, pc.stats(true), nil

@@ -20,7 +20,9 @@ test -z "$(gofmt -l .)"
 # nothing; no per-link classifier features; no per-crawl bucket table) and
 # its dead-code rule TestEveryDeclarationHasACaller (every internal/
 # declaration and method, and every unexported one anywhere, has a non-test
-# caller outside benchmark/, or an allowlist entry with a reason),
+# caller outside benchmark/, and every unexported field of a top-level struct
+# type outside benchmark/ a non-test read in its package that is not the
+# whole left side of an = or :=, or an allowlist entry with a reason),
 # and
 # every package's 'Alloc' gates, which hold:
 # link path — one-pass extraction on free-listed parsers costs O(links) a

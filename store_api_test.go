@@ -2,8 +2,8 @@ package sbcrawl
 
 // Tests for the shared-store public surface grown for the crawld daemon:
 // the long-lived Store handle (OpenStore / Config.Store), durable progress
-// introspection (SiteProgress), the in-process Progress observer, typed
-// store-lock errors, and store-aware resume scheduling.
+// introspection (SiteProgress), the in-process Progress observer and typed
+// store-lock errors.
 
 import (
 	"context"
@@ -20,7 +20,6 @@ import (
 
 	"sbcrawl/internal/core"
 	"sbcrawl/internal/fetch"
-	"sbcrawl/internal/fleet"
 	"sbcrawl/internal/store"
 )
 
@@ -267,28 +266,6 @@ func TestFailedStoreCloseIsReturned(t *testing.T) {
 	}
 }
 
-// TestResumeOrderRanking pins the store-aware scheduling rank: done crawls
-// first, then checkpointed progress descending, cold crawls last, ties in
-// input order — and a fully cold store keeps input order (nil).
-func TestResumeOrderRanking(t *testing.T) {
-	ps := []CrawlProgress{
-		{},                          // 0: cold
-		{Requests: 40},              // 1: mid
-		{Requests: 96, Targets: 3},  // 2: most complete
-		{Requests: 512, Done: true}, // 3: done
-		{Requests: 40},              // 4: ties with 1 → input order
-		{Requests: 7, Done: true},   // 5: done (ties with 3 on Done → input order)
-	}
-	got := fleet.ResumeOrder(len(ps), func(i int) (bool, int) { return ps[i].Done, ps[i].Requests })
-	want := []int{3, 5, 2, 1, 4, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ResumeOrder = %v, want %v", got, want)
-	}
-	if got := fleet.ResumeOrder(3, func(int) (bool, int) { return false, 0 }); got != nil {
-		t.Fatalf("cold store order = %v, want nil (input order)", got)
-	}
-}
-
 // TestStoreWriteErrorIsReported: a crawl whose store refuses every write —
 // the *store.Store under an open handle closed — still completes with the
 // plain crawl's outcome, and its StoreStats report the refused write, for a
@@ -318,7 +295,7 @@ func TestStoreWriteErrorIsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.cs.st.Close(); err != nil {
+	if err := st.st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Store = st
@@ -343,9 +320,9 @@ func TestStoreWriteErrorIsReported(t *testing.T) {
 	// A refused checkpoint and a refused done-record are each reported.
 	refused := errors.New("refused")
 	pc := &persistedCrawl{
-		records: refusingPuts{st.cs.st, refused},
+		records: refusingPuts{st.st, refused},
 		replay:  fetch.NewReplay(nil),
-		sink:    &storeSink{b: refusingPuts{st.cs.st, refused}},
+		sink:    &storeSink{b: refusingPuts{st.st, refused}},
 	}
 	pc.sink.Checkpoint(core.Checkpoint{})
 	if got := pc.stats(false).WriteErr; got != refused {

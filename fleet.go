@@ -86,11 +86,6 @@ type FleetResult struct {
 	// warm, Completed true when every site was served from its
 	// done-record. Nil when Config.StorePath was empty.
 	Store *StoreStats
-	// Fabric aggregates Result.Fabric over the fleet's partitioned crawls
-	// (all zero when Config.Partitions was 0): counters and per-partition
-	// launch counts summed across sites, Partitions the maximum seen.
-	// Wall-clock diagnostic, like Speculation.
-	Fabric FabricStats
 	// Faults sums the fault-handling activity (retries, breaker trips,
 	// final failures) of every crawl that produced a result, with the
 	// per-site quarantined-host lists concatenated. Nil when no crawl
@@ -284,7 +279,6 @@ func runFleet(jobs []fleet.Job, opts FleetOptions, storeStats []*StoreStats) (*F
 		TargetBytes:    sum.TargetBytes,
 		NonTargetBytes: sum.NonTargetBytes,
 		Speculation:    sum.Spec,
-		Fabric:         sum.Fabric,
 	}
 	if !sum.Faults.Zero() {
 		out.Faults = &sum.Faults

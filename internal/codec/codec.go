@@ -38,8 +38,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"unsafe"
+
+	"sbcrawl/internal/freelist"
 )
 
 // Tag is the first byte of every codec-format blob. Gob streams never
@@ -128,23 +129,31 @@ func Header(raw []byte, kind byte) (payload []byte, err error) {
 	return raw[3:], nil
 }
 
-// bufPool recycles encode buffers so steady-state encoding allocates
-// nothing. Buffers that grew past poolCap are dropped rather than pinned.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// bufFree parks encode and read buffers so steady-state encoding allocates
+// nothing, a GC or not. A buffer is parked empty, and only while its
+// capacity is at most poolCap; one that grew past it is left to the GC
+// rather than pinned.
+var bufFree = freelist.New[*[]byte]()
 
 const poolCap = 1 << 20
 
-// GetBuffer returns a pooled, zero-length encode buffer.
-func GetBuffer() *[]byte { return bufPool.Get().(*[]byte) }
+// GetBuffer returns a parked, zero-length buffer, or a new one.
+func GetBuffer() *[]byte {
+	if b, ok := bufFree.Get(); ok {
+		return b
+	}
+	b := make([]byte, 0, 4096)
+	return &b
+}
 
-// PutBuffer returns a buffer to the pool. The caller must not use the
-// slice afterwards (the next GetBuffer may hand it out).
+// PutBuffer parks a buffer for the next GetBuffer. The caller must not use
+// the slice afterwards (the next GetBuffer may hand it out).
 func PutBuffer(b *[]byte) {
 	if cap(*b) > poolCap {
 		return
 	}
 	*b = (*b)[:0]
-	bufPool.Put(b)
+	bufFree.Put(b)
 }
 
 // AppendUvarint appends an unsigned varint.

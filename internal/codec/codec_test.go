@@ -325,8 +325,7 @@ func TestDeltaWrongBase(t *testing.T) {
 	}
 }
 
-// TestBufferPool: pooled buffers come back empty and oversized buffers are
-// dropped rather than pinned.
+// TestBufferPool: a buffer handed back comes out of GetBuffer again, empty.
 func TestBufferPool(t *testing.T) {
 	b := GetBuffer()
 	*b = append(*b, 1, 2, 3)
@@ -336,9 +335,28 @@ func TestBufferPool(t *testing.T) {
 		t.Fatalf("pooled buffer not reset: len %d", len(*b2))
 	}
 	PutBuffer(b2)
+}
 
+// TestOutsizedBufferIsNotParked: a buffer is parked empty and only while its
+// capacity is within poolCap; one past it is left to the GC.
+func TestOutsizedBufferIsNotParked(t *testing.T) {
+	for len(bufFree) > 0 {
+		<-bufFree
+	}
+	full := make([]byte, 3, poolCap)
+	PutBuffer(&full)
+	if len(bufFree) != 1 {
+		t.Fatal("a buffer of poolCap bytes was not parked")
+	}
+	if b := <-bufFree; len(*b) != 0 || cap(*b) != poolCap {
+		t.Fatalf("parked buffer has len %d, cap %d; want 0, %d", len(*b), cap(*b), poolCap)
+	}
 	huge := make([]byte, 0, poolCap+1)
-	PutBuffer(&huge) // must not pin; nothing to assert beyond not panicking
+	PutBuffer(&huge)
+	if len(bufFree) != 0 {
+		t.Error("a buffer past poolCap was parked")
+		<-bufFree
+	}
 }
 
 // TestKindBytesAreWireFormat pins every payload kind's header byte: stores

@@ -144,6 +144,7 @@ func htmlURLs(site *sitegen.Site) []string {
 func TestPredictedTargetsIgnoreTunedWidth(t *testing.T) {
 	for _, tc := range []struct{ k, budget, want int }{
 		{k: 10, want: 10},
+		{k: 80, want: 80},
 		{k: fetch.AutoMaxWindow + 16, want: fetch.AutoMaxWindow},
 		{k: 10, budget: 6, want: 5},
 	} {
@@ -159,7 +160,7 @@ func TestPredictedTargetsIgnoreTunedWidth(t *testing.T) {
 			for misses := 1; r.eng.tuner.Window() > 1; misses++ {
 				r.eng.tuner.Observe(fetch.PrefetchStats{Misses: misses})
 			}
-			r.eng.window = r.eng.scale * r.eng.tuner.Window()
+			r.eng.window = r.eng.tuner.Window()
 			r.eng.prefetcher.SetWindow(r.eng.window)
 			spy := spyDemands(r.eng)
 			r.ingestPage(pageOf(site, targets[:tc.k]), -1, 0)

@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"sbcrawl/internal/classify"
 	"sbcrawl/internal/dom"
@@ -63,16 +62,10 @@ type Env struct {
 	// Deprecated: ignored; removed at the benchmark re-base (the frozen
 	// benchmark/ names it).
 	ParseWorkers int
-	// Partitions, when non-zero, widens the crawl's one speculation window
-	// by that factor: P × Prefetch fetches may be in flight (P × 8 when
-	// Prefetch is 0; under PrefetchAuto the strategy's guesses get P × the
-	// tuned width and decided fetches P × fetch.AutoMaxWindow, which also
-	// caps the two together) and the strategy is asked for as many hints per
-	// step. Nothing else changes — the same Prefetcher, the same budget
-	// clamp, the same sequential loop — so results are byte-identical to
-	// Partitions == 0 for every strategy. n >= 1 scales by n; PartitionsAuto
-	// (any negative value) by min(GOMAXPROCS, 8). Result.Fabric reports the
-	// window's hits and its launches tallied by host hash.
+	// Partitions multiplied the speculation window Prefetch sizes.
+	//
+	// Deprecated: ignored; removed at the benchmark re-base (the frozen
+	// benchmark/ names it).
 	Partitions int
 	// Retry, when non-nil, interposes the deterministic retry layer below
 	// every speculation stage: transient failures (timeouts, connection
@@ -125,14 +118,6 @@ type Env struct {
 // PrefetchAuto is the Env.Prefetch sentinel selecting the adaptive
 // speculation controller (self-tuning window width).
 const PrefetchAuto = -1
-
-// PartitionsAuto is the Env.Partitions sentinel selecting an automatic
-// partition count, min(GOMAXPROCS, 8).
-const PartitionsAuto = fabric.Auto
-
-// partitionWidth is the per-partition window of a partitioned crawl whose
-// Env.Prefetch is 0.
-const partitionWidth = 8
 
 // DefaultCheckpointEvery is the checkpoint cadence when Env.CheckpointEvery
 // is zero.
@@ -209,7 +194,7 @@ type Result struct {
 	// SB-CLASSIFIER; nil otherwise.
 	Confusion *classify.Confusion
 	// Spec snapshots the speculation outcomes of a pipelined crawl
-	// (Env.Prefetch or Env.Partitions non-zero); nil for sequential crawls.
+	// (Env.Prefetch non-zero); nil for sequential crawls.
 	// Wall-clock diagnostic only: the counters depend on fetch timing and
 	// are deliberately kept out of the public Result, so the byte-identical
 	// determinism guarantee is unaffected.
@@ -220,10 +205,12 @@ type Result struct {
 	// Deprecated: always 0; removed at the benchmark re-base (the frozen
 	// benchmark/ names it).
 	ParseHits int
-	// Fabric is the speculation window of a partitioned crawl
-	// (Env.Partitions != 0) as seen per partition; nil otherwise.
-	// Wall-clock diagnostic only, like Spec — the counters depend on
-	// scheduling and are outside the byte-identical determinism guarantee.
+	// Fabric held a partitioned crawl's window counters; it has its slot in
+	// the stored Result encoding, so a stored result that carries one still
+	// decodes.
+	//
+	// Deprecated: the engine never sets it; removed at the benchmark
+	// re-base with fabric.Stats.
 	Fabric *fabric.Stats
 	// Faults reports the robustness layer's activity — retries issued and
 	// recovered, breaker trips, quarantined hosts, budget spent on
@@ -272,13 +259,10 @@ type engine struct {
 	prefetcher     *fetch.Prefetcher // nil for a sequential crawl
 	recycler       fetch.Recycler    // Env.Fetcher when it lends bodies and the crawl is sequential
 	tuner          *fetch.AutoTuner  // adaptive window controller; nil unless PrefetchAuto
-	scale          int               // window multiplier: max(1, resolved Env.Partitions)
-	window         int               // in-flight cap of policy hints, scale × the fixed or tuned width
-	ceiling        int               // in-flight cap of decided demands, scale × the fixed width or fetch.AutoMaxWindow
-	partFetches    []atomic.Int64    // speculative launches by owning partition; nil when unpartitioned
-	fabricStats    *fabric.Stats
-	retrier        *fetch.Retrier // deterministic retry layer; nil unless Env.Retry
-	breaker        *fetch.Breaker // per-host circuit breaker; nil unless Env.Breaker
+	window         int               // in-flight cap of policy hints, the fixed or tuned width
+	ceiling        int               // in-flight cap of decided demands, the fixed width or fetch.AutoMaxWindow
+	retrier        *fetch.Retrier    // deterministic retry layer; nil unless Env.Retry
+	breaker        *fetch.Breaker    // per-host circuit breaker; nil unless Env.Breaker
 	faultStats     fetch.FaultStats
 	failedCharges  int        // charged requests whose final outcome was a failure
 	links          []dom.Link // the stack every page's links live on (see extractNewLinks)
@@ -329,26 +313,13 @@ func newEngine(env *Env) (*engine, error) {
 	if env.Breaker != nil {
 		e.breaker = fetch.NewBreaker(*env.Breaker)
 	}
-	if (env.Prefetch != 0 || env.Partitions != 0) && env.Fetcher != nil {
-		parts := fabric.Resolve(env.Partitions)
-		width, ceiling := env.Prefetch, env.Prefetch
-		switch {
-		case width < 0: // PrefetchAuto: the tuner owns the width
+	if env.Prefetch != 0 && env.Fetcher != nil {
+		e.window, e.ceiling = env.Prefetch, env.Prefetch
+		if env.Prefetch < 0 { // PrefetchAuto: the tuner owns the width
 			e.tuner = fetch.NewAutoTuner()
-			width, ceiling = e.tuner.Window(), fetch.AutoMaxWindow
-		case width == 0:
-			width, ceiling = partitionWidth, partitionWidth
+			e.window, e.ceiling = e.tuner.Window(), fetch.AutoMaxWindow
 		}
-		e.scale = max(1, parts)
-		e.window = e.scale * width
-		e.ceiling = e.scale * ceiling
 		e.prefetcher = fetch.NewPrefetcher(e.fetcher, e.window)
-		if parts > 0 {
-			e.partFetches = make([]atomic.Int64, parts)
-			e.prefetcher.SetOnLaunch(func(u string) {
-				e.partFetches[fabric.Owner(urlutil.SiteHost(u), parts)].Add(1)
-			})
-		}
 		if env.SharedSpec != nil {
 			e.prefetcher.SetShared(env.SharedSpec)
 		}
@@ -428,17 +399,6 @@ func (e *engine) close() {
 		e.prefetcher.Close()
 		st := e.prefetcher.Stats()
 		e.specStats = &st
-		if parts := len(e.partFetches); parts > 0 {
-			e.fabricStats = &fabric.Stats{
-				Partitions:       parts,
-				DemandHits:       st.Hits,
-				DemandMisses:     st.Misses,
-				PartitionFetches: make([]int, parts),
-			}
-			for i := range e.partFetches {
-				e.fabricStats.PartitionFetches[i] = int(e.partFetches[i].Load())
-			}
-		}
 		e.prefetcher = nil
 		e.tuner = nil
 		e.fetcher = e.env.Fetcher
@@ -747,7 +707,6 @@ func (e *engine) result(name string, steps int) *Result {
 		NonTargetBytes: e.nonTargetBytes,
 		Steps:          steps,
 		Spec:           e.specStats,
-		Fabric:         e.fabricStats,
 	}
 	// Attach fault stats only when something actually failed: a gob
 	// round trip turns a pointer-to-zero-struct into nil, so an

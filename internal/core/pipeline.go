@@ -55,17 +55,16 @@ func (e *engine) runStaged(p crawlPolicy) {
 // speculate forwards the policy's likely-next URLs to the prefetch layer.
 // Under PrefetchAuto the adaptive tuner first re-evaluates the width from
 // the speculation outcomes so far (AIMD over the hit rate, see
-// fetch.AutoTuner) and the window follows it, Env.Partitions times as wide;
-// then the policy is asked for a window's worth of hints. With a fixed
-// Env.Prefetch the window never moves. Tuning reads only speculation
-// counters and writes only the window, so it can never change what the
-// crawl returns.
+// fetch.AutoTuner) and the window follows it; then the policy is asked for
+// a window's worth of hints. With a fixed Env.Prefetch the window never
+// moves. Tuning reads only speculation counters and writes only the window,
+// so it can never change what the crawl returns.
 func (e *engine) speculate(p crawlPolicy) {
 	if e.prefetcher == nil {
 		return
 	}
 	if e.tuner != nil {
-		e.window = e.scale * e.tuner.Observe(e.prefetcher.Stats())
+		e.window = e.tuner.Observe(e.prefetcher.Stats())
 		e.prefetcher.SetWindow(e.window)
 	}
 	if n := e.specRoom(e.window); n > 0 {
@@ -88,12 +87,11 @@ func (e *engine) specRoom(n int) int {
 // demandRoom is how many exchanges one batch of a policy's decided demands
 // may hold — SB's predicted targets of the page being ingested, its warm-up
 // HEAD probes, the bandit's next draw behind them: the window's ceiling (the
-// fixed width, or fetch.AutoMaxWindow under PrefetchAuto, times the
-// partition scale) within the budget (see specRoom); 0 for a sequential
-// crawl. The ceiling is also the batch's in-flight bound
-// (Prefetcher.HintDemands): the tuned width, which sizes the policy's
-// guesses (Hints), does not narrow it, and with a fixed Env.Prefetch the two
-// are the same.
+// fixed width, or fetch.AutoMaxWindow under PrefetchAuto) within the budget
+// (see specRoom); 0 for a sequential crawl. The ceiling is also the batch's
+// in-flight bound (Prefetcher.HintDemands): the tuned width, which sizes the
+// policy's guesses (Hints), does not narrow it, and with a fixed
+// Env.Prefetch the two are the same.
 func (e *engine) demandRoom() int {
 	if e.prefetcher == nil {
 		return 0

@@ -26,15 +26,23 @@ package fetch
 // not observable in crawl results).
 
 // AutoMaxWindow is the widest window the tuner drives, and so the in-flight
-// ceiling of a crawl under the adaptive controller (times its partitions).
-const AutoMaxWindow = 64
+// ceiling of a crawl under the adaptive controller. It is sized for a
+// latency-bound crawl: by Little's law, 32k requests/s at 5 ms a fetch keep
+// ~160 fetches in flight, and a ceiling of 64 ran a BFS sweep of an
+// eight-host federation at a third of that rate.
+const AutoMaxWindow = 256
 
 // Tuning constants. The window is sampled every autoSampleEvery crawl
 // steps; rates are computed over the deltas since the previous sample, so
 // the tuner reacts to the crawl's current phase rather than its history.
+// The start and the additive step keep the ramp's shape at the ceiling's
+// scale: a window starts at 1/16 of AutoMaxWindow and, past slow start,
+// grows by 1/32 of it a sample. The floor stays at one fetch in flight, so a
+// crawl whose hints keep missing speculates almost nothing.
 const (
 	autoMinWindow     = 1
-	autoInitialWindow = 4
+	autoInitialWindow = 16
+	autoStep          = 8
 	autoSampleEvery   = 4
 
 	// widenHitRate is the per-sample hit rate above which the window grows
@@ -67,7 +75,7 @@ func (t *AutoTuner) Window() int { return t.window }
 // Observe feeds one crawl step's stats snapshot and returns the window to
 // speculate with. Every autoSampleEvery steps it re-evaluates: the hit rate
 // over the sample decides between growing (doubling while in slow start,
-// +2 afterwards), holding, and halving; eviction-heavy samples — more
+// +autoStep afterwards), holding, and halving; eviction-heavy samples — more
 // speculation dropped than consumed — also halve, whatever the hit rate,
 // because they mean the store churns faster than the crawl consumes it.
 func (t *AutoTuner) Observe(st PrefetchStats) int {
@@ -94,7 +102,7 @@ func (t *AutoTuner) Observe(st PrefetchStats) int {
 		if t.ramp {
 			t.window *= 2 // slow start: find the plateau fast
 		} else {
-			t.window += 2 // additive increase
+			t.window += autoStep // additive increase
 		}
 	}
 	if t.window < autoMinWindow {

@@ -12,41 +12,46 @@ func observeSteps(t *AutoTuner, st PrefetchStats) int {
 	return w
 }
 
+// TestAutoTunerSlowStartRamp pins the ramp: a window starts at 16 and
+// doubles per sample of perfect hits up to the ceiling of 256 — the
+// trajectory four partitions of the 4-to-64 ramp once made.
 func TestAutoTunerSlowStartRamp(t *testing.T) {
 	tu := NewAutoTuner()
-	if tu.Window() != autoInitialWindow {
-		t.Fatalf("initial window = %d, want %d", tu.Window(), autoInitialWindow)
+	if tu.Window() != 16 {
+		t.Fatalf("initial window = %d, want 16", tu.Window())
 	}
-	// Perfect hits: the window must double per sample up to the cap.
 	st := PrefetchStats{}
-	want := autoInitialWindow
-	for i := 0; i < 10; i++ {
+	for i, want := range []int{32, 64, 128, 256, 256, 256} {
 		st.Hits += autoSampleEvery
 		st.Launched += autoSampleEvery
-		got := observeSteps(tu, st)
-		want *= 2
-		if want > AutoMaxWindow {
-			want = AutoMaxWindow
-		}
-		if got != want {
+		if got := observeSteps(tu, st); got != want {
 			t.Fatalf("sample %d: window = %d, want %d", i, got, want)
 		}
 	}
 }
 
+// TestAutoTunerNarrowsOnMisses: a miss-heavy sample halves the window and
+// ends slow start, whatever the window; growth is then additive, by 8.
 func TestAutoTunerNarrowsOnMisses(t *testing.T) {
 	tu := NewAutoTuner()
 	// Ramp once, then an all-miss sample must halve and end slow start.
 	st := PrefetchStats{Hits: autoSampleEvery, Launched: autoSampleEvery}
-	observeSteps(tu, st) // 4 → 8
+	observeSteps(tu, st) // 16 → 32
 	st.Misses += autoSampleEvery
-	if got := observeSteps(tu, st); got != 4 {
-		t.Fatalf("window after all-miss sample = %d, want 4", got)
+	if got := observeSteps(tu, st); got != 16 {
+		t.Fatalf("window after all-miss sample = %d, want 16", got)
 	}
 	// Hits again: additive now, not doubling (slow start is over).
 	st.Hits += autoSampleEvery
-	if got := observeSteps(tu, st); got != 6 {
-		t.Fatalf("window after recovery = %d, want 6 (additive)", got)
+	if got := observeSteps(tu, st); got != 24 {
+		t.Fatalf("window after recovery = %d, want 24 (additive)", got)
+	}
+	// A mostly-missing sample (one hit in four, below the 0.3 threshold)
+	// halves again, from the wide window as from a narrow one.
+	st.Hits++
+	st.Misses += autoSampleEvery - 1
+	if got := observeSteps(tu, st); got != 12 {
+		t.Fatalf("window after a miss-heavy sample = %d, want 12", got)
 	}
 }
 

@@ -56,10 +56,6 @@ type Prefetcher struct {
 	closed  bool
 	wg      sync.WaitGroup
 	stats   PrefetchStats
-
-	// onLaunch, when set, observes every speculative launch (see
-	// SetOnLaunch).
-	onLaunch func(url string)
 }
 
 // speculative is one in-flight or completed speculative fetch.
@@ -147,17 +143,6 @@ func NewPrefetcher(backend Fetcher, window int) *Prefetcher {
 func (p *Prefetcher) SetShared(s SharedStore) {
 	p.mu.Lock()
 	p.shared = s
-	p.mu.Unlock()
-}
-
-// SetOnLaunch installs an observer for speculative launches (GET and HEAD):
-// it is called with the URL once per fetch the window starts, on that
-// fetch's own goroutine before the backend call, so it must be safe for
-// concurrent calls; Close returns after the last call. Set it before the
-// first hint.
-func (p *Prefetcher) SetOnLaunch(fn func(url string)) {
-	p.mu.Lock()
-	p.onLaunch = fn
 	p.mu.Unlock()
 }
 
@@ -279,7 +264,7 @@ func (p *Prefetcher) launchLocked(u string, head bool, limit int) {
 	p.pending++
 	p.stats.Launched++
 	p.wg.Add(1)
-	go p.fetch(u, head, s, p.onLaunch)
+	go p.fetch(u, head, s)
 }
 
 // compactOrderLocked drops consumed holes from the order queue, keeping
@@ -325,11 +310,8 @@ func (p *Prefetcher) evictOldestLocked() bool {
 	return evicted
 }
 
-func (p *Prefetcher) fetch(u string, head bool, s *speculative, onLaunch func(string)) {
+func (p *Prefetcher) fetch(u string, head bool, s *speculative) {
 	defer p.wg.Done()
-	if onLaunch != nil {
-		onLaunch(u)
-	}
 	if head {
 		s.resp, s.err = p.backend.Head(u)
 	} else {

@@ -361,8 +361,8 @@ func (b *politeBackend) Head(u string) (Response, error) { return b.Get(u) }
 // TestRegistrySpeculativeSpacing extends the CrossTenant family to the
 // speculation window: two crawls' Prefetchers, each launching a window of
 // concurrent speculative GETs at one host through a shared Registry, still
-// contact the host MinDelay apart — a wide window (Config.Partitions) gets
-// no politeness exemption.
+// contact the host MinDelay apart — a wide window (PrefetchAuto at its
+// ceiling) gets no politeness exemption.
 func TestRegistrySpeculativeSpacing(t *testing.T) {
 	const (
 		delay  = 10 * time.Millisecond

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"sbcrawl/internal/core"
-	"sbcrawl/internal/fabric"
 	"sbcrawl/internal/fetch"
 	"sbcrawl/internal/metrics"
 )
@@ -70,11 +69,6 @@ type Summary struct {
 	// produced a result (zero when none speculated). Wall-clock diagnostic
 	// only — the counters depend on fetch timing, never on results.
 	Spec fetch.PrefetchStats
-	// Fabric aggregates Result.Fabric over every partitioned crawl that
-	// produced a result (zero when none partitioned): summed demand
-	// counters, element-wise summed per-partition launch counts, and the
-	// maximum partition count seen. Wall-clock diagnostic only, like Spec.
-	Fabric fabric.Stats
 	// Faults sums the fault-handling counters (retries, breaker activity,
 	// final failures) of every crawl that produced a result; quarantined
 	// host lists are concatenated. Zero when nothing failed anywhere.
@@ -142,19 +136,6 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 				sum.Spec.Evicted += sp.Evicted
 				sum.Spec.HeadHits += sp.HeadHits
 				sum.Spec.SharedHits += sp.SharedHits
-			}
-			if fb := s.Result.Fabric; fb != nil {
-				if fb.Partitions > sum.Fabric.Partitions {
-					sum.Fabric.Partitions = fb.Partitions
-				}
-				sum.Fabric.DemandHits += fb.DemandHits
-				sum.Fabric.DemandMisses += fb.DemandMisses
-				for len(sum.Fabric.PartitionFetches) < len(fb.PartitionFetches) {
-					sum.Fabric.PartitionFetches = append(sum.Fabric.PartitionFetches, 0)
-				}
-				for i, n := range fb.PartitionFetches {
-					sum.Fabric.PartitionFetches[i] += n
-				}
 			}
 			if fs := s.Result.Faults; fs != nil {
 				sum.Faults.Add(*fs)

@@ -1,7 +1,8 @@
 // Package freelist is the one free list a crawl's per-crawl state is parked
 // on for the next crawl: dom's parsers, the engine's tables, the classifier's
-// arenas, the models' weight tables, the tag-path vocabularies and the
-// generators of the action index and the grouped frontier.
+// arenas, the models' weight tables, the tag-path vocabularies, the
+// generators of the action index and the grouped frontier, and codec's
+// encode and read buffers.
 //
 // A list is a bounded channel, not a sync.Pool: a pool is emptied at every
 // GC, so how much a crawl allocates would depend on when the collector

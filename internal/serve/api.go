@@ -65,7 +65,6 @@ type CrawlSpec struct {
 	EarlyStop       bool          `json:"early_stop,omitempty"`
 	SimLatency      time.Duration `json:"sim_latency,omitempty"`
 	Prefetch        int           `json:"prefetch,omitempty"`
-	Partitions      int           `json:"partitions,omitempty"`
 	Politeness      time.Duration `json:"politeness,omitempty"`
 	TargetMIMEs     []string      `json:"target_mimes,omitempty"`
 	Theta           float64       `json:"theta,omitempty"`
@@ -96,7 +95,6 @@ func (c CrawlSpec) config() sbcrawl.Config {
 		EarlyStop:       c.EarlyStop,
 		SimLatency:      c.SimLatency,
 		Prefetch:        c.Prefetch,
-		Partitions:      c.Partitions,
 		Politeness:      c.Politeness,
 		TargetMIMEs:     c.TargetMIMEs,
 		Theta:           c.Theta,

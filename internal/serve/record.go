@@ -42,7 +42,7 @@ func appendCrawlSpec(dst []byte, c *CrawlSpec) []byte {
 	dst = codec.AppendBool(dst, c.EarlyStop)
 	dst = codec.AppendVarint(dst, int64(c.SimLatency))
 	dst = codec.AppendInt(dst, c.Prefetch)
-	dst = codec.AppendInt(dst, c.Partitions)
+	dst = codec.AppendInt(dst, 0) // retired Partitions slot
 	dst = codec.AppendInt(dst, 0) // retired ParseWorkers slot
 	dst = codec.AppendVarint(dst, int64(c.Politeness))
 	dst = codec.AppendStrings(dst, c.TargetMIMEs)
@@ -96,8 +96,8 @@ func readCrawlSpec(r *codec.Reader, c *CrawlSpec) {
 	c.EarlyStop = r.Bool()
 	c.SimLatency = time.Duration(r.Varint())
 	c.Prefetch = r.Int()
-	c.Partitions = r.Int()
-	r.Int() // retired ParseWorkers slot; records written before its removal carry a value
+	r.Int() // retired Partitions slot; records written before its removal carry a value
+	r.Int() // retired ParseWorkers slot; likewise
 	c.Politeness = time.Duration(r.Varint())
 	c.TargetMIMEs = r.Strings()
 	c.Theta = r.Float64()

@@ -33,7 +33,6 @@ func sampleRecord() sessionRecord {
 				EarlyStop:       true,
 				SimLatency:      2 * time.Millisecond,
 				Prefetch:        8,
-				Partitions:      4,
 				Politeness:      time.Second,
 				TargetMIMEs:     []string{"text/csv", "application/json"},
 				Theta:           0.5,
@@ -96,71 +95,85 @@ func TestSessionRecordLegacyGob(t *testing.T) {
 	}
 }
 
-// parentRecordHex is a session record exactly as the last commit with a
-// ParseWorkers knob encoded it, and parentSpecJSON the spec its client
-// posted: BFS on cl, 30 requests, prefetch 4, parse_workers 2.
-const (
-	parentRecordHex = "0001070461636d650a6f6c642d636c69656e7400036266733c060000080004" +
-		"000000000000000000000000000000000000000000000000000000000000000000000202636c" +
-		"7b14ae47e17a843f060000c0ada3eb0c00"
-	parentSpecJSON = `{"tenant":"acme","name":"old-client",` +
-		`"crawl":{"strategy":"bfs","max_requests":30,"seed":3,"prefetch":4,"parse_workers":2},` +
-		`"sites":[{"code":"cl","scale":0.01,"seed":3}]}`
-)
+// retiredSlotSessions are session records exactly as earlier commits
+// encoded them, each with the JSON spec its client posted: BFS on cl, 30
+// requests, prefetch 4, one carrying parse_workers 2 (the last commit with a
+// ParseWorkers knob), the other partitions 4 (the last with a Partitions
+// knob).
+var retiredSlotSessions = []struct{ name, recordHex, specJSON string }{
+	{"old-client",
+		"0001070461636d650a6f6c642d636c69656e7400036266733c060000080004" +
+			"000000000000000000000000000000000000000000000000000000000000000000000202636c" +
+			"7b14ae47e17a843f060000c0ada3eb0c00",
+		`{"tenant":"acme","name":"old-client",` +
+			`"crawl":{"strategy":"bfs","max_requests":30,"seed":3,"prefetch":4,"parse_workers":2},` +
+			`"sites":[{"code":"cl","scale":0.01,"seed":3}]}`},
+	{"old-fabric",
+		"0001070461636d650a6f6c642d66616272696300036266733c060000080800" +
+			"000000000000000000000000000000000000000000000000000000000000000000000202636c" +
+			"7b14ae47e17a843f06000080e0bb8e0d00",
+		`{"tenant":"acme","name":"old-fabric",` +
+			`"crawl":{"strategy":"bfs","max_requests":30,"seed":3,"prefetch":4,"partitions":4},` +
+			`"sites":[{"code":"cl","scale":0.01,"seed":3}]}`},
+}
 
 // TestRetiredParseWorkersSlot is the wire-compatibility gate of the retired
-// knob: a stored record that carries a parse_workers value still decodes (the
-// slot is read and discarded), and after a restart over that store the old
-// client re-attaches with its old JSON — the ignored field must not turn the
-// spec comparison into a 409.
+// knobs, ParseWorkers and Partitions: a stored record that carries a value in
+// either slot still decodes (the slot is read and discarded), and after a
+// restart over that store the old client re-attaches with its old JSON — the
+// ignored field must not turn the spec comparison into a 409.
 func TestRetiredParseWorkersSlot(t *testing.T) {
-	raw, err := hex.DecodeString(parentRecordHex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := decodeSessionRecord(raw)
-	if err != nil {
-		t.Fatalf("parent-format record: %v", err)
-	}
-	want := SessionSpec{
-		Tenant: "acme",
-		Name:   "old-client",
-		Crawl:  CrawlSpec{Strategy: "bfs", MaxRequests: 30, Seed: 3, Prefetch: 4},
-		Sites:  []SiteSpec{{Code: "cl", Scale: 0.01, Seed: 3}},
-	}
-	if !reflect.DeepEqual(rec.Spec, want) {
-		t.Fatalf("decoded spec = %+v, want %+v", rec.Spec, want)
-	}
-
 	dir := t.TempDir()
 	st, err := sbcrawl.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := SessionID("acme", "old-client")
-	if err := st.Records("crawld").Put("sess|"+id, raw); err != nil {
-		t.Fatal(err)
+	for _, s := range retiredSlotSessions {
+		raw, err := hex.DecodeString(s.recordHex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := decodeSessionRecord(raw)
+		if err != nil {
+			t.Fatalf("%s: parent-format record: %v", s.name, err)
+		}
+		want := SessionSpec{
+			Tenant: "acme",
+			Name:   s.name,
+			Crawl:  CrawlSpec{Strategy: "bfs", MaxRequests: 30, Seed: 3, Prefetch: 4},
+			Sites:  []SiteSpec{{Code: "cl", Scale: 0.01, Seed: 3}},
+		}
+		if !reflect.DeepEqual(rec.Spec, want) {
+			t.Fatalf("%s: decoded spec = %+v, want %+v", s.name, rec.Spec, want)
+		}
+		if err := st.Records("crawld").Put("sess|"+SessionID("acme", s.name), raw); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, client, stop := daemon(t, Config{StorePath: dir, Workers: 1})
 	defer stop()
-	resp, err := http.Post(client.BaseURL+"/v1/sessions", "application/json", strings.NewReader(parentSpecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var attached SessionStatus
-	if err := json.NewDecoder(resp.Body).Decode(&attached); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || attached.ID != id {
-		t.Fatalf("re-attach with the old spec: HTTP %d, id %q, want 200 and %q", resp.StatusCode, attached.ID, id)
-	}
-	done, err := client.WaitDone(context.Background(), id)
-	if err != nil || done.State != StateDone || done.Requests != 30 {
-		t.Fatalf("reloaded session: %+v, %v", done, err)
+	for _, s := range retiredSlotSessions {
+		id := SessionID("acme", s.name)
+		resp, err := http.Post(client.BaseURL+"/v1/sessions", "application/json", strings.NewReader(s.specJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var attached SessionStatus
+		err = json.NewDecoder(resp.Body).Decode(&attached)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || attached.ID != id {
+			t.Fatalf("%s: re-attach with the old spec: HTTP %d, id %q, want 200 and %q", s.name, resp.StatusCode, attached.ID, id)
+		}
+		done, err := client.WaitDone(context.Background(), id)
+		if err != nil || done.State != StateDone || done.Requests != 30 {
+			t.Fatalf("%s: reloaded session: %+v, %v", s.name, done, err)
+		}
 	}
 }
 

@@ -129,10 +129,10 @@ func TestServeResumeEquivalence(t *testing.T) {
 		// finished unit beside an interrupted one, across two restarts.
 		{Sites: []SiteSpec{{Code: "ju", Scale: 0.005, Seed: 4}, {Code: "cl", Scale: 0.002, Seed: 3}},
 			Crawl: CrawlSpec{Strategy: "sb", Seed: 5, SimLatency: 500 * time.Microsecond}, Workers: 2, Restarts: []int{150, 250}},
-		// Faults with retries, partitions and a budget on one worker: the
+		// Faults with retries, a wide window and a budget on one worker: the
 		// first unit finishes between the restarts, the second starts late.
 		{Sites: []SiteSpec{{Code: "cn", Scale: 0.01, Seed: 2}, {Code: "be", Scale: 0.005, Seed: 1}},
-			Crawl: CrawlSpec{Strategy: "random", Seed: 9, MaxRequests: 80, Partitions: 2, FaultRate: 0.1, FaultSeed: 99,
+			Crawl: CrawlSpec{Strategy: "random", Seed: 9, MaxRequests: 80, Prefetch: 16, FaultRate: 0.1, FaultSeed: 99,
 				SimLatency: 200 * time.Microsecond}, Workers: 1, Restarts: []int{30, 110}},
 	}
 	for i, d := range rows {
@@ -238,11 +238,11 @@ func libraryResults(t *testing.T, spec SessionSpec) []*sbcrawl.Result {
 	return out
 }
 
-// outcome returns a copy of res without its diagnostics (Store, Fabric,
-// Faults): the part of a Result no restart may change.
+// outcome returns a copy of res without its diagnostics (Store, Faults):
+// the part of a Result no restart may change.
 func outcome(res *sbcrawl.Result) *sbcrawl.Result {
 	out := *res
-	out.Store, out.Fabric, out.Faults = nil, nil, nil
+	out.Store, out.Faults = nil, nil
 	return &out
 }
 

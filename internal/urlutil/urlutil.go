@@ -105,7 +105,7 @@ func StripWWW(host string) string {
 
 // SiteHost returns the host identity the crawl scope uses for raw: the
 // lowercased hostname without a leading "www.", or "" when raw does not
-// parse. Partition ownership (fabric.Owner) and the fault schedules key on it.
+// parse. The fault schedules key on it.
 func SiteHost(raw string) string {
 	p, _ := split(raw)
 	return StripWWW(strings.ToLower(p.hostname))

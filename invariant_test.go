@@ -1,7 +1,7 @@
 package sbcrawl
 
 // The crawl invariant: the paper's crawler is one sequential loop, and every
-// accelerator this package adds (prefetch, partitions, latency, faults with
+// accelerator this package adds (prefetch, latency, faults with
 // retries, kill and resume, a warm or damaged store, body lending, fleets
 // sharing speculation) must return that loop's Result byte for byte.
 // FuzzCrawlConfig draws a configuration and asserts outcome(got) ==
@@ -30,11 +30,11 @@ import (
 	"sbcrawl/internal/metrics"
 )
 
-// outcome returns a copy of res without its diagnostics (Store, Fabric,
-// Faults): the part of a Result no accelerator may change.
+// outcome returns a copy of res without its diagnostics (Store, Faults):
+// the part of a Result no accelerator may change.
 func outcome(res *Result) *Result {
 	out := *res
-	out.Store, out.Fabric, out.Faults = nil, nil, nil
+	out.Store, out.Faults = nil, nil
 	return &out
 }
 
@@ -73,21 +73,20 @@ const (
 // A draw is one point of the configuration space, in the fuzz arguments'
 // types.
 type draw struct {
-	Sites      string // the entries, one invariantSites key each
-	Strategy   Strategy
-	Seed       int64
-	Budget     uint16
-	Prefetch   int8  // PrefetchAuto or a width up to 16
-	Partitions uint8 // up to 4
-	LatencyUS  uint16
-	FaultPct   uint8 // Config.FaultRate in percent, retries on
-	FaultSeed  int64
-	Store      uint8
-	Kill       uint8 // index into killPoints
-	Cut        uint8 // storeCrash: the record (Cut/5, from the end) and byte class (Cut%5) cut at
-	Workers    uint8 // 0: CrawlSite of Sites[0]; n: CrawlSites with n workers
-	Shared     bool  // FleetOptions.SharedSpeculation
-	CacheCap   uint8 // FleetOptions.SpecCacheCap
+	Sites     string // the entries, one invariantSites key each
+	Strategy  Strategy
+	Seed      int64
+	Budget    uint16
+	Prefetch  int8 // PrefetchAuto or a width up to 16
+	LatencyUS uint16
+	FaultPct  uint8 // Config.FaultRate in percent, retries on
+	FaultSeed int64
+	Store     uint8
+	Kill      uint8 // index into killPoints
+	Cut       uint8 // storeCrash: the record (Cut/5, from the end) and byte class (Cut%5) cut at
+	Workers   uint8 // 0: CrawlSite of Sites[0]; n: CrawlSites with n workers
+	Shared    bool  // FleetOptions.SharedSpeculation
+	CacheCap  uint8 // FleetOptions.SpecCacheCap
 }
 
 // normalized maps any fuzz input onto a valid draw; it is the identity on
@@ -97,7 +96,6 @@ func (d draw) normalized() draw {
 		d.Strategy = allStrategies[len(d.Strategy)%len(allStrategies)]
 	}
 	d.Prefetch = max(PrefetchAuto, d.Prefetch%17)
-	d.Partitions %= 5
 	d.LatencyUS %= 2001
 	d.FaultPct %= 21
 	d.Store %= storeModes
@@ -143,7 +141,7 @@ type invariantCase struct {
 func newInvariantCase(t *testing.T, d draw) *invariantCase {
 	c := &invariantCase{draw: d, cfg: Config{
 		Strategy: d.Strategy, Seed: d.Seed, MaxRequests: int(d.Budget), Prefetch: int(d.Prefetch),
-		Partitions: int(d.Partitions), SimLatency: time.Duration(d.LatencyUS) * time.Microsecond,
+		SimLatency: time.Duration(d.LatencyUS) * time.Microsecond,
 	}}
 	if d.FaultPct > 0 {
 		c.cfg.FaultRate, c.cfg.FaultSeed = float64(d.FaultPct)/100, d.FaultSeed
@@ -183,12 +181,12 @@ func newInvariantCase(t *testing.T, d draw) *invariantCase {
 
 func FuzzCrawlConfig(f *testing.F) {
 	for _, d := range invariantCorpus() {
-		f.Add(d.Sites, string(d.Strategy), d.Seed, d.Budget, d.Prefetch, d.Partitions, d.LatencyUS,
+		f.Add(d.Sites, string(d.Strategy), d.Seed, d.Budget, d.Prefetch, d.LatencyUS,
 			d.FaultPct, d.FaultSeed, d.Store, d.Kill, d.Cut, d.Workers, d.Shared, d.CacheCap)
 	}
-	f.Fuzz(func(t *testing.T, sites, strategy string, seed int64, budget uint16, prefetch int8, partitions uint8,
+	f.Fuzz(func(t *testing.T, sites, strategy string, seed int64, budget uint16, prefetch int8,
 		latencyUS uint16, faultPct uint8, faultSeed int64, store, kill, cut, workers uint8, shared bool, cacheCap uint8) {
-		checkDraw(t, draw{sites, Strategy(strategy), seed, budget, prefetch, partitions, latencyUS,
+		checkDraw(t, draw{sites, Strategy(strategy), seed, budget, prefetch, latencyUS,
 			faultPct, faultSeed, store, kill, cut, workers, shared, cacheCap}.normalized())
 	})
 }
@@ -225,14 +223,12 @@ func TestPrefetchEquivalence(t *testing.T) {
 	})
 }
 
-// TestFabricEquivalence: 1, 2 and 4 partitions over the four-host
-// federation, sequential and speculating.
+// TestFabricEquivalence: the four-host federation, sequential, at fixed
+// widths up to the 32 in flight that four partitions of 8 once made, and
+// adaptive.
 func TestFabricEquivalence(t *testing.T) {
-	perStrategy(t, allStrategies, func(s Strategy) (rows []draw) {
-		for _, p := range []uint8{1, 2, 4} {
-			rows = append(rows, widths(draw{Sites: "f", Strategy: s, Seed: 3, Budget: 150, Partitions: p}, 0, PrefetchAuto)...)
-		}
-		return rows
+	perStrategy(t, allStrategies, func(s Strategy) []draw {
+		return widths(draw{Sites: "f", Strategy: s, Seed: 3, Budget: 150}, 0, 4, 8, 16, 32, PrefetchAuto)
 	})
 }
 
@@ -245,24 +241,22 @@ func TestResumeEquivalence(t *testing.T) {
 }
 
 // TestRetryConvergence: 10 % of requests fail until retried, on cn and on
-// the federation at one and four partitions.
+// the federation, speculating at a fixed and the adaptive width and
+// sequential.
 func TestRetryConvergence(t *testing.T) {
 	perStrategy(t, allStrategies, func(s Strategy) []draw {
-		return []draw{
-			{Sites: "n", Strategy: s, Seed: 2, FaultPct: 10, FaultSeed: 99},
-			{Sites: "f", Strategy: s, Seed: 3, Budget: 150, Partitions: 1, FaultPct: 10, FaultSeed: 99},
-			{Sites: "f", Strategy: s, Seed: 3, Budget: 150, Partitions: 4, FaultPct: 10, FaultSeed: 99},
-		}
+		return append([]draw{{Sites: "n", Strategy: s, Seed: 2, FaultPct: 10, FaultSeed: 99}},
+			widths(draw{Sites: "f", Strategy: s, Seed: 3, Budget: 150, FaultPct: 10, FaultSeed: 99}, 8, PrefetchAuto, 0)...)
 	})
 }
 
 var killResumeStrategies = []Strategy{StrategyBFS, StrategySB, StrategyRandom}
 
-// TestFabricResumeEquivalence: a partitioned, speculating federation crawl
-// killed at request 13, then resumed.
+// TestFabricResumeEquivalence: a speculating federation crawl killed at
+// request 13, then resumed.
 func TestFabricResumeEquivalence(t *testing.T) {
 	perStrategy(t, killResumeStrategies, func(s Strategy) []draw {
-		return []draw{{Sites: "f", Strategy: s, Seed: 2, Budget: 120, Partitions: 2, Prefetch: PrefetchAuto, Store: storeKill, Kill: 2}}
+		return []draw{{Sites: "f", Strategy: s, Seed: 2, Budget: 120, Prefetch: PrefetchAuto, Store: storeKill, Kill: 2}}
 	})
 }
 
@@ -440,7 +434,7 @@ func (c *invariantCase) lend(t *testing.T, dir string) {
 	}
 	// Only the sequential engine hands bodies back: the speculation window
 	// keeps the responses it holds.
-	if sequential := c.Prefetch == 0 && c.Partitions == 0; (counter.n > 0) != sequential {
+	if sequential := c.Prefetch == 0; (counter.n > 0) != sequential {
 		t.Errorf("%d replayed bodies handed back; want some iff the crawl is sequential (%v)", counter.n, sequential)
 	}
 }
@@ -504,10 +498,8 @@ func (c *invariantCase) check(t *testing.T, l *FleetResult) {
 			t.Errorf("entry %d diverged from the sequential crawl: req=%d targets=%d curve=%d, want req=%d targets=%d curve=%d",
 				i, res.Requests, len(res.Targets), len(res.Curve), want.Requests, len(want.Targets), len(want.Curve))
 		}
-		// A result served from its done-record carries no diagnostics.
-		p := int(c.Partitions)
-		if (res.Store == nil || !res.Store.Completed) && ((res.Fabric != nil) != (p != 0) || res.Fabric != nil && res.Fabric.Partitions != p) {
-			t.Errorf("entry %d: Partitions %d reported fabric stats %+v", i, p, res.Fabric)
+		if res.Fabric != nil {
+			t.Errorf("entry %d: reported fabric stats %+v, want none", i, res.Fabric)
 		}
 		if res.Faults != nil && res.Faults.FailedRequests != 0 {
 			t.Errorf("entry %d: faults leaked past the retries: %+v", i, res.Faults)
@@ -517,7 +509,7 @@ func (c *invariantCase) check(t *testing.T, l *FleetResult) {
 		return
 	}
 	got := *l
-	got.Sites, got.Speculation, got.Store, got.Fabric, got.Faults = nil, SpeculationStats{}, nil, FabricStats{}, nil
+	got.Sites, got.Speculation, got.Store, got.Faults = nil, SpeculationStats{}, nil, nil
 	if want := c.wantFleet(); !reflect.DeepEqual(got, want) {
 		t.Errorf("fleet totals or merged curve diverged from the sequential crawls': req=%d curve=%d, want req=%d curve=%d",
 			got.Requests, len(got.Curve), want.Requests, len(want.Curve))
@@ -525,7 +517,7 @@ func (c *invariantCase) check(t *testing.T, l *FleetResult) {
 	// With one worker, a site's second crawl starts once its first has
 	// published to the shared cache (its root GET at the least).
 	repeats := slices.ContainsFunc([]byte(c.Sites), func(b byte) bool { return strings.Count(c.Sites, string(b)) > 1 })
-	if c.Workers == 1 && c.Shared && c.CacheCap == 0 && (c.Prefetch != 0 || c.Partitions != 0) && repeats && l.Store == nil {
+	if c.Workers == 1 && c.Shared && c.CacheCap == 0 && c.Prefetch != 0 && repeats && l.Store == nil {
 		if sp := l.Speculation; sp.Launched == 0 || sp.SharedHits == 0 {
 			t.Errorf("shared speculation not surfaced: %+v", sp)
 		}
@@ -623,27 +615,27 @@ func invariantCorpus() []draw {
 	}
 	return append(rows,
 		draw{Sites: "ll", Strategy: StrategySB, Seed: 9, Budget: 60, LatencyUS: 1000, Prefetch: 8, Workers: 1, Shared: true},
-		draw{Sites: "x", Strategy: StrategyBFS, LatencyUS: 2000, Partitions: 2},
+		draw{Sites: "x", Strategy: StrategyBFS, LatencyUS: 2000, Prefetch: PrefetchAuto},
 		// A crash cut at each byte class: the newest record's value, an older
 		// record's CRC, key, length header and first byte.
 		draw{Sites: "n", Strategy: StrategySB, Seed: 3, Store: storeCrash, Kill: 2, Cut: 4},
 		draw{Sites: "l", Strategy: StrategyBFS, Seed: 7, Prefetch: 8, Store: storeCrash, Kill: 1, Cut: 5 + 2},
-		draw{Sites: "n", Strategy: StrategyTPOff, Seed: 2, Partitions: 2, Store: storeCrash, Kill: 3, Cut: 5*3 + 3},
+		draw{Sites: "n", Strategy: StrategyTPOff, Seed: 2, Prefetch: PrefetchAuto, Store: storeCrash, Kill: 3, Cut: 5*3 + 3},
 		draw{Sites: "ll", Strategy: StrategySB, Seed: 7, Prefetch: 8, Store: storeCrash, Kill: 2, Cut: 5*9 + 1, Workers: 2},
 		draw{Sites: "n", Strategy: StrategyRandom, Seed: 5, FaultPct: 10, FaultSeed: 99, Store: storeCrash, Kill: 1, Cut: 5 * 50},
 		draw{Sites: "nn", Strategy: StrategySB, Seed: 4, Prefetch: 8, Store: storeWarm, Workers: 2, Shared: true, CacheCap: 12},
 		draw{Sites: "lnx", Strategy: StrategySB, Seed: 5, Store: storeDone, Workers: 2},
-		draw{Sites: "ff", Strategy: StrategyBFS, Budget: 100, LatencyUS: 2000, Partitions: 2, Workers: 2},
-		// Crossings no hand-written test made: faults × partitions × kill
+		draw{Sites: "ff", Strategy: StrategyBFS, Budget: 100, LatencyUS: 2000, Prefetch: PrefetchAuto, Workers: 2},
+		// Crossings no hand-written test made: faults × speculation × kill
 		// and resume; a resume resumed again at another width; lending under
-		// partitions; one namespace crawled twice at once; a shared
+		// speculation; one namespace crawled twice at once; a shared
 		// speculation cache under faults.
-		draw{Sites: "f", Strategy: StrategySB, Seed: 3, Budget: 150, Partitions: 2, FaultPct: 10, FaultSeed: 99, Store: storeKill, Kill: 1},
-		draw{Sites: "f", Strategy: StrategyBFS, Seed: 3, Budget: 150, Partitions: 4, Prefetch: 8, FaultPct: 5, FaultSeed: 7, Store: storeCancel, Kill: 3},
+		draw{Sites: "f", Strategy: StrategySB, Seed: 3, Budget: 150, Prefetch: PrefetchAuto, FaultPct: 10, FaultSeed: 99, Store: storeKill, Kill: 1},
+		draw{Sites: "f", Strategy: StrategyBFS, Seed: 3, Budget: 150, Prefetch: PrefetchAuto, FaultPct: 5, FaultSeed: 7, Store: storeCancel, Kill: 3},
 		draw{Sites: "n", Strategy: StrategySB, Seed: 2, Prefetch: PrefetchAuto, Store: storeTwice, Kill: 1},
 		draw{Sites: "l", Strategy: StrategyBFS, Seed: 7, Store: storeTwice, Kill: 3},
-		draw{Sites: "n", Strategy: StrategySB, Seed: 2, Partitions: 2, Store: storeLend},
-		draw{Sites: "n", Strategy: StrategyTPOff, Seed: 2, Partitions: 4, Prefetch: 8, FaultPct: 10, FaultSeed: 99, Store: storeLend},
+		draw{Sites: "n", Strategy: StrategySB, Seed: 2, Prefetch: PrefetchAuto, Store: storeLend},
+		draw{Sites: "n", Strategy: StrategyTPOff, Seed: 2, Prefetch: PrefetchAuto, FaultPct: 10, FaultSeed: 99, Store: storeLend},
 		draw{Sites: "n", Strategy: StrategySB, Seed: 2, Prefetch: 8, Store: storeShared},
 		draw{Sites: "l", Strategy: StrategyBFS, Seed: 7, Prefetch: PrefetchAuto, FaultPct: 10, FaultSeed: 99, Store: storeShared},
 		draw{Sites: "ll", Strategy: StrategySB, Seed: 2, Budget: 40, Prefetch: 8, FaultPct: 10, FaultSeed: 99, Workers: 2, Shared: true},

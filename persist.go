@@ -281,9 +281,9 @@ func liveNamespace(cfg Config) string {
 }
 
 // cfgFingerprint keys done-records: every Config field that can change a
-// crawl's result participates. Prefetch, SimLatency, and Partitions are
-// deliberately absent — results are byte-identical at every speculation
-// width, latency, and partition count, so a done-record serves them all.
+// crawl's result participates. Prefetch and SimLatency are deliberately
+// absent — results are byte-identical at every speculation width and
+// latency, so a done-record serves them all.
 func cfgFingerprint(cfg Config, root string) string {
 	mimes := append([]string(nil), cfg.TargetMIMEs...)
 	sort.Strings(mimes)

@@ -46,14 +46,13 @@
 // politeness registry, so a host is never contacted faster than MinDelay
 // no matter how wide the window. Config.Prefetch = PrefetchAuto makes the
 // window self-tuning — an AIMD controller widens it while hints keep
-// landing and narrows it when speculation is wasted — Config.Partitions
-// multiplies whichever width is in force (there is one window per crawl,
-// nothing beside it), and FleetOptions.SharedSpeculation lets a fleet's
-// crawls of one site serve each other from a shared speculation cache. The
-// two concurrency axes compose — a fleet overlaps crawls across sites while
-// Prefetch overlaps requests within each site. Cancellation (FleetOptions.Ctx) interrupts
-// politeness and simulated-latency sleeps promptly rather than finishing
-// them.
+// landing and narrows it when speculation is wasted; there is one window per
+// crawl, nothing beside it — and FleetOptions.SharedSpeculation lets a
+// fleet's crawls of one site serve each other from a shared speculation
+// cache. The two concurrency axes compose — a fleet overlaps crawls across
+// sites while Prefetch overlaps requests within each site. Cancellation
+// (FleetOptions.Ctx) interrupts politeness and simulated-latency sleeps
+// promptly rather than finishing them.
 //
 // # Persistence
 //
@@ -157,17 +156,12 @@ type Config struct {
 	// crawls should keep Prefetch small or zero; PrefetchAuto narrows
 	// quickly when speculation is not paying off.
 	Prefetch int
-	// Partitions widens the crawl's speculation window: with Partitions = P
-	// up to P × Prefetch speculative fetches are in flight (P × the tuned
-	// width under PrefetchAuto, P × 8 when Prefetch is 0) and the strategy
-	// is asked for as many hints per step. It is the same window Prefetch
-	// sizes — one set of hints from the strategy, one budget clamp, the
-	// sequential crawl loop in front — so results are byte-identical to
-	// Partitions == 0 for every strategy and everything said under Prefetch
-	// about politeness and uncharged speculative traffic holds unchanged.
-	// 0 (default) leaves the window alone; n >= 1 multiplies it by n;
-	// PartitionsAuto by min(GOMAXPROCS, 8). Result.Fabric reports the
-	// window's hits and its launches tallied by host hash.
+	// Partitions multiplied the speculation window Prefetch sizes. The
+	// adaptive window now reaches that width itself (PrefetchAuto), and a
+	// fixed Prefetch is the whole in-flight width.
+	//
+	// Deprecated: ignored; removed at the benchmark re-base (the frozen
+	// benchmark/ names it).
 	Partitions int
 	// Retries is the transient-failure retry budget per request: after a
 	// timeout, connection reset, truncated body, or a 429/503 answer, the
@@ -285,11 +279,6 @@ type Config struct {
 // instead of using a fixed width. Any negative Prefetch behaves the same.
 const PrefetchAuto = core.PrefetchAuto
 
-// PartitionsAuto is the Config.Partitions value selecting an automatic
-// partition count, min(GOMAXPROCS, 8). Any negative Partitions behaves the
-// same.
-const PartitionsAuto = core.PartitionsAuto
-
 // RetriesOff is the Config.Retries value disabling the retry layer and the
 // per-host circuit breaker entirely (any negative value behaves the same):
 // every request gets exactly one attempt and any failure is final.
@@ -322,10 +311,10 @@ type Result struct {
 	// Diagnostic only: two runs of one Config differ at most here, never
 	// in the crawl outcome above.
 	Store *StoreStats
-	// Fabric reports a partitioned crawl's speculation window (hits,
-	// misses, launches per partition); nil when Config.Partitions was 0.
-	// Diagnostic only, like Store: the counters depend on scheduling,
-	// never the crawl outcome above.
+	// Fabric reported a partitioned crawl's speculation window.
+	//
+	// Deprecated: always nil; it stays so crawld's JSON results keep their
+	// shape, and goes at the benchmark re-base with fabric.Stats.
 	Fabric *FabricStats
 	// Faults reports the robustness layer's activity — retries issued and
 	// recovered, circuit-breaker trips, quarantined hosts, budget spent on
@@ -361,12 +350,8 @@ type HostUsage = fetch.HostUsage
 // NewHostRegistry builds an empty politeness registry.
 func NewHostRegistry() *HostRegistry { return fetch.NewRegistry() }
 
-// FabricStats reports the speculation window of a partitioned crawl (see
-// Config.Partitions): the resolved partition count, the crawl loop's GETs
-// answered from the window (DemandHits) or the backend (DemandMisses), and
-// the speculative launches tallied by the partition owning each URL's host
-// (PartitionFetches). Forwarded, Stalls and MaxQueueDepth always read 0 and
-// go away at the benchmark re-base. All counters are wall-clock diagnostics.
+// FabricStats is the type of the deprecated Result.Fabric, which is always
+// nil; it goes with that field at the benchmark re-base.
 type FabricStats = fabric.Stats
 
 // Crawl runs the configured strategy against a live website over HTTP,
@@ -485,7 +470,6 @@ func execCrawl(cfg Config, env *core.Env, sitePages int) (*core.Result, bool, er
 	if cfg.CheckpointEvery > 0 {
 		env.CheckpointEvery = cfg.CheckpointEvery
 	}
-	env.Partitions = cfg.Partitions
 	// The progress observer rides the engine's checkpoint hook, wrapping
 	// whatever sink persistence installed (attach runs first), so durable
 	// checkpoints and in-process progress stay in lockstep.
@@ -535,7 +519,6 @@ func convertResult(res *core.Result) *Result {
 		NonTargetBytes: res.NonTargetBytes,
 		EarlyStopped:   res.EarlyStopped,
 		Curve:          metrics.Curve(res.Trace, 500),
-		Fabric:         res.Fabric,
 		Faults:         res.Faults,
 	}
 }

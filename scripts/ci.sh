@@ -55,11 +55,11 @@ test -z "$(gofmt -l .)"
 # tests: the tokenizer/extractor targets, every persistence-plane decoder,
 # and FuzzCrawlConfig's share of the crawl-invariant table (the six
 # Test*Equivalence/TestRetryConvergence families run the rest through the
-# same harness): accelerated crawls (prefetch, partitions, latency, faults
-# with retries, kill/cancel and resume, a killed crawl's segment cut inside
-# a record at each byte class — length header, CRC, key, value — as a crash
-# mid-append cuts it, warm stores, lending, fleets sharing speculation) each
-# equal to the plain sequential crawl. The store's FuzzCrashStates corpus
+# same harness): accelerated crawls (prefetch, fixed and adaptive, latency,
+# faults with retries, kill/cancel and resume, a killed crawl's segment cut
+# inside a record at each byte class — length header, CRC, key, value — as a
+# crash mid-append cuts it, warm stores, lending, fleets sharing speculation)
+# each equal to the plain sequential crawl. The store's FuzzCrashStates corpus
 # opens every state a process crash can leave an op sequence in, and
 # TestServeResumeEquivalence restarts crawld mid-session against
 # sbcrawl.CrawlSites. internal/experiments' TestPaperClaims holds the paper's

@@ -62,8 +62,7 @@ func GenerateSite(code string, scale float64, seed int64) (*Site, error) {
 // (each at scale, with per-member seeds derived from seed) mounted as
 // subdomains of federation.test behind a portal page, with deterministic
 // cross-host links between members. A federation crawls exactly like a
-// single Site (same determinism, store, and resume guarantees); its hosts
-// spread over Result.Fabric.PartitionFetches under Config.Partitions.
+// single Site (same determinism, store, and resume guarantees).
 func GenerateFederation(codes []string, scale float64, seed int64) (*Site, error) {
 	if len(codes) == 0 {
 		return nil, fmt.Errorf("sbcrawl: federation needs at least one site code")

@@ -7,10 +7,16 @@ package sbcrawl
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -103,14 +109,18 @@ var deadCodeAllowed = []deadCodeEntry{
 	{"internal/codec.AppendFrontierState", benchmarkOnly},
 	{"internal/dom.ExtractLinksAppend", benchmarkOnly},
 	{"internal/fabric.AppendEnvelope", benchmarkOnly},
+	{"internal/frontier.Grouped.Peek", benchmarkOnly},
 	{"internal/frontier.Grouped.Snapshot", benchmarkOnly},
-	{"internal/frontier.Priority.Snapshot", benchmarkOnly},
 	{"internal/frontier.Queue.Snapshot", benchmarkOnly},
-	{"internal/frontier.Random.Snapshot", benchmarkOnly},
 	{"internal/frontier.Stack.Snapshot", benchmarkOnly},
+	{"internal/hnsw.Index.Add", benchmarkOnly},
 	{"internal/hnsw.Index.Nearest", benchmarkOnly},
+	{"internal/hnsw.Index.Update", benchmarkOnly},
 	{"internal/hnsw.Index.Vector", benchmarkOnly},
+	{"internal/serve.Client.List", benchmarkOnly},
 	{"internal/store.Store.GarbageRatio", benchmarkOnly},
+	{"internal/store.Store.Get", benchmarkOnly},
+	{"internal/store.Store.PutBatch", benchmarkOnly},
 	{"internal/store.Store.Snapshot", benchmarkOnly},
 	{"internal/textvec.TagPathVectorizer.Vectorize", benchmarkOnly},
 	{"internal/urlutil.HasBlockedExtension", benchmarkOnly},
@@ -118,7 +128,12 @@ var deadCodeAllowed = []deadCodeEntry{
 
 	{"internal/frontier.scoredHeap.Less", "heap.Interface: container/heap calls it"},
 	{"internal/frontier.scoredHeap.Swap", "heap.Interface: container/heap calls it"},
+	{"internal/frontier.scoredHeap.Push", "heap.Interface: container/heap calls it"},
+	{"internal/frontier.scoredHeap.Pop", "heap.Interface: container/heap calls it"},
 	{"internal/store.LockedError.Unwrap", "errors.Is and errors.As call it"},
+	{"internal/store.LockedError.Is", "errors.Is calls it: crawld matches sbcrawl.ErrStoreLocked"},
+	{"internal/codec.UnknownVersionError.Is", "errors.Is calls it: a newer build's record matches ErrUnknownVersion"},
+	{"internal/classify.Confusion.String", "fmt.Stringer: RunConfusion prints Tables 8-16 through %s"},
 
 	{"internal/classify.Features", "learn's sorted-vs-map differential test vectorizes links with it"},
 	{"internal/textvec.NGrams", "the dense Figure 3 pipeline, core's sparse-vs-dense action-index reference"},
@@ -141,7 +156,7 @@ type goFile struct {
 }
 
 // TestEveryDeclarationHasACaller holds the dead-code rule over the module's
-// non-test Go files.
+// non-test Go files that the default build context compiles.
 func TestEveryDeclarationHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []goFile
@@ -158,6 +173,9 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -168,188 +186,198 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, problem := range deadCode(fset, "sbcrawl", files, deadCodeAllowed) {
+	for _, problem := range deadCode(t, fset, "sbcrawl", files, deadCodeAllowed) {
 		t.Error(problem)
 	}
 }
 
 // deadCode reports every declaration without a caller, every unexported
 // struct field nothing reads, and every allowlist entry that no longer holds.
-// It is syntactic, so it needs no type information, and it matches names, so
-// it can miss dead code; what it flags wrongly is a method only the standard
-// library calls, such as a heap.Interface method, which takes an allowlist
-// entry.
+// It type-checks the files, one package per directory, the module's own
+// packages from source and the standard library from the export data one
+// `go list -export` run names, and it matches uses to objects, so a selector
+// of one type's method does not keep another type's method of that name
+// alive. What it flags wrongly is a method only the standard library calls,
+// such as a heap.Interface method, which takes an allowlist entry.
 //
-// It checks every top-level declaration and every method of an internal/
-// package, and every unexported top-level declaration and method anywhere;
-// the root package's exports are the product and a command's main is its
-// entry point. A use must sit in a non-test file outside benchmark/ and
-// outside the declaration itself. For a top-level name it is
-// a pkg.Name selector or an unqualified identifier in the declaring package;
-// for a method it is any .Name selector or a method of the same name in an
-// interface type. An unexported field of a top-level struct type is checked
-// everywhere outside benchmark/; its use is a .name selector in its package
-// that is not the whole left side of an = or := (a write). An allowlisted
-// declaration must have no such use, and its reason is benchmarkOnly exactly
-// when benchmark/ uses it.
-func deadCode(fset *token.FileSet, module string, files []goFile, allowed []deadCodeEntry) []string {
+// It checks every top-level declaration, method and interface method of an
+// internal/ package, and every unexported one anywhere; the root package's
+// exports are the product and a command's main is its entry point. A use is
+// an identifier go/types resolves to the declaration (Info.Uses, which holds
+// every Info.Selections entry's selector too; a generic method or field
+// through its Origin) in a non-test file outside benchmark/, outside the
+// declaration itself and outside a method receiver. A method is also used
+// when it is in the method set of a type implementing an interface whose
+// method of that name is used, promoted methods included; a call of an
+// interface method from a method of the same name whose receiver implements
+// that interface is a forwarder and does not count. An unexported field of a
+// top-level struct type is checked everywhere outside benchmark/; its use is
+// a resolved use that is not a composite literal's key or the whole left side
+// of an = or := (a write). An allowlisted declaration must have no such use,
+// and its reason is benchmarkOnly exactly when benchmark/ uses it.
+func deadCode(t testing.TB, fset *token.FileSet, module string, files []goFile, allowed []deadCodeEntry) []string {
 	inBenchmark := func(dir string) bool { return dir == "benchmark" || strings.HasPrefix(dir, "benchmark/") }
-	pkgName := map[string]string{}
-	for _, gf := range files {
-		pkgName[gf.dir] = gf.file.Name.Name
-	}
+	info, problems := typeCheck(t, fset, module, files)
 
-	type use struct {
-		pos       token.Pos
-		benchmark bool
-	}
 	type decl struct {
-		id, dir, name string
-		method, field bool
-		node          ast.Node
+		id    string
+		obj   types.Object
+		field bool
+		node  ast.Node
 	}
-	topUses := map[[2]string][]use{} // {dir, name}
-	methodUses := map[string][]use{}
-	fieldReads := map[[2]string][]use{} // {dir, field name}
 	var decls []decl
-
 	for _, gf := range files {
-		bench := inBenchmark(gf.dir)
-		imports := map[string]string{} // local name -> directory
-		for _, imp := range gf.file.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			dir, ok := strings.CutPrefix(p, module+"/")
-			if p == module {
-				dir, ok = ".", true
-			}
-			if !ok {
-				continue
-			}
-			name := pkgName[dir]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = dir
+		if inBenchmark(gf.dir) {
+			continue
 		}
-
-		if !bench {
-			internal := strings.HasPrefix(gf.dir, "internal/")
-			top := func(name string, node ast.Node) {
-				if name != "_" && name != "init" && (internal || !ast.IsExported(name)) &&
-					!(name == "main" && gf.file.Name.Name == "main") {
-					decls = append(decls, decl{gf.dir + "." + name, gf.dir, name, false, false, node})
+		internal := strings.HasPrefix(gf.dir, "internal/")
+		checked := func(name string) bool { return internal || !ast.IsExported(name) }
+		add := func(id *ast.Ident, prefix string, field bool, node ast.Node) {
+			decls = append(decls, decl{gf.dir + "." + prefix + id.Name, info.Defs[id], field, node})
+		}
+		for _, d := range gf.file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				prefix := ""
+				if d.Recv != nil {
+					prefix = receiverType(d) + "."
+				} else if d.Name.Name == "init" || d.Name.Name == "main" && gf.file.Name.Name == "main" {
+					continue
 				}
-			}
-			for _, d := range gf.file.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					if d.Recv == nil {
-						top(d.Name.Name, d)
-					} else if internal || !d.Name.IsExported() {
-						decls = append(decls, decl{gf.dir + "." + receiverType(d) + "." + d.Name.Name, gf.dir, d.Name.Name, true, false, d})
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch spec := spec.(type) {
-						case *ast.TypeSpec:
-							top(spec.Name.Name, spec)
-							if st, ok := spec.Type.(*ast.StructType); ok {
-								for _, f := range st.Fields.List {
-									for _, n := range f.Names {
-										if !n.IsExported() && n.Name != "_" {
-											decls = append(decls, decl{gf.dir + "." + spec.Name.Name + "." + n.Name, gf.dir, n.Name, false, true, f})
-										}
+				if checked(d.Name.Name) {
+					add(d.Name, prefix, false, d)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if checked(spec.Name.Name) {
+							add(spec.Name, "", false, spec)
+						}
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							for _, f := range typ.Fields.List {
+								for _, n := range f.Names {
+									if !n.IsExported() && n.Name != "_" {
+										add(n, spec.Name.Name+".", true, f)
 									}
 								}
 							}
-						case *ast.ValueSpec:
-							for _, n := range spec.Names {
-								top(n.Name, spec)
+						case *ast.InterfaceType:
+							for _, m := range typ.Methods.List {
+								for _, n := range m.Names {
+									if checked(n.Name) {
+										add(n, spec.Name.Name+".", false, m)
+									}
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							if n.Name != "_" && checked(n.Name) {
+								add(n, "", false, spec)
 							}
 						}
 					}
 				}
 			}
 		}
+	}
 
-		// Identifiers that name something rather than use it, and selectors
-		// assigned to rather than read.
-		naming := map[*ast.Ident]bool{gf.file.Name: true}
-		written := map[*ast.SelectorExpr]bool{}
+	// Every resolved use, and the interface methods used on each side.
+	type use struct {
+		pos             token.Pos
+		benchmark, read bool
+	}
+	uses := map[types.Object][]use{}
+	calledAbstract := [2]map[*types.Func]bool{{}, {}} // [program, benchmark]
+	for _, gf := range files {
+		bench, side := inBenchmark(gf.dir), 0
+		if bench {
+			side = 1
+		}
+		written := map[*ast.Ident]bool{}
 		ast.Inspect(gf.file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
 					for _, lhs := range n.Lhs {
 						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-							written[sel] = true
+							written[sel.Sel] = true
 						}
 					}
 				}
-			case *ast.FuncDecl:
-				naming[n.Name] = true
-				if n.Recv != nil {
-					ast.Inspect(n.Recv, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							naming[id] = true
-						}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+						written[id] = true
+					}
+				}
+			}
+			return true
+		})
+		for _, d := range gf.file.Decls {
+			var forwarder *types.Func // the method d declares, if any
+			var recv ast.Node
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				forwarder, _ = info.Defs[fd.Name].(*types.Func)
+				recv = fd.Recv
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if n == recv {
+					return false // a receiver names its type; it does not use it
+				}
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				obj := origin(info.Uses[id])
+				if obj == nil {
+					return true
+				}
+				if m, ok := obj.(*types.Func); ok && isAbstract(m) {
+					if forwarder != nil && forwarder.Name() == m.Name() && implements(forwarder.Type().(*types.Signature).Recv().Type(), m) {
 						return true
-					})
-				}
-			case *ast.TypeSpec:
-				naming[n.Name] = true
-			case *ast.ValueSpec:
-				for _, id := range n.Names {
-					naming[id] = true
-				}
-			case *ast.Field:
-				for _, id := range n.Names {
-					naming[id] = true
-				}
-			case *ast.ImportSpec:
-				if n.Name != nil {
-					naming[n.Name] = true
-				}
-			case *ast.LabeledStmt:
-				naming[n.Label] = true
-			case *ast.BranchStmt:
-				if n.Label != nil {
-					naming[n.Label] = true
-				}
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, id := range m.Names {
-						methodUses[id.Name] = append(methodUses[id.Name], use{id.Pos(), bench})
 					}
+					calledAbstract[side][m] = true
 				}
-			case *ast.SelectorExpr:
-				naming[n.Sel] = true
-				methodUses[n.Sel.Name] = append(methodUses[n.Sel.Name], use{n.Sel.Pos(), bench})
-				if !written[n] {
-					k := [2]string{gf.dir, n.Sel.Name}
-					fieldReads[k] = append(fieldReads[k], use{n.Sel.Pos(), bench})
-				}
-				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := imports[x.Name]; ok {
-						k := [2]string{dir, n.Sel.Name}
-						topUses[k] = append(topUses[k], use{n.Sel.Pos(), bench})
+				uses[obj] = append(uses[obj], use{id.Pos(), bench, !written[id]})
+				return true
+			})
+		}
+	}
+
+	// A used interface method reaches its name in the method set of every
+	// named type, or instance of a generic one, that implements its interface.
+	var named []types.Type
+	for _, obj := range info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				named = append(named, n)
+			}
+		}
+	}
+	for _, inst := range info.Instances {
+		if n, ok := inst.Type.(*types.Named); ok {
+			named = append(named, n)
+		}
+	}
+	var dispatched [2]map[types.Object]bool
+	for side, ms := range calledAbstract {
+		dispatched[side] = map[types.Object]bool{}
+		for m := range ms {
+			for _, typ := range named {
+				if implements(typ, m) {
+					if f, _, _ := types.LookupFieldOrMethod(typ, true, m.Pkg(), m.Name()); f != nil {
+						dispatched[side][origin(f)] = true
 					}
 				}
 			}
-			return true
-		})
-		ast.Inspect(gf.file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !naming[id] {
-				k := [2]string{gf.dir, id.Name}
-				topUses[k] = append(topUses[k], use{id.Pos(), bench})
-			}
-			return true
-		})
+		}
 	}
 
 	allow := map[string]string{}
 	matched := map[string]bool{}
-	var problems []string
 	for _, e := range allowed {
 		if _, dup := allow[e.id]; dup || e.reason == "" {
 			problems = append(problems, fmt.Sprintf("allowlist entry %s: one entry per identifier, each with a reason", e.id))
@@ -357,20 +385,22 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 		allow[e.id] = e.reason
 	}
 	for _, d := range decls {
-		uses, unused := topUses[[2]string{d.dir, d.name}], "has no caller outside tests and benchmark/"
-		switch {
-		case d.method:
-			uses = methodUses[d.name]
-		case d.field:
-			uses, unused = fieldReads[[2]string{d.dir, d.name}], "is never read outside tests"
+		if d.obj == nil {
+			continue // the type check failed and said so
 		}
-		var used, benchUsed bool
-		for _, u := range uses {
-			if u.pos >= d.node.Pos() && u.pos < d.node.End() {
-				continue // a declaration does not keep itself alive
+		used, benchUsed := dispatched[0][d.obj], dispatched[1][d.obj]
+		for _, u := range uses[d.obj] {
+			if (u.pos >= d.node.Pos() && u.pos < d.node.End()) || (d.field && !u.read) {
+				continue // a declaration does not keep itself alive, nor a write a field
 			}
 			used = used || !u.benchmark
 			benchUsed = benchUsed || u.benchmark
+		}
+		unused := "has no caller outside tests and benchmark/"
+		if d.field {
+			unused = "is never read outside tests"
+		} else if benchUsed {
+			unused += " (benchmark/ calls it: an entry's reason is " + strconv.Quote(benchmarkOnly) + ")"
 		}
 		at := fset.Position(d.node.Pos())
 		reason, listed := allow[d.id]
@@ -390,6 +420,114 @@ func deadCode(fset *token.FileSet, module string, files []goFile, allowed []dead
 		}
 	}
 	return problems
+}
+
+// typeCheck type-checks files, one package per directory: the module's
+// packages from source, in import order, and every other import from the
+// export data of one `go list -export -deps` run over those imports. It
+// returns the one Info all packages share and every type error.
+func typeCheck(t testing.TB, fset *token.FileSet, module string, files []goFile) (*types.Info, []string) {
+	byDir := map[string][]*ast.File{}
+	external := map[string]bool{}
+	for _, gf := range files {
+		byDir[gf.dir] = append(byDir[gf.dir], gf.file)
+		for _, imp := range gf.file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p != module && !strings.HasPrefix(p, module+"/") && p != "unsafe" {
+				external[p] = true
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(external) > 0 {
+		cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}, slices.Sorted(maps.Keys(external))...)...)
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list -export: %v", err)
+		}
+		for _, line := range strings.Fields(string(out)) {
+			path, file, _ := strings.Cut(line, "=")
+			exports[path] = file
+		}
+	}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	})
+
+	info := &types.Info{
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Instances: map[*ast.Ident]types.Instance{},
+	}
+	var problems []string
+	pkgs := map[string]*types.Package{}
+	var check func(dir string) *types.Package
+	conf := types.Config{
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if path == module {
+				return check("."), nil
+			}
+			if dir, ok := strings.CutPrefix(path, module+"/"); ok {
+				return check(dir), nil
+			}
+			return std.Import(path)
+		}),
+		Error: func(err error) { problems = append(problems, "type check: "+err.Error()) },
+	}
+	check = func(dir string) *types.Package {
+		if pkg, ok := pkgs[dir]; ok {
+			return pkg
+		}
+		path := module
+		if dir != "." {
+			path += "/" + dir
+		}
+		pkg, _ := conf.Check(path, fset, byDir[dir], info)
+		pkgs[dir] = pkg
+		return pkg
+	}
+	for _, dir := range slices.Sorted(maps.Keys(byDir)) {
+		check(dir)
+	}
+	return info, problems
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// origin maps an instantiated method or field to its generic declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// isAbstract reports whether m is an interface's method.
+func isAbstract(m *types.Func) bool {
+	recv := m.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// implements reports whether typ, or a pointer to it, implements the
+// interface that declares m.
+func implements(typ types.Type, m *types.Func) bool {
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	iface, ok := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	return types.Implements(typ, iface) || (!types.IsInterface(typ) && types.Implements(types.NewPointer(typ), iface))
 }
 
 // receiverType names a method's receiver type, without pointer or type
@@ -413,17 +551,25 @@ func receiverType(f *ast.FuncDecl) string {
 
 // TestDeadCodeRuleCatchesPlantedCases: over a planted module, the dead-code
 // rule reports an unused export, an unused method, an unused unexported
-// function (whose only use is itself), an unused unexported method inside
-// and outside internal/, a field that is written but never read, an
-// allowlist entry naming nothing and an allowlisted name that has a caller —
-// and nothing else: a use from cmd/, a benchmark-only entry, a field read on
-// an assignment's right side and a use of a std-interface method's name
-// through an interface type all hold.
+// function (whose only use is itself), an unused type (whose only mentions
+// are its method's receiver), an unused unexported method inside and
+// outside internal/, a field that is written but never read, an
+// allowlist entry naming nothing and an allowlisted name that has a caller;
+// a method whose name only another package's selector uses (a type of that
+// name), an interface method whose only call is a forwarder implementing it
+// (with the forwarder and the other implementation), and an interface method
+// nothing calls beside a used method of its name on another type (with its
+// implementation) — and nothing else: a use from cmd/, a benchmark-only
+// entry, a field read on an assignment's right side, a generic method used
+// through an instantiation, methods reached only through a used interface
+// method (declared, promoted by embedding, or the standard library's
+// fmt.Stringer) all hold.
 func TestDeadCodeRuleCatchesPlantedCases(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []goFile
 	for _, f := range []struct{ dir, src string }{
 		{"internal/lib", `package lib
+import "example.test/internal/sim"
 type S struct{ read, written int }
 func Used()   { var s S; s.written = s.read }
 func Unused() {}
@@ -431,21 +577,75 @@ func Listed() {}
 func Bench()  {}
 type T struct{}
 func (T) M()    {}
-func (T) Len() int { return 0 }
 func (T) Dead() {}
 func (T) idle() {}
+func (T) String() string { return "t" }
+type Inj struct{ plan *sim.Plan }
+func (i *Inj) Active() bool     { return i.plan != nil }
+func (i *Inj) Plan() *sim.Plan { return i.plan }
 func dead()   { dead() }
+type gone struct{}
+func (gone) touch() {}
+
+type Backend interface {
+	Put()
+	Batch()
+}
+type Store struct{}
+func (*Store) Put()   {}
+func (*Store) Batch() {}
+type prefixed struct{ b Backend }
+func (p prefixed) Put()   { p.b.Put() }
+func (p prefixed) Batch() { p.b.Batch() }
+func Prefixed(b Backend) Backend { return prefixed{b} }
+
+type Model interface {
+	Predict() int
+	Name() string
+}
+type LR struct{}
+func (LR) Predict() int { return 0 }
+func (LR) Name() string { return "LR" }
+type Crawler struct{}
+func (Crawler) Name() string { return "SB" }
+
+type Policy interface{ Count() int }
+type stats struct{}
+func (*stats) Count() int { return 0 }
+type Greedy struct{ stats }
+type Fixed struct{}
+func (Fixed) Count() int { return 1 }
+
+type List[E any] chan E
+func (l List[E]) Get() (E, bool) { var e E; return e, false }
 `},
-		{"internal/app", `package app
-type sized interface{ Len() int }
-var _ sized
+		{"internal/sim", `package sim
+type Plan struct{}
 `},
 		{"cmd/tool", `package main
-import "example.test/internal/lib"
+import (
+	"fmt"
+	"example.test/internal/lib"
+)
 type tool struct{}
 func (tool) run()  {}
 func (tool) idle() {}
-func main() { lib.Used(); lib.Listed(); var t lib.T; t.M(); tool{}.run() }
+func main() {
+	lib.Used(); lib.Listed()
+	var t lib.T
+	t.M()
+	tool{}.run()
+	var s fmt.Stringer = t
+	fmt.Println(s.String(), lib.Crawler{}.Name(), (&lib.Inj{}).Active())
+	lib.Prefixed(&lib.Store{}).Put()
+	var m lib.Model = lib.LR{}
+	m.Predict()
+	for _, p := range []lib.Policy{&lib.Greedy{}, lib.Fixed{}} {
+		p.Count()
+	}
+	var l lib.List[int]
+	l.Get()
+}
 `},
 		{"benchmark", `package main
 import "example.test/internal/lib"
@@ -463,22 +663,31 @@ func main() { lib.Bench() }
 		{"internal/lib.Missing", "planted"},
 		{"internal/lib.Bench", benchmarkOnly},
 	}
-	problems := deadCode(fset, "example.test", files, allowed)
-	for _, want := range []string{
+	problems := deadCode(t, fset, "example.test", files, allowed)
+	want := []string{
 		"internal/lib.Unused has no caller",
 		"internal/lib.T.Dead has no caller",
 		"internal/lib.dead has no caller",
+		"internal/lib.gone has no caller",
+		"internal/lib.gone.touch has no caller",
 		"internal/lib.Missing names no declaration",
 		"internal/lib.Listed has a caller now",
 		"internal/lib.T.idle has no caller",
 		"cmd/tool.tool.idle has no caller",
 		"internal/lib.S.written is never read",
-	} {
-		if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, want) }) {
-			t.Errorf("no report %q", want)
+		"internal/lib.Inj.Plan has no caller",
+		"internal/lib.Backend.Batch has no caller",
+		"internal/lib.prefixed.Batch has no caller",
+		"internal/lib.Store.Batch has no caller",
+		"internal/lib.Model.Name has no caller",
+		"internal/lib.LR.Name has no caller",
+	}
+	for _, w := range want {
+		if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, w) }) {
+			t.Errorf("no report %q", w)
 		}
 	}
-	if len(problems) != 8 {
-		t.Errorf("%d reports, want the 8 planted:\n%s", len(problems), strings.Join(problems, "\n"))
+	if len(problems) != len(want) {
+		t.Errorf("%d reports, want the %d planted:\n%s", len(problems), len(want), strings.Join(problems, "\n"))
 	}
 }

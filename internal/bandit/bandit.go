@@ -40,8 +40,6 @@ type Policy interface {
 	MeanReward(arm int) float64
 	// Count returns how many times the arm has been selected.
 	Count(arm int) int
-	// NumArms returns the number of arms created so far.
-	NumArms() int
 }
 
 type armStat struct {

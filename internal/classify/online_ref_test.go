@@ -10,6 +10,12 @@ import (
 	"sbcrawl/internal/textvec"
 )
 
+// score is the real-valued confidence for ClassTarget that every model
+// family's Predict thresholds.
+func score(m learn.Model, x textvec.Sparse) float64 {
+	return m.(interface{ Score(textvec.Sparse) float64 }).Score(x)
+}
+
 // retainingOnline is Algorithm 2 as Online implemented it when it kept each
 // classified link's feature vector until the link was observed — the
 // reference the scratch-and-arena Online must match.
@@ -146,7 +152,7 @@ func TestOnlineMatchesRetainingReference(t *testing.T) {
 					}
 					for _, p := range probes {
 						x := Features(set, p)
-						if s, rs := got.model.Score(x), ref.model.Score(x); math.Float64bits(s) != math.Float64bits(rs) {
+						if s, rs := score(got.model, x), score(ref.model, x); math.Float64bits(s) != math.Float64bits(rs) {
 							t.Fatalf("step %d: Score(%q) = %v, reference %v", step, p.URL, s, rs)
 						}
 					}

@@ -38,7 +38,7 @@ func onlineTrace(o *Online, seed int64, steps int) (preds []int, conf [3][3]int,
 		}
 		if step%50 == 0 {
 			for _, p := range probes {
-				scores = append(scores, o.model.Score(Features(o.cfg.Features, p)))
+				scores = append(scores, score(o.model, Features(o.cfg.Features, p)))
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"sbcrawl/internal/hnsw"
 	"sbcrawl/internal/textvec"
 )
@@ -18,9 +16,6 @@ type ActionIndex struct {
 	// paths[a] counts the tag paths merged into action a (the centroid's
 	// denominator).
 	paths []int
-	// example remembers one representative tag-path string per action,
-	// for the qualitative analysis of Sec. 4.7.
-	example []string
 }
 
 // ActionIndexConfig carries the hyper-parameters of Sections 3.1–3.2.
@@ -80,7 +75,6 @@ func (ai *ActionIndex) ActionFor(tokens []string) int {
 	}
 	id := ai.index.AddSparse(ai.vec.Dim(), idx, val)
 	ai.paths = append(ai.paths, 1)
-	ai.example = append(ai.example, strings.Join(tokens, " "))
 	return id
 }
 
@@ -110,7 +104,3 @@ func (ai *ActionIndex) NumActions() int { return ai.index.Len() }
 
 // PathCount returns how many tag paths have merged into the action.
 func (ai *ActionIndex) PathCount(a int) int { return ai.paths[a] }
-
-// Example returns the founding tag path of the action (human inspection of
-// top groups, Sec. 4.7).
-func (ai *ActionIndex) Example(a int) string { return ai.example[a] }

@@ -99,14 +99,6 @@ func TestMatchDoesNotCreateActions(t *testing.T) {
 	}
 }
 
-func TestExampleRecordsFoundingPath(t *testing.T) {
-	ai := NewActionIndex(ActionIndexConfig{Seed: 1})
-	a := ai.ActionFor([]string{"html", "body", "ul.datasets", "a"})
-	if got := ai.Example(a); got != "html body ul.datasets a" {
-		t.Errorf("Example = %q", got)
-	}
-}
-
 // Property: ActionFor is total and returns IDs within [0, NumActions).
 func TestActionForRangeProperty(t *testing.T) {
 	ai := NewActionIndex(ActionIndexConfig{Theta: 0.75, Seed: 5})

@@ -8,7 +8,6 @@ import (
 type simpleFrontier interface {
 	Push(url string)
 	Pop() (string, bool)
-	Len() int
 	// Peek returns up to n URLs the frontier is likely to pop soon, so the
 	// staged loop can speculate on them. It removes nothing and consumes no
 	// randomness, so peeking never changes what a crawl does. The order is

@@ -78,7 +78,7 @@ func allCrawlers(seed int64) []Crawler {
 		NewOmniscient(),
 		NewFocused(25),
 		NewTPOff(30, seed),
-		NewTRES(5000, seed),
+		NewTRES(5000),
 	}
 }
 
@@ -552,7 +552,7 @@ func TestEarlyStoppingFiresOnExhaustedSite(t *testing.T) {
 
 func TestTRESStopsOnFrontierGrowth(t *testing.T) {
 	env, site := newTestEnv(t, "nc", 0.005, 31)
-	res, err := NewTRES(20, 3).Run(env) // tiny limit = the 1-min rule bites
+	res, err := NewTRES(20).Run(env) // tiny limit = the 1-min rule bites
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestTRESStopsOnFrontierGrowth(t *testing.T) {
 func TestTRESRequiresOracle(t *testing.T) {
 	env, _ := newTestEnv(t, "cl", 0.01, 37)
 	env.OracleClass = nil
-	res, err := NewTRES(100, 1).Run(env)
+	res, err := NewTRES(100).Run(env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,6 @@ func TestPredictedTargetsIgnoreTunedWidth(t *testing.T) {
 				r.eng.tuner.Observe(fetch.PrefetchStats{Misses: misses})
 			}
 			r.eng.window = r.eng.tuner.Window()
-			r.eng.prefetcher.SetWindow(r.eng.window)
 			spy := spyDemands(r.eng)
 			r.ingestPage(pageOf(site, targets[:tc.k]), -1, 0)
 			if len(spy.gets) == 0 {

@@ -319,7 +319,7 @@ func newEngine(env *Env) (*engine, error) {
 			e.tuner = fetch.NewAutoTuner()
 			e.window, e.ceiling = e.tuner.Window(), fetch.AutoMaxWindow
 		}
-		e.prefetcher = fetch.NewPrefetcher(e.fetcher, e.window)
+		e.prefetcher = fetch.NewPrefetcher(e.fetcher)
 		if env.SharedSpec != nil {
 			e.prefetcher.SetShared(env.SharedSpec)
 		}

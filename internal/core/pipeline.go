@@ -65,10 +65,9 @@ func (e *engine) speculate(p crawlPolicy) {
 	}
 	if e.tuner != nil {
 		e.window = e.tuner.Observe(e.prefetcher.Stats())
-		e.prefetcher.SetWindow(e.window)
 	}
 	if n := e.specRoom(e.window); n > 0 {
-		e.prefetcher.Hint(p.Hints(n)...)
+		e.prefetcher.Hint(e.window, p.Hints(n)...)
 	}
 }
 

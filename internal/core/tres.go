@@ -44,16 +44,15 @@ var TRESKeywords = []string{
 type tres struct {
 	keywords  []string
 	treeLimit int
-	seed      int64
 }
 
 // NewTRES builds the baseline. treeLimit models the 1-minute-per-request
 // stop rule via the explored-tree size (0 → 2000 URLs).
-func NewTRES(treeLimit int, seed int64) Crawler {
+func NewTRES(treeLimit int) Crawler {
 	if treeLimit <= 0 {
 		treeLimit = 2000
 	}
-	return &tres{keywords: TRESKeywords, treeLimit: treeLimit, seed: seed}
+	return &tres{keywords: TRESKeywords, treeLimit: treeLimit}
 }
 
 // Name implements Crawler.

@@ -99,9 +99,6 @@ func TestTagPathFormat(t *testing.T) {
 	if got != want {
 		t.Errorf("tag path = %q, want %q", got, want)
 	}
-	if key := dataset.TagPath.Key(); key != "/html/body/div#main.container/ul.datasets/li/a" {
-		t.Errorf("tag path key = %q", key)
-	}
 }
 
 func TestImpliedLiClose(t *testing.T) {

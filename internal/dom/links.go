@@ -16,10 +16,6 @@ type TagPath []string
 // "html body div#main ul.datasets li a".
 func (p TagPath) String() string { return strings.Join(p, " ") }
 
-// Key renders the path in a canonical slash-separated form suitable for map
-// keys, mirroring the appendix notation "/html/body/div.nces/...".
-func (p TagPath) Key() string { return "/" + strings.Join(p, "/") }
-
 // appendPathToken appends the tag-path token of the element name with
 // attributes attrs to dst: name, then "#id" when the id is non-empty, then
 // ".class" for each class in document order. Of repeated attributes the

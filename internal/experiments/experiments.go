@@ -304,7 +304,7 @@ func crawlerSet(cfg Config, se *siteEnv, run int) []core.Crawler {
 		core.NewRandom(seed),
 	)
 	if fullyCrawled {
-		crawlers = append(crawlers, core.NewTRES(scaledTresLimit(cfg), seed))
+		crawlers = append(crawlers, core.NewTRES(scaledTresLimit(cfg)))
 	}
 	crawlers = append(crawlers, core.NewOmniscient())
 	return crawlers

@@ -1,6 +1,6 @@
 // Package faultsim is a seeded, deterministic fault model for crawl
-// substrates: given a Schedule (pure data: seed, rate, failure kinds, dead
-// hosts), a Plan decides — as a pure function of the seed and the URL —
+// substrates: given a Schedule (pure data: seed, rate, dead hosts), a Plan
+// decides — as a pure function of the seed and the URL —
 // whether a request should fail, how many times it fails before recovering,
 // and with which fault kind. Injection layers (fetch.FaultInjector,
 // webserver.Flaky) consult a Plan per attempt; everything above them
@@ -19,7 +19,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"sbcrawl/internal/urlutil"
 )
@@ -39,29 +38,7 @@ const (
 	// KindTruncated cuts the body short (an unexpected-EOF error: the
 	// advertised Content-Length was not delivered).
 	KindTruncated
-	// KindSlow delays the response by Schedule.SlowDelay, then serves it
-	// intact. The only fault kind that is not a failure.
-	KindSlow
 )
-
-// String names the kind for logs and stats.
-func (k Kind) String() string {
-	switch k {
-	case Kind503:
-		return "503"
-	case Kind429:
-		return "429"
-	case KindConnReset:
-		return "conn-reset"
-	case KindTimeout:
-		return "timeout"
-	case KindTruncated:
-		return "truncated"
-	case KindSlow:
-		return "slow"
-	}
-	return "none"
-}
 
 // Injected-failure errors. Each wraps the stdlib error a real transport
 // would surface, so error-classification layers need no faultsim knowledge.
@@ -97,8 +74,18 @@ func (k Kind) Status() int {
 	return 0
 }
 
-// DefaultKinds is the fault mix used when a Schedule names none.
-var DefaultKinds = []Kind{Kind503, Kind429, KindConnReset, KindTimeout, KindTruncated}
+// kinds is the fault mix a Plan draws each faulty URL's kind from.
+var kinds = []Kind{Kind503, Kind429, KindConnReset, KindTimeout, KindTruncated}
+
+const (
+	// maxFailures bounds how many consecutive attempts a transiently faulty
+	// URL fails before recovering; the exact count per URL is seeded in
+	// [1, maxFailures].
+	maxFailures = 2
+	// retryAfterSec is the Retry-After value (seconds) attached to injected
+	// 503/429 responses.
+	retryAfterSec = 1
+)
 
 // Schedule is the pure-data description of a fault model. It is
 // gob/json-encodable, so site profiles and experiment configs can carry one.
@@ -109,23 +96,11 @@ type Schedule struct {
 	// Rate is the fraction of URLs that fail transiently (0 → none, 1 →
 	// every URL fails at least once before recovering).
 	Rate float64
-	// MaxFailures bounds how many consecutive attempts a transiently
-	// faulty URL fails before recovering (0 → 2). The exact count per URL
-	// is seeded in [1, MaxFailures].
-	MaxFailures int
 	// DeadHosts lists hostnames (lowercased, www-stripped) whose every
 	// request fails, forever — the circuit breaker's prey. Attempt counts
 	// never change a dead host's fault, so the surviving failure is
 	// identical however many retries were burned on it.
 	DeadHosts []string
-	// Kinds is the fault mix to draw from (nil → DefaultKinds).
-	Kinds []Kind
-	// RetryAfterSec is the Retry-After value (seconds) attached to
-	// injected 503/429 responses (0 → 1).
-	RetryAfterSec int
-	// SlowDelay is the KindSlow hold-back in nanoseconds (a
-	// time.Duration; kept integral so the Schedule stays pure data).
-	SlowDelay int64
 }
 
 // Fault is one injected fault decision.
@@ -151,15 +126,6 @@ type Plan struct {
 // NewPlan compiles a Schedule. A nil-equivalent Schedule (Rate 0, no dead
 // hosts) yields a Plan that never injects.
 func NewPlan(sched Schedule) *Plan {
-	if sched.MaxFailures <= 0 {
-		sched.MaxFailures = 2
-	}
-	if len(sched.Kinds) == 0 {
-		sched.Kinds = DefaultKinds
-	}
-	if sched.RetryAfterSec <= 0 {
-		sched.RetryAfterSec = 1
-	}
 	p := &Plan{sched: sched, attempts: make(map[string]int)}
 	if len(sched.DeadHosts) > 0 {
 		p.dead = make(map[string]bool, len(sched.DeadHosts))
@@ -207,18 +173,6 @@ func (p *Plan) count(verb, url string) int {
 	return p.attempts[key]
 }
 
-// SlowDelay returns the schedule's KindSlow hold-back as a duration.
-func (p *Plan) SlowDelay() time.Duration {
-	return time.Duration(p.sched.SlowDelay)
-}
-
-// Reset clears the attempt counters (a fresh crawl over the same plan).
-func (p *Plan) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.attempts = make(map[string]int)
-}
-
 // faulty decides — purely from seed and URL — whether the URL fails at all.
 func (p *Plan) faulty(url string) bool {
 	const den = 1 << 24
@@ -227,13 +181,13 @@ func (p *Plan) faulty(url string) bool {
 
 // failures returns how many attempts the URL fails before recovering.
 func (p *Plan) failures(url string) int {
-	return 1 + int(p.hash("n", url)%uint64(p.sched.MaxFailures))
+	return 1 + int(p.hash("n", url)%maxFailures)
 }
 
-// fault picks the URL's fault kind and Retry-After from the schedule's mix.
+// fault picks the URL's fault kind from kinds.
 func (p *Plan) fault(url string) Fault {
-	kind := p.sched.Kinds[p.hash("k", url)%uint64(len(p.sched.Kinds))]
-	return Fault{Kind: kind, RetryAfter: p.sched.RetryAfterSec}
+	kind := kinds[p.hash("k", url)%uint64(len(kinds))]
+	return Fault{Kind: kind, RetryAfter: retryAfterSec}
 }
 
 func (p *Plan) hash(ns, url string) uint64 {

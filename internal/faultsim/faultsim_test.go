@@ -27,7 +27,7 @@ func TestPlanDeterministicAcrossInstances(t *testing.T) {
 }
 
 func TestPlanFailsThenRecovers(t *testing.T) {
-	p := NewPlan(Schedule{Seed: 3, Rate: 1, MaxFailures: 3})
+	p := NewPlan(Schedule{Seed: 3, Rate: 1})
 	u := "https://example.test/a"
 	fails := 0
 	for attempt := 1; attempt <= 10; attempt++ {
@@ -39,8 +39,8 @@ func TestPlanFailsThenRecovers(t *testing.T) {
 			fails++
 		}
 	}
-	if fails < 1 || fails > 3 {
-		t.Fatalf("failure count %d outside [1,3]", fails)
+	if fails < 1 || fails > maxFailures {
+		t.Fatalf("failure count %d outside [1,%d]", fails, maxFailures)
 	}
 	// Once recovered, the URL stays recovered.
 	if _, failed := p.Next("GET", u); failed {
@@ -49,7 +49,7 @@ func TestPlanFailsThenRecovers(t *testing.T) {
 }
 
 func TestPlanVerbsCountedIndependently(t *testing.T) {
-	p := NewPlan(Schedule{Seed: 3, Rate: 1, MaxFailures: 1})
+	p := NewPlan(Schedule{Seed: 3, Rate: 1})
 	u := "https://example.test/a"
 	if _, failed := p.Next("GET", u); !failed {
 		t.Fatal("first GET should fail at rate 1")
@@ -132,7 +132,7 @@ func TestKindErrorsWrapStdlib(t *testing.T) {
 }
 
 func TestPlanConcurrentUse(t *testing.T) {
-	p := NewPlan(Schedule{Seed: 9, Rate: 0.5, MaxFailures: 2})
+	p := NewPlan(Schedule{Seed: 9, Rate: 0.5})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -148,7 +148,7 @@ func TestPlanConcurrentUse(t *testing.T) {
 	// attempt per URL must succeed.
 	for i := 0; i < 200; i++ {
 		if _, failed := p.Next("GET", fmt.Sprintf("https://x.test/%d", i)); failed {
-			t.Fatalf("url %d still failing after 8 attempts (MaxFailures 2)", i)
+			t.Fatalf("url %d still failing after 8 attempts (maxFailures 2)", i)
 		}
 	}
 }

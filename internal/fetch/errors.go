@@ -28,19 +28,6 @@ const (
 	ClassPolicy
 )
 
-// String names the class for logs and stats.
-func (c ErrClass) String() string {
-	switch c {
-	case ClassTransient:
-		return "transient"
-	case ClassPermanent:
-		return "permanent"
-	case ClassPolicy:
-		return "policy"
-	}
-	return "unknown"
-}
-
 // ClassifyError maps a fetch error onto the taxonomy. Classification is
 // conservative: only failures positively identified as retryable are
 // transient; everything unrecognized is ClassUnknown (treated permanent),

@@ -1,15 +1,11 @@
 package fetch
 
-import (
-	"time"
-
-	"sbcrawl/internal/faultsim"
-)
+import "sbcrawl/internal/faultsim"
 
 // FaultInjector wraps any Fetcher with a seeded faultsim.Plan: each attempt
 // consults the plan and either surfaces the injected fault — a 503/429
-// answer with Retry-After, a transport error (connection reset, timeout,
-// truncated body), or a slow delivery — or passes through to the backend.
+// answer with Retry-After or a transport error (connection reset, timeout,
+// truncated body) — or passes through to the backend.
 // Injection sits below the replay database and the retry layer, so retried
 // attempts really do reach the plan again and recover on schedule.
 type FaultInjector struct {
@@ -22,17 +18,10 @@ func NewFaultInjector(backend Fetcher, plan *faultsim.Plan) *FaultInjector {
 	return &FaultInjector{backend: backend, plan: plan}
 }
 
-// Plan exposes the injector's plan (tests inspect injection counts).
-func (f *FaultInjector) Plan() *faultsim.Plan { return f.plan }
-
 // Get implements Fetcher.
 func (f *FaultInjector) Get(u string) (Response, error) {
 	flt, ok := f.plan.Next("GET", u)
 	if !ok {
-		return f.backend.Get(u)
-	}
-	if flt.Kind == faultsim.KindSlow {
-		time.Sleep(f.plan.SlowDelay())
 		return f.backend.Get(u)
 	}
 	return injectedResult(u, flt)
@@ -42,10 +31,6 @@ func (f *FaultInjector) Get(u string) (Response, error) {
 func (f *FaultInjector) Head(u string) (Response, error) {
 	flt, ok := f.plan.Next("HEAD", u)
 	if !ok {
-		return f.backend.Head(u)
-	}
-	if flt.Kind == faultsim.KindSlow {
-		time.Sleep(f.plan.SlowDelay())
 		return f.backend.Head(u)
 	}
 	resp, err := injectedResult(u, flt)

@@ -86,66 +86,53 @@ func (f *HTTP) politeWait(url string) error {
 
 // Get implements Fetcher.
 func (f *HTTP) Get(url string) (Response, error) {
-	if err := f.admit(url); err != nil {
-		return Response{}, err
-	}
-	if err := f.politeWait(url); err != nil {
-		return Response{}, err
-	}
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	resp, body, err := f.exchange(http.MethodGet, url)
 	if err != nil {
 		return Response{}, err
 	}
-	if f.Ctx != nil {
-		req = req.WithContext(f.Ctx)
-	}
-	req.Header.Set("User-Agent", f.UserAgent)
-	httpResp, err := f.Client.Do(req)
-	if err != nil {
-		return Response{}, err
-	}
-	defer httpResp.Body.Close()
-
-	resp := Response{
-		URL:      url,
-		Status:   httpResp.StatusCode,
-		MIME:     httpResp.Header.Get("Content-Type"),
-		Location: httpResp.Header.Get("Location"),
-	}
-	if httpResp.ContentLength > 0 {
-		resp.ContentLength = int(httpResp.ContentLength)
-	}
+	defer body.Close()
 	if urlutil.IsBlockedMIME(resp.MIME) {
 		// Headers told us enough: abandon the body (Sec. 3.4).
 		resp.Interrupted = true
 		return resp, nil
 	}
-	reader := io.Reader(httpResp.Body)
+	reader := io.Reader(body)
 	if f.MaxBodyBytes > 0 {
 		reader = io.LimitReader(reader, f.MaxBodyBytes)
 	}
-	body, err := io.ReadAll(reader)
+	resp.Body, err = io.ReadAll(reader)
 	if err != nil {
 		return Response{}, err
 	}
-	resp.Body = body
 	if resp.ContentLength == 0 {
-		resp.ContentLength = len(body)
+		resp.ContentLength = len(resp.Body)
 	}
 	return resp, nil
 }
 
 // Head implements Fetcher.
 func (f *HTTP) Head(url string) (Response, error) {
-	if err := f.admit(url); err != nil {
-		return Response{}, err
-	}
-	if err := f.politeWait(url); err != nil {
-		return Response{}, err
-	}
-	req, err := http.NewRequest(http.MethodHead, url, nil)
+	resp, body, err := f.exchange(http.MethodHead, url)
 	if err != nil {
 		return Response{}, err
+	}
+	body.Close()
+	return resp, nil
+}
+
+// exchange is what both verbs share: the robots admit, the polite wait, the
+// request under Ctx with the User-Agent, and the status line and headers
+// mapped onto a Response. The caller closes the returned body.
+func (f *HTTP) exchange(method, url string) (Response, io.ReadCloser, error) {
+	if err := f.admit(url); err != nil {
+		return Response{}, nil, err
+	}
+	if err := f.politeWait(url); err != nil {
+		return Response{}, nil, err
+	}
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		return Response{}, nil, err
 	}
 	if f.Ctx != nil {
 		req = req.WithContext(f.Ctx)
@@ -153,9 +140,8 @@ func (f *HTTP) Head(url string) (Response, error) {
 	req.Header.Set("User-Agent", f.UserAgent)
 	httpResp, err := f.Client.Do(req)
 	if err != nil {
-		return Response{}, err
+		return Response{}, nil, err
 	}
-	httpResp.Body.Close()
 	resp := Response{
 		URL:      url,
 		Status:   httpResp.StatusCode,
@@ -165,5 +151,5 @@ func (f *HTTP) Head(url string) (Response, error) {
 	if httpResp.ContentLength > 0 {
 		resp.ContentLength = int(httpResp.ContentLength)
 	}
-	return resp, nil
+	return resp, httpResp.Body, nil
 }

@@ -226,7 +226,7 @@ func TestReplayLendingUnderPrefetcher(t *testing.T) {
 		urls[i] = fmt.Sprintf("https://s.org/p/%02d", i)
 	}
 	r := warmReplay(t, size, urls...)
-	p := NewPrefetcher(r, 4)
+	p := NewPrefetcher(r)
 	defer p.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
@@ -234,7 +234,7 @@ func TestReplayLendingUnderPrefetcher(t *testing.T) {
 		defer wg.Done()
 		for i, u := range urls {
 			if hint {
-				p.Hint(urls[i+1 : min(i+5, len(urls))]...)
+				p.Hint(4, urls[i+1:min(i+5, len(urls))]...)
 			}
 			resp, err := f.Get(u)
 			if err != nil || !bytes.Equal(resp.Body, bodyOf(u, size)) {

@@ -3,7 +3,7 @@ package fetch
 import "sync"
 
 // Prefetcher is the speculative-fetch layer of the pipelined crawl engine:
-// it keeps a bounded window of asynchronous GETs in flight for the URLs a
+// it keeps a bounded number of asynchronous GETs in flight for the URLs a
 // strategy is most likely to select next, so the engine's own sequential
 // fetch finds the response already resident instead of paying a network
 // round trip.
@@ -16,11 +16,13 @@ import "sync"
 // is untouched — speculative GETs go through the same backend chain, so a
 // live fetcher's Registry spaces them like any other request.
 //
-// Hints come in two kinds. Hint takes a strategy's guesses at what it will
-// select next, launched while the in-flight window has room. HintDemands
-// takes exchanges the crawl loop has already decided to issue, in the order
-// it will issue them, under a bound the caller passes instead of the window.
-// Beyond GETs, the layer speculates on two more fronts:
+// Hints come in two kinds, each batch under an in-flight bound its caller
+// passes. Hint takes a strategy's guesses at what it will select next (the
+// engine bounds them by its window, which the adaptive controller widens or
+// narrows online as the hint accuracy becomes visible in Stats).
+// HintDemands takes exchanges the crawl loop has already decided to issue,
+// in the order it will issue them. Beyond GETs, the layer speculates on two
+// more fronts:
 //
 //   - HEAD probes (a Demand with Head set): the classifier warm-up's strictly
 //     sequential HEAD round trips overlap the same way. A demand Head is
@@ -30,10 +32,6 @@ import "sync"
 //   - A fleet-shared store (SetShared): several crawls of one host publish
 //     their completed GETs into a URL-keyed cache and serve each other from
 //     it, BUbiNG-style, instead of re-fetching.
-//
-// The in-flight window is mutable (SetWindow): the adaptive speculation
-// controller widens or narrows it online as the strategy's hint accuracy
-// becomes visible in Stats. It gates Hint only.
 //
 // Speculative responses are consumed at most once: a Get for a hinted URL
 // removes it from the cache, and a hint for an already-tracked URL is a
@@ -47,7 +45,6 @@ type Prefetcher struct {
 	backend Fetcher
 
 	mu      sync.Mutex
-	window  int         // in-flight cap; mutable via SetWindow
 	shared  SharedStore // fleet-level speculation cache; nil when solo
 	store   map[string]*speculative
 	order   []string            // hint arrival order, for oldest-first eviction
@@ -86,7 +83,7 @@ type PrefetchStats struct {
 }
 
 // HitRate is Hits over all Gets, the signal the adaptive controller tunes
-// the window by. Zero when no Get has been issued.
+// the engine's window by. Zero when no Get has been issued.
 func (s PrefetchStats) HitRate() float64 {
 	if s.Hits+s.Misses == 0 {
 		return 0
@@ -113,7 +110,7 @@ type SharedStore interface {
 }
 
 // storedFactor bounds how many completed-but-unconsumed speculative
-// responses may accumulate, as a multiple of the in-flight window.
+// responses may accumulate, as a multiple of a batch's in-flight bound.
 const storedFactor = 8
 
 // headKeyPrefix namespaces speculative HEAD entries in the store, so a HEAD
@@ -123,16 +120,10 @@ const headKeyPrefix = "\x00HEAD\x00"
 
 func headKey(u string) string { return headKeyPrefix + u }
 
-// NewPrefetcher wraps a backend with a speculative window of the given
-// width. A width < 1 is clamped to 1 (Prefetch == 0 should simply not build
-// a Prefetcher).
-func NewPrefetcher(backend Fetcher, window int) *Prefetcher {
-	if window < 1 {
-		window = 1
-	}
+// NewPrefetcher wraps a backend with a speculation layer.
+func NewPrefetcher(backend Fetcher) *Prefetcher {
 	return &Prefetcher{
 		backend: backend,
-		window:  window,
 		store:   make(map[string]*speculative),
 		spent:   make(map[string]struct{}),
 	}
@@ -146,42 +137,24 @@ func (p *Prefetcher) SetShared(s SharedStore) {
 	p.mu.Unlock()
 }
 
-// SetWindow resizes the in-flight window (clamped to ≥ 1). Narrowing never
-// abandons a running fetch — the window drains to the new width as in-flight
-// fetches land; widening takes effect at the next Hint. HintDemands brings
-// its own bound and ignores the width.
-func (p *Prefetcher) SetWindow(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	p.window = n
-	p.mu.Unlock()
-}
-
-// Window returns the current in-flight window width.
-func (p *Prefetcher) Window() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.window
-}
-
 // Hint submits speculative GET candidates, most-likely-next first, while
-// fewer than the window's width are in flight. URLs already tracked — in
-// flight, resident, or speculated before (consumed or evicted) — are skipped,
-// as are URLs the fleet-shared cache already holds (a guaranteed hit needs no
-// fetch). The whole batch is always scanned; a full in-flight window (or a
+// fewer than limit speculative fetches are in flight. A smaller limit than
+// the last batch's never abandons a running fetch: the in-flight count
+// drains to it as fetches land. URLs already tracked — in flight, resident,
+// or speculated before (consumed or evicted) — are skipped, as are URLs the
+// fleet-shared cache already holds (a guaranteed hit needs no fetch). The
+// whole batch is always scanned; reaching limit (or a
 // store whose every entry is still in flight) only stops further launches,
 // never the scan, so cost-free skips late in the batch are still taken.
 // Hints are advisory and never queued.
-func (p *Prefetcher) Hint(urls ...string) {
+func (p *Prefetcher) Hint(limit int, urls ...string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.beginHintLocked(p.window) {
+	if !p.beginHintLocked(limit) {
 		return
 	}
 	for _, u := range urls {
-		p.launchLocked(u, false, p.window)
+		p.launchLocked(u, false, limit)
 	}
 }
 
@@ -194,12 +167,12 @@ type Demand struct {
 
 // HintDemands submits exchanges the caller will demand next, in the order it
 // will demand them, under the same dedup, shared-cache and eviction rules as
-// Hint. What bounds the launches is limit, not the window: none starts once
-// limit speculative fetches are in flight, counting those Hint started. The
-// caller sizes the batch and the bound; the window, which the adaptive
-// controller narrows when guesses miss, does not narrow a batch of exchanges
-// that are already decided. A HEAD whose URL has a tracked GET is skipped: a
-// resident speculative GET answers the HEAD by itself.
+// Hint: none starts once limit speculative fetches are in flight, counting
+// those Hint started. The caller sizes the batch and the bound, so the
+// engine's window, which the adaptive controller narrows when guesses miss,
+// does not narrow a batch of exchanges that are already decided. A HEAD
+// whose URL has a tracked GET is skipped: a resident speculative GET answers
+// the HEAD by itself.
 func (p *Prefetcher) HintDemands(limit int, demands ...Demand) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -213,9 +186,7 @@ func (p *Prefetcher) HintDemands(limit int, demands ...Demand) {
 
 // storeCap bounds the completed-but-unconsumed responses a batch under the
 // given in-flight bound may leave behind.
-func (p *Prefetcher) storeCap(limit int) int {
-	return max(p.window, limit) * storedFactor
-}
+func storeCap(limit int) int { return limit * storedFactor }
 
 // beginHintLocked opens a batch under the in-flight bound limit, reporting
 // false once the Prefetcher is closed.
@@ -225,7 +196,7 @@ func (p *Prefetcher) beginHintLocked(limit int) bool {
 	}
 	// Amortized cleanup: consumed entries leave holes in the order queue;
 	// drop them once they outnumber the live entries plus the store cap.
-	if len(p.order) > 2*len(p.store)+p.storeCap(limit) {
+	if len(p.order) > 2*len(p.store)+storeCap(limit) {
 		p.compactOrderLocked()
 	}
 	return true
@@ -255,7 +226,7 @@ func (p *Prefetcher) launchLocked(u string, head bool, limit int) {
 	if p.pending >= limit {
 		return // bound reached: stop launching, keep scanning
 	}
-	if len(p.store) >= p.storeCap(limit) && !p.evictOldestLocked() {
+	if len(p.store) >= storeCap(limit) && !p.evictOldestLocked() {
 		return // store full of in-flight entries: nothing to free
 	}
 	s := &speculative{done: make(chan struct{})}

@@ -52,9 +52,9 @@ func (f *countingFetcher) count(url string) int {
 
 func TestPrefetcherServesHintedURL(t *testing.T) {
 	backend := newCountingFetcher(0)
-	p := NewPrefetcher(backend, 4)
+	p := NewPrefetcher(backend)
 	defer p.Close()
-	p.Hint("https://s.org/a")
+	p.Hint(4, "https://s.org/a")
 	resp, err := p.Get("https://s.org/a")
 	if err != nil || resp.Status != 200 || string(resp.Body) != "https://s.org/a" {
 		t.Fatalf("resp=%+v err=%v", resp, err)
@@ -70,9 +70,9 @@ func TestPrefetcherServesHintedURL(t *testing.T) {
 
 func TestPrefetcherConsumeOnce(t *testing.T) {
 	backend := newCountingFetcher(0)
-	p := NewPrefetcher(backend, 4)
+	p := NewPrefetcher(backend)
 	defer p.Close()
-	p.Hint("u")
+	p.Hint(4, "u")
 	if _, err := p.Get("u"); err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +90,12 @@ func TestPrefetcherConsumeOnce(t *testing.T) {
 
 func TestPrefetcherWindowBoundsInFlight(t *testing.T) {
 	backend := newCountingFetcher(20 * time.Millisecond)
-	p := NewPrefetcher(backend, 3)
+	p := NewPrefetcher(backend)
 	urls := make([]string, 10)
 	for i := range urls {
 		urls[i] = fmt.Sprintf("u%d", i)
 	}
-	p.Hint(urls...)
+	p.Hint(3, urls...)
 	p.Close() // waits for every launched fetch
 	if st := p.Stats(); st.Launched != 3 {
 		t.Errorf("launched %d speculative fetches, window is 3", st.Launched)
@@ -105,11 +105,36 @@ func TestPrefetcherWindowBoundsInFlight(t *testing.T) {
 	}
 }
 
+// TestPrefetcherSetWindow: the window is set per Hint batch. A later batch
+// under a wider bound launches up to that bound, counting the fetches the
+// narrower batch left in flight.
+func TestPrefetcherSetWindow(t *testing.T) {
+	backend := newGatedFetcher()
+	p := NewPrefetcher(backend)
+	urls := make([]string, 16)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("u%d", i)
+	}
+	p.Hint(2, urls...)
+	if st := p.Stats(); st.Launched != 2 {
+		t.Errorf("launched = %d, want the window 2", st.Launched)
+	}
+	p.Hint(8, urls...)
+	if st := p.Stats(); st.Launched != 8 {
+		t.Errorf("launched = %d, want the widened window 8", st.Launched)
+	}
+	close(backend.release)
+	p.Close() // waits for every launched fetch
+	if peak := atomic.LoadInt32(&backend.peak); peak > 8 {
+		t.Errorf("observed %d concurrent fetches, window is 8", peak)
+	}
+}
+
 func TestPrefetcherDuplicateHintsCoalesce(t *testing.T) {
 	backend := newCountingFetcher(0)
-	p := NewPrefetcher(backend, 8)
-	p.Hint("u", "u", "u")
-	p.Hint("u")
+	p := NewPrefetcher(backend)
+	p.Hint(8, "u", "u", "u")
+	p.Hint(8, "u")
 	p.Close()
 	if got := backend.count("u"); got != 1 {
 		t.Errorf("backend fetches = %d, want 1 (hints coalesce)", got)
@@ -118,13 +143,13 @@ func TestPrefetcherDuplicateHintsCoalesce(t *testing.T) {
 
 func TestPrefetcherCloseQuiesces(t *testing.T) {
 	backend := newCountingFetcher(10 * time.Millisecond)
-	p := NewPrefetcher(backend, 4)
-	p.Hint("a", "b", "c")
+	p := NewPrefetcher(backend)
+	p.Hint(4, "a", "b", "c")
 	p.Close()
 	if cur := atomic.LoadInt32(&backend.cur); cur != 0 {
 		t.Errorf("%d fetches still in flight after Close", cur)
 	}
-	p.Hint("d") // post-Close hints are dropped
+	p.Hint(4, "d") // post-Close hints are dropped
 	if st := p.Stats(); st.Launched != 3 {
 		t.Errorf("launched = %d after post-Close hint, want 3", st.Launched)
 	}
@@ -132,16 +157,16 @@ func TestPrefetcherCloseQuiesces(t *testing.T) {
 
 func TestPrefetcherEvictsOldestWhenStoreFull(t *testing.T) {
 	backend := newCountingFetcher(0)
-	p := NewPrefetcher(backend, 1) // store cap = 1 * storedFactor
+	p := NewPrefetcher(backend) // hints at bound 1: store cap = 1 * storedFactor
 	defer p.Close()
 	// Fill the store with never-consumed speculation, one at a time so
 	// the single-wide window never blocks a launch.
 	for i := 0; i < storedFactor; i++ {
-		p.Hint(fmt.Sprintf("stale%d", i))
+		p.Hint(1, fmt.Sprintf("stale%d", i))
 		// Wait for the fetch to land so the next Hint may launch.
 		waitIdle(t, p)
 	}
-	p.Hint("fresh")
+	p.Hint(1, "fresh")
 	waitIdle(t, p)
 	st := p.Stats()
 	if st.Launched != storedFactor+1 {
@@ -159,7 +184,7 @@ func TestPrefetcherEvictsOldestWhenStoreFull(t *testing.T) {
 	}
 	// An evicted URL must never be speculated again: the frontier will
 	// keep hinting it, and a live crawl must not pay duplicate GETs.
-	p.Hint("stale0")
+	p.Hint(1, "stale0")
 	waitIdle(t, p)
 	if got := backend.count("stale0"); got != 1 {
 		t.Errorf("evicted stale0 re-fetched speculatively (%d fetches)", got)
@@ -170,13 +195,13 @@ func TestPrefetcherEvictsOldestWhenStoreFull(t *testing.T) {
 // not relaunched by later hints: speculative traffic per URL is at most 1.
 func TestPrefetcherNeverSpeculatesTwice(t *testing.T) {
 	backend := newCountingFetcher(0)
-	p := NewPrefetcher(backend, 4)
+	p := NewPrefetcher(backend)
 	defer p.Close()
-	p.Hint("u")
+	p.Hint(4, "u")
 	if _, err := p.Get("u"); err != nil { // consumes the speculation
 		t.Fatal(err)
 	}
-	p.Hint("u")
+	p.Hint(4, "u")
 	waitIdle(t, p)
 	if got := backend.count("u"); got != 1 {
 		t.Errorf("backend fetches = %d, want 1 (no re-speculation)", got)
@@ -244,7 +269,7 @@ func (s *memShared) Publish(u string, r Response) {
 
 func TestPrefetcherSpeculativeHeadConsumeOnce(t *testing.T) {
 	backend := newCountingFetcher(0)
-	p := NewPrefetcher(backend, 4)
+	p := NewPrefetcher(backend)
 	defer p.Close()
 	p.HintDemands(4, Demand{URL: "u", Head: true})
 	waitIdle(t, p)
@@ -264,7 +289,7 @@ func TestPrefetcherSpeculativeHeadConsumeOnce(t *testing.T) {
 	}
 	// A speculated HEAD must not block a later GET speculation of the
 	// same URL (independent namespaces).
-	p.Hint("u")
+	p.Hint(4, "u")
 	waitIdle(t, p)
 	if st := p.Stats(); st.Launched != 2 {
 		t.Errorf("launched = %d, want 2 (HEAD and GET speculate independently)", st.Launched)
@@ -273,9 +298,9 @@ func TestPrefetcherSpeculativeHeadConsumeOnce(t *testing.T) {
 
 func TestPrefetcherHeadServedFromResidentGet(t *testing.T) {
 	backend := newCountingFetcher(0)
-	p := NewPrefetcher(backend, 4)
+	p := NewPrefetcher(backend)
 	defer p.Close()
-	p.Hint("u")
+	p.Hint(4, "u")
 	waitIdle(t, p)
 	resp, err := p.Head("u")
 	if err != nil || resp.Status != 200 {
@@ -305,9 +330,9 @@ func TestPrefetcherHeadServedFromResidentGet(t *testing.T) {
 // frees up.
 func TestPrefetcherHintScansFullBatch(t *testing.T) {
 	backend := newGatedFetcher()
-	p := NewPrefetcher(backend, 1)
-	p.Hint("a") // fills the single-slot window, pinned in flight
-	p.Hint("b", "a", "c")
+	p := NewPrefetcher(backend)
+	p.Hint(1, "a") // fills the single-slot window, pinned in flight
+	p.Hint(1, "b", "a", "c")
 	if st := p.Stats(); st.Launched != 1 {
 		t.Fatalf("launched = %d, want 1 (window full)", st.Launched)
 	}
@@ -324,9 +349,9 @@ func TestPrefetcherHintScansFullBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The window is free again: the previously skipped URLs still launch.
-	p.Hint("b", "c")
+	p.Hint(1, "b", "c")
 	waitIdle(t, p)
-	p.Hint("c")
+	p.Hint(1, "c")
 	waitIdle(t, p)
 	p.Close()
 	if st := p.Stats(); st.Launched != 3 {
@@ -340,8 +365,8 @@ func TestPrefetcherHintScansFullBatch(t *testing.T) {
 // deadlocking or abandoning a running fetch.
 func TestPrefetcherEvictionAllInFlight(t *testing.T) {
 	backend := newGatedFetcher()
-	p := NewPrefetcher(backend, 4)
-	p.Hint("a", "b", "c", "d") // four pinned in-flight entries
+	p := NewPrefetcher(backend)
+	p.Hint(4, "a", "b", "c", "d") // four pinned in-flight entries
 	p.mu.Lock()
 	if got := len(p.store); got != 4 {
 		p.mu.Unlock()
@@ -378,20 +403,20 @@ func TestPrefetcherEvictionAllInFlight(t *testing.T) {
 }
 
 // TestPrefetcherCompactionBoundary pins the order-queue compaction
-// threshold: holes are tolerated up to 2·live + window·storedFactor and
+// threshold: holes are tolerated up to 2·live + bound·storedFactor and
 // compacted away on the first Hint beyond it, so the queue's length tracks
 // the live entries, not the crawl's history.
 func TestPrefetcherCompactionBoundary(t *testing.T) {
 	backend := newCountingFetcher(0)
-	p := NewPrefetcher(backend, 1)
+	p := NewPrefetcher(backend)
 	defer p.Close()
-	threshold := p.window * storedFactor // no live entries: 2*0 + cap
+	threshold := storeCap(1) // no live entries: 2*0 + cap
 	// Leave exactly threshold holes: hint+consume one URL at a time (the
 	// waitIdle keeps the next Hint from racing the in-flight decrement of
 	// the fetch the Get just consumed).
 	for i := 0; i < threshold; i++ {
 		u := fmt.Sprintf("u%d", i)
-		p.Hint(u)
+		p.Hint(1, u)
 		if _, err := p.Get(u); err != nil {
 			t.Fatal(err)
 		}
@@ -404,12 +429,12 @@ func TestPrefetcherCompactionBoundary(t *testing.T) {
 		t.Fatalf("order holds %d holes, want %d (at the boundary, uncompacted)", holes, threshold)
 	}
 	// One more hole crosses the boundary; the next Hint must compact.
-	p.Hint("over")
+	p.Hint(1, "over")
 	if _, err := p.Get("over"); err != nil {
 		t.Fatal(err)
 	}
 	waitIdle(t, p)
-	p.Hint("fresh")
+	p.Hint(1, "fresh")
 	p.mu.Lock()
 	after := len(p.order)
 	p.mu.Unlock()
@@ -420,7 +445,7 @@ func TestPrefetcherCompactionBoundary(t *testing.T) {
 	// past 2·live + threshold + 1 before the next Hint compacts it.
 	for i := 0; i < 10*threshold; i++ {
 		u := fmt.Sprintf("v%d", i)
-		p.Hint(u)
+		p.Hint(1, u)
 		if _, err := p.Get(u); err != nil {
 			t.Fatal(err)
 		}
@@ -434,42 +459,16 @@ func TestPrefetcherCompactionBoundary(t *testing.T) {
 	}
 }
 
-func TestPrefetcherSetWindow(t *testing.T) {
-	backend := newCountingFetcher(time.Millisecond)
-	p := NewPrefetcher(backend, 2)
-	defer p.Close()
-	if p.Window() != 2 {
-		t.Fatalf("window = %d, want 2", p.Window())
-	}
-	p.SetWindow(0) // clamps
-	if p.Window() != 1 {
-		t.Fatalf("window = %d, want the floor 1", p.Window())
-	}
-	p.SetWindow(8)
-	urls := make([]string, 16)
-	for i := range urls {
-		urls[i] = fmt.Sprintf("u%d", i)
-	}
-	p.Hint(urls...)
-	p.Close()
-	if st := p.Stats(); st.Launched != 8 {
-		t.Errorf("launched = %d, want the widened window 8", st.Launched)
-	}
-	if peak := atomic.LoadInt32(&backend.peak); peak > 8 {
-		t.Errorf("observed %d concurrent fetches, window is 8", peak)
-	}
-}
-
 func TestPrefetcherSharedStore(t *testing.T) {
 	backend := newCountingFetcher(0)
 	shared := newMemShared()
 	shared.m["warm"] = Response{URL: "warm", Status: 200, MIME: "text/html", Body: []byte("warm")}
-	p := NewPrefetcher(backend, 4)
+	p := NewPrefetcher(backend)
 	p.SetShared(shared)
 	defer p.Close()
 
 	// A hint for a shared-resident URL launches nothing: the hit is free.
-	p.Hint("warm")
+	p.Hint(4, "warm")
 	waitIdle(t, p)
 	if st := p.Stats(); st.Launched != 0 {
 		t.Fatalf("launched = %d speculations for a shared-resident URL", st.Launched)
@@ -490,7 +489,7 @@ func TestPrefetcherSharedStore(t *testing.T) {
 	}
 
 	// Speculative and demand fetches both publish for the fleet.
-	p.Hint("spec")
+	p.Hint(4, "spec")
 	waitIdle(t, p)
 	if _, err := p.Get("spec"); err != nil {
 		t.Fatal(err)
@@ -505,13 +504,14 @@ func TestPrefetcherSharedStore(t *testing.T) {
 	}
 }
 
-// TestPrefetcherConcurrentAccess exercises Hint/HintDemands/Get/Head/Stats/
-// SetWindow from many goroutines at once; it exists for the -race pass of
-// the CI gate, which watches the speculative layer under real interleaving.
+// TestPrefetcherConcurrentAccess exercises Hint/HintDemands/Get/Head/Stats
+// from many goroutines at once, each Hint batch under its own bound; it
+// exists for the -race pass of the CI gate, which watches the speculative
+// layer under real interleaving.
 func TestPrefetcherConcurrentAccess(t *testing.T) {
 	backend := newCountingFetcher(100 * time.Microsecond)
 	shared := newMemShared()
-	p := NewPrefetcher(backend, 4)
+	p := NewPrefetcher(backend)
 	p.SetShared(shared)
 	const n = 60
 	var wg sync.WaitGroup
@@ -519,7 +519,7 @@ func TestPrefetcherConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			p.Hint(fmt.Sprintf("u%d", i), fmt.Sprintf("u%d", i+1))
+			p.Hint(1+i%8, fmt.Sprintf("u%d", i), fmt.Sprintf("u%d", i+1))
 		}
 	}()
 	go func() {
@@ -549,9 +549,7 @@ func TestPrefetcherConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			p.SetWindow(1 + i%8)
 			_ = p.Stats()
-			_ = p.Window()
 		}
 	}()
 	wg.Wait()
@@ -616,10 +614,10 @@ func (s *publishCounter) Publish(u string, _ Response) {
 func TestPrefetcherSharesRefetchAfterFailedSpeculation(t *testing.T) {
 	backend := &flakyFirstFetcher{countingFetcher: *newCountingFetcher(0)}
 	shared := &publishCounter{published: make(map[string]int)}
-	p := NewPrefetcher(backend, 4)
+	p := NewPrefetcher(backend)
 	p.SetShared(shared)
 	defer p.Close()
-	p.Hint("u")
+	p.Hint(4, "u")
 	waitIdle(t, p)
 	resp, err := p.Get("u")
 	if err != nil || resp.Status != 200 {
@@ -637,8 +635,8 @@ func TestPrefetcherSharesRefetchAfterFailedSpeculation(t *testing.T) {
 // already started, and HEADs and GETs of one URL are tracked apart.
 func TestHintDemandsBoundIsTheCallers(t *testing.T) {
 	backend := newGatedFetcher()
-	p := NewPrefetcher(backend, 1)
-	p.Hint("a") // the window's one slot
+	p := NewPrefetcher(backend)
+	p.Hint(1, "a") // the window's one slot
 	batch := make([]Demand, 12)
 	for i := range batch {
 		batch[i] = Demand{URL: fmt.Sprintf("u%d", i), Head: i%2 == 1}
@@ -647,7 +645,7 @@ func TestHintDemandsBoundIsTheCallers(t *testing.T) {
 	if st := p.Stats(); st.Launched != 8 {
 		t.Errorf("launched %d, want 8 (1 hinted + 7 of the batch under a bound of 8)", st.Launched)
 	}
-	p.Hint("b") // the window is still full
+	p.Hint(1, "b") // the window is still full
 	if st := p.Stats(); st.Launched != 8 {
 		t.Errorf("Hint launched past a full window: %+v", st)
 	}

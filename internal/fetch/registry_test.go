@@ -372,13 +372,13 @@ func TestRegistrySpeculativeSpacing(t *testing.T) {
 	backend := &politeBackend{reg: reg, delay: delay}
 	var crawls []*Prefetcher
 	for c := 0; c < 2; c++ {
-		pf := NewPrefetcher(backend, window)
+		pf := NewPrefetcher(backend)
 		crawls = append(crawls, pf)
 		var urls []string
 		for i := 0; i < window; i++ {
 			urls = append(urls, fmt.Sprintf("https://shared.example.org/c%d/p%d", c, i))
 		}
-		pf.Hint(urls...) // a full window launches at once
+		pf.Hint(window, urls...) // a full window launches at once
 	}
 	for _, pf := range crawls {
 		pf.Close() // waits for the window to drain

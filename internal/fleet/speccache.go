@@ -26,19 +26,6 @@ type SpecCache struct {
 	cap     int
 	entries map[string]fetch.Response
 	order   []string // publish order, for oldest-first eviction
-	stats   SpecCacheStats
-}
-
-// SpecCacheStats counts one cache's traffic.
-type SpecCacheStats struct {
-	// Stored is the number of responses currently resident.
-	Stored int
-	// Hits and Misses count Lookups by outcome.
-	Hits, Misses int
-	// Published counts accepted Publish calls (duplicates excluded).
-	Published int
-	// Evicted counts responses dropped to respect the cap.
-	Evicted int
 }
 
 // DefaultSpecCacheCap bounds a cache nobody sized explicitly. At a typical
@@ -60,17 +47,11 @@ func (c *SpecCache) Lookup(url string) (fetch.Response, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	resp, ok := c.entries[url]
-	if ok {
-		c.stats.Hits++
-	} else {
-		c.stats.Misses++
-	}
 	return resp, ok
 }
 
 // Contains implements fetch.SharedStore: a residency probe for the hint
-// scan, kept out of the demand Hits/Misses accounting so Stats still
-// reflects actual reuse.
+// scan.
 func (c *SpecCache) Contains(url string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -92,7 +73,6 @@ func (c *SpecCache) Publish(url string, resp fetch.Response) {
 	}
 	c.entries[url] = resp
 	c.order = append(c.order, url)
-	c.stats.Published++
 }
 
 // evictOldestLocked drops the oldest resident entry (the order slice never
@@ -105,16 +85,6 @@ func (c *SpecCache) evictOldestLocked() {
 	delete(c.entries, c.order[0])
 	c.order[0] = ""
 	c.order = c.order[1:]
-	c.stats.Evicted++
-}
-
-// Stats snapshots the cache counters.
-func (c *SpecCache) Stats() SpecCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.stats
-	st.Stored = len(c.entries)
-	return st
 }
 
 var _ fetch.SharedStore = (*SpecCache)(nil)

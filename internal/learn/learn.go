@@ -62,11 +62,6 @@ type Model interface {
 	PartialFit(batch []Example)
 	// Predict returns ClassHTML or ClassTarget.
 	Predict(x textvec.Sparse) int
-	// Score returns a real-valued confidence for ClassTarget; the decision
-	// threshold is 0 for margin models and 0.5-equivalent for NB.
-	Score(x textvec.Sparse) float64
-	// Name identifies the model family ("LR", "SVM", "NB", "PA").
-	Name() string
 }
 
 // weights is a flat weight vector plus bias shared by the linear models,
@@ -175,9 +170,6 @@ func NewLogisticRegression() *LogisticRegression {
 	return &LogisticRegression{LR: 0.5, L2: 1e-6, Epochs: 3}
 }
 
-// Name implements Model.
-func (m *LogisticRegression) Name() string { return "LR" }
-
 // Score returns P(target|x) − 0.5 scaled to a margin-like value (the raw
 // linear score), positive for ClassTarget.
 func (m *LogisticRegression) Score(x textvec.Sparse) float64 { return m.dot(x) }
@@ -228,10 +220,7 @@ func NewLinearSVM() *LinearSVM {
 	return &LinearSVM{LR: 0.5, L2: 1e-6, Epochs: 3}
 }
 
-// Name implements Model.
-func (m *LinearSVM) Name() string { return "SVM" }
-
-// Score implements Model.
+// Score returns the raw linear score, positive for ClassTarget.
 func (m *LinearSVM) Score(x textvec.Sparse) float64 { return m.dot(x) }
 
 // Predict implements Model.
@@ -280,9 +269,6 @@ type NaiveBayes struct {
 
 // NewNaiveBayes returns a model with add-one smoothing.
 func NewNaiveBayes() *NaiveBayes { return &NaiveBayes{Alpha: 1} }
-
-// Name implements Model.
-func (m *NaiveBayes) Name() string { return "NB" }
 
 // PartialFit implements Model: counts accumulate, so NB is naturally online.
 func (m *NaiveBayes) PartialFit(batch []Example) {
@@ -350,10 +336,7 @@ func NewPassiveAggressive() *PassiveAggressive {
 	return &PassiveAggressive{C: 1}
 }
 
-// Name implements Model.
-func (m *PassiveAggressive) Name() string { return "PA" }
-
-// Score implements Model.
+// Score returns the raw linear score, positive for ClassTarget.
 func (m *PassiveAggressive) Score(x textvec.Sparse) float64 { return m.dot(x) }
 
 // Predict implements Model.

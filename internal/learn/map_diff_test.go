@@ -46,7 +46,7 @@ func linkStream(t testing.TB, code string, scale float64, limit int) []sample {
 		for _, l := range dom.ExtractLinksAppend(nil, site.RenderPage(pg)) {
 			abs := urlutil.Normalize(base, l.URL)
 			label := learn.ClassHTML
-			if site.IsTarget(abs) {
+			if pg, ok := site.Lookup(abs); ok && pg.Kind == sitegen.KindTarget {
 				label = learn.ClassTarget
 			}
 			out = append(out, sample{
@@ -136,6 +136,13 @@ func sameVector(t testing.TB, got textvec.Sparse, want refSparse) {
 	}
 }
 
+// scoredModel is a model with the real-valued confidence Predict
+// thresholds, which every family computes.
+type scoredModel interface {
+	learn.Model
+	Score(x textvec.Sparse) float64
+}
+
 func TestModelsMatchMapReference(t *testing.T) {
 	var stream []sample
 	for _, sp := range []struct {
@@ -150,7 +157,7 @@ func TestModelsMatchMapReference(t *testing.T) {
 	for _, lay := range layouts {
 		for _, name := range learn.ModelNames {
 			t.Run(lay.name+"/"+name, func(t *testing.T) {
-				fast, ref := learn.NewModel(name), newRefModel(name)
+				fast, ref := learn.NewModel(name).(scoredModel), newRefModel(name)
 				var (
 					batch    []learn.Example
 					refBatch []refExample

@@ -37,7 +37,7 @@ func trainScores(m Model) []float64 {
 	}
 	scores := make([]float64, len(test))
 	for k, ex := range test {
-		scores[k] = m.Score(ex.X)
+		scores[k] = score(m, ex.X)
 	}
 	return scores
 }

@@ -113,13 +113,6 @@ func (c *Client) WaitDone(ctx context.Context, id string) (SessionStatus, error)
 	}
 }
 
-// Cancel cancels the session.
-func (c *Client) Cancel(ctx context.Context, id string) (SessionStatus, error) {
-	var st SessionStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), nil, &st)
-	return st, err
-}
-
 // List fetches session statuses, filtered by tenant when non-empty.
 func (c *Client) List(ctx context.Context, tenant string) ([]SessionStatus, error) {
 	path := "/v1/sessions"
@@ -128,19 +121,5 @@ func (c *Client) List(ctx context.Context, tenant string) ([]SessionStatus, erro
 	}
 	var out []SessionStatus
 	err := c.do(ctx, http.MethodGet, path, nil, &out)
-	return out, err
-}
-
-// Hosts fetches the daemon's per-host politeness accounting.
-func (c *Client) Hosts(ctx context.Context) ([]HostStatus, error) {
-	var out []HostStatus
-	err := c.do(ctx, http.MethodGet, "/v1/hosts", nil, &out)
-	return out, err
-}
-
-// Stats fetches the daemon snapshot.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var out Stats
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out)
 	return out, err
 }

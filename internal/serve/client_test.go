@@ -58,7 +58,7 @@ func TestClientWireUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := srv.Get(created.ID)
+	want, err := srv.Wait(ctx, created.ID, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -361,15 +361,6 @@ func (s *Server) Create(spec SessionSpec) (SessionStatus, error) {
 	return sess.status(true), nil
 }
 
-// Get returns a session's status with results.
-func (s *Server) Get(id string) (SessionStatus, error) {
-	sess := s.lookup(id)
-	if sess == nil {
-		return SessionStatus{}, errNotFound(id)
-	}
-	return sess.status(true), nil
-}
-
 // Wait long-polls a session: it returns as soon as the session's change
 // sequence exceeds after (0 returns immediately), or after timeout.
 func (s *Server) Wait(ctx context.Context, id string, after uint64, timeout time.Duration) (SessionStatus, error) {

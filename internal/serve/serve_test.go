@@ -40,6 +40,14 @@ func daemon(t *testing.T, cfg Config) (*Server, *Client, func()) {
 	}
 }
 
+// call is one request of the daemon's HTTP API through the client's
+// transport, its answer decoded into a T.
+func call[T any](ctx context.Context, c *Client, method, path string) (T, error) {
+	var out T
+	err := c.do(ctx, method, path, nil, &out)
+	return out, err
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	_, client, stop := daemon(t, Config{StorePath: t.TempDir(), Workers: 2})
 	defer stop()
@@ -107,7 +115,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil || len(list) != 1 || list[0].State != StateDone {
 		t.Fatalf("list = %+v, %v", list, err)
 	}
-	stats, err := client.Stats(ctx)
+	stats, err := call[Stats](ctx, client, http.MethodGet, "/v1/stats")
 	if err != nil || stats.Sessions != 1 || stats.Active != 0 || stats.Tenants != 1 {
 		t.Fatalf("stats = %+v, %v", stats, err)
 	}
@@ -262,7 +270,7 @@ func TestServeCancelDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancelled, err := client.Cancel(ctx, created.ID)
+	cancelled, err := call[SessionStatus](ctx, client, http.MethodDelete, "/v1/sessions/"+created.ID)
 	if err != nil || cancelled.State != StateCancelled {
 		t.Fatalf("cancel = %+v, %v", cancelled, err)
 	}
@@ -346,7 +354,7 @@ func TestAdmissionLimits(t *testing.T) {
 	check429(t, err)
 
 	// Cancelling the blocker frees acme's session slot.
-	if _, err := client.Cancel(ctx, first.ID); err != nil {
+	if _, err := call[SessionStatus](ctx, client, http.MethodDelete, "/v1/sessions/"+first.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Create(ctx, SessionSpec{Tenant: "acme", Name: "third", Crawl: slowCrawl, Sites: []SiteSpec{site}}); err != nil {
@@ -474,7 +482,7 @@ func TestLiveSessionSharedHost(t *testing.T) {
 			t.Fatalf("live unit failed: %s", final.Results[0].Err)
 		}
 	}
-	hosts, err := client.Hosts(ctx)
+	hosts, err := call[[]HostStatus](ctx, client, http.MethodGet, "/v1/hosts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +633,7 @@ func TestSessionEventsStream(t *testing.T) {
 	if !last.Done() {
 		t.Fatalf("the stream ended at a running status: %+v", last)
 	}
-	final, err := srv.Get(created.ID)
+	final, err := srv.Wait(context.Background(), created.ID, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

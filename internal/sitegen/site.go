@@ -36,13 +36,6 @@ func (s *Site) TargetURLs() []string {
 	return out
 }
 
-// IsTarget reports whether the URL is a target, the oracle consulted by
-// SB-ORACLE and TRES's unfair URL-type advantage.
-func (s *Site) IsTarget(url string) bool {
-	p, ok := s.Lookup(url)
-	return ok && p.Kind == KindTarget
-}
-
 // Oracles builds the ground truth the oracle strategies consult, over a
 // lookup of a URL's page: class is the page's classify class (HTML, target,
 // or neither for an error, a redirect or an unknown URL), and benefit its

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sbcrawl/internal/classify"
 	"sbcrawl/internal/dom"
 	"sbcrawl/internal/urlutil"
 )
@@ -372,12 +373,13 @@ func TestTargetURLsAndOracle(t *testing.T) {
 	if len(urls) == 0 {
 		t.Fatal("no targets")
 	}
+	class, _ := Oracles(site.Lookup)
 	for _, u := range urls {
-		if !site.IsTarget(u) {
-			t.Errorf("IsTarget(%q) = false for a target URL", u)
+		if class(u) != classify.ClassTarget {
+			t.Errorf("oracle class of %q = %d for a target URL", u, class(u))
 		}
 	}
-	if site.IsTarget(site.Root()) {
+	if class(site.Root()) == classify.ClassTarget {
 		t.Error("root must not be a target")
 	}
 	if site.TotalTargetBytes() <= 0 {

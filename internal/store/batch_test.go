@@ -240,28 +240,6 @@ func TestBatchCorruptionAtomic(t *testing.T) {
 	}
 }
 
-// TestPrefixedPutBatch: the namespace wrapper maps batch keys like Put.
-func TestPrefixedPutBatch(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ns := Prefixed(s, "ns|")
-	if err := ns.PutBatch([]KV{{Key: "a", Val: []byte("1")}, {Key: "b", Val: []byte("2")}}); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := ns.AppendValue(nil, "a"); !ok || string(v) != "1" {
-		t.Fatalf("prefixed Get(a) = %q, %v", v, ok)
-	}
-	if v, ok := s.AppendValue(nil, "ns|b"); !ok || string(v) != "2" {
-		t.Fatalf("raw Get(ns|b) = %q, %v", v, ok)
-	}
-	if got := ns.Keys(""); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("prefixed Keys = %v", got)
-	}
-}
-
 // TestSnapshotPreservesBatchEntries: compaction rewrites batch entries as
 // plain records and the store stays consistent after reopen.
 func TestSnapshotPreservesBatchEntries(t *testing.T) {

@@ -89,9 +89,6 @@ import (
 type Backend interface {
 	// Put durably records key → val (last write wins).
 	Put(key string, val []byte) error
-	// PutBatch group-commits many entries: one record header and CRC
-	// region for the whole batch, a single buffered write, one flush.
-	PutBatch(kvs []KV) error
 	// AppendValue appends the newest value recorded for key to dst and
 	// returns the extended slice; it allocates only when dst lacks the
 	// capacity. A caller reading into a reused buffer owns what it reads
@@ -471,10 +468,10 @@ func (s *Store) Put(key string, val []byte) error {
 	return nil
 }
 
-// PutBatch implements Backend: the whole batch is framed as one record
-// (single header, one CRC over the payload), appended to the write buffer
-// in one piece, and flushed once — a group commit. Entries are
-// individually indexed and readable immediately.
+// PutBatch group-commits many entries: the whole batch is framed as one
+// record (single header, one CRC over the payload), appended to the write
+// buffer in one piece, and flushed once. Entries are individually indexed
+// and readable immediately.
 func (s *Store) PutBatch(kvs []KV) error {
 	if len(kvs) == 0 {
 		return nil
@@ -632,13 +629,6 @@ func (s *Store) Count(prefix string) int {
 		}
 	}
 	return n
-}
-
-// Len returns the number of live keys.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
 }
 
 // GarbageRatio reports the fraction of stored bytes no longer reachable
@@ -817,13 +807,6 @@ func (pb *prefixed) AppendValue(dst []byte, key string) ([]byte, bool) {
 		return s.appendJoined(dst, pb.p, key)
 	}
 	return pb.b.AppendValue(dst, pb.p+key)
-}
-func (pb *prefixed) PutBatch(kvs []KV) error {
-	mapped := make([]KV, len(kvs))
-	for i, kv := range kvs {
-		mapped[i] = KV{Key: pb.p + kv.Key, Val: kv.Val}
-	}
-	return pb.b.PutBatch(mapped)
 }
 func (pb *prefixed) Count(prefix string) int { return pb.b.Count(pb.p + prefix) }
 func (pb *prefixed) Keys(prefix string) []string {

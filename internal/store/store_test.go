@@ -24,7 +24,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Len(); got != 100 {
+	if got := s.Count(""); got != 100 {
 		t.Fatalf("Len = %d, want 100", got)
 	}
 	for i := 0; i < 100; i++ {
@@ -46,7 +46,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.Len(); got != 100 {
+	if got := s2.Count(""); got != 100 {
 		t.Fatalf("reopened Len = %d, want 100", got)
 	}
 	v, ok := s2.AppendValue(nil, "k042")
@@ -84,7 +84,7 @@ func TestLastWriteWins(t *testing.T) {
 	if v, _ := s2.AppendValue(nil, "k"); string(v) != "v4" {
 		t.Fatalf("reopened Get = %q, want v4", v)
 	}
-	if n := s2.Len(); n != 1 {
+	if n := s2.Count(""); n != 1 {
 		t.Fatalf("Len = %d, want 1", n)
 	}
 }
@@ -124,7 +124,7 @@ func TestPrefixedOfPrefixed(t *testing.T) {
 	if err := nested.Put("u", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := nested.PutBatch([]KV{{Key: "v", Val: []byte("2")}}); err != nil {
+	if err := nested.Put("v", []byte("2")); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Keys(""); !reflect.DeepEqual(got, []string{"site|r|g|u", "site|r|g|v"}) {
@@ -202,7 +202,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if n := s2.Len(); n != 11 {
+	if n := s2.Count(""); n != 11 {
 		t.Fatalf("reopened Len = %d, want 11", n)
 	}
 	if v, _ := s2.AppendValue(nil, "new"); string(v) != "after" {
@@ -254,7 +254,7 @@ func TestRecoveryCRCMismatch(t *testing.T) {
 	if rec := s2.Recovery(); len(rec) != 1 {
 		t.Fatalf("Recovery = %+v, want one report", rec)
 	}
-	if n := s2.Len(); n != 9 {
+	if n := s2.Count(""); n != 9 {
 		t.Fatalf("Len = %d, want 9 (the flipped record dropped)", n)
 	}
 }
@@ -284,7 +284,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := s.Len(); n != 8*200 {
+	if n := s.Count(""); n != 8*200 {
 		t.Fatalf("Len = %d, want %d", n, 8*200)
 	}
 }
@@ -439,8 +439,8 @@ func TestOpenAllocsIndependentOfValueBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if s.Len() != 2*records || len(s.Recovery()) != 0 {
-			t.Fatalf("reopened store: %d keys, recovery %v", s.Len(), s.Recovery())
+		if s.Count("") != 2*records || len(s.Recovery()) != 0 {
+			t.Fatalf("reopened store: %d keys, recovery %v", s.Count(""), s.Recovery())
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
@@ -544,8 +544,8 @@ func TestSnapshotAllocsIndependentOfValueBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, ok := s.AppendValue(nil, "k042"); s.Len() != records || !ok || !bytes.Equal(v, val) {
-			t.Fatalf("after the snapshot: %d keys, k042 present %v intact %v", s.Len(), ok, bytes.Equal(v, val))
+		if v, ok := s.AppendValue(nil, "k042"); s.Count("") != records || !ok || !bytes.Equal(v, val) {
+			t.Fatalf("after the snapshot: %d keys, k042 present %v intact %v", s.Count(""), ok, bytes.Equal(v, val))
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}

@@ -123,12 +123,6 @@ func (v *Vocab) ID(gram string) int {
 	return id
 }
 
-// Lookup returns the gram's ID without extending the vocabulary.
-func (v *Vocab) Lookup(gram string) (int, bool) {
-	id, ok := v.ids[gram]
-	return id, ok
-}
-
 // BoW computes the bag-of-words count vector of the grams over the (growing)
 // vocabulary. The returned slice has length v.Len() after the update.
 func (v *Vocab) BoW(grams []string) []float64 {

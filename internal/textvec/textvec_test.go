@@ -55,8 +55,8 @@ func TestVocabStableIDs(t *testing.T) {
 	if a == b {
 		t.Error("distinct grams must get distinct IDs")
 	}
-	if _, ok := v.Lookup("gamma"); ok {
-		t.Error("Lookup must not extend the vocabulary")
+	if _, ok := v.ids["gamma"]; ok {
+		t.Error("an unseen gram must not be in the vocabulary")
 	}
 	if v.Len() != 2 {
 		t.Errorf("Len = %d, want 2", v.Len())
@@ -69,7 +69,7 @@ func TestBoWCounts(t *testing.T) {
 	if len(p) != 3 {
 		t.Fatalf("BoW dim = %d, want 3", len(p))
 	}
-	id, _ := v.Lookup("a")
+	id := v.ids["a"]
 	if p[id] != 3 {
 		t.Errorf("count of a = %v, want 3", p[id])
 	}

@@ -89,15 +89,6 @@ func (f *Federation) PageCount() int {
 // oracle feed).
 func (f *Federation) TargetURLs() []string { return f.targets }
 
-// TargetCount sums the members' reachable target counts.
-func (f *Federation) TargetCount() int {
-	n := 0
-	for _, m := range f.members {
-		n += m.site.ComputeStats().Available
-	}
-	return n
-}
-
 // Lookup resolves a federation URL to its ground-truth page: the synthetic
 // portal page, or the member page behind a subdomain URL. Oracle/metric use
 // only, like Server.Site.

@@ -1,10 +1,6 @@
 package webserver
 
-import (
-	"time"
-
-	"sbcrawl/internal/faultsim"
-)
+import "sbcrawl/internal/faultsim"
 
 // Flaky wraps any simulated backend (a Server or a Federation) with a
 // seeded fault plan, making the *server side* misbehave: scheduled URLs
@@ -32,9 +28,6 @@ func NewFlaky(backend interface {
 	return &Flaky{backend: backend, plan: plan}
 }
 
-// Plan exposes the wrapper's plan (tests inspect injection counts).
-func (f *Flaky) Plan() *faultsim.Plan { return f.plan }
-
 // Get implements the SimBackend shape.
 func (f *Flaky) Get(url string) Response {
 	if resp, ok := f.intercept("GET", url); ok {
@@ -55,10 +48,6 @@ func (f *Flaky) Head(url string) Response {
 func (f *Flaky) intercept(verb, url string) (Response, bool) {
 	flt, ok := f.plan.Next(verb, url)
 	if !ok {
-		return Response{}, false
-	}
-	if flt.Kind == faultsim.KindSlow {
-		time.Sleep(f.plan.SlowDelay())
 		return Response{}, false
 	}
 	status := flt.Kind.Status()

@@ -6,7 +6,6 @@ package webserver
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -48,10 +47,6 @@ type Server struct {
 
 // New wraps a site.
 func New(site *sitegen.Site) *Server { return &Server{site: site} }
-
-// Site returns the underlying ground truth (for oracles and metrics only —
-// crawlers must not touch it).
-func (s *Server) Site() *sitegen.Site { return s.site }
 
 // Get performs an HTTP GET.
 func (s *Server) Get(url string) Response {
@@ -146,9 +141,4 @@ func (s *Server) Handler() http.Handler {
 			}
 		}
 	})
-}
-
-// String describes the server for logs.
-func (s *Server) String() string {
-	return fmt.Sprintf("webserver(%s, %d pages)", s.site.Profile.Code, len(s.site.Pages()))
 }

@@ -21,7 +21,7 @@ func newTestServer(t *testing.T) *Server {
 
 func TestGetRoot(t *testing.T) {
 	s := newTestServer(t)
-	resp := s.Get(s.Site().Root())
+	resp := s.Get(s.site.Root())
 	if resp.Status != 200 {
 		t.Fatalf("root status = %d", resp.Status)
 	}
@@ -35,7 +35,7 @@ func TestGetRoot(t *testing.T) {
 
 func TestHeadHasNoBodyButLength(t *testing.T) {
 	s := newTestServer(t)
-	resp := s.Head(s.Site().Root())
+	resp := s.Head(s.site.Root())
 	if resp.Body != nil {
 		t.Error("HEAD must not carry a body")
 	}
@@ -46,7 +46,7 @@ func TestHeadHasNoBodyButLength(t *testing.T) {
 
 func TestTargetResponseMIME(t *testing.T) {
 	s := newTestServer(t)
-	urls := s.Site().TargetURLs()
+	urls := s.site.TargetURLs()
 	if len(urls) == 0 {
 		t.Fatal("no targets")
 	}
@@ -54,7 +54,7 @@ func TestTargetResponseMIME(t *testing.T) {
 	if resp.Status != 200 {
 		t.Fatalf("target status = %d", resp.Status)
 	}
-	pg, _ := s.Site().Lookup(urls[0])
+	pg, _ := s.site.Lookup(urls[0])
 	if resp.MIME != pg.MIME {
 		t.Errorf("MIME %q, want %q", resp.MIME, pg.MIME)
 	}
@@ -66,7 +66,7 @@ func TestTargetResponseMIME(t *testing.T) {
 func TestErrorAndRedirectResponses(t *testing.T) {
 	s := newTestServer(t)
 	var sawErr, sawRedir bool
-	for _, pg := range s.Site().Pages() {
+	for _, pg := range s.site.Pages() {
 		switch pg.Kind {
 		case sitegen.KindError:
 			resp := s.Get(pg.URL)
@@ -114,11 +114,11 @@ func TestHTTPHandlerRoundTrip(t *testing.T) {
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	for _, pg := range s.Site().Pages() {
+	for _, pg := range s.site.Pages() {
 		if pg.Kind != sitegen.KindRedirect {
 			continue
 		}
-		path := strings.TrimPrefix(pg.URL, "https://"+s.Site().Profile.Host)
+		path := strings.TrimPrefix(pg.URL, "https://"+s.site.Profile.Host)
 		r2, err := client.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -144,10 +144,10 @@ func TestHTTPHandlerRoundTrip(t *testing.T) {
 func TestTrapPagesServeDynamically(t *testing.T) {
 	s := newTestServer(t)
 	s.EnableTrap()
-	host := "https://" + s.Site().Profile.Host
+	host := "https://" + s.site.Profile.Host
 
 	// The root page gains the archive entry link.
-	root := s.Get(s.Site().Root())
+	root := s.Get(s.site.Root())
 	if !strings.Contains(string(root.Body), "/calendar/1") {
 		t.Error("trap entry link missing from the root page")
 	}

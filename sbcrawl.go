@@ -604,7 +604,7 @@ func buildCrawler(cfg Config, sitePages int) (core.Crawler, error) {
 		warmup := sitePages / 10
 		return core.NewTPOff(warmup, cfg.Seed), nil
 	case StrategyTRES:
-		return core.NewTRES(0, cfg.Seed), nil
+		return core.NewTRES(0), nil
 	case StrategyOmniscient:
 		return core.NewOmniscient(), nil
 	}

@@ -18,12 +18,15 @@ test -z "$(gofmt -l .)"
 # no goroutine, imports no sync, snapshots no frontier and copies no page's
 # links; the replay database lists nothing; the bigram featurizer sorts
 # nothing; no per-link classifier features; no per-crawl bucket table) and
-# its dead-code rule TestEveryDeclarationHasACaller (every internal/
-# declaration and method, and every unexported one anywhere, has a non-test
-# caller outside benchmark/, and every unexported field of a top-level struct
-# type outside benchmark/ a non-test read in its package that is not the
-# whole left side of an = or :=, or an allowlist entry with a reason),
-# and
+# its dead-code rule TestEveryDeclarationHasACaller, which type-checks the
+# module with go/types (one `go list -export` supplies the standard
+# library's export data) and resolves every use to its object: every
+# internal/ declaration, method and interface method, and every unexported
+# one anywhere, has a non-test use outside benchmark/ (a method also through
+# a used interface method its type implements, not through a forwarder),
+# and every unexported field of a top-level struct type outside benchmark/ a
+# non-test read that is not a composite literal's key or the whole left side
+# of an = or :=, or an allowlist entry with a reason; and
 # every package's 'Alloc' gates, which hold:
 # link path — one-pass extraction on free-listed parsers costs O(links) a
 # page, never O(bytes), the same after a GC, and a full intern table starts

@@ -89,11 +89,11 @@ func (ai *ActionIndex) Match(tokens []string) (int, bool) {
 	return 0, false
 }
 
-// Release parks the HNSW index's level generator (hnsw.Index.Release) and the
-// tag-path vocabulary, cleared and only under its bound
-// (textvec.TagPathVectorizer.Release), for the next action index. NumActions,
-// PathCount and Example still answer; the index must not map paths
-// afterwards.
+// Release parks the HNSW index's level generator and node slab, emptied and
+// only under its bounds (hnsw.Index.Release), and the tag-path vocabulary,
+// cleared and only under its bound (textvec.TagPathVectorizer.Release), for
+// the next action index. PathCount still answers; the index must not map
+// paths afterwards, and NumActions, its node count, reads 0.
 func (ai *ActionIndex) Release() {
 	ai.index.Release()
 	ai.vec.Release()

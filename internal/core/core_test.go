@@ -256,11 +256,12 @@ func TestSBDeterministicPerSeed(t *testing.T) {
 
 // TestSBCrawlReusesClassifierTablesAlloc: an SB crawl releases its
 // classifier's weight table, batch arena, scratch, example slots and pending
-// map, its HNSW level generator, its tag-path vocabulary, its frontier's
-// generator source and its engine's tables (T ∪ F, the in-page set, the link
-// stack) when it ends, so of two identical budgeted crawls back to back the
-// second takes them all from the free lists instead of allocating ~170 KB of
-// its own (~70 KB of it the weight table, ~60 KB the maps, slots and stack).
+// map, its HNSW level generator and node slab, its tag-path vocabulary, its
+// frontier's generator source and action table, and its engine's tables
+// (T ∪ F, the in-page set, the link stack) when it ends, so of two identical
+// budgeted crawls back to back the second takes them all from the free lists
+// instead of allocating ~190 KB of its own (~70 KB of it the weight table,
+// ~60 KB the maps, slots and stack, ~16 KB the node slab and action table).
 func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 	if raceEnabled {
 		// Under the race detector the same crawl's allocation varies by
@@ -283,11 +284,12 @@ func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	crawlBytes() // lazy package state: warm parsers, interned strings
-	// Empty the six free lists, each of which holds at most 8: a fresh model
-	// takes one parked table on its first fit, and a classifier, an HNSW
-	// index, a grouped frontier, a tag-path vectorizer and an engine take a
-	// parked arena (with its scratch, slots and pending map), generator,
-	// source, vocabulary and engine tables when they are built.
+	// Empty the eight free lists, each of which holds at most 8: a fresh
+	// model takes one parked table on its first fit, and a classifier, an
+	// HNSW index, a grouped frontier, a tag-path vectorizer and an engine
+	// take a parked arena (with its scratch, slots and pending map),
+	// generator and node slab, source and action table, vocabulary and
+	// engine tables when they are built.
 	for range 8 {
 		learn.NewLogisticRegression().PartialFit([]learn.Example{{X: textvec.MakeSparse(2).AppendCharBigrams("ab", 0), Y: learn.ClassTarget}})
 		classify.NewOnline(classify.Config{})
@@ -297,8 +299,8 @@ func TestSBCrawlReusesClassifierTablesAlloc(t *testing.T) {
 		takeTables()
 	}
 	first, second := crawlBytes(), crawlBytes()
-	if first < second+150<<10 {
-		t.Errorf("first crawl allocated %d bytes, the second %d: want the second ≥ 150 KB less", first, second)
+	if first < second+170<<10 {
+		t.Errorf("first crawl allocated %d bytes, the second %d: want the second ≥ 170 KB less", first, second)
 	}
 	// The two generators are too small to show in that margin: the crawl just
 	// run parked both, so building an index and a frontier allocates neither

@@ -23,8 +23,9 @@ type Response struct {
 	Body          []byte
 	ContentLength int
 	Interrupted   bool
-	// RetryAfter is the Retry-After header in seconds (0 when absent),
-	// sent with 503/429 answers; the retry layer honors it.
+	// RetryAfter is the Retry-After header in seconds, sent with 503/429
+	// answers; the retry layer honors it. Only the delta-seconds form is
+	// read: an absent header, an HTTP-date or an invalid value is 0.
 	RetryAfter int
 }
 

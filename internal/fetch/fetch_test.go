@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,6 +153,80 @@ func TestHTTPFetcherSurfacesRedirects(t *testing.T) {
 	}
 	if resp.Status != 301 || resp.Location == "" {
 		t.Errorf("redirect must not be auto-followed: %+v", resp)
+	}
+}
+
+// retryAfterServer answers every request but robots.txt 503 with the given
+// Retry-After header, and counts them.
+func retryAfterServer(t *testing.T, header string) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
+	hits := new(atomic.Int32)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/robots.txt" {
+			http.NotFound(w, r)
+			return
+		}
+		hits.Add(1)
+		w.Header().Set("Retry-After", header)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, hits
+}
+
+// TestHTTPReadsRetryAfter: a live 503's Retry-After reaches the Response in
+// its delta-seconds form; an HTTP-date or a value that is not all digits
+// reads as 0, and one past the cap reads as the cap.
+func TestHTTPReadsRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   int
+	}{
+		{"7", 7},
+		{" 12 ", 12},
+		{"0", 0},
+		{"Wed, 21 Oct 2015 07:28:00 GMT", 0},
+		{"-3", 0},
+		{"+3", 0},
+		{"1.5", 0},
+		{"99999999999999999999999", maxRetryAfter},
+	} {
+		ts, _ := retryAfterServer(t, tc.header)
+		f := NewHTTP()
+		f.MinDelay = 0
+		for _, verb := range []func(string) (Response, error){f.Get, f.Head} {
+			resp, err := verb(ts.URL + "/a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != 503 || resp.RetryAfter != tc.want {
+				t.Errorf("Retry-After %q: status %d, RetryAfter %d; want 503, %d", tc.header, resp.Status, resp.RetryAfter, tc.want)
+			}
+		}
+	}
+}
+
+// TestRetrierHonorsLiveRetryAfter: the Retry-After a live server sends raises
+// the Retrier's wait above its exponential step, capped at MaxBackoff.
+func TestRetrierHonorsLiveRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		maxBackoff time.Duration
+		want       time.Duration
+	}{
+		{10 * time.Second, 7 * time.Second},
+		{5 * time.Second, 5 * time.Second},
+	} {
+		ts, hits := retryAfterServer(t, "7")
+		f := NewHTTP()
+		f.MinDelay = 0
+		r := NewRetrier(f, RetryPolicy{MaxAttempts: 2, MaxBackoff: tc.maxBackoff})
+		if resp, err := r.Get(ts.URL + "/a"); err != nil || resp.Status != 503 {
+			t.Fatalf("Get = %+v, %v; want the final 503", resp, err)
+		}
+		if st := r.Stats(); hits.Load() != 2 || st.Retries != 1 || st.BackoffWait != tc.want {
+			t.Errorf("MaxBackoff %v: %d requests, %d retries, BackoffWait %v; want 2, 1, %v",
+				tc.maxBackoff, hits.Load(), st.Retries, st.BackoffWait, tc.want)
+		}
 	}
 }
 

@@ -143,13 +143,33 @@ func (f *HTTP) exchange(method, url string) (Response, io.ReadCloser, error) {
 		return Response{}, nil, err
 	}
 	resp := Response{
-		URL:      url,
-		Status:   httpResp.StatusCode,
-		MIME:     httpResp.Header.Get("Content-Type"),
-		Location: httpResp.Header.Get("Location"),
+		URL:        url,
+		Status:     httpResp.StatusCode,
+		MIME:       httpResp.Header.Get("Content-Type"),
+		Location:   httpResp.Header.Get("Location"),
+		RetryAfter: retryAfterSeconds(httpResp.Header.Get("Retry-After")),
 	}
 	if httpResp.ContentLength > 0 {
 		resp.ContentLength = int(httpResp.ContentLength)
 	}
 	return resp, httpResp.Body, nil
+}
+
+// maxRetryAfter caps a parsed Retry-After (~68 years), so the retry layer's
+// conversion to a time.Duration cannot overflow.
+const maxRetryAfter = 1<<31 - 1
+
+// retryAfterSeconds reads a Retry-After header value (net/http has trimmed
+// it) in its delta-seconds form (RFC 9110, Sec. 10.2.3). An absent header,
+// an HTTP-date and any other value that is not all digits read as 0: no
+// wait asked for.
+func retryAfterSeconds(v string) int {
+	n := 0
+	for i := 0; i < len(v); i++ {
+		if v[i] < '0' || v[i] > '9' {
+			return 0
+		}
+		n = min(n*10+int(v[i]-'0'), maxRetryAfter)
+	}
+	return n
 }

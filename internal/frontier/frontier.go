@@ -240,30 +240,65 @@ func (p *Priority) Rescore(fn func(url string) float64) {
 // link belongs to exactly one action, the bandit picks an action, and the
 // link is drawn uniformly at random within it. An action with no remaining
 // links is asleep.
+//
+// Actions are small dense integers from −1 up (SB's are action-index IDs,
+// TP-OFF's group IDs with −1 its zero bucket), so the links live in one
+// slice indexed by action: slot a+1 holds action a's. An action that empties
+// keeps its slot's capacity for its next links, and a finished frontier
+// parks the whole table for the next one (Release).
 type Grouped struct {
-	byAction map[int][]string
+	byAction [][]string
 	total    int
 	rng      *rand.Rand
 	src      *countedSource
 	seed     int64
 }
 
-// NewGrouped builds an action-grouped frontier with a deterministic seed.
+// NewGrouped builds an action-grouped frontier with a deterministic seed, on
+// a parked action table when one is waiting.
 func NewGrouped(seed int64) *Grouped {
 	rng, src := newCountedRand(seed, 0)
-	return &Grouped{byAction: make(map[int][]string), rng: rng, src: src, seed: seed}
+	byAction, _ := actionsFree.Get()
+	return &Grouped{byAction: byAction, rng: rng, src: src, seed: seed}
 }
 
-// Release parks the frontier's generator source for the next frontier. The
-// frontier must not be used afterwards; one used anyway panics on its next
-// draw rather than share a source with another frontier.
+// Release parks the frontier's generator source and, while under the
+// maxParked bounds, its action table for the next frontier. The frontier
+// must not be used afterwards; one used anyway panics on its next draw
+// rather than share a source with another frontier.
 func (g *Grouped) Release() {
 	if g.src == nil {
 		return
 	}
 	sourceFree.Put(g.src.src)
 	g.rng, g.src = nil, nil
+	all := g.byAction[:cap(g.byAction)]
+	links := 0
+	for _, l := range all {
+		links += cap(l)
+	}
+	if len(all) <= maxParkedActions && links <= maxParkedLinks {
+		for i, l := range all {
+			clear(l[:cap(l)]) // pin no URL of this crawl
+			all[i] = l[:0]
+		}
+		actionsFree.Put(all[:0])
+	}
+	g.byAction, g.total = nil, 0
 }
+
+// The maxParked bounds cap what a parked action table may hold: the crawls
+// it serves are short and their tables small (a few hundred link slots over
+// a few dozen actions), and one an exhausting crawl grew past them is left
+// to the GC. At the bounds a table pins 24 KB of slots and 128 KB of links.
+const (
+	maxParkedActions = 1 << 10 // action slots
+	maxParkedLinks   = 1 << 13 // link slots over all actions
+)
+
+// actionsFree parks released frontiers' action tables, every slot emptied
+// with its capacity kept.
+var actionsFree = freelist.New[[][]string]()
 
 // sourceFree parks released frontiers' generator sources (~4.9 KB each, one
 // per SB crawl) for newCountedRand to re-seed: Seed resets a source's whole
@@ -287,32 +322,42 @@ func newCountedRand(seed, draws int64) (*rand.Rand, *countedSource) {
 	return rand.New(cs), cs
 }
 
-// Push adds a URL under the given action.
+// links returns the action's links: none for an action never pushed to.
+func (g *Grouped) links(action int) []string {
+	if s := action + 1; s >= 0 && s < len(g.byAction) {
+		return g.byAction[s]
+	}
+	return nil
+}
+
+// Push adds a URL under the given action, which must be at least −1.
 func (g *Grouped) Push(action int, url string) {
-	g.byAction[action] = append(g.byAction[action], url)
+	s := action + 1
+	if s >= len(g.byAction) {
+		// Slots past the length are empty: new, or emptied when parked.
+		g.byAction = slices.Grow(g.byAction, s+1-len(g.byAction))[:s+1]
+	}
+	g.byAction[s] = append(g.byAction[s], url)
 	g.total++
 }
 
 // PopFrom removes and returns a uniformly random URL of the action.
 func (g *Grouped) PopFrom(action int) (string, bool) {
-	n := len(g.byAction[action])
+	n := len(g.links(action))
 	if n == 0 {
 		return "", false
 	}
 	return g.popAt(action, g.rng.Intn(n))
 }
 
+// popAt swap-removes the action's link i; the slot keeps its capacity.
 func (g *Grouped) popAt(action, i int) (string, bool) {
-	links := g.byAction[action]
+	links := g.byAction[action+1]
 	n := len(links)
 	u := links[i]
 	links[i] = links[n-1]
-	links = links[:n-1]
-	if len(links) == 0 {
-		delete(g.byAction, action)
-	} else {
-		g.byAction[action] = links
-	}
+	links[n-1] = ""
+	g.byAction[action+1] = links[:n-1]
 	g.total--
 	return u, true
 }
@@ -325,17 +370,16 @@ func (g *Grouped) Awake() []int { return g.AppendAwake(nil) }
 // so a caller that keeps dst's array allocates nothing once it is large
 // enough.
 func (g *Grouped) AppendAwake(dst []int) []int {
-	dst = slices.Grow(dst, len(g.byAction))
-	start := len(dst)
-	for a := range g.byAction {
-		dst = append(dst, a)
+	for s, links := range g.byAction {
+		if len(links) > 0 {
+			dst = append(dst, s-1)
+		}
 	}
-	slices.Sort(dst[start:])
 	return dst
 }
 
 // ActionLen returns how many links the action currently holds.
-func (g *Grouped) ActionLen(action int) int { return len(g.byAction[action]) }
+func (g *Grouped) ActionLen(action int) int { return len(g.links(action)) }
 
 // Len returns the total number of frontier links.
 func (g *Grouped) Len() int { return g.total }
@@ -349,7 +393,7 @@ func (g *Grouped) Len() int { return g.total }
 // call. ok=false when the action is asleep, or in the ~n/2³¹ case where
 // Intn would reject the buffered value and draw again.
 func (g *Grouped) PeekFrom(action int) (string, bool) {
-	links := g.byAction[action]
+	links := g.links(action)
 	i, ok := g.src.peekIntn(len(links))
 	if !ok {
 		return "", false

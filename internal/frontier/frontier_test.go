@@ -475,7 +475,7 @@ func (g *Grouped) PopAny() (string, int, bool) {
 	}
 	k := g.rng.Intn(g.total)
 	for _, action := range g.Awake() {
-		links := g.byAction[action]
+		links := g.links(action)
 		if k < len(links) {
 			u, _ := g.popAt(action, k)
 			return u, action, true

@@ -76,7 +76,7 @@ func TestGroupedPeekFromRejectedDraw(t *testing.T) {
 			vals: []int64{(1<<31 - 1) << 32, 7 << 32},
 			rest: rand.NewSource(5),
 		}}
-		g := &Grouped{byAction: map[int][]string{}, rng: rand.New(cs), src: cs}
+		g := &Grouped{rng: rand.New(cs), src: cs}
 		for _, u := range []string{"a", "b", "c"} {
 			g.Push(0, u)
 		}

@@ -129,12 +129,14 @@ type GroupedState struct {
 // Snapshot captures the action-grouped frontier and its generator position.
 func (g *Grouped) Snapshot() GroupedState {
 	st := GroupedState{
-		Actions: make(map[int][]string, len(g.byAction)),
+		Actions: make(map[int][]string),
 		Seed:    g.seed,
 		Draws:   g.src.draws,
 	}
-	for a, links := range g.byAction {
-		st.Actions[a] = append([]string(nil), links...)
+	for s, links := range g.byAction {
+		if len(links) > 0 {
+			st.Actions[s-1] = append([]string(nil), links...)
+		}
 	}
 	return st
 }

@@ -137,11 +137,11 @@ func (s *Stack) Restore(st StackState) {
 
 // Restore replaces the frontier's state with the snapshot.
 func (g *Grouped) Restore(st GroupedState) {
-	g.byAction = make(map[int][]string, len(st.Actions))
-	g.total = 0
+	g.byAction, g.total = nil, 0
 	for a, links := range st.Actions {
-		g.byAction[a] = append([]string(nil), links...)
-		g.total += len(links)
+		for _, u := range links {
+			g.Push(a, u)
+		}
 	}
 	g.seed = st.Seed
 	g.rng, g.src = newCountedRand(st.Seed, st.Draws)

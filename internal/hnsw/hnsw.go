@@ -40,6 +40,7 @@ package hnsw
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"sbcrawl/internal/freelist"
 )
@@ -72,7 +73,8 @@ type node struct {
 }
 
 // Index is an HNSW graph. IDs are assigned densely from 0 in insertion
-// order and never reused.
+// order and never reused within an index; a released index's nodes are
+// reused, emptied, by the next index's insertions.
 type Index struct {
 	cfg      Config
 	ml       float64
@@ -112,11 +114,14 @@ func New(cfg Config) *Index {
 	} else {
 		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
+	sl, _ := slabFree.Get()
 	return &Index{
-		cfg:   cfg,
-		ml:    1 / math.Log(float64(cfg.M)),
-		entry: -1,
-		rng:   rng,
+		cfg:     cfg,
+		ml:      1 / math.Log(float64(cfg.M)),
+		nodes:   sl.nodes,
+		entry:   -1,
+		rng:     rng,
+		visited: sl.visited,
 	}
 }
 
@@ -125,15 +130,85 @@ func New(cfg Config) *Index {
 // state, so the stream is a new generator's.
 var rngFree = freelist.New[*rand.Rand]()
 
-// Release parks the index's level generator for the next New. The index must
-// not be used afterwards; one used anyway panics on its next insertion rather
-// than share a generator with another index.
+// slab is a released index's node storage: nodes at length 0 with the
+// parked nodes past it, each emptied with its arrays' capacity kept, and
+// visited at length 0.
+type slab struct {
+	nodes   []*node
+	visited []uint64
+}
+
+// slabFree parks released indexes' node slabs for New.
+var slabFree = freelist.New[slab]()
+
+// The maxParked bounds cap what a parked slab may hold: an index of a short
+// crawl has a few dozen nodes of a few hundred entries in all, and one a
+// long crawl grew past them — or a few wide centroids did — is left to the
+// GC. At the bounds a slab pins ~28 KB of nodes, 64 KB of support and
+// 96 KB of friend slots (a layer's slice header counted as one slot).
+const (
+	maxParkedNodes   = 1 << 8
+	maxParkedSupport = 1 << 13 // sup and val entries over all nodes
+	maxParkedFriends = 1 << 12 // friend IDs and layers over all nodes
+)
+
+// Release parks the index's level generator and, while under the maxParked
+// bounds, its node slab for the next New. The index must not be used
+// afterwards; one used anyway panics on its next insertion rather than share
+// a generator with another index.
 func (ix *Index) Release() {
 	if ix.rng == nil {
 		return
 	}
 	rngFree.Put(ix.rng)
 	ix.rng = nil
+	all := ix.nodes[:cap(ix.nodes)]
+	support, friends := 0, 0
+	for _, n := range all {
+		if n == nil {
+			continue
+		}
+		support += cap(n.sup) + cap(n.val)
+		friends += cap(n.friends)
+		for _, fr := range n.friends[:cap(n.friends)] {
+			friends += cap(fr)
+		}
+	}
+	if len(all) <= maxParkedNodes && support <= maxParkedSupport && friends <= maxParkedFriends {
+		for _, n := range all {
+			if n != nil {
+				n.reset()
+			}
+		}
+		slabFree.Put(slab{nodes: all[:0], visited: ix.visited[:0]})
+	}
+	ix.nodes, ix.visited = nil, nil
+}
+
+// reset empties a node for its next insertion, keeping the capacity of its
+// support, its values, its layer list and every layer's friends.
+func (n *node) reset() {
+	fr := n.friends[:cap(n.friends)]
+	for l := range fr {
+		fr[l] = fr[l][:0]
+	}
+	*n = node{sup: n.sup[:0], val: n.val[:0], friends: fr[:0]}
+}
+
+// newNode returns a node at the given level with no vector and no friends:
+// the slab's next parked node when there is one, a new one otherwise.
+func (ix *Index) newNode(level int) *node {
+	var n *node
+	if id := len(ix.nodes); id < cap(ix.nodes) {
+		n = ix.nodes[:id+1][id] // nil past the parked ones
+	}
+	if n == nil {
+		n = new(node)
+	}
+	n.level = level
+	// Grow keeps the layers up to capacity, which reset emptied.
+	n.friends = slices.Grow(n.friends[:0], level+1)[:level+1]
+	return n
 }
 
 // Len returns the number of stored vectors.
@@ -252,12 +327,12 @@ func (ix *Index) Add(vec []float64) int {
 
 // AddSparse inserts the dim-dimensional vector whose non-zero entries are
 // (idx, val) and returns its ID. Every vector of one index must have the
-// same dim. It allocates in proportion to len(idx), whatever dim is.
+// same dim. It allocates in proportion to len(idx), whatever dim is, and
+// nothing on a parked node whose arrays the vector and its links fit.
 func (ix *Index) AddSparse(dim int, idx []int, val []float64) int {
 	ix.dim = dim
-	n := &node{level: ix.randomLevel()}
+	n := ix.newNode(ix.randomLevel())
 	n.set(idx, val)
-	n.friends = make([][]int, n.level+1)
 	id := len(ix.nodes)
 	ix.nodes = append(ix.nodes, n)
 	ix.visited = append(ix.visited, 0)

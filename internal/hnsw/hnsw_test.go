@@ -3,6 +3,7 @@ package hnsw
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -516,6 +517,7 @@ func drainRNGs() {
 // the free list empty.
 func TestReleasedGeneratorIsFresh(t *testing.T) {
 	defer drainRNGs()
+	defer drainSlabs()
 	idx, val := tagPathLike(rand.New(rand.NewSource(3)), 150)
 	build := func(seed int64, n int) (*Index, []int, []Result) {
 		cfg := DefaultConfig()
@@ -551,5 +553,162 @@ func TestReleasedGeneratorIsFresh(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("NearestSparse on a reused generator %v, on a fresh one %v", got, want)
+	}
+}
+
+// drainSlabs empties the slab free list, so the next index allocates its
+// nodes.
+func drainSlabs() {
+	for len(slabFree) > 0 {
+		<-slabFree
+	}
+}
+
+// actionTrace grows ix the way Algorithm 1 does — each vector merged into
+// its nearest centroid when that is similar enough (a threshold above
+// Algorithm 1's, so that most tag-path-like vectors found a node), founded
+// as a new node otherwise — and records every answer, then every node's
+// vector and friend lists.
+func actionTrace(ix *Index, idx [][]int, val [][]float64) []any {
+	var out []any
+	counts := map[int]int{}
+	for i := range idx {
+		near, ok := ix.NearestSparse(idx[i], val[i])
+		out = append(out, near, ok)
+		if ok && near.Similarity >= 0.9 {
+			counts[near.ID]++
+			ix.Merge(near.ID, idx[i], val[i], counts[near.ID])
+			continue
+		}
+		id := ix.AddSparse(4096, idx[i], val[i])
+		counts[id] = 1
+		out = append(out, id)
+	}
+	for id := range ix.Len() {
+		n := ix.nodes[id]
+		out = append(out, slices.Clone(n.sup), slices.Clone(n.val), math.Float64bits(n.norm), n.level)
+		for _, fr := range n.friends {
+			out = append(out, slices.Clone(fr))
+		}
+	}
+	return out
+}
+
+// TestParkedSlabIsReset: a released index parks its node slab holding
+// nothing of its vectors or graph — every node at level 0 with empty
+// support, values and friend lists, their capacity kept — and an index
+// built on it, whether it needs fewer nodes than the slab holds or more,
+// answers and links exactly like one built with the list empty.
+func TestParkedSlabIsReset(t *testing.T) {
+	defer drainSlabs()
+	idx, val := tagPathLike(rand.New(rand.NewSource(4)), 300)
+	other, otherVal := tagPathLike(rand.New(rand.NewSource(5)), 300)
+	build := func(seed int64, idx [][]int, val [][]float64) (*Index, []any) {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		ix := New(cfg)
+		return ix, actionTrace(ix, idx, val)
+	}
+	for _, tc := range []struct{ used, reused int }{{300, 120}, {60, 300}} {
+		drainSlabs()
+		_, want := build(9, idx[:tc.reused], val[:tc.reused])
+
+		used, _ := build(77, other[:tc.used], otherVal[:tc.used])
+		nodes := used.Len()
+		used.Release()
+		if used.nodes != nil || len(slabFree) != 1 {
+			t.Fatalf("after Release: nodes still held %v, %d slabs parked", used.nodes != nil, len(slabFree))
+		}
+		sl := <-slabFree
+		if len(sl.nodes) != 0 || len(sl.visited) != 0 || cap(sl.visited) < nodes {
+			t.Fatalf("parked slab: %d nodes, visited len %d cap %d; want 0, 0, ≥ %d", len(sl.nodes), len(sl.visited), cap(sl.visited), nodes)
+		}
+		for id, n := range sl.nodes[:nodes] {
+			if n.level != 0 || n.norm != 0 || len(n.sup) != 0 || len(n.val) != 0 || len(n.friends) != 0 {
+				t.Fatalf("parked node %d: level %d norm %v, %d/%d entries, %d layers", id, n.level, n.norm, len(n.sup), len(n.val), len(n.friends))
+			}
+			if cap(n.sup) == 0 || cap(n.friends) == 0 {
+				t.Fatalf("parked node %d dropped its capacity", id)
+			}
+			for l, fr := range n.friends[:cap(n.friends)] {
+				if len(fr) != 0 {
+					t.Fatalf("parked node %d keeps %d friends at layer %d", id, len(fr), l)
+				}
+			}
+		}
+		slabFree <- sl
+
+		reused, got := build(9, idx[:tc.reused], val[:tc.reused])
+		if len(slabFree) != 0 || reused.nodes[0] != sl.nodes[:1][0] {
+			t.Fatal("New did not take the parked slab")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d vectors on a slab of %d nodes: answers, vectors or links differ from a fresh index", tc.reused, nodes)
+		}
+	}
+}
+
+// TestOutsizedSlabIsNotParked: a slab past any of its bounds — too many
+// nodes, a few wide centroids' support, or friend lists — is left to the GC:
+// a free list never lets go of what it holds. One within them is parked.
+func TestOutsizedSlabIsNotParked(t *testing.T) {
+	defer drainSlabs()
+	wide := make([]int, maxParkedSupport/2+1)
+	for i := range wide {
+		wide[i] = i
+	}
+	ones := make([]float64, len(wide))
+	for i := range ones {
+		ones[i] = 1
+	}
+	for _, tc := range []struct {
+		name   string
+		fill   func(ix *Index)
+		parked bool
+	}{
+		{"within", func(ix *Index) { ix.AddSparse(4096, []int{1, 2}, []float64{1, 1}) }, true},
+		{"nodes", func(ix *Index) { ix.nodes = make([]*node, 0, maxParkedNodes+1) }, false},
+		{"support", func(ix *Index) { ix.AddSparse(4096, wide, ones) }, false},
+		{"friends", func(ix *Index) {
+			ix.AddSparse(4096, []int{1, 2}, []float64{1, 1})
+			ix.nodes[0].friends[0] = make([]int, 0, maxParkedFriends+1)
+		}, false},
+	} {
+		drainSlabs()
+		ix := New(DefaultConfig())
+		tc.fill(ix)
+		ix.Release()
+		if parked := len(slabFree) == 1; parked != tc.parked {
+			t.Errorf("%s: slab parked %v, want %v", tc.name, parked, tc.parked)
+		}
+	}
+}
+
+// TestAddSparseOnParkedSlabAllocs: on a parked slab whose nodes' arrays the
+// new vectors and their links fit, an insertion allocates no node, support
+// or friend list — less than one allocation a call, the search scratch's
+// occasional growth, where a new node costs four.
+func TestAddSparseOnParkedSlabAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	defer drainSlabs()
+	drainSlabs()
+	idx, val := tagPathLike(rand.New(rand.NewSource(6)), 64)
+	used := New(DefaultConfig())
+	for i := range idx {
+		used.AddSparse(4096, idx[i], val[i])
+	}
+	used.Release()
+	ix := New(DefaultConfig())
+	k := 0
+	for ; k < 32; k++ {
+		ix.AddSparse(4096, idx[k], val[k])
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		ix.AddSparse(4096, idx[k], val[k])
+		k++
+	}); got != 0 {
+		t.Errorf("AddSparse on a parked node allocates %v per call, want 0", got)
 	}
 }

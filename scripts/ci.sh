@@ -40,12 +40,14 @@ test -z "$(gofmt -l .)"
 # Algorithm 2 — bigrams into spare capacity allocate nothing, a URL_ONLY link
 # nothing past the HEAD phase, scoring and training nothing once the weight
 # vector has grown; a finished SB crawl's (and FOCUSED's) weight table, batch arena, feature
-# scratch, example slots, pending predictions, generators and tag-path
-# vocabulary, and every finished crawl's T ∪ F, in-page set and link stack,
-# are reused by the next, each parked empty and only under its size bound, and
-# a tag-path vectorizer keeps no D-wide table. Algorithm 3 — once warm, an SB step's select stage, its
+# scratch, example slots, pending predictions, generators, tag-path
+# vocabulary, action-index node slab and frontier action lists, and every
+# finished crawl's T ∪ F, in-page set and link stack, are reused by the next,
+# each parked empty and only under its size bound, and a founding action on
+# a parked node allocates nothing; a tag-path vectorizer keeps no D-wide
+# table. Algorithm 3 — once warm, an SB step's select stage, its
 # select-time next-draw hint and the next-draw guess behind each batch of
-# predicted targets allocate nothing. Durable path — the replay-record codec round trip and the
+# predicted targets allocate nothing, nor does a push into an emptied action. Durable path — the replay-record codec round trip and the
 # checkpoint re-encode allocate nothing; the checkpoint sink nothing, whatever
 # the frontier's size; store.Open and Snapshot allocate per key, not per
 # stored byte, and a read into a reused buffer copies, never allocates, a

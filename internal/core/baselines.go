@@ -71,6 +71,14 @@ func (r *simpleRun) Ingest(_ string, pg page) {
 // Hints implements crawlPolicy.
 func (r *simpleRun) Hints(n int) []string { return r.f.Peek(n) }
 
+// fifoHints implements fifoHinter: BFS's queue pops in Peek order and pushes
+// at its tail; a stack pushes at the head it pops, and Random's Peek is a
+// guess.
+func (r *simpleRun) fifoHints() bool {
+	_, ok := r.f.(*frontier.Queue)
+	return ok
+}
+
 // Run implements Crawler via the staged loop.
 func (c *simpleCrawler) Run(env *Env) (*Result, error) {
 	eng, err := newEngine(env)
@@ -126,6 +134,9 @@ func (w *targetWalk) Hints(n int) []string {
 	}
 	return w.targets[w.next:end]
 }
+
+// fifoHints implements fifoHinter: the walk's hints are the rest of its list.
+func (*targetWalk) fifoHints() bool { return true }
 
 // Run implements Crawler.
 func (omniscient) Run(env *Env) (*Result, error) {

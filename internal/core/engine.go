@@ -261,6 +261,7 @@ type engine struct {
 	tuner          *fetch.AutoTuner  // adaptive window controller; nil unless PrefetchAuto
 	window         int               // in-flight cap of policy hints, the fixed or tuned width
 	ceiling        int               // in-flight cap of decided demands, the fixed width or fetch.AutoMaxWindow
+	settled        int               // leading hints of a FIFO policy the prefetcher already tracks (see speculate)
 	retrier        *fetch.Retrier    // deterministic retry layer; nil unless Env.Retry
 	breaker        *fetch.Breaker    // per-host circuit breaker; nil unless Env.Breaker
 	faultStats     fetch.FaultStats

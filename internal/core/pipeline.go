@@ -31,18 +31,30 @@ type crawlPolicy interface {
 	Hints(n int) []string
 }
 
+// fifoHinter is implemented by a policy whose Hints are its exact pop order
+// and change between steps only by the pop at their head and pushes at their
+// tail: BFS's queue, OMNISCIENT's target walk, TP-OFF's BFS warm-up. What one
+// step's hints handed the prefetch layer then stays the head of every later
+// step's, so speculate hands it only the rest.
+type fifoHinter interface {
+	fifoHints() bool
+}
+
 // runStaged drives a policy through the staged loop until the budget, the
 // context, or the policy ends the crawl. With Env.Prefetch == 0 it is
 // step-for-step the sequential engine; with a prefetch window it submits
 // the policy's hints right before each blocking fetch, so the network works
 // on the likely next pages while the current one is fetched and ingested.
 func (e *engine) runStaged(p crawlPolicy) {
+	f, _ := p.(fifoHinter)
+	fifo := f != nil && f.fifoHints()
+	e.settled = 0 // TP-OFF runs a second policy on the same engine
 	for e.budgetLeft() {
 		u, ok := p.SelectNext()
 		if !ok {
 			return
 		}
-		e.speculate(p)
+		e.speculate(p, fifo)
 		pg := e.fetchPage(u)
 		if pg.Truncated {
 			return
@@ -59,15 +71,30 @@ func (e *engine) runStaged(p crawlPolicy) {
 // a window's worth of hints. With a fixed Env.Prefetch the window never
 // moves. Tuning reads only speculation counters and writes only the window,
 // so it can never change what the crawl returns.
-func (e *engine) speculate(p crawlPolicy) {
+//
+// A FIFO policy's hints that the prefetch layer already tracks are not
+// handed in again: e.settled counts them, one fewer after each select stage
+// has popped the head, plus the settled prefix of what is handed in (see
+// fetch.Prefetcher.Hint). Each step then costs the layer what is new, not a
+// window of lookups. The prefix's URLs are ones the layer would skip anyway,
+// so the same URLs launch.
+func (e *engine) speculate(p crawlPolicy, fifo bool) {
 	if e.prefetcher == nil {
 		return
+	}
+	if fifo && e.settled > 0 {
+		e.settled-- // the select stage popped the hints' head
 	}
 	if e.tuner != nil {
 		e.window = e.tuner.Observe(e.prefetcher.Stats())
 	}
 	if n := e.specRoom(e.window); n > 0 {
-		e.prefetcher.Hint(e.window, p.Hints(n)...)
+		hints := p.Hints(n)
+		from := min(e.settled, len(hints))
+		k := e.prefetcher.Hint(e.window, hints[from:]...)
+		if fifo {
+			e.settled = max(e.settled, from+k)
+		}
 	}
 }
 

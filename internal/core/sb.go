@@ -348,8 +348,9 @@ func (r *sbRun) refits() int {
 // needs before its first fit; then the bandit's next draw over the frontier
 // as it stands. That guess is taken again at every call because the page
 // keeps moving the frontier, and a wrong one costs a wasted fetch, never a
-// changed crawl. The loop calls again as its cursor advances; the prefetch
-// layer skips what it already tracks.
+// changed crawl. The loop calls again as its cursor advances and hands the
+// whole batch again: the prefetch layer skips what it already tracks and
+// stops at the first demand the in-flight bound refuses.
 func (r *sbRun) speculate(targets []string, rest []dom.Link) {
 	room := r.eng.demandRoom()
 	if room <= 0 {

@@ -191,3 +191,45 @@ func TestPartitionsOnlyWidenTheWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestFIFOCursorHidesNoHint crawls the three policies whose hints are their
+// pop order (BFS, OMNISCIENT, TP-OFF's warm-up) to exhaustion over a
+// latency-bound backend, so batches meet the in-flight bound. The engine
+// hands the prefetch layer only the hints past their settled prefix, and
+// that cursor must never skip one the layer does not track: every
+// speculative fetch is consumed, and few requests miss — the counts of a
+// full batch every step, 1–3 a crawl on BFS and OMNISCIENT and about a
+// seventh on TP-OFF, whose phase-2 guesses can be wrong. A cursor that never
+// drops one per step leaves every BFS and OMNISCIENT request past the first
+// window unhinted; one that carries TP-OFF's warm-up count into phase 2
+// leaves all of phase 2 unhinted.
+func TestFIFOCursorHidesNoHint(t *testing.T) {
+	for _, tc := range []struct {
+		c         Crawler
+		missShare int // at most 1/missShare of the requests may miss
+	}{
+		{NewBFS(), 20},
+		{NewOmniscient(), 20},
+		{NewTPOff(30, 3), 4},
+	} {
+		for _, prefetch := range []int{8, 256, PrefetchAuto} {
+			t.Run(fmt.Sprintf("%s/prefetch=%d", tc.c.Name(), prefetch), func(t *testing.T) {
+				env, _ := newTestEnv(t, "cn", 0.05, 4)
+				env.Fetcher = &fetch.Latency{Backend: env.Fetcher, Delay: 200 * time.Microsecond}
+				env.Prefetch = prefetch
+				res, err := tc.c.Run(env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp := res.Spec
+				t.Logf("%d requests, %+v", res.Requests, *sp)
+				if sp.Evicted != 0 || sp.Hits != sp.Launched {
+					t.Errorf("%d of %d speculative fetches went unconsumed (%+v)", sp.Launched-sp.Hits, sp.Launched, *sp)
+				}
+				if sp.Misses*tc.missShare > res.Requests {
+					t.Errorf("%d of %d requests missed, want ≤ 1/%d (%+v)", sp.Misses, res.Requests, tc.missShare, *sp)
+				}
+			})
+		}
+	}
+}

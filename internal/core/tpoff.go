@@ -90,6 +90,9 @@ func (p tpoffWarmup) Ingest(u string, pg page) {
 // Hints implements crawlPolicy.
 func (p tpoffWarmup) Hints(n int) []string { return p.r.bfs.Peek(n) }
 
+// fifoHints implements fifoHinter: the warm-up pops a FIFO queue.
+func (tpoffWarmup) fifoHints() bool { return true }
+
 // zeroGroup buckets phase-2 links matching no existing group.
 const zeroGroup = -1
 

@@ -29,7 +29,10 @@ package fetch
 // ceiling of a crawl under the adaptive controller. It is sized for a
 // latency-bound crawl: by Little's law, 32k requests/s at 5 ms a fetch keep
 // ~160 fetches in flight, and a ceiling of 64 ran a BFS sweep of an
-// eight-host federation at a third of that rate.
+// eight-host federation at a third of that rate. A wide ceiling costs a
+// crawl step no rescan of the window: a policy whose hints are its pop order
+// hands Hint only what is new past their settled prefix, and every batch
+// stops at its in-flight bound.
 const AutoMaxWindow = 256
 
 // Tuning constants. The window is sampled every autoSampleEvery crawl

@@ -143,19 +143,32 @@ func (p *Prefetcher) SetShared(s SharedStore) {
 // drains to it as fetches land. URLs already tracked — in flight, resident,
 // or speculated before (consumed or evicted) — are skipped, as are URLs the
 // fleet-shared cache already holds (a guaranteed hit needs no fetch). The
-// whole batch is always scanned; reaching limit (or a
-// store whose every entry is still in flight) only stops further launches,
-// never the scan, so cost-free skips late in the batch are still taken.
-// Hints are advisory and never queued.
-func (p *Prefetcher) Hint(limit int, urls ...string) {
+// scan stops at the first URL the in-flight bound refuses: the count only
+// drops when a fetch lands, under the lock the batch holds, so nothing later
+// in the batch could launch. A shared-resident URL or a full store does not
+// stop it. Hints are advisory and never queued.
+//
+// Hint returns the batch's settled prefix: the length of its leading run of
+// URLs that are now tracked, launched by this batch or before. Tracking is
+// never undone, so a caller whose hints only lose their head and grow at
+// their tail between batches need not hand the prefix in again.
+func (p *Prefetcher) Hint(limit int, urls ...string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.beginHintLocked(limit) {
-		return
+		return 0
 	}
-	for _, u := range urls {
-		p.launchLocked(u, false, limit)
+	settled := len(urls)
+	for i, u := range urls {
+		out := p.launchLocked(u, false, limit)
+		if out != launchTracked {
+			settled = min(settled, i)
+		}
+		if out == launchBound {
+			break
+		}
 	}
+	return settled
 }
 
 // Demand is one exchange a crawl loop will issue: a GET of URL, or its HEAD
@@ -168,9 +181,10 @@ type Demand struct {
 // HintDemands submits exchanges the caller will demand next, in the order it
 // will demand them, under the same dedup, shared-cache and eviction rules as
 // Hint: none starts once limit speculative fetches are in flight, counting
-// those Hint started. The caller sizes the batch and the bound, so the
-// engine's window, which the adaptive controller narrows when guesses miss,
-// does not narrow a batch of exchanges that are already decided. A HEAD
+// those Hint started, and the scan stops at the first demand that bound
+// refuses. The caller sizes the batch and the bound, so the engine's window,
+// which the adaptive controller narrows when guesses miss, does not narrow a
+// batch of exchanges that are already decided. A HEAD
 // whose URL has a tracked GET is skipped: a resident speculative GET answers
 // the HEAD by itself.
 func (p *Prefetcher) HintDemands(limit int, demands ...Demand) {
@@ -180,7 +194,9 @@ func (p *Prefetcher) HintDemands(limit int, demands ...Demand) {
 		return
 	}
 	for _, d := range demands {
-		p.launchLocked(d.URL, d.Head, limit)
+		if p.launchLocked(d.URL, d.Head, limit) == launchBound {
+			return
+		}
 	}
 }
 
@@ -202,32 +218,47 @@ func (p *Prefetcher) beginHintLocked(limit int) bool {
 	return true
 }
 
+// launchOutcome is what one URL of a batch came to.
+type launchOutcome int
+
+const (
+	// launchTracked: launched now, or in flight, resident or spent before.
+	launchTracked launchOutcome = iota
+	// launchSkipped: not tracked, and the batch goes on — a shared-resident
+	// URL (the shared cache evicts), a HEAD a tracked GET answers (the GET
+	// may be consumed first), or a store full of in-flight entries.
+	launchSkipped
+	// launchBound: limit fetches are in flight, and nothing later in the
+	// batch can launch.
+	launchBound
+)
+
 // launchLocked starts one speculative fetch unless the URL is tracked, spent
 // or shared-resident, limit fetches are in flight, or the store is full of
 // in-flight entries.
-func (p *Prefetcher) launchLocked(u string, head bool, limit int) {
+func (p *Prefetcher) launchLocked(u string, head bool, limit int) launchOutcome {
 	key := u
 	if head {
 		key = headKey(u)
 		// A tracked GET serves the HEAD on its own (see Head).
 		if _, ok := p.store[u]; ok {
-			return
+			return launchSkipped
 		}
 	}
 	if _, ok := p.store[key]; ok {
-		return
+		return launchTracked
 	}
 	if _, ok := p.spent[key]; ok {
-		return
+		return launchTracked
 	}
 	if p.shared != nil && p.shared.Contains(u) {
-		return // Get/Head will be served from the shared cache
+		return launchSkipped // Get/Head will be served from the shared cache
 	}
 	if p.pending >= limit {
-		return // bound reached: stop launching, keep scanning
+		return launchBound
 	}
 	if len(p.store) >= storeCap(limit) && !p.evictOldestLocked() {
-		return // store full of in-flight entries: nothing to free
+		return launchSkipped // store full of in-flight entries: nothing to free
 	}
 	s := &speculative{done: make(chan struct{})}
 	p.store[key] = s
@@ -236,6 +267,7 @@ func (p *Prefetcher) launchLocked(u string, head bool, limit int) {
 	p.stats.Launched++
 	p.wg.Add(1)
 	go p.fetch(u, head, s)
+	return launchTracked
 }
 
 // compactOrderLocked drops consumed holes from the order queue, keeping

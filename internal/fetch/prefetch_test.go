@@ -2,6 +2,7 @@ package fetch
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,10 +325,9 @@ func TestPrefetcherHeadServedFromResidentGet(t *testing.T) {
 	}
 }
 
-// TestPrefetcherHintScansFullBatch pins the batch-scan contract: a full
-// in-flight window stops launches but not the scan, and skipped URLs are
-// left untouched — not spent — so they remain speculatable once the window
-// frees up.
+// TestPrefetcherHintScansFullBatch pins what a full in-flight window leaves
+// behind: the URLs it refuses are untouched — not spent — so they remain
+// speculatable once the window frees up.
 func TestPrefetcherHintScansFullBatch(t *testing.T) {
 	backend := newGatedFetcher()
 	p := NewPrefetcher(backend)
@@ -661,4 +661,144 @@ func TestHintDemandsBoundIsTheCallers(t *testing.T) {
 		t.Errorf("stats = %+v, want the batch's GET and HEAD served from speculation", st)
 	}
 	p.Close()
+}
+
+// probeShared is a memShared that records every residency probe, and calls
+// onContains, when set, before answering one.
+type probeShared struct {
+	*memShared
+	probed     []string
+	onContains func(u string)
+}
+
+func (s *probeShared) Contains(u string) bool {
+	s.probed = append(s.probed, u)
+	if s.onContains != nil {
+		s.onContains(u)
+	}
+	return s.memShared.Contains(u)
+}
+
+// tracked reports whether the Prefetcher holds key in its store or its
+// spent set.
+func tracked(p *Prefetcher, key string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, stored := p.store[key]
+	_, spent := p.spent[key]
+	return stored || spent
+}
+
+// TestHintReportsSettledPrefix pins Hint's settled prefix — the leading run
+// of the batch that is tracked once it returns — and where a batch's scan
+// stops: at the first URL the in-flight bound refuses, for Hint and
+// HintDemands alike, but not at a shared-resident URL or a full store.
+func TestHintReportsSettledPrefix(t *testing.T) {
+	t.Run("tracked and spent", func(t *testing.T) {
+		backend := newGatedFetcher()
+		p := NewPrefetcher(backend)
+		if got := p.Hint(2, "a", "b"); got != 2 {
+			t.Fatalf("Hint launching both = %d, want 2", got)
+		}
+		close(backend.release)
+		waitIdle(t, p)
+		if _, err := p.Get("a"); err != nil { // a spent, b resident
+			t.Fatal(err)
+		}
+		if got := p.Hint(8, "a", "b"); got != 2 {
+			t.Errorf("Hint over spent and resident = %d, want 2", got)
+		}
+		p.Close()
+		if st := p.Stats(); st.Launched != 2 {
+			t.Errorf("launched %d, want 2 (nothing new)", st.Launched)
+		}
+	})
+	t.Run("in-flight bound", func(t *testing.T) {
+		backend := newGatedFetcher()
+		shared := &probeShared{memShared: newMemShared()}
+		p := NewPrefetcher(backend)
+		p.SetShared(shared)
+		p.Hint(2, "a") // in flight
+		if got := p.Hint(2, "a", "b", "c", "d"); got != 2 {
+			t.Errorf("Hint = %d, want 2 (a tracked, b launched, c refused)", got)
+		}
+		for _, u := range []string{"c", "d"} {
+			if tracked(p, u) {
+				t.Errorf("%s past the bound was stored or spent", u)
+			}
+		}
+		if want := []string{"a", "b", "c"}; !slices.Equal(shared.probed, want) {
+			t.Errorf("probed %q, want %q: the scan must stop at the first refusal", shared.probed, want)
+		}
+		close(backend.release)
+		p.Close()
+	})
+	t.Run("shared-resident", func(t *testing.T) {
+		shared := newMemShared()
+		shared.Publish("b", Response{URL: "b", Status: 200})
+		p := NewPrefetcher(newCountingFetcher(0))
+		p.SetShared(shared)
+		if got := p.Hint(4, "a", "b", "c"); got != 1 {
+			t.Errorf("Hint = %d, want 1 (the shared cache may evict b)", got)
+		}
+		p.Close()
+		if !tracked(p, "c") || tracked(p, "b") {
+			t.Error("want c launched past the shared-resident b, and b left to the shared cache")
+		}
+	})
+	t.Run("store full", func(t *testing.T) {
+		// Every entry a fetch keeps in flight counts toward the bound, so
+		// under it a store of storeCap entries always holds a landed one;
+		// the refusal needs a planted store of in-flight entries no fetch
+		// counts. "t" is shared-resident, and probing it lands the oldest
+		// entry mid-batch, as a fetch finishing outside the lock would.
+		backend := newGatedFetcher()
+		p := NewPrefetcher(backend)
+		planted := make([]*speculative, storeCap(1))
+		p.mu.Lock()
+		for i := range planted {
+			planted[i] = &speculative{done: make(chan struct{})}
+			key := fmt.Sprintf("z%d", i)
+			p.store[key] = planted[i]
+			p.order = append(p.order, key)
+		}
+		p.mu.Unlock()
+		shared := &probeShared{memShared: newMemShared(), onContains: func(u string) {
+			if u == "t" {
+				close(planted[0].done)
+			}
+		}}
+		shared.Publish("t", Response{URL: "t", Status: 200})
+		p.SetShared(shared)
+		if got := p.Hint(1, "x", "t", "y"); got != 0 {
+			t.Errorf("Hint = %d, want 0 (x refused by the full store)", got)
+		}
+		if tracked(p, "x") || !tracked(p, "y") {
+			t.Error("want x refused and y launched once the oldest entry landed")
+		}
+		if st := p.Stats(); st.Launched != 1 || st.Evicted != 1 {
+			t.Errorf("stats = %+v, want y launched over one eviction", st)
+		}
+		close(backend.release)
+		p.Close()
+	})
+	t.Run("HintDemands bound", func(t *testing.T) {
+		backend := newGatedFetcher()
+		shared := &probeShared{memShared: newMemShared()}
+		p := NewPrefetcher(backend)
+		p.SetShared(shared)
+		p.Hint(1, "a") // in flight
+		p.HintDemands(2, Demand{URL: "b"}, Demand{URL: "c", Head: true}, Demand{URL: "d"})
+		if st := p.Stats(); st.Launched != 2 {
+			t.Errorf("launched %d, want 2 (a, then b under the bound of 2)", st.Launched)
+		}
+		if tracked(p, headKey("c")) || tracked(p, "d") {
+			t.Error("a demand past the bound was stored or spent")
+		}
+		if want := []string{"a", "b", "c"}; !slices.Equal(shared.probed, want) {
+			t.Errorf("probed %q, want %q: the scan must stop at the first refusal", shared.probed, want)
+		}
+		close(backend.release)
+		p.Close()
+	})
 }

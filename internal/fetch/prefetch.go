@@ -38,6 +38,17 @@ import "sync"
 // no-op. URLs that are hinted but never fetched are evicted oldest-first
 // once the store outgrows its cap, bounding memory by O(in-flight bound).
 //
+// Speculative fetches run on the Prefetcher's own workers, BUbiNG-style
+// long-lived fetching goroutines rather than one per request. A launch hands
+// its job to the most recently parked idle worker over that worker's
+// one-slot channel and starts a worker only when none is idle, so the
+// workers never outnumber the peak number of fetches in flight. A worker
+// parks again once its job lands and exits at Close. A job's entry lands
+// under the Prefetcher's lock (its landed flag, with one sync.Cond for the
+// Gets and Heads waiting on any entry), and a consumed or evicted entry goes
+// onto a free slice the next launch reuses: once warm, a launch allocates
+// no goroutine, channel or entry.
+//
 // The backend must be safe for concurrent use (Sim, Latency, the
 // mutex-guarded Replay, and HTTP all are). A Prefetcher is itself safe for
 // concurrent use, though the engine drives it from one goroutine.
@@ -45,21 +56,33 @@ type Prefetcher struct {
 	backend Fetcher
 
 	mu      sync.Mutex
+	landing sync.Cond   // on mu; broadcast whenever an entry lands
 	shared  SharedStore // fleet-level speculation cache; nil when solo
 	store   map[string]*speculative
 	order   []string            // hint arrival order, for oldest-first eviction
 	spent   map[string]struct{} // consumed or evicted: never speculate again
+	free    []*speculative      // consumed or evicted entries, zeroed for reuse
+	idle    []chan job          // parked workers, the most recently parked last
 	pending int                 // speculative fetches currently in flight
 	closed  bool
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // one per worker
 	stats   PrefetchStats
 }
 
-// speculative is one in-flight or completed speculative fetch.
+// speculative is one in-flight or landed speculative fetch. Its fields are
+// guarded by the Prefetcher's mu.
 type speculative struct {
-	done chan struct{}
-	resp Response
-	err  error
+	resp   Response
+	err    error
+	landed bool
+}
+
+// job is one speculative fetch handed to a worker: the URL, its verb, and
+// the entry its answer lands in.
+type job struct {
+	url  string
+	head bool
+	s    *speculative
 }
 
 // PrefetchStats counts the speculation outcomes of one crawl.
@@ -122,11 +145,13 @@ func headKey(u string) string { return headKeyPrefix + u }
 
 // NewPrefetcher wraps a backend with a speculation layer.
 func NewPrefetcher(backend Fetcher) *Prefetcher {
-	return &Prefetcher{
+	p := &Prefetcher{
 		backend: backend,
 		store:   make(map[string]*speculative),
 		spent:   make(map[string]struct{}),
 	}
+	p.landing.L = &p.mu
+	return p
 }
 
 // SetShared attaches the fleet-level speculation cache: Get and Head misses
@@ -146,7 +171,8 @@ func (p *Prefetcher) SetShared(s SharedStore) {
 // scan stops at the first URL the in-flight bound refuses: the count only
 // drops when a fetch lands, under the lock the batch holds, so nothing later
 // in the batch could launch. A shared-resident URL or a full store does not
-// stop it. Hints are advisory and never queued.
+// stop it: a full store evicts its oldest landed entry. Hints are advisory
+// and never queued.
 //
 // Hint returns the batch's settled prefix: the length of its leading run of
 // URLs that are now tracked, launched by this batch or before. Tracking is
@@ -225,8 +251,8 @@ const (
 	// launchTracked: launched now, or in flight, resident or spent before.
 	launchTracked launchOutcome = iota
 	// launchSkipped: not tracked, and the batch goes on — a shared-resident
-	// URL (the shared cache evicts), a HEAD a tracked GET answers (the GET
-	// may be consumed first), or a store full of in-flight entries.
+	// URL (the shared cache evicts), or a HEAD a tracked GET answers (the GET
+	// may be consumed first).
 	launchSkipped
 	// launchBound: limit fetches are in flight, and nothing later in the
 	// batch can launch.
@@ -234,8 +260,10 @@ const (
 )
 
 // launchLocked starts one speculative fetch unless the URL is tracked, spent
-// or shared-resident, limit fetches are in flight, or the store is full of
-// in-flight entries.
+// or shared-resident, or limit fetches are in flight. A store at its cap
+// evicts its oldest landed entry first; one always exists, since fewer than
+// limit of the store's entries are in flight and the cap is storedFactor
+// times limit.
 func (p *Prefetcher) launchLocked(u string, head bool, limit int) launchOutcome {
 	key := u
 	if head {
@@ -257,16 +285,31 @@ func (p *Prefetcher) launchLocked(u string, head bool, limit int) launchOutcome 
 	if p.pending >= limit {
 		return launchBound
 	}
-	if len(p.store) >= storeCap(limit) && !p.evictOldestLocked() {
-		return launchSkipped // store full of in-flight entries: nothing to free
+	if len(p.store) >= storeCap(limit) {
+		p.evictOldestLocked()
 	}
-	s := &speculative{done: make(chan struct{})}
+	var s *speculative
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		s = new(speculative)
+	}
 	p.store[key] = s
 	p.order = append(p.order, key)
 	p.pending++
 	p.stats.Launched++
-	p.wg.Add(1)
-	go p.fetch(u, head, s)
+	j := job{url: u, head: head, s: s}
+	if n := len(p.idle); n > 0 {
+		w := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		w <- j // a parked worker's slot is empty: the send never blocks
+	} else {
+		w := make(chan job, 1)
+		w <- j
+		p.wg.Add(1)
+		go p.work(w)
+	}
 	return launchTracked
 }
 
@@ -283,51 +326,89 @@ func (p *Prefetcher) compactOrderLocked() {
 	p.order = p.order[:w]
 }
 
-// evictOldestLocked drops the oldest completed, unconsumed speculative
+// evictOldestLocked drops the oldest landed, unconsumed speculative
 // response, compacting consumed holes along the way (in-flight entries are
-// kept: a running fetch cannot be abandoned). It reports false when every
-// stored entry is still in flight.
-func (p *Prefetcher) evictOldestLocked() bool {
+// kept: a running fetch cannot be abandoned).
+func (p *Prefetcher) evictOldestLocked() {
 	w := 0
 	evicted := false
-	for _, u := range p.order {
-		s, ok := p.store[u]
+	for _, k := range p.order {
+		s, ok := p.store[k]
 		if !ok { // consumed: drop the hole
 			continue
 		}
-		if !evicted {
-			select {
-			case <-s.done:
-				delete(p.store, u)
-				p.spent[u] = struct{}{}
-				p.stats.Evicted++
-				evicted = true
-				continue
-			default:
-			}
+		if !evicted && s.landed {
+			p.retireLocked(k)
+			p.recycleLocked(s)
+			p.stats.Evicted++
+			evicted = true
+			continue
 		}
-		p.order[w] = u
+		p.order[w] = k
 		w++
 	}
 	p.order = p.order[:w]
-	return evicted
 }
 
-func (p *Prefetcher) fetch(u string, head bool, s *speculative) {
+// retireLocked removes an entry from the store and marks its key spent.
+func (p *Prefetcher) retireLocked(key string) {
+	delete(p.store, key)
+	p.spent[key] = struct{}{}
+}
+
+// recycleLocked parks a landed entry that has left the store, emptied, for
+// the next launch. A Head that still holds it re-checks the store (see Head).
+func (p *Prefetcher) recycleLocked(s *speculative) {
+	*s = speculative{}
+	p.free = append(p.free, s)
+}
+
+// consumeLocked takes a resident entry's answer: it retires the entry at
+// once, so no other caller finds it, waits for it to land and recycles it.
+func (p *Prefetcher) consumeLocked(key string, s *speculative) (Response, error) {
+	p.retireLocked(key)
+	for !s.landed {
+		p.landing.Wait()
+	}
+	resp, err := s.resp, s.err
+	p.recycleLocked(s)
+	return resp, err
+}
+
+// work is one worker: it runs each job handed over jobs, parking between
+// them, until Close closes its channel or a job lands after Close.
+func (p *Prefetcher) work(jobs chan job) {
 	defer p.wg.Done()
-	if head {
-		s.resp, s.err = p.backend.Head(u)
+	for j := range jobs {
+		if !p.fetch(j, jobs) {
+			return
+		}
+	}
+}
+
+// fetch runs one speculative job, lands its answer and parks its worker. It
+// reports false, parking nothing, once the Prefetcher is closed.
+func (p *Prefetcher) fetch(j job, jobs chan job) bool {
+	var resp Response
+	var err error
+	if j.head {
+		resp, err = p.backend.Head(j.url)
 	} else {
-		s.resp, s.err = p.backend.Get(u)
+		resp, err = p.backend.Get(j.url)
 	}
-	close(s.done)
 	p.mu.Lock()
+	j.s.resp, j.s.err, j.s.landed = resp, err, true
 	p.pending--
-	shared := p.shared
-	p.mu.Unlock()
-	if !head {
-		publish(shared, u, s.resp, s.err)
+	shared, parked := p.shared, !p.closed
+	if parked {
+		p.idle = append(p.idle, jobs)
 	}
+	p.mu.Unlock()
+	p.landing.Broadcast()
+	if !j.head {
+		publish(shared, j.url, resp, err)
+	}
+	return parked
 }
 
 // publish offers a completed GET to the fleet-shared cache, if there is one.
@@ -348,13 +429,11 @@ func (p *Prefetcher) Get(u string) (Response, error) {
 	p.mu.Lock()
 	shared := p.shared
 	if s := p.store[u]; s != nil {
-		delete(p.store, u)
-		p.spent[u] = struct{}{}
 		p.stats.Hits++
+		resp, err := p.consumeLocked(u, s)
 		p.mu.Unlock()
-		<-s.done
-		if !TransientResult(s.resp, s.err) {
-			return s.resp, s.err
+		if !TransientResult(resp, err) {
+			return resp, err
 		}
 		// Never serve a speculative failure as the demand result: the
 		// fault may have been momentary, so the demand path gets a fresh
@@ -393,27 +472,36 @@ func (p *Prefetcher) Head(u string) (Response, error) {
 	hk := headKey(u)
 	p.mu.Lock()
 	if s := p.store[hk]; s != nil {
-		delete(p.store, hk)
-		p.spent[hk] = struct{}{}
+		resp, err := p.consumeLocked(hk, s)
+		served := !TransientResult(resp, err)
+		if served && err == nil {
+			p.stats.HeadHits++
+		}
 		p.mu.Unlock()
-		<-s.done
-		if !TransientResult(s.resp, s.err) {
-			if s.err == nil {
-				p.countHeadHit()
-			}
-			return s.resp, s.err
+		if served {
+			return resp, err
 		}
 		// A speculative HEAD failure is not a demand answer (see Get).
 		return p.backend.Head(u)
 	}
 	if s := p.store[u]; s != nil {
-		p.mu.Unlock()
-		<-s.done // the GET stays resident; only its headers are read
-		if s.err == nil && !TransientResult(s.resp, s.err) {
-			p.countHeadHit()
-			return headOf(s.resp), nil
+		// The GET stays resident; only its headers are read. While this
+		// waits, a Get may consume the entry and a launch reuse it, so
+		// every wake re-checks that it is still u's: once it is gone, the
+		// probe goes on as if no GET had been resident.
+		for p.store[u] == s && !s.landed {
+			p.landing.Wait()
 		}
-		return p.backend.Head(u)
+		if p.store[u] == s {
+			resp, err := s.resp, s.err
+			if err == nil && !TransientResult(resp, err) {
+				p.stats.HeadHits++
+				p.mu.Unlock()
+				return headOf(resp), nil
+			}
+			p.mu.Unlock()
+			return p.backend.Head(u)
+		}
 	}
 	if p.shared != nil {
 		if resp, ok := p.shared.Lookup(u); ok {
@@ -427,15 +515,6 @@ func (p *Prefetcher) Head(u string) (Response, error) {
 	return p.backend.Head(u)
 }
 
-// countHeadHit records a HEAD served from this crawl's own speculation
-// (shared-cache HEAD hits are counted inline in Head, under the lock it
-// already holds).
-func (p *Prefetcher) countHeadHit() {
-	p.mu.Lock()
-	p.stats.HeadHits++
-	p.mu.Unlock()
-}
-
 // headOf projects a GET response onto what the backend's HEAD would have
 // returned: the same status line and headers, no body and no banned-MIME
 // interruption mark (there was no body to interrupt).
@@ -446,12 +525,17 @@ func headOf(resp Response) Response {
 }
 
 // Close stops accepting hints and blocks until every in-flight speculative
-// fetch has completed, so the backend is quiescent when the crawl returns
-// (required by fetchers that are reused across sequential crawls, e.g. the
-// experiments' shared Replay database).
+// fetch has completed and every worker has exited, so the backend is
+// quiescent when the crawl returns (required by fetchers that are reused
+// across sequential crawls, e.g. the experiments' shared Replay database).
+// Parked workers end here; a busy one ends when its job lands.
 func (p *Prefetcher) Close() {
 	p.mu.Lock()
 	p.closed = true
+	for _, w := range p.idle {
+		close(w)
+	}
+	p.idle = nil
 	p.mu.Unlock()
 	p.wg.Wait()
 }

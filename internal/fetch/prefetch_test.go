@@ -2,7 +2,9 @@ package fetch
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,9 +362,8 @@ func TestPrefetcherHintScansFullBatch(t *testing.T) {
 }
 
 // TestPrefetcherEvictionAllInFlight pins the eviction edge case: when every
-// stored entry is still in flight there is nothing to free — eviction
-// reports false, keeps the store intact, and the hint is dropped without
-// deadlocking or abandoning a running fetch.
+// stored entry is still in flight there is nothing to free — eviction keeps
+// the store intact without deadlocking or abandoning a running fetch.
 func TestPrefetcherEvictionAllInFlight(t *testing.T) {
 	backend := newGatedFetcher()
 	p := NewPrefetcher(backend)
@@ -372,24 +373,19 @@ func TestPrefetcherEvictionAllInFlight(t *testing.T) {
 		p.mu.Unlock()
 		t.Fatalf("store holds %d entries, want 4", got)
 	}
-	if p.evictOldestLocked() {
+	p.evictOldestLocked()
+	if len(p.store) != 4 || len(p.order) != 4 || p.stats.Evicted != 0 {
 		p.mu.Unlock()
-		t.Fatal("evictOldestLocked evicted an in-flight entry")
-	}
-	if len(p.store) != 4 || len(p.order) != 4 {
-		p.mu.Unlock()
-		t.Fatalf("failed eviction mutated the store: store=%d order=%d", len(p.store), len(p.order))
+		t.Fatalf("eviction over in-flight entries mutated the store: store=%d order=%d evicted=%d",
+			len(p.store), len(p.order), p.stats.Evicted)
 	}
 	p.mu.Unlock()
 	close(backend.release)
 	waitIdle(t, p)
-	// Landed now: the oldest completed entry is evictable, exactly once
-	// per call, oldest-first.
+	// Landed now: the oldest landed entry is evictable, exactly once per
+	// call, oldest-first.
 	p.mu.Lock()
-	if !p.evictOldestLocked() {
-		p.mu.Unlock()
-		t.Fatal("eviction failed with all entries completed")
-	}
+	p.evictOldestLocked()
 	_, aGone := p.store["a"]
 	_, bThere := p.store["b"]
 	p.mu.Unlock()
@@ -663,19 +659,14 @@ func TestHintDemandsBoundIsTheCallers(t *testing.T) {
 	p.Close()
 }
 
-// probeShared is a memShared that records every residency probe, and calls
-// onContains, when set, before answering one.
+// probeShared is a memShared that records every residency probe.
 type probeShared struct {
 	*memShared
-	probed     []string
-	onContains func(u string)
+	probed []string
 }
 
 func (s *probeShared) Contains(u string) bool {
 	s.probed = append(s.probed, u)
-	if s.onContains != nil {
-		s.onContains(u)
-	}
 	return s.memShared.Contains(u)
 }
 
@@ -692,7 +683,8 @@ func tracked(p *Prefetcher, key string) bool {
 // TestHintReportsSettledPrefix pins Hint's settled prefix — the leading run
 // of the batch that is tracked once it returns — and where a batch's scan
 // stops: at the first URL the in-flight bound refuses, for Hint and
-// HintDemands alike, but not at a shared-resident URL or a full store.
+// HintDemands alike, but not at a shared-resident URL or a full store, which
+// evicts its oldest landed entry.
 func TestHintReportsSettledPrefix(t *testing.T) {
 	t.Run("tracked and spent", func(t *testing.T) {
 		backend := newGatedFetcher()
@@ -747,39 +739,37 @@ func TestHintReportsSettledPrefix(t *testing.T) {
 		}
 	})
 	t.Run("store full", func(t *testing.T) {
-		// Every entry a fetch keeps in flight counts toward the bound, so
-		// under it a store of storeCap entries always holds a landed one;
-		// the refusal needs a planted store of in-flight entries no fetch
-		// counts. "t" is shared-resident, and probing it lands the oldest
-		// entry mid-batch, as a fetch finishing outside the lock would.
+		// At bound 1, storeCap(1) landed, unconsumed entries fill the store.
+		// Under the bound fewer than limit entries are in flight, so a full
+		// store always holds a landed entry: each further launch evicts
+		// exactly one, the oldest, and the batch stays tracked.
 		backend := newGatedFetcher()
 		p := NewPrefetcher(backend)
-		planted := make([]*speculative, storeCap(1))
-		p.mu.Lock()
-		for i := range planted {
-			planted[i] = &speculative{done: make(chan struct{})}
-			key := fmt.Sprintf("z%d", i)
-			p.store[key] = planted[i]
-			p.order = append(p.order, key)
+		land := func() { // lets the one fetch in flight land
+			backend.release <- struct{}{}
+			waitIdle(t, p)
 		}
-		p.mu.Unlock()
-		shared := &probeShared{memShared: newMemShared(), onContains: func(u string) {
-			if u == "t" {
-				close(planted[0].done)
+		for i := 0; i < storeCap(1); i++ {
+			p.Hint(1, fmt.Sprintf("z%d", i))
+			land()
+		}
+		for i := 0; i < 3; i++ {
+			u, oldest := fmt.Sprintf("y%d", i), fmt.Sprintf("z%d", i)
+			if got := p.Hint(1, u); got != 1 {
+				t.Errorf("Hint(%s) over a full store = %d, want 1", u, got)
 			}
-		}}
-		shared.Publish("t", Response{URL: "t", Status: 200})
-		p.SetShared(shared)
-		if got := p.Hint(1, "x", "t", "y"); got != 0 {
-			t.Errorf("Hint = %d, want 0 (x refused by the full store)", got)
+			if st := p.Stats(); st.Launched != storeCap(1)+i+1 || st.Evicted != i+1 {
+				t.Errorf("after %s: stats = %+v, want one eviction per launch", u, st)
+			}
+			p.mu.Lock()
+			n, resident := len(p.store), p.store[oldest] != nil
+			p.mu.Unlock()
+			if n != storeCap(1) || resident || !tracked(p, u) || !tracked(p, oldest) {
+				t.Errorf("after %s: store holds %d entries, %s resident %v; want %d, %s launched and %s spent",
+					u, n, oldest, resident, storeCap(1), u, oldest)
+			}
+			land()
 		}
-		if tracked(p, "x") || !tracked(p, "y") {
-			t.Error("want x refused and y launched once the oldest entry landed")
-		}
-		if st := p.Stats(); st.Launched != 1 || st.Evicted != 1 {
-			t.Errorf("stats = %+v, want y launched over one eviction", st)
-		}
-		close(backend.release)
 		p.Close()
 	})
 	t.Run("HintDemands bound", func(t *testing.T) {
@@ -801,4 +791,191 @@ func TestHintReportsSettledPrefix(t *testing.T) {
 		close(backend.release)
 		p.Close()
 	})
+}
+
+// headAnswerFetcher holds every GET until release is closed and answers a
+// HEAD at once with a 204, which no GET returns: a HEAD answer read off a
+// speculative GET shows.
+type headAnswerFetcher struct{ release chan struct{} }
+
+func (f *headAnswerFetcher) Get(u string) (Response, error) {
+	<-f.release
+	return Response{URL: u, Status: 200, MIME: "text/html", Body: []byte(u)}, nil
+}
+
+func (f *headAnswerFetcher) Head(u string) (Response, error) {
+	return Response{URL: u, Status: 204, MIME: "text/plain"}, nil
+}
+
+// waitForStack blocks until some goroutine's stack holds every one of frames.
+func waitForStack(t *testing.T, frames ...string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			if !slices.ContainsFunc(frames, func(f string) bool { return !strings.Contains(g, f) }) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no goroutine reached %q", frames)
+		}
+	}
+}
+
+// TestPrefetcherHeadWaiterSurvivesConsume: a Head waiting on a resident
+// speculative GET does not consume it, so a Get may take the entry, and the
+// Prefetcher reuse it, while the Head sleeps. The Head must then answer as
+// if no GET had been resident — from the backend — not from the entry.
+func TestPrefetcherHeadWaiterSurvivesConsume(t *testing.T) {
+	backend := &headAnswerFetcher{release: make(chan struct{})}
+	p := NewPrefetcher(backend)
+	defer p.Close()
+	release := sync.OnceFunc(func() { close(backend.release) })
+	defer release() // before Close, should the test stop early
+	p.Hint(1, "u")  // in flight until released
+	heads, gets := make(chan Response, 1), make(chan Response, 1)
+	go func() {
+		resp, _ := p.Head("u")
+		heads <- resp
+	}()
+	waitForStack(t, fmt.Sprintf("(*Prefetcher).Head(%p", p), "sync.(*Cond).Wait")
+	go func() {
+		resp, _ := p.Get("u")
+		gets <- resp
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.mu.Lock()
+		consumed := p.store["u"] == nil
+		p.mu.Unlock()
+		if consumed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the Get never consumed the speculative GET")
+		}
+	}
+	release()
+	for _, c := range []struct {
+		answers chan Response
+		want    int
+	}{{heads, 204}, {gets, 200}} {
+		select {
+		case resp := <-c.answers:
+			if resp.Status != c.want {
+				t.Errorf("answer = %+v, want status %d", resp, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no answer with status %d: a waiter hangs on a consumed entry", c.want)
+		}
+	}
+	if st := p.Stats(); st.Hits != 1 || st.HeadHits != 0 {
+		t.Errorf("stats = %+v, want the Get's hit and no HEAD hit", st)
+	}
+}
+
+// TestPrefetcherWorkers: over batches with changing bounds, a launch reuses
+// a parked worker and starts one only when none is idle, so the workers
+// started never outnumber the peak number of fetches in flight. Close ends
+// every worker, and a later Hint launches nothing.
+func TestPrefetcherWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	backend := newGatedFetcher()
+	p := NewPrefetcher(backend)
+	peak, next := 0, 0
+	for _, bound := range []int{3, 7, 2, 5, 7, 1, 4} {
+		urls := make([]string, bound+2)
+		for i := range urls {
+			urls[i] = fmt.Sprintf("u%d", next)
+			next++
+		}
+		p.Hint(bound, urls...)
+		p.mu.Lock()
+		inFlight := p.pending
+		p.mu.Unlock()
+		if inFlight != bound {
+			t.Fatalf("bound %d: %d fetches in flight", bound, inFlight)
+		}
+		peak = max(peak, inFlight)
+		for range bound {
+			backend.release <- struct{}{}
+		}
+		waitIdle(t, p)
+		// Every fetch has landed, and a worker parks as its job lands, so
+		// every worker started is parked.
+		p.mu.Lock()
+		workers := len(p.idle)
+		p.mu.Unlock()
+		if workers > peak {
+			t.Errorf("bound %d: %d workers started, the peak in flight is %d", bound, workers, peak)
+		}
+		for _, u := range urls[:bound] {
+			if _, err := p.Get(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	launched := p.Stats().Launched
+	p.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the Prefetcher", runtime.NumGoroutine(), before)
+		}
+	}
+	if got := p.Hint(4, "after"); got != 0 || p.Stats().Launched != launched || runtime.NumGoroutine() > before {
+		t.Errorf("a Hint after Close settled %d, launched %d more, left %d goroutines (%d before)",
+			got, p.Stats().Launched-launched, runtime.NumGoroutine(), before)
+	}
+}
+
+// staticFetcher answers every request with one fixed response and allocates
+// nothing.
+type staticFetcher struct{ resp Response }
+
+func (f staticFetcher) Get(string) (Response, error)  { return f.resp, nil }
+func (f staticFetcher) Head(string) (Response, error) { return f.resp, nil }
+
+// TestPrefetcherLaunchAllocs: once warm, a launch, its landing and the Get
+// that consumes it allocate no goroutine, channel or entry — under one
+// object per new URL on average over a backend that allocates nothing (the
+// spent set's growth is what remains: 0.01). A goroutine, a channel and an
+// entry per launch cost 3.01.
+func TestPrefetcherLaunchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	p := NewPrefetcher(staticFetcher{Response{Status: 200, MIME: "text/html", Body: []byte("x")}})
+	defer p.Close()
+	const warm, runs = 64, 2000
+	urls := make([]string, warm+runs)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("https://s.org/%d", i)
+	}
+	next := 0
+	cycle := func() {
+		u := urls[next]
+		next++
+		if got := p.Hint(1, u); got != 1 {
+			t.Fatalf("Hint(%s) = %d, want it launched", u, got)
+		}
+		if resp, err := p.Get(u); err != nil || resp.Status != 200 {
+			t.Fatalf("Get(%s) = %+v, %v", u, resp, err)
+		}
+	}
+	for range warm {
+		cycle()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / runs; per >= 1 {
+		t.Errorf("a launch-land-consume cycle allocates %.2f objects, want < 1", per)
+	}
+	if st := p.Stats(); st.Hits != warm+runs || st.Launched != warm+runs {
+		t.Errorf("stats = %+v, want every Get a hit", st)
+	}
 }

@@ -47,7 +47,9 @@ test -z "$(gofmt -l .)"
 # a parked node allocates nothing; a tag-path vectorizer keeps no D-wide
 # table. Algorithm 3 — once warm, an SB step's select stage, its
 # select-time next-draw hint and the next-draw guess behind each batch of
-# predicted targets allocate nothing, nor does a push into an emptied action. Durable path — the replay-record codec round trip and the
+# predicted targets allocate nothing, nor does a push into an emptied action,
+# and a speculative fetch launched, landed and consumed runs on a parked
+# worker and reuses a spent entry, under one allocation a URL. Durable path — the replay-record codec round trip and the
 # checkpoint re-encode allocate nothing; the checkpoint sink nothing, whatever
 # the frontier's size; store.Open and Snapshot allocate per key, not per
 # stored byte, and a read into a reused buffer copies, never allocates, a

@@ -2,8 +2,8 @@
 // on for the next crawl: dom's parsers, the engine's tables, the classifier's
 // arenas, the models' weight tables, the tag-path vocabularies, the
 // generators of the action index and the grouped frontier, the grouped
-// frontier's action lists, the action index's node slab, and codec's encode
-// and read buffers.
+// frontier's action lists, the action index's node slab, codec's encode and
+// read buffers, and the simulated web's renderers.
 //
 // A list is a bounded channel, not a sync.Pool: a pool is emptied at every
 // GC, so how much a crawl allocates would depend on when the collector

@@ -9,6 +9,14 @@
 // The crawler under test never sees the generator; it sees URLs, HTML bytes,
 // MIME types, and HTTP statuses through internal/webserver and the same
 // fetch.Fetcher interface that fetch.HTTP implements for live hosts.
+//
+// A page renders on demand, and always to the same bytes: its text is drawn
+// from math/rand's stream for a seed of the site's seed and the page's ID.
+// Renders share that stream through a lazily seeded source (source.go),
+// parked between renders and re-seeded in O(1), so a page pays for the
+// numbers it draws rather than for seeding 607 state words. HTML is written
+// into a parked scratch and returned as an exact-size copy; a target is
+// written into one slice allocated at its SizeB.
 package sitegen
 
 import "sbcrawl/internal/faultsim"

@@ -1,9 +1,9 @@
 package sitegen
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -142,15 +142,18 @@ func (s *Site) RenderPage(pg *Page) []byte {
 	}
 }
 
+// renderHTML writes the page into a parked renderer's scratch and returns an
+// exact-size copy of it.
 func (s *Site) renderHTML(pg *Page) []byte {
-	rng := rand.New(rand.NewSource(s.seed*65_537 + int64(pg.ID)))
+	r := takeRenderer(s.seed*65_537 + int64(pg.ID))
+	defer r.release()
+	rng, b := r.rng, &r.buf
 	sk := s.skin
-	var b bytes.Buffer
 	title := s.words(rng, 3)
-	fmt.Fprintf(&b, "<!DOCTYPE html>\n<html><head><title>%s — %s</title></head><body>\n",
+	fmt.Fprintf(b, "<!DOCTYPE html>\n<html><head><title>%s — %s</title></head><body>\n",
 		title, s.Profile.Name)
 	if strings.Contains(sk.pageOpen, "%d") {
-		fmt.Fprintf(&b, sk.pageOpen, pg.ID)
+		fmt.Fprintf(b, sk.pageOpen, pg.ID)
 	} else {
 		b.WriteString(sk.pageOpen)
 	}
@@ -158,26 +161,26 @@ func (s *Site) renderHTML(pg *Page) []byte {
 	// Navigation zone.
 	b.WriteString(sk.navOpen)
 	for _, id := range pg.NavLinks {
-		fmt.Fprintf(&b, sk.navItem, s.href(id), s.words(rng, 1))
+		fmt.Fprintf(b, sk.navItem, s.href(id), s.words(rng, 1))
 	}
 	b.WriteString(sk.navClose)
 
 	// Content zone: prose paragraphs with inline links (content, error,
 	// redirect, external, media links all mingle here).
 	b.WriteString(sk.contentOpen)
-	fmt.Fprintf(&b, "<h1>%s</h1>", title)
+	fmt.Fprintf(b, "<h1>%s</h1>", title)
 	for _, id := range pg.ContentLinks {
-		fmt.Fprintf(&b, sk.contentItem,
+		fmt.Fprintf(b, sk.contentItem,
 			s.words(rng, 4), s.href(id), s.words(rng, 2), s.words(rng, 3))
 	}
 	for _, u := range pg.ExternalLinks {
-		fmt.Fprintf(&b, sk.contentItem, s.words(rng, 2), u, "partner site", s.words(rng, 2))
+		fmt.Fprintf(b, sk.contentItem, s.words(rng, 2), u, "partner site", s.words(rng, 2))
 	}
 	for _, u := range pg.MediaLinks {
-		fmt.Fprintf(&b, sk.contentItem, s.words(rng, 2), u, "image", s.words(rng, 1))
+		fmt.Fprintf(b, sk.contentItem, s.words(rng, 2), u, "image", s.words(rng, 1))
 	}
 	// A little extra prose so pages have realistic text mass.
-	fmt.Fprintf(&b, "<p>%s.</p>", s.words(rng, 18))
+	fmt.Fprintf(b, "<p>%s.</p>", s.words(rng, 18))
 	b.WriteString(sk.contentClose)
 
 	// Portal zone: links to dataset hubs. The wrapper carries a section
@@ -187,7 +190,7 @@ func (s *Site) renderHTML(pg *Page) []byte {
 	if len(pg.PortalLinks) > 0 {
 		b.WriteString(withVariant(sk.portalOpen, pg.TemplateID))
 		for _, id := range pg.PortalLinks {
-			fmt.Fprintf(&b, sk.portalItem, s.href(id), s.portalAnchor(rng))
+			fmt.Fprintf(b, sk.portalItem, s.href(id), s.portalAnchor(rng))
 		}
 		b.WriteString(sk.portalClose)
 	}
@@ -196,7 +199,7 @@ func (s *Site) renderHTML(pg *Page) []byte {
 	if len(pg.DatasetLinks) > 0 {
 		b.WriteString(withVariant(sk.datasetOpen, pg.TemplateID))
 		for _, id := range pg.DatasetLinks {
-			fmt.Fprintf(&b, sk.datasetItem, s.href(id),
+			fmt.Fprintf(b, sk.datasetItem, s.href(id),
 				s.downloadAnchor(rng, s.pages[id].MIME))
 		}
 		b.WriteString(sk.datasetClose)
@@ -207,14 +210,16 @@ func (s *Site) renderHTML(pg *Page) []byte {
 	if len(pg.PaginationLinks) > 0 {
 		b.WriteString(withVariant(sk.pagingOpen, pg.TemplateID))
 		for i, id := range pg.PaginationLinks {
-			fmt.Fprintf(&b, sk.pagingItem, s.href(id), fmt.Sprintf("page %d", i+2))
+			fmt.Fprintf(b, sk.pagingItem, s.href(id), fmt.Sprintf("page %d", i+2))
 		}
 		b.WriteString(sk.pagingClose)
 	}
 
 	b.WriteString(sk.pageClose)
 	b.WriteString("</body></html>\n")
-	return b.Bytes()
+	out := make([]byte, b.Len())
+	copy(out, b.Bytes())
+	return out
 }
 
 func (s *Site) portalAnchor(rng *rand.Rand) string {
@@ -237,32 +242,56 @@ func (s *Site) href(id int) string {
 // a generated target; metrics count it to reproduce Table 7.
 const SDMarker = "#SDTABLE"
 
+// renderTarget writes the target into one slice allocated at its SizeB: the
+// header and statistics tables, then filler rows, cut at SizeB.
 func (s *Site) renderTarget(pg *Page) []byte {
-	rng := rand.New(rand.NewSource(s.seed*131_071 + int64(pg.ID)))
-	var b bytes.Buffer
+	r := takeRenderer(s.seed*131_071 + int64(pg.ID))
+	defer r.release()
+	rng := r.rng
+	out := make([]byte, 0, pg.SizeB)
 	switch {
 	case pg.MIME == "text/csv":
-		b.WriteString("indicator,region,year,value\n")
+		out = fill(out, "indicator,region,year,value\n")
 	case pg.MIME == "application/pdf":
-		b.WriteString("%PDF-1.4\n")
+		out = fill(out, "%PDF-1.4\n")
 	case pg.MIME == "application/json":
-		b.WriteString("{\"dataset\":[\n")
+		out = fill(out, "{\"dataset\":[\n")
 	default:
-		b.WriteString("PK\x03\x04") // zip-ish magic for archive/sheet types
+		out = fill(out, "PK\x03\x04") // zip-ish magic for archive/sheet types
 	}
-	// Embedded statistics tables.
+	// Embedded statistics tables, one line at a time through line.
+	var line [96]byte
 	for k := 0; k < pg.SDCount; k++ {
-		fmt.Fprintf(&b, "%s %d\n", SDMarker, k)
+		l := append(line[:0], SDMarker+" "...)
+		l = strconv.AppendInt(l, int64(k), 10)
+		out = fill(out, append(l, '\n'))
 		rows := 5 + rng.Intn(10)
-		for r := 0; r < rows; r++ {
-			fmt.Fprintf(&b, "metric-%d,region-%d,%d,%.2f\n",
-				rng.Intn(40), rng.Intn(20), 1990+rng.Intn(35), rng.Float64()*1e6)
+		for range rows {
+			l = append(line[:0], "metric-"...)
+			l = strconv.AppendInt(l, int64(rng.Intn(40)), 10)
+			l = append(l, ",region-"...)
+			l = strconv.AppendInt(l, int64(rng.Intn(20)), 10)
+			l = append(l, ',')
+			l = strconv.AppendInt(l, int64(1990+rng.Intn(35)), 10)
+			l = append(l, ',')
+			l = strconv.AppendFloat(l, rng.Float64()*1e6, 'f', 2, 64)
+			out = fill(out, append(l, '\n'))
 		}
 	}
 	// Pad deterministically to the page's size.
-	filler := []byte(fmt.Sprintf("row,%d,%d,filler-data-values\n", pg.ID, s.seed))
-	for b.Len() < pg.SizeB {
-		b.Write(filler)
+	filler := append(line[:0], "row,"...)
+	filler = strconv.AppendInt(filler, int64(pg.ID), 10)
+	filler = append(filler, ',')
+	filler = strconv.AppendInt(filler, s.seed, 10)
+	filler = append(filler, ",filler-data-values\n"...)
+	for len(out) < pg.SizeB {
+		out = fill(out, filler)
 	}
-	return b.Bytes()[:pg.SizeB]
+	return out
+}
+
+// fill appends as much of p as out has room for: a target is cut at its
+// size, never grown past it.
+func fill[T string | []byte](out []byte, p T) []byte {
+	return append(out, p[:min(len(p), cap(out)-len(out))]...)
 }

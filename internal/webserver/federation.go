@@ -32,11 +32,12 @@ type Federation struct {
 }
 
 type federationMember struct {
-	server    *Server
-	site      *sitegen.Site
-	sub       string // "https://s<i>.<domain>"
-	canonical string // "https://" + site.Profile.Host
-	root      string // member root in subdomain form
+	server     *Server
+	site       *sitegen.Site
+	sub        string // "https://s<i>.<domain>"
+	canonical  string // "https://" + site.Profile.Host
+	canonicalB []byte // canonical, as rewrite searches bodies for it
+	root       string // member root in subdomain form
 }
 
 // NewFederation mounts sites as subdomains of domain (e.g.
@@ -54,6 +55,7 @@ func NewFederation(domain string, sites []*sitegen.Site) *Federation {
 			sub:       fmt.Sprintf("https://s%d.%s", i, domain),
 			canonical: "https://" + site.Profile.Host,
 		}
+		m.canonicalB = []byte(m.canonical)
 		m.root = m.sub + strings.TrimPrefix(site.Root(), m.canonical)
 		f.members = append(f.members, m)
 	}
@@ -118,7 +120,19 @@ func (m *federationMember) translateOut(url string) string {
 }
 
 // Get performs an HTTP GET against the federation.
-func (f *Federation) Get(url string) Response {
+func (f *Federation) Get(url string) Response { return f.respond(url, false) }
+
+// Head performs an HTTP HEAD: the full rewritten Get minus the body, so
+// ContentLength reflects the body a GET would actually transfer. A member
+// target, passed through untouched, is not rendered (see Server.respond).
+func (f *Federation) Head(url string) Response {
+	resp := f.respond(url, true)
+	resp.Body = nil
+	return resp
+}
+
+// respond answers a request for url; head is Server.respond's.
+func (f *Federation) respond(url string, head bool) Response {
 	if url == f.portalURL {
 		return Response{
 			URL: url, Status: 200, MIME: "text/html; charset=utf-8",
@@ -129,7 +143,7 @@ func (f *Federation) Get(url string) Response {
 	if !ok {
 		return Response{URL: url, Status: 404}
 	}
-	resp := m.server.Get(canon)
+	resp := m.server.respond(canon, head)
 	resp.URL = url
 	if resp.Location != "" && strings.HasPrefix(resp.Location, m.canonical) {
 		resp.Location = m.translateOut(resp.Location)
@@ -141,26 +155,34 @@ func (f *Federation) Get(url string) Response {
 	return resp
 }
 
-// Head performs an HTTP HEAD: the full rewritten Get minus the body, so
-// ContentLength reflects the body a GET would actually transfer.
-func (f *Federation) Head(url string) Response {
-	resp := f.Get(url)
-	resp.Body = nil
-	return resp
-}
-
 // rewrite maps canonical absolute URLs in an HTML body to subdomain form
-// and appends the deterministic cross-host footer.
+// and appends the deterministic cross-host footer, in one pass into one
+// slice allocated at the result's size.
 func (f *Federation) rewrite(m *federationMember, url string, body []byte) []byte {
-	body = bytes.ReplaceAll(body, []byte(m.canonical), []byte(m.sub))
 	next := f.nextOf(m)
-	mirror := next.sub + strings.TrimPrefix(url, m.sub)
-	footer := fmt.Sprintf(
-		`<footer><a href="%s">federation portal</a> <a href="%s">next member</a> <a href="%s">mirror</a></footer>`,
-		f.portalURL, next.root, mirror)
-	out := make([]byte, 0, len(body)+len(footer))
+	footer := [...]string{
+		`<footer><a href="`, f.portalURL,
+		`">federation portal</a> <a href="`, next.root,
+		`">next member</a> <a href="`, next.sub, strings.TrimPrefix(url, m.sub), // the mirror
+		`">mirror</a></footer>`,
+	}
+	size := len(body) + bytes.Count(body, m.canonicalB)*(len(m.sub)-len(m.canonical))
+	for _, p := range footer {
+		size += len(p)
+	}
+	out := make([]byte, 0, size)
+	for {
+		i := bytes.Index(body, m.canonicalB)
+		if i < 0 {
+			break
+		}
+		out = append(append(out, body[:i]...), m.sub...)
+		body = body[i+len(m.canonicalB):]
+	}
 	out = append(out, body...)
-	out = append(out, footer...)
+	for _, p := range footer {
+		out = append(out, p...)
+	}
 	return out
 }
 

@@ -49,19 +49,20 @@ type Server struct {
 func New(site *sitegen.Site) *Server { return &Server{site: site} }
 
 // Get performs an HTTP GET.
-func (s *Server) Get(url string) Response {
-	resp := s.respond(url)
-	return resp
-}
+func (s *Server) Get(url string) Response { return s.respond(url, false) }
 
 // Head performs an HTTP HEAD: same status line and headers, no body.
 func (s *Server) Head(url string) Response {
-	resp := s.respond(url)
+	resp := s.respond(url, true)
 	resp.Body = nil
 	return resp
 }
 
-func (s *Server) respond(url string) Response {
+// respond answers a request for url. With head set, a target is not
+// rendered: RenderPage writes a target's SizeB bytes exactly, so its length
+// is known without them. An HTML body is rendered either way, because its
+// length depends on the rendering.
+func (s *Server) respond(url string, head bool) Response {
 	if n, ok := s.trapURL(url); ok {
 		return s.trapPage(url, n)
 	}
@@ -87,10 +88,13 @@ func (s *Server) respond(url string) Response {
 			Body: body, ContentLength: len(body),
 		}
 	case sitegen.KindTarget:
-		body := s.site.RenderPage(pg)
+		var body []byte
+		if !head {
+			body = s.site.RenderPage(pg)
+		}
 		return Response{
 			URL: url, Status: 200, MIME: pg.MIME,
-			Body: body, ContentLength: len(body),
+			Body: body, ContentLength: pg.SizeB,
 		}
 	}
 	return Response{URL: url, Status: 500}
@@ -124,16 +128,21 @@ func (s *Server) Handler() http.Handler {
 			w.Header().Set("Location", strings.TrimPrefix(dest, prefix))
 			w.WriteHeader(pg.Status)
 		default:
-			body := s.site.RenderPage(pg)
-			mime := pg.MIME
+			// A target's length is its SizeB, so a HEAD of one renders
+			// nothing (see respond).
+			var body []byte
+			mime, n := pg.MIME, pg.SizeB
 			if pg.Kind == sitegen.KindHTML {
 				mime = "text/html; charset=utf-8"
 				// Rewrite absolute same-site URLs to relative paths so the
 				// whole site stays in scope when served from 127.0.0.1.
-				body = bytes.ReplaceAll(body, []byte(prefix), nil)
+				body = bytes.ReplaceAll(s.site.RenderPage(pg), []byte(prefix), nil)
+				n = len(body)
+			} else if r.Method != http.MethodHead {
+				body = s.site.RenderPage(pg)
 			}
 			w.Header().Set("Content-Type", mime)
-			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Header().Set("Content-Length", strconv.Itoa(n))
 			if r.Method != http.MethodHead {
 				if _, err := w.Write(body); err != nil {
 					return

@@ -1,5 +1,6 @@
 #!/bin/sh
-# A/B measurement of the benchmark: REV against the working tree.
+# A/B measurement of the benchmark, or of one package's tests: REV against
+# the working tree.
 #
 #   sh scripts/ab.sh [-w WORKLOAD] [-n ROUNDS] [-s SECONDS] [-S SEED] REV
 #
@@ -17,19 +18,31 @@
 # HEAD` on a clean tree is the A/A run: its spread and wins are the noise
 # floor to read any other result against.
 #
-# A measurement, not a gate: it checks that every run is `correct` and
-# counts failed operations, but exits 0 whatever the numbers say. It needs
-# sh, awk, git and the Go toolchain, and runs from anywhere inside the
-# repository.
+#   sh scripts/ab.sh -t PKG [-n ROUNDS] REV
+#
+# With -t it times a package's tests instead: `go test -c` builds PKG's
+# test binary in both trees, and ROUNDS alternated rounds run each once
+# (`-test.count=1`, under a 20-minute timeout) in its own tree's package
+# directory, where its testdata is. It prints each side's median and
+# quartiles of wall and user seconds (the user time of the binary and what
+# it starts, from the shell's `times`) and the ratio of the medians, B over
+# A: a ratio taken on one box is what carries to another.
+#
+# A measurement, not a gate: it checks that every run is `correct` (with -t,
+# that every test binary passes) and counts failed operations, but exits 0
+# whatever the numbers say. It needs sh, awk, git, GNU date and the Go
+# toolchain, and runs from anywhere inside the repository.
 set -eu
 
 workload=fed-fabric
+pkg=
 rounds=10
 secs=10
 seed=100
-while getopts w:n:s:S: opt; do
+while getopts w:t:n:s:S: opt; do
 	case $opt in
 	w) workload=$OPTARG ;;
+	t) pkg=${OPTARG#./} ;;
 	n) rounds=$OPTARG ;;
 	s) secs=$OPTARG ;;
 	S) seed=$OPTARG ;;
@@ -38,7 +51,7 @@ while getopts w:n:s:S: opt; do
 done
 shift $((OPTIND - 1))
 if [ $# -ne 1 ]; then
-	echo "usage: sh scripts/ab.sh [-w WORKLOAD] [-n ROUNDS] [-s SECONDS] [-S SEED] REV" >&2
+	echo "usage: sh scripts/ab.sh [-w WORKLOAD | -t PKG] [-n ROUNDS] [-s SECONDS] [-S SEED] REV" >&2
 	exit 2
 fi
 rev=$1
@@ -50,6 +63,70 @@ trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 mkdir "$tmp/base"
 git -C "$root" archive "$sha" | tar -x -C "$tmp/base"
+
+if [ -n "$pkg" ]; then
+	(cd "$tmp/base" && go test -c -o "$tmp/a" "./$pkg")
+	(cd "$root" && go test -c -o "$tmp/b" "./$pkg")
+	# trun SIDE ROUND: one run of SIDE's test binary, appended to
+	# $tmp/runs as "round side wall user ok"; the subshell's `times`
+	# counts the binary alone among its children.
+	trun() {
+		dir=$tmp/base
+		[ "$1" = b ] && dir=$root
+		(
+			cd "$dir/$pkg"
+			t0=$(date +%s.%N)
+			ok=1
+			"$tmp/$1" -test.count=1 -test.timeout 20m >"$tmp/out" 2>&1 || ok=0
+			t1=$(date +%s.%N)
+			times >"$tmp/times"
+			awk -v r="$2" -v side="$1" -v t0="$t0" -v t1="$t1" -v ok="$ok" '
+			# times: the children line is the second, "XmY.Zs XmY.Zs".
+			function sec(f, m) { m = f; sub(/m.*/, "", m); sub(/^[0-9]+m/, "", f); sub(/s$/, "", f); return 60 * m + f }
+			NR == 2 { print r, side, t1 - t0, sec($1), ok }' "$tmp/times"
+		) >>"$tmp/runs"
+	}
+	: >"$tmp/runs"
+	i=1
+	while [ "$i" -le "$rounds" ]; do
+		if [ $((i % 2)) -eq 1 ]; then
+			trun a "$i"
+			trun b "$i"
+		else
+			trun b "$i"
+			trun a "$i"
+		fi
+		echo "round $i/$rounds done" >&2
+		i=$((i + 1))
+	done
+	echo "ab: go test ./$pkg, $rounds alternated rounds"
+	echo "    A = $rev ($sha), B = working tree of $(git -C "$root" rev-parse --short HEAD)"
+	awk '
+	{ n[$2]++; wall[$2, n[$2]] = $3; user[$2, n[$2]] = $4; bad[$2] += 1 - $5 }
+	function sortv(side, arr, k, i, j, t) {
+		for (i = 1; i <= n[side]; i++) v[i] = (arr == "wall" ? wall[side, i] : user[side, i]) + 0
+		for (i = 2; i <= n[side]; i++)
+			for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+		return n[side]
+	}
+	function q(k, p, h, lo) {
+		h = 1 + (k - 1) * p
+		lo = int(h)
+		return lo >= k ? v[k] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+	}
+	END {
+		printf "%-8s %-26s %-26s %6s\n", "seconds", "A median [q1, q3]", "B median [q1, q3]", "B / A"
+		for (m = 1; m <= 2; m++) {
+			arr = m == 1 ? "wall" : "user"
+			k = sortv("a", arr); am = q(k, .5); aq = sprintf("%.2f [%.2f, %.2f]", am, q(k, .25), q(k, .75))
+			k = sortv("b", arr); bm = q(k, .5); bq = sprintf("%.2f [%.2f, %.2f]", bm, q(k, .25), q(k, .75))
+			printf "%-8s %-26s %-26s %6s\n", arr, aq, bq, (am > 0 ? sprintf("%.3f", bm / am) : "n/a")
+		}
+		printf "A: %d failed runs, B: %d failed runs\n", bad["a"], bad["b"]
+	}' "$tmp/runs"
+	exit 0
+fi
+
 (cd "$tmp/base" && go build -o "$tmp/a" ./benchmark)
 (cd "$root" && go build -o "$tmp/b" ./benchmark)
 

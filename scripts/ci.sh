@@ -58,6 +58,11 @@ test -z "$(gofmt -l .)"
 # GET nothing the size of the record; attaching a crawl
 # to a store costs the same whatever the store holds; a Site counts its pages
 # once; a crawld client decodes each response out of one reused buffer.
+# Simulated web — a warm render seeds a parked generator, never a new
+# math/rand source: a target costs one allocation, its body at its size, and
+# an HTML page its exact-size body and its words under three bodies plus
+# 1 KB; a HEAD of a target renders nothing, and a federation's HTML rewrite
+# allocates once.
 # It also runs every Fuzz target's checked-in seed corpus as ordinary
 # tests: the tokenizer/extractor targets, every persistence-plane decoder,
 # and FuzzCrawlConfig's share of the crawl-invariant table (the six
@@ -93,8 +98,9 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # action index against the dense Algorithm 1; the sorted-slice URL features
 # against the map-keyed ones; Normalize's fast forms and the host/path split
 # against net/url; the one-pass link extractor against the reference DOM tree
-# for every field set; a peeking frontier against one that never peeks; and
-# any Config against the plain sequential crawl.
+# for every field set; a peeking frontier against one that never peeks; the
+# renderer's lazily seeded source against math/rand's; and any Config
+# against the plain sequential crawl.
 while read -r pkg target secs; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime "${secs}s" "$pkg" </dev/null
 done <<'EOF'
@@ -109,5 +115,6 @@ done <<'EOF'
 ./internal/urlutil FuzzSplitVsURL 10
 ./internal/dom FuzzExtractLinks 10
 ./internal/frontier FuzzGroupedPeekPop 10
+./internal/sitegen FuzzRenderSource 10
 . FuzzCrawlConfig 10
 EOF

@@ -14,9 +14,13 @@
 // from math/rand's stream for a seed of the site's seed and the page's ID.
 // Renders share that stream through a lazily seeded source (source.go),
 // parked between renders and re-seeded in O(1), so a page pays for the
-// numbers it draws rather than for seeding 607 state words. HTML is written
-// into a parked scratch and returned as an exact-size copy; a target is
-// written into one slice allocated at its SizeB.
+// numbers it draws rather than for seeding 607 state words. An HTML page is
+// rendered in one append pass into a parked scratch: its words, hrefs and
+// template items are written there piece by piece, with no fmt and no
+// string built per word or link. RenderPage returns an exact-size copy of
+// the scratch, and ViewHTML lends the scratch itself to a caller that only
+// reads it (a HEAD's length, a federation's rewrite). A target is written
+// into one slice allocated at its SizeB.
 package sitegen
 
 import "sbcrawl/internal/faultsim"

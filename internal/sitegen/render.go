@@ -1,7 +1,6 @@
 package sitegen
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -111,12 +110,6 @@ var skins = []skin{
 	},
 }
 
-// withVariant stamps a section-template class into a zone wrapper's first
-// class attribute, splitting the zone's tag path per site section.
-func withVariant(open string, tpl int) string {
-	return strings.Replace(open, `class="`, fmt.Sprintf(`class="sect-%d `, tpl), 1)
-}
-
 // skinFor deterministically assigns a skin family to a profile; profiles
 // with UniqueIDs get an ID-stamped page wrapper.
 func skinFor(p Profile) skin {
@@ -142,84 +135,188 @@ func (s *Site) RenderPage(pg *Page) []byte {
 	}
 }
 
-// renderHTML writes the page into a parked renderer's scratch and returns an
-// exact-size copy of it.
-func (s *Site) renderHTML(pg *Page) []byte {
+// renderHTML returns an exact-size copy of the HTML page's body.
+func (s *Site) renderHTML(pg *Page) (out []byte) {
+	s.ViewHTML(pg, func(body []byte) {
+		out = make([]byte, len(body))
+		copy(out, body)
+	})
+	return out
+}
+
+// ViewHTML renders the HTML page pg into a parked renderer's scratch and
+// calls view with it: the bytes RenderPage would return, without their
+// copy. They are valid only until view returns; a caller that keeps any of
+// them copies them. pg must be a KindHTML page.
+func (s *Site) ViewHTML(pg *Page, view func(body []byte)) {
 	r := takeRenderer(s.seed*65_537 + int64(pg.ID))
 	defer r.release()
-	rng, b := r.rng, &r.buf
+	if hint := htmlSizeHint(pg); hint > cap(r.buf) {
+		r.buf = make([]byte, 0, hint)
+	}
+	r.buf = s.appendHTML(r.buf, r.rng, pg)
+	view(r.buf)
+}
+
+// htmlSizeHint over-estimates the page's body from its links, so that its
+// scratch is allocated once at about its size rather than regrown: a page
+// renders a frame of under 1 KB and 120–143 bytes a link (il, ju, ed, cl,
+// cn, ce, be and qa at scale 0.05 never exceed the hint, and outsized
+// pages run ~1.25× under it).
+func htmlSizeHint(pg *Page) int {
+	links := len(pg.NavLinks) + len(pg.ContentLinks) + len(pg.ExternalLinks) + len(pg.MediaLinks) +
+		len(pg.PortalLinks) + len(pg.DatasetLinks) + len(pg.PaginationLinks)
+	return 1<<10 + 160*links
+}
+
+// appendHTML writes the page to b in one pass. The skin templates are
+// consumed one segment at a time through lit, each verb's value written
+// where fmt would have put it, in the order fmt's arguments were evaluated,
+// so every draw from rng keeps its place in the stream.
+func (s *Site) appendHTML(b []byte, rng *rand.Rand, pg *Page) []byte {
 	sk := s.skin
-	title := s.words(rng, 3)
-	fmt.Fprintf(b, "<!DOCTYPE html>\n<html><head><title>%s — %s</title></head><body>\n",
-		title, s.Profile.Name)
-	if strings.Contains(sk.pageOpen, "%d") {
-		fmt.Fprintf(b, sk.pageOpen, pg.ID)
+	var tpl string // the rest of the item template being written
+	b = append(b, "<!DOCTYPE html>\n<html><head><title>"...)
+	title := len(b)
+	b = s.appendWords(b, rng, 3)
+	titleEnd := len(b)
+	b = append(b, " — "...)
+	b = append(b, s.Profile.Name...)
+	b = append(b, "</title></head><body>\n"...)
+	if before, after, ok := strings.Cut(sk.pageOpen, "%d"); ok {
+		b = append(b, before...)
+		b = strconv.AppendInt(b, int64(pg.ID), 10)
+		b = append(b, after...)
 	} else {
-		b.WriteString(sk.pageOpen)
+		b = append(b, sk.pageOpen...)
 	}
 
 	// Navigation zone.
-	b.WriteString(sk.navOpen)
+	b = append(b, sk.navOpen...)
 	for _, id := range pg.NavLinks {
-		fmt.Fprintf(b, sk.navItem, s.href(id), s.words(rng, 1))
+		b, tpl = lit(b, sk.navItem)
+		b = s.appendHref(b, id)
+		b, tpl = lit(b, tpl)
+		b = s.appendWords(b, rng, 1)
+		b = append(b, tpl...)
 	}
-	b.WriteString(sk.navClose)
+	b = append(b, sk.navClose...)
 
 	// Content zone: prose paragraphs with inline links (content, error,
 	// redirect, external, media links all mingle here).
-	b.WriteString(sk.contentOpen)
-	fmt.Fprintf(b, "<h1>%s</h1>", title)
+	b = append(b, sk.contentOpen...)
+	b = append(b, "<h1>"...)
+	b = append(b, b[title:titleEnd]...)
+	b = append(b, "</h1>"...)
 	for _, id := range pg.ContentLinks {
-		fmt.Fprintf(b, sk.contentItem,
-			s.words(rng, 4), s.href(id), s.words(rng, 2), s.words(rng, 3))
+		b, tpl = lit(b, sk.contentItem)
+		b = s.appendWords(b, rng, 4)
+		b, tpl = lit(b, tpl)
+		b = s.appendHref(b, id)
+		b, tpl = lit(b, tpl)
+		b = s.appendWords(b, rng, 2)
+		b, tpl = lit(b, tpl)
+		b = s.appendWords(b, rng, 3)
+		b = append(b, tpl...)
 	}
 	for _, u := range pg.ExternalLinks {
-		fmt.Fprintf(b, sk.contentItem, s.words(rng, 2), u, "partner site", s.words(rng, 2))
+		b = s.appendProseLink(b, rng, u, "partner site", 2)
 	}
 	for _, u := range pg.MediaLinks {
-		fmt.Fprintf(b, sk.contentItem, s.words(rng, 2), u, "image", s.words(rng, 1))
+		b = s.appendProseLink(b, rng, u, "image", 1)
 	}
 	// A little extra prose so pages have realistic text mass.
-	fmt.Fprintf(b, "<p>%s.</p>", s.words(rng, 18))
-	b.WriteString(sk.contentClose)
+	b = append(b, "<p>"...)
+	b = s.appendWords(b, rng, 18)
+	b = append(b, ".</p>"...)
+	b = append(b, sk.contentClose...)
 
 	// Portal zone: links to dataset hubs. The wrapper carries a section
 	// template variant class: real sites style different sections with
 	// different templates, so tag paths split by section — which is what
 	// lets the agent tell rich catalogs from poor ones.
 	if len(pg.PortalLinks) > 0 {
-		b.WriteString(withVariant(sk.portalOpen, pg.TemplateID))
+		b = appendVariant(b, sk.portalOpen, pg.TemplateID)
 		for _, id := range pg.PortalLinks {
-			fmt.Fprintf(b, sk.portalItem, s.href(id), s.portalAnchor(rng))
+			b, tpl = lit(b, sk.portalItem)
+			b = s.appendHref(b, id)
+			b, tpl = lit(b, tpl)
+			b = append(b, s.portalAnchor(rng)...)
+			b = append(b, tpl...)
 		}
-		b.WriteString(sk.portalClose)
+		b = append(b, sk.portalClose...)
 	}
 
 	// Dataset zone: the hub's target links, also section-templated.
 	if len(pg.DatasetLinks) > 0 {
-		b.WriteString(withVariant(sk.datasetOpen, pg.TemplateID))
+		b = appendVariant(b, sk.datasetOpen, pg.TemplateID)
 		for _, id := range pg.DatasetLinks {
-			fmt.Fprintf(b, sk.datasetItem, s.href(id),
-				s.downloadAnchor(rng, s.pages[id].MIME))
+			b, tpl = lit(b, sk.datasetItem)
+			b = s.appendHref(b, id)
+			b, tpl = lit(b, tpl)
+			b = s.appendDownloadAnchor(b, rng, s.pages[id].MIME)
+			b = append(b, tpl...)
 		}
-		b.WriteString(sk.datasetClose)
+		b = append(b, sk.datasetClose...)
 	}
 
 	// Pagination zone: catalog runs, stamped with the catalog's section
 	// template so each catalog's pagination is its own tag-path group.
 	if len(pg.PaginationLinks) > 0 {
-		b.WriteString(withVariant(sk.pagingOpen, pg.TemplateID))
+		b = appendVariant(b, sk.pagingOpen, pg.TemplateID)
 		for i, id := range pg.PaginationLinks {
-			fmt.Fprintf(b, sk.pagingItem, s.href(id), fmt.Sprintf("page %d", i+2))
+			b, tpl = lit(b, sk.pagingItem)
+			b = s.appendHref(b, id)
+			b, tpl = lit(b, tpl)
+			b = append(b, "page "...)
+			b = strconv.AppendInt(b, int64(i+2), 10)
+			b = append(b, tpl...)
 		}
-		b.WriteString(sk.pagingClose)
+		b = append(b, sk.pagingClose...)
 	}
 
-	b.WriteString(sk.pageClose)
-	b.WriteString("</body></html>\n")
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	return out
+	b = append(b, sk.pageClose...)
+	return append(b, "</body></html>\n"...)
+}
+
+// lit appends tpl up to its first verb and returns what follows the verb. A
+// skin template's verbs are %s and %d, two bytes each; a template with none
+// is appended whole and lit returns "".
+func lit(b []byte, tpl string) ([]byte, string) {
+	i := strings.IndexByte(tpl, '%')
+	if i < 0 {
+		return append(b, tpl...), ""
+	}
+	return append(b, tpl[:i]...), tpl[i+2:]
+}
+
+// appendProseLink writes a content item for an off-site URL u: two words
+// before the link, anchor as its text, n words after.
+func (s *Site) appendProseLink(b []byte, rng *rand.Rand, u, anchor string, n int) []byte {
+	b, tpl := lit(b, s.skin.contentItem)
+	b = s.appendWords(b, rng, 2)
+	b, tpl = lit(b, tpl)
+	b = append(b, u...)
+	b, tpl = lit(b, tpl)
+	b = append(b, anchor...)
+	b, tpl = lit(b, tpl)
+	b = s.appendWords(b, rng, n)
+	return append(b, tpl...)
+}
+
+// appendVariant writes a zone wrapper with the section-template class
+// sect-<tpl> stamped into its first class attribute, splitting the zone's
+// tag path per site section.
+func appendVariant(b []byte, open string, tpl int) []byte {
+	before, after, ok := strings.Cut(open, `class="`)
+	if !ok {
+		return append(b, open...)
+	}
+	b = append(b, before...)
+	b = append(b, `class="sect-`...)
+	b = strconv.AppendInt(b, int64(tpl), 10)
+	b = append(b, ' ')
+	return append(b, after...)
 }
 
 func (s *Site) portalAnchor(rng *rand.Rand) string {
@@ -228,14 +325,19 @@ func (s *Site) portalAnchor(rng *rand.Rand) string {
 	return options[rng.Intn(len(options))]
 }
 
-func (s *Site) href(id int) string {
-	// Render site-internal links as absolute paths; the crawler resolves
-	// them against the page URL (and a few stay absolute for variety).
+// appendHref writes the link to page id. Site-internal links render as
+// absolute paths, the URL less "https://" and the host, which the crawler
+// resolves against the page URL; a few stay absolute for variety.
+func (s *Site) appendHref(b []byte, id int) []byte {
 	u := s.pages[id].URL
-	if id%17 == 0 {
-		return u // absolute URL form
+	if id%17 != 0 {
+		if rest, ok := strings.CutPrefix(u, "https://"); ok {
+			if path, ok := strings.CutPrefix(rest, s.Profile.Host); ok {
+				u = path
+			}
+		}
 	}
-	return strings.TrimPrefix(u, "https://"+s.Profile.Host)
+	return append(b, u...)
 }
 
 // SDMarker is the byte pattern marking one embedded statistics table inside

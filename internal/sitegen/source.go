@@ -1,7 +1,6 @@
 package sitegen
 
 import (
-	"bytes"
 	"math/rand"
 
 	"sbcrawl/internal/freelist"
@@ -126,10 +125,11 @@ func (r *lazySource) Uint64() uint64 {
 func (r *lazySource) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
 
 // renderer is one render's working set: a generator over a lazySource, and
-// the scratch an HTML body is written into before its exact-size copy.
+// the scratch an HTML body is written into, viewed there or copied out at
+// its size.
 type renderer struct {
 	rng *rand.Rand
-	buf bytes.Buffer
+	buf []byte
 }
 
 // renderFree parks renderers between renders: a render takes one, seeds it
@@ -137,9 +137,10 @@ type renderer struct {
 var renderFree = freelist.New[*renderer]()
 
 // maxParkedBody bounds the scratch a parked renderer keeps. Most HTML pages
-// render in a few KB; a scratch an outsized page grew past the bound goes to
-// the GC, so the parked renderers pin at most freelist.Cap × (16 KB of
-// scratch + a 7 KB source).
+// render in a few KB into the parked scratch, sized to their size hint;
+// a page whose hint is over the bound gets a scratch of its own at the
+// hint, which goes to the GC, so the parked renderers pin at most
+// freelist.Cap × (16 KB of scratch + a 7 KB source).
 const maxParkedBody = 16 << 10
 
 // takeRenderer returns a parked renderer, or a new one, with its generator
@@ -156,9 +157,9 @@ func takeRenderer(seed int64) *renderer {
 // release parks r for the next render, its scratch emptied, or dropped when
 // over maxParkedBody.
 func (r *renderer) release() {
-	if r.buf.Cap() > maxParkedBody {
-		r.buf = bytes.Buffer{}
+	if cap(r.buf) > maxParkedBody {
+		r.buf = nil
 	}
-	r.buf.Reset()
+	r.buf = r.buf[:0]
 	renderFree.Put(r)
 }

@@ -3,6 +3,7 @@ package sitegen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -109,27 +110,25 @@ func (s *Site) section(rng *rand.Rand) string {
 	return words[rng.Intn(len(words))]
 }
 
-// words returns n prose words in one of the site's languages, seeded by the
-// provided RNG (rendering determinism).
-func (s *Site) words(rng *rand.Rand, n int) string {
-	lang := s.lang(rng)
-	vocab := langWords[lang]
+// appendWords writes n prose words in one of the site's languages, drawn
+// from rng (rendering determinism), separated by single spaces.
+func (s *Site) appendWords(b []byte, rng *rand.Rand, n int) []byte {
+	vocab := langWords[s.lang(rng)]
 	if len(vocab) == 0 {
 		vocab = langWords["en"]
 	}
-	var b strings.Builder
-	for i := 0; i < n; i++ {
+	for i := range n {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		b.WriteString(vocab[rng.Intn(len(vocab))])
+		b = append(b, vocab[rng.Intn(len(vocab))]...)
 	}
-	return b.String()
+	return b
 }
 
-// downloadAnchor builds a dataset-link anchor text in one of the site's
-// languages, e.g. "download population 2021 (CSV)".
-func (s *Site) downloadAnchor(rng *rand.Rand, mime string) string {
+// appendDownloadAnchor writes a dataset-link anchor text in one of the
+// site's languages, e.g. "download population 2021 (CSV)".
+func (s *Site) appendDownloadAnchor(b []byte, rng *rand.Rand, mime string) []byte {
 	lang := s.lang(rng)
 	dl := downloadWords[lang]
 	if len(dl) == 0 {
@@ -139,11 +138,22 @@ func (s *Site) downloadAnchor(rng *rand.Rand, mime string) string {
 	if len(vocab) == 0 {
 		vocab = langWords["en"]
 	}
+	b = append(b, dl[rng.Intn(len(dl))]...)
+	b = append(b, ' ')
+	b = append(b, vocab[rng.Intn(len(vocab))]...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(1990+rng.Intn(36)), 10)
+	b = append(b, " ("...)
 	kind := strings.TrimPrefix(mimeExt[mime], ".")
 	if kind == "" {
 		kind = "file"
 	}
-	return fmt.Sprintf("%s %s %d (%s)",
-		dl[rng.Intn(len(dl))], vocab[rng.Intn(len(vocab))], 1990+rng.Intn(36),
-		strings.ToUpper(kind))
+	for i := range len(kind) {
+		c := kind[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return append(b, ')')
 }

@@ -131,11 +131,13 @@ func (f *Federation) Head(url string) Response {
 	return resp
 }
 
-// respond answers a request for url; head is Server.respond's.
+// respond answers a request for url; head is Server.respond's. A member's
+// HTML page is rewritten straight from the renderer's scratch: a GET
+// allocates the rewritten body alone, and a HEAD only measures it.
 func (f *Federation) respond(url string, head bool) Response {
 	if url == f.portalURL {
 		return Response{
-			URL: url, Status: 200, MIME: "text/html; charset=utf-8",
+			URL: url, Status: 200, MIME: htmlMIME,
 			Body: f.portal, ContentLength: len(f.portal),
 		}
 	}
@@ -143,34 +145,56 @@ func (f *Federation) respond(url string, head bool) Response {
 	if !ok {
 		return Response{URL: url, Status: 404}
 	}
-	resp := m.server.respond(canon, head)
-	resp.URL = url
+	pg, ok := m.site.Lookup(canon)
+	if !ok {
+		return Response{URL: url, Status: 404}
+	}
+	if pg.Kind == sitegen.KindHTML {
+		resp := Response{URL: url, Status: 200, MIME: htmlMIME}
+		m.site.ViewHTML(pg, func(body []byte) {
+			if head {
+				resp.ContentLength = f.rewrittenLen(m, url, body)
+				return
+			}
+			resp.Body = f.rewrite(m, url, body)
+			resp.ContentLength = len(resp.Body)
+		})
+		return resp
+	}
+	resp := m.server.respondPage(url, pg, head)
 	if resp.Location != "" && strings.HasPrefix(resp.Location, m.canonical) {
 		resp.Location = m.translateOut(resp.Location)
 	}
-	if resp.Status == 200 && strings.HasPrefix(resp.MIME, "text/html") {
-		resp.Body = f.rewrite(m, url, resp.Body)
-		resp.ContentLength = len(resp.Body)
-	}
 	return resp
+}
+
+// footer is the deterministic cross-host footer of the member page at url,
+// in the pieces rewrite appends.
+func (f *Federation) footer(m *federationMember, url string) [8]string {
+	next := f.nextOf(m)
+	return [...]string{
+		`<footer><a href="`, f.portalURL,
+		`">federation portal</a> <a href="`, next.root,
+		`">next member</a> <a href="`, next.sub, strings.TrimPrefix(url, m.sub), // the mirror
+		`">mirror</a></footer>`,
+	}
+}
+
+// rewrittenLen is the length of rewrite(m, url, body), computed without
+// building it.
+func (f *Federation) rewrittenLen(m *federationMember, url string, body []byte) int {
+	n := len(body) + bytes.Count(body, m.canonicalB)*(len(m.sub)-len(m.canonical))
+	for _, p := range f.footer(m, url) {
+		n += len(p)
+	}
+	return n
 }
 
 // rewrite maps canonical absolute URLs in an HTML body to subdomain form
 // and appends the deterministic cross-host footer, in one pass into one
 // slice allocated at the result's size.
 func (f *Federation) rewrite(m *federationMember, url string, body []byte) []byte {
-	next := f.nextOf(m)
-	footer := [...]string{
-		`<footer><a href="`, f.portalURL,
-		`">federation portal</a> <a href="`, next.root,
-		`">next member</a> <a href="`, next.sub, strings.TrimPrefix(url, m.sub), // the mirror
-		`">mirror</a></footer>`,
-	}
-	size := len(body) + bytes.Count(body, m.canonicalB)*(len(m.sub)-len(m.canonical))
-	for _, p := range footer {
-		size += len(p)
-	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, f.rewrittenLen(m, url, body))
 	for {
 		i := bytes.Index(body, m.canonicalB)
 		if i < 0 {
@@ -180,7 +204,7 @@ func (f *Federation) rewrite(m *federationMember, url string, body []byte) []byt
 		body = body[i+len(m.canonicalB):]
 	}
 	out = append(out, body...)
-	for _, p := range footer {
+	for _, p := range f.footer(m, url) {
 		out = append(out, p...)
 	}
 	return out

@@ -3,9 +3,11 @@ package webserver
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -26,8 +28,11 @@ func testSites(t *testing.T, codes []string, scale float64, seed int64) []*siteg
 }
 
 // TestHeadIsGetMinusBody: for every page of two sites and of a federation,
-// HEAD answers what GET answers minus the body — a target's ContentLength
-// too, which HEAD takes from SizeB without rendering: it allocates nothing.
+// HEAD answers what GET answers minus the body, and builds no body. A
+// target's ContentLength HEAD takes from SizeB without rendering, and an
+// HTML page's it measures in the renderer's scratch, so a site's HEAD
+// allocates nothing; a federation's allocates only the canonical URL it
+// resolves the request to.
 func TestHeadIsGetMinusBody(t *testing.T) {
 	type backend interface {
 		Get(url string) Response
@@ -45,30 +50,59 @@ func TestHeadIsGetMinusBody(t *testing.T) {
 			t.Fatalf("%s:\nHEAD %+v\nGET  %+v minus its body", url, head, get)
 		}
 	}
-	targets := 0
+	// parked: an HTML page that renders into sitegen's parked scratch, one
+	// whose size hint (1 KB + 160 B a link) is within 16 KB, as that of a
+	// page of up to 8 KB is on these sites. A page hinted larger allocates
+	// a scratch of its own.
+	parked := func(b backend, url string) bool {
+		return len(b.Get(url).Body) <= 8<<10
+	}
+	targets, html := 0, 0
 	for _, site := range sites {
 		s := New(site)
 		for _, pg := range site.Pages() {
 			check(s, pg.URL)
-			if pg.Kind != sitegen.KindTarget {
+			switch {
+			case pg.Kind == sitegen.KindTarget:
+				targets++
+			case pg.Kind == sitegen.KindHTML && parked(s, pg.URL):
+				html++
+			default:
 				continue
 			}
-			targets++
 			if !raceEnabled {
 				if n := testing.AllocsPerRun(1, func() { s.Head(pg.URL) }); n != 0 {
-					t.Fatalf("HEAD %s allocates %v times: the target was rendered", pg.URL, n)
+					t.Fatalf("HEAD %s allocates %v times: a body was built", pg.URL, n)
 				}
 			}
 		}
 	}
+	// A trapped root page is measured with its archive entry.
+	trapped := New(sites[0])
+	trapped.EnableTrap()
+	check(trapped, sites[0].Root())
 	check(fed, fed.Root())
+	fedHTML := 0
 	for _, m := range fed.members {
 		for _, pg := range m.site.Pages() {
-			check(fed, m.translateOut(pg.URL))
+			url := m.translateOut(pg.URL)
+			check(fed, url)
+			if pg.Kind != sitegen.KindHTML || !parked(fed, url) {
+				continue
+			}
+			fedHTML++
+			if !raceEnabled {
+				if n := testing.AllocsPerRun(1, func() { fed.Head(url) }); n != 1 {
+					t.Fatalf("HEAD %s allocates %v times, want 1 (the canonical URL): a body was built", url, n)
+				}
+			}
 		}
 	}
 	if targets == 0 || len(fed.TargetURLs()) == 0 {
 		t.Fatal("no targets checked")
+	}
+	if html == 0 || fedHTML == 0 {
+		t.Fatal("no HTML pages checked")
 	}
 }
 
@@ -97,7 +131,10 @@ func TestHandlerHeadIsGetMinusBody(t *testing.T) {
 
 // TestRewriteMatchesReplaceAll: the one-pass rewrite gives, for every HTML
 // page of a ce×8 federation, the bytes of the two-pass expression it
-// replaced, in one allocation.
+// replaced, in one allocation; and a federated GET of the page, which
+// rewrites straight from the renderer's scratch, allocates that body and
+// nothing body-sized besides: two objects, the other the canonical URL the
+// request resolves to.
 func TestRewriteMatchesReplaceAll(t *testing.T) {
 	codes := make([]string, 8)
 	for i := range codes {
@@ -131,6 +168,24 @@ func TestRewriteMatchesReplaceAll(t *testing.T) {
 			if !raceEnabled {
 				if n := testing.AllocsPerRun(5, func() { f.rewrite(m, url, body) }); n != 1 {
 					t.Fatalf("%s: rewrite allocates %v times, want 1", url, n)
+				}
+				if n := testing.AllocsPerRun(5, func() { f.Get(url) }); n != 2 {
+					t.Fatalf("%s: GET allocates %v times, want 2 (the body and the canonical URL)", url, n)
+				}
+				// The least of three GETs: TotalAlloc also counts the odd
+				// allocation of another goroutine, which only ever adds bytes.
+				least := uint64(math.MaxUint64)
+				for range 3 {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					f.Get(url)
+					runtime.ReadMemStats(&after)
+					least = min(least, after.TotalAlloc-before.TotalAlloc)
+				}
+				// Size classes round the body up by at most an eighth; a
+				// second body-sized object would take the total past 1.5.
+				if limit := uint64(len(want)) * 3 / 2; least > limit {
+					t.Fatalf("%s: GET allocates %d bytes for a %d-byte body, want ≤ %d", url, least, len(want), limit)
 				}
 			}
 			pages++

@@ -58,10 +58,13 @@ func (s *Server) Head(url string) Response {
 	return resp
 }
 
-// respond answers a request for url. With head set, a target is not
-// rendered: RenderPage writes a target's SizeB bytes exactly, so its length
-// is known without them. An HTML body is rendered either way, because its
-// length depends on the rendering.
+// htmlMIME is the Content-Type of every HTML page.
+const htmlMIME = "text/html; charset=utf-8"
+
+// respond answers a request for url. With head set, no body is built: a
+// target is not rendered, since RenderPage writes its SizeB bytes exactly,
+// and an HTML page, whose length depends on the rendering, is measured in
+// the renderer's scratch without its copy.
 func (s *Server) respond(url string, head bool) Response {
 	if n, ok := s.trapURL(url); ok {
 		return s.trapPage(url, n)
@@ -70,6 +73,29 @@ func (s *Server) respond(url string, head bool) Response {
 	if !ok {
 		return Response{URL: url, Status: 404}
 	}
+	if pg.Kind != sitegen.KindHTML {
+		return s.respondPage(url, pg, head)
+	}
+	resp := Response{URL: url, Status: 200, MIME: htmlMIME}
+	trapped := s.trap && pg.ID == 0
+	if head {
+		s.site.ViewHTML(pg, func(body []byte) { resp.ContentLength = len(body) })
+		if trapped {
+			resp.ContentLength += len(trapEntryHTML)
+		}
+		return resp
+	}
+	resp.Body = s.site.RenderPage(pg)
+	if trapped {
+		resp.Body = injectTrapEntry(resp.Body)
+	}
+	resp.ContentLength = len(resp.Body)
+	return resp
+}
+
+// respondPage answers, under url, a request for a page that is not HTML;
+// head is respond's.
+func (s *Server) respondPage(url string, pg *sitegen.Page, head bool) Response {
 	switch pg.Kind {
 	case sitegen.KindError:
 		return Response{URL: url, Status: pg.Status}
@@ -77,15 +103,6 @@ func (s *Server) respond(url string, head bool) Response {
 		return Response{
 			URL: url, Status: pg.Status,
 			Location: s.site.PageByID(pg.RedirectTo).URL,
-		}
-	case sitegen.KindHTML:
-		body := s.site.RenderPage(pg)
-		if s.trap && pg.ID == 0 {
-			body = injectTrapEntry(body)
-		}
-		return Response{
-			URL: url, Status: 200, MIME: "text/html; charset=utf-8",
-			Body: body, ContentLength: len(body),
 		}
 	case sitegen.KindTarget:
 		var body []byte
@@ -133,7 +150,7 @@ func (s *Server) Handler() http.Handler {
 			var body []byte
 			mime, n := pg.MIME, pg.SizeB
 			if pg.Kind == sitegen.KindHTML {
-				mime = "text/html; charset=utf-8"
+				mime = htmlMIME
 				// Rewrite absolute same-site URLs to relative paths so the
 				// whole site stays in scope when served from 127.0.0.1.
 				body = bytes.ReplaceAll(s.site.RenderPage(pg), []byte(prefix), nil)

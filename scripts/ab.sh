@@ -2,7 +2,7 @@
 # A/B measurement of the benchmark, or of one package's tests: REV against
 # the working tree.
 #
-#   sh scripts/ab.sh [-w WORKLOAD] [-n ROUNDS] [-s SECONDS] [-S SEED] REV
+#   sh scripts/ab.sh [-A] [-w WORKLOAD] [-n ROUNDS] [-s SECONDS] [-S SEED] REV
 #
 # It `git archive`s REV into a temporary directory, builds `go build
 # ./benchmark` there and in the working tree (uncommitted edits included),
@@ -14,9 +14,18 @@
 # end-to-end metric BENCHMARK.json declares, each side's median and
 # quartiles, the change of the median, REV's interquartile range as a share
 # of its median, and wins/N: the rounds the working tree read better than
-# REV on the same seed (ties count for neither side). `sh scripts/ab.sh
-# HEAD` on a clean tree is the A/A run: its spread and wins are the noise
-# floor to read any other result against.
+# REV on the same seed (ties count for neither side), and each side's
+# median count of timed passes a run (a faster side runs more passes, and
+# a metric that grows with them, such as peak RSS, is read beside it).
+# `sh scripts/ab.sh HEAD` on a clean tree is the A/A run: its spread and
+# wins are the noise floor to read any other result against.
+#
+# With -A the A/A floor comes from the same run: every round also runs
+# REV's binary a second time (A') on the round's seed, the three runs in an
+# order that rotates from round to round (A B A', B A' A, A' A B), and each
+# metric's line gains A' against A: the change of the median of A' and
+# its wins over A, read exactly as B's — what the B columns read when
+# nothing changed. -t ignores -A.
 #
 #   sh scripts/ab.sh -t PKG [-n ROUNDS] REV
 #
@@ -39,8 +48,10 @@ pkg=
 rounds=10
 secs=10
 seed=100
-while getopts w:t:n:s:S: opt; do
+aa=0
+while getopts Aw:t:n:s:S: opt; do
 	case $opt in
+	A) aa=1 ;;
 	w) workload=$OPTARG ;;
 	t) pkg=${OPTARG#./} ;;
 	n) rounds=$OPTARG ;;
@@ -51,7 +62,7 @@ while getopts w:t:n:s:S: opt; do
 done
 shift $((OPTIND - 1))
 if [ $# -ne 1 ]; then
-	echo "usage: sh scripts/ab.sh [-w WORKLOAD | -t PKG] [-n ROUNDS] [-s SECONDS] [-S SEED] REV" >&2
+	echo "usage: sh scripts/ab.sh [-A] [-w WORKLOAD | -t PKG] [-n ROUNDS] [-s SECONDS] [-S SEED] REV" >&2
 	exit 2
 fi
 rev=$1
@@ -131,11 +142,19 @@ fi
 (cd "$root" && go build -o "$tmp/b" ./benchmark)
 
 # run SIDE ROUND SEED: one `-workload` run, its metrics appended to
-# $tmp/runs as "round side metric value" lines.
+# $tmp/runs as "round side metric value" lines. Side c is A' (-A): REV's
+# binary again, in a directory of its own.
 run() {
-	"$tmp/$1" -workload "$workload" -seed "$3" -seconds "$secs" -trace 0 \
-		-dir "$tmp/dir-$1" 2>/dev/null | tail -n 1 >"$tmp/out"
+	bin=$1
+	[ "$1" = c ] && bin=a
+	"$tmp/$bin" -workload "$workload" -seed "$3" -seconds "$secs" -trace 0 \
+		-dir "$tmp/dir-$1" 2>/dev/null | tail -n 2 >"$tmp/out"
 	awk -v side="$1" -v round="$2" '
+	# The detail line before the result line gives the timed passes.
+	/^#detail / {
+		if (match($0, /"passes":[0-9]+/)) passes = substr($0, RSTART + 9, RLENGTH - 9)
+		next
+	}
 	{
 		if ($0 !~ /"correct":true/) bad = 1
 		if (match($0, /"failed":[0-9]+/)) failed = substr($0, RSTART + 9, RLENGTH - 9)
@@ -149,6 +168,7 @@ run() {
 		}
 		print round, side, "failed", failed + 0
 		print round, side, "incorrect", bad + 0
+		print round, side, "passes", passes + 0
 	}
 	END {
 		if (NR == 0) print round, side, "incorrect", 1 # no result line
@@ -159,20 +179,28 @@ run() {
 i=1
 while [ "$i" -le "$rounds" ]; do
 	s=$((seed + i))
-	if [ $((i % 2)) -eq 1 ]; then
-		run a "$i" "$s"
-		run b "$i" "$s"
+	if [ "$aa" = 1 ]; then
+		case $((i % 3)) in
+		1) order="a b c" ;;
+		2) order="b c a" ;;
+		0) order="c a b" ;;
+		esac
+	elif [ $((i % 2)) -eq 1 ]; then
+		order="a b"
 	else
-		run b "$i" "$s"
-		run a "$i" "$s"
+		order="b a"
 	fi
+	for side in $order; do
+		run "$side" "$i" "$s"
+	done
 	echo "round $i/$rounds (seed $s) done" >&2
 	i=$((i + 1))
 done
 
 echo "ab: $workload, $rounds alternated rounds of ${secs} s, seeds $((seed + 1))-$((seed + rounds))"
 echo "    A = $rev ($sha), B = working tree of $(git -C "$root" rev-parse --short HEAD)"
-awk '
+[ "$aa" = 1 ] && echo "    A' = $rev again: A' vs A is the A/A floor"
+awk -v aa="$aa" '
 # BENCHMARK.json: the end-to-end metrics, in order, with their direction.
 FNR == NR {
 	if ($0 ~ /"end_to_end"/) e2e = 1
@@ -199,29 +227,44 @@ function q(k, p, h, lo) {
 	lo = int(h)
 	return lo >= k ? v[k] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 }
+# wins: the rounds side y read better than side x on metric name; pairs
+# gets the rounds both sides read it.
+function wins(x, y, name, r, n, vx, vy) {
+	n = 0; pairs = 0
+	for (r = 1; r <= rounds; r++) {
+		if (!((r, x, name) in by) || !((r, y, name) in by)) continue
+		pairs++
+		vx = by[r, x, name]; vy = by[r, y, name]
+		if ((better[name] == "lower" && vy < vx) || (better[name] == "higher" && vy > vx)) n++
+	}
+	return n
+}
+function change(m, am) { return am != 0 ? sprintf("%+.1f%%", 100 * (m - am) / am) : "n/a" }
 END {
-	printf "%-18s %-6s  %-30s %-30s %7s %6s %6s\n", "metric", "better", "A median [q1, q3]", "B median [q1, q3]", "B vs A", "A IQR", "B wins"
+	printf "%-18s %-6s  %-30s %-30s %7s %6s %6s", "metric", "better", "A median [q1, q3]", "B median [q1, q3]", "B vs A", "A IQR", "B wins"
+	if (aa) printf " %7s %7s", "A\047 vs A", "A\047 wins"
+	printf "\n"
 	for (m = 1; m <= nm; m++) {
 		name = names[m]
 		if (!cnt["a", name]) continue
 		k = sortv("a" SUBSEP name); am = q(k, .5); aiqr = q(k, .75) - q(k, .25)
 		aq = sprintf("%.5g [%.5g, %.5g]", am, q(k, .25), q(k, .75))
 		k = sortv("b" SUBSEP name); bm = q(k, .5); bq = sprintf("%.5g [%.5g, %.5g]", bm, q(k, .25), q(k, .75))
-		wins = 0; pairs = 0
-		for (r = 1; r <= rounds; r++) {
-			if (!((r, "a", name) in by) || !((r, "b", name) in by)) continue
-			pairs++
-			x = by[r, "a", name]; y = by[r, "b", name]
-			if ((better[name] == "lower" && y < x) || (better[name] == "higher" && y > x)) wins++
-		}
-		d = am != 0 ? sprintf("%+.1f%%", 100 * (bm - am) / am) : "n/a"
 		w = am != 0 ? sprintf("%.1f%%", 100 * aiqr / am) : "n/a"
-		printf "%-18s %-6s  %-30s %-30s %7s %6s %3d/%d\n", name, better[name], aq, bq, d, w, wins, pairs
+		bw = wins("a", "b", name)
+		printf "%-18s %-6s  %-30s %-30s %7s %6s %3d/%d", name, better[name], aq, bq, change(bm, am), w, bw, pairs
+		if (aa) {
+			k = sortv("c" SUBSEP name); cm = q(k, .5)
+			cw = wins("a", "c", name)
+			printf " %7s %3d/%d", change(cm, am), cw, pairs
+		}
+		printf "\n"
 	}
-	for (s = 1; s <= 2; s++) {
-		side = s == 1 ? "a" : "b"
+	for (s = 1; s <= 2 + aa; s++) {
+		side = substr("abc", s, 1)
 		f = 0; bad = 0
 		for (r = 1; r <= rounds; r++) { f += by[r, side, "failed"]; bad += by[r, side, "incorrect"] }
-		printf "%s: %d failed operations, %d incorrect runs\n", toupper(side), f, bad
+		k = sortv(side SUBSEP "passes")
+		printf "%s: %d failed operations, %d incorrect runs, %g timed passes a run (median)\n", side == "c" ? "A\047" : toupper(side), f, bad, q(k, .5)
 	}
 }' "$root/BENCHMARK.json" "$tmp/runs"

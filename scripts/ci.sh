@@ -59,10 +59,11 @@ test -z "$(gofmt -l .)"
 # to a store costs the same whatever the store holds; a Site counts its pages
 # once; a crawld client decodes each response out of one reused buffer.
 # Simulated web — a warm render seeds a parked generator, never a new
-# math/rand source: a target costs one allocation, its body at its size, and
-# an HTML page its exact-size body and its words under three bodies plus
-# 1 KB; a HEAD of a target renders nothing, and a federation's HTML rewrite
-# allocates once.
+# math/rand source, and costs one allocation, its body: a target's at its
+# size, an HTML page's exact-size copy of the scratch it was appended into
+# (no word string, no boxed argument); a HEAD builds no body, and a
+# federation's HTML GET allocates one body-sized object, its rewrite read
+# straight from the scratch.
 # It also runs every Fuzz target's checked-in seed corpus as ordinary
 # tests: the tokenizer/extractor targets, every persistence-plane decoder,
 # and FuzzCrawlConfig's share of the crawl-invariant table (the six

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -268,7 +269,7 @@ type engine struct {
 	failedCharges  int        // charged requests whose final outcome was a failure
 	links          []dom.Link // the stack every page's links live on (see extractNewLinks)
 	fields         dom.Fields // the Link fields the strategy reads; all of them unless it narrows them
-	admitLink      func(href string) (string, bool)
+	admitLink      func(href []byte, intern func([]byte) string) (string, bool)
 	base           urlutil.Base    // the page whose links or redirect are being resolved
 	abs            []byte          // a link's normal form, before it earns a string
 	inPage         map[string]bool // the current page's surviving links
@@ -659,17 +660,25 @@ func (e *engine) extractNewLinks(pageURL string, body []byte) []dom.Link {
 const inPageKeep = 1024
 
 // admit is extractNewLinks' filter, which dom calls at each link element
-// before it builds anything else of the link. The href is normalized into
-// e.abs and looked up in the in-page set and T ∪ F there, so a link dropped
-// as known costs no string; a new one gets its URL string (the href itself
-// when that is already normal) and then meets the scope and blocklist.
-// newEngine binds it once, as e.admitLink: a method value made per page
-// would allocate.
-func (e *engine) admit(href string) (string, bool) {
-	if !e.resolve(href) || e.inPage[string(e.abs)] || e.seen[string(e.abs)] {
+// with the href as a view of the page, before it builds anything else of the
+// link. The href is normalized into e.abs and looked up in the in-page set
+// and T ∪ F there, so a link dropped as known costs no string and no hash
+// beyond those lookups. A new one gets its URL string — when the href is its
+// own normal form (up to a cut fragment), a prefix of the copy the parser's
+// intern table keeps of it, as a re-crawled site's links find it warm — and
+// then meets the scope and blocklist. newEngine binds it once, as
+// e.admitLink: a method value made per page would allocate.
+func (e *engine) admit(href []byte, intern func([]byte) string) (string, bool) {
+	var ok bool
+	if e.abs, ok = e.base.AppendNormalizeBytes(e.abs[:0], href); !ok || e.inPage[string(e.abs)] || e.seen[string(e.abs)] {
 		return "", false
 	}
-	abs := urlutil.String(e.abs, href)
+	var abs string
+	if bytes.HasPrefix(href, e.abs) {
+		abs = intern(href)[:len(e.abs)]
+	} else {
+		abs = string(e.abs)
+	}
 	if !e.scope.Admit(abs) {
 		return "", false
 	}

@@ -530,6 +530,38 @@ func TestExtractKnownLinksAllocsNothing(t *testing.T) {
 	}
 }
 
+// TestExtractUnseenKnownLinksAllocsNothing: a page of hrefs no parser has
+// seen, all already in T ∪ F, costs extractNewLinks nothing either. Each
+// href reaches admit as a view of the page and is dropped there, so no
+// intern table ever meets it.
+func TestExtractUnseenKnownLinksAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	const pageURL, k = "https://site.org/page", 30
+	eng := newScriptedEngine(t, &scriptedFetcher{})
+	pages := make([][]byte, 24+1+840) // warmAllocsPerPage's calls of fn
+	for i := range pages {
+		var page strings.Builder
+		page.WriteString(`<html><body><div id="main" class="content wide"><ul class="files">`)
+		for j := range k {
+			fmt.Fprintf(&page, `<li class="row"><a class="dl" href="/d/%d-%d.csv">download</a></li>`, i, j)
+			eng.seen[fmt.Sprintf("https://site.org/d/%d-%d.csv", i, j)] = true
+		}
+		page.WriteString(`</ul></div></body></html>`)
+		pages[i] = []byte(page.String())
+	}
+	i := 0
+	if n := warmAllocsPerPage(func() {
+		if got := eng.extractNewLinks(pageURL, pages[i]); len(got) != 0 {
+			t.Fatalf("%d known links survive the filters", len(got))
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("a page of %d unseen known links costs extractNewLinks %v allocations, want 0", k, n)
+	}
+}
+
 // TestExtractNewLinksAllocsTheirURLs: a page of k new links, with no field
 // asked for, costs its k URL strings and a constant, whatever its text and
 // markup.

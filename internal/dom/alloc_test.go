@@ -75,6 +75,36 @@ func TestExtractLinksAllocsIndependentOfText(t *testing.T) {
 	}
 }
 
+// TestRefusedHrefsAllocNothing: an href reaches admit as a view of the page,
+// so a link admit refuses costs no string even when no parser has seen its
+// href before — the intern table never meets it.
+func TestRefusedHrefsAllocNothing(t *testing.T) {
+	for len(parserFree) > 0 {
+		<-parserFree
+	}
+	const runs = 100
+	pages := make([][]byte, runs+2)
+	for i := range pages {
+		var sb strings.Builder
+		sb.WriteString("<html><body><ul class=datasets>")
+		for j := range 16 {
+			sb.WriteString(`<li><a href="/data/p` + strconv.Itoa(i) + "-" + strconv.Itoa(j) + `.csv">download</a></li>`)
+		}
+		sb.WriteString("</ul></body></html>")
+		pages[i] = []byte(sb.String())
+	}
+	refuse := func([]byte, func([]byte) string) (string, bool) { return "", false }
+	var buf []Link
+	buf = ExtractLinksFiltered(buf[:0], pages[0], AllFields, refuse) // warm: the parser's scratch
+	i := 1
+	if n := testing.AllocsPerRun(runs, func() {
+		buf = ExtractLinksFiltered(buf[:0], pages[i], AllFields, refuse)
+		i++
+	}); n != 0 {
+		t.Errorf("a page of 16 fresh hrefs, all refused, costs %v allocations, want 0", n)
+	}
+}
+
 // TestParseAllocsIndependentOfRawText pins the raw-text satellite end to
 // end: script-heavy pages must not cost allocations proportional to script
 // bytes (the old per-element lowercase copy of the document tail).
@@ -133,7 +163,7 @@ func TestFullInternTableStartsOver(t *testing.T) {
 	fresh := allocsPerExtract(page) // one parser, built for it and parked
 	drain()
 	p := newParser()
-	for i := 0; len(p.interned) < maxIntern+len(commonStrings); i++ {
+	for i := 0; len(p.interned) < maxIntern; i++ {
 		p.intern([]byte("filler-" + strconv.Itoa(i)))
 	}
 	putParser(p)
@@ -152,7 +182,7 @@ func TestRecycleDropsSourceViews(t *testing.T) {
 	}
 	page := buildPage(300, 8)
 	p := newParser()
-	p.want, p.admit = AllFields, func(href string) (string, bool) { return href, true }
+	p.want, p.admit = AllFields, func(href []byte, intern func([]byte) string) (string, bool) { return intern(href), true }
 	p.run(page)
 	if views := sourceViews(reflect.ValueOf(p).Elem(), page); views == 0 {
 		t.Fatal("a running parser holds no view of its page: the check below checks nothing")

@@ -47,6 +47,15 @@ func seedCorpus(f *testing.F) {
 		"<div>lead <a href=/1>one</a><p>inner <a href=/2>two</a></p> tail <a href=/3>three</a></div>",
 		"<div><span>x</b><a href=/y>z</a></i></span></div><a href=/w>w</a>",
 		"<div ID=first id=second CLASS='x y' class=z><a HREF=/a href=/b>t</a></div>",
+		// The static element table: names in any case, the linking
+		// elements' attributes, an unknown element, a <table> ending an open
+		// <p>, and a void element written with children.
+		"<UL><LI>one <a href=/1>a</a><Li>two <a href=/2>b</a></UL>",
+		`<A HREF="/up">UP</A> <a HrEf=/mixed SRC=/no>m</a>`,
+		`<IFrame SRC="/frame.html" href=/no>x</IFrame><Area HREF=/area>`,
+		"<custom-el id=c><x-link href=/no>t</x-link><a href=/yes>y</a></custom-el>",
+		"<p>para <a href=/p>in p</a><TABLE><tr><td><a href=/t>in table</a></table> after",
+		"<div><img src=/i.png>children of a void <a href=/v>v</a></img> tail</div>",
 	} {
 		f.Add([]byte(s))
 	}
@@ -114,11 +123,11 @@ func FuzzTokenizer(f *testing.F) {
 // filterLinks is ExtractLinksFiltered's definition over an unfiltered
 // extraction: the links admit keeps (all of them for a nil admit), with the
 // URL it returns and the fields outside want zeroed.
-func filterLinks(links []Link, want Fields, admit func(string) (string, bool)) []Link {
+func filterLinks(links []Link, want Fields, admit func([]byte, func([]byte) string) (string, bool)) []Link {
 	var out []Link
 	for _, l := range links {
 		if admit != nil {
-			u, ok := admit(l.URL)
+			u, ok := admit([]byte(l.URL), func(b []byte) string { return string(b) })
 			if !ok {
 				continue
 			}
@@ -139,12 +148,16 @@ func filterLinks(links []Link, want Fields, admit func(string) (string, bool)) [
 }
 
 // fuzzAdmit is a deterministic filter for the fuzz target: it drops every
-// href whose length is a multiple of three and rewrites the others.
-func fuzzAdmit(href string) (string, bool) {
-	if len(href)%3 == 0 {
+// href whose length is a multiple of three, keeps those one longer through
+// intern, and rewrites the others.
+func fuzzAdmit(href []byte, intern func([]byte) string) (string, bool) {
+	switch len(href) % 3 {
+	case 0:
 		return "", false
+	case 1:
+		return intern(href), true
 	}
-	return "admitted:" + href, true
+	return "admitted:" + string(href), true
 }
 
 // FuzzExtractLinks holds the one-pass extractor to the reference tree
@@ -168,7 +181,7 @@ func FuzzExtractLinks(f *testing.F) {
 			t.Errorf("one-pass extraction differs from the reference tree:\none pass: %+v\ntree:     %+v", links, tree)
 		}
 		for want := Fields(0); want <= AllFields; want++ {
-			for _, admit := range []func(string) (string, bool){nil, fuzzAdmit} {
+			for _, admit := range []func([]byte, func([]byte) string) (string, bool){nil, fuzzAdmit} {
 				got := ExtractLinksFiltered(nil, src, want, admit)
 				if ref := filterLinks(tree, want, admit); !reflect.DeepEqual(got, ref) {
 					t.Errorf("fields %03b, admit %t: one-pass extraction differs from the reference tree's links filtered:\none pass: %+v\ntree:     %+v", want, admit != nil, got, ref)

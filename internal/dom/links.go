@@ -116,10 +116,6 @@ const (
 // surroundingCap is the byte cap on SurroundingText.
 const surroundingCap = 256
 
-// linkAttr maps each linking element to the attribute holding its URL,
-// following Section 2.2 (edges exist via tags like <a>, <area>, <iframe>).
-var linkAttr = map[string]string{"a": "href", "area": "href", "iframe": "src"}
-
 // ExtractLinksAppend appends every hyperlink of the HTML page, with its tag
 // path and context, to dst (which may be an exhausted scratch slice), in
 // document order. It is ExtractLinksFiltered with every field and no filter.
@@ -130,15 +126,18 @@ func ExtractLinksAppend(dst []Link, src []byte) []Link {
 // ExtractLinksFiltered is ExtractLinksAppend for a caller that keeps some of
 // a page's links and reads some of their fields. At each link element, admit
 // is called with the trimmed href before anything else about the link is
-// built: a link it refuses costs nothing more, and one it admits is appended
-// with the URL admit returned and, of the optional fields, only those in
-// want. A nil admit keeps every link, its href as URL. The page is read in
-// one pass on a free-listed parser, and only the appended Links (plain
-// strings throughout) survive the call, so steady-state allocation is
-// O(links), not O(bytes). Links collect in the parser's own buffer and reach
-// dst in one append, so a nil dst costs one exactly-sized allocation, not a
-// doubling series.
-func ExtractLinksFiltered(dst []Link, src []byte, want Fields, admit func(href string) (string, bool)) []Link {
+// built. The href is a view of the page (or of the tokenizer's scratch),
+// valid only during the call: a link admit refuses costs no string. One it
+// admits is appended with the URL admit returned and, of the optional
+// fields, only those in want. intern materializes bytes through the parser's
+// table, so that admit can hand back an href that is its own normal form as
+// the string the parser keeps for it. A nil admit keeps every link, its
+// interned href as URL. The page is read in one pass on a free-listed
+// parser, and only the appended Links (plain strings throughout) survive the
+// call, so steady-state allocation is O(links), not O(bytes). Links collect
+// in the parser's own buffer and reach dst in one append, so a nil dst costs
+// one exactly-sized allocation, not a doubling series.
+func ExtractLinksFiltered(dst []Link, src []byte, want Fields, admit func(href []byte, intern func([]byte) string) (string, bool)) []Link {
 	p := getParser()
 	p.want, p.admit = want, admit
 	p.run(src)

@@ -2,7 +2,6 @@ package dom
 
 import (
 	"bytes"
-	"maps"
 	"math"
 	"slices"
 	"unicode"
@@ -51,63 +50,6 @@ func spaceAt[S string | []byte](s S, i int) (space bool, size int) {
 	return unicode.IsSpace(r), size
 }
 
-// voidElements never have children in HTML; a start tag is a complete element.
-var voidElements = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
-}
-
-// impliedEnd lists elements that are implicitly closed when a sibling of the
-// same (or listed) kind opens, the most common HTML recovery rule.
-var impliedEnd = map[string]map[string]bool{
-	"li":     {"li": true},
-	"p":      {"p": true, "div": true, "ul": true, "ol": true, "table": true, "section": true, "article": true, "h1": true, "h2": true, "h3": true, "h4": true, "h5": true, "h6": true},
-	"td":     {"td": true, "th": true, "tr": true},
-	"th":     {"td": true, "th": true, "tr": true},
-	"tr":     {"tr": true},
-	"option": {"option": true},
-	"dt":     {"dt": true, "dd": true},
-	"dd":     {"dt": true, "dd": true},
-}
-
-// impliedClosers is the inverted form of impliedEnd, precomputed once: for
-// an opening tag name, the set of open element names it implicitly closes.
-var impliedClosers = func() map[string]map[string]bool {
-	out := make(map[string]map[string]bool)
-	for closes, openers := range impliedEnd {
-		for opener := range openers {
-			m := out[opener]
-			if m == nil {
-				m = make(map[string]bool)
-				out[opener] = m
-			}
-			m[closes] = true
-		}
-	}
-	return out
-}()
-
-// commonStrings seeds every parser's intern table with the element names a
-// crawler sees on virtually every page, so they never allocate.
-var commonStrings = func() map[string]string {
-	names := []string{
-		"html", "head", "body", "title", "meta", "link", "script", "style",
-		"div", "span", "p", "a", "ul", "ol", "li", "dl", "dt", "dd",
-		"table", "thead", "tbody", "tr", "td", "th", "nav", "header",
-		"footer", "section", "article", "aside", "main", "form", "input",
-		"button", "select", "option", "label", "textarea", "img", "br",
-		"hr", "em", "strong", "b", "i", "u", "small", "sup", "sub",
-		"h1", "h2", "h3", "h4", "h5", "h6", "iframe", "area", "map",
-		"figure", "figcaption", "blockquote", "pre", "code",
-	}
-	m := make(map[string]string, len(names))
-	for _, s := range names {
-		m[s] = s
-	}
-	return m
-}()
-
 // maxIntern bounds a parser's dynamic intern table; maxInternLen keeps big
 // text blobs out of it.
 const (
@@ -122,11 +64,12 @@ const (
 type parser struct {
 	z        Tokenizer
 	interned map[string]string
-	lower    []byte // lowercase scratch for names
-	tokBuf   []byte // path-token scratch
+	internFn func([]byte) string // p.intern, bound once: admit's second argument
+	lower    []byte              // lowercase scratch for names elements lacks
+	tokBuf   []byte              // path-token scratch
 
 	want  Fields
-	admit func(href string) (string, bool) // nil outside a filtered extraction
+	admit func(href []byte, intern func([]byte) string) (string, bool) // nil outside a filtered extraction
 
 	stack    []openElement
 	path     []string // the path tokens of stack[1:], when tag paths are wanted
@@ -142,14 +85,17 @@ type parser struct {
 // first word), so reading it costs its length, never a walk of the subtree.
 type openElement struct {
 	name   string
-	text   int // len(p.text) when the element opened
-	anchor int // the index of the <a> link waiting for this element's text, or -1
-	mark   int // len(p.pending) when the element opened: the entries past it wait for this one
+	kind   uint8 // its element.kind: the implied-end kind an opening tag may end
+	text   int   // len(p.text) when the element opened
+	anchor int   // the index of the <a> link waiting for this element's text, or -1
+	mark   int   // len(p.pending) when the element opened: the entries past it wait for this one
 }
 
-// newParser builds a parser with an intern table seeded by commonStrings.
+// newParser builds a parser with an empty intern table.
 func newParser() *parser {
-	return &parser{interned: maps.Clone(commonStrings)}
+	p := &parser{interned: make(map[string]string)}
+	p.internFn = p.intern
+	return p
 }
 
 // parserFree is the free list extractions draw warm parsers from: a cold
@@ -210,24 +156,13 @@ func (p *parser) intern(b []byte) string {
 	if len(s) > maxInternLen {
 		return s
 	}
-	if len(p.interned) >= maxIntern+len(commonStrings) {
+	if len(p.interned) >= maxIntern {
 		// A full table starts over, so a long-lived parser keeps learning
 		// the site it parses now instead of the first ones it saw.
 		clear(p.interned)
-		maps.Copy(p.interned, commonStrings)
 	}
 	p.interned[s] = s
 	return s
-}
-
-// internLower interns the ASCII-lowercased form of b, lowercasing lazily:
-// already-lowercase names (the overwhelmingly common case) intern as-is.
-func (p *parser) internLower(b []byte) string {
-	if allLowerASCII(b) {
-		return p.intern(b)
-	}
-	p.lower = toLowerAppend(p.lower[:0], b)
-	return p.intern(p.lower)
 }
 
 // foldEqualStr reports whether name equals the (lowercase) name s under
@@ -289,13 +224,22 @@ func (p *parser) run(src []byte) {
 
 // start handles a start tag: the elements it implicitly ends close, a
 // linking element's link is appended, and an element that can have content
-// opens.
+// opens. A known name is its table entry's constant; only another one is
+// lowered and interned.
 func (p *parser) start(tok RawToken) {
-	name := p.internLower(tok.Data)
+	el := lookupElement(tok.Data)
+	var name string
+	if el != nil {
+		name = el.name
+	} else {
+		el = &otherElement
+		p.lower = toLowerAppend(p.lower[:0], tok.Data)
+		name = p.intern(p.lower)
+	}
 	// Implied-end recovery: <li> closes an open <li>, etc.
-	if closers := impliedClosers[name]; closers != nil {
+	if el.closes != 0 {
 		n := len(p.stack)
-		for n > 1 && closers[p.stack[n-1].name] {
+		for n > 1 && el.closes&p.stack[n-1].kind != 0 {
 			n--
 		}
 		p.closeTo(n)
@@ -305,11 +249,11 @@ func (p *parser) start(tok RawToken) {
 		p.path = append(p.path, p.pathToken(name, tok.Attrs))
 	}
 	anchor := -1
-	if attr, ok := linkAttr[name]; ok {
-		anchor = p.link(name, attr, tok.Attrs)
+	if el.attr != "" {
+		anchor = p.link(name, el.attr, tok.Attrs)
 	}
-	if tok.Type == StartTagToken && !voidElements[name] {
-		p.stack = append(p.stack, openElement{name: name, text: len(p.text), anchor: anchor, mark: len(p.pending)})
+	if tok.Type == StartTagToken && !el.void {
+		p.stack = append(p.stack, openElement{name: name, kind: el.kind, text: len(p.text), anchor: anchor, mark: len(p.pending)})
 	} else if paths {
 		p.path = p.path[:len(p.path)-1]
 	}
@@ -371,10 +315,12 @@ func (p *parser) link(name, attr string, attrs []RawAttr) int {
 	if len(href) == 0 {
 		return -1
 	}
-	url := p.intern(href)
-	if p.admit != nil {
+	var url string
+	if p.admit == nil {
+		url = p.intern(href)
+	} else {
 		var ok bool
-		if url, ok = p.admit(url); !ok {
+		if url, ok = p.admit(href, p.internFn); !ok {
 			return -1
 		}
 	}

@@ -17,8 +17,11 @@
 // Link extraction builds no tree. It reads the tokens once, keeping a stack
 // of open elements under the tree-building rules (implied end tags, void
 // elements, stray end tags ignored), so the stack at each token is the
-// node's ancestor chain. A link is appended at its start tag, in document
-// order. When a text field is wanted, every text token is collapsed into one
+// node's ancestor chain. Element names are matched against one static table
+// (element.go) that holds each known name's rules — void, the URL attribute,
+// its implied-end kind and the kinds it ends — so a start tag touches no map
+// and a known name is a constant string; only a name the table lacks is
+// interned. A link is appended at its start tag, in document order. When a text field is wanted, every text token is collapsed into one
 // buffer per page, and an element's text is the stretch of it written while
 // the element was open: an <a>'s anchor text is read when it closes, and
 // its parent's text — the SurroundingText of every link directly inside it,
@@ -28,14 +31,18 @@
 // A caller that keeps few of a page's links and reads few of their fields
 // pays for those alone through ExtractLinksFiltered, of which
 // ExtractLinksAppend is the unfiltered case. Its admit callback sees each
-// link's href before anything else of the link exists: a refused link costs
-// nothing more. An admitted link gets the URL admit returned and only the
-// fields the caller asked for: its tag path (a copy only when it differs
-// from the previous surviving link's, and the element tokens behind it are
-// not even built when no tag path is wanted), its anchor text, its parent's
-// text (computed once per parent). Every string an extraction hands out is
-// interned in the parser's bounded table when short; a table that fills
-// starts over, so a long-lived parser stays warm on the pages it parses now.
+// link's href as a view of the page, before anything else of the link
+// exists: an href becomes a string only when a Link keeps it, so a refused
+// link costs no string at all. An admitted link gets the URL admit returned
+// and only the fields the caller asked for: its tag path (a copy only when it
+// differs from the previous surviving link's, and the element tokens behind
+// it are not even built when no tag path is wanted), its anchor text, its
+// parent's text (computed once per parent). Every other string an extraction
+// hands out — an unfiltered link's href, a tag-path token, a text, an
+// unknown element name, and an href admit passes back through the intern
+// function it is given — is interned in the parser's bounded table when
+// short; a table that fills starts over, so a long-lived parser stays warm
+// on the pages it parses now.
 //
 // Parsers come from a small bounded free list that, unlike a sync.Pool,
 // keeps them across GCs, so extraction allocates O(links), not O(bytes), in
@@ -429,17 +436,6 @@ func toLowerAppend(dst, b []byte) []byte {
 		dst = append(dst, c)
 	}
 	return dst
-}
-
-// allLowerASCII reports whether b contains no ASCII uppercase letter, i.e.
-// lowercasing it would be the identity.
-func allLowerASCII(b []byte) bool {
-	for _, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			return false
-		}
-	}
-	return true
 }
 
 // hasPrefixAt reports whether src[i:] begins with prefix under ASCII case

@@ -73,6 +73,51 @@ func appendNodeText(dst []byte, n *Node, brk *bool) []byte {
 	return dst
 }
 
+// The reference tree's own rules, the maps the extractor matched element
+// names against before its static table (TestElementTableMatchesOracle
+// holds that table to them).
+
+// voidElements never have children in HTML; a start tag is a complete element.
+var voidElements = map[string]bool{
+	"area": true, "base": true, "br": true, "col": true, "embed": true,
+	"hr": true, "img": true, "input": true, "link": true, "meta": true,
+	"param": true, "source": true, "track": true, "wbr": true,
+}
+
+// impliedEnd lists elements that are implicitly closed when a sibling of the
+// same (or listed) kind opens, the most common HTML recovery rule.
+var impliedEnd = map[string]map[string]bool{
+	"li":     {"li": true},
+	"p":      {"p": true, "div": true, "ul": true, "ol": true, "table": true, "section": true, "article": true, "h1": true, "h2": true, "h3": true, "h4": true, "h5": true, "h6": true},
+	"td":     {"td": true, "th": true, "tr": true},
+	"th":     {"td": true, "th": true, "tr": true},
+	"tr":     {"tr": true},
+	"option": {"option": true},
+	"dt":     {"dt": true, "dd": true},
+	"dd":     {"dt": true, "dd": true},
+}
+
+// impliedClosers is the inverted form of impliedEnd: for an opening tag
+// name, the set of open element names it implicitly closes.
+var impliedClosers = func() map[string]map[string]bool {
+	out := make(map[string]map[string]bool)
+	for closes, openers := range impliedEnd {
+		for opener := range openers {
+			m := out[opener]
+			if m == nil {
+				m = make(map[string]bool)
+				out[opener] = m
+			}
+			m[closes] = true
+		}
+	}
+	return out
+}()
+
+// linkAttr maps each linking element to the attribute holding its URL,
+// following Section 2.2 (edges exist via tags like <a>, <area>, <iframe>).
+var linkAttr = map[string]string{"a": "href", "area": "href", "iframe": "src"}
+
 // parse builds the tree of src. It never fails: malformed input produces a
 // best-effort tree. The root is a synthetic element named "#document" whose
 // children are the top-level nodes.

@@ -21,6 +21,15 @@ func (s *Site) Lookup(url string) (*Page, bool) {
 	return s.pages[id], true
 }
 
+// LookupBytes is Lookup of a URL held as bytes; it builds no string.
+func (s *Site) LookupBytes(url []byte) (*Page, bool) {
+	id, ok := s.index[string(url)]
+	if !ok {
+		return nil, false
+	}
+	return s.pages[id], true
+}
+
 // PageByID returns the page with the given ID.
 func (s *Site) PageByID(id int) *Page { return s.pages[id] }
 

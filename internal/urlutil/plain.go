@@ -38,7 +38,7 @@ var byteClass = func() (t [256]uint8) {
 
 // span returns the index of the first byte of s at or after i that is not in
 // class.
-func span(s string, i int, class uint8) int {
+func span[S string | []byte](s S, i int, class uint8) int {
 	for i < len(s) && byteClass[s[i]]&class != 0 {
 		i++
 	}
@@ -48,11 +48,11 @@ func span(s string, i int, class uint8) int {
 // plainOrigin scans "http://host" or "https://host" at the start of s — the
 // scheme in lowercase, the host non-empty and all cHost — and returns the
 // offsets of the host. ok is false for anything else.
-func plainOrigin(s string) (hostStart, hostEnd int, ok bool) {
+func plainOrigin[S string | []byte](s S) (hostStart, hostEnd int, ok bool) {
 	switch {
-	case len(s) > 7 && s[:7] == "http://":
+	case len(s) > 7 && string(s[:7]) == "http://":
 		hostStart = 7
-	case len(s) > 8 && s[:8] == "https://":
+	case len(s) > 8 && string(s[:8]) == "https://":
 		hostStart = 8
 	default:
 		return 0, 0, false
@@ -68,7 +68,7 @@ func plainOrigin(s string) (hostStart, hostEnd int, ok bool) {
 // returns the end of the path and the end of the query (== pathEnd when
 // there is none); ok is false when the scan met a byte outside its class
 // before the end of s or a '#'.
-func plainTail(s string, i int, dots bool) (pathEnd, end int, ok bool) {
+func plainTail[S string | []byte](s S, i int, dots bool) (pathEnd, end int, ok bool) {
 	if i >= len(s) || s[i] != '/' {
 		return 0, 0, false
 	}
@@ -98,7 +98,7 @@ func plainTail(s string, i int, dots bool) (pathEnd, end int, ok bool) {
 // path begins in ref (0 for the path-absolute shape) and ref[:end] is what
 // the normal form keeps of it: the fragment is cut either way. ok is false
 // for any other reference.
-func plainRef(ref string) (start, end int, ok bool) {
+func plainRef[S string | []byte](ref S) (start, end int, ok bool) {
 	switch {
 	case len(ref) == 0:
 		return 0, 0, false
@@ -165,13 +165,25 @@ func (b *Base) parsed() *url.URL {
 // "". A plain reference builds no string on the way; any other one goes
 // through Normalize.
 func (b *Base) AppendNormalize(dst []byte, ref string) ([]byte, bool) {
+	return appendNormalize(b, dst, ref)
+}
+
+// AppendNormalizeBytes is AppendNormalize of a reference held as bytes, such
+// as a view of the page it came from: only a reference that is not plain
+// becomes a string, for Normalize.
+func (b *Base) AppendNormalizeBytes(dst, ref []byte) ([]byte, bool) {
+	return appendNormalize(b, dst, ref)
+}
+
+// appendNormalize is AppendNormalize over either form of ref.
+func appendNormalize[S string | []byte](b *Base, dst []byte, ref S) ([]byte, bool) {
 	if start, end, ok := plainRef(ref); ok && (start > 0 || b.origin != "") {
 		if start == 0 {
 			dst = append(dst, b.origin...)
 		}
 		return append(dst, ref[:end]...), true
 	}
-	abs := Normalize(b.parsed(), ref)
+	abs := Normalize(b.parsed(), string(ref))
 	return append(dst, abs...), abs != ""
 }
 

@@ -70,7 +70,8 @@ func TestNormalizeFastPathAccepts(t *testing.T) {
 // FuzzNormalizeFastVsURL holds Normalize to its net/url definition for
 // arbitrary references and bases: whatever the fast path returns, the
 // retained body must return too. The append form over a lazy Base must
-// return the same for the base as a page URL, whatever that URL is.
+// return the same for the base as a page URL, whatever that URL is, and its
+// bytes form exactly what its string form does.
 func FuzzNormalizeFastVsURL(f *testing.F) {
 	bases := []string{
 		"", "https://www.example.org/a/b/page.html", "http://h.org", "http://H.ORG/x",
@@ -110,25 +111,37 @@ func FuzzNormalizeFastVsURL(f *testing.F) {
 		if s := String(got[len("dst:"):], ref); s != want {
 			t.Errorf("String of %q's normal form = %q, want %q", ref, s, want)
 		}
+		var fresh Base
+		fresh.Reset(base)
+		gotBytes, okBytes := fresh.AppendNormalizeBytes([]byte("dst:"), []byte(ref))
+		if string(gotBytes) != string(got) || okBytes != ok {
+			t.Errorf("AppendNormalizeBytes over page %q of %q = %q, %v; the string form %q, %v", base, ref, gotBytes, okBytes, got, ok)
+		}
 	})
 }
 
 // TestBaseAppendNormalizeAllocs: over a plain page URL, a plain link
 // normalizes into a warm buffer without parsing the page or building a
-// string, and String of an absolute one is the link itself.
+// string, in either form, and String of an absolute one is the link itself.
 func TestBaseAppendNormalizeAllocs(t *testing.T) {
 	var b Base
 	var buf []byte
 	const abs = "https://sub.example.org/data/file.csv"
 	for _, ref := range []string{"/data/file.csv?dl=1", abs + "#top"} {
-		if n := testing.AllocsPerRun(200, func() {
-			b.Reset("https://www.example.org/a/b/page.html?x=1")
-			buf, _ = b.AppendNormalize(buf[:0], ref)
-		}); n != 0 {
-			t.Errorf("AppendNormalize(%q) allocates %v times, want 0", ref, n)
-		}
-		if b.u != nil {
-			t.Errorf("AppendNormalize(%q) parsed the page URL", ref)
+		refBytes := []byte(ref)
+		for form, normalize := range map[string]func(){
+			"AppendNormalize":      func() { buf, _ = b.AppendNormalize(buf[:0], ref) },
+			"AppendNormalizeBytes": func() { buf, _ = b.AppendNormalizeBytes(buf[:0], refBytes) },
+		} {
+			if n := testing.AllocsPerRun(200, func() {
+				b.Reset("https://www.example.org/a/b/page.html?x=1")
+				normalize()
+			}); n != 0 {
+				t.Errorf("%s(%q) allocates %v times, want 0", form, ref, n)
+			}
+			if b.u != nil {
+				t.Errorf("%s(%q) parsed the page URL", form, ref)
+			}
 		}
 	}
 	if n := testing.AllocsPerRun(200, func() { sink = String(buf, abs+"#top") }); n != 0 || sink != abs {

@@ -98,20 +98,21 @@ func (f *Federation) Lookup(url string) (*sitegen.Page, bool) {
 	if url == f.portalURL {
 		return f.portalPg, true
 	}
-	if m, canon, ok := f.resolve(url); ok {
-		return m.site.Lookup(canon)
-	}
-	return nil, false
+	_, pg, ok := f.resolve(url)
+	return pg, ok
 }
 
-// resolve finds the member owning url and its canonical translation.
-func (f *Federation) resolve(url string) (*federationMember, string, bool) {
+// resolve finds the member owning url and the member page behind it. The
+// page's canonical URL is joined in a stack buffer, only to be looked up.
+func (f *Federation) resolve(url string) (*federationMember, *sitegen.Page, bool) {
 	for _, m := range f.members {
-		if strings.HasPrefix(url, m.sub+"/") {
-			return m, m.canonical + strings.TrimPrefix(url, m.sub), true
+		if path, ok := strings.CutPrefix(url, m.sub); ok && strings.HasPrefix(path, "/") {
+			var buf [128]byte
+			pg, ok := m.site.LookupBytes(append(append(buf[:0], m.canonical...), path...))
+			return m, pg, ok
 		}
 	}
-	return nil, "", false
+	return nil, nil, false
 }
 
 // translateOut maps a member-canonical URL to its subdomain form.
@@ -141,11 +142,7 @@ func (f *Federation) respond(url string, head bool) Response {
 			Body: f.portal, ContentLength: len(f.portal),
 		}
 	}
-	m, canon, ok := f.resolve(url)
-	if !ok {
-		return Response{URL: url, Status: 404}
-	}
-	pg, ok := m.site.Lookup(canon)
+	m, pg, ok := f.resolve(url)
 	if !ok {
 		return Response{URL: url, Status: 404}
 	}

@@ -31,8 +31,8 @@ func testSites(t *testing.T, codes []string, scale float64, seed int64) []*siteg
 // HEAD answers what GET answers minus the body, and builds no body. A
 // target's ContentLength HEAD takes from SizeB without rendering, and an
 // HTML page's it measures in the renderer's scratch, so a site's HEAD
-// allocates nothing; a federation's allocates only the canonical URL it
-// resolves the request to.
+// allocates nothing, and neither does a federation's: the canonical URL it
+// resolves the request to is joined on the stack.
 func TestHeadIsGetMinusBody(t *testing.T) {
 	type backend interface {
 		Get(url string) Response
@@ -92,8 +92,8 @@ func TestHeadIsGetMinusBody(t *testing.T) {
 			}
 			fedHTML++
 			if !raceEnabled {
-				if n := testing.AllocsPerRun(1, func() { fed.Head(url) }); n != 1 {
-					t.Fatalf("HEAD %s allocates %v times, want 1 (the canonical URL): a body was built", url, n)
+				if n := testing.AllocsPerRun(1, func() { fed.Head(url) }); n != 0 {
+					t.Fatalf("HEAD %s allocates %v times, want 0: a body or the canonical URL was built", url, n)
 				}
 			}
 		}
@@ -133,8 +133,7 @@ func TestHandlerHeadIsGetMinusBody(t *testing.T) {
 // page of a ce×8 federation, the bytes of the two-pass expression it
 // replaced, in one allocation; and a federated GET of the page, which
 // rewrites straight from the renderer's scratch, allocates that body and
-// nothing body-sized besides: two objects, the other the canonical URL the
-// request resolves to.
+// nothing else: one object.
 func TestRewriteMatchesReplaceAll(t *testing.T) {
 	codes := make([]string, 8)
 	for i := range codes {
@@ -169,8 +168,8 @@ func TestRewriteMatchesReplaceAll(t *testing.T) {
 				if n := testing.AllocsPerRun(5, func() { f.rewrite(m, url, body) }); n != 1 {
 					t.Fatalf("%s: rewrite allocates %v times, want 1", url, n)
 				}
-				if n := testing.AllocsPerRun(5, func() { f.Get(url) }); n != 2 {
-					t.Fatalf("%s: GET allocates %v times, want 2 (the body and the canonical URL)", url, n)
+				if n := testing.AllocsPerRun(5, func() { f.Get(url) }); n != 1 {
+					t.Fatalf("%s: GET allocates %v times, want 1 (the body)", url, n)
 				}
 				// The least of three GETs: TotalAlloc also counts the odd
 				// allocation of another goroutine, which only ever adds bytes.

@@ -35,7 +35,11 @@ test -z "$(gofmt -l .)"
 # base nothing, and the scope/blocklist filters nothing; once warm, a page
 # whose links are all in T ∪ F costs extractNewLinks nothing, and a page of k
 # new links with no field asked for costs its k URL strings plus a constant,
-# whatever its text and markup. Algorithm 1 — an action-index
+# whatever its text and markup. An href reaches the engine's filter as a view
+# of the page, so a link it drops costs nothing even when no parser has seen
+# its href (a page of unseen known links, a dom admit refusing fresh hrefs),
+# and the bytes form of the lazy page base costs what its string form does:
+# nothing. Algorithm 1 — an action-index
 # lookup allocates nothing once warm, a founding action only its non-zeros.
 # Algorithm 2 — bigrams into spare capacity allocate nothing, a URL_ONLY link
 # nothing past the HEAD phase, scoring and training nothing once the weight
@@ -62,8 +66,9 @@ test -z "$(gofmt -l .)"
 # math/rand source, and costs one allocation, its body: a target's at its
 # size, an HTML page's exact-size copy of the scratch it was appended into
 # (no word string, no boxed argument); a HEAD builds no body, and a
-# federation's HTML GET allocates one body-sized object, its rewrite read
-# straight from the scratch.
+# federation's HTML GET allocates one object, its body, rewritten straight
+# from the scratch (the canonical URL it resolves to is joined on the stack,
+# so its HEAD allocates nothing).
 # It also runs every Fuzz target's checked-in seed corpus as ordinary
 # tests: the tokenizer/extractor targets, every persistence-plane decoder,
 # and FuzzCrawlConfig's share of the crawl-invariant table (the six

@@ -258,7 +258,7 @@ type engine struct {
 	env            *Env
 	fetcher        fetch.Fetcher     // Env.Fetcher, prefetch-wrapped when pipelining
 	prefetcher     *fetch.Prefetcher // nil for a sequential crawl
-	recycler       fetch.Recycler    // Env.Fetcher when it lends bodies and the crawl is sequential
+	recycler       fetch.Recycler    // Env.Fetcher when it lends bodies and no shared cache keeps them
 	tuner          *fetch.AutoTuner  // adaptive window controller; nil unless PrefetchAuto
 	window         int               // in-flight cap of policy hints, the fixed or tuned width
 	ceiling        int               // in-flight cap of decided demands, the fixed width or fetch.AutoMaxWindow
@@ -327,10 +327,13 @@ func newEngine(env *Env) (*engine, error) {
 		}
 		e.fetcher = e.prefetcher
 	}
-	// A sequential crawl hands every body it is done with back to a fetcher
-	// that lends them. A pipelined one never does: the window and a fleet's
-	// shared cache keep responses past the step.
-	if rc, ok := env.Fetcher.(fetch.Recycler); ok && e.prefetcher == nil {
+	// The engine hands every body it is done with back to a fetcher that
+	// lends them, being the body's last holder: a Prefetcher zeroes the
+	// entry it answers a Get from and drops an evicted one, and a Retrier
+	// drops its failed attempts. A fleet's shared speculation cache keeps
+	// the responses published into it past the step, so a pipelined crawl
+	// that shares one hands nothing back.
+	if rc, ok := env.Fetcher.(fetch.Recycler); ok && (e.prefetcher == nil || env.SharedSpec == nil) {
 		e.recycler = rc
 	}
 	return e, nil

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -80,22 +81,71 @@ func (f *lendingFetcher) Recycle(body []byte) {
 	}
 }
 
-// TestFetchPageRecyclesEachHopAfterUse: a sequential engine hands every hop's
-// body back to a lending fetcher once the page is processed — a redirect, an
-// HTML page whose links must come out intact, a target — and a pipelined one
-// hands back none.
+// keepingShared is a fleet-shared speculation cache that keeps every
+// response published into it, as fleet.SpecCache does.
+type keepingShared struct {
+	mu   sync.Mutex
+	resp map[string]fetch.Response
+}
+
+func (s *keepingShared) Lookup(u string) (fetch.Response, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.resp[u]
+	return r, ok
+}
+
+func (s *keepingShared) Contains(u string) bool {
+	_, ok := s.Lookup(u)
+	return ok
+}
+
+func (s *keepingShared) Publish(u string, r fetch.Response) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.resp[u] = r
+}
+
+// TestFetchPageRecyclesEachHopAfterUse: an engine hands every hop's body back
+// to a lending fetcher once the page is processed — a redirect, an HTML page
+// whose links must come out intact, a target — sequential or under a
+// speculation window, whose consumed entries keep no body; and a pipelined
+// engine sharing a fleet speculation cache, which keeps the bodies published
+// into it, hands back none.
 func TestFetchPageRecyclesEachHopAfterUse(t *testing.T) {
 	scripted := scriptedFetcher{responses: map[string]fetch.Response{
 		"https://site.org/a":     {URL: "https://site.org/a", Status: 301, Location: "/b", Body: []byte("moved")},
 		"https://site.org/b":     htmlResp("https://site.org/b", `<ul><li><a href="/x">x</a></li><li><a href="/y.csv">y</a></li></ul>`),
 		"https://site.org/t.csv": {URL: "https://site.org/t.csv", Status: 200, MIME: "text/csv", Body: []byte("1,2")},
 	}}
-	for _, prefetch := range []int{0, 4} {
+	for _, c := range []struct {
+		prefetch int
+		shared   bool
+		want     int
+	}{
+		{0, false, 3}, // the redirect, the HTML page, the target
+		{4, false, 3},
+		{4, true, 0},
+	} {
+		prefetch := c.prefetch
 		f := &lendingFetcher{scriptedFetcher: scripted}
-		eng, err := newEngine(&Env{Root: "https://site.org/", Fetcher: f, Prefetch: prefetch})
+		env := &Env{Root: "https://site.org/", Fetcher: f, Prefetch: prefetch}
+		if c.shared {
+			env.SharedSpec = &keepingShared{resp: map[string]fetch.Response{}}
+		}
+		eng, err := newEngine(env)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Under a window the redirect and the target are answered from
+		// speculated entries, one in flight at a time, as the scripted
+		// fetcher is not safe for concurrent use.
+		hint := func(u string) {
+			if eng.prefetcher != nil {
+				eng.prefetcher.Hint(1, u)
+			}
+		}
+		hint("https://site.org/a")
 		pg := eng.fetchPage("https://site.org/a")
 		var got []string
 		for _, l := range pg.Links {
@@ -104,16 +154,16 @@ func TestFetchPageRecyclesEachHopAfterUse(t *testing.T) {
 		if want := []string{"https://site.org/x", "https://site.org/y.csv"}; !pg.IsHTML || !slices.Equal(got, want) {
 			t.Fatalf("prefetch %d: page %+v with links %q, want HTML with %q", prefetch, pg, got, want)
 		}
+		hint("https://site.org/t.csv")
 		if tp := eng.fetchPage("https://site.org/t.csv"); !tp.IsTarget {
 			t.Fatalf("prefetch %d: target page %+v", prefetch, tp)
 		}
 		eng.close()
-		want := 3 // the redirect, the HTML page, the target
-		if prefetch != 0 {
-			want = 0
+		if st := eng.specStats; prefetch != 0 && st.Hits != 2 {
+			t.Fatalf("prefetch %d: %d speculative hits, want 2", prefetch, st.Hits)
 		}
-		if f.recycled != want {
-			t.Errorf("prefetch %d: %d bodies handed back, want %d", prefetch, f.recycled, want)
+		if f.recycled != c.want {
+			t.Errorf("prefetch %d, shared cache %v: %d bodies handed back, want %d", prefetch, c.shared, f.recycled, c.want)
 		}
 	}
 }

@@ -38,6 +38,10 @@ func (f *FaultInjector) Head(u string) (Response, error) {
 	return resp, err
 }
 
+// Recycle implements Recycler: it hands body back to the backend when the
+// backend is a Recycler. An injected fault carries no body to hand back.
+func (f *FaultInjector) Recycle(body []byte) { recycleTo(f.backend, body) }
+
 // injectedResult materializes one failing fault decision as a fetch
 // outcome: a transport error, or a status answer carrying Retry-After.
 func injectedResult(u string, flt faultsim.Fault) (Response, error) {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"time"
 
+	"sbcrawl/internal/freelist"
 	"sbcrawl/internal/urlutil"
 	"sbcrawl/internal/webserver"
 )
@@ -44,8 +45,11 @@ type Fetcher interface {
 }
 
 // Recycler is implemented by a Fetcher that lends the bodies of the
-// responses it returns (Replay's disk hits): a caller done with a GET's Body
-// hands it back, and the fetcher reuses its memory for a later response.
+// responses it returns — the simulated servers' GET bodies (webserver.Server
+// and webserver.Federation), and Replay's disk hits — and by the wrappers
+// that pass a hand-back on to what they wrap (Sim, Latency, FaultInjector):
+// a caller done with a GET's Body hands it back, and the lender reuses its
+// memory for a later response. A lender ignores bodies it did not lend.
 // Handing back is optional — a body never recycled is left to the GC — and
 // only the body's last holder may do it, once: afterwards neither the body
 // nor anything aliasing it may be read.
@@ -90,6 +94,17 @@ func ApplyMIMEBlock(resp *Response) {
 // Head implements Fetcher.
 func (f *Sim) Head(url string) (Response, error) {
 	return fromServer(f.server.Head(url)), nil
+}
+
+// Recycle implements Recycler: it hands body back to the server when the
+// server lends its bodies.
+func (f *Sim) Recycle(body []byte) { recycleTo(f.server, body) }
+
+// recycleTo hands body back to f if f is a Recycler, and drops it otherwise.
+func recycleTo(f any, body []byte) {
+	if rc, ok := f.(Recycler); ok {
+		rc.Recycle(body)
+	}
 }
 
 func fromServer(r webserver.Response) Response {
@@ -138,6 +153,17 @@ func (l *Latency) Head(url string) (Response, error) {
 	return l.Backend.Head(url)
 }
 
+// Recycle implements Recycler: it hands body back to the Backend when the
+// Backend is a Recycler.
+func (l *Latency) Recycle(body []byte) { recycleTo(l.Backend, body) }
+
+// timerFree parks the timers of finished context waits, so a simulated
+// round trip with a Ctx — every fleet crawl's — Resets a parked timer
+// instead of allocating one a request. A timer parks stopped; a timer's
+// channel is unbuffered (Go 1.23 on), so a stopped timer holds no stale
+// tick for its next Reset to leave behind.
+var timerFree = freelist.New[*time.Timer]()
+
 // sleepContext sleeps for d or until ctx is cancelled, whichever comes
 // first, returning the context's error on cancellation.
 func sleepContext(ctx context.Context, d time.Duration) error {
@@ -145,14 +171,21 @@ func sleepContext(ctx context.Context, d time.Duration) error {
 		time.Sleep(d)
 		return nil
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timer, ok := timerFree.Get()
+	if ok {
+		timer.Reset(d)
+	} else {
+		timer = time.NewTimer(d)
+	}
+	var err error
 	select {
 	case <-timer.C:
-		return nil
 	case <-ctx.Done():
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	timer.Stop()
+	timerFree.Put(timer)
+	return err
 }
 
 // Meter accumulates the two cost functions ω of Section 2.2: request counts

@@ -409,3 +409,124 @@ func TestApplyMIMEBlock(t *testing.T) {
 		t.Error("non-200 responses are not downloads to interrupt")
 	}
 }
+
+// lendingServer is a SimBackend that lends one fixed body and records every
+// body handed back to it.
+type lendingServer struct {
+	body     []byte
+	recycled [][]byte
+}
+
+func (s *lendingServer) Get(url string) webserver.Response {
+	return webserver.Response{URL: url, Status: 200, MIME: "text/html", Body: s.body, ContentLength: len(s.body)}
+}
+
+func (s *lendingServer) Head(url string) webserver.Response {
+	return webserver.Response{URL: url, Status: 200, MIME: "text/html", ContentLength: len(s.body)}
+}
+
+func (s *lendingServer) Recycle(body []byte) { s.recycled = append(s.recycled, body) }
+
+// TestRecycleReachesTheServer: a body handed back to a Sim, a Latency or a
+// FaultInjector, in any stacking, reaches the server that lent it, once; a
+// wrapper over a fetcher that lends nothing drops it. Over a federation, the
+// portal body, which every request for the portal shares, survives being
+// handed back through the stack and a GET of every page after it.
+func TestRecycleReachesTheServer(t *testing.T) {
+	srv := &lendingServer{body: []byte("<html></html>")}
+	sim := NewSim(srv)
+	for _, c := range []struct {
+		name string
+		f    Fetcher
+	}{
+		{"Sim", sim},
+		{"Latency", &Latency{Backend: sim, Delay: time.Microsecond}},
+		{"FaultInjector", NewFaultInjector(sim, nil)},
+		{"FaultInjector over Latency", NewFaultInjector(&Latency{Backend: sim}, nil)},
+		{"Latency over FaultInjector", &Latency{Backend: NewFaultInjector(sim, nil)}},
+	} {
+		srv.recycled = nil
+		resp, err := c.f.Get("https://s.org/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, ok := c.f.(Recycler)
+		if !ok {
+			t.Fatalf("%s is no Recycler", c.name)
+		}
+		rc.Recycle(resp.Body)
+		if len(srv.recycled) != 1 || &srv.recycled[0][0] != &srv.body[0] {
+			t.Errorf("%s: the server got %d bodies back, want the one it lent", c.name, len(srv.recycled))
+		}
+	}
+	(&Latency{Backend: sizedFetcher{8}}).Recycle([]byte("not lent")) // dropped
+
+	var sites []*sitegen.Site
+	for i, code := range []string{"ce", "cl", "ce"} {
+		p, _ := sitegen.ProfileByCode(code)
+		sites = append(sites, sitegen.Generate(sitegen.Config{Profile: p, Scale: 0.0005, Seed: int64(i + 1)}))
+	}
+	fed := webserver.NewFederation("federation.test", sites)
+	f := NewFaultInjector(&Latency{Backend: NewSim(fed)}, nil)
+	portal, err := f.Get(fed.Root())
+	if err != nil || len(portal.Body) == 0 {
+		t.Fatalf("portal: %v, %d bytes", err, len(portal.Body))
+	}
+	want := string(portal.Body)
+	f.Recycle(portal.Body)
+	for _, u := range fed.TargetURLs() {
+		if _, err := f.Get(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, site := range sites {
+		for _, pg := range site.Pages() {
+			f.Get(strings.Replace(pg.URL, "https://"+site.Profile.Host, "", 1))
+		}
+	}
+	if again, _ := f.Get(fed.Root()); string(portal.Body) != want || string(again.Body) != want {
+		t.Fatal("handing the portal body back changed the portal")
+	}
+}
+
+// TestLatencyCtxAllocs: a warm simulated round trip with a Ctx waits on a
+// parked timer, so it allocates nothing.
+func TestLatencyCtxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold in normal builds")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	l := &Latency{Backend: NewSim(&lendingServer{body: []byte("x")}), Delay: time.Microsecond, Ctx: ctx}
+	if n := testing.AllocsPerRun(50, func() { l.Get("https://s.org/") }); n != 0 {
+		t.Errorf("a warm Latency.Get with a Ctx allocates %v times, want 0", n)
+	}
+}
+
+// TestParkedTimersCarryNoStaleTick: a timer parked after a wait its context
+// cut short — one that expired meanwhile included, its tick never received —
+// waits its full delay when taken again.
+func TestParkedTimersCarryNoStaleTick(t *testing.T) {
+	for len(timerFree) > 0 {
+		<-timerFree
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const d = 5 * time.Millisecond
+	for range 10 {
+		if err := sleepContext(cancelled, time.Nanosecond); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled wait: %v", err)
+		}
+		time.Sleep(time.Millisecond) // the parked timer's delay is long past
+		start := time.Now()
+		if err := sleepContext(context.Background(), d); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took < d {
+			t.Fatalf("a wait of %v on a parked timer returned after %v", d, took)
+		}
+	}
+	if len(timerFree) != 1 {
+		t.Fatalf("%d timers parked, want the one every wait took", len(timerFree))
+	}
+}

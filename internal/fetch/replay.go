@@ -45,11 +45,13 @@ const (
 // While a body is on loan, further GET hits read into a fresh value of their
 // own, as every hit did before lending; a HEAD hit carries no body, so its
 // buffer goes back at once. Bodies served from memory or by the backend are
-// never lent. Only a body's last holder may recycle it: the sequential crawl
-// engine does, once it has extracted a page's links; a pipelined crawl never
-// does, because the Prefetcher window and a fleet's shared cache keep
-// responses past the step. A body on loan that is never handed back is
-// left to the GC and lending stops for that Replay.
+// never lent. Only a body's last holder may recycle it: the crawl engine
+// does, once it has extracted a page's links, sequential or pipelined — a
+// Prefetcher zeroes the entry it hands a body out of — unless a fleet's
+// shared speculation cache keeps responses past the step. A body on loan
+// that is never handed back (one a window evicted unconsumed, or one behind
+// a wrapper that hides Recycle) is left to the GC and lending stops for that
+// Replay.
 //
 // Replay is safe for concurrent use (the speculative prefetch layer issues
 // overlapping GETs). The lock is never held across a backend fetch, so

@@ -3,7 +3,8 @@
 // arenas, the models' weight tables, the tag-path vocabularies, the
 // generators of the action index and the grouped frontier, the grouped
 // frontier's action lists, the action index's node slab, codec's encode and
-// read buffers, and the simulated web's renderers.
+// read buffers, the simulated web's renderers and the bodies it lends, and
+// the timers of simulated round trips.
 //
 // A list is a bounded channel, not a sync.Pool: a pool is emptied at every
 // GC, so how much a crawl allocates would depend on when the collector
@@ -44,10 +45,13 @@ func (l List[T]) Get() (T, bool) {
 	}
 }
 
-// Put parks v if the list has room, and drops it otherwise.
-func (l List[T]) Put(v T) {
+// Put parks v if the list has room, and drops it otherwise; it reports
+// whether v was parked.
+func (l List[T]) Put(v T) bool {
 	select {
 	case l <- v:
+		return true
 	default:
+		return false
 	}
 }

@@ -12,11 +12,13 @@ func TestEmptyGetReturnsZero(t *testing.T) {
 }
 
 // TestListKeepsCapValues: Cap parked values come back out, each once, and a
-// Put on a full list returns at once and drops its value.
+// Put on a full list returns at once, drops its value and says so.
 func TestListKeepsCapValues(t *testing.T) {
 	l := New[int]()
 	for i := range Cap + 1 {
-		l.Put(i) // the last Put finds the list full
+		if parked := l.Put(i); parked != (i < Cap) { // the last Put finds the list full
+			t.Fatalf("Put %d reports parked=%v with %d values parked", i, parked, len(l))
+		}
 	}
 	if len(l) != Cap {
 		t.Fatalf("%d values parked, want %d", len(l), Cap)

@@ -19,8 +19,10 @@
 // template items are written there piece by piece, with no fmt and no
 // string built per word or link. RenderPage returns an exact-size copy of
 // the scratch, and ViewHTML lends the scratch itself to a caller that only
-// reads it (a HEAD's length, a federation's rewrite). A target is written
-// into one slice allocated at its SizeB.
+// reads it or copies it out (a HEAD's length, a federation's rewrite, the
+// simulated server's lent bodies). RenderPage writes a target into one
+// slice allocated at its SizeB; AppendTarget writes it into a buffer the
+// caller supplies.
 package sitegen
 
 import "sbcrawl/internal/faultsim"

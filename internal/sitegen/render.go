@@ -2,6 +2,7 @@ package sitegen
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -129,7 +130,7 @@ func (s *Site) RenderPage(pg *Page) []byte {
 	case KindHTML:
 		return s.renderHTML(pg)
 	case KindTarget:
-		return s.renderTarget(pg)
+		return s.AppendTarget(make([]byte, 0, pg.SizeB), pg)
 	default:
 		return nil
 	}
@@ -344,13 +345,20 @@ func (s *Site) appendHref(b []byte, id int) []byte {
 // a generated target; metrics count it to reproduce Table 7.
 const SDMarker = "#SDTABLE"
 
-// renderTarget writes the target into one slice allocated at its SizeB: the
-// header and statistics tables, then filler rows, cut at SizeB.
-func (s *Site) renderTarget(pg *Page) []byte {
+// AppendTarget appends the body of the target pg to dst: the header and
+// statistics tables, then filler rows, cut at SizeB. It grows dst only when
+// dst lacks the room for SizeB more bytes; the result shares dst's array and
+// keeps its full capacity, so a buffer larger than the target goes back to
+// whoever lent it at the size it was lent.
+func (s *Site) AppendTarget(dst []byte, pg *Page) []byte {
 	r := takeRenderer(s.seed*131_071 + int64(pg.ID))
 	defer r.release()
 	rng := r.rng
-	out := make([]byte, 0, pg.SizeB)
+	dst = slices.Grow(dst, pg.SizeB)
+	// out is the target's own window of dst, capped at SizeB, so that fill
+	// cuts it there whatever room dst has beyond.
+	n := len(dst)
+	out := dst[n : n : n+pg.SizeB]
 	switch {
 	case pg.MIME == "text/csv":
 		out = fill(out, "indicator,region,year,value\n")
@@ -389,7 +397,7 @@ func (s *Site) renderTarget(pg *Page) []byte {
 	for len(out) < pg.SizeB {
 		out = fill(out, filler)
 	}
-	return out
+	return dst[:n+len(out)]
 }
 
 // fill appends as much of p as out has room for: a target is cut at its

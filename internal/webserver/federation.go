@@ -120,8 +120,19 @@ func (m *federationMember) translateOut(url string) string {
 	return m.sub + strings.TrimPrefix(url, m.canonical)
 }
 
-// Get performs an HTTP GET against the federation.
+// Get performs an HTTP GET against the federation. The body is lent, as
+// Server.Get's is, except the portal's, which every request shares.
 func (f *Federation) Get(url string) Response { return f.respond(url, false) }
+
+// Recycle implements fetch.Recycler as Server.Recycle does, for the bodies
+// of the federation's GETs. The portal body is served to every request and
+// is never parked.
+func (f *Federation) Recycle(body []byte) {
+	if len(body) > 0 && &body[0] == &f.portal[0] {
+		return
+	}
+	recycleBody(body)
+}
 
 // Head performs an HTTP HEAD: the full rewritten Get minus the body, so
 // ContentLength reflects the body a GET would actually transfer. A member
@@ -133,8 +144,8 @@ func (f *Federation) Head(url string) Response {
 }
 
 // respond answers a request for url; head is Server.respond's. A member's
-// HTML page is rewritten straight from the renderer's scratch: a GET
-// allocates the rewritten body alone, and a HEAD only measures it.
+// HTML page is rewritten straight from the renderer's scratch into a lent
+// buffer (see takeBody), and a HEAD only measures it.
 func (f *Federation) respond(url string, head bool) Response {
 	if url == f.portalURL {
 		return Response{
@@ -149,12 +160,10 @@ func (f *Federation) respond(url string, head bool) Response {
 	if pg.Kind == sitegen.KindHTML {
 		resp := Response{URL: url, Status: 200, MIME: htmlMIME}
 		m.site.ViewHTML(pg, func(body []byte) {
-			if head {
-				resp.ContentLength = f.rewrittenLen(m, url, body)
-				return
+			resp.ContentLength = f.rewrittenLen(m, url, body)
+			if !head {
+				resp.Body = f.appendRewrite(takeBody(resp.ContentLength), m, url, body)
 			}
-			resp.Body = f.rewrite(m, url, body)
-			resp.ContentLength = len(resp.Body)
 		})
 		return resp
 	}
@@ -187,11 +196,11 @@ func (f *Federation) rewrittenLen(m *federationMember, url string, body []byte) 
 	return n
 }
 
-// rewrite maps canonical absolute URLs in an HTML body to subdomain form
-// and appends the deterministic cross-host footer, in one pass into one
-// slice allocated at the result's size.
-func (f *Federation) rewrite(m *federationMember, url string, body []byte) []byte {
-	out := make([]byte, 0, f.rewrittenLen(m, url, body))
+// appendRewrite appends to out the HTML body with its canonical absolute
+// URLs mapped to subdomain form and the deterministic cross-host footer
+// added, in one pass: rewrittenLen bytes, which out has room for when its
+// caller sized it so.
+func (f *Federation) appendRewrite(out []byte, m *federationMember, url string, body []byte) []byte {
 	for {
 		i := bytes.Index(body, m.canonicalB)
 		if i < 0 {

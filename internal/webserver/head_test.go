@@ -3,11 +3,9 @@ package webserver
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -129,11 +127,12 @@ func TestHandlerHeadIsGetMinusBody(t *testing.T) {
 	}
 }
 
-// TestRewriteMatchesReplaceAll: the one-pass rewrite gives, for every HTML
-// page of a ce×8 federation, the bytes of the two-pass expression it
-// replaced, in one allocation; and a federated GET of the page, which
-// rewrites straight from the renderer's scratch, allocates that body and
-// nothing else: one object.
+// TestRewriteMatchesReplaceAll: for every HTML page of a ce×8 federation, a
+// federated GET, which rewrites the page in one pass straight from the
+// renderer's scratch into a lent buffer, gives the bytes of the two-pass
+// expression the rewrite replaced. Once warm, a GET whose body is handed
+// back allocates nothing; with no buffer parked, a GET allocates one object,
+// its body, and no byte more than an exact-size body would.
 func TestRewriteMatchesReplaceAll(t *testing.T) {
 	codes := make([]string, 8)
 	for i := range codes {
@@ -158,33 +157,25 @@ func TestRewriteMatchesReplaceAll(t *testing.T) {
 			if pg.Kind != sitegen.KindHTML {
 				continue
 			}
-			url, body := m.translateOut(pg.URL), m.site.RenderPage(pg)
-			want := old(m, url, body)
-			got := f.rewrite(m, url, body)
-			if !bytes.Equal(got, want) || cap(got) != len(got) {
-				t.Fatalf("%s: rewrite gives %d bytes (cap %d), the two-pass expression %d", url, len(got), cap(got), len(want))
+			url := m.translateOut(pg.URL)
+			want := old(m, url, m.site.RenderPage(pg))
+			got := f.Get(url)
+			if !bytes.Equal(got.Body, want) || got.ContentLength != len(want) {
+				t.Fatalf("%s: GET gives %d bytes (ContentLength %d), the two-pass expression %d", url, len(got.Body), got.ContentLength, len(want))
 			}
+			f.Recycle(got.Body)
 			if !raceEnabled {
-				if n := testing.AllocsPerRun(5, func() { f.rewrite(m, url, body) }); n != 1 {
-					t.Fatalf("%s: rewrite allocates %v times, want 1", url, n)
+				lend := func() { f.Recycle(f.Get(url).Body) }
+				if n := testing.AllocsPerRun(5, lend); n != 0 {
+					t.Fatalf("%s: a warm GET plus Recycle allocates %v times, want 0", url, n)
 				}
+				drainBodies()
 				if n := testing.AllocsPerRun(5, func() { f.Get(url) }); n != 1 {
-					t.Fatalf("%s: GET allocates %v times, want 1 (the body)", url, n)
+					t.Fatalf("%s: a GET with nothing parked allocates %v times, want 1 (the body)", url, n)
 				}
-				// The least of three GETs: TotalAlloc also counts the odd
-				// allocation of another goroutine, which only ever adds bytes.
-				least := uint64(math.MaxUint64)
-				for range 3 {
-					var before, after runtime.MemStats
-					runtime.ReadMemStats(&before)
-					f.Get(url)
-					runtime.ReadMemStats(&after)
-					least = min(least, after.TotalAlloc-before.TotalAlloc)
-				}
-				// Size classes round the body up by at most an eighth; a
-				// second body-sized object would take the total past 1.5.
-				if limit := uint64(len(want)) * 3 / 2; least > limit {
-					t.Fatalf("%s: GET allocates %d bytes for a %d-byte body, want ≤ %d", url, least, len(want), limit)
+				get := leastBytes(func() { f.Get(url) })
+				if exact := leastBytes(func() { bodySink = make([]byte, 0, len(want)) }); get > exact {
+					t.Fatalf("%s: a GET with nothing parked allocates %d bytes, an exact-size body %d", url, get, exact)
 				}
 			}
 			pages++

@@ -1,6 +1,7 @@
 package webserver
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -58,11 +59,13 @@ func (s *Server) trapPage(url string, n int) Response {
 	}
 }
 
-// injectTrapEntry adds the archive link to a rendered root page.
-func injectTrapEntry(body []byte) []byte {
-	s := string(body)
-	if i := strings.LastIndex(s, "</body>"); i >= 0 {
-		return []byte(s[:i] + trapEntryHTML + s[i:])
+// appendTrapped appends the rendered root page body to dst with the archive
+// link added before its last </body>, or at its end without one.
+func appendTrapped(dst, body []byte) []byte {
+	i := bytes.LastIndex(body, []byte("</body>"))
+	if i < 0 {
+		i = len(body)
 	}
-	return append(body, []byte(trapEntryHTML)...)
+	dst = append(append(dst, body[:i]...), trapEntryHTML...)
+	return append(dst, body[i:]...)
 }

@@ -48,8 +48,14 @@ type Server struct {
 // New wraps a site.
 func New(site *sitegen.Site) *Server { return &Server{site: site} }
 
-// Get performs an HTTP GET.
+// Get performs an HTTP GET. The body is lent: its last holder may hand it
+// back through Recycle.
 func (s *Server) Get(url string) Response { return s.respond(url, false) }
+
+// Recycle implements fetch.Recycler: handed the body of a GET by its last
+// holder, once, it parks the body's buffer for a later GET's body. Neither
+// the body nor anything aliasing it may be read afterwards.
+func (s *Server) Recycle(body []byte) { recycleBody(body) }
 
 // Head performs an HTTP HEAD: same status line and headers, no body.
 func (s *Server) Head(url string) Response {
@@ -62,9 +68,10 @@ func (s *Server) Head(url string) Response {
 const htmlMIME = "text/html; charset=utf-8"
 
 // respond answers a request for url. With head set, no body is built: a
-// target is not rendered, since RenderPage writes its SizeB bytes exactly,
-// and an HTML page, whose length depends on the rendering, is measured in
-// the renderer's scratch without its copy.
+// target is not rendered, since it renders to its SizeB bytes exactly, and
+// an HTML page, whose length depends on the rendering, is measured in the
+// renderer's scratch without its copy. A GET's body is a lent buffer (see
+// takeBody) the page is copied or rendered into.
 func (s *Server) respond(url string, head bool) Response {
 	if n, ok := s.trapURL(url); ok {
 		return s.trapPage(url, n)
@@ -78,18 +85,19 @@ func (s *Server) respond(url string, head bool) Response {
 	}
 	resp := Response{URL: url, Status: 200, MIME: htmlMIME}
 	trapped := s.trap && pg.ID == 0
-	if head {
-		s.site.ViewHTML(pg, func(body []byte) { resp.ContentLength = len(body) })
+	s.site.ViewHTML(pg, func(body []byte) {
+		resp.ContentLength = len(body)
 		if trapped {
 			resp.ContentLength += len(trapEntryHTML)
 		}
-		return resp
-	}
-	resp.Body = s.site.RenderPage(pg)
-	if trapped {
-		resp.Body = injectTrapEntry(resp.Body)
-	}
-	resp.ContentLength = len(resp.Body)
+		switch {
+		case head:
+		case trapped:
+			resp.Body = appendTrapped(takeBody(resp.ContentLength), body)
+		default:
+			resp.Body = append(takeBody(len(body)), body...)
+		}
+	})
 	return resp
 }
 
@@ -107,7 +115,7 @@ func (s *Server) respondPage(url string, pg *sitegen.Page, head bool) Response {
 	case sitegen.KindTarget:
 		var body []byte
 		if !head {
-			body = s.site.RenderPage(pg)
+			body = s.site.AppendTarget(takeBody(pg.SizeB), pg)
 		}
 		return Response{
 			URL: url, Status: 200, MIME: pg.MIME,

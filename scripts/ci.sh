@@ -65,10 +65,13 @@ test -z "$(gofmt -l .)"
 # Simulated web — a warm render seeds a parked generator, never a new
 # math/rand source, and costs one allocation, its body: a target's at its
 # size, an HTML page's exact-size copy of the scratch it was appended into
-# (no word string, no boxed argument); a HEAD builds no body, and a
-# federation's HTML GET allocates one object, its body, rewritten straight
-# from the scratch (the canonical URL it resolves to is joined on the stack,
-# so its HEAD allocates nothing).
+# (no word string, no boxed argument); a HEAD builds no body (a federation's
+# canonical URL is joined on the stack, so its HEAD allocates nothing). A
+# server lends its GET bodies: a warm GET whose body is handed back through
+# Recycle allocates nothing — an HTML page, a target, a federated page
+# rewritten straight from the scratch — and one whose body never comes back
+# allocates one object, no byte over an exact-size body. A simulated round
+# trip with a context waits on a parked timer and allocates nothing.
 # It also runs every Fuzz target's checked-in seed corpus as ordinary
 # tests: the tokenizer/extractor targets, every persistence-plane decoder,
 # and FuzzCrawlConfig's share of the crawl-invariant table (the six

@@ -321,10 +321,7 @@ func newEngine(env *Env) (*engine, error) {
 			e.tuner = fetch.NewAutoTuner()
 			e.window, e.ceiling = e.tuner.Window(), fetch.AutoMaxWindow
 		}
-		e.prefetcher = fetch.NewPrefetcher(e.fetcher)
-		if env.SharedSpec != nil {
-			e.prefetcher.SetShared(env.SharedSpec)
-		}
+		e.prefetcher = fetch.NewPrefetcher(e.fetcher, env.SharedSpec)
 		e.fetcher = e.prefetcher
 	}
 	// The engine hands every body it is done with back to a fetcher that

@@ -226,7 +226,7 @@ func TestReplayLendingUnderPrefetcher(t *testing.T) {
 		urls[i] = fmt.Sprintf("https://s.org/p/%02d", i)
 	}
 	r := warmReplay(t, size, urls...)
-	p := NewPrefetcher(r)
+	p := NewPrefetcher(r, nil)
 	defer p.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)

@@ -29,9 +29,9 @@ import "sync"
 //     answered from a speculated HEAD, or — without consuming it — from a
 //     resident speculative GET, whose status line and headers are exactly
 //     what a HEAD would have returned.
-//   - A fleet-shared store (SetShared): several crawls of one host publish
-//     their completed GETs into a URL-keyed cache and serve each other from
-//     it, BUbiNG-style, instead of re-fetching.
+//   - A fleet-shared store, fixed at construction: several crawls of one
+//     host publish their completed GETs into a URL-keyed cache and serve
+//     each other from it, BUbiNG-style, instead of re-fetching.
 //
 // Speculative responses are consumed at most once: a Get for a hinted URL
 // removes it from the cache, and a hint for an already-tracked URL is a
@@ -54,10 +54,10 @@ import "sync"
 // concurrent use, though the engine drives it from one goroutine.
 type Prefetcher struct {
 	backend Fetcher
+	shared  SharedStore // fleet-level speculation cache; nil when solo
 
 	mu      sync.Mutex
-	landing sync.Cond   // on mu; broadcast whenever an entry lands
-	shared  SharedStore // fleet-level speculation cache; nil when solo
+	landing sync.Cond // on mu; broadcast whenever an entry lands
 	store   map[string]*speculative
 	order   []string            // hint arrival order, for oldest-first eviction
 	spent   map[string]struct{} // consumed or evicted: never speculate again
@@ -143,23 +143,18 @@ const headKeyPrefix = "\x00HEAD\x00"
 
 func headKey(u string) string { return headKeyPrefix + u }
 
-// NewPrefetcher wraps a backend with a speculation layer.
-func NewPrefetcher(backend Fetcher) *Prefetcher {
+// NewPrefetcher wraps a backend with a speculation layer. A non-nil shared
+// is the fleet-level speculation cache: Get and Head misses consult it before
+// the backend, and completed GETs are published into it.
+func NewPrefetcher(backend Fetcher, shared SharedStore) *Prefetcher {
 	p := &Prefetcher{
 		backend: backend,
+		shared:  shared,
 		store:   make(map[string]*speculative),
 		spent:   make(map[string]struct{}),
 	}
 	p.landing.L = &p.mu
 	return p
-}
-
-// SetShared attaches the fleet-level speculation cache: Get and Head misses
-// consult it before the backend, and completed GETs are published into it.
-func (p *Prefetcher) SetShared(s SharedStore) {
-	p.mu.Lock()
-	p.shared = s
-	p.mu.Unlock()
 }
 
 // Hint submits speculative GET candidates, most-likely-next first, while
@@ -239,7 +234,7 @@ func (p *Prefetcher) beginHintLocked(limit int) bool {
 	// Amortized cleanup: consumed entries leave holes in the order queue;
 	// drop them once they outnumber the live entries plus the store cap.
 	if len(p.order) > 2*len(p.store)+storeCap(limit) {
-		p.compactOrderLocked()
+		p.sweepOrderLocked(false)
 	}
 	return true
 }
@@ -286,7 +281,7 @@ func (p *Prefetcher) launchLocked(u string, head bool, limit int) launchOutcome 
 		return launchBound
 	}
 	if len(p.store) >= storeCap(limit) {
-		p.evictOldestLocked()
+		p.sweepOrderLocked(true)
 	}
 	var s *speculative
 	if n := len(p.free); n > 0 {
@@ -313,35 +308,22 @@ func (p *Prefetcher) launchLocked(u string, head bool, limit int) launchOutcome 
 	return launchTracked
 }
 
-// compactOrderLocked drops consumed holes from the order queue, keeping
-// live entries in arrival order.
-func (p *Prefetcher) compactOrderLocked() {
+// sweepOrderLocked drops consumed holes from the order queue, keeping live
+// entries in arrival order. With evict it also drops the oldest landed,
+// unconsumed speculative response (in-flight entries are kept: a running
+// fetch cannot be abandoned).
+func (p *Prefetcher) sweepOrderLocked(evict bool) {
 	w := 0
-	for _, u := range p.order {
-		if _, ok := p.store[u]; ok {
-			p.order[w] = u
-			w++
-		}
-	}
-	p.order = p.order[:w]
-}
-
-// evictOldestLocked drops the oldest landed, unconsumed speculative
-// response, compacting consumed holes along the way (in-flight entries are
-// kept: a running fetch cannot be abandoned).
-func (p *Prefetcher) evictOldestLocked() {
-	w := 0
-	evicted := false
 	for _, k := range p.order {
 		s, ok := p.store[k]
 		if !ok { // consumed: drop the hole
 			continue
 		}
-		if !evicted && s.landed {
+		if evict && s.landed {
 			p.retireLocked(k)
 			p.recycleLocked(s)
 			p.stats.Evicted++
-			evicted = true
+			evict = false
 			continue
 		}
 		p.order[w] = k
@@ -399,14 +381,14 @@ func (p *Prefetcher) fetch(j job, jobs chan job) bool {
 	p.mu.Lock()
 	j.s.resp, j.s.err, j.s.landed = resp, err, true
 	p.pending--
-	shared, parked := p.shared, !p.closed
+	parked := !p.closed
 	if parked {
 		p.idle = append(p.idle, jobs)
 	}
 	p.mu.Unlock()
 	p.landing.Broadcast()
 	if !j.head {
-		publish(shared, j.url, resp, err)
+		p.publish(j.url, resp, err)
 	}
 	return parked
 }
@@ -414,9 +396,9 @@ func (p *Prefetcher) fetch(j job, jobs chan job) bool {
 // publish offers a completed GET to the fleet-shared cache, if there is one.
 // Failures never enter it: a momentary 503 must not be replayed to other
 // crawls as the page's truth.
-func publish(shared SharedStore, u string, resp Response, err error) {
-	if shared != nil && err == nil && !TransientResult(resp, err) {
-		shared.Publish(u, resp)
+func (p *Prefetcher) publish(u string, resp Response, err error) {
+	if p.shared != nil && err == nil && !TransientResult(resp, err) {
+		p.shared.Publish(u, resp)
 	}
 }
 
@@ -427,7 +409,6 @@ func publish(shared SharedStore, u string, resp Response, err error) {
 // the fleet.
 func (p *Prefetcher) Get(u string) (Response, error) {
 	p.mu.Lock()
-	shared := p.shared
 	if s := p.store[u]; s != nil {
 		p.stats.Hits++
 		resp, err := p.consumeLocked(u, s)
@@ -439,10 +420,10 @@ func (p *Prefetcher) Get(u string) (Response, error) {
 		// fault may have been momentary, so the demand path gets a fresh
 		// attempt (which retries on its own below this layer), shared like
 		// any other demand fetch.
-		return p.demand(shared, u)
+		return p.demand(u)
 	}
-	if shared != nil {
-		if resp, ok := shared.Lookup(u); ok {
+	if p.shared != nil {
+		if resp, ok := p.shared.Lookup(u); ok {
 			p.spent[u] = struct{}{} // a shared hit never needs speculation
 			p.stats.Hits++
 			p.stats.SharedHits++
@@ -452,14 +433,14 @@ func (p *Prefetcher) Get(u string) (Response, error) {
 	}
 	p.stats.Misses++
 	p.mu.Unlock()
-	return p.demand(shared, u)
+	return p.demand(u)
 }
 
 // demand fetches u from the backend for the demand path and publishes the
 // answer for the rest of the fleet.
-func (p *Prefetcher) demand(shared SharedStore, u string) (Response, error) {
+func (p *Prefetcher) demand(u string) (Response, error) {
 	resp, err := p.backend.Get(u)
-	publish(shared, u, resp, err)
+	p.publish(u, resp, err)
 	return resp, err
 }
 

@@ -372,7 +372,7 @@ func TestRegistrySpeculativeSpacing(t *testing.T) {
 	backend := &politeBackend{reg: reg, delay: delay}
 	var crawls []*Prefetcher
 	for c := 0; c < 2; c++ {
-		pf := NewPrefetcher(backend)
+		pf := NewPrefetcher(backend, nil)
 		crawls = append(crawls, pf)
 		var urls []string
 		for i := 0; i < window; i++ {

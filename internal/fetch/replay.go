@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"sbcrawl/internal/codec"
+	"sbcrawl/internal/freelist"
 	"sbcrawl/internal/store"
 )
 
@@ -165,7 +166,8 @@ func (r *Replay) own(resp *Response, url string) {
 // Recycle implements Recycler: handed the body on loan, it returns that
 // body's buffer to the pool. Any other slice — a body served from memory or
 // by the backend, a foreign one — is ignored. A body must be handed back at
-// most once: after Recycle its memory may hold the next hit's body.
+// most once: after Recycle its memory may hold the next hit's body, and in
+// race builds it is overwritten first (freelist.Poison).
 func (r *Replay) Recycle(body []byte) {
 	if len(body) == 0 {
 		return
@@ -175,6 +177,7 @@ func (r *Replay) Recycle(body []byte) {
 	if &body[0] != r.lentAt {
 		return
 	}
+	freelist.Poison(*r.lent)
 	codec.PutBuffer(r.lent)
 	r.lent, r.lentAt = nil, nil
 }

@@ -91,10 +91,10 @@ func takeBody(n int) []byte {
 // takeBody: unless it is under the smallest class, its class's list is
 // full, or parking it would take the parked bytes past
 // maxParkedBodyBytes, in which cases the GC takes it. In race builds the
-// buffer is overwritten first (poisonBody), parked or not.
+// buffer is overwritten first (freelist.Poison), parked or not.
 func recycleBody(body []byte) {
 	body = body[:cap(body)]
-	poisonBody(body)
+	freelist.Poison(body)
 	c := floorClass(len(body))
 	if c < 0 {
 		return

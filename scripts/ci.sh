@@ -74,12 +74,14 @@ test -z "$(gofmt -l .)"
 # trip with a context waits on a parked timer and allocates nothing.
 # It also runs every Fuzz target's checked-in seed corpus as ordinary
 # tests: the tokenizer/extractor targets, every persistence-plane decoder,
-# and FuzzCrawlConfig's share of the crawl-invariant table (the six
-# Test*Equivalence/TestRetryConvergence families run the rest through the
-# same harness): accelerated crawls (prefetch, fixed and adaptive, latency,
-# faults with retries, kill/cancel and resume, a killed crawl's segment cut
-# inside a record at each byte class — length header, CRC, key, value — as a
-# crash mid-append cuts it, warm stores, lending, fleets sharing speculation)
+# FuzzPrefetcher's named rows (each also runs under the name of the
+# hand-written Prefetcher test it replaced), and FuzzCrawlConfig's share of
+# the crawl-invariant table (the six Test*Equivalence/TestRetryConvergence
+# families run the rest through the same harness): accelerated crawls
+# (prefetch, fixed and adaptive, latency, faults with retries, kill/cancel
+# and resume, a killed crawl's segment cut inside a record at each byte
+# class — length header, CRC, key, value — as a crash mid-append cuts it,
+# warm stores, lending, fleets sharing speculation)
 # each equal to the plain sequential crawl. The store's FuzzCrashStates corpus
 # opens every state a process crash can leave an op sequence in, and
 # TestServeResumeEquivalence restarts crawld mid-session against
@@ -108,7 +110,8 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # against the map-keyed ones; Normalize's fast forms and the host/path split
 # against net/url; the one-pass link extractor against the reference DOM tree
 # for every field set; a peeking frontier against one that never peeks; the
-# renderer's lazily seeded source against math/rand's; and any Config
+# renderer's lazily seeded source against math/rand's; the speculation layer
+# against its backend, under a fuzzer-chosen landing order; and any Config
 # against the plain sequential crawl.
 while read -r pkg target secs; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime "${secs}s" "$pkg" </dev/null
@@ -125,5 +128,6 @@ done <<'EOF'
 ./internal/dom FuzzExtractLinks 10
 ./internal/frontier FuzzGroupedPeekPop 10
 ./internal/sitegen FuzzRenderSource 10
+./internal/fetch FuzzPrefetcher 10
 . FuzzCrawlConfig 10
 EOF

@@ -10,6 +10,7 @@ package sbcrawl
 import (
 	"context"
 	"fmt"
+	"net/http"
 
 	"sbcrawl/internal/core"
 	"sbcrawl/internal/fetch"
@@ -120,6 +121,8 @@ func CrawlMany(cfgs []Config, opts FleetOptions) (_ *FleetResult, err error) {
 		return nil, err
 	}
 	defer closeInto(release, &err)
+	tr := http.DefaultTransport.(*http.Transport).Clone() // see liveEnv
+	defer tr.CloseIdleConnections()
 	// One speculation cache per distinct UserAgent: a host may serve (and
 	// robots.txt may admit) different agents differently, so crawls only
 	// reuse fetches made with their own identity — a cache hit is then
@@ -146,7 +149,7 @@ func CrawlMany(cfgs []Config, opts FleetOptions) (_ *FleetResult, err error) {
 		if cfg.StorePath == "" && cfg.Store == nil {
 			jobStore = nil
 		}
-		jobs[i] = fleet.Job{Label: cfg.Root, Run: liveJob(cfg, shared, jobStore, &stats[i])}
+		jobs[i] = fleet.Job{Label: cfg.Root, Run: liveJob(cfg, shared, tr, jobStore, &stats[i])}
 	}
 	return runFleet(jobs, opts, stats)
 }
@@ -190,9 +193,9 @@ func fleetStore(cfgs []Config) (st *Store, release func() error, err error) {
 
 // liveJob builds the per-site closure running one live crawl, through the
 // same validation and wiring as Crawl (see liveEnv).
-func liveJob(cfg Config, shared fetch.SharedStore, st *Store, slot **StoreStats) func(ctx context.Context) (*core.Result, error) {
+func liveJob(cfg Config, shared fetch.SharedStore, tr http.RoundTripper, st *Store, slot **StoreStats) func(ctx context.Context) (*core.Result, error) {
 	return func(ctx context.Context) (*core.Result, error) {
-		env, err := liveEnv(cfg, ctx, shared)
+		env, err := liveEnv(cfg, ctx, shared, tr)
 		if err != nil {
 			return nil, err
 		}

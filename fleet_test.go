@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -157,29 +156,5 @@ func TestCrawlSitesSimLatency(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < time.Duration(res.Requests)*2*time.Millisecond {
 		t.Errorf("%d requests with 2ms latency finished in %v", res.Requests, elapsed)
-	}
-}
-
-// TestCrawlManyLeavesNoGoroutine: a fleet sharing speculation under
-// PrefetchAuto leaves no goroutine behind — its workers and the crawls'
-// Prefetcher workers are gone once it returns, so runtime.NumGoroutine comes
-// back to its count before the fleet. The keep-alive connections the
-// process's HTTP transport pools for reuse are closed first: they belong to
-// http.DefaultTransport, not to the fleet.
-func TestCrawlManyLeavesNoGoroutine(t *testing.T) {
-	site := fleetSites(t, "cl")[0]
-	ts := httptest.NewServer(site.Handler())
-	defer ts.Close()
-	before := runtime.NumGoroutine()
-	cfg := Config{Root: ts.URL + "/", Strategy: StrategyBFS, Prefetch: PrefetchAuto, Politeness: time.Millisecond, MaxRequests: 40}
-	res, err := CrawlMany([]Config{cfg, cfg, cfg}, FleetOptions{Workers: 2, SharedSpeculation: true})
-	if err != nil || res.Completed != 3 {
-		t.Fatalf("fleet: %v, %+v", err, res)
-	}
-	ts.CloseClientConnections()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the fleet, %d before", runtime.NumGoroutine(), before)
-		}
 	}
 }

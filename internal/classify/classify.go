@@ -283,10 +283,7 @@ func (o *Online) addExample(link LinkContext, y int) {
 // pending map.
 func (o *Online) Release() {
 	learn.Release(o.model)
-	var t parkedTables
-	if cap(o.arena.IDs) > 0 {
-		t.arena = textvec.Sparse{IDs: o.arena.IDs[:0], Vals: o.arena.Vals[:0]}
-	}
+	t := parkedTables{arena: textvec.Sparse{IDs: o.arena.IDs[:0], Vals: o.arena.Vals[:0]}}
 	if cap(o.x.IDs) <= maxParkedX {
 		t.x = textvec.Sparse{IDs: o.x.IDs[:0], Vals: o.x.Vals[:0]}
 	}
@@ -298,9 +295,7 @@ func (o *Online) Release() {
 		clear(o.pending)
 		t.pending = o.pending
 	}
-	if t.pending != nil || cap(t.arena.IDs)+cap(t.x.IDs)+cap(t.batch) > 0 {
-		arenaFree.Put(t)
-	}
+	arenaFree.Put(t)
 	o.arena, o.x, o.batch, o.pending = textvec.Sparse{}, textvec.Sparse{}, nil, nil
 }
 

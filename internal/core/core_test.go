@@ -412,8 +412,9 @@ func drainTables() {
 }
 
 // TestParkedEngineTablesAreEmpty: a finished crawl parks its engine's tables
-// holding nothing of it — no T ∪ F or in-page key, no link in any slot of the
-// stack, no scratch byte — and the next engine takes them.
+// holding nothing of it — no in-page key, no link in any slot of the stack,
+// no scratch byte — and the next engine takes them. (That T ∪ F starts
+// empty, TestSteadyState's crawls show.)
 func TestParkedEngineTablesAreEmpty(t *testing.T) {
 	defer drainTables()
 	drainTables()
@@ -426,8 +427,8 @@ func TestParkedEngineTablesAreEmpty(t *testing.T) {
 		t.Fatalf("%d engine tables parked, want 1", len(tablesFree))
 	}
 	tb := <-tablesFree
-	if tb.seen == nil || len(tb.seen) != 0 || len(tb.inPage) != 0 || len(tb.abs) != 0 {
-		t.Fatalf("parked T ∪ F %d keys, in-page set %d, scratch %d bytes: want all empty", len(tb.seen), len(tb.inPage), len(tb.abs))
+	if tb.seen == nil || len(tb.inPage) != 0 || len(tb.abs) != 0 {
+		t.Fatalf("parked T ∪ F %v, in-page set %d, scratch %d bytes: want T ∪ F parked, the rest empty", tb.seen != nil, len(tb.inPage), len(tb.abs))
 	}
 	if cap(tb.links) == 0 || len(tb.links) != 0 {
 		t.Fatalf("parked link stack len %d cap %d: want an empty stack with room", len(tb.links), cap(tb.links))

@@ -1,10 +1,18 @@
 // Package freelist is the one free list a crawl's per-crawl state is parked
-// on for the next crawl: dom's parsers, the engine's tables, the classifier's
-// arenas, the models' weight tables, the tag-path vocabularies, the
-// generators of the action index and the grouped frontier, the grouped
-// frontier's action lists, the action index's node slab, codec's encode and
-// read buffers, the simulated web's renderers and the bodies it lends, and
-// the timers of simulated round trips.
+// on for the next crawl. Each list is taken from and returned to by one
+// package only (what it parks: who takes / who returns):
+//
+//	dom.parserFree        parsers: getParser / putParser, around a page's extraction
+//	core.tablesFree       T ∪ F, in-page set, link stack, scratch: newEngine / parkTables
+//	classify.arenaFree    batch arena, scratch, example slots, pending map: NewOnline / Online.Release
+//	learn.tableFree       weight tables: a model's first growTable / learn.Release
+//	textvec.vocabFree     vocabularies: NewTagPathVectorizer / TagPathVectorizer.Release
+//	hnsw.parkedFree       level generator with node slab: New / Index.Release
+//	frontier.groupedFree  source with action table: NewGrouped / Grouped.Release
+//	codec.bufFree         encode and read buffers: GetBuffer / PutBuffer
+//	sitegen.renderFree    renderers: takeRenderer / renderer.release, around a render
+//	webserver.bodyFree    lent bodies, a list per size class: a GET / Recycle
+//	fetch.timerFree       round-trip timers: sleepContext / sleepContext
 //
 // A list is a bounded channel, not a sync.Pool: a pool is emptied at every
 // GC, so how much a crawl allocates would depend on when the collector

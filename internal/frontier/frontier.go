@@ -100,10 +100,10 @@ type Random struct {
 	rng   *rand.Rand
 }
 
-// NewRandom builds a random frontier with a deterministic seed.
+// NewRandom builds a random frontier with a deterministic seed, on a source
+// of its own: a Random parks nothing, so it takes nothing parked either.
 func NewRandom(seed int64) *Random {
-	rng, _ := newCountedRand(seed, 0)
-	return &Random{rng: rng}
+	return &Random{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Push appends a URL.
@@ -255,11 +255,17 @@ type Grouped struct {
 }
 
 // NewGrouped builds an action-grouped frontier with a deterministic seed, on
-// a parked action table when one is waiting.
+// a released frontier's source and action table when one is waiting: Seed
+// resets a source's whole state, so the stream is rand.NewSource's.
 func NewGrouped(seed int64) *Grouped {
-	rng, src := newCountedRand(seed, 0)
-	byAction, _ := actionsFree.Get()
-	return &Grouped{byAction: byAction, rng: rng, src: src, seed: seed}
+	p, ok := groupedFree.Get()
+	if ok {
+		p.src.Seed(seed)
+	} else {
+		p.src = rand.NewSource(seed)
+	}
+	src := &countedSource{src: p.src}
+	return &Grouped{byAction: p.byAction, rng: rand.New(src), src: src, seed: seed}
 }
 
 // Release parks the frontier's generator source and, while under the
@@ -270,7 +276,7 @@ func (g *Grouped) Release() {
 	if g.src == nil {
 		return
 	}
-	sourceFree.Put(g.src.src)
+	p := parkedGrouped{src: g.src.src}
 	g.rng, g.src = nil, nil
 	all := g.byAction[:cap(g.byAction)]
 	links := 0
@@ -282,8 +288,9 @@ func (g *Grouped) Release() {
 			clear(l[:cap(l)]) // pin no URL of this crawl
 			all[i] = l[:0]
 		}
-		actionsFree.Put(all[:0])
+		p.byAction = all[:0]
 	}
+	groupedFree.Put(p)
 	g.byAction, g.total = nil, 0
 }
 
@@ -296,31 +303,15 @@ const (
 	maxParkedLinks   = 1 << 13 // link slots over all actions
 )
 
-// actionsFree parks released frontiers' action tables, every slot emptied
-// with its capacity kept.
-var actionsFree = freelist.New[[][]string]()
-
-// sourceFree parks released frontiers' generator sources (~4.9 KB each, one
-// per SB crawl) for newCountedRand to re-seed: Seed resets a source's whole
-// state, so the stream is rand.NewSource's.
-var sourceFree = freelist.New[rand.Source]()
-
-// newCountedRand builds a deterministic generator at position draws, on a
-// parked source when one is waiting.
-func newCountedRand(seed, draws int64) (*rand.Rand, *countedSource) {
-	src, ok := sourceFree.Get()
-	if ok {
-		src.Seed(seed)
-	} else {
-		src = rand.NewSource(seed)
-	}
-	cs := &countedSource{src: src}
-	for i := int64(0); i < draws; i++ {
-		cs.src.Int63()
-	}
-	cs.draws = draws
-	return rand.New(cs), cs
+// parkedGrouped is what a released Grouped leaves the next NewGrouped: its
+// generator source (~4.9 KB), and its action table, every slot emptied with
+// its capacity kept, or none when it was over the maxParked bounds.
+type parkedGrouped struct {
+	src      rand.Source
+	byAction [][]string
 }
+
+var groupedFree = freelist.New[parkedGrouped]()
 
 // links returns the action's links: none for an action never pushed to.
 func (g *Grouped) links(action int) []string {

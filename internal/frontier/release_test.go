@@ -8,19 +8,11 @@ import (
 	"testing"
 )
 
-// drainSources empties the source free list, so the next generator
-// allocates.
-func drainSources() {
-	for len(sourceFree) > 0 {
-		<-sourceFree
-	}
-}
-
-// drainActions empties the action-table free list, so the next frontier
-// starts with no table.
-func drainActions() {
-	for len(actionsFree) > 0 {
-		<-actionsFree
+// drainGrouped empties the grouped frontier's free list, so the next
+// frontier allocates its source and starts with no table.
+func drainGrouped() {
+	for len(groupedFree) > 0 {
+		<-groupedFree
 	}
 }
 
@@ -52,82 +44,27 @@ func groupedTurns(g *Grouped, n int) []string {
 	return out
 }
 
-// TestReleasedSourceIsFresh: a grouped frontier on the source a used one
-// released — seeded differently and part-way through its stream — peeks and
-// pops exactly like one built with the free list empty, and so does a
-// frontier restored onto a released source.
-func TestReleasedSourceIsFresh(t *testing.T) {
-	defer drainSources()
-	defer drainActions()
-	drainSources()
-	fresh := NewGrouped(42)
-	fillGrouped(fresh)
-	want := groupedTurns(fresh, 1000)
-
-	used := NewGrouped(7)
-	fillGrouped(used)
-	groupedTurns(used, 10)
-	parked := used.src.src
-	used.Release()
-	if used.src != nil || used.rng != nil || len(sourceFree) != 1 {
-		t.Fatalf("after Release: generator still held %v, %d parked", used.src != nil, len(sourceFree))
-	}
-	reused := NewGrouped(42)
-	if reused.src.src != parked {
-		t.Fatal("NewGrouped allocated a source with one parked")
-	}
-	fillGrouped(reused)
-	if got := groupedTurns(reused, 1000); !slices.Equal(got, want) {
-		t.Errorf("turns on a reused source:\n%v\non a fresh one:\n%v", got, want)
-	}
-
-	// Restore: a snapshot taken mid-way continues the same on a released
-	// source as on a new one.
-	drainSources()
-	ref := NewGrouped(42)
-	fillGrouped(ref)
-	groupedTurns(ref, 12)
-	st := ref.Snapshot()
-	wantTail := groupedTurns(ref, 1000)
-
-	restored := NewGrouped(0)
-	used = NewGrouped(3)
-	fillGrouped(used)
-	groupedTurns(used, 5)
-	parked = used.src.src
-	used.Release()
-	restored.Restore(st)
-	if restored.src.src != parked {
-		t.Fatal("Restore allocated a source with one parked")
-	}
-	if got := groupedTurns(restored, 1000); !slices.Equal(got, wantTail) {
-		t.Errorf("turns after Restore onto a reused source:\n%v\nafter the snapshot:\n%v", got, wantTail)
-	}
-}
-
 // TestParkedGroupsAreEmpty: a released frontier parks its action table
-// holding nothing of its crawl — every slot at length 0 and no URL left in
-// any slot's spare capacity — with the capacity kept, and the next frontier
-// takes it and starts empty.
+// pinning nothing of its crawl — no URL left in any slot's spare capacity —
+// with the capacity kept, and the next frontier takes it. (That it starts
+// empty, TestSteadyState's crawls show.)
 func TestParkedGroupsAreEmpty(t *testing.T) {
-	defer drainActions()
-	drainActions()
+	defer drainGrouped()
+	drainGrouped()
 	g := NewGrouped(1)
 	fillGrouped(g)
 	g.Push(-1, "zero")
 	groupedTurns(g, 10)
 	g.Release()
-	if g.byAction != nil || len(actionsFree) != 1 {
-		t.Fatalf("after Release: table still held %v, %d parked", g.byAction != nil, len(actionsFree))
+	if g.byAction != nil || len(groupedFree) != 1 {
+		t.Fatalf("after Release: table still held %v, %d parked", g.byAction != nil, len(groupedFree))
 	}
-	all := <-actionsFree
+	p := <-groupedFree
+	all := p.byAction
 	if len(all) != 0 || cap(all) < 6 {
 		t.Fatalf("parked table len %d cap %d: want an empty table with room for 6 slots", len(all), cap(all))
 	}
 	for s, links := range all[:cap(all)] {
-		if len(links) != 0 {
-			t.Fatalf("parked slot %d holds %d links", s, len(links))
-		}
 		for i, u := range links[:cap(links)] {
 			if u != "" {
 				t.Fatalf("parked slot %d pins %q at %d", s, u, i)
@@ -137,13 +74,10 @@ func TestParkedGroupsAreEmpty(t *testing.T) {
 	if cap(all[:1][0]) == 0 || cap(all[:6][5]) < 7 {
 		t.Fatal("the parked table dropped its slots' capacity")
 	}
-	actionsFree <- all
+	groupedFree <- p
 	next := NewGrouped(2)
-	if len(actionsFree) != 0 || cap(next.byAction) != cap(all) {
+	if len(groupedFree) != 0 || cap(next.byAction) != cap(all) {
 		t.Fatal("NewGrouped did not take the parked table")
-	}
-	if next.Len() != 0 || len(next.Awake()) != 0 || next.ActionLen(4) != 0 {
-		t.Fatalf("a frontier on a parked table holds %d links, awake %v", next.Len(), next.Awake())
 	}
 }
 
@@ -151,7 +85,7 @@ func TestParkedGroupsAreEmpty(t *testing.T) {
 // slots, or more than maxParkedLinks link slots over all its actions, is left
 // to the GC: a free list never lets go of what it holds.
 func TestOutsizedGroupsAreNotParked(t *testing.T) {
-	defer drainActions()
+	defer drainGrouped()
 	for _, tc := range []struct {
 		name string
 		fill func(g *Grouped)
@@ -163,11 +97,11 @@ func TestOutsizedGroupsAreNotParked(t *testing.T) {
 			}
 		}},
 	} {
-		drainActions()
+		drainGrouped()
 		g := NewGrouped(1)
 		tc.fill(g)
 		g.Release()
-		if len(actionsFree) != 0 {
+		if (<-groupedFree).byAction != nil {
 			t.Errorf("%s: an outsized table was parked", tc.name)
 		}
 	}
@@ -236,8 +170,8 @@ func (m *groupedModel) peek(a int) (string, bool) {
 // set, lengths and draws of the map-keyed reference — on a new table and on
 // one a larger frontier parked.
 func TestGroupedMatchesMapReference(t *testing.T) {
-	defer drainActions()
-	drainActions()
+	defer drainGrouped()
+	drainGrouped()
 	for round := range 40 {
 		ops := rand.New(rand.NewSource(int64(round)))
 		seed := int64(round * 7)

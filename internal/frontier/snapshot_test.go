@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -144,5 +145,9 @@ func (g *Grouped) Restore(st GroupedState) {
 		}
 	}
 	g.seed = st.Seed
-	g.rng, g.src = newCountedRand(st.Seed, st.Draws)
+	g.src = &countedSource{src: rand.NewSource(st.Seed)}
+	g.rng = rand.New(g.src)
+	for range st.Draws {
+		g.src.Int63()
+	}
 }

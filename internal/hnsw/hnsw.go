@@ -108,38 +108,34 @@ func New(cfg Config) *Index {
 	if cfg.EfSearch <= 0 {
 		cfg.EfSearch = 2 * cfg.M
 	}
-	rng, ok := rngFree.Get()
+	p, ok := parkedFree.Get()
 	if ok {
-		rng.Seed(cfg.Seed)
+		p.rng.Seed(cfg.Seed)
 	} else {
-		rng = rand.New(rand.NewSource(cfg.Seed))
+		p.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	sl, _ := slabFree.Get()
 	return &Index{
 		cfg:     cfg,
 		ml:      1 / math.Log(float64(cfg.M)),
-		nodes:   sl.nodes,
+		nodes:   p.nodes,
 		entry:   -1,
-		rng:     rng,
-		visited: sl.visited,
+		rng:     p.rng,
+		visited: p.visited,
 	}
 }
 
-// rngFree parks released indexes' level generators (a math/rand source is
-// ~4.9 KB, one per crawl) for New to re-seed: Seed resets a source's whole
-// state, so the stream is a new generator's.
-var rngFree = freelist.New[*rand.Rand]()
-
-// slab is a released index's node storage: nodes at length 0 with the
-// parked nodes past it, each emptied with its arrays' capacity kept, and
-// visited at length 0.
-type slab struct {
+// parked is what a released index leaves the next New: its level generator
+// (~4.9 KB), re-seeded by New to a new generator's stream, and its node
+// slab — nodes at length 0 with the parked nodes past it, each emptied with
+// its arrays' capacity kept, and visited at length 0 — or none when the
+// slab was over the maxParked bounds.
+type parked struct {
+	rng     *rand.Rand
 	nodes   []*node
 	visited []uint64
 }
 
-// slabFree parks released indexes' node slabs for New.
-var slabFree = freelist.New[slab]()
+var parkedFree = freelist.New[parked]()
 
 // The maxParked bounds cap what a parked slab may hold: an index of a short
 // crawl has a few dozen nodes of a few hundred entries in all, and one a
@@ -160,7 +156,7 @@ func (ix *Index) Release() {
 	if ix.rng == nil {
 		return
 	}
-	rngFree.Put(ix.rng)
+	p := parked{rng: ix.rng}
 	ix.rng = nil
 	all := ix.nodes[:cap(ix.nodes)]
 	support, friends := 0, 0
@@ -180,8 +176,9 @@ func (ix *Index) Release() {
 				n.reset()
 			}
 		}
-		slabFree.Put(slab{nodes: all[:0], visited: ix.visited[:0]})
+		p.nodes, p.visited = all[:0], ix.visited[:0]
 	}
+	parkedFree.Put(p)
 	ix.nodes, ix.visited = nil, nil
 }
 

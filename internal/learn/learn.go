@@ -101,11 +101,10 @@ func growTable(w []float64, x textvec.Sparse) []float64 {
 	return grow(w, x)
 }
 
-// park clears the table *w, parks it if the free list has room, and drops
-// the reference.
+// park parks the table *w at length 0 if the free list has room — grow
+// zeroes what it extends into — and drops the reference.
 func park(w *[]float64) {
 	if cap(*w) > 0 {
-		clear(*w)
 		tableFree.Put((*w)[:0])
 	}
 	*w = nil

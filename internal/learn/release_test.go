@@ -13,21 +13,6 @@ func drainTables() {
 	}
 }
 
-// tables returns the tables Release parks for m.
-func tables(m Model) [][]float64 {
-	switch m := m.(type) {
-	case *LogisticRegression:
-		return [][]float64{m.w}
-	case *LinearSVM:
-		return [][]float64{m.w}
-	case *PassiveAggressive:
-		return [][]float64{m.w}
-	case *NaiveBayes:
-		return [][]float64{m.featCount[0], m.featCount[1]}
-	}
-	return nil
-}
-
 // trainScores trains m in Algorithm 2's mini-batches and scores the held-out
 // examples.
 func trainScores(m Model) []float64 {
@@ -52,48 +37,6 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// TestReleaseReusesZeroedTable: a released model's tables are cleared and
-// parked, the next model of the family grows into the same arrays, and it
-// scores bit for bit like a model built with the free list empty.
-func TestReleaseReusesZeroedTable(t *testing.T) {
-	defer drainTables()
-	for _, name := range ModelNames {
-		drainTables()
-		fresh := NewModel(name)
-		want := trainScores(fresh)
-		trained := tables(fresh)
-		arrays := map[*float64]bool{}
-		for _, w := range trained {
-			arrays[&w[0]] = true
-		}
-		Release(fresh)
-		for i, w := range tables(fresh) {
-			if w != nil {
-				t.Errorf("%s: table %d still referenced after Release", name, i)
-			}
-		}
-		if len(tableFree) != len(arrays) {
-			t.Fatalf("%s: %d tables parked, want %d", name, len(tableFree), len(arrays))
-		}
-		for i, w := range trained {
-			for id, v := range w {
-				if v != 0 {
-					t.Fatalf("%s: parked table %d holds %v at ID %d", name, i, v, id)
-				}
-			}
-		}
-		reused := NewModel(name)
-		if got := trainScores(reused); !sameBits(got, want) {
-			t.Errorf("%s: scores after reuse %v, with fresh tables %v", name, got, want)
-		}
-		for i, w := range tables(reused) {
-			if !arrays[&w[0]] {
-				t.Errorf("%s: table %d was allocated, not taken from the free list", name, i)
-			}
-		}
-	}
 }
 
 // wrapper is a model Release does not know, around one it does.

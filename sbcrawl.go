@@ -73,6 +73,7 @@ package sbcrawl
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"time"
 
 	"sbcrawl/internal/core"
@@ -369,7 +370,9 @@ func Crawl(cfg Config) (*Result, error) {
 // already durable, so running the same Config again resumes
 // deterministically. A nil ctx never cancels.
 func CrawlCtx(ctx context.Context, cfg Config) (*Result, error) {
-	env, err := liveEnv(cfg, ctx, nil)
+	tr := http.DefaultTransport.(*http.Transport).Clone() // see liveEnv
+	defer tr.CloseIdleConnections()
+	env, err := liveEnv(cfg, ctx, nil, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -380,8 +383,11 @@ func CrawlCtx(ctx context.Context, cfg Config) (*Result, error) {
 // HTTP fetcher per crawl (politeness is coordinated across crawls by
 // Config.Hosts or the process-wide default registry), with an optional
 // cancellation context and an optional fleet-shared speculation store.
-// Shared by Crawl and CrawlMany so the two never diverge.
-func liveEnv(cfg Config, ctx context.Context, shared fetch.SharedStore) (*core.Env, error) {
+// Shared by Crawl and CrawlMany so the two never diverge. tr is the call's
+// own connection pool, a clone of http.DefaultTransport whose idle
+// connections the call closes when it returns, so no keep-alive connection
+// outlives it and other users of the default transport keep theirs.
+func liveEnv(cfg Config, ctx context.Context, shared fetch.SharedStore, tr http.RoundTripper) (*core.Env, error) {
 	if cfg.Root == "" {
 		return nil, fmt.Errorf("sbcrawl: Config.Root is required")
 	}
@@ -390,6 +396,7 @@ func liveEnv(cfg Config, ctx context.Context, shared fetch.SharedStore) (*core.E
 		return nil, fmt.Errorf("sbcrawl: strategy %q needs ground truth; use CrawlSite or CrawlSites", cfg.Strategy)
 	}
 	f := fetch.NewHTTP()
+	f.Client.Transport = tr
 	if cfg.Politeness > 0 {
 		f.MinDelay = cfg.Politeness
 	}

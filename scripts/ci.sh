@@ -85,7 +85,14 @@ test -z "$(gofmt -l .)"
 # each equal to the plain sequential crawl. The store's FuzzCrashStates corpus
 # opens every state a process crash can leave an op sequence in, and
 # TestServeResumeEquivalence restarts crawld mid-session against
-# sbcrawl.CrawlSites. internal/experiments' TestPaperClaims holds the paper's
+# sbcrawl.CrawlSites. TestSteadyState checks the parking layer as a whole:
+# one mix of crawls (SB, TP-OFF, FOCUSED, BFS past the engine's parking
+# bound, a fleet, a durable crawl cancelled, resumed and short-circuited,
+# live crawls through CrawlMany, a crawld session) run four times in one
+# process returns the first cycle's outcome each time, changes no Result
+# returned before, ends no crawl with more goroutines than it began with
+# (a live crawl's keep-alive connections close with it), and holds the
+# live heap within 512 KB of the second cycle's. internal/experiments' TestPaperClaims holds the paper's
 # claims, one row each, over seeds 1-5 at scale 0.004, and its expected-failure
 # rows to still failing.
 go test -count=1 ./...

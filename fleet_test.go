@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -156,5 +157,27 @@ func TestCrawlSitesSimLatency(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < time.Duration(res.Requests)*2*time.Millisecond {
 		t.Errorf("%d requests with 2ms latency finished in %v", res.Requests, elapsed)
+	}
+}
+
+// TestCrawlManyLeavesNoGoroutine: a live fleet sharing speculation under
+// PrefetchAuto leaves no goroutine behind — its workers, the crawls'
+// Prefetcher workers and the keep-alive connections of the transport its
+// fetchers share are gone once it returns, so runtime.NumGoroutine comes
+// back to its count before the fleet.
+func TestCrawlManyLeavesNoGoroutine(t *testing.T) {
+	site := fleetSites(t, "cl")[0]
+	ts := httptest.NewServer(site.Handler())
+	defer ts.Close()
+	before := runtime.NumGoroutine()
+	cfg := Config{Root: ts.URL + "/", Strategy: StrategyBFS, Prefetch: PrefetchAuto, Politeness: time.Millisecond, MaxRequests: 40}
+	res, err := CrawlMany([]Config{cfg, cfg, cfg}, FleetOptions{Workers: 2, SharedSpeculation: true})
+	if err != nil || res.Completed != 3 {
+		t.Fatalf("fleet: %v, %+v", err, res)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the fleet, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }

@@ -44,6 +44,58 @@ func groupedTurns(g *Grouped, n int) []string {
 	return out
 }
 
+// TestReleasedSourceIsFresh: a grouped frontier on the source a used one
+// released — seeded differently and part-way through its stream — peeks and
+// pops exactly like one built with the free list empty, and so does a
+// frontier restored onto a released source.
+func TestReleasedSourceIsFresh(t *testing.T) {
+	defer drainGrouped()
+	drainGrouped()
+	fresh := NewGrouped(42)
+	fillGrouped(fresh)
+	want := groupedTurns(fresh, 1000)
+
+	used := NewGrouped(7)
+	fillGrouped(used)
+	groupedTurns(used, 10)
+	parked := used.src.src
+	used.Release()
+	if used.src != nil || used.rng != nil || len(groupedFree) != 1 {
+		t.Fatalf("after Release: generator still held %v, %d parked", used.src != nil, len(groupedFree))
+	}
+	reused := NewGrouped(42)
+	if reused.src.src != parked {
+		t.Fatal("NewGrouped allocated a source with one parked")
+	}
+	fillGrouped(reused)
+	if got := groupedTurns(reused, 1000); !slices.Equal(got, want) {
+		t.Errorf("turns on a reused source:\n%v\non a fresh one:\n%v", got, want)
+	}
+
+	// Restore: a snapshot taken mid-way continues the same on a released
+	// source as on a new one.
+	drainGrouped()
+	ref := NewGrouped(42)
+	fillGrouped(ref)
+	groupedTurns(ref, 12)
+	st := ref.Snapshot()
+	wantTail := groupedTurns(ref, 1000)
+
+	used = NewGrouped(3)
+	fillGrouped(used)
+	groupedTurns(used, 5)
+	parked = used.src.src
+	used.Release()
+	restored := NewGrouped(0)
+	restored.Restore(st)
+	if restored.src.src != parked {
+		t.Fatal("Restore allocated a source with one parked")
+	}
+	if got := groupedTurns(restored, 1000); !slices.Equal(got, wantTail) {
+		t.Errorf("turns after Restore onto a reused source:\n%v\nafter the snapshot:\n%v", got, wantTail)
+	}
+}
+
 // TestParkedGroupsAreEmpty: a released frontier parks its action table
 // pinning nothing of its crawl — no URL left in any slot's spare capacity —
 // with the capacity kept, and the next frontier takes it. (That it starts

@@ -145,7 +145,8 @@ func (g *Grouped) Restore(st GroupedState) {
 		}
 	}
 	g.seed = st.Seed
-	g.src = &countedSource{src: rand.NewSource(st.Seed)}
+	g.src.src.Seed(st.Seed) // the source NewGrouped gave g, parked or new
+	g.src = &countedSource{src: g.src.src}
 	g.rng = rand.New(g.src)
 	for range st.Draws {
 		g.src.Int63()

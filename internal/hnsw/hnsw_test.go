@@ -3,7 +3,9 @@ package hnsw
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -507,6 +509,134 @@ func TestVectorScratchContract(t *testing.T) {
 func drainParked() {
 	for len(parkedFree) > 0 {
 		<-parkedFree
+	}
+}
+
+// TestReleasedGeneratorIsFresh: an index built on the generator a used index
+// released — seeded differently and part-way through its stream — draws the
+// same levels and answers the same NearestSparse queries as one built with
+// the free list empty.
+func TestReleasedGeneratorIsFresh(t *testing.T) {
+	defer drainParked()
+	idx, val := tagPathLike(rand.New(rand.NewSource(3)), 150)
+	build := func(seed int64, n int) (*Index, []int, []Result) {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		ix := New(cfg)
+		levels := make([]int, n)
+		for i := range n {
+			ix.AddSparse(4096, idx[i], val[i])
+			levels[i] = ix.nodes[i].level
+		}
+		var res []Result
+		for i := n; i < len(idx); i++ {
+			r, _ := ix.NearestSparse(idx[i], val[i])
+			res = append(res, r)
+		}
+		return ix, levels, res
+	}
+	drainParked()
+	_, wantLevels, want := build(9, 120)
+
+	used, _, _ := build(77, 60)
+	parked := used.rng
+	used.Release()
+	if used.rng != nil || len(parkedFree) != 1 {
+		t.Fatalf("after Release: generator still held %v, %d parked", used.rng != nil, len(parkedFree))
+	}
+	reused, levels, got := build(9, 120)
+	if reused.rng != parked {
+		t.Fatal("New allocated a generator with one parked")
+	}
+	if !slices.Equal(levels, wantLevels) {
+		t.Errorf("levels on a reused generator %v, on a fresh one %v", levels, wantLevels)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("NearestSparse on a reused generator %v, on a fresh one %v", got, want)
+	}
+}
+
+// actionTrace grows ix the way Algorithm 1 does — each vector merged into
+// its nearest centroid when that is similar enough (a threshold above
+// Algorithm 1's, so that most tag-path-like vectors found a node), founded
+// as a new node otherwise — and records every answer, then every node's
+// vector and friend lists.
+func actionTrace(ix *Index, idx [][]int, val [][]float64) []any {
+	var out []any
+	counts := map[int]int{}
+	for i := range idx {
+		near, ok := ix.NearestSparse(idx[i], val[i])
+		out = append(out, near, ok)
+		if ok && near.Similarity >= 0.9 {
+			counts[near.ID]++
+			ix.Merge(near.ID, idx[i], val[i], counts[near.ID])
+			continue
+		}
+		id := ix.AddSparse(4096, idx[i], val[i])
+		counts[id] = 1
+		out = append(out, id)
+	}
+	for id := range ix.Len() {
+		n := ix.nodes[id]
+		out = append(out, slices.Clone(n.sup), slices.Clone(n.val), math.Float64bits(n.norm), n.level)
+		for _, fr := range n.friends {
+			out = append(out, slices.Clone(fr))
+		}
+	}
+	return out
+}
+
+// TestParkedSlabIsReset: a released index parks its node slab holding
+// nothing of its vectors or graph — every node at level 0 with empty
+// support, values and friend lists, their capacity kept — and an index
+// built on it, whether it needs fewer nodes than the slab holds or more,
+// answers and links exactly like one built with the list empty.
+func TestParkedSlabIsReset(t *testing.T) {
+	defer drainParked()
+	idx, val := tagPathLike(rand.New(rand.NewSource(4)), 300)
+	other, otherVal := tagPathLike(rand.New(rand.NewSource(5)), 300)
+	build := func(seed int64, idx [][]int, val [][]float64) (*Index, []any) {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		ix := New(cfg)
+		return ix, actionTrace(ix, idx, val)
+	}
+	for _, tc := range []struct{ used, reused int }{{300, 120}, {60, 300}} {
+		drainParked()
+		_, want := build(9, idx[:tc.reused], val[:tc.reused])
+
+		used, _ := build(77, other[:tc.used], otherVal[:tc.used])
+		nodes := used.Len()
+		used.Release()
+		if used.nodes != nil || len(parkedFree) != 1 {
+			t.Fatalf("after Release: nodes still held %v, %d slabs parked", used.nodes != nil, len(parkedFree))
+		}
+		sl := <-parkedFree
+		if len(sl.nodes) != 0 || len(sl.visited) != 0 || cap(sl.visited) < nodes {
+			t.Fatalf("parked slab: %d nodes, visited len %d cap %d; want 0, 0, ≥ %d", len(sl.nodes), len(sl.visited), cap(sl.visited), nodes)
+		}
+		for id, n := range sl.nodes[:nodes] {
+			if n.level != 0 || n.norm != 0 || len(n.sup) != 0 || len(n.val) != 0 || len(n.friends) != 0 {
+				t.Fatalf("parked node %d: level %d norm %v, %d/%d entries, %d layers", id, n.level, n.norm, len(n.sup), len(n.val), len(n.friends))
+			}
+			if cap(n.sup) == 0 || cap(n.friends) == 0 {
+				t.Fatalf("parked node %d dropped its capacity", id)
+			}
+			for l, fr := range n.friends[:cap(n.friends)] {
+				if len(fr) != 0 {
+					t.Fatalf("parked node %d keeps %d friends at layer %d", id, len(fr), l)
+				}
+			}
+		}
+		parkedFree <- sl
+
+		reused, got := build(9, idx[:tc.reused], val[:tc.reused])
+		if len(parkedFree) != 0 || reused.nodes[0] != sl.nodes[:1][0] {
+			t.Fatal("New did not take the parked slab")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d vectors on a slab of %d nodes: answers, vectors or links differ from a fresh index", tc.reused, nodes)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"sbcrawl/internal/textvec"
 )
 
 // drainTables empties the free list, so the next model grows a new table.
@@ -11,6 +13,21 @@ func drainTables() {
 	for len(tableFree) > 0 {
 		<-tableFree
 	}
+}
+
+// tables returns the tables Release parks for m.
+func tables(m Model) [][]float64 {
+	switch m := m.(type) {
+	case *LogisticRegression:
+		return [][]float64{m.w}
+	case *LinearSVM:
+		return [][]float64{m.w}
+	case *PassiveAggressive:
+		return [][]float64{m.w}
+	case *NaiveBayes:
+		return [][]float64{m.featCount[0], m.featCount[1]}
+	}
+	return nil
 }
 
 // trainScores trains m in Algorithm 2's mini-batches and scores the held-out
@@ -37,6 +54,54 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestReleaseReusesZeroedTable: a released model's tables are parked at
+// length 0, grow zeroes a parked table's trained weights as it extends into
+// them, the next model of the family grows into the same arrays, and it
+// scores bit for bit like a model built with the free list empty.
+func TestReleaseReusesZeroedTable(t *testing.T) {
+	defer drainTables()
+	for _, name := range ModelNames {
+		drainTables()
+		fresh := NewModel(name)
+		want := trainScores(fresh)
+		trained := tables(fresh)
+		arrays := map[*float64]bool{}
+		for _, w := range trained {
+			arrays[&w[0]] = true
+		}
+		Release(fresh)
+		for i, w := range tables(fresh) {
+			if w != nil {
+				t.Errorf("%s: table %d still referenced after Release", name, i)
+			}
+		}
+		if len(tableFree) != len(arrays) {
+			t.Fatalf("%s: %d tables parked, want %d", name, len(tableFree), len(arrays))
+		}
+		for i := range len(tableFree) {
+			w := <-tableFree
+			if len(w) != 0 {
+				t.Fatalf("%s: table %d parked at length %d", name, i, len(w))
+			}
+			for id, v := range grow(w, textvec.Sparse{IDs: []int32{int32(cap(w) - 1)}}) {
+				if v != 0 {
+					t.Fatalf("%s: parked table %d grows holding %v at ID %d", name, i, v, id)
+				}
+			}
+			tableFree <- w
+		}
+		reused := NewModel(name)
+		if got := trainScores(reused); !sameBits(got, want) {
+			t.Errorf("%s: scores after reuse %v, with fresh tables %v", name, got, want)
+		}
+		for i, w := range tables(reused) {
+			if !arrays[&w[0]] {
+				t.Errorf("%s: table %d was allocated, not taken from the free list", name, i)
+			}
+		}
+	}
 }
 
 // wrapper is a model Release does not know, around one it does.

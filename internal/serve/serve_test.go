@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -284,6 +285,36 @@ func TestServeCancelDurable(t *testing.T) {
 	}
 	if q := srv2.sched.queuedTotal(); q != 0 {
 		t.Fatalf("cancelled session re-enqueued %d units", q)
+	}
+}
+
+// TestServeShutdownLeavesNoGoroutine: once a daemon's sessions have
+// finished and it shuts down, runtime.NumGoroutine is back at its count
+// before the daemon — its workers, the crawls' Prefetcher workers and its
+// HTTP front are gone (httptest's Close also closes the default transport's
+// idle connections).
+func TestServeShutdownLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx := context.Background()
+	_, client, stop := daemon(t, Config{StorePath: t.TempDir(), Workers: 2})
+	spec := SessionSpec{
+		Tenant: "acme",
+		Name:   "windowed",
+		Crawl:  CrawlSpec{Strategy: "sb", Seed: 3, Prefetch: sbcrawl.PrefetchAuto, SimLatency: 100 * time.Microsecond},
+		Sites:  []SiteSpec{{Code: "cl", Scale: 0.01, Seed: 1}, {Code: "cn", Scale: 0.01, Seed: 2}},
+	}
+	created, err := client.Create(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := client.WaitDone(ctx, created.ID); err != nil || done.State != StateDone {
+		t.Fatalf("session = %+v, %v", done, err)
+	}
+	stop()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after shutdown, %d before the daemon", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
